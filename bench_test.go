@@ -12,7 +12,9 @@ package codb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"codb/internal/experiment"
 	"codb/internal/topo"
@@ -57,14 +59,48 @@ func BenchmarkUpdateTopology(b *testing.B) {
 	}
 }
 
+// dataScaleParams is the E1 data-size chain: 8 nodes, the given per-node
+// cardinality.
+func dataScaleParams(tuples int) experiment.Params {
+	return experiment.Params{Shape: topo.Chain, Nodes: 8, TuplesPerNode: tuples, Seed: 43}
+}
+
 // E1 (scaling in data size): chain of 8, growing per-node cardinality.
 func BenchmarkUpdateDataScale(b *testing.B) {
 	for _, tuples := range []int{100, 500, 1000, 2000} {
 		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
-			runUpdateBench(b, experiment.Params{
-				Shape: topo.Chain, Nodes: 8, TuplesPerNode: tuples, Seed: 43,
-			})
+			runUpdateBench(b, dataScaleParams(tuples))
 		})
+	}
+}
+
+// TestUpdateDataScaleIsLinear is BenchmarkUpdateDataScale as a gate: one op
+// (build the chain, run the global update) at 2,000 rows/node may cost at
+// most 8x one at 500 rows/node (linear is 4x), so a per-row cost that grows
+// with the table fails tier-1. Medians of three, so one slow run does not
+// decide it.
+func TestUpdateDataScaleIsLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	medianOp := func(tuples int) time.Duration {
+		var runs []time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, err := experiment.RunUpdate(context.Background(), dataScaleParams(tuples)); err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, time.Since(start))
+		}
+		slices.Sort(runs)
+		return runs[1]
+	}
+	medianOp(100) // warm-up: first-use costs stay out of the ratio
+	small, large := medianOp(500), medianOp(2000)
+	ratio := float64(large) / float64(small)
+	t.Logf("500 rows/node %v, 2000 rows/node %v: %.1fx", small, large, ratio)
+	if ratio > 8 {
+		t.Fatalf("update cost grew %.1fx for 4x the rows (%v -> %v); want <= 8x", ratio, small, large)
 	}
 }
 

@@ -20,6 +20,7 @@
 //	codb-bench -nodes 4,8,16   # override the network sizes
 //	codb-bench -tuples 500     # override per-node cardinality
 //	codb-bench -json .         # also write machine-readable BENCH_<exp>.json
+//	codb-bench -exp B4 -cpuprofile cpu.out -memprofile mem.out   # then: go tool pprof -top cpu.out
 //
 // With -json DIR every experiment additionally writes DIR/BENCH_<exp>.json:
 // an array of {name, ns_per_op, msgs, bytes, ...} records, one per table
@@ -55,6 +56,8 @@ var (
 	seedFlag   = flag.Int64("seed", 42, "workload seed")
 	timeout    = flag.Duration("timeout", 5*time.Minute, "per-run timeout")
 	jsonDir    = flag.String("json", "", "directory to write BENCH_<exp>.json files into (empty = off)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 )
 
 // benchRow is one machine-readable result record.
@@ -133,6 +136,12 @@ func main() {
 		runB6Worker(*b6Worker)
 		return
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "codb-bench:", err)
+		os.Exit(2)
+	}
+	defer stopProfiles()
 	sizes, err := parseSizes(*nodesFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codb-bench:", err)

@@ -10,6 +10,7 @@
 //	codb-peer -name N3 -listen 127.0.0.1:7003      # wait for broadcasts
 //	codb-peer -name N4 -http 127.0.0.1:8080        # + HTTP/JSON gateway
 //	codb-peer -name N5 -join 127.0.0.1:7001        # join a live network
+//	codb-peer -name N6 -pprof 127.0.0.1:6060       # + net/http/pprof, its own listener
 //
 // The process runs until interrupted. With -mediator the node has no local
 // database (operations execute in the wrapper). With -http the node also
@@ -22,6 +23,10 @@
 // wire. With -leave-on-signal the peer departs cleanly when interrupted: it
 // floods a Leave notice and flushes its outbox, so survivors tombstone it
 // instead of timing out on a dead address.
+//
+// With -pprof the process serves /debug/pprof/ on a listener of its own
+// (never the gateway's), off by default:
+// `go tool pprof -top http://ADDR/debug/pprof/profile?seconds=10`.
 package main
 
 import (
@@ -29,6 +34,9 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -55,6 +63,7 @@ func main() {
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = default)")
 	retainSegments := flag.Int("retain-segments", 0, "checkpoint-superseded WAL segments kept for changelog spill (0 = default, negative = none)")
 	httpAddr := flag.String("http", "", "serve the HTTP/JSON gateway on this address (empty = no gateway)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, separate from -http (empty = off)")
 	evalParallelism := flag.Int("eval-parallelism", 0, "hash-join fan-out for rule/query evaluation (0/1 = serial)")
 	noSessionSnapshots := flag.Bool("no-session-snapshots", false, "evaluate update sessions over the live wrapper instead of pinned snapshots")
 	mediator := flag.Bool("mediator", false, "run without a local database")
@@ -93,6 +102,15 @@ func main() {
 	}
 	if addr == "" {
 		addr = "127.0.0.1:0"
+	}
+
+	if *pprofAddr != "" {
+		ln, err := servePprof(*pprofAddr)
+		if err != nil {
+			fatal(err)
+		}
+		defer ln.Close()
+		fmt.Printf("codb-peer %s pprof on %s\n", *name, ln.Addr())
 	}
 
 	tr, err := transport.NewTCP(*name, addr)
@@ -197,6 +215,24 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// servePprof serves the runtime profiling endpoints on their own listener
+// and mux, for the life of the process.
+func servePprof(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go srv.Serve(ln) // returns when main closes ln or the process exits
+	return ln, nil
 }
 
 func fatal(err error) {

@@ -9,7 +9,10 @@ import (
 )
 
 // Source is any provider of relation scans: the storage engine, a
-// relation.Instance, or a peer's overlay view all satisfy it.
+// relation.Instance, or a peer's overlay view all satisfy it. Tuples handed
+// to fn are never mutated afterwards — by the source or by the evaluator —
+// so the evaluator keeps them (join buckets, the delta slice) without
+// cloning; a source must not reuse one tuple's backing array for the next.
 type Source interface {
 	Scan(rel string, fn func(relation.Tuple) bool)
 }
@@ -479,7 +482,7 @@ func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTe
 				kb = relation.EncodeValue(kb, t[ti])
 			}
 			k := string(kb)
-			buckets[k] = append(buckets[k], t.Clone())
+			buckets[k] = append(buckets[k], t)
 			return true
 		}
 	}

@@ -120,7 +120,7 @@ func encodeOps(ops []op) []byte {
 	for _, o := range ops {
 		dst = append(dst, byte(o.kind))
 		dst = putString(dst, o.rel)
-		dst = putBytes(dst, relation.EncodeTuple(nil, o.tuple))
+		dst = putString(dst, o.key) // the order-preserving encoding is the key
 	}
 	return dst
 }
@@ -146,7 +146,11 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 	}
 	r := &reader{b: payload}
 	count := r.uvarint()
+	if count > uint64(len(payload)) { // every op takes at least its kind byte
+		return fmt.Errorf("storage: truncated op")
+	}
 	db.lsn = lsn
+	capt := db.beginCapture(lsn, int(count))
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		if r.off >= len(r.b) {
 			return fmt.Errorf("storage: truncated op")
@@ -179,15 +183,14 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			}
 			// The encoded op payload IS the tuple key, so routing needs no
 			// re-encoding.
-			s := db.tables[rel].shardFor(string(enc))
+			key := string(enc)
+			s := db.tables[rel].shardFor(key)
 			if kind == opInsert {
-				if s.insert(tuple) {
-					db.captureInsert(s, db.lsn, tuple)
+				if s.insert(key, tuple) {
+					capt.insert(s, tuple)
 				}
-			} else {
-				if s.delete(tuple) {
-					db.captureDelete(s, db.lsn)
-				}
+			} else if s.delete(key) {
+				capt.delete(s)
 			}
 		default:
 			return fmt.Errorf("storage: replay: bad op kind %d", kind)
@@ -457,7 +460,8 @@ func (db *DB) loadSnapshot(path string) error {
 			if err != nil {
 				return fmt.Errorf("storage: snapshot %s: %w", def.Name, err)
 			}
-			t.shardFor(string(enc)).insert(tuple)
+			key := string(enc)
+			t.shardFor(key).insert(key, tuple)
 		}
 	}
 	if version >= 2 {

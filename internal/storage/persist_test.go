@@ -203,8 +203,8 @@ func TestLegacyWALMigration(t *testing.T) {
 	}
 	for _, rec := range [][]byte{
 		encodeDDL(empDef()),
-		encodeOps([]op{{opInsert, "emp", emp(1, "a")}}),
-		encodeOps([]op{{opInsert, "emp", emp(2, "b")}, {opDelete, "emp", emp(1, "a")}}),
+		encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}),
+		encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(2, "b").Key()}, {kind: opDelete, rel: "emp", key: emp(1, "a").Key()}}),
 	} {
 		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestLegacyWALRemnantAfterMigrationCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Append(encodeDDL(empDef()))
-	l.Append(encodeOps([]op{{opInsert, "emp", emp(1, "a")}}))
+	l.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
 	l.Sync()
 	l.Close()
 	db := openDurable(t, dir, Options{}) // migrates: replay, v4 checkpoint, delete
@@ -265,7 +265,7 @@ func TestLegacyWALRemnantAfterMigrationCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Append(encodeDDL(empDef()))
-	l2.Append(encodeOps([]op{{opInsert, "emp", emp(1, "a")}}))
+	l2.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
 	l2.Sync()
 	l2.Close()
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sort"
 	"sync"
 
 	"codb/internal/btree"
@@ -35,7 +36,7 @@ type shard struct {
 	// rings) raises evictedBelow instead: that history is gone from
 	// memory but still serveable from retained WAL segments on durable
 	// databases.
-	changes      []change
+	changes      changeRing
 	lostBelow    uint64 // history before (and at) this LSN is unavailable
 	evictedBelow uint64 // in-memory history before (and at) this LSN was dropped
 
@@ -60,6 +61,93 @@ type change struct {
 	lsn   uint64
 	seq   uint64
 	tuple relation.Tuple
+}
+
+// changeRing is a shard's changelog: a circular buffer holding exactly the
+// last limit captured inserts, oldest first. Append and evict are O(1); the
+// backing array grows geometrically up to the limit, so a small relation
+// never pays for a full ring. Entries are in non-decreasing LSN order (a
+// commit holds its shard locks from LSN assignment through application).
+type changeRing struct {
+	buf  []change // len(buf) is the current capacity, at most the limit
+	head int      // index of the oldest entry
+	n    int      // live entries
+}
+
+// at returns the i-th oldest entry, 0 <= i < r.n.
+func (r *changeRing) at(i int) *change {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+// push appends c, evicting the oldest entry once the ring holds limit
+// (>= 1) entries; it returns the evicted entry's LSN, 0 when nothing was
+// evicted (no insert commits at LSN 0).
+func (r *changeRing) push(c change, limit int) (evictedLSN uint64) {
+	if r.n == limit {
+		old := &r.buf[r.head]
+		evictedLSN = old.lsn
+		*old = c
+		if r.head++; r.head == len(r.buf) {
+			r.head = 0
+		}
+		return evictedLSN
+	}
+	if r.n == len(r.buf) {
+		grown := make([]change, min(max(2*len(r.buf), 8), limit))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	*r.at(r.n) = c
+	r.n++
+	return 0
+}
+
+// after returns the position of the first entry with an LSN above lsn
+// (r.n when there is none).
+func (r *changeRing) after(lsn uint64) int {
+	return sort.Search(r.n, func(i int) bool { return r.at(i).lsn > lsn })
+}
+
+// capture stamps the changelog entries of one commit (live or replayed):
+// the changelog limit is resolved and the commit's capture sequence numbers
+// reserved once, not per tuple.
+type capture struct {
+	limit    int
+	lsn, seq uint64
+}
+
+// beginCapture starts the capture of a commit of at most nops ops.
+func (db *DB) beginCapture(lsn uint64, nops int) capture {
+	n := uint64(nops)
+	return capture{limit: db.changelogLimit(), lsn: lsn, seq: db.captureSeq.Add(n) - n}
+}
+
+// insert appends a committed insert to the owning shard's changelog (caller
+// holds the shard's write lock). Overflow drops the oldest entry and raises
+// the eviction floor — watermarks below it are answered from retained WAL
+// segments when the database is durable, and report history lost otherwise.
+func (c *capture) insert(s *shard, tuple relation.Tuple) {
+	if c.limit < 0 {
+		s.lostBelow = max(s.lostBelow, c.lsn)
+		return
+	}
+	c.seq++
+	evicted := s.changes.push(change{lsn: c.lsn, seq: c.seq, tuple: tuple}, c.limit)
+	s.evictedBelow = max(s.evictedBelow, evicted)
+}
+
+// delete records a committed delete (caller holds the shard's write lock).
+// A delete cannot be expressed as a monotone insert delta, so the shard's
+// history is poisoned up to the deleting commit: callers of Changes with an
+// older watermark must fall back to a full scan.
+func (c *capture) delete(s *shard) {
+	s.lostBelow = max(s.lostBelow, c.lsn)
+	s.changes = changeRing{}
 }
 
 func newTable(def *relation.RelDef, nshards int) *table {
@@ -107,10 +195,9 @@ func (t *table) runlockAll() {
 	}
 }
 
-// insert adds the tuple to the shard (caller holds the shard write lock).
-// Returns whether the tuple was new.
-func (s *shard) insert(tuple relation.Tuple) bool {
-	key := tuple.Key()
+// insert adds the tuple, whose encoding is key, to the shard (caller holds
+// the shard write lock). Returns whether the tuple was new.
+func (s *shard) insert(key string, tuple relation.Tuple) bool {
 	if _, dup := s.primary.Get(key); dup {
 		return false
 	}
@@ -131,10 +218,9 @@ func (s *shard) insert(tuple relation.Tuple) bool {
 	return true
 }
 
-// delete removes the tuple (caller holds the shard write lock). Returns
-// whether it was present.
-func (s *shard) delete(tuple relation.Tuple) bool {
-	key := tuple.Key()
+// delete removes the tuple encoded as key (caller holds the shard write
+// lock). Returns whether it was present.
+func (s *shard) delete(key string) bool {
 	slot, ok := s.primary.Get(key)
 	if !ok {
 		return false

@@ -405,13 +405,17 @@ var errClosed = fmt.Errorf("storage: database is closed")
 
 // Has reports whether the tuple is present in the relation.
 func (db *DB) Has(rel string, tuple relation.Tuple) bool {
+	return db.has(rel, tuple.Key())
+}
+
+// has is Has for a caller that already holds the tuple's key.
+func (db *DB) has(rel, key string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t := db.tables[rel]
 	if t == nil {
 		return false
 	}
-	key := tuple.Key()
 	s := t.shardFor(key)
 	s.mu.RLock()
 	_, ok := s.primary.Get(key)
@@ -738,42 +742,6 @@ func (db *DB) changelogLimit() int {
 	return db.opts.ChangelogLimit
 }
 
-// captureInsert appends a committed insert to the owning shard's changelog
-// (caller holds the shard's write lock). Overflow drops the oldest entries
-// and raises the eviction floor — watermarks below it are answered from
-// retained WAL segments when the database is durable, and report history
-// lost otherwise.
-func (db *DB) captureInsert(s *shard, lsn uint64, tuple relation.Tuple) {
-	limit := db.changelogLimit()
-	if limit < 0 {
-		if lsn > s.lostBelow {
-			s.lostBelow = lsn
-		}
-		return
-	}
-	s.changes = append(s.changes, change{lsn: lsn, seq: db.captureSeq.Add(1), tuple: tuple})
-	if len(s.changes) > limit {
-		drop := len(s.changes) - limit
-		if lb := s.changes[drop-1].lsn; lb > s.evictedBelow {
-			s.evictedBelow = lb
-		}
-		s.changes = append(s.changes[:0:0], s.changes[drop:]...)
-	}
-}
-
-// captureDelete records a committed delete (caller holds the shard's write
-// lock). A delete cannot be expressed as a monotone insert delta, so the
-// shard's history is poisoned up to the deleting commit: callers of
-// Changes with an older watermark must fall back to a full scan.
-func (db *DB) captureDelete(s *shard, lsn uint64) {
-	if lsn > s.lostBelow {
-		s.lostBelow = lsn
-	}
-	if len(s.changes) > 0 {
-		s.changes = nil
-	}
-}
-
 // Changes reports the tuples committed into the relation after sinceLSN, in
 // commit order. The hot path merges the per-shard in-memory changelogs (by
 // LSN, then by capture sequence within a multi-tuple commit). When the
@@ -823,23 +791,26 @@ func (db *DB) Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok
 }
 
 // memChangesLocked merges the in-memory shard changelogs for (sinceLSN,
-// visible]; shard read locks held by the caller.
+// visible]; shard read locks held by the caller. Each ring is LSN-ordered,
+// so the window is found by binary search and costs O(log n + delta).
 func (t *table) memChangesLocked(sinceLSN, visible uint64) []relation.Tuple {
-	var inserts []relation.Tuple
 	if len(t.shards) == 1 {
-		for _, c := range t.shards[0].changes {
-			if c.lsn > sinceLSN && c.lsn <= visible {
-				inserts = append(inserts, c.tuple)
-			}
+		r := &t.shards[0].changes
+		lo, hi := r.after(sinceLSN), r.after(visible)
+		if lo >= hi {
+			return nil
+		}
+		inserts := make([]relation.Tuple, hi-lo)
+		for i := range inserts {
+			inserts[i] = r.at(lo + i).tuple
 		}
 		return inserts
 	}
 	var merged []change
 	for _, s := range t.shards {
-		for _, c := range s.changes {
-			if c.lsn > sinceLSN && c.lsn <= visible {
-				merged = append(merged, c)
-			}
+		r := &s.changes
+		for i, hi := r.after(sinceLSN), r.after(visible); i < hi; i++ {
+			merged = append(merged, *r.at(i))
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool {
@@ -848,7 +819,7 @@ func (t *table) memChangesLocked(sinceLSN, visible uint64) []relation.Tuple {
 		}
 		return merged[i].seq < merged[j].seq
 	})
-	inserts = make([]relation.Tuple, len(merged))
+	inserts := make([]relation.Tuple, len(merged))
 	for i, c := range merged {
 		inserts[i] = c.tuple
 	}

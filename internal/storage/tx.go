@@ -30,7 +30,8 @@ const (
 type op struct {
 	kind  opKind
 	rel   string
-	tuple relation.Tuple
+	key   string         // the tuple's Key(): computed once at staging, reused to route, apply and log
+	tuple relation.Tuple // nil for opDelete
 }
 
 type stagedTuple struct {
@@ -73,15 +74,10 @@ func (tx *Tx) Insert(rel string, tuple relation.Tuple) (bool, error) {
 			return false, nil
 		}
 		// Staged delete followed by insert: net effect is presence.
-		m[key] = stagedTuple{tuple: tuple.Clone(), present: true}
-		tx.ops = append(tx.ops, op{opInsert, rel, tuple.Clone()})
-		return true, nil
-	}
-	if tx.db.Has(rel, tuple) {
+	} else if tx.db.has(rel, key) {
 		return false, nil
 	}
-	m[key] = stagedTuple{tuple: tuple.Clone(), present: true}
-	tx.ops = append(tx.ops, op{opInsert, rel, tuple.Clone()})
+	tx.record(m, op{opInsert, rel, key, tuple.Clone()})
 	return true, nil
 }
 
@@ -99,24 +95,27 @@ func (tx *Tx) Delete(rel string, tuple relation.Tuple) (bool, error) {
 		if !st.present {
 			return false, nil
 		}
-		m[key] = stagedTuple{tuple: tuple.Clone(), present: false}
-		tx.ops = append(tx.ops, op{opDelete, rel, tuple.Clone()})
-		return true, nil
-	}
-	if !tx.db.Has(rel, tuple) {
+	} else if !tx.db.has(rel, key) {
 		return false, nil
 	}
-	m[key] = stagedTuple{tuple: tuple.Clone(), present: false}
-	tx.ops = append(tx.ops, op{opDelete, rel, tuple.Clone()})
+	tx.record(m, op{kind: opDelete, rel: rel, key: key}) // a delete is fully described by its key
 	return true, nil
+}
+
+// record stages one op: the overlay entry and the op share the op's tuple,
+// a private clone nothing mutates.
+func (tx *Tx) record(stage map[string]stagedTuple, o op) {
+	stage[o.key] = stagedTuple{tuple: o.tuple, present: o.kind == opInsert}
+	tx.ops = append(tx.ops, o)
 }
 
 // Has reports presence through the transaction (committed state plus stage).
 func (tx *Tx) Has(rel string, tuple relation.Tuple) bool {
-	if st, ok := tx.overlay[rel][tuple.Key()]; ok {
+	key := tuple.Key()
+	if st, ok := tx.overlay[rel][key]; ok {
 		return st.present
 	}
-	return tx.db.Has(rel, tuple)
+	return tx.db.has(rel, key)
 }
 
 // Scan iterates the relation as seen by the transaction: committed tuples
@@ -137,8 +136,8 @@ func (tx *Tx) Scan(rel string, fn func(relation.Tuple) bool) {
 	if stopped {
 		return
 	}
-	for _, st := range stage {
-		if st.present && !tx.db.Has(rel, st.tuple) {
+	for key, st := range stage {
+		if st.present && !tx.db.has(rel, key) {
 			if !fn(st.tuple) {
 				return
 			}
@@ -172,11 +171,7 @@ func (tx *Tx) Commit() error {
 		db.mu.RUnlock()
 		return errClosed
 	}
-	keys := make([]string, len(tx.ops))
-	for i, o := range tx.ops {
-		keys[i] = o.tuple.Key()
-	}
-	locked := db.lockOpShards(tx.ops, keys)
+	locked := db.lockOpShards(tx.ops)
 	db.commitMu.Lock()
 	lsn := db.assignLSN()
 	var wait <-chan error
@@ -200,16 +195,17 @@ func (tx *Tx) Commit() error {
 	if wait != nil {
 		werr = <-wait
 	}
-	for i, o := range tx.ops {
-		s := db.tables[o.rel].shardFor(keys[i])
+	capt := db.beginCapture(lsn, len(tx.ops))
+	for _, o := range tx.ops {
+		s := db.tables[o.rel].shardFor(o.key)
 		switch o.kind {
 		case opInsert:
-			if s.insert(o.tuple) {
-				db.captureInsert(s, lsn, o.tuple)
+			if s.insert(o.key, o.tuple) {
+				capt.insert(s, o.tuple)
 			}
 		case opDelete:
-			if s.delete(o.tuple) {
-				db.captureDelete(s, lsn)
+			if s.delete(o.key) {
+				capt.delete(s)
 			}
 		}
 	}
@@ -236,7 +232,7 @@ func (tx *Tx) Commit() error {
 // global (relation name, shard index) order, and returns them for unlock.
 // Consistent ordering across commits and full-cut readers (rlockTables)
 // makes the per-shard locking deadlock-free.
-func (db *DB) lockOpShards(ops []op, keys []string) []*shard {
+func (db *DB) lockOpShards(ops []op) []*shard {
 	type ref struct {
 		rel string
 		idx int
@@ -244,9 +240,9 @@ func (db *DB) lockOpShards(ops []op, keys []string) []*shard {
 	}
 	refs := make([]ref, 0, len(ops))
 	seen := make(map[*shard]bool, len(ops))
-	for i, o := range ops {
+	for _, o := range ops {
 		t := db.tables[o.rel]
-		idx := shardIndex(keys[i], len(t.shards))
+		idx := shardIndex(o.key, len(t.shards))
 		s := t.shards[idx]
 		if !seen[s] {
 			seen[s] = true
