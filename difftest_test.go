@@ -252,6 +252,91 @@ func applyBurst(t *testing.T, nw *Network, names []string, sc diffScenario, roun
 	}
 }
 
+// burstKey is the key of the first tuple applyBurst commits at node ni in a
+// round; its value is the round number.
+func burstKey(round, ni int) int { return 5_000_000 + round*100_000 + ni*1_000 }
+
+// distQueries is the distributed-query panel: a lookup and a self-join with
+// a constant that only the round's burst at one peer can answer, and the
+// unconstrained self-join.
+func distQueries(key int) []string {
+	return []string{
+		fmt.Sprintf(`ans(v) :- data(%d, v)`, key),
+		fmt.Sprintf(`ans(z) :- data(%d, y), data(y, z)`, key),
+		`ans(x, z) :- data(x, y), data(y, z)`,
+	}
+}
+
+var distModes = []QueryMode{AllAnswers, CertainAnswers}
+
+// distAnswers holds one node's answers to the distributed panel, per query
+// and mode: what the distributed query streamed, and what the node could
+// answer locally just before it.
+type distAnswers struct {
+	node     string
+	panel    []string
+	local    [][]string
+	streamed [][]string
+}
+
+// askDistributed runs the panel as distributed queries at one node of the
+// network under test. It is called after a round's burst and before the
+// round's update, so the burst is still unmaterialised and the answers have
+// to be fetched through the links and streamed semi-naively at the origin.
+func askDistributed(t *testing.T, nw *Network, node string, key int) distAnswers {
+	t.Helper()
+	da := distAnswers{node: node, panel: distQueries(key)}
+	for _, q := range da.panel {
+		for _, mode := range distModes {
+			da.local = append(da.local, answerSet(t, nw, node, q, mode))
+			rows, err := nw.Query(ctxT(t), node, q, mode)
+			if err != nil {
+				t.Fatalf("distributed query %s @ %s: %v", q, node, err)
+			}
+			keys := make([]string, len(rows))
+			for i, r := range rows {
+				keys[i] = r.Key()
+			}
+			sort.Strings(keys)
+			for i := 1; i < len(keys); i++ {
+				if keys[i] == keys[i-1] {
+					t.Fatalf("distributed query %s @ %s streamed an answer twice", q, node)
+				}
+			}
+			da.streamed = append(da.streamed, keys)
+		}
+	}
+	return da
+}
+
+// check compares the streamed answers with the reference network's local
+// answers after the round's update has materialised everything. On acyclic
+// rule graphs query-time fetching reaches the fixpoint, so the two are
+// equal; on cyclic ones path labels make it the simple-path approximation,
+// which lies between the pre-query local answers and the fixpoint's.
+func (da distAnswers) check(t *testing.T, ref *Network, acyclic bool, what string) {
+	t.Helper()
+	i := 0
+	for _, q := range da.panel {
+		for _, mode := range distModes {
+			want := answerSet(t, ref, da.node, q, mode)
+			got, local := da.streamed[i], da.local[i]
+			i++
+			switch {
+			case acyclic && !equalKeys(got, want):
+				t.Fatalf("%s: distributed %q @ %s (mode %d) streamed %d answers, the fixpoint has %d",
+					what, q, da.node, mode, len(got), len(want))
+			case !subsetKeys(local, got):
+				t.Fatalf("%s: distributed %q @ %s (mode %d) lost local answers", what, q, da.node, mode)
+			case !subsetKeys(got, want):
+				t.Fatalf("%s: distributed %q @ %s (mode %d) streamed answers outside the fixpoint", what, q, da.node, mode)
+			}
+		}
+	}
+}
+
+func acyclicShape(s topo.Shape) bool { return s != topo.Ring && s != topo.Random }
+
 func TestDifferentialIncrementalVsFullExport(t *testing.T) {
 	const scenarios = 26 // ≥ 25 randomized topologies
 	for _, sc := range diffScenarios(scenarios) {
@@ -304,12 +389,17 @@ func TestDifferentialIncrementalVsFullExport(t *testing.T) {
 					applyBurst(t, full, names, sc, round)
 				}
 				origin := names[rnd.Intn(len(names))]
+				// Distributed queries over the still unmaterialised burst
+				// (the first round's seed data, likewise), asked where the
+				// update is about to start.
+				dist := askDistributed(t, incr, origin, burstKey(round, len(names)-1))
 				if _, err := incr.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("incremental update round %d: %v", round, err)
 				}
 				if _, err := full.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("full update round %d: %v", round, err)
 				}
+				dist.check(t, full, acyclicShape(sc.shape), fmt.Sprintf("round %d", round))
 
 				// Byte-identical databases after every round.
 				fi, ff := fingerprint(incr), fingerprint(full)
@@ -411,12 +501,17 @@ func TestDifferentialChurn(t *testing.T) {
 					applyBurst(t, churn, names, sc, round)
 					applyBurst(t, full, names, sc, round)
 				}
+				// Distributed queries through the just-rejoined incarnation:
+				// the constant is a key only the victim's burst holds.
+				victimIdx := 1 + (round+len(names)-2)%(len(names)-1)
+				dist := askDistributed(t, churn, origin, burstKey(round, victimIdx))
 				if _, err := churn.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("churn update round %d: %v", round, err)
 				}
 				if _, err := full.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("reference update round %d: %v", round, err)
 				}
+				dist.check(t, full, acyclicShape(sc.shape), fmt.Sprintf("churn round %d", round))
 				fi, ff := fingerprint(churn), fingerprint(full)
 				if !bytes.Equal(fi, ff) {
 					t.Fatalf("round %d: churn network diverged from static reference\nchurn:\n%s\nreference:\n%s",
@@ -491,12 +586,16 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 					applyBurst(t, full, names, sc, round)
 				}
 				origin := names[rnd.Intn(len(names))]
+				// Query sessions are explicit demand: every link exports
+				// eagerly for them, whatever its update policy.
+				dist := askDistributed(t, lazy, origin, burstKey(round, len(names)-1))
 				if _, err := lazy.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("lazy update round %d: %v", round, err)
 				}
 				if _, err := full.Update(ctxT(t), origin); err != nil {
 					t.Fatalf("reference update round %d: %v", round, err)
 				}
+				dist.check(t, full, acyclicShape(sc.shape), fmt.Sprintf("round %d, policies %v", round, policies))
 				// Pull-effective links may lag until the catch-up pull.
 				if _, err := lazy.CatchUp(ctxT(t)); err != nil {
 					t.Fatalf("catch-up round %d: %v", round, err)

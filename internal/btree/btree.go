@@ -8,8 +8,6 @@
 // serialises writers.
 package btree
 
-import "sort"
-
 // degree is the maximum number of children of an interior node. Leaves hold
 // up to degree-1 items.
 const degree = 64
@@ -35,9 +33,31 @@ type node[V any] struct {
 
 func (n *node[V]) leaf() bool { return n.children == nil }
 
+// search returns the smallest index i with keys[i] >= key (len(keys) if
+// none): sort.SearchStrings without the per-step closure call, which is
+// most of a descent's cost.
+func search(keys []string, key string) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// newLeaf returns an empty leaf whose arrays already have room for a full
+// node plus the one item that overflows it, so inserts never regrow them.
+func newLeaf[V any]() *node[V] {
+	return &node[V]{keys: make([]string, 0, maxItems+1), vals: make([]V, 0, maxItems+1)}
+}
+
 // New returns an empty tree.
 func New[V any]() *Map[V] {
-	return &Map[V]{root: &node[V]{}}
+	return &Map[V]{root: newLeaf[V]()}
 }
 
 // Len returns the number of stored keys.
@@ -47,13 +67,13 @@ func (m *Map[V]) Len() int { return m.len }
 func (m *Map[V]) Get(key string) (V, bool) {
 	n := m.root
 	for !n.leaf() {
-		i := sort.SearchStrings(n.keys, key)
+		i := search(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			i++ // equal separator: key lives in the right subtree
 		}
 		n = n.children[i]
 	}
-	i := sort.SearchStrings(n.keys, key)
+	i := search(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
 		return n.vals[i], true
 	}
@@ -64,26 +84,41 @@ func (m *Map[V]) Get(key string) (V, bool) {
 // Put stores value under key, returning the previous value if the key was
 // already present.
 func (m *Map[V]) Put(key string, value V) (old V, replaced bool) {
-	old, replaced, splitKey, splitNode := m.insert(m.root, key, value)
+	return m.put(key, value, true)
+}
+
+// Add stores value under key unless the key is already present, reporting
+// whether it was stored: a set-semantics insert in one descent.
+func (m *Map[V]) Add(key string, value V) bool {
+	_, present := m.put(key, value, false)
+	return !present
+}
+
+func (m *Map[V]) put(key string, value V, overwrite bool) (old V, present bool) {
+	old, present, splitKey, splitNode := m.insert(m.root, key, value, overwrite)
 	if splitNode != nil {
 		m.root = &node[V]{
 			keys:     []string{splitKey},
 			children: []*node[V]{m.root, splitNode},
 		}
 	}
-	if !replaced {
+	if !present {
 		m.len++
 	}
-	return old, replaced
+	return old, present
 }
 
-// insert adds key to the subtree at n. If n splits, it returns the separator
-// key and the new right sibling.
-func (m *Map[V]) insert(n *node[V], key string, value V) (old V, replaced bool, splitKey string, splitNode *node[V]) {
+// insert adds key to the subtree at n; a key already present keeps its value
+// unless overwrite is set. If n splits, it returns the separator key and the
+// new right sibling.
+func (m *Map[V]) insert(n *node[V], key string, value V, overwrite bool) (old V, present bool, splitKey string, splitNode *node[V]) {
 	if n.leaf() {
-		i := sort.SearchStrings(n.keys, key)
+		i := search(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			old, n.vals[i] = n.vals[i], value
+			old = n.vals[i]
+			if overwrite {
+				n.vals[i] = value
+			}
 			return old, true, "", nil
 		}
 		n.keys = append(n.keys, "")
@@ -98,11 +133,11 @@ func (m *Map[V]) insert(n *node[V], key string, value V) (old V, replaced bool, 
 		}
 		return old, false, splitKey, splitNode
 	}
-	i := sort.SearchStrings(n.keys, key)
+	i := search(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
 		i++
 	}
-	old, replaced, sk, sn := m.insert(n.children[i], key, value)
+	old, present, sk, sn := m.insert(n.children[i], key, value, overwrite)
 	if sn != nil {
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
@@ -114,7 +149,7 @@ func (m *Map[V]) insert(n *node[V], key string, value V) (old V, replaced bool, 
 			splitKey, splitNode = n.splitInterior()
 		}
 	}
-	return old, replaced, splitKey, splitNode
+	return old, present, splitKey, splitNode
 }
 
 // splitLeaf splits an over-full leaf; the separator is the first key of the
@@ -122,13 +157,16 @@ func (m *Map[V]) insert(n *node[V], key string, value V) (old V, replaced bool, 
 // stays in leaves).
 func (n *node[V]) splitLeaf() (string, *node[V]) {
 	mid := len(n.keys) / 2
-	right := &node[V]{
-		keys: append([]string(nil), n.keys[mid:]...),
-		vals: append([]V(nil), n.vals[mid:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
+	right := newLeaf[V]()
+	right.keys = append(right.keys, n.keys[mid:]...)
+	right.vals = append(right.vals, n.vals[mid:]...)
+	right.next = n.next
+	// The left half keeps its full-capacity arrays; the vacated tail is
+	// cleared so it pins neither keys nor values.
+	clear(n.keys[mid:])
+	clear(n.vals[mid:])
+	n.keys = n.keys[:mid]
+	n.vals = n.vals[:mid]
 	n.next = right
 	return right.keys[0], right
 }
@@ -160,7 +198,7 @@ func (m *Map[V]) Delete(key string) (V, bool) {
 
 func (m *Map[V]) remove(n *node[V], key string) (V, bool) {
 	if n.leaf() {
-		i := sort.SearchStrings(n.keys, key)
+		i := search(n.keys, key)
 		if i >= len(n.keys) || n.keys[i] != key {
 			var zero V
 			return zero, false
@@ -170,7 +208,7 @@ func (m *Map[V]) remove(n *node[V], key string) (V, bool) {
 		n.vals = append(n.vals[:i], n.vals[i+1:]...)
 		return old, true
 	}
-	i := sort.SearchStrings(n.keys, key)
+	i := search(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
 		i++
 	}
@@ -248,13 +286,13 @@ func (n *node[V]) rebalance(i int) {
 func (m *Map[V]) Ascend(from, to string, fn func(key string, value V) bool) {
 	n := m.root
 	for !n.leaf() {
-		i := sort.SearchStrings(n.keys, from)
+		i := search(n.keys, from)
 		if i < len(n.keys) && n.keys[i] == from {
 			i++
 		}
 		n = n.children[i]
 	}
-	i := sort.SearchStrings(n.keys, from)
+	i := search(n.keys, from)
 	for n != nil {
 		for ; i < len(n.keys); i++ {
 			if to != "" && n.keys[i] >= to {
@@ -303,13 +341,13 @@ type Iterator[V any] struct {
 func (m *Map[V]) Iter(from string) *Iterator[V] {
 	n := m.root
 	for !n.leaf() {
-		i := sort.SearchStrings(n.keys, from)
+		i := search(n.keys, from)
 		if i < len(n.keys) && n.keys[i] == from {
 			i++
 		}
 		n = n.children[i]
 	}
-	return &Iterator[V]{n: n, i: sort.SearchStrings(n.keys, from)}
+	return &Iterator[V]{n: n, i: search(n.keys, from)}
 }
 
 // Next returns the current key/value and advances, or ok=false at the end.

@@ -281,3 +281,29 @@ func BenchmarkGet(b *testing.B) {
 		m.Get(key(i % 100000))
 	}
 }
+
+// TestAdd: Add stores only absent keys and never disturbs a present one.
+func TestAdd(t *testing.T) {
+	m := New[int]()
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("k%04d", (i*7919)%500)
+		_, had := m.Get(k)
+		if added := m.Add(k, i); added == had {
+			t.Fatalf("Add(%s) = %v with the key present = %v", k, added, had)
+		}
+		if v, _ := m.Get(k); had && v == i {
+			t.Fatalf("Add(%s) overwrote a present key", k)
+		}
+	}
+	if m.Len() != 500 {
+		t.Fatalf("Len = %d, want 500", m.Len())
+	}
+	prev := ""
+	m.AscendAll(func(k string, _ int) bool {
+		if k <= prev {
+			t.Fatalf("keys out of order: %q after %q", k, prev)
+		}
+		prev = k
+		return true
+	})
+}

@@ -89,7 +89,7 @@ func (a *Applier) Frontier() []string { return a.frontier }
 // facts to assert at the target node. Bindings beyond the depth bound are
 // skipped and counted.
 func (a *Applier) Facts(bindings []relation.Tuple) []Fact {
-	var out []Fact
+	out := make([]Fact, 0, len(bindings)*len(a.rule.Head))
 	for _, b := range bindings {
 		out = append(out, a.factsFor(b)...)
 	}

@@ -54,8 +54,14 @@ func (n *Node) StartQuery(sid string, q *cq.Query, mode QueryMode) (Result, erro
 	s.answerKeys = make(map[string]bool)
 	n.ds.Start(sid)
 
-	// Answer from local data immediately (paper §3).
-	n.streamAnswers(s, &r)
+	// Answer from local data immediately (paper §3): the one full
+	// evaluation of the session; fetched data streams further answers
+	// semi-naively (streamFresh).
+	answers, err := cq.Eval(q, n.sessionView(s), n.cfg.Eval)
+	if err != nil {
+		n.noteEvalError(s, &r, fmt.Errorf("query eval: %w", err))
+	}
+	n.streamAnswers(s, answers, &r)
 
 	// Propagate along the relevant outgoing links, path label [self].
 	relevant := cq.Closure(q.Relations(), n.Outgoing())
@@ -305,12 +311,14 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	facts := applier.Facts(d.Bindings)
 	s.rep.SkippedDepth += applier.Skipped - skippedBefore
 	v := n.sessionView(s)
-	byRel := make(map[string][]relation.Tuple)
-	for _, f := range facts {
-		byRel[f.Rel] = append(byRel[f.Rel], f.Tuple)
-	}
 	fresh := make(map[string][]relation.Tuple)
-	for rel, ts := range byRel {
+	for _, rel := range rs.rule.HeadRelations() {
+		ts := make([]relation.Tuple, 0, len(facts))
+		for _, f := range facts {
+			if f.Rel == rel {
+				ts = append(ts, f.Tuple)
+			}
+		}
 		fs, err := v.insertMany(rel, ts)
 		if err != nil {
 			continue // schema violation from a remote peer: drop, keep going
@@ -337,9 +345,9 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 				}
 			}
 		}
-		// A query origin re-evaluates and streams new answers.
+		// A query origin streams the answers the fresh tuples make new.
 		if s.query != nil {
-			n.streamAnswers(s, &r)
+			n.streamFresh(s, fresh, &r)
 		}
 	}
 	n.closeCheck(s, &r)
@@ -515,13 +523,14 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	n.sendData(s, rule, to, bindings, []string{n.cfg.Self}, mode, skipped, r)
 }
 
-// deltaBindings evaluates a rule semi-naively over per-relation deltas,
-// deduplicating bindings produced through more than one delta relation.
+// deltaBindings evaluates a rule semi-naively over per-relation deltas;
+// bindings produced through more than one delta relation are merged
+// duplicate-free (one relation's are unique already and pass through).
 // evalFailed reports whether any per-relation evaluation errored (the
 // returned bindings then cover only the relations that succeeded).
 func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]relation.Tuple, r *Result) (bindings []relation.Tuple, evalFailed bool) {
 	v := n.sessionView(s)
-	seen := make(map[string]bool)
+	var merged relation.Union
 	for _, rel := range rule.BodyRelations() {
 		delta := deltas[rel]
 		if len(delta) == 0 {
@@ -533,15 +542,9 @@ func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]rela
 			evalFailed = true
 			continue
 		}
-		for _, b := range bs {
-			k := b.Key()
-			if !seen[k] {
-				seen[k] = true
-				bindings = append(bindings, b)
-			}
-		}
+		merged.Add(bs)
 	}
-	return bindings, evalFailed
+	return merged.Tuples, evalFailed
 }
 
 // exportDelta re-evaluates an incoming link against the fresh tuples of the
@@ -589,31 +592,32 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	bindings = n.applyFilter(rule, bindings)
 	if !n.cfg.DisableDedup {
 		sent := s.sentSet(rule.ID)
-		kept := bindings[:0:0]
-		for _, b := range bindings {
-			k := b.Key()
-			if !sent[k] {
-				sent[k] = true
-				kept = append(kept, b)
-			}
-		}
-		bindings = kept
-
 		// Cross-session suppression: a binding shipped in an earlier
 		// update session is already materialised at the importer. The
 		// state advances inside running sessions too, so the in-session
 		// delta step contributes to the next session's savings.
-		if es := n.exports[rule.ID]; es != nil && n.incrementalFor(s) {
-			kept := bindings[:0:0]
-			for _, b := range bindings {
-				k := b.Key()
-				if !es.shipped[k] {
-					es.shipped[k] = true
-					kept = append(kept, b)
-				}
+		es := n.exports[rule.ID]
+		if !n.incrementalFor(s) {
+			es = nil
+		}
+		kept := make([]relation.Tuple, 0, len(bindings))
+		for _, b := range bindings {
+			k := b.Key() // encoded once, for both sets
+			if sent[k] {
+				continue
 			}
-			s.rep.SuppressedBindings += len(bindings) - len(kept)
-			bindings = kept
+			sent[k] = true
+			if es != nil {
+				if es.shipped[k] {
+					s.rep.SuppressedBindings++
+					continue
+				}
+				es.shipped[k] = true
+			}
+			kept = append(kept, b)
+		}
+		bindings = kept
+		if es != nil {
 			if len(kept) > 0 {
 				n.exportsChanged++
 			}
@@ -643,19 +647,36 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	r.send(to, data)
 	n.ds.Sent(s.sid, to, 1)
 	s.rep.SentMsgs++
-	s.rep.SentBytes += data.Size()
-	n.propStatFor(rule.ID).bytesPushed += uint64(data.Size())
+	size := data.Size()
+	s.rep.SentBytes += size
+	n.propStatFor(rule.ID).bytesPushed += uint64(size)
 	s.noteSentTo(to)
 }
 
-// streamAnswers re-evaluates a query origin's query and emits answers not
-// yet streamed.
-func (n *Node) streamAnswers(s *session, r *Result) {
-	answers, err := cq.Eval(s.query, n.sessionView(s), n.cfg.Eval)
-	if err != nil {
-		n.noteEvalError(s, r, fmt.Errorf("query eval: %w", err))
-		return
+// streamFresh is the query origin's semi-naive step: for every relation of
+// the query that just received fresh tuples, evaluate the query with each
+// occurrence of that relation restricted to them, and stream what is new.
+// Together with StartQuery's evaluation over the local data this yields
+// exactly the answers a full evaluation over everything fetched would, at a
+// cost proportional to the batch.
+func (n *Node) streamFresh(s *session, fresh map[string][]relation.Tuple, r *Result) {
+	v := n.sessionView(s)
+	for _, rel := range s.query.Relations() {
+		delta := fresh[rel]
+		if len(delta) == 0 {
+			continue
+		}
+		answers, err := cq.EvalQueryDelta(s.query, v, rel, delta, n.cfg.Eval)
+		if err != nil {
+			n.noteEvalError(s, r, fmt.Errorf("query eval over fresh %s: %w", rel, err))
+			continue
+		}
+		n.streamAnswers(s, answers, r)
 	}
+}
+
+// streamAnswers emits a query origin's answers not yet streamed.
+func (n *Node) streamAnswers(s *session, answers []relation.Tuple, r *Result) {
 	r.AnswersSID = s.sid
 	for _, a := range answers {
 		if s.certain && a.HasNull() {
@@ -698,8 +719,7 @@ func (n *Node) finalize(s *session, initiator bool, r *Result) {
 	n.forceCloseAll(s)
 	s.rep.EndUnixNano = n.cfg.Clock()
 	n.recordReport(s.rep)
-	s.overlay = nil // release query overlay
-	s.pinned = nil  // release the session's pinned snapshot
+	s.release()
 	r.Finished = append(r.Finished, Finished{SID: s.sid, Initiator: initiator, Report: s.rep})
 }
 

@@ -36,7 +36,7 @@ type session struct {
 	query *cq.Query // non-nil at the origin of a query session
 	// overlay is the per-session sink for query sessions (never committed
 	// to the LDB); nil for update sessions.
-	overlay relation.Instance
+	overlay *relation.Set
 	// activeIncoming maps incoming rule IDs to the requesting importer,
 	// for query sessions (updates push to every incoming link's target).
 	activeIncoming map[string]string
@@ -91,10 +91,19 @@ func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 		},
 	}
 	if kind == msg.KindQuery {
-		s.overlay = relation.NewInstance()
+		s.overlay = relation.NewSet()
 	}
 	n.sessions[sid] = s
 	return s
+}
+
+// release drops everything a finished session no longer needs — the query
+// overlay, the pinned snapshot, every per-tuple and per-link map — by
+// resetting the session to what must stay: the identity, the done flag
+// (stale messages of the session are recognised by it and return before
+// touching anything else) and the report. That is O(1) per finished session.
+func (s *session) release() {
+	*s = session{sid: s.sid, kind: s.kind, origin: s.origin, rep: s.rep, done: true}
 }
 
 // getSession returns (creating if needed) the session, reporting whether it
@@ -141,13 +150,20 @@ func (s *session) noteSentTo(node string) {
 // snapshots (and session snapshots are enabled), the LDB half is a pinned
 // immutable snapshot instead of the live wrapper: evaluation then runs
 // without storage locks, the CQ evaluator's hash-join builds fan out per
-// shard (the view forwards cq.ShardedSource), and constant pushdown probes
-// the snapshot's lazy secondary views (cq.EqScanner). Writes still go to
-// the live wrapper (or the overlay), never to the snapshot.
+// shard (the view forwards cq.ShardedSource), and constant pushdown and
+// index-probe joins reach the snapshot's lazy secondary views
+// (cq.EqScanner). Writes still go to the live wrapper (or the overlay),
+// never to the snapshot.
+//
+// The overlay is a relation.Set: ordered (scans stay in key order, so
+// exports are deterministic) and indexed (ScanEq probes it). Overlay tuples
+// that meanwhile appeared in the LDB half are shadowed — skipped, since the
+// base scan already delivered them; the check reuses the key the overlay
+// stores, so it encodes nothing.
 type view struct {
 	base    Wrapper
-	snap    ReadView          // nil: evaluation falls back to the live wrapper
-	overlay relation.Instance // nil for update sessions
+	snap    ReadView      // nil: evaluation falls back to the live wrapper
+	overlay *relation.Set // nil for update sessions
 }
 
 // sessionView returns the session's evaluation view, (re)pinning its
@@ -166,75 +182,65 @@ func (n *Node) sessionView(s *session) view {
 	return v
 }
 
-// baseScan iterates the LDB half of the view (snapshot if pinned).
-func (v view) baseScan(rel string, fn func(relation.Tuple) bool) {
-	if v.snap != nil {
-		v.snap.Scan(rel, fn)
-		return
-	}
-	v.base.Scan(rel, fn)
+// keyedHas is optionally implemented by wrappers and read views that test
+// presence by a tuple's already-encoded key (storage snapshots and both
+// wrappers do), so a caller holding the key does not encode it again.
+type keyedHas interface {
+	HasKey(rel, key string) bool
 }
 
-// baseHas reports presence in the LDB half of the view (snapshot if
-// pinned). The overlay shadow checks use this rather than the live
-// wrapper so that one evaluation reads one consistent state.
-func (v view) baseHas(rel string, t relation.Tuple) bool {
+// ldb returns the LDB half of the view: the pinned snapshot, or the live
+// wrapper without one. All reads of one evaluation go through it, so they
+// see one consistent state.
+func (v view) ldb() interface {
+	cq.Source
+	Has(rel string, t relation.Tuple) bool
+} {
 	if v.snap != nil {
-		return v.snap.Has(rel, t)
+		return v.snap
 	}
-	return v.base.Has(rel, t)
+	return v.base
+}
+
+// baseHas reports presence of tuple t, encoded as key, in the LDB half.
+func (v view) baseHas(rel, key string, t relation.Tuple) bool {
+	b := v.ldb()
+	if kh, ok := b.(keyedHas); ok {
+		return kh.HasKey(rel, key)
+	}
+	return b.Has(rel, t)
 }
 
 // Scan implements cq.Source over base ∪ overlay.
 func (v view) Scan(rel string, fn func(relation.Tuple) bool) {
 	stopped := false
-	v.baseScan(rel, func(t relation.Tuple) bool {
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
+	v.ldb().Scan(rel, func(t relation.Tuple) bool {
+		stopped = !fn(t)
+		return !stopped
 	})
 	if stopped || v.overlay == nil {
 		return
 	}
-	for _, t := range v.overlay.Tuples(rel) {
-		if v.baseHas(rel, t) {
-			continue // shadowed: already visited via base
-		}
-		if !fn(t) {
-			return
-		}
-	}
+	v.overlay.ScanKeys(rel, func(key string, t relation.Tuple) bool {
+		return v.baseHas(rel, key, t) || fn(t)
+	})
 }
 
 // ScanEq implements cq.EqScanner over base ∪ overlay: the snapshot probes
-// its lazy secondary view, the live wrapper its secondary index (or a
-// filtered scan when it has neither); overlay tuples are filtered inline.
+// its lazy secondary view, the live wrapper its own index, the overlay its
+// secondary tree. An LDB half that cannot probe is filtered from a full
+// scan.
 func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.Tuple) bool) {
 	stopped := false
 	scan := func(t relation.Tuple) bool {
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !fn(t)
+		return !stopped
 	}
-	if v.snap != nil {
-		if es, ok := v.snap.(cq.EqScanner); ok {
-			es.ScanEq(rel, pos, val, scan)
-		} else {
-			v.snap.Scan(rel, func(t relation.Tuple) bool {
-				if pos < len(t) && t[pos] == val {
-					return scan(t)
-				}
-				return true
-			})
-		}
-	} else if es, ok := v.base.(cq.EqScanner); ok {
+	b := v.ldb()
+	if es, ok := b.(cq.EqScanner); ok {
 		es.ScanEq(rel, pos, val, scan)
 	} else {
-		v.base.Scan(rel, func(t relation.Tuple) bool {
+		b.Scan(rel, func(t relation.Tuple) bool {
 			if pos < len(t) && t[pos] == val {
 				return scan(t)
 			}
@@ -244,14 +250,23 @@ func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.T
 	if stopped || v.overlay == nil {
 		return
 	}
-	for _, t := range v.overlay.Tuples(rel) {
-		if pos >= len(t) || t[pos] != val || v.baseHas(rel, t) {
-			continue
-		}
-		if !fn(t) {
-			return
-		}
+	v.overlay.ScanEqKeys(rel, pos, val, func(key string, t relation.Tuple) bool {
+		return v.baseHas(rel, key, t) || fn(t)
+	})
+}
+
+// IndexedProbes implements cq.ProbeGate: a pinned snapshot always probes
+// an index; a live wrapper speaks for itself, or is trusted when it offers
+// ScanEq without reservation.
+func (v view) IndexedProbes() bool {
+	if v.snap != nil {
+		return true
 	}
+	if g, ok := v.base.(cq.ProbeGate); ok {
+		return g.IndexedProbes()
+	}
+	_, ok := v.base.(cq.EqScanner)
+	return ok
 }
 
 // ShardCount implements cq.ShardedSource by forwarding the pinned
@@ -263,7 +278,7 @@ func (v view) ShardCount(rel string) int {
 	if v.snap == nil {
 		return 0
 	}
-	if len(v.overlay[rel]) > 0 {
+	if v.overlay != nil && v.overlay.Len(rel) > 0 {
 		return 0
 	}
 	if ss, ok := v.snap.(cq.ShardedSource); ok {
@@ -282,26 +297,21 @@ func (v view) ScanShard(rel string, shard int, fn func(relation.Tuple) bool) {
 	}
 }
 
-// has reports presence in base ∪ overlay.
-func (v view) has(rel string, t relation.Tuple) bool {
-	if v.baseHas(rel, t) {
-		return true
-	}
-	return v.overlay != nil && v.overlay.Has(rel, t)
-}
-
 // insertMany inserts into the session sink (LDB or overlay) and returns the
-// genuinely new tuples.
+// genuinely new tuples. On the overlay path each tuple's key is encoded
+// once, for both the LDB presence check and the overlay insert, and the
+// tuples are retained as they are (chase facts are never mutated).
 func (v view) insertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
 	if v.overlay == nil {
 		return v.base.InsertMany(rel, ts)
 	}
-	var fresh []relation.Tuple
+	fresh := make([]relation.Tuple, 0, len(ts))
 	for _, t := range ts {
-		if v.baseHas(rel, t) {
+		key := t.Key()
+		if v.baseHas(rel, key, t) {
 			continue
 		}
-		if v.overlay.Insert(rel, t) {
+		if v.overlay.Insert(rel, key, t) {
 			fresh = append(fresh, t)
 		}
 	}

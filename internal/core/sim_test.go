@@ -40,30 +40,23 @@ func newSim(t *testing.T) *sim {
 // addNode creates a node with a memory store and the given schema relations
 // declared as "name/arity" over int attributes (e.g. "r/2").
 func (s *sim) addNode(name string, rels ...string) *Node {
+	return s.addNodeCfg(Config{Self: name}, rels...)
+}
+
+// newTestDB opens a memory store with the given "name/arity" relations.
+func newTestDB(tb testing.TB, rels ...string) *storage.DB {
 	db := storage.MustOpenMem()
 	for _, spec := range rels {
-		def := relDef(spec)
-		if err := db.DefineRelation(def); err != nil {
-			s.t.Fatal(err)
+		if err := db.DefineRelation(relDef(spec)); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	n, err := NewNode(Config{Self: name, Wrapper: NewStoreWrapper(db)})
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	s.nodes[name] = n
-	return n
+	return db
 }
 
 func (s *sim) addNodeCfg(cfg Config, rels ...string) *Node {
 	if cfg.Wrapper == nil {
-		db := storage.MustOpenMem()
-		for _, spec := range rels {
-			if err := db.DefineRelation(relDef(spec)); err != nil {
-				s.t.Fatal(err)
-			}
-		}
-		cfg.Wrapper = NewStoreWrapper(db)
+		cfg.Wrapper = NewStoreWrapper(newTestDB(s.t, rels...))
 	}
 	n, err := NewNode(cfg)
 	if err != nil {

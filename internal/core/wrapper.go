@@ -37,8 +37,17 @@ func (w *StoreWrapper) ScanEq(rel string, pos int, v relation.Value, fn func(rel
 	w.db.ScanEq(rel, pos, v, fn)
 }
 
+// IndexedProbes implements cq.ProbeGate: the live engine indexes only the
+// attributes given to IndexOn and otherwise filters a full scan, so joins
+// over the live wrapper (session snapshots or the read path disabled) keep
+// the hash build.
+func (w *StoreWrapper) IndexedProbes() bool { return false }
+
 // Has implements Wrapper.
 func (w *StoreWrapper) Has(rel string, t relation.Tuple) bool { return w.db.Has(rel, t) }
+
+// HasKey is Has by the tuple's already-encoded key.
+func (w *StoreWrapper) HasKey(rel, key string) bool { return w.db.HasKey(rel, key) }
 
 // InsertMany implements Wrapper.
 func (w *StoreWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
@@ -69,13 +78,13 @@ func (w *StoreWrapper) Changes(rel string, sinceLSN uint64) ([]relation.Tuple, b
 // survive the process.
 type MediatorWrapper struct {
 	schema *relation.Schema
-	data   relation.Instance
+	data   *relation.Set
 }
 
 // NewMediatorWrapper builds a mediator node storage with the given shared
 // schema.
 func NewMediatorWrapper(schema *relation.Schema) *MediatorWrapper {
-	return &MediatorWrapper{schema: schema.Clone(), data: relation.NewInstance()}
+	return &MediatorWrapper{schema: schema.Clone(), data: relation.NewSet()}
 }
 
 // Schema implements Wrapper.
@@ -84,8 +93,16 @@ func (w *MediatorWrapper) Schema() *relation.Schema { return w.schema.Clone() }
 // Scan implements Wrapper.
 func (w *MediatorWrapper) Scan(rel string, fn func(relation.Tuple) bool) { w.data.Scan(rel, fn) }
 
+// ScanEq implements cq.EqScanner over the relations' secondary trees.
+func (w *MediatorWrapper) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
+	w.data.ScanEq(rel, pos, v, fn)
+}
+
 // Has implements Wrapper.
-func (w *MediatorWrapper) Has(rel string, t relation.Tuple) bool { return w.data.Has(rel, t) }
+func (w *MediatorWrapper) Has(rel string, t relation.Tuple) bool { return w.data.HasKey(rel, t.Key()) }
+
+// HasKey is Has by the tuple's already-encoded key.
+func (w *MediatorWrapper) HasKey(rel, key string) bool { return w.data.HasKey(rel, key) }
 
 // InsertMany implements Wrapper.
 func (w *MediatorWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
@@ -98,7 +115,10 @@ func (w *MediatorWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relatio
 		if err := def.Validate(t); err != nil {
 			return nil, err
 		}
-		if w.data.Insert(rel, t) {
+		// The set retains what it is given; user tuples are cloned, and
+		// only when they are new.
+		if key := t.Key(); !w.data.HasKey(rel, key) {
+			w.data.Insert(rel, key, t.Clone())
 			fresh = append(fresh, t)
 		}
 	}
@@ -106,10 +126,10 @@ func (w *MediatorWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relatio
 }
 
 // Count implements Wrapper.
-func (w *MediatorWrapper) Count(rel string) int { return len(w.data[rel]) }
+func (w *MediatorWrapper) Count(rel string) int { return w.data.Len(rel) }
 
 // Reset drops all transient data (e.g. between experiments).
-func (w *MediatorWrapper) Reset() { w.data = relation.NewInstance() }
+func (w *MediatorWrapper) Reset() { w.data = relation.NewSet() }
 
 var (
 	_ Wrapper       = (*StoreWrapper)(nil)

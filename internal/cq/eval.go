@@ -18,11 +18,26 @@ type Source interface {
 }
 
 // EqScanner is optionally implemented by sources that can enumerate the
-// tuples with a fixed value at one position more cheaply than a full scan
-// (the storage engine's secondary indexes do). The evaluator pushes the
-// first constant of an atom down to it when available.
+// tuples with a fixed value at one position as an index probe — O(log n +
+// matches), amortised — in the same (key) order Scan delivers them (storage
+// snapshots and relation.Set do; see ProbeGate for sources that only
+// sometimes can). The evaluator pushes the first constant of an atom down
+// to it, and joins a small set of partial bindings against an atom by
+// probing once per binding instead of hash-building the whole relation (see
+// probeMaxOuter).
 type EqScanner interface {
 	ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool)
+}
+
+// ProbeGate is implemented by an EqScanner that cannot always keep the
+// index-probe cost: the live storage engine answers ScanEq by filtering a
+// full scan unless the position was indexed, and a session view is only as
+// good as what it wraps. When IndexedProbes reports false the evaluator
+// still pushes constants down (one ScanEq per atom costs no more than the
+// scan it replaces) but keeps the hash join, whose one scan beats a full
+// scan per binding. An EqScanner without the method is taken at its word.
+type ProbeGate interface {
+	IndexedProbes() bool
 }
 
 // ShardedSource is optionally implemented by sources whose relations are
@@ -65,6 +80,21 @@ type EvalOptions struct {
 // against relations large enough to matter.
 const parallelMinBindings = 256
 
+// probeMaxOuter is the partial-binding count up to which a join step probes
+// an EqScanner source once per binding instead of scanning the whole
+// relation into hash buckets. Against a storage snapshot a probe step costs
+// ~1.1 µs per binding all-in and bucketing ~0.27 µs per row of the relation
+// (BenchmarkSelfJoinProbe: one binding against 20k rows, 8 µs against
+// 13 ms); most of the per-binding cost — clone, unify, project — the hash
+// step pays too, so with 128 bindings the two break even at a relation of
+// about 64 rows (96 vs 93 µs), probing wins 1.4x at 256 rows and 40x at
+// 20k, and loses 1.4x (36 µs) at 16. The relation's size is not known here,
+// so the bound caps that loss rather than locating the crossover: batches of
+// the session data path (64–128 fresh tuples per message) stay under it,
+// full exports (thousands of bindings) keep the hash join and its parallel
+// build.
+const probeMaxOuter = 128
+
 // Eval evaluates a conjunctive query over src and returns the deduplicated
 // head tuples.
 func Eval(q *Query, src Source, opts EvalOptions) ([]relation.Tuple, error) {
@@ -102,8 +132,25 @@ func EvalDelta(body []Atom, cmps []Comparison, outVars []string, src Source, del
 	for i, v := range outVars {
 		terms[i] = V(v)
 	}
-	seen := make(map[string]bool)
-	var out []relation.Tuple
+	return evalDelta(terms, body, cmps, src, deltaRel, delta, opts)
+}
+
+// EvalQueryDelta is EvalDelta for a whole query: the answers (head tuples,
+// whose terms may be constants) that use at least one delta tuple of
+// deltaRel. A query origin streams answers with it: the union over the
+// batches fetched so far, plus Eval over the data held before the first
+// batch, equals Eval over everything.
+func EvalQueryDelta(q *Query, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return evalDelta(q.Head.Terms, q.Body, q.Cmps, src, deltaRel, delta, opts)
+}
+
+// evalDelta unions the projections of one evaluation per occurrence of
+// deltaRel, that occurrence restricted to the delta.
+func evalDelta(terms []Term, body []Atom, cmps []Comparison, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
+	var out relation.Union
 	for i := range body {
 		if body[i].Rel != deltaRel {
 			continue
@@ -113,15 +160,9 @@ func EvalDelta(body []Atom, cmps []Comparison, outVars []string, src Source, del
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res {
-			k := t.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
+		out.Add(res)
 	}
-	return out, nil
+	return out.Tuples, nil
 }
 
 // FilterCertain drops tuples containing marked nulls: the certain-answer
@@ -163,6 +204,15 @@ type patom struct {
 	varPos []int            // per term: variable index, or -1 for constant
 	consts []relation.Value // per term: constant when varPos == -1
 	delta  bool             // scan the delta slice instead of src
+}
+
+func (pa *patom) hasConst() bool {
+	for _, vp := range pa.varPos {
+		if vp < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 type pcmp struct {
@@ -344,6 +394,9 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 	if len(body) == 0 {
 		return nil, fmt.Errorf("cq: empty body")
 	}
+	if len(body) == 1 && len(cmps) == 0 && opts.Strategy != NestedLoop {
+		return projectAtom(terms, &body[0], src, deltaAtom != nil, delta)
+	}
 	p := compile(body, cmps, deltaAtom)
 	var bindings []*binding
 	switch opts.Strategy {
@@ -376,7 +429,95 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 	return out, nil
 }
 
-func (p *plan) scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(relation.Tuple) bool) {
+// projectAtom evaluates a body of one atom and no comparisons — the copy,
+// projection and selection rules most GLAV mappings are — straight off the
+// atom's tuples (the delta, or the source with constant pushdown): no plan,
+// no partial bindings, one dedup of the projected rows. The nested-loop
+// reference strategy never takes it.
+func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relation.Tuple) ([]relation.Tuple, error) {
+	// A variable is identified by the position of its first occurrence in
+	// the atom, so unification is a comparison between two positions.
+	pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms)), delta: useDelta}
+	firstPos := func(name string) int {
+		for ti, t := range a.Terms {
+			if t.IsVar() && t.Var == name {
+				return ti
+			}
+		}
+		return -1
+	}
+	for ti, t := range a.Terms {
+		if t.IsVar() {
+			pa.varPos[ti] = firstPos(t.Var)
+		} else {
+			pa.varPos[ti] = -1
+			pa.consts[ti] = t.Const
+		}
+	}
+	outPos := make([]int, len(terms)) // per head term: atom position, or -1 for a constant
+	unbound := ""
+	// A copy rule projects every position onto itself: the row is the
+	// tuple, which is immutable (Source contract) and handed on as it is.
+	identity := len(terms) == len(a.Terms)
+	for i, term := range terms {
+		outPos[i] = -1
+		if term.IsVar() {
+			if outPos[i] = firstPos(term.Var); outPos[i] < 0 {
+				unbound = term.Var
+			}
+		}
+		identity = identity && outPos[i] == i
+	}
+	// Sized for the delta; a source scan (no delta) grows them, and an
+	// empty one still returns nil like the general path.
+	var out []relation.Tuple
+	if useDelta {
+		out = make([]relation.Tuple, 0, len(delta))
+	}
+	seen := make(map[string]struct{}, len(delta))
+	var err error
+	scanAtom(src, &pa, delta, func(t relation.Tuple) bool {
+		if len(t) != len(pa.varPos) {
+			return true
+		}
+		for ti, vp := range pa.varPos {
+			if vp < 0 {
+				if t[ti] != pa.consts[ti] {
+					return true
+				}
+			} else if t[vp] != t[ti] {
+				return true
+			}
+		}
+		if unbound != "" {
+			err = fmt.Errorf("cq: projection variable %s not bound", unbound)
+			return false
+		}
+		row := t
+		if !identity {
+			row = make(relation.Tuple, len(terms))
+			for i, pos := range outPos {
+				if pos < 0 {
+					row[i] = terms[i].Const
+				} else {
+					row[i] = t[pos]
+				}
+			}
+		}
+		k := row.Key()
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			out = append(out, row)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(relation.Tuple) bool) {
 	if pa.delta {
 		for _, t := range delta {
 			if !fn(t) {
@@ -409,17 +550,10 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 			return
 		}
 		pa := &p.atoms[i]
-		p.scanAtom(src, pa, delta, func(t relation.Tuple) bool {
-			nb := b.clone()
-			if !unify(pa, t, nb) {
-				return true
+		scanAtom(src, pa, delta, func(t relation.Tuple) bool {
+			if nb := p.extend(b, pa, i, t); nb != nil {
+				rec(i+1, nb)
 			}
-			for ci := range p.cmps {
-				if p.cmps[ci].lastVarAtoms == i+1 && !p.cmps[ci].eval(nb) {
-					return true
-				}
-			}
-			rec(i+1, nb)
 			return true
 		})
 	}
@@ -428,13 +562,20 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 }
 
 // evalHash is the hash-join strategy: a pipeline of partial-binding sets,
-// each atom joined via a hash table keyed on the shared bound variables.
+// each atom joined via a hash table keyed on the shared bound variables —
+// or, when the binding set is small and the source can probe (EqScanner),
+// via one index probe per binding, so the cost follows the bindings rather
+// than the relation (an index nested-loop step; same tuples, same order).
 // With parallelism > 1, once the binding set is large each stage's probe
 // fans out over partitions of it (the build phase — one scan per atom —
 // stays serial, so sources only ever see sequential access).
 func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*binding {
 	cur := []*binding{{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))}}
 	boundSoFar := make([]bool, len(p.vars))
+	eq, _ := src.(EqScanner)
+	if g, ok := src.(ProbeGate); ok && !g.IndexedProbes() {
+		eq = nil
+	}
 	for i := range p.atoms {
 		pa := &p.atoms[i]
 		// Join key: positions of atom terms whose variable is already bound.
@@ -444,8 +585,14 @@ func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*
 				keyTermIdx = append(keyTermIdx, ti)
 			}
 		}
-		buckets := p.buildBuckets(src, pa, delta, keyTermIdx, parallelism)
-		cur = p.probe(cur, pa, i, keyTermIdx, buckets, parallelism)
+		// An atom with a constant already builds its buckets from an index
+		// scan of that constant (scanAtom), which no probe pass beats.
+		if eq != nil && !pa.delta && !pa.hasConst() && len(keyTermIdx) > 0 && len(cur) <= probeMaxOuter {
+			cur = p.probeIndex(eq, cur, pa, i, keyTermIdx[0])
+		} else {
+			buckets := p.buildBuckets(src, pa, delta, keyTermIdx, parallelism)
+			cur = p.probe(cur, pa, i, keyTermIdx, buckets, parallelism)
+		}
 		for _, vp := range pa.varPos {
 			if vp >= 0 {
 				boundSoFar[vp] = true
@@ -521,7 +668,7 @@ func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTe
 		return buckets
 	}
 	buckets := make(map[string][]relation.Tuple)
-	p.scanAtom(src, pa, delta, collect(buckets))
+	scanAtom(src, pa, delta, collect(buckets))
 	return buckets
 }
 
@@ -596,21 +743,44 @@ func (p *plan) probeRange(cur []*binding, pa *patom, atomIdx int, keyTermIdx []i
 			kb = relation.EncodeValue(kb, b.vals[pa.varPos[ti]])
 		}
 		for _, t := range buckets[string(kb)] {
-			nb := b.clone()
-			if !unify(pa, t, nb) {
-				continue
-			}
-			ok := true
-			for ci := range p.cmps {
-				if p.cmps[ci].lastVarAtoms == atomIdx+1 && !p.cmps[ci].eval(nb) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if nb := p.extend(b, pa, atomIdx, t); nb != nil {
 				next = append(next, nb)
 			}
 		}
 	}
 	return next
+}
+
+// probeIndex is the index nested-loop join step: every partial binding
+// probes the source for the atom's tuples carrying its value at one join-key
+// position. extend re-checks the remaining key positions, the constants and
+// the arity, and ScanEq delivers in key order like the scans that fill the
+// hash buckets, so the result is identical to the hash step's.
+func (p *plan) probeIndex(eq EqScanner, cur []*binding, pa *patom, atomIdx, keyTerm int) []*binding {
+	var next []*binding
+	vi := pa.varPos[keyTerm]
+	for _, b := range cur {
+		eq.ScanEq(pa.rel, keyTerm, b.vals[vi], func(t relation.Tuple) bool {
+			if nb := p.extend(b, pa, atomIdx, t); nb != nil {
+				next = append(next, nb)
+			}
+			return true
+		})
+	}
+	return next
+}
+
+// extend returns b extended with tuple t at the given atom, or nil when t
+// does not unify or a comparison that just became fully bound fails.
+func (p *plan) extend(b *binding, pa *patom, atomIdx int, t relation.Tuple) *binding {
+	nb := b.clone()
+	if !unify(pa, t, nb) {
+		return nil
+	}
+	for ci := range p.cmps {
+		if p.cmps[ci].lastVarAtoms == atomIdx+1 && !p.cmps[ci].eval(nb) {
+			return nil
+		}
+	}
+	return nb
 }

@@ -4,6 +4,8 @@ import "sort"
 
 // Instance is a plain map-of-relations snapshot used by oracles and tests:
 // relation name -> set of tuples keyed by their order-preserving encoding.
+// Every ordered read sorts the keys; anything on a data path (the query
+// overlay, mediator relations) uses Set instead.
 type Instance map[string]map[string]Tuple
 
 // NewInstance returns an empty instance.

@@ -1,0 +1,162 @@
+package relation
+
+import "codb/internal/btree"
+
+// Set is an ordered, indexed tuple store for transient data: one B+tree per
+// relation keyed by the tuples' order-preserving encoding, plus secondary
+// trees per attribute position. It backs the per-session overlay of query
+// sessions and the mediator wrapper's relations in internal/core.
+//
+// Scans deliver tuples in key order without sorting. Secondary trees are
+// built by the first ScanEq that probes a position and maintained by every
+// later Insert, so an equality probe costs O(log n + matches) — amortised,
+// like the storage snapshots' lazy secondary views. Because a probe may
+// build an index, a Set is not safe for concurrent use, readers included.
+//
+// Tuples are retained, not cloned: callers must not mutate a tuple after
+// inserting it (the same contract cq.Source states for tuples handed out).
+type Set struct {
+	rels map[string]*relSet
+}
+
+// relSet is one relation: the tuples in insertion order, and trees mapping
+// keys to their slots (the storage shards' layout: a tree leaf then moves
+// plain ints when it shifts, not slice headers under GC write barriers).
+type relSet struct {
+	rows    []Tuple
+	primary *btree.Map[int]         // tuple key -> slot in rows
+	second  map[int]*btree.Map[int] // attr position -> (value ‖ tuple key) -> slot
+}
+
+// NewSet returns an empty set.
+func NewSet() *Set { return &Set{rels: make(map[string]*relSet)} }
+
+// secondKey is the secondary-tree key of a tuple: the probed value's
+// encoding followed by the tuple key, so one value's tuples are contiguous
+// and ordered by tuple key (the value encoding is prefix-free).
+func secondKey(v Value, key string) string {
+	var buf [96]byte
+	return string(append(EncodeValue(buf[:0], v), key...))
+}
+
+// Insert adds tuple t, whose encoding is key (t.Key(), computed once by the
+// caller and shared with whatever else needed it), reporting whether it was
+// new.
+func (s *Set) Insert(rel, key string, t Tuple) bool {
+	r := s.rels[rel]
+	if r == nil {
+		r = &relSet{primary: btree.New[int]()}
+		s.rels[rel] = r
+	}
+	slot := len(r.rows)
+	if !r.primary.Add(key, slot) {
+		return false
+	}
+	r.rows = append(r.rows, t)
+	for pos, idx := range r.second {
+		if pos < len(t) {
+			idx.Put(secondKey(t[pos], key), slot)
+		}
+	}
+	return true
+}
+
+// HasKey reports whether the tuple encoded as key is present.
+func (s *Set) HasKey(rel, key string) bool {
+	r := s.rels[rel]
+	if r == nil {
+		return false
+	}
+	_, ok := r.primary.Get(key)
+	return ok
+}
+
+// Len returns the number of tuples in the relation.
+func (s *Set) Len(rel string) int {
+	if r := s.rels[rel]; r != nil {
+		return r.primary.Len()
+	}
+	return 0
+}
+
+// ScanKeys calls fn with every tuple of the relation and its key, in key
+// order; fn returning false stops the scan.
+func (s *Set) ScanKeys(rel string, fn func(key string, t Tuple) bool) {
+	if r := s.rels[rel]; r != nil {
+		r.primary.AscendAll(func(key string, slot int) bool { return fn(key, r.rows[slot]) })
+	}
+}
+
+// Scan is ScanKeys without the keys (the cq.Source signature).
+func (s *Set) Scan(rel string, fn func(Tuple) bool) {
+	s.ScanKeys(rel, func(_ string, t Tuple) bool { return fn(t) })
+}
+
+// ScanEqKeys calls fn with every tuple whose value at position pos equals v,
+// and its key, in key order. Tuples too short to have that position never
+// match.
+func (s *Set) ScanEqKeys(rel string, pos int, v Value, fn func(key string, t Tuple) bool) {
+	r := s.rels[rel]
+	if r == nil || pos < 0 {
+		return
+	}
+	idx := r.second[pos]
+	if idx == nil {
+		idx = btree.New[int]()
+		r.primary.AscendAll(func(key string, slot int) bool {
+			if t := r.rows[slot]; pos < len(t) {
+				idx.Put(secondKey(t[pos], key), slot)
+			}
+			return true
+		})
+		if r.second == nil {
+			r.second = make(map[int]*btree.Map[int])
+		}
+		r.second[pos] = idx
+	}
+	var buf [32]byte
+	prefix := string(EncodeValue(buf[:0], v))
+	idx.AscendPrefix(prefix, func(k string, slot int) bool { return fn(k[len(prefix):], r.rows[slot]) })
+}
+
+// ScanEq is ScanEqKeys without the keys (the cq.EqScanner signature).
+func (s *Set) ScanEq(rel string, pos int, v Value, fn func(Tuple) bool) {
+	s.ScanEqKeys(rel, pos, v, func(_ string, t Tuple) bool { return fn(t) })
+}
+
+// Union accumulates duplicate-free batches of tuples into one duplicate-free
+// list, in first-seen order. A single batch is adopted as it is; tuple keys
+// are only encoded once a second non-empty batch has to be merged in, so the
+// common case — one delta relation, one occurrence — pays for no dedup.
+type Union struct {
+	// Tuples is the union so far. It may alias the first batch added.
+	Tuples []Tuple
+	seen   map[string]struct{}
+}
+
+// Add merges one batch, which must itself be free of duplicates.
+func (u *Union) Add(batch []Tuple) {
+	if len(batch) == 0 {
+		return
+	}
+	if len(u.Tuples) == 0 {
+		u.Tuples = batch
+		return
+	}
+	if u.seen == nil {
+		u.seen = make(map[string]struct{}, len(u.Tuples)+len(batch))
+		for _, t := range u.Tuples {
+			u.seen[t.Key()] = struct{}{}
+		}
+		// The first batch belongs to the caller: stop aliasing it before
+		// appending.
+		u.Tuples = u.Tuples[:len(u.Tuples):len(u.Tuples)]
+	}
+	for _, t := range batch {
+		k := t.Key()
+		if _, dup := u.seen[k]; !dup {
+			u.seen[k] = struct{}{}
+			u.Tuples = append(u.Tuples, t)
+		}
+	}
+}

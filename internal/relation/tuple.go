@@ -81,8 +81,13 @@ func (t Tuple) String() string {
 }
 
 // Key returns the order-preserving binary encoding of the tuple, usable as
-// an index key and as a deduplication identity.
-func (t Tuple) Key() string { return string(EncodeTuple(nil, t)) }
+// an index key and as a deduplication identity. Encoding goes through a
+// stack buffer, so a key of up to 64 bytes (seven ints) costs exactly one
+// allocation — the returned string.
+func (t Tuple) Key() string {
+	var buf [64]byte
+	return string(EncodeTuple(buf[:0], t))
+}
 
 // Attr declares one attribute of a relation: a name and a type.
 type Attr struct {

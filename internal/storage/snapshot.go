@@ -186,11 +186,16 @@ func (s *Snapshot) Count(rel string) int {
 // Has reports whether the tuple is present in the relation as of the
 // snapshot.
 func (s *Snapshot) Has(rel string, tuple relation.Tuple) bool {
+	return s.HasKey(rel, tuple.Key())
+}
+
+// HasKey is Has for a caller that already holds the tuple's key
+// (tuple.Key()), sparing the re-encoding.
+func (s *Snapshot) HasKey(rel, key string) bool {
 	t, ok := s.tables[rel]
 	if !ok {
 		return false
 	}
-	key := tuple.Key()
 	sh := t.shards[shardIndex(key, len(t.shards))]
 	i := sort.SearchStrings(sh.keys, key)
 	return i < len(sh.keys) && sh.keys[i] == key

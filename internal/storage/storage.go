@@ -405,11 +405,12 @@ var errClosed = fmt.Errorf("storage: database is closed")
 
 // Has reports whether the tuple is present in the relation.
 func (db *DB) Has(rel string, tuple relation.Tuple) bool {
-	return db.has(rel, tuple.Key())
+	return db.HasKey(rel, tuple.Key())
 }
 
-// has is Has for a caller that already holds the tuple's key.
-func (db *DB) has(rel, key string) bool {
+// HasKey is Has for a caller that already holds the tuple's key
+// (tuple.Key()), sparing the re-encoding.
+func (db *DB) HasKey(rel, key string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t := db.tables[rel]

@@ -74,7 +74,7 @@ func (tx *Tx) Insert(rel string, tuple relation.Tuple) (bool, error) {
 			return false, nil
 		}
 		// Staged delete followed by insert: net effect is presence.
-	} else if tx.db.has(rel, key) {
+	} else if tx.db.HasKey(rel, key) {
 		return false, nil
 	}
 	tx.record(m, op{opInsert, rel, key, tuple.Clone()})
@@ -95,7 +95,7 @@ func (tx *Tx) Delete(rel string, tuple relation.Tuple) (bool, error) {
 		if !st.present {
 			return false, nil
 		}
-	} else if !tx.db.has(rel, key) {
+	} else if !tx.db.HasKey(rel, key) {
 		return false, nil
 	}
 	tx.record(m, op{kind: opDelete, rel: rel, key: key}) // a delete is fully described by its key
@@ -115,7 +115,7 @@ func (tx *Tx) Has(rel string, tuple relation.Tuple) bool {
 	if st, ok := tx.overlay[rel][key]; ok {
 		return st.present
 	}
-	return tx.db.has(rel, key)
+	return tx.db.HasKey(rel, key)
 }
 
 // Scan iterates the relation as seen by the transaction: committed tuples
@@ -137,7 +137,7 @@ func (tx *Tx) Scan(rel string, fn func(relation.Tuple) bool) {
 		return
 	}
 	for key, st := range stage {
-		if st.present && !tx.db.has(rel, key) {
+		if st.present && !tx.db.HasKey(rel, key) {
 			if !fn(st.tuple) {
 				return
 			}
