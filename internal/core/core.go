@@ -256,6 +256,25 @@ type exportState struct {
 	// shipped fingerprints every binding shipped through the rule (by
 	// tuple key), across sessions.
 	shipped map[string]bool
+	// fresh lists the keys fingerprinted, and moved records a watermark
+	// advance, since the peer layer last drained the state's changes
+	// (DrainExportDelta): what a persisted copy of the state lacks.
+	fresh []string
+	moved bool
+}
+
+// fingerprint records that the binding encoded as key was shipped.
+func (es *exportState) fingerprint(key string) {
+	es.shipped[key] = true
+	es.fresh = append(es.fresh, key)
+}
+
+// advance moves the watermark to lsn.
+func (es *exportState) advance(lsn uint64) {
+	if es.watermark != lsn {
+		es.watermark = lsn
+		es.moved = true
+	}
 }
 
 // Node is the algorithm state machine for one peer.
@@ -281,10 +300,10 @@ type Node struct {
 	snapshotter    Snapshotter
 	exports        map[string]*exportState
 	pendingExports map[string]ExportSnapshot
-	// exportsChanged counts mutations of the export state (watermark
-	// advances, new fingerprints, resets), so the peer layer persists only
-	// when something actually changed.
-	exportsChanged uint64
+	// resetRules names the rules whose export state was dropped or begun
+	// anew since the last DrainExportDelta: whatever a persisted copy holds
+	// for them is void.
+	resetRules map[string]bool
 
 	// policies holds the per-rule propagation policies (push is implicit
 	// for rules without one); propStats the per-rule propagation counters;
@@ -364,6 +383,7 @@ func NewNode(cfg Config) (*Node, error) {
 		tracker:     tracker,
 		snapshotter: snapshotter,
 		exports:     make(map[string]*exportState),
+		resetRules:  make(map[string]bool),
 		policies:    make(map[string]*linkPolicy),
 		propStats:   make(map[string]*propStat),
 	}, nil
@@ -428,10 +448,7 @@ func (n *Node) addParsedRule(rule *cq.Rule, text string) error {
 	// A redefined rule invalidates its export state: the old watermark and
 	// fingerprints describe a different query. (Pending restored snapshots
 	// are kept for the text check below.)
-	if _, ok := n.exports[rule.ID]; ok {
-		delete(n.exports, rule.ID)
-		n.exportsChanged++
-	}
+	n.forgetExport(rule.ID)
 	rs := &ruleState{rule: rule, text: text}
 	n.rules[rule.ID] = rs
 	if snap, ok := n.pendingExports[rule.ID]; ok {
@@ -459,13 +476,26 @@ func (n *Node) RemoveRule(id string) {
 	n.invalidateRuleCaches()
 }
 
-// dropExportState forgets one rule's export state (counted as a change
-// only when there was state to forget).
-func (n *Node) dropExportState(id string) {
+// beginExport starts a rule's export state at the given watermark. Whatever
+// a persisted copy holds for the rule — a restored snapshot that was turned
+// down, say — is void from here on.
+func (n *Node) beginExport(id string, watermark uint64) {
+	n.exports[id] = &exportState{watermark: watermark, shipped: make(map[string]bool)}
+	n.resetRules[id] = true
+}
+
+// forgetExport drops one rule's live export state, if it has any.
+func (n *Node) forgetExport(id string) {
 	if _, ok := n.exports[id]; ok {
 		delete(n.exports, id)
-		n.exportsChanged++
+		n.resetRules[id] = true
 	}
+}
+
+// dropExportState forgets one rule's export state, live or still waiting
+// for its rule.
+func (n *Node) dropExportState(id string) {
+	n.forgetExport(id)
 	delete(n.pendingExports, id)
 }
 
@@ -482,10 +512,6 @@ func (n *Node) ResetExportStateToward(peer string) {
 		}
 	}
 }
-
-// ExportStateVersion returns a counter that advances whenever the export
-// state mutates; the peer layer persists the state only when it moved.
-func (n *Node) ExportStateVersion() uint64 { return n.exportsChanged }
 
 // SetRules replaces the whole rule set (dynamic reconfiguration by the
 // super-peer). Rules not involving this node are ignored, matching the
@@ -520,8 +546,7 @@ func (n *Node) SetRules(defs []msg.RuleDef) error {
 	// (addParsedRule already invalidated redefined ones).
 	for id := range n.exports {
 		if _, ok := n.rules[id]; !ok {
-			delete(n.exports, id)
-			n.exportsChanged++
+			n.forgetExport(id)
 		}
 	}
 	return nil
@@ -539,9 +564,67 @@ type ExportSnapshot struct {
 	Shipped []string
 }
 
-// ExportState snapshots the persistent per-rule export state (watermarks
-// plus shipped-binding fingerprints), for the peer layer to persist across
-// process restarts.
+// ExportDelta is what one rule's export state gained since the previous
+// DrainExportDelta: the unit the peer layer appends to its state log.
+// Applying every delta in order to an empty map (Apply) rebuilds
+// ExportState().
+type ExportDelta struct {
+	RuleID string
+	// Reset voids what earlier deltas recorded for the rule: its state was
+	// dropped (importer lost, fingerprint bound exceeded, rule redefined or
+	// removed) or begun anew.
+	Reset bool
+	// ExportSnapshot carries the rule text and watermark in force and, in
+	// Shipped, only the keys fingerprinted since the previous drain.
+	ExportSnapshot
+}
+
+// Apply folds the delta into a state being rebuilt from a log of deltas: the
+// rule's entry is dropped on Reset; then, unless RuleText is empty (the rule
+// has no state any more), text and watermark are set and Shipped appended.
+func (d ExportDelta) Apply(state map[string]ExportSnapshot) {
+	if d.Reset {
+		delete(state, d.RuleID)
+	}
+	if d.RuleText == "" {
+		return
+	}
+	snap := state[d.RuleID]
+	snap.RuleText, snap.Watermark = d.RuleText, d.Watermark
+	snap.Shipped = append(snap.Shipped, d.Shipped...)
+	state[d.RuleID] = snap
+}
+
+// DrainExportDelta returns the changes of the export state since the last
+// call, ordered by rule ID, and forgets them: O(what changed), where
+// ExportState is O(everything ever shipped). Nil when nothing changed.
+func (n *Node) DrainExportDelta() []ExportDelta {
+	var out []ExportDelta
+	for id := range n.resetRules {
+		if _, live := n.exports[id]; !live {
+			out = append(out, ExportDelta{RuleID: id, Reset: true})
+		}
+	}
+	for id, es := range n.exports {
+		rs, ok := n.rules[id]
+		if !ok || (!es.moved && len(es.fresh) == 0 && !n.resetRules[id]) {
+			continue
+		}
+		out = append(out, ExportDelta{
+			RuleID:         id,
+			Reset:          n.resetRules[id],
+			ExportSnapshot: ExportSnapshot{RuleText: rs.text, Watermark: es.watermark, Shipped: es.fresh},
+		})
+		es.fresh, es.moved = nil, false
+	}
+	clear(n.resetRules)
+	sort.Slice(out, func(i, j int) bool { return out[i].RuleID < out[j].RuleID })
+	return out
+}
+
+// ExportState snapshots the whole persistent per-rule export state
+// (watermarks plus shipped-binding fingerprints): what the peer layer
+// compacts its state log to, and what tests and diagnostics read.
 func (n *Node) ExportState() map[string]ExportSnapshot {
 	out := make(map[string]ExportSnapshot, len(n.exports))
 	for id, es := range n.exports {
@@ -597,7 +680,6 @@ func (n *Node) installExportSnapshot(rs *ruleState, snap ExportSnapshot) {
 		shipped[k] = true
 	}
 	n.exports[rs.rule.ID] = &exportState{watermark: snap.Watermark, shipped: shipped}
-	n.exportsChanged++
 }
 
 // ExportWatermarks reports each incoming link's persistent LSN watermark

@@ -467,8 +467,7 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 		if !full() {
 			return
 		}
-		n.exports[rule.ID] = &exportState{watermark: cur, shipped: make(map[string]bool)}
-		n.exportsChanged++
+		n.beginExport(rule.ID, cur)
 	default:
 		cur := n.viewLSN(v)
 		deltas := make(map[string][]relation.Tuple)
@@ -505,10 +504,7 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 				return
 			}
 		}
-		if es.watermark != cur {
-			es.watermark = cur
-			n.exportsChanged++
-		}
+		es.advance(cur)
 	}
 
 	switch mode {
@@ -612,21 +608,15 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 					s.rep.SuppressedBindings++
 					continue
 				}
-				es.shipped[k] = true
+				es.fingerprint(k)
 			}
 			kept = append(kept, b)
 		}
 		bindings = kept
-		if es != nil {
-			if len(kept) > 0 {
-				n.exportsChanged++
-			}
-			if len(es.shipped) > n.cfg.MaxFingerprints {
-				// Bound the memory: drop the state; the next session
-				// re-exports in full (set semantics make that safe).
-				delete(n.exports, rule.ID)
-				n.exportsChanged++
-			}
+		if es != nil && len(es.shipped) > n.cfg.MaxFingerprints {
+			// Bound the memory: drop the state; the next session
+			// re-exports in full (set semantics make that safe).
+			n.forgetExport(rule.ID)
 		}
 	}
 	if len(bindings) == 0 {

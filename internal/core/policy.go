@@ -316,8 +316,7 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 		if err := full(); err != nil {
 			return nil, err
 		}
-		n.exports[rule.ID] = &exportState{watermark: cur, shipped: make(map[string]bool)}
-		n.exportsChanged++
+		n.beginExport(rule.ID, cur)
 	default:
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
@@ -345,10 +344,7 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 			}
 			bindings = bs
 		}
-		if es.watermark != cur {
-			es.watermark = cur
-			n.exportsChanged++
-		}
+		es.advance(cur)
 	}
 
 	bindings = n.applyFilter(rule, bindings)
@@ -357,17 +353,13 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 		for _, b := range bindings {
 			k := b.Key()
 			if !es.shipped[k] {
-				es.shipped[k] = true
+				es.fingerprint(k)
 				kept = append(kept, b)
 			}
 		}
 		bindings = kept
-		if len(kept) > 0 {
-			n.exportsChanged++
-		}
 		if len(es.shipped) > n.cfg.MaxFingerprints {
-			delete(n.exports, rule.ID)
-			n.exportsChanged++
+			n.forgetExport(rule.ID)
 		}
 	}
 

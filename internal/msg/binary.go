@@ -253,6 +253,10 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+	// arity is the length of the last tuple decoded (0 before the first):
+	// the tuples of one message come from one rule head or relation, so it
+	// sizes the next one exactly.
+	arity int
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -349,7 +353,11 @@ func (r *reader) tuple() relation.Tuple {
 		return nil
 	}
 	b := r.take(int(n))
-	t := make(relation.Tuple, 0, 4)
+	size := r.arity
+	if size == 0 {
+		size = 4
+	}
+	t := make(relation.Tuple, 0, size)
 	for off := 0; off < len(b); {
 		v, vn, err := relation.DecodeValue(b[off:])
 		if err != nil {
@@ -359,6 +367,7 @@ func (r *reader) tuple() relation.Tuple {
 		t = append(t, v)
 		off += vn
 	}
+	r.arity = len(t)
 	return t
 }
 

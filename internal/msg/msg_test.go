@@ -126,3 +126,53 @@ func TestBatchSizeAndRoundtrip(t *testing.T) {
 		t.Errorf("batched data payload = %+v", back.Payloads[1])
 	}
 }
+
+// TestDecodedTuplesAreSizedToTheirArity: all tuples of a batch share one
+// arity, so every tuple after the first is decoded into exactly that
+// capacity — one allocation each and no slack — whatever the arity is; a
+// batch that does mix arities still decodes correctly.
+func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
+	for _, arity := range []int{1, 2, 4, 7} {
+		in := &SessionData{SID: "s", RuleID: "r"}
+		for i := 0; i < 8; i++ {
+			row := make(relation.Tuple, arity)
+			for j := range row {
+				row[j] = relation.Int(i*10 + j)
+			}
+			in.Bindings = append(in.Bindings, row)
+		}
+		enc, err := Encode(Envelope{From: "n", Payload: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := dec.Payload.(*SessionData).Bindings
+		for i, row := range out {
+			if !row.Equal(in.Bindings[i]) {
+				t.Fatalf("arity %d: tuple %d = %v, want %v", arity, i, row, in.Bindings[i])
+			}
+			if i > 0 && cap(row) != arity {
+				t.Errorf("arity %d: tuple %d decoded into capacity %d", arity, i, cap(row))
+			}
+		}
+	}
+	mixed := &SessionData{SID: "s", RuleID: "r", Bindings: []relation.Tuple{
+		{relation.Int(1)}, {relation.Int(2), relation.Str("b"), relation.Int(3)}, {relation.Int(4), relation.Int(5)},
+	}}
+	enc, err := Encode(Envelope{From: "n", Payload: mixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range dec.Payload.(*SessionData).Bindings {
+		if !row.Equal(mixed.Bindings[i]) {
+			t.Errorf("mixed arities: tuple %d = %v, want %v", i, row, mixed.Bindings[i])
+		}
+	}
+}

@@ -119,14 +119,13 @@ type Options struct {
 
 // Peer is a running coDB node.
 type Peer struct {
-	name       string
-	node       *core.Node
-	tr         transport.Transport
-	outbox     *transport.Outbox // == tr unless Options.DisableOutbox
-	statePath  string            // export-state sidecar file ("" = not durable)
-	stateSaved uint64            // node.ExportStateVersion() at the last save
-	readPath   *readPath         // concurrent reads; nil when the wrapper cannot snapshot
-	log        *slog.Logger
+	name      string
+	node      *core.Node
+	tr        transport.Transport
+	outbox    *transport.Outbox // == tr unless Options.DisableOutbox
+	exportLog *exportLog        // export-state sidecar log (nil = not durable); actor-owned
+	readPath  *readPath         // concurrent reads; nil when the wrapper cannot snapshot
+	log       *slog.Logger
 
 	// Propagation-policy runtime (see propagation.go). prop carries its own
 	// mutex: the read path consults it off the actor loop.
@@ -152,7 +151,8 @@ type Peer struct {
 	linkPolicies map[string]linkPolicyCfg // remembered policies, re-applied on reconfiguration
 	joinWait     chan *msg.JoinAccept     // armed by JoinVia, fired by handleJoinAccept
 
-	stopped chan struct{}
+	stopped  chan struct{} // closed by Stop
+	loopDone chan struct{} // closed when the actor loop has exited
 }
 
 type queryWaiter struct {
@@ -199,19 +199,22 @@ func New(opts Options) (*Peer, error) {
 	}
 	// Durable peers restore the incremental-export watermarks persisted
 	// next to their database; failures only cost a full re-export.
-	statePath := exportStatePath(opts.Wrapper)
-	if statePath != "" {
-		if state, err := loadExportState(statePath); err != nil {
+	var exports *exportLog
+	if path := exportStatePath(opts.Wrapper); path != "" {
+		var state map[string]core.ExportSnapshot
+		if exports, state, err = openExportLog(path); err != nil {
 			log.Warn("export state unreadable, starting full", "peer", opts.Name, "err", err)
-		} else if len(state) > 0 {
-			node.RestoreExportState(state)
+			if exports, err = createExportLog(path); err != nil {
+				log.Warn("export state will not be kept", "peer", opts.Name, "err", err)
+			}
 		}
+		node.RestoreExportState(state)
 	}
 	p := &Peer{
 		name:       opts.Name,
 		node:       node,
 		tr:         opts.Transport,
-		statePath:  statePath,
+		exportLog:  exports,
 		log:        log.With("peer", opts.Name),
 		inbox:      make(chan any, inboxCap),
 		directory:  make(map[string]dirEntry),
@@ -222,6 +225,7 @@ func New(opts Options) (*Peer, error) {
 		updates:    make(map[string]chan msg.UpdateReport),
 		remoteCmds: make(map[string]string),
 		stopped:    make(chan struct{}),
+		loopDone:   make(chan struct{}),
 
 		prop:         newPropState(),
 		maxStaleness: opts.MaxStaleness,
@@ -384,12 +388,17 @@ func (p *Peer) do(fn func()) error {
 }
 
 func (p *Peer) loop() {
+	defer close(p.loopDone)
 	var carried any // non-envelope item pulled out of the inbox by a burst
 	for {
 		item := carried
 		carried = nil
 		if item == nil {
-			item = <-p.inbox
+			select {
+			case item = <-p.inbox:
+			case <-p.stopped:
+				return
+			}
 		}
 		switch v := item.(type) {
 		case msg.Envelope:
@@ -401,8 +410,6 @@ func (p *Peer) loop() {
 		case command:
 			v.run()
 			close(v.done)
-		case stopToken:
-			return
 		}
 	}
 }
@@ -436,9 +443,6 @@ func (p *Peer) handlePipeDown(d pipeDown) {
 		p.susp.noteDown(d.peer)
 	}
 }
-
-// stopToken ends the actor loop (posted by Stop).
-type stopToken struct{}
 
 // maxBurst bounds how many queued inbox items one burst may drain, so a
 // firehose of inbound traffic cannot starve commands indefinitely.
@@ -496,19 +500,27 @@ func (p *Peer) handleLostSend(l lostSend) {
 	}
 }
 
-// Stop shuts the peer down. Safe to call twice.
+// Stop shuts the peer down and returns once the actor loop has exited, so
+// the caller may close (or reopen) the peer's store straight away. A durable
+// peer's export-state log is compacted on the way out. Safe to call twice,
+// not from inside the loop.
 func (p *Peer) Stop() {
 	select {
 	case <-p.stopped:
+		<-p.loopDone
 		return
 	default:
 	}
 	close(p.stopped)
 	p.tr.Close()
-	// Unblock the loop.
-	select {
-	case p.inbox <- stopToken{}:
-	default:
+	<-p.loopDone
+	if l := p.exportLog; l != nil {
+		// The appended records are a complete log as they stand; a rewrite
+		// that fails only leaves the next start more of them to read.
+		if err := l.rewrite(p.node.ExportState()); err != nil {
+			p.log.Warn("export state not compacted", "err", err)
+		}
+		l.close()
 	}
 }
 
@@ -591,17 +603,17 @@ func (p *Peer) dispatch(res core.Result) {
 	if len(res.Answers) > 0 {
 		if w, ok := p.queries[res.AnswersSID]; ok {
 			for _, a := range res.Answers {
-				w.answers <- a
+				select {
+				case w.answers <- a:
+				case <-p.stopped: // a reader that went away must not hold up Stop
+				}
 			}
 		}
 	}
+	materialised := false
 	for _, f := range res.Finished {
 		p.log.Debug("session finished", "sid", f.SID, "initiator", f.Initiator)
-		// Materialising sessions advance the export watermarks; persist
-		// them so a restarted peer resumes incrementally.
-		if f.Report.Kind != msg.KindQuery {
-			p.persistExportState()
-		}
+		materialised = materialised || f.Report.Kind != msg.KindQuery
 		if ch, ok := p.updates[f.SID]; ok {
 			ch <- f.Report
 			delete(p.updates, f.SID)
@@ -615,6 +627,12 @@ func (p *Peer) dispatch(res core.Result) {
 			delete(p.remoteCmds, f.SID)
 			p.sendTo(replyTo, &msg.UpdateFinished{SID: f.SID, Node: p.name, Report: f.Report})
 		}
+	}
+	// Materialising sessions advance the export watermarks; persist what
+	// they changed so a restarted peer resumes incrementally — once the
+	// sessions' waiters are on their way, none of them waits on the file.
+	if materialised {
+		p.persistExportState()
 	}
 }
 
@@ -1122,22 +1140,34 @@ func (p *Peer) ExportWatermarks() map[string]uint64 {
 	return out
 }
 
-// persistExportState writes the export state to the sidecar file when the
-// peer is durable and the state changed since the last save. Runs inside
-// the actor loop.
+// persistExportState appends what changed in the export state since the
+// last call to the sidecar log (durable peers; the others just drop it), and
+// compacts the log once it has outgrown the state. Runs inside the actor
+// loop.
 func (p *Peer) persistExportState() {
-	if p.statePath == "" {
+	deltas := p.node.DrainExportDelta()
+	if p.exportLog == nil || len(deltas) == 0 {
 		return
 	}
-	v := p.node.ExportStateVersion()
-	if v == p.stateSaved {
-		return
-	}
-	if err := saveExportState(p.statePath, p.node.ExportState()); err != nil {
+	compact, err := p.exportLog.append(deltas)
+	if err != nil {
+		// The file now lacks a delta: a restart must not trust it.
 		p.log.Warn("export state not persisted", "err", err)
-		return
+		compact = true
 	}
-	p.stateSaved = v
+	if compact {
+		p.compactExportLog()
+	}
+}
+
+// compactExportLog rewrites the sidecar log to the node's full export
+// state. A log that cannot be rewritten is given up for this process life.
+func (p *Peer) compactExportLog() {
+	if err := p.exportLog.compact(p.node.ExportState()); err != nil {
+		p.log.Warn("export state log abandoned", "err", err)
+		p.exportLog.abandon()
+		p.exportLog = nil
+	}
 }
 
 // ResetExportStateToward forgets this peer's incremental-export state for

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"codb/internal/btree"
@@ -17,15 +19,18 @@ type table struct {
 	shards []*shard
 }
 
-// shard is one hash partition of a relation, with its own lock, heap,
-// primary B+tree, secondary indexes, changelog segment and cached
-// copy-on-write snapshot view. Writers to different shards never contend.
+// shard is one hash partition of a relation, with its own lock, primary
+// B+tree, secondary indexes, changelog segment and cached snapshot view.
+// Writers to different shards never contend.
 type shard struct {
-	mu      sync.RWMutex
-	rows    []relation.Tuple        // heap; nil = deleted slot
-	free    []int                   // reusable slots
-	primary *btree.Map[int]         // tuple key -> slot
-	second  map[int]*btree.Map[int] // attr position -> (attr value ‖ tuple key) -> slot
+	mu sync.RWMutex
+	// primary maps tuple key -> tuple. second maps an attribute position
+	// (never 0, see index) to (attr value ‖ tuple key) -> tuple, for the
+	// positions IndexOn declared or a snapshot probe got adopted for.
+	// The trees hold the tuples themselves, so a snapshot is a Clone of
+	// them and nothing else.
+	primary *btree.Map[relation.Tuple]
+	second  map[int]*btree.Map[relation.Tuple]
 
 	// Change capture for incremental export (see DB.Changes): committed
 	// inserts in commit order, each stamped with its commit LSN and a
@@ -40,18 +45,10 @@ type shard struct {
 	lostBelow    uint64 // history before (and at) this LSN is unavailable
 	evictedBelow uint64 // in-memory history before (and at) this LSN was dropped
 
-	// snap is the cached immutable view backing DB.Snapshot (copy-on-write
-	// per shard): built lazily under snapMu by the first snapshot after a
-	// change, shared by later snapshots, reset by insert/delete. See
-	// shard.snapshot for the locking discipline.
-	//
-	// Secondary snapshot views hang off the tableSnap itself (built lazily
-	// by the first ScanEq probing an attribute position), so they follow
-	// the same invalidation rule for free: insert/delete resets s.snap,
-	// the next snapshot builds a fresh tableSnap with an empty secondary
-	// cache, and every snapshot sharing one tableSnap shares its secondary
-	// views. A secondary view is never mutated — only dropped wholesale
-	// with the primary view it was derived from.
+	// snap is the view of the shard's current committed state that
+	// DB.Snapshot hands out: made under snapMu by the first snapshot after
+	// a write, shared by later snapshots, forgotten by the next write
+	// (beginWrite). See shard.snapshot for the locking discipline.
 	snapMu sync.Mutex
 	snap   *tableSnap
 }
@@ -153,7 +150,10 @@ func (c *capture) delete(s *shard) {
 func newTable(def *relation.RelDef, nshards int) *table {
 	t := &table{def: def, shards: make([]*shard, nshards)}
 	for i := range t.shards {
-		t.shards[i] = &shard{primary: btree.New[int](), second: make(map[int]*btree.Map[int])}
+		t.shards[i] = &shard{
+			primary: btree.New[relation.Tuple](),
+			second:  make(map[int]*btree.Map[relation.Tuple]),
+		}
 	}
 	return t
 }
@@ -195,76 +195,125 @@ func (t *table) runlockAll() {
 	}
 }
 
+// index returns the tree that orders the shard by one attribute position,
+// or nil. For position 0 it is the primary: a tuple key begins with the
+// encoding of the tuple's first value, so value-prefix and value-range scans
+// over it enumerate what a (value ‖ key) index would, in the same order.
+func (s *shard) index(pos int) *btree.Map[relation.Tuple] {
+	if pos == 0 {
+		return s.primary
+	}
+	return s.second[pos]
+}
+
+// indexes returns every shard's index over the position, or nil unless all
+// of them have one (adoption is per shard, see beginWrite).
+func (t *table) indexes(pos int) []*btree.Map[relation.Tuple] {
+	out := make([]*btree.Map[relation.Tuple], len(t.shards))
+	for i, s := range t.shards {
+		if out[i] = s.index(pos); out[i] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// beginWrite prepares the shard for a change (caller holds the shard write
+// lock). Until now the cached view was the shard's current state, so a
+// secondary index some reader built over it is current too: the shard
+// adopts a clone of it and maintains it from here on, instead of leaving
+// the next snapshot to sort the relation again. A view whose index is being
+// built this instant is passed over rather than waited for — its reader
+// keeps the result, and a later view gets adopted.
+func (s *shard) beginWrite() {
+	v := s.snap
+	if v == nil {
+		return
+	}
+	s.snap = nil
+	if !v.secMu.TryLock() {
+		return
+	}
+	for pos, idx := range v.sec {
+		if s.second[pos] == nil {
+			s.second[pos] = idx.Clone()
+		}
+	}
+	v.secMu.Unlock()
+}
+
 // insert adds the tuple, whose encoding is key, to the shard (caller holds
 // the shard write lock). Returns whether the tuple was new.
 func (s *shard) insert(key string, tuple relation.Tuple) bool {
-	if _, dup := s.primary.Get(key); dup {
+	s.beginWrite()
+	if !s.primary.Add(key, tuple) {
 		return false
 	}
-	var slot int
-	if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.rows[slot] = tuple
-	} else {
-		slot = len(s.rows)
-		s.rows = append(s.rows, tuple)
-	}
-	s.primary.Put(key, slot)
 	for pos, idx := range s.second {
-		idx.Put(secondaryKey(tuple, pos), slot)
+		idx.Put(secondaryKey(tuple[pos], key), tuple)
 	}
-	s.invalidateSnap()
 	return true
 }
 
 // delete removes the tuple encoded as key (caller holds the shard write
 // lock). Returns whether it was present.
 func (s *shard) delete(key string) bool {
-	slot, ok := s.primary.Get(key)
+	s.beginWrite()
+	tuple, ok := s.primary.Delete(key)
 	if !ok {
 		return false
 	}
-	s.primary.Delete(key)
 	for pos, idx := range s.second {
-		idx.Delete(secondaryKey(s.rows[slot], pos))
+		idx.Delete(secondaryKey(tuple[pos], key))
 	}
-	s.rows[slot] = nil
-	s.free = append(s.free, slot)
-	s.invalidateSnap()
 	return true
 }
 
-// buildSecondary creates the shard's secondary index over one attribute
-// position (caller holds the database write lock, which excludes commits).
-func (s *shard) buildSecondary(pos int) {
-	idx := btree.New[int]()
-	for slot, row := range s.rows {
-		if row != nil {
-			idx.Put(secondaryKey(row, pos), slot)
-		}
-	}
-	s.second[pos] = idx
+// secondaryKey is the key of a tuple in the index over one of its values:
+// the value's encoding, then the tuple key.
+func secondaryKey(v relation.Value, key string) string {
+	var buf [64]byte
+	return string(append(relation.EncodeValue(buf[:0], v), key...))
 }
 
-// btreeIter aliases the index iterator type used by merged scans.
-type btreeIter = btree.Iterator[int]
-
-// primaryIters positions one iterator at the start of each shard's primary
-// index (shard locks held by the caller).
-func (t *table) primaryIters() []*btreeIter {
-	iters := make([]*btreeIter, len(t.shards))
-	for i, s := range t.shards {
-		iters[i] = s.primary.Iter("")
+// secondaryOf builds the index of a shard state over one attribute position
+// (> 0): the keys are derived in primary order, sorted, and bulk-loaded.
+func secondaryOf(primary *btree.Map[relation.Tuple], pos int) *btree.Map[relation.Tuple] {
+	type entry struct {
+		key string
+		row relation.Tuple
 	}
-	return iters
+	entries := make([]entry, 0, primary.Len())
+	primary.AscendAll(func(key string, row relation.Tuple) bool {
+		entries = append(entries, entry{secondaryKey(row[pos], key), row})
+		return true
+	})
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	keys := make([]string, len(entries))
+	rows := make([]relation.Tuple, len(entries))
+	for i, e := range entries {
+		keys[i], rows[i] = e.key, e.row
+	}
+	return btree.FromSorted(keys, rows)
+}
+
+// shardIter aliases the index iterator type used by merged scans.
+type shardIter = btree.Iterator[relation.Tuple]
+
+// itersFrom positions one iterator per tree at the smallest key >= from.
+func itersFrom(trees []*btree.Map[relation.Tuple], from string) []*shardIter {
+	out := make([]*shardIter, len(trees))
+	for i, t := range trees {
+		out[i] = t.Iter(from)
+	}
+	return out
 }
 
 // mergeAscend advances the per-shard iterators in global ascending key
-// order, calling fn with the owning shard's index for each entry. Keys are
-// unique across shards (a tuple lives in exactly one), so the merge is a
-// straight k-way minimum selection. fn returning false stops the merge.
-func mergeAscend(iters []*btreeIter, fn func(shard int, key string, slot int) bool) {
+// order, calling fn for each entry. Keys are unique across shards (a tuple
+// lives in exactly one), so the merge is a straight k-way minimum
+// selection. fn returning false stops the merge.
+func mergeAscend(iters []*shardIter, fn func(key string, row relation.Tuple) bool) {
 	for {
 		best := -1
 		var bestKey string
@@ -280,8 +329,8 @@ func mergeAscend(iters []*btreeIter, fn func(shard int, key string, slot int) bo
 		if best < 0 {
 			return
 		}
-		_, slot, _ := iters[best].Next()
-		if !fn(best, bestKey, slot) {
+		_, row, _ := iters[best].Next()
+		if !fn(bestKey, row) {
 			return
 		}
 	}

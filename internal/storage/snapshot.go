@@ -1,9 +1,9 @@
 package storage
 
 import (
-	"sort"
 	"sync"
 
+	"codb/internal/btree"
 	"codb/internal/relation"
 )
 
@@ -13,14 +13,14 @@ import (
 // database lock again, so any number of query evaluations run concurrently
 // with committing writers (and with each other) without lock coupling.
 //
-// The implementation is copy-on-write per shard: each shard keeps one
-// cached immutable view of its committed state (a flat, key-ordered tuple
-// array), built lazily by the first snapshot that needs it and shared by
-// every later snapshot until a commit touching the shard invalidates it.
-// Taking a snapshot of a quiescent database is therefore O(relations ×
-// shards); after a commit only the touched shards are rebuilt. Tuples are
-// shared with the live shards (they are never mutated in place), so a
-// snapshot costs memory only for the key/row arrays.
+// The implementation is copy-on-write per shard, at B+tree node
+// granularity: a shard's view is an O(1) clone of its primary tree and of
+// the secondary trees it maintains (btree.Map.Clone), cached until the
+// shard's next write so that quiescent snapshots share it. Pinning costs
+// O(relations × shards) whatever the tables hold; a commit after a pin
+// copies only the nodes on the paths it writes, and the view keeps the
+// originals. Tuples are shared with the live shards (they are never mutated
+// in place).
 //
 // Snapshots expose their sharding (ShardCount / ScanShard): the CQ
 // evaluator fans its hash-join build scans out across shards when
@@ -38,63 +38,50 @@ type relSnap struct {
 	shards []*tableSnap
 }
 
-// tableSnap is the immutable view of one shard: tuples in key order, with
-// the parallel key array supporting binary-search lookups.
+// tableSnap is the immutable view of one shard: a clone of its primary tree
+// and, in sec, of the secondary indexes it maintained when the view was
+// made.
 //
-// Secondary views (sec) are materialised lazily by the first ScanEq that
-// probes an attribute position, from the view's own immutable keys/rows —
-// no shard lock is taken at probe time. They follow the same one-flat-view
-// COW discipline as the primary view: a commit touching the shard drops the
-// shard's cached tableSnap, so the next snapshot starts with an empty
-// secondary cache, while every snapshot sharing this tableSnap shares its
-// secondary views too.
+// An attribute position the shard has no index for gets one on the first
+// ScanEq that probes it, built from the view's own primary with no shard
+// lock and kept in sec for every snapshot sharing the view. If the view is
+// still the shard's current state at the shard's next write, the shard
+// adopts that index and maintains it (shard.beginWrite), so the build is
+// paid once per position, not once per commit.
 type tableSnap struct {
-	keys []string         // sorted tuple keys
-	rows []relation.Tuple // parallel to keys
+	primary *btree.Map[relation.Tuple]
 
 	secMu sync.Mutex
-	sec   map[int]*secView // attr position -> lazily built secondary view
+	sec   map[int]*btree.Map[relation.Tuple] // attr position (> 0) -> index
 }
 
-// secView is one lazily materialised secondary view of a shard snapshot:
-// rows ordered by (attr value ‖ tuple key), the same key shape as the live
-// engine's secondary indexes, so a value-prefix probe enumerates exactly
-// the matching tuples in tuple-key order.
-type secView struct {
-	keys []string         // secondaryKey(row, pos), sorted
-	rows []relation.Tuple // parallel to keys
-}
-
-// secondary returns the shard view's secondary view over one attribute
-// position, building it on first use. The view is immutable once built and
-// shared by every snapshot holding this tableSnap; secMu serialises
-// concurrent builders.
-func (v *tableSnap) secondary(pos int) *secView {
+// index returns the view's index over one attribute position, building it
+// on first use; secMu serialises concurrent builders. Position 0 is served
+// by the primary (see shard.index).
+func (v *tableSnap) index(pos int) *btree.Map[relation.Tuple] {
+	if pos == 0 {
+		return v.primary
+	}
 	v.secMu.Lock()
 	defer v.secMu.Unlock()
-	if sv, ok := v.sec[pos]; ok {
-		return sv
+	idx, ok := v.sec[pos]
+	if !ok {
+		idx = secondaryOf(v.primary, pos)
+		if v.sec == nil {
+			v.sec = make(map[int]*btree.Map[relation.Tuple])
+		}
+		v.sec[pos] = idx
 	}
-	n := len(v.rows)
-	keys := make([]string, n)
-	for i, row := range v.rows {
-		keys[i] = secondaryKey(row, pos)
+	return idx
+}
+
+// indexes returns every shard view's index over the position.
+func (t *relSnap) indexes(pos int) []*btree.Map[relation.Tuple] {
+	out := make([]*btree.Map[relation.Tuple], len(t.shards))
+	for i, sh := range t.shards {
+		out[i] = sh.index(pos)
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sv := &secView{keys: make([]string, n), rows: make([]relation.Tuple, n)}
-	for out, in := range idx {
-		sv.keys[out] = keys[in]
-		sv.rows[out] = v.rows[in]
-	}
-	if v.sec == nil {
-		v.sec = make(map[int]*secView)
-	}
-	v.sec[pos] = sv
-	return sv
+	return out
 }
 
 // Snapshot pins a read view at the current commit LSN. The returned
@@ -128,33 +115,27 @@ func (db *DB) Snapshot() *Snapshot {
 	return s
 }
 
-// snapshot returns the shard's cached immutable view, building it if a
-// commit invalidated the previous one. The caller holds the shard read
-// lock (so no writer mutates primary/rows concurrently); snapMu serialises
-// concurrent builders. Writers reset s.snap under the shard write lock,
-// which excludes every reader, so all access to s.snap is race-free.
+// snapshot returns the shard's cached view, cloning the trees if a write
+// forgot the previous one. The caller holds the shard read lock (so no
+// writer is inside the trees; Clone only re-tokens them, which readers never
+// look at); snapMu serialises concurrent cloners. Writers reset s.snap under
+// the shard write lock, which excludes every reader, so all access to s.snap
+// is race-free.
 func (s *shard) snapshot() *tableSnap {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if s.snap == nil {
-		n := s.primary.Len()
-		v := &tableSnap{
-			keys: make([]string, 0, n),
-			rows: make([]relation.Tuple, 0, n),
+		v := &tableSnap{primary: s.primary.Clone()}
+		if len(s.second) > 0 {
+			v.sec = make(map[int]*btree.Map[relation.Tuple], len(s.second))
+			for pos, idx := range s.second {
+				v.sec[pos] = idx.Clone()
+			}
 		}
-		s.primary.AscendAll(func(k string, slot int) bool {
-			v.keys = append(v.keys, k)
-			v.rows = append(v.rows, s.rows[slot])
-			return true
-		})
 		s.snap = v
 	}
 	return s.snap
 }
-
-// invalidateSnap drops the cached view after a commit touched the shard
-// (caller holds the shard write lock).
-func (s *shard) invalidateSnap() { s.snap = nil }
 
 // LSN returns the commit sequence number the snapshot is pinned at.
 func (s *Snapshot) LSN() uint64 { return s.lsn }
@@ -178,7 +159,7 @@ func (s *Snapshot) Count(rel string) int {
 	}
 	n := 0
 	for _, sh := range t.shards {
-		n += len(sh.rows)
+		n += sh.primary.Len()
 	}
 	return n
 }
@@ -196,9 +177,8 @@ func (s *Snapshot) HasKey(rel, key string) bool {
 	if !ok {
 		return false
 	}
-	sh := t.shards[shardIndex(key, len(t.shards))]
-	i := sort.SearchStrings(sh.keys, key)
-	return i < len(sh.keys) && sh.keys[i] == key
+	_, ok = t.shards[shardIndex(key, len(t.shards))].primary.Get(key)
+	return ok
 }
 
 // Scan calls fn for every tuple of the relation in global key order (a
@@ -206,36 +186,8 @@ func (s *Snapshot) HasKey(rel, key string) bool {
 // scan. No locks are held: fn may take arbitrarily long and may read back
 // into the live database.
 func (s *Snapshot) Scan(rel string, fn func(relation.Tuple) bool) {
-	t, ok := s.tables[rel]
-	if !ok {
-		return
-	}
-	if len(t.shards) == 1 {
-		for _, row := range t.shards[0].rows {
-			if !fn(row) {
-				return
-			}
-		}
-		return
-	}
-	idx := make([]int, len(t.shards))
-	for {
-		best := -1
-		var bestKey string
-		for i, sh := range t.shards {
-			if idx[i] < len(sh.keys) {
-				if k := sh.keys[idx[i]]; best < 0 || k < bestKey {
-					best, bestKey = i, k
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if !fn(t.shards[best].rows[idx[best]]) {
-			return
-		}
-		idx[best]++
+	if t, ok := s.tables[rel]; ok {
+		scanMerged(t.indexes(0), "", "", fn)
 	}
 }
 
@@ -256,90 +208,32 @@ func (s *Snapshot) ScanShard(rel string, shard int, fn func(relation.Tuple) bool
 	if !ok || shard < 0 || shard >= len(t.shards) {
 		return
 	}
-	for _, row := range t.shards[shard].rows {
-		if !fn(row) {
-			return
-		}
-	}
+	t.shards[shard].primary.AscendValues(fn)
 }
 
 // ScanEq scans the tuples whose attribute at position pos equals v, in key
-// order, as an index probe: each shard's lazily materialised secondary view
-// (see tableSnap.secondary) is positioned at the value prefix by binary
-// search, then the per-shard runs are k-way merged. Within one value prefix
-// the secondary-key order is the tuple-key order (the value encoding is
-// prefix-free), so the result is bit-identical to the filtered full scan
-// this used to be — only O(log n + matches) per shard instead of O(n).
+// order, as an index probe: each shard view's index over the position (see
+// tableSnap.index) is entered at the value prefix, and the per-shard runs
+// are k-way merged. Within one value prefix the index order is the
+// tuple-key order (the value encoding is prefix-free), so the result is
+// bit-identical to a filtered full scan — at O(log n + matches) per shard
+// instead of O(n).
 func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
 	t, ok := s.tables[rel]
 	if !ok || pos < 0 || pos >= t.def.Arity() {
 		return
 	}
-	prefix := string(relation.EncodeValue(nil, v))
-	if len(t.shards) == 1 {
-		sv := t.shards[0].secondary(pos)
-		for i := sort.SearchStrings(sv.keys, prefix); i < len(sv.keys); i++ {
-			if k := sv.keys[i]; len(k) < len(prefix) || k[:len(prefix)] != prefix {
-				return
-			}
-			if !fn(sv.rows[i]) {
-				return
-			}
-		}
-		return
-	}
-	views := make([]*secView, len(t.shards))
-	idx := make([]int, len(t.shards))
-	for i, sh := range t.shards {
-		sv := sh.secondary(pos)
-		views[i] = sv
-		at := sort.SearchStrings(sv.keys, prefix)
-		if at < len(sv.keys) {
-			if k := sv.keys[at]; len(k) < len(prefix) || k[:len(prefix)] != prefix {
-				at = len(sv.keys) // shard has no match: retire it
-			}
-		}
-		idx[i] = at
-	}
-	for {
-		best := -1
-		var bestKey string
-		for i, sv := range views {
-			if idx[i] < len(sv.keys) {
-				if k := sv.keys[idx[i]]; best < 0 || k < bestKey {
-					best, bestKey = i, k
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if !fn(views[best].rows[idx[best]]) {
-			return
-		}
-		idx[best]++
-		sv := views[best]
-		if at := idx[best]; at < len(sv.keys) {
-			if k := sv.keys[at]; len(k) < len(prefix) || k[:len(prefix)] != prefix {
-				idx[best] = len(sv.keys) // run left the value prefix: retire
-			}
-		}
-	}
+	scanPrefix(t.indexes(pos), string(relation.EncodeValue(nil, v)), fn)
 }
 
 // Tuples returns all tuples of the relation as of the snapshot, in key
 // order. The tuples are shared with the snapshot (immutable); the slice is
 // fresh.
 func (s *Snapshot) Tuples(rel string) []relation.Tuple {
-	t, ok := s.tables[rel]
-	if !ok {
+	if _, ok := s.tables[rel]; !ok {
 		return nil
 	}
-	n := 0
-	for _, sh := range t.shards {
-		n += len(sh.rows)
-	}
-	out := make([]relation.Tuple, 0, n)
+	out := make([]relation.Tuple, 0, s.Count(rel))
 	s.Scan(rel, func(row relation.Tuple) bool {
 		out = append(out, row)
 		return true
@@ -352,9 +246,10 @@ func (s *Snapshot) Instance() relation.Instance {
 	in := relation.NewInstance()
 	for name, t := range s.tables {
 		for _, sh := range t.shards {
-			for _, row := range sh.rows {
+			sh.primary.AscendValues(func(row relation.Tuple) bool {
 				in.Insert(name, row)
-			}
+				return true
+			})
 		}
 	}
 	return in

@@ -2,9 +2,9 @@
 // Database (LDB) each peer manages. Relations are sets of typed tuples
 // (set semantics, as required by the update algorithm's "T′ = T \ R" step).
 // Each relation is hash-partitioned into Options.Shards shards; every shard
-// owns its own lock, in-memory heap, B+tree primary index over the
-// order-preserving tuple encoding, optional secondary indexes, changelog
-// segment, and copy-on-write snapshot view. Durability is optional: when
+// owns its own lock, B+tree primary index over the order-preserving tuple
+// encoding, secondary indexes, changelog segment, and cached snapshot view
+// (an O(1) copy-on-write clone of the trees). Durability is optional: when
 // opened with a directory, every commit is logged to a write-ahead log —
 // through a group-commit pipeline when SyncOnCommit is set, so concurrent
 // commits share fsyncs — and periodically checkpointed into a snapshot
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"codb/internal/btree"
 	"codb/internal/relation"
 	"codb/internal/wal"
 )
@@ -374,7 +375,8 @@ func (db *DB) DefineSchema(s *relation.Schema) error {
 
 // IndexOn creates a secondary index over one attribute of a relation
 // (maintained per shard), enabling ScanEq/ScanRange on that attribute.
-// Idempotent.
+// Idempotent, and a no-op for the first attribute, which the primary index
+// already orders (see shard.index).
 func (db *DB) IndexOn(rel, attr string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -386,19 +388,14 @@ func (db *DB) IndexOn(rel, attr string) error {
 	if pos < 0 {
 		return fmt.Errorf("storage: relation %s has no attribute %q", rel, attr)
 	}
-	if _, ok := t.shards[0].second[pos]; ok {
-		return nil
-	}
+	// db.mu is held exclusively: no commit and no Snapshot runs beside this.
 	for _, s := range t.shards {
-		s.buildSecondary(pos)
+		if s.index(pos) == nil {
+			s.second[pos] = secondaryOf(s.primary, pos)
+			s.snap = nil // the next snapshot pins the new index too
+		}
 	}
 	return nil
-}
-
-func secondaryKey(t relation.Tuple, pos int) string {
-	k := relation.EncodeValue(nil, t[pos])
-	k = relation.EncodeTuple(k, t)
-	return string(k)
 }
 
 var errClosed = fmt.Errorf("storage: database is closed")
@@ -460,17 +457,32 @@ func (db *DB) Scan(rel string, fn func(relation.Tuple) bool) {
 
 // scanLocked merges the shard primaries in key order (shard locks held).
 func (t *table) scanLocked(fn func(relation.Tuple) bool) {
-	if len(t.shards) == 1 {
-		s := t.shards[0]
-		s.primary.AscendAll(func(_ string, slot int) bool {
-			return fn(s.rows[slot])
-		})
+	scanMerged(t.indexes(0), "", "", fn)
+}
+
+// scanMerged calls fn for the rows of the per-shard trees whose keys lie in
+// [from, to), in global key order; empty bounds are open. A single shard is
+// scanned leaf by leaf with no merge; fn returning false stops the scan.
+func scanMerged(trees []*btree.Map[relation.Tuple], from, to string, fn func(relation.Tuple) bool) {
+	if len(trees) == 1 {
+		if from == "" && to == "" {
+			trees[0].AscendValues(fn)
+			return
+		}
+		trees[0].Ascend(from, to, func(_ string, row relation.Tuple) bool { return fn(row) })
 		return
 	}
-	iters := t.primaryIters()
-	mergeAscend(iters, func(si int, _ string, slot int) bool {
-		return fn(t.shards[si].rows[slot])
+	mergeAscend(itersFrom(trees, from), func(key string, row relation.Tuple) bool {
+		if to != "" && key >= to {
+			return false // merged order: once the minimum passes the bound, all do
+		}
+		return fn(row)
 	})
+}
+
+// scanPrefix is scanMerged over the keys that start with prefix.
+func scanPrefix(trees []*btree.Map[relation.Tuple], prefix string, fn func(relation.Tuple) bool) {
+	scanMerged(trees, prefix, prefixSuccessor(prefix), fn)
 }
 
 // ScanEq scans tuples whose attribute at position pos equals v, using the
@@ -486,18 +498,8 @@ func (db *DB) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tup
 	}
 	t.rlockAll()
 	defer t.runlockAll()
-	if _, ok := t.shards[0].second[pos]; ok {
-		prefix := string(relation.EncodeValue(nil, v))
-		iters := make([]*btreeIter, len(t.shards))
-		for i, s := range t.shards {
-			iters[i] = s.second[pos].Iter(prefix)
-		}
-		mergeAscend(iters, func(si int, key string, slot int) bool {
-			if len(key) < len(prefix) || key[:len(prefix)] != prefix {
-				return false // merged order: once the minimum leaves the prefix, all do
-			}
-			return fn(t.shards[si].rows[slot])
-		})
+	if idx := t.indexes(pos); idx != nil {
+		scanPrefix(idx, string(relation.EncodeValue(nil, v)), fn)
 		return
 	}
 	t.scanLocked(func(tp relation.Tuple) bool {
@@ -521,7 +523,7 @@ func (db *DB) ScanRange(rel string, pos int, lo, hi *relation.Value, fn func(rel
 	}
 	t.rlockAll()
 	defer t.runlockAll()
-	if _, ok := t.shards[0].second[pos]; ok {
+	if idx := t.indexes(pos); idx != nil {
 		from, to := "", ""
 		if lo != nil {
 			from = string(relation.EncodeValue(nil, *lo))
@@ -529,16 +531,7 @@ func (db *DB) ScanRange(rel string, pos int, lo, hi *relation.Value, fn func(rel
 		if hi != nil {
 			to = prefixSuccessor(string(relation.EncodeValue(nil, *hi)))
 		}
-		iters := make([]*btreeIter, len(t.shards))
-		for i, s := range t.shards {
-			iters[i] = s.second[pos].Iter(from)
-		}
-		mergeAscend(iters, func(si int, key string, slot int) bool {
-			if to != "" && key >= to {
-				return false
-			}
-			return fn(t.shards[si].rows[slot])
-		})
+		scanMerged(idx, from, to, fn)
 		return
 	}
 	within := func(v relation.Value) bool {
@@ -594,8 +587,8 @@ func (db *DB) Instance() relation.Instance {
 	for _, name := range names {
 		t := db.tables[name]
 		for _, s := range t.shards {
-			s.primary.AscendAll(func(_ string, slot int) bool {
-				in.Insert(name, s.rows[slot])
+			s.primary.AscendValues(func(row relation.Tuple) bool {
+				in.Insert(name, row)
 				return true
 			})
 		}
@@ -697,7 +690,7 @@ func (db *DB) DetailedStats() DetailedStats {
 		t.rlockAll()
 		for i, sh := range t.shards {
 			st := ShardStats{Tuples: sh.primary.Len()}
-			sh.primary.AscendAll(func(key string, _ int) bool {
+			sh.primary.AscendAll(func(key string, _ relation.Tuple) bool {
 				st.Bytes += int64(len(key))
 				return true
 			})

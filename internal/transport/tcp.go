@@ -185,6 +185,13 @@ func (t *TCP) acceptLoop() {
 // a version, answer with ours — and runs the read loop. A hello we cannot
 // parse or a version range we cannot meet closes the connection before a
 // pipe ever exists, so no pipe-down fires.
+//
+// The pipe is registered before the answer goes out: the answer is what lets
+// the dialer's Connect return, and from that moment the dialer may expect
+// this end to know it (a reply sent the other way must not meet
+// ErrUnknownPeer). The conn's write lock is held across both steps, so a
+// Send that finds the fresh pipe queues behind the hello instead of
+// overtaking it.
 func (t *TCP) serve(c net.Conn) {
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	theirs, err := wire.ReadHello(c)
@@ -197,18 +204,27 @@ func (t *TCP) serve(c net.Conn) {
 		c.Close()
 		return
 	}
-	if err := wire.WriteHello(c, t.hello()); err != nil {
-		c.Close()
-		return
-	}
+	conn := &tcpConn{c: c, version: version, inbound: true}
+	conn.writeMu.Lock()
+	kept := t.register(theirs.Name, conn)
+	err = wire.WriteHello(c, t.hello())
 	c.SetDeadline(time.Time{})
-	if !t.register(theirs.Name, c, version, true) {
-		return // lost a simultaneous-open tie-break; register closed c
+	conn.writeMu.Unlock()
+	switch {
+	case !kept:
+		// Lost a simultaneous-open tie-break. The dialer still got its
+		// answer: it applies the same tie-break and drops this socket too.
+		c.Close()
+	case err != nil:
+		// The dialer never saw a pipe: take ours back without a pipe-down.
+		t.removeConn(theirs.Name, c)
+	default:
+		t.readLoop(theirs.Name, c, version)
 	}
-	t.readLoop(theirs.Name, c, version)
 }
 
-// register installs c as the pipe to peer and reports whether it was kept.
+// register installs conn as the pipe to peer and reports whether it was
+// kept; a conn that was not is the caller's to close.
 //
 // When a conn for the peer already exists in the OPPOSITE direction, the two
 // ends dialed each other simultaneously (both redialing after a heal is the
@@ -219,31 +235,29 @@ func (t *TCP) serve(c net.Conn) {
 // socket initiated by the lexicographically smaller name — so a crossed pair
 // deterministically converges on one surviving socket with no pipe-down.
 // A same-direction duplicate is a genuine reconnect and replaces as before.
-func (t *TCP) register(peer string, c net.Conn, version byte, inbound bool) bool {
+func (t *TCP) register(peer string, conn *tcpConn) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		c.Close()
 		return false
 	}
 	if old := t.conns[peer]; old != nil {
 		loses := t.self > peer // our own dial loses when our name is larger
-		if inbound {
+		if conn.inbound {
 			loses = peer > t.self
 		}
-		if old.inbound != inbound && loses {
-			c.Close()
+		if old.inbound != conn.inbound && loses {
 			return false
 		}
 		old.c.Close()
 	}
-	t.conns[peer] = &tcpConn{c: c, version: version, inbound: inbound}
+	t.conns[peer] = conn
 	return true
 }
 
-// dropConn removes the pipe for peer if it is still connection c, closes c,
-// and reports the pipe down.
-func (t *TCP) dropConn(peer string, c net.Conn) {
+// removeConn removes the pipe for peer if it is still connection c and
+// closes c, reporting whether that took a pipe away from a live transport.
+func (t *TCP) removeConn(peer string, c net.Conn) bool {
 	t.mu.Lock()
 	toreDown := false
 	if cur := t.conns[peer]; cur != nil && cur.c == c {
@@ -253,7 +267,13 @@ func (t *TCP) dropConn(peer string, c net.Conn) {
 	closed := t.closed
 	t.mu.Unlock()
 	c.Close()
-	if toreDown && !closed {
+	return toreDown && !closed
+}
+
+// dropConn removes the pipe for peer if it is still connection c, closes c,
+// and reports the pipe down.
+func (t *TCP) dropConn(peer string, c net.Conn) {
+	if t.removeConn(peer, c) {
 		t.notifyPipeDown(peer)
 	}
 }
@@ -394,9 +414,10 @@ func (t *TCP) dialAndRegister(node, addr string) error {
 		c.Close()
 		return fmt.Errorf("transport: dialed %s but peer identifies as %s", node, theirs.Name)
 	}
-	if !t.register(node, c, version, false) {
+	if !t.register(node, &tcpConn{c: c, version: version}) {
 		// Lost a simultaneous-open tie-break: the peer's own dial to us
 		// already registered, and both ends keep that socket. The pipe is up.
+		c.Close()
 		return nil
 	}
 	t.wg.Add(1)
@@ -425,7 +446,8 @@ func (t *TCP) ConnectAddr(addr string) (string, error) {
 		c.Close()
 		return "", fmt.Errorf("transport: %s dialed itself at %s", t.self, addr)
 	}
-	if !t.register(theirs.Name, c, version, false) {
+	if !t.register(theirs.Name, &tcpConn{c: c, version: version}) {
+		c.Close()
 		return theirs.Name, nil // simultaneous open resolved to the peer's socket
 	}
 	t.wg.Add(1)

@@ -161,3 +161,30 @@ func TestTCPCloseAbortsDialBackoff(t *testing.T) {
 		t.Fatal("Connect did not return after Close")
 	}
 }
+
+// The acceptor must know the dialer by the time the dialer's Connect
+// returns: the dialer (or anyone it tells) may have the acceptor send to it
+// straight away, and a reply must not meet ErrUnknownPeer because the
+// acceptor answered the hello before registering the pipe.
+func TestTCPAcceptorKnowsDialerWhenConnectReturns(t *testing.T) {
+	b, _ := NewTCP("b", "127.0.0.1:0")
+	defer b.Close()
+	for round := 0; round < 300; round++ {
+		a, err := NewTCP("a", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got collector
+		a.SetHandler(got.handler)
+		if err := a.Connect("b", b.Addr()); err != nil {
+			a.Close()
+			t.Fatal(err)
+		}
+		if err := b.Send("a", ping("reply")); err != nil {
+			a.Close()
+			t.Fatalf("round %d: reply sent as soon as Connect returned: %v", round, err)
+		}
+		got.wait(t, 1)
+		a.Close()
+	}
+}

@@ -6,7 +6,10 @@
 // their first record, rotated at a size threshold and truncated by
 // checkpoints. The single-file Log in this file is the legacy (pre-segment)
 // format; it is retained so old "log.wal" files can be replayed once and
-// migrated, and as the simplest harness for the shared record framing.
+// migrated, as the simplest harness for the shared record framing, and as
+// the file under the peer layer's export-state log (a small append-only
+// sidecar that wants exactly this framing and torn-tail recovery, and none
+// of the segment machinery).
 //
 // Record layout (shared by both formats):
 //
@@ -107,10 +110,10 @@ func scanRecords(buf []byte, fn func(payload []byte) error) (end int, torn bool,
 	}
 }
 
-// Log is the legacy single-file append-only write-ahead log. Append and
-// Sync may be called from one goroutine at a time; the storage engine
-// serialises them. New databases use Segmented instead; Log remains for
-// migrating old "log.wal" files and for tests of the shared framing.
+// Log is the single-file append-only log. Append and Sync may be called
+// from one goroutine at a time. Databases use Segmented instead; Log remains
+// for migrating old "log.wal" files, for the peer layer's export-state file,
+// and for tests of the shared framing.
 type Log struct {
 	f    *os.File
 	path string
