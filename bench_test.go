@@ -267,3 +267,55 @@ func BenchmarkAblationNulls(b *testing.B) {
 	ex.Existential = true
 	b.Run("existential-rules", func(b *testing.B) { runUpdateBench(b, ex) })
 }
+
+// BenchmarkDurableChainIncrement shows the durable hop: a 6-node TCP chain of
+// durable, sync-on-commit peers, a 64-row burst inserted at the tail, one
+// global update from the head. One op crosses five hops that each have to
+// make the burst durable before they acknowledge it; ns/op is what the
+// overlap of their syncs buys, B/op what a hop allocates to move 64 rows.
+func BenchmarkDurableChainIncrement(b *testing.B) {
+	const nodes, burst = 6, 64
+	nw := NewNetworkWithOptions(NetworkOptions{
+		Transport: TransportGroup{TCP: true},
+		Storage:   StorageGroup{SyncOnCommit: true},
+	})
+	defer nw.Close()
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	for i := 0; i < nodes; i++ {
+		if _, err := nw.AddDurablePeer(name(i), b.TempDir(), "r(x int, y int)"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i+1 < nodes; i++ {
+		nw.MustAddRule(fmt.Sprintf("r%d", i), fmt.Sprintf("%s.r(x, y) <- %s.r(x, y)", name(i), name(i+1)))
+	}
+	ctx := context.Background()
+	next := 0
+	op := func() {
+		rows := make([]Tuple, burst)
+		for i := range rows {
+			// Ascending keys, as the repo benchmark's bursts: a burst lands in
+			// one leaf, so B/op is the session's, not the B+tree's path copies.
+			rows[i] = Row(Int(next), Int(next*7919%10000019))
+			next++
+		}
+		if err := nw.Insert(name(nodes-1), "r", rows...); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nw.Update(ctx, name(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // first session's full export, pipes, first-use costs
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if got := nw.Peer(name(0)).Count("r"); got != next {
+		b.Fatalf("head holds %d rows, want %d", got, next)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -47,39 +48,97 @@ type Fact struct {
 	Tuple relation.Tuple
 }
 
-// Applier instantiates the head of a single rule. It caches the head facts
-// per frontier binding, so repeated deliveries are cheap and minting is
-// stable within a process (across processes, stability comes from the
-// deterministic labels).
+// Applier instantiates the head of a single rule. The head is compiled once
+// into slots — frontier position, constant, or existential variable — so a
+// binding's facts are built straight from the binding, with no per-binding
+// variable environment.
+//
+// Facts are a pure function of the binding (null labels are keyed by it), so
+// nothing needs remembering for correctness. A rule with existential
+// variables still keeps its facts per binding: a repeated delivery then costs
+// no hashing, and a binding dropped by the depth bound is counted once. That
+// memo lives as long as the applier; Fork starts an empty one for a scope of
+// its own. A rule without existential variables keeps no memo at all.
 type Applier struct {
 	rule     *cq.Rule
 	opts     Options
 	frontier []string
 	exist    []string
-	memo     map[string][]Fact
-	skipMemo map[string]bool
-	// Skipped counts frontier bindings dropped by the depth bound since
-	// construction.
+	heads    []headAtom
+	width    int               // values in one binding's facts
+	memo     map[string][]Fact // existential rules only
+	skipMemo map[string]bool   // bindings already counted in Skipped
+	// Skipped counts frontier bindings dropped by the depth bound (or for
+	// being too short for the frontier) since construction, each once.
 	Skipped int
 }
+
+// headAtom is one compiled head atom.
+type headAtom struct {
+	rel   string
+	slots []headSlot
+}
+
+// headSlot says where one head position takes its value from.
+type headSlot struct {
+	kind  slotKind
+	index int            // frontier position or existential number
+	value relation.Value // slotConst
+}
+
+type slotKind uint8
+
+const (
+	slotFrontier slotKind = iota
+	slotExist
+	slotConst
+)
 
 // NewApplier validates the rule and prepares an applier for it.
 func NewApplier(rule *cq.Rule, opts Options) (*Applier, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	return &Applier{
-		rule:     rule,
-		opts:     opts,
-		frontier: rule.Frontier(),
-		exist:    rule.Existentials(),
-		memo:     make(map[string][]Fact),
-		skipMemo: make(map[string]bool),
-	}, nil
+	a := &Applier{rule: rule, opts: opts, frontier: rule.Frontier(), exist: rule.Existentials()}
+	for _, h := range rule.Head {
+		atom := headAtom{rel: h.Rel, slots: make([]headSlot, len(h.Terms))}
+		for i, term := range h.Terms {
+			switch {
+			case !term.IsVar():
+				atom.slots[i] = headSlot{kind: slotConst, value: term.Const}
+			case slices.Contains(a.frontier, term.Var):
+				atom.slots[i] = headSlot{kind: slotFrontier, index: slices.Index(a.frontier, term.Var)}
+			default:
+				atom.slots[i] = headSlot{kind: slotExist, index: slices.Index(a.exist, term.Var)}
+			}
+		}
+		a.width += len(atom.slots)
+		a.heads = append(a.heads, atom)
+	}
+	if len(a.exist) > 0 {
+		a.memo = make(map[string][]Fact)
+	}
+	return a, nil
+}
+
+// Fork returns an applier for the same rule with an empty memo and a zero
+// Skipped count: a scope of its own — one session's, say — whose remembered
+// bindings go when it is dropped. The compiled head is shared.
+func (a *Applier) Fork() *Applier {
+	f := *a
+	f.skipMemo, f.Skipped = nil, 0
+	if f.memo != nil {
+		f.memo = make(map[string][]Fact)
+	}
+	return &f
 }
 
 // Rule returns the applier's rule.
 func (a *Applier) Rule() *cq.Rule { return a.rule }
+
+// Existential reports whether the rule has existential head variables, i.e.
+// whether the applier keeps a memo.
+func (a *Applier) Existential() bool { return len(a.exist) > 0 }
 
 // Frontier returns the frontier variable order the applier expects bindings
 // in (the order of first occurrence in the rule head).
@@ -87,63 +146,79 @@ func (a *Applier) Frontier() []string { return a.frontier }
 
 // Facts instantiates the head for every frontier binding, returning the
 // facts to assert at the target node. Bindings beyond the depth bound are
-// skipped and counted.
+// skipped and counted. The tuples of one call are cut from one backing array,
+// in binding order: one allocation, and neighbours in the delta stay
+// neighbours in memory wherever the tuples end up stored.
 func (a *Applier) Facts(bindings []relation.Tuple) []Fact {
-	out := make([]Fact, 0, len(bindings)*len(a.rule.Head))
+	out := make([]Fact, 0, len(bindings)*len(a.heads))
+	slab := make([]relation.Value, 0, len(bindings)*a.width)
 	for _, b := range bindings {
-		out = append(out, a.factsFor(b)...)
+		out, slab = a.appendFacts(out, slab, b)
 	}
 	return out
 }
 
-func (a *Applier) factsFor(binding relation.Tuple) []Fact {
-	key := binding.Key()
-	if fs, ok := a.memo[key]; ok {
-		return fs
-	}
+// skip counts a dropped binding, once per distinct binding.
+func (a *Applier) skip(key string) {
 	if a.skipMemo[key] {
-		return nil
+		return
 	}
-	env := make(map[string]relation.Value, len(a.frontier)+len(a.exist))
-	depth := 0
-	for i, v := range a.frontier {
-		if i >= len(binding) {
-			// Malformed binding; drop it rather than panic (it may come
-			// from a remote peer).
-			a.skipMemo[key] = true
-			a.Skipped++
-			return nil
-		}
-		env[v] = binding[i]
-		if d := NullDepth(binding[i]); d > depth {
-			depth = d
-		}
+	if a.skipMemo == nil {
+		a.skipMemo = make(map[string]bool)
 	}
+	a.skipMemo[key] = true
+	a.Skipped++
+}
+
+// appendFacts appends one binding's facts to out, taking the values of the
+// tuples it builds from slab.
+func (a *Applier) appendFacts(out []Fact, slab []relation.Value, binding relation.Tuple) ([]Fact, []relation.Value) {
+	if len(binding) < len(a.frontier) {
+		// Malformed binding; drop it rather than panic (it may come from a
+		// remote peer).
+		a.skip(binding.Key())
+		return out, slab
+	}
+	var key string
+	var nulls []relation.Value
 	if len(a.exist) > 0 {
-		newDepth := depth + 1
-		if a.opts.MaxDepth > 0 && newDepth > a.opts.MaxDepth {
-			a.skipMemo[key] = true
-			a.Skipped++
-			return nil
+		key = binding.Key()
+		if fs, ok := a.memo[key]; ok {
+			return append(out, fs...), slab
 		}
-		for _, z := range a.exist {
-			env[z] = mintNull(a.rule.ID, z, key, newDepth)
+		depth := 1
+		for _, v := range binding[:len(a.frontier)] {
+			depth = max(depth, NullDepth(v)+1)
+		}
+		if a.opts.MaxDepth > 0 && depth > a.opts.MaxDepth {
+			a.skip(key)
+			return out, slab
+		}
+		nulls = make([]relation.Value, len(a.exist))
+		for i, z := range a.exist {
+			nulls[i] = mintNull(a.rule.ID, z, key, depth)
 		}
 	}
-	facts := make([]Fact, 0, len(a.rule.Head))
-	for _, h := range a.rule.Head {
-		t := make(relation.Tuple, len(h.Terms))
-		for i, term := range h.Terms {
-			if term.IsVar() {
-				t[i] = env[term.Var]
-			} else {
-				t[i] = term.Const
+	first := len(out)
+	for i := range a.heads {
+		h := &a.heads[i]
+		at := len(slab)
+		for _, sl := range h.slots {
+			switch sl.kind {
+			case slotFrontier:
+				slab = append(slab, binding[sl.index])
+			case slotExist:
+				slab = append(slab, nulls[sl.index])
+			default:
+				slab = append(slab, sl.value)
 			}
 		}
-		facts = append(facts, Fact{Rel: h.Rel, Tuple: t})
+		out = append(out, Fact{Rel: h.rel, Tuple: relation.Tuple(slab[at:len(slab):len(slab)])})
 	}
-	a.memo[key] = facts
-	return facts
+	if a.memo != nil {
+		a.memo[key] = out[first:len(out):len(out)]
+	}
+	return out, slab
 }
 
 // mintNull builds the deterministic label for an existential witness.

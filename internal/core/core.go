@@ -103,8 +103,14 @@ type Wrapper interface {
 	// Has reports tuple presence.
 	Has(rel string, t relation.Tuple) bool
 	// InsertMany inserts a batch with set semantics and returns the
-	// tuples that were actually new (T′ = T \ R).
+	// tuples that were actually new (T′ = T \ R). The wrapper keeps the
+	// tuples it is given.
 	InsertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error)
+	// InsertKeyed is InsertMany for rows of any relations that carry their
+	// keys already (what a session staged): one commit — durable before it
+	// returns, when the storage syncs on commit — reporting per row whether
+	// it was new. Nothing is inserted when a row does not fit the schema.
+	InsertKeyed(rows []relation.Row) ([]bool, error)
 	// Count returns a relation's cardinality.
 	Count(rel string) int
 }
@@ -401,15 +407,24 @@ func NewNode(cfg Config) (*Node, error) {
 func (n *Node) DeferAcks(on bool) { n.deferAcks = on }
 
 // FlushDeferred ends a burst: deferral is switched off and every session
-// touched while it was on is flushed — owed acknowledgements are emitted
-// (counted, one per sender) and the initiator's termination detection runs.
+// touched while it was on is flushed — what they staged is committed, owed
+// acknowledgements are emitted (counted, one per sender) and the initiator's
+// termination detection runs.
 // Callers must dispatch the result like any Handle result.
 func (n *Node) FlushDeferred() Result {
 	n.deferAcks = false
 	var r Result
-	for sid, s := range n.dirty {
-		delete(n.dirty, sid)
-		n.flushDS(s, &r)
+	dirty := make([]*session, 0, len(n.dirty))
+	for _, s := range n.dirty {
+		dirty = append(dirty, s)
+	}
+	clear(n.dirty)
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].sid < dirty[j].sid })
+	// One commit, one sync for everything the burst staged; only then do
+	// the acknowledgements it owes go out.
+	n.commitStaged(&r, dirty...)
+	for _, s := range dirty {
+		n.emitDS(s, &r)
 	}
 	return r
 }

@@ -19,7 +19,7 @@ func (n *Node) StartUpdate(sid string) (Result, error) {
 	}
 	s := n.newSession(sid, msg.KindUpdate, n.cfg.Self)
 	n.ds.Start(sid)
-	n.joinUpdate(s, &r)
+	n.joinUpdate(s, "", &r)
 	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r, nil
@@ -133,9 +133,12 @@ func (n *Node) Handle(env msg.Envelope) Result {
 }
 
 // joinUpdate performs the once-per-session join actions of a global update:
-// evaluate and export every incoming link, then flood the session to all
-// acquaintances (duplicate-suppressed).
-func (n *Node) joinUpdate(s *session, r *Result) {
+// evaluate and export every incoming link, then flood the session to the
+// acquaintances (duplicate-suppressed). from is the peer whose message made
+// this node join ("" at the initiator): it is in the session already, so the
+// flood goes back to it only when the request carries rule definitions it
+// may have to adopt and export.
+func (n *Node) joinUpdate(s *session, from string, r *Result) {
 	if s.joined {
 		return
 	}
@@ -151,6 +154,9 @@ func (n *Node) joinUpdate(s *session, r *Result) {
 				if o.Source == acq {
 					defs = append(defs, msg.RuleDef{ID: o.ID, Text: n.RuleText(o.ID)})
 				}
+			}
+			if acq == from && len(defs) == 0 {
+				continue
 			}
 			req := &msg.SessionRequest{
 				SID:    s.sid,
@@ -217,7 +223,7 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 				_ = n.addParsedRule(rule, d.Text)
 			}
 		}
-		n.joinUpdate(s, &r)
+		n.joinUpdate(s, from, &r)
 		// Export any requested link the join pass did not cover (rules
 		// adopted just now are covered by joinUpdate only if joined here;
 		// re-run export for listed rules explicitly — exportSince is
@@ -268,7 +274,15 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 }
 
 // handleData processes frontier bindings arriving on one of our outgoing
-// links.
+// links, in one order for every kind of session: stage, derive, ship — and
+// commit, sync and acknowledge afterwards. The fresh tuples go into the
+// session overlay, the dependent links are evaluated over snapshot ∪ overlay
+// and their deltas put into the Result, and only the flush that gathers the
+// acknowledgements (flushDS, or FlushDeferred at the end of a burst) commits
+// the overlay to the LDB. The caller ships the Result while that commit
+// waits for its sync, so on a path of durable peers the syncs overlap instead
+// of adding up; the fixpoint does not depend on message order, so derived
+// tuples may travel ahead of the local sync.
 func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	var r Result
 	s, _ := n.getSession(d.SID, d.Kind, d.Origin)
@@ -293,11 +307,11 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	// Data can be the first contact with an update session; join before
 	// anything else so this node exports and floods too.
 	if s.kind == msg.KindUpdate {
-		n.joinUpdate(s, &r)
+		n.joinUpdate(s, from, &r)
 	}
 
 	rs := n.rules[d.RuleID]
-	applier := n.appliers[d.RuleID]
+	applier := n.sessionApplier(s, d.RuleID)
 	if rs == nil || applier == nil || rs.rule.Target != n.cfg.Self {
 		// Unknown or foreign rule (topology changed mid-session): the
 		// message is still acknowledged so termination is preserved.
@@ -306,7 +320,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 		return r
 	}
 
-	// Chase: instantiate heads, insert, collect the per-relation deltas.
+	// Chase: instantiate heads, stage, collect the per-relation deltas.
 	skippedBefore := applier.Skipped
 	facts := applier.Facts(d.Bindings)
 	s.rep.SkippedDepth += applier.Skipped - skippedBefore
@@ -319,7 +333,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 				ts = append(ts, f.Tuple)
 			}
 		}
-		fs, err := v.insertMany(rel, ts)
+		fs, err := v.stage(rel, ts)
 		if err != nil {
 			continue // schema violation from a remote peer: drop, keep going
 		}
@@ -478,10 +492,16 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 				intact = false
 				break
 			}
+			skipped += n.cfg.Wrapper.Count(rel) - len(delta)
+			// What the session has staged commits above the new watermark,
+			// but this export evaluates over it: it belongs to the delta.
+			s.overlay.Scan(rel, func(t relation.Tuple) bool {
+				delta = append(delta, t)
+				return true
+			})
 			if len(delta) > 0 {
 				deltas[rel] = delta
 			}
-			skipped += n.cfg.Wrapper.Count(rel) - len(delta)
 		}
 		if !intact {
 			mode, skipped = msg.ExportFallback, 0
@@ -680,15 +700,21 @@ func (n *Node) streamAnswers(s *session, answers []relation.Tuple, r *Result) {
 	}
 }
 
-// flushDS emits pending acknowledgements and, at the initiator, detects
-// termination and floods the completion notice. In burst mode (DeferAcks)
-// the flush is postponed to FlushDeferred, which batches acks across the
-// whole burst.
+// flushDS commits what the session staged, then emits pending
+// acknowledgements and, at the initiator, detects termination and floods the
+// completion notice. In burst mode (DeferAcks) all of it is postponed to
+// FlushDeferred, which commits once and batches acks across the whole burst.
 func (n *Node) flushDS(s *session, r *Result) {
 	if n.deferAcks {
 		n.dirty[s.sid] = s
 		return
 	}
+	n.commitStaged(r, s)
+	n.emitDS(s, r)
+}
+
+// emitDS is flushDS past the commit: nothing the session staged is unsynced.
+func (n *Node) emitDS(s *session, r *Result) {
 	acks, terminated := n.ds.Flush(s.sid)
 	for _, a := range acks {
 		r.send(a.To, &msg.SessionAck{SID: s.sid, N: a.N})
@@ -702,15 +728,78 @@ func (n *Node) flushDS(s *session, r *Result) {
 	}
 }
 
-// finalize completes a session at this node: force-close surviving links
-// (the quiescence condition), stamp the report, and surface it.
+// commitStaged moves the tuples the given sessions staged into the LDB in
+// one commit — one WAL record and, on a durable store, one sync for all of
+// them — and empties their overlays. It runs before anything that tells
+// another node this one is done with a message: no acknowledgement, no
+// termination verdict and no completion notice leaves a node that holds
+// staged, unsynced tuples, so a finished update still means every hop is
+// durable; and the LDB (hence every reader outside the session) never shows
+// a tuple before its sync. Query sessions stage to evaluate, not to keep.
+func (n *Node) commitStaged(r *Result, sessions ...*session) {
+	var staged []*session
+	total := 0
+	for _, s := range sessions {
+		if s.kind == msg.KindQuery || s.overlay == nil {
+			continue
+		}
+		if size := s.overlay.Size(); size > 0 {
+			staged = append(staged, s)
+			total += size
+		}
+	}
+	if len(staged) == 0 {
+		return
+	}
+	rows := make([]relation.Row, 0, total)
+	for _, s := range staged {
+		rows = s.overlay.AppendRows(rows)
+	}
+	_, err := n.cfg.Wrapper.InsertKeyed(rows)
+	for _, s := range staged {
+		// A failed commit loses nothing the overlay could bring back: the
+		// store keeps in memory what it may have logged, and refuses whole
+		// what it cannot admit.
+		s.overlay = relation.NewSet()
+		if err != nil {
+			n.noteEvalError(s, r, fmt.Errorf("commit of staged tuples: %w", err))
+		}
+	}
+}
+
+// finalize completes a session at this node: commit what it still has
+// staged (a completion notice can overtake the flush when an upstream peer
+// wrote this node off), force-close surviving links (the quiescence
+// condition), stamp the report, and surface it.
 func (n *Node) finalize(s *session, initiator bool, r *Result) {
+	n.commitStaged(r, s)
 	s.done = true
 	n.forceCloseAll(s)
 	s.rep.EndUnixNano = n.cfg.Clock()
 	n.recordReport(s.rep)
 	s.release()
 	r.Finished = append(r.Finished, Finished{SID: s.sid, Initiator: initiator, Report: s.rep})
+}
+
+// sessionApplier returns the applier a session instantiates a rule's head
+// with (nil for an unknown rule). A rule with existential variables gets a
+// fork of the node's applier, so the facts and skips it remembers per
+// binding are released with the session; any other rule remembers nothing
+// and uses the node's applier as it is.
+func (n *Node) sessionApplier(s *session, ruleID string) *chase.Applier {
+	a := n.appliers[ruleID]
+	if a == nil || !a.Existential() {
+		return a
+	}
+	if f := s.appliers[ruleID]; f != nil && f.Rule() == a.Rule() {
+		return f
+	}
+	if s.appliers == nil {
+		s.appliers = make(map[string]*chase.Applier)
+	}
+	f := a.Fork()
+	s.appliers[ruleID] = f
+	return f
 }
 
 // CompensateLost self-acknowledges n basic messages to `to` whose delivery
@@ -725,6 +814,7 @@ func (n *Node) CompensateLost(sid, to string, lost int) Result {
 		return r
 	}
 	s.rep.CompensatedLost += lost
+	n.distrustImporter(s, to)
 	n.ds.AckReceived(sid, to, lost)
 	n.flushDS(s, &r)
 	return r
@@ -744,10 +834,24 @@ func (n *Node) CompensatePeerLoss(to string) Result {
 		}
 		if lost := n.ds.LostPeer(s.sid, to); lost > 0 {
 			s.rep.CompensatedLost += lost
+			n.distrustImporter(s, to)
 			n.flushDS(s, &r)
 		}
 	}
 	return r
+}
+
+// distrustImporter is called when messages of a session toward a peer are
+// written off. If the session shipped data to that peer, the write-off may
+// cover it: the peer acknowledges data only once it is synced, so
+// unacknowledged bindings may be held nowhere — lost on the wire, or staged
+// at the peer when it died. The export state toward the peer claims it has
+// them; it is reset, and the next session re-exports those links in full
+// (set semantics make that safe).
+func (n *Node) distrustImporter(s *session, peer string) {
+	if containsStr(s.rep.SentTo, peer) {
+		n.ResetExportStateToward(peer)
+	}
 }
 
 // ruleOf resolves a rule by ID against the node's rules and the session's

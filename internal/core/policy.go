@@ -405,6 +405,9 @@ func (n *Node) ApplyPull(resp *msg.PullResponse) (fresh map[string][]relation.Tu
 	if rs == nil || applier == nil || rs.rule.Target != n.cfg.Self {
 		return nil, 0, fmt.Errorf("core: pull response for unknown or foreign rule %s", resp.RuleID)
 	}
+	if applier.Existential() {
+		applier = applier.Fork() // no session here to scope the memo to
+	}
 	facts := applier.Facts(resp.Bindings)
 	byRel := make(map[string][]relation.Tuple)
 	for _, f := range facts {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+
+	"codb/internal/chase"
 	"codb/internal/cq"
 	"codb/internal/msg"
 	"codb/internal/relation"
@@ -34,9 +37,16 @@ type session struct {
 
 	// Query-mode state.
 	query *cq.Query // non-nil at the origin of a query session
-	// overlay is the per-session sink for query sessions (never committed
-	// to the LDB); nil for update sessions.
+	// overlay is the session's staging area: the tuples it derived that the
+	// LDB does not hold. Rule evaluation reads snapshot ∪ overlay. A query
+	// session keeps them to its end and never commits; an update or scoped
+	// session is a query session that flushes — Node.commitStaged moves them
+	// into the LDB before any acknowledgement or termination verdict leaves,
+	// and the overlay starts over.
 	overlay *relation.Set
+	// appliers scopes the chase memo of rules with existential variables to
+	// the session (see sessionApplier).
+	appliers map[string]*chase.Applier
 	// activeIncoming maps incoming rule IDs to the requesting importer,
 	// for query sessions (updates push to every incoming link's target).
 	activeIncoming map[string]string
@@ -53,9 +63,10 @@ type session struct {
 	// pinned is the storage snapshot the session currently evaluates over
 	// (nil when the wrapper has no snapshot capability or session snapshots
 	// are disabled). It is re-pinned by sessionView whenever the storage
-	// LSN has moved past it — in particular after each insertMany that
-	// lands in the LDB — so later rule evaluations in the same session
-	// observe the session's own writes. finalize releases it.
+	// LSN has moved past it — in particular after the session's staged
+	// tuples were flushed into the LDB — so evaluation keeps observing the
+	// session's own writes, first in the overlay, then in the snapshot.
+	// finalize releases it.
 	pinned ReadView
 
 	// Link-state protocol (reporting; see close.go).
@@ -89,16 +100,14 @@ func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 			BytesPerRule:  make(map[string]int),
 			TuplesPerRule: make(map[string]int),
 		},
-	}
-	if kind == msg.KindQuery {
-		s.overlay = relation.NewSet()
+		overlay: relation.NewSet(),
 	}
 	n.sessions[sid] = s
 	return s
 }
 
-// release drops everything a finished session no longer needs — the query
-// overlay, the pinned snapshot, every per-tuple and per-link map — by
+// release drops everything a finished session no longer needs — the overlay,
+// the pinned snapshot, the chase memos, every per-tuple and per-link map — by
 // resetting the session to what must stay: the identity, the done flag
 // (stale messages of the session are recognised by it and return before
 // touching anything else) and the report. That is O(1) per finished session.
@@ -145,15 +154,14 @@ func (s *session) noteSentTo(node string) {
 	s.rep.SentTo = append(s.rep.SentTo, node)
 }
 
-// view is what rule evaluation reads: the LDB for update sessions, the LDB
-// plus the session overlay for query sessions. When the wrapper can take
-// snapshots (and session snapshots are enabled), the LDB half is a pinned
-// immutable snapshot instead of the live wrapper: evaluation then runs
-// without storage locks, the CQ evaluator's hash-join builds fan out per
-// shard (the view forwards cq.ShardedSource), and constant pushdown and
-// index-probe joins reach the snapshot's lazy secondary views
-// (cq.EqScanner). Writes still go to the live wrapper (or the overlay),
-// never to the snapshot.
+// view is what rule evaluation reads: the LDB plus the session overlay.
+// When the wrapper can take snapshots (and session snapshots are enabled),
+// the LDB half is a pinned immutable snapshot instead of the live wrapper:
+// evaluation then runs without storage locks, the CQ evaluator's hash-join
+// builds fan out per shard (the view forwards cq.ShardedSource), and
+// constant pushdown and index-probe joins reach the snapshot's lazy
+// secondary views (cq.EqScanner). Writes go to the overlay, never to the
+// snapshot; Node.commitStaged moves them into the live wrapper.
 //
 // The overlay is a relation.Set: ordered (scans stay in key order, so
 // exports are deterministic) and indexed (ScanEq probes it). Overlay tuples
@@ -163,14 +171,14 @@ func (s *session) noteSentTo(node string) {
 type view struct {
 	base    Wrapper
 	snap    ReadView      // nil: evaluation falls back to the live wrapper
-	overlay *relation.Set // nil for update sessions
+	overlay *relation.Set // nil once the session is finished
 }
 
 // sessionView returns the session's evaluation view, (re)pinning its
 // snapshot first: a fresh snapshot is taken whenever the session has none
 // yet or the storage has committed past the pinned LSN — which is exactly
-// what happens when the session's own insertMany lands in the LDB, so the
-// next evaluation observes those writes.
+// what happens when the session's staged tuples are flushed into the LDB, so
+// the next evaluation finds them in the snapshot instead of the overlay.
 func (n *Node) sessionView(s *session) view {
 	v := view{base: n.cfg.Wrapper, overlay: s.overlay}
 	if n.snapshotter != nil && n.tracker != nil && !s.done {
@@ -297,13 +305,30 @@ func (v view) ScanShard(rel string, shard int, fn func(relation.Tuple) bool) {
 	}
 }
 
-// insertMany inserts into the session sink (LDB or overlay) and returns the
-// genuinely new tuples. On the overlay path each tuple's key is encoded
-// once, for both the LDB presence check and the overlay insert, and the
-// tuples are retained as they are (chase facts are never mutated).
-func (v view) insertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
-	if v.overlay == nil {
-		return v.base.InsertMany(rel, ts)
+// relDef returns the definition of a relation of the LDB half, or nil.
+func (v view) relDef(rel string) *relation.RelDef {
+	if v.snap != nil {
+		return v.snap.Schema().Rel(rel)
+	}
+	return v.base.Schema().Rel(rel)
+}
+
+// stage sinks a batch into the session overlay and returns the genuinely new
+// tuples: those neither in the LDB half nor staged before. Each tuple's key
+// is encoded once, for the presence check, the overlay and — when the
+// session flushes — the LDB commit, and the tuples are retained as they are
+// (chase facts are never mutated). A batch holding a tuple the relation's
+// schema does not admit is refused whole: staged tuples are derived from and
+// shipped on before the LDB sees them, so its admission check runs here.
+func (v view) stage(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
+	def := v.relDef(rel)
+	if def == nil {
+		return nil, fmt.Errorf("core: unknown relation %q", rel)
+	}
+	for _, t := range ts {
+		if err := def.Validate(t); err != nil {
+			return nil, err
+		}
 	}
 	fresh := make([]relation.Tuple, 0, len(ts))
 	for _, t := range ts {

@@ -166,10 +166,11 @@ func mustEqualTuples(t *testing.T, what string, want, got []relation.Tuple) {
 	}
 }
 
-// TestSessionViewRepinsAfterInsert asserts the re-pin contract: an
-// insertMany that lands in the LDB advances the storage LSN, so the next
-// sessionView call pins a fresh snapshot that observes the session's own
-// writes; with no intervening commit the pin is reused.
+// TestSessionViewRepinsAfterInsert asserts the re-pin contract: staged
+// tuples are read from the overlay over an unchanged pin; the flush that
+// lands them in the LDB advances the storage LSN, so the next sessionView
+// call pins a fresh snapshot that observes the session's own writes; with no
+// intervening commit the pin is reused.
 func TestSessionViewRepinsAfterInsert(t *testing.T) {
 	db := storage.MustOpenMem()
 	defer db.Close()
@@ -191,9 +192,17 @@ func TestSessionViewRepinsAfterInsert(t *testing.T) {
 		t.Fatal("pin not reused with no intervening commit")
 	}
 	tup := relation.Tuple{relation.Int(1), relation.Int(2)}
-	if _, err := v1.insertMany("data", []relation.Tuple{tup}); err != nil {
-		t.Fatal(err)
+	if fresh, err := v1.stage("data", []relation.Tuple{tup}); err != nil || len(fresh) != 1 {
+		t.Fatalf("stage: fresh=%v err=%v", fresh, err)
 	}
+	seen := 0
+	v2 := n.sessionView(s)
+	v2.Scan("data", func(relation.Tuple) bool { seen++; return true })
+	if v2.snap != v1.snap || seen != 1 || db.Count("data") != 0 {
+		t.Fatalf("staged tuple: pin reused=%v, view sees %d, LDB holds %d; want true, 1, 0",
+			v2.snap == v1.snap, seen, db.Count("data"))
+	}
+	n.commitStaged(&Result{}, s)
 	v3 := n.sessionView(s)
 	if v3.snap == v1.snap {
 		t.Fatal("pin not refreshed after an LDB insert")

@@ -54,6 +54,11 @@ func (w *StoreWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relation.T
 	return w.db.InsertMany(rel, ts)
 }
 
+// InsertKeyed implements Wrapper: the engine's keyed batch commit.
+func (w *StoreWrapper) InsertKeyed(rows []relation.Row) ([]bool, error) {
+	return w.db.InsertKeyed(rows)
+}
+
 // Count implements Wrapper.
 func (w *StoreWrapper) Count(rel string) int { return w.db.Count(rel) }
 
@@ -106,23 +111,35 @@ func (w *MediatorWrapper) HasKey(rel, key string) bool { return w.data.HasKey(re
 
 // InsertMany implements Wrapper.
 func (w *MediatorWrapper) InsertMany(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
-	def := w.schema.Rel(rel)
-	if def == nil {
-		return nil, fmt.Errorf("mediator: unknown relation %q", rel)
+	isNew, err := w.InsertKeyed(relation.KeyedRows(rel, ts))
+	if err != nil {
+		return nil, err
 	}
 	var fresh []relation.Tuple
-	for _, t := range ts {
-		if err := def.Validate(t); err != nil {
-			return nil, err
-		}
-		// The set retains what it is given; user tuples are cloned, and
-		// only when they are new.
-		if key := t.Key(); !w.data.HasKey(rel, key) {
-			w.data.Insert(rel, key, t.Clone())
-			fresh = append(fresh, t)
+	for i, ok := range isNew {
+		if ok {
+			fresh = append(fresh, ts[i])
 		}
 	}
 	return fresh, nil
+}
+
+// InsertKeyed implements Wrapper.
+func (w *MediatorWrapper) InsertKeyed(rows []relation.Row) ([]bool, error) {
+	for _, r := range rows {
+		def := w.schema.Rel(r.Rel)
+		if def == nil {
+			return nil, fmt.Errorf("mediator: unknown relation %q", r.Rel)
+		}
+		if err := def.Validate(r.Tuple); err != nil {
+			return nil, err
+		}
+	}
+	isNew := make([]bool, len(rows))
+	for i, r := range rows {
+		isNew[i] = w.data.Insert(r.Rel, r.Key, r.Tuple)
+	}
+	return isNew, nil
 }
 
 // Count implements Wrapper.

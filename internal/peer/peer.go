@@ -437,6 +437,9 @@ func (p *Peer) handlePipeDown(d pipeDown) {
 	p.log.Warn("pipe down", "peer", d.peer)
 	delete(p.piped, d.peer)
 	p.dispatch(p.node.CompensatePeerLoss(d.peer))
+	// Writing off shipped data resets the export state toward the peer; the
+	// state log must say so before a restart could trust it again.
+	p.persistExportState()
 	if p.susp != nil {
 		// The transport beat the detector to the verdict; recording it
 		// arms the paced-redial heal path.
@@ -497,6 +500,7 @@ func (p *Peer) handleLostSend(l lostSend) {
 	delete(p.piped, l.to)
 	if sid := sessionIDOf(l.payload); sid != "" && isBasic(l.payload) {
 		p.dispatch(p.node.CompensateLost(sid, l.to, 1))
+		p.persistExportState() // as in handlePipeDown
 	}
 }
 
@@ -644,6 +648,7 @@ func (p *Peer) sendSessionMsg(out core.Outbound) {
 		if sid := sessionIDOf(out.Payload); sid != "" && isBasic(out.Payload) {
 			res := p.node.CompensateLost(sid, out.To, 1)
 			p.dispatch(res)
+			p.persistExportState() // as in handlePipeDown
 		}
 	}
 }
@@ -879,11 +884,16 @@ func (p *Peer) SetDirectory(dir map[string]string) {
 }
 
 // Insert adds tuples to a local relation (seeding workloads, console
-// inserts).
+// inserts). The storage keeps the tuples it is handed, so the caller's are
+// copied here, at the API boundary.
 func (p *Peer) Insert(rel string, tuples ...relation.Tuple) error {
+	own := make([]relation.Tuple, len(tuples))
+	for i, t := range tuples {
+		own[i] = t.Clone()
+	}
 	var err error
 	if derr := p.do(func() {
-		_, err = p.node.Wrapper().InsertMany(rel, tuples)
+		_, err = p.node.Wrapper().InsertMany(rel, own)
 	}); derr != nil {
 		return derr
 	}

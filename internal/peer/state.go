@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"codb/internal/core"
+	"codb/internal/storage"
 	"codb/internal/wal"
 )
 
@@ -46,7 +47,7 @@ const compactSlack = 64 << 10
 // exportStatePath returns the peer's export-state file path ("" when the
 // peer has no durable store to keep it next to).
 func exportStatePath(w core.Wrapper) string {
-	sw, ok := w.(*core.StoreWrapper)
+	sw, ok := w.(interface{ DB() *storage.DB })
 	if !ok || sw.DB().Dir() == "" {
 		return ""
 	}

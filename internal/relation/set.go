@@ -1,6 +1,10 @@
 package relation
 
-import "codb/internal/btree"
+import (
+	"slices"
+
+	"codb/internal/btree"
+)
 
 // Set is an ordered, indexed tuple store for transient data: one B+tree per
 // relation keyed by the tuples' order-preserving encoding, plus secondary
@@ -30,6 +34,50 @@ type relSet struct {
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{rels: make(map[string]*relSet)} }
+
+// Row is a tuple of a named relation together with its key (Tuple.Key()):
+// the unit handed between stores that both index by the key, so it is
+// encoded once.
+type Row struct {
+	Rel, Key string
+	Tuple    Tuple
+}
+
+// KeyedRows pairs the tuples of one relation with their keys.
+func KeyedRows(rel string, ts []Tuple) []Row {
+	rows := make([]Row, len(ts))
+	for i, t := range ts {
+		rows[i] = Row{Rel: rel, Key: t.Key(), Tuple: t}
+	}
+	return rows
+}
+
+// AppendRows appends every tuple of the set to dst, relations in name order
+// and each relation in key order, and returns the extended slice.
+func (s *Set) AppendRows(dst []Row) []Row {
+	names := make([]string, 0, len(s.rels))
+	for rel := range s.rels {
+		names = append(names, rel)
+	}
+	slices.Sort(names)
+	for _, rel := range names {
+		r := s.rels[rel]
+		r.primary.AscendAll(func(key string, slot int) bool {
+			dst = append(dst, Row{Rel: rel, Key: key, Tuple: r.rows[slot]})
+			return true
+		})
+	}
+	return dst
+}
+
+// Size returns the number of tuples in the set, over all relations.
+func (s *Set) Size() int {
+	n := 0
+	for _, r := range s.rels {
+		n += len(r.rows)
+	}
+	return n
+}
 
 // secondKey is the secondary-tree key of a tuple: the probed value's
 // encoding followed by the tuple key, so one value's tuples are contiguous

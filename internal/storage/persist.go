@@ -116,7 +116,11 @@ func encodeDDL(def *relation.RelDef) []byte {
 }
 
 func encodeOps(ops []op) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(ops)))
+	size := binary.MaxVarintLen64
+	for i := range ops {
+		size += 1 + 2*binary.MaxVarintLen32 + len(ops[i].rel) + len(ops[i].key)
+	}
+	dst := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ops)))
 	for _, o := range ops {
 		dst = append(dst, byte(o.kind))
 		dst = putString(dst, o.rel)

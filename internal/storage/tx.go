@@ -149,14 +149,6 @@ var errTxDone = fmt.Errorf("storage: transaction already finished")
 
 // Commit applies the staged operations atomically, appends them to the WAL,
 // and (when configured) syncs and checkpoints.
-//
-// The commit protocol is the heart of the sharded engine: the transaction
-// write-locks exactly the shards its ops touch (in the global lock order),
-// takes its LSN and enqueues its WAL record under the short commit-ordering
-// mutex, then — on the sync-on-commit group path — waits for the shared
-// batch fsync and applies while still holding only those shard locks, so
-// commits to disjoint shards form batches and run in parallel while no
-// reader ever observes a commit that is not yet durable.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return errTxDone
@@ -165,19 +157,70 @@ func (tx *Tx) Commit() error {
 	if len(tx.ops) == 0 {
 		return nil
 	}
-	db := tx.db
+	return tx.db.commit(tx.ops, make([]bool, len(tx.ops)))
+}
+
+// commit is the one commit path of the engine: transactions, InsertMany and
+// the keyed batch all end here. It applies ops atomically, logs them, and
+// sets applied[i] (len(applied) == len(ops)) for every op that changed its
+// shard — for an insert, "the tuple was new".
+//
+// The commit write-locks exactly the shards its ops touch (in the global
+// lock order) and applies the ops to them straight away: what each
+// set-semantics insert or delete did to its tree is the only presence test,
+// so nothing is looked up twice, a duplicate inside the batch or a tuple
+// another writer committed meanwhile simply does nothing, and only ops that
+// did something are logged and captured — a batch that changes nothing takes
+// no LSN and writes no record. Then the LSN is taken and the WAL record
+// enqueued under the short commit-ordering mutex, and — on the sync-on-commit
+// group path — the shared batch fsync is awaited, still holding only those
+// shard locks: commits to disjoint shards form batches and run in parallel,
+// while no reader ever observes a commit that is not yet durable.
+func (db *DB) commit(ops []op, applied []bool) error {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
 		return errClosed
 	}
-	locked := db.lockOpShards(tx.ops)
+	locked := db.lockOpShards(ops)
+	unlock := func() {
+		for _, s := range locked {
+			s.mu.Unlock()
+		}
+	}
+	changed := 0
+	for i := range ops {
+		o := &ops[i]
+		s := db.tables[o.rel].shardFor(o.key)
+		if o.kind == opInsert {
+			applied[i] = s.insert(o.key, o.tuple)
+		} else {
+			applied[i] = s.delete(o.key)
+		}
+		if applied[i] {
+			changed++
+		}
+	}
+	if changed == 0 {
+		unlock()
+		db.mu.RUnlock()
+		return nil
+	}
+	if changed < len(ops) {
+		did := make([]op, 0, changed)
+		for i := range ops {
+			if applied[i] {
+				did = append(did, ops[i])
+			}
+		}
+		ops = did
+	}
 	db.commitMu.Lock()
 	lsn := db.assignLSN()
 	var wait <-chan error
 	var werr error
 	if db.log != nil {
-		wait, werr = db.appendRecord(encodeOps(tx.ops))
+		wait, werr = db.appendRecord(encodeOps(ops))
 	}
 	db.commitMu.Unlock()
 	// Durability before visibility: on the group-commit path (sync-on-
@@ -186,32 +229,25 @@ func (tx *Tx) Commit() error {
 	// held. Concurrent committers on other shards enqueue into the same
 	// batch before waiting, so the fsync is still shared.
 	//
-	// A WAL failure is surfaced to the caller but the ops are applied in
-	// memory regardless: once the record has been handed to the log its
-	// bytes may already be on disk (a failed fsync reports an unknowable
-	// OS state), so recovery may replay the commit — in-memory state must
-	// stay a superset of whatever the log can resurrect, exactly as the
-	// pre-sharding engine behaved.
+	// A WAL failure is surfaced to the caller but the ops stay applied in
+	// memory: once the record has been handed to the log its bytes may
+	// already be on disk (a failed fsync reports an unknowable OS state), so
+	// recovery may replay the commit — in-memory state must stay a superset
+	// of whatever the log can resurrect.
 	if wait != nil {
 		werr = <-wait
 	}
-	capt := db.beginCapture(lsn, len(tx.ops))
-	for _, o := range tx.ops {
+	capt := db.beginCapture(lsn, len(ops))
+	for i := range ops {
+		o := &ops[i]
 		s := db.tables[o.rel].shardFor(o.key)
-		switch o.kind {
-		case opInsert:
-			if s.insert(o.key, o.tuple) {
-				capt.insert(s, o.tuple)
-			}
-		case opDelete:
-			if s.delete(o.key) {
-				capt.delete(s)
-			}
+		if o.kind == opInsert {
+			capt.insert(s, o.tuple)
+		} else {
+			capt.delete(s)
 		}
 	}
-	for _, s := range locked {
-		s.mu.Unlock()
-	}
+	unlock()
 	db.finishCommit(lsn)
 	db.mu.RUnlock()
 	if werr != nil {
@@ -231,30 +267,47 @@ func (tx *Tx) Commit() error {
 // lockOpShards write-locks the distinct shards the ops touch, in the
 // global (relation name, shard index) order, and returns them for unlock.
 // Consistent ordering across commits and full-cut readers (rlockTables)
-// makes the per-shard locking deadlock-free.
+// makes the per-shard locking deadlock-free. The bookkeeping is sized by the
+// shards there are, not by the ops: a batch of any length into an unsharded
+// relation locks one shard and remembers one.
 func (db *DB) lockOpShards(ops []op) []*shard {
 	type ref struct {
 		rel string
 		idx int
 		s   *shard
 	}
-	refs := make([]ref, 0, len(ops))
-	seen := make(map[*shard]bool, len(ops))
-	for _, o := range ops {
-		t := db.tables[o.rel]
-		idx := shardIndex(o.key, len(t.shards))
+	bound := min(len(ops), db.nshards*len(db.tables))
+	refs := make([]ref, 0, bound)
+	var seen map[*shard]struct{} // made for the second distinct shard
+	var last *shard
+	for i := range ops {
+		t := db.tables[ops[i].rel]
+		idx := shardIndex(ops[i].key, len(t.shards))
 		s := t.shards[idx]
-		if !seen[s] {
-			seen[s] = true
-			refs = append(refs, ref{o.rel, idx, s})
+		if s == last {
+			continue
 		}
+		last = s
+		if len(refs) > 0 {
+			if seen == nil {
+				seen = make(map[*shard]struct{}, bound)
+				seen[refs[0].s] = struct{}{}
+			}
+			if _, dup := seen[s]; dup {
+				continue
+			}
+			seen[s] = struct{}{}
+		}
+		refs = append(refs, ref{ops[i].rel, idx, s})
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].rel != refs[j].rel {
-			return refs[i].rel < refs[j].rel
-		}
-		return refs[i].idx < refs[j].idx
-	})
+	if len(refs) > 1 {
+		sort.Slice(refs, func(i, j int) bool {
+			if refs[i].rel != refs[j].rel {
+				return refs[i].rel < refs[j].rel
+			}
+			return refs[i].idx < refs[j].idx
+		})
+	}
 	out := make([]*shard, len(refs))
 	for i, r := range refs {
 		r.s.mu.Lock()
@@ -273,34 +326,58 @@ func (tx *Tx) Rollback() {
 // Insert is a single-op convenience: one auto-committed insertion. Returns
 // whether the tuple was new.
 func (db *DB) Insert(rel string, tuple relation.Tuple) (bool, error) {
-	tx := db.Begin()
-	fresh, err := tx.Insert(rel, tuple)
-	if err != nil {
-		tx.Rollback()
-		return false, err
-	}
-	return fresh, tx.Commit()
+	fresh, err := db.InsertMany(rel, []relation.Tuple{tuple})
+	return len(fresh) == 1, err
 }
 
-// InsertMany inserts a batch in one transaction, returning the tuples that
-// were actually new (the delta T′ = T \ R the update algorithm needs).
+// InsertMany inserts a batch in one commit, returning the tuples that were
+// actually new (the delta T′ = T \ R the update algorithm needs). The
+// database keeps the tuples it is given: the caller must not change them
+// afterwards.
 func (db *DB) InsertMany(rel string, tuples []relation.Tuple) ([]relation.Tuple, error) {
-	tx := db.Begin()
-	var fresh []relation.Tuple
-	for _, t := range tuples {
-		ok, err := tx.Insert(rel, t)
-		if err != nil {
-			tx.Rollback()
-			return nil, err
-		}
-		if ok {
-			fresh = append(fresh, t)
-		}
-	}
-	if err := tx.Commit(); err != nil {
+	isNew, err := db.InsertKeyed(relation.KeyedRows(rel, tuples))
+	if err != nil {
 		return nil, err
 	}
+	var fresh []relation.Tuple
+	for i, ok := range isNew {
+		if ok {
+			fresh = append(fresh, tuples[i])
+		}
+	}
 	return fresh, nil
+}
+
+// InsertKeyed is the keyed batch entry: it inserts rows — of any relations,
+// each carrying the key its holder already computed (Key must be
+// Tuple.Key()) — in one commit: one WAL record, one fsync wait, one tree
+// descent per row. isNew[i] reports whether rows[i] was new: false for a
+// tuple already present, committed by someone else since the caller last
+// looked, or repeated earlier in the batch. Nothing is inserted when a row
+// names an unknown relation or does not fit its schema. The database keeps
+// the tuples it is given.
+func (db *DB) InsertKeyed(rows []relation.Row) (isNew []bool, err error) {
+	ops := make([]op, len(rows))
+	var def *relation.RelDef
+	for i, r := range rows {
+		if def == nil || def.Name != r.Rel {
+			if def = db.Rel(r.Rel); def == nil {
+				return nil, fmt.Errorf("storage: unknown relation %q", r.Rel)
+			}
+		}
+		if err := def.Validate(r.Tuple); err != nil {
+			return nil, err
+		}
+		ops[i] = op{opInsert, r.Rel, r.Key, r.Tuple}
+	}
+	isNew = make([]bool, len(ops))
+	if len(ops) == 0 {
+		return isNew, nil
+	}
+	if err := db.commit(ops, isNew); err != nil {
+		return nil, err
+	}
+	return isNew, nil
 }
 
 // Delete is a single-op convenience: one auto-committed deletion.
