@@ -1,5 +1,5 @@
 // Benchmark harness regenerating the paper's §4 experiment programme
-// (DESIGN.md, experiments E1–E7 and ablations A1–A4). Each benchmark
+// (DESIGN.md, experiments E1–E7 and ablations A1, A3 and A4). Each benchmark
 // reports, besides ns/op, the statistics the coDB statistical module
 // collects: data messages (msgs/op), shipped volume (bytes/op), and the
 // longest update propagation path (maxpath).
@@ -132,44 +132,38 @@ func BenchmarkQueryColdVsMaterialised(b *testing.B) {
 }
 
 // Fan-out over loopback TCP: one initiator exporting to N acquaintances —
-// the outbound pipeline's stress shape. "batched" is the default
-// asynchronous per-destination outbox with frame coalescing; "unbatched"
-// the synchronous per-message baseline (Params.DisableOutbox). frames/op
-// vs msgs/op shows the frames-on-the-wire reduction from coalescing.
+// the outbound pipeline's stress shape: the asynchronous per-destination
+// outbox with frame coalescing. frames/op vs msgs/op shows the
+// frames-on-the-wire reduction from coalescing.
 func BenchmarkFanoutBatching(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{4, 16, 64} {
-		for _, mode := range []struct {
-			name      string
-			unbatched bool
-		}{{"batched", false}, {"unbatched", true}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				// FullExport keeps every iteration re-shipping the full
-				// frontier; the benchmark measures the outbound pipeline,
-				// not the incremental-export watermarks.
-				net, err := experiment.Build(experiment.Params{
-					Shape: topo.Fanout, Nodes: n + 1, TuplesPerNode: 5, FanRules: 32, Seed: 51,
-					TCP: true, DisableOutbox: mode.unbatched, FullExport: true,
-				})
+		b.Run(fmt.Sprintf("n=%d/batched", n), func(b *testing.B) {
+			// FullExport keeps every iteration re-shipping the full
+			// frontier; the benchmark measures the outbound pipeline, not
+			// the incremental-export watermarks.
+			net, err := experiment.Build(experiment.Params{
+				Shape: topo.Fanout, Nodes: n + 1, TuplesPerNode: 5, FanRules: 32, Seed: 51,
+				TCP: true, FullExport: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer net.Close()
+			b.ResetTimer()
+			var last experiment.Result
+			for i := 0; i < b.N; i++ {
+				res, err := experiment.RunUpdateOn(ctx, net)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer net.Close()
-				b.ResetTimer()
-				var last experiment.Result
-				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunUpdateOn(ctx, net)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.StopTimer()
-				reportUpdateMetrics(b, last)
-				b.ReportMetric(float64(last.Frames), "frames/op")
-				b.ReportMetric(float64(last.WireBytes), "wirebytes/op")
-			})
-		}
+				last = res
+			}
+			b.StopTimer()
+			reportUpdateMetrics(b, last)
+			b.ReportMetric(float64(last.Frames), "frames/op")
+			b.ReportMetric(float64(last.WireBytes), "wirebytes/op")
+		})
 	}
 }
 
@@ -229,20 +223,6 @@ func BenchmarkAblationSemiNaive(b *testing.B) {
 	naive := base
 	naive.Naive = true
 	b.Run("naive", func(b *testing.B) { runUpdateBench(b, naive) })
-}
-
-// A2: per-link sent caches (duplicate suppression) on vs off. Projection
-// rules with key-clashing data re-derive the same imported tuple from many
-// distinct source tuples — exactly what the sent caches suppress.
-func BenchmarkAblationDedup(b *testing.B) {
-	base := experiment.Params{
-		Shape: topo.Chain, Nodes: 6, TuplesPerNode: 400,
-		Rule: topo.ProjectionRule, KeyClash: 0.8, Seed: 48,
-	}
-	b.Run("dedup", func(b *testing.B) { runUpdateBench(b, base) })
-	off := base
-	off.DisableDedup = true
-	b.Run("no-dedup", func(b *testing.B) { runUpdateBench(b, off) })
 }
 
 // A3: hash join vs nested-loop join, on join rules (self-join bodies) over

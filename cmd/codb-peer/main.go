@@ -13,9 +13,9 @@
 //	codb-peer -name N6 -pprof 127.0.0.1:6060       # + net/http/pprof, its own listener
 //
 // The process runs until interrupted. With -mediator the node has no local
-// database (operations execute in the wrapper). With -http the node also
-// serves the HTTP/JSON gateway (query, insert, update, stats, health; see
-// internal/api/http) on the given address.
+// database: its relations are held transiently by a memory-only engine.
+// With -http the node also serves the HTTP/JSON gateway (query, insert,
+// update, stats, health; see internal/api/http) on the given address.
 //
 // With -join the peer needs no configuration file: it dials the given
 // admitting peer (super-peer or any network member), is admitted at a fresh
@@ -59,13 +59,10 @@ func main() {
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory)")
 	shards := flag.Int("shards", 0, "hash shards per relation (0 = recovered count, else 1)")
 	syncCommit := flag.Bool("sync-commit", false, "make every commit durable before it returns (group-committed)")
-	noGroupCommit := flag.Bool("no-group-commit", false, "disable the WAL group-commit pipeline (one fsync per commit with -sync-commit)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = default)")
 	retainSegments := flag.Int("retain-segments", 0, "checkpoint-superseded WAL segments kept for changelog spill (0 = default, negative = none)")
 	httpAddr := flag.String("http", "", "serve the HTTP/JSON gateway on this address (empty = no gateway)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, separate from -http (empty = off)")
-	evalParallelism := flag.Int("eval-parallelism", 0, "hash-join fan-out for rule/query evaluation (0/1 = serial)")
-	noSessionSnapshots := flag.Bool("no-session-snapshots", false, "evaluate update sessions over the live wrapper instead of pinned snapshots")
 	mediator := flag.Bool("mediator", false, "run without a local database")
 	var linkPolicies linkPolicyFlags
 	flag.Var(&linkPolicies, "link-policy", "per-link propagation policy rule=mode[:filter], mode push|pull|adaptive|filter (repeatable)")
@@ -131,12 +128,11 @@ func main() {
 	} else {
 		var err error
 		db, err = storage.Open(storage.Options{
-			Dir:                *dataDir,
-			Shards:             *shards,
-			SyncOnCommit:       *syncCommit,
-			DisableGroupCommit: *noGroupCommit,
-			SegmentBytes:       *segmentBytes,
-			RetainSegments:     *retainSegments,
+			Dir:            *dataDir,
+			Shards:         *shards,
+			SyncOnCommit:   *syncCommit,
+			SegmentBytes:   *segmentBytes,
+			RetainSegments: *retainSegments,
 		})
 		if err != nil {
 			fatal(err)
@@ -151,8 +147,6 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 
 	opts := peer.Options{Name: *name, Transport: tr, Wrapper: wrapper, Logger: logger}
-	opts.Eval.Parallelism = *evalParallelism
-	opts.DisableSessionSnapshots = *noSessionSnapshots
 	opts.LinkPolicies = linkPolicies.modes
 	opts.LinkFilters = linkPolicies.filters
 	opts.MaxStaleness = *maxStaleness

@@ -134,10 +134,6 @@ type StorageGroup struct {
 	// to the WAL group-commit pipeline, which shares one fsync across a
 	// batch of concurrent commits.
 	SyncOnCommit bool
-	// DisableGroupCommit reverts durable peer databases to inline
-	// per-commit WAL appends (and with SyncOnCommit one fsync per commit):
-	// the B4 baseline.
-	DisableGroupCommit bool
 	// SegmentBytes rotates each durable peer database's WAL to a fresh
 	// segment at this size (0 = storage default). Smaller segments mean
 	// finer-grained checkpoint truncation and changelog spill.
@@ -168,9 +164,8 @@ type TransportGroup struct {
 	// Wrap, when set, wraps each joining peer's transport before the peer
 	// is built on it — the fault-injection seam. Return
 	// transport.NewPartitioner(tr) (keeping the reference) to inject
-	// partitions and delays per peer, as the B10 benchmark and the
-	// partition stress tests do; return tr unchanged to leave a peer
-	// unwrapped.
+	// partitions and delays per peer, as the partition stress tests do;
+	// return tr unchanged to leave a peer unwrapped.
 	Wrap func(node string, tr transport.Transport) transport.Transport
 }
 
@@ -187,22 +182,14 @@ type SuspicionGroup struct {
 	Interval time.Duration
 }
 
-// ReadGroup groups the read-path knobs of NetworkOptions.
+// ReadGroup groups the read-path knobs of NetworkOptions. Every peer answers
+// LocalQuery, local-only queries, Count and Tuples from pinned snapshots,
+// concurrently with running update sessions.
 type ReadGroup struct {
-	// EvalParallelism caps the worker fan-out of the hash-join probe phase
-	// on large relations (see cq.EvalOptions.Parallelism); 0 or 1 keeps
-	// evaluation serial.
-	EvalParallelism int
 	// QueryCacheSize bounds each peer's query-result cache (0 selects the
 	// default bound). Cached answers are invalidated by the storage commit
 	// LSN and the rule-set version, so they are always current.
 	QueryCacheSize int
-	// DisableReadPath forces every read through the peer actor loop, as
-	// the seed implementation did (the B3 baseline). By default peers with
-	// snapshot-capable storage answer LocalQuery / local-only queries /
-	// Count / Tuples from pinned snapshots, concurrently with running
-	// update sessions.
-	DisableReadPath bool
 }
 
 // PropagationGroup configures per-link propagation policies: how committed
@@ -243,32 +230,22 @@ type HTTPGroup struct {
 
 // NetworkOptions tune every peer of the network: algorithm/ablation toggles
 // at the top level, engine knobs in the Storage, Transport, Read and HTTP
-// groups. The flat fields below the groups are the pre-group spellings,
-// kept working for existing callers; a set flat field applies unless its
-// group field is also set.
+// groups.
 type NetworkOptions struct {
 	// MaxDepth bounds the chase's null derivation depth (0 = default,
 	// negative = unlimited); see core.Config.
 	MaxDepth int
-	// NestedLoopJoin switches the CQ evaluator to nested loops (A3).
+	// NestedLoopJoin switches the CQ evaluator to nested loops (A3) — the
+	// evaluator's correctness reference.
 	NestedLoopJoin bool
-	// DisableDedup turns off the per-link sent caches (A2).
-	DisableDedup bool
 	// Naive disables semi-naive delta evaluation (A1).
 	Naive bool
 	// FullExport disables cross-session incremental export: every update
 	// session re-evaluates and re-ships every link in full, as the paper's
-	// algorithm does (the B2 baseline). By default peers keep per-rule LSN
-	// watermarks and shipped-binding fingerprints, so repeated updates
-	// ship only what changed since the previous session.
+	// algorithm does (the differential tests' reference). By default peers
+	// keep per-rule LSN watermarks and shipped-binding fingerprints, so
+	// repeated updates ship only what changed since the previous session.
 	FullExport bool
-	// DisableSessionSnapshots forces update-session evaluation back onto
-	// the live wrapper (serial scans under storage locks) instead of
-	// pinned storage snapshots — the serial baseline of the B7 benchmark.
-	// By default sessions pin a snapshot at their commit LSN, re-pinned
-	// after each materialising insert, which unlocks shard-parallel
-	// hash-join builds and secondary-index pushdown on the write path.
-	DisableSessionSnapshots bool
 
 	// Storage holds the storage-engine knobs.
 	Storage StorageGroup
@@ -282,70 +259,10 @@ type NetworkOptions struct {
 	Suspicion SuspicionGroup
 	// HTTP enables the per-peer HTTP/JSON gateways.
 	HTTP HTTPGroup
-
-	// EvalParallelism is the flat spelling of Read.EvalParallelism.
-	//
-	// Deprecated: set Read.EvalParallelism.
-	EvalParallelism int
-	// QueryCacheSize is the flat spelling of Read.QueryCacheSize.
-	//
-	// Deprecated: set Read.QueryCacheSize.
-	QueryCacheSize int
-	// DisableReadPath is the flat spelling of Read.DisableReadPath.
-	//
-	// Deprecated: set Read.DisableReadPath.
-	DisableReadPath bool
-	// Shards is the flat spelling of Storage.Shards.
-	//
-	// Deprecated: set Storage.Shards.
-	Shards int
-	// SyncOnCommit is the flat spelling of Storage.SyncOnCommit.
-	//
-	// Deprecated: set Storage.SyncOnCommit.
-	SyncOnCommit bool
-	// DisableGroupCommit is the flat spelling of Storage.DisableGroupCommit.
-	//
-	// Deprecated: set Storage.DisableGroupCommit.
-	DisableGroupCommit bool
-	// SegmentBytes is the flat spelling of Storage.SegmentBytes.
-	//
-	// Deprecated: set Storage.SegmentBytes.
-	SegmentBytes int64
-	// RetainSegments is the flat spelling of Storage.RetainSegments.
-	//
-	// Deprecated: set Storage.RetainSegments.
-	RetainSegments int
-	// ChangelogLimit is the flat spelling of Storage.ChangelogLimit.
-	//
-	// Deprecated: set Storage.ChangelogLimit.
-	ChangelogLimit int
 }
 
-// resolved folds the deprecated flat fields into their groups: a group
-// field that is set wins; an unset group field takes the flat value
-// (booleans are ORed, since set == true).
+// resolved fills in the listen-address defaults.
 func (o NetworkOptions) resolved() NetworkOptions {
-	if o.Storage.Shards == 0 {
-		o.Storage.Shards = o.Shards
-	}
-	o.Storage.SyncOnCommit = o.Storage.SyncOnCommit || o.SyncOnCommit
-	o.Storage.DisableGroupCommit = o.Storage.DisableGroupCommit || o.DisableGroupCommit
-	if o.Storage.SegmentBytes == 0 {
-		o.Storage.SegmentBytes = o.SegmentBytes
-	}
-	if o.Storage.RetainSegments == 0 {
-		o.Storage.RetainSegments = o.RetainSegments
-	}
-	if o.Storage.ChangelogLimit == 0 {
-		o.Storage.ChangelogLimit = o.ChangelogLimit
-	}
-	if o.Read.EvalParallelism == 0 {
-		o.Read.EvalParallelism = o.EvalParallelism
-	}
-	if o.Read.QueryCacheSize == 0 {
-		o.Read.QueryCacheSize = o.QueryCacheSize
-	}
-	o.Read.DisableReadPath = o.Read.DisableReadPath || o.DisableReadPath
 	if o.Transport.ListenAddr == "" {
 		o.Transport.ListenAddr = "127.0.0.1:0"
 	}
@@ -376,24 +293,20 @@ func (nw *Network) peerOptions(name string, w core.Wrapper) peer.Options {
 	if nw.opts.NestedLoopJoin {
 		eval.Strategy = cq.NestedLoop
 	}
-	eval.Parallelism = nw.opts.Read.EvalParallelism
 	return peer.Options{
-		Name:                    name,
-		Wrapper:                 w,
-		MaxDepth:                nw.opts.MaxDepth,
-		Eval:                    eval,
-		DisableDedup:            nw.opts.DisableDedup,
-		Naive:                   nw.opts.Naive,
-		FullExport:              nw.opts.FullExport,
-		DisableSessionSnapshots: nw.opts.DisableSessionSnapshots,
-		QueryCacheSize:          nw.opts.Read.QueryCacheSize,
-		DisableReadPath:         nw.opts.Read.DisableReadPath,
-		LinkPolicies:            nw.opts.Propagation.Policies,
-		LinkFilters:             nw.opts.Propagation.Filters,
-		MaxStaleness:            nw.opts.Propagation.MaxStaleness,
-		PullTimeout:             nw.opts.Propagation.PullTimeout,
-		SuspicionTimeout:        nw.opts.Suspicion.Timeout,
-		SuspicionInterval:       nw.opts.Suspicion.Interval,
+		Name:              name,
+		Wrapper:           w,
+		MaxDepth:          nw.opts.MaxDepth,
+		Eval:              eval,
+		Naive:             nw.opts.Naive,
+		FullExport:        nw.opts.FullExport,
+		QueryCacheSize:    nw.opts.Read.QueryCacheSize,
+		LinkPolicies:      nw.opts.Propagation.Policies,
+		LinkFilters:       nw.opts.Propagation.Filters,
+		MaxStaleness:      nw.opts.Propagation.MaxStaleness,
+		PullTimeout:       nw.opts.Propagation.PullTimeout,
+		SuspicionTimeout:  nw.opts.Suspicion.Timeout,
+		SuspicionInterval: nw.opts.Suspicion.Interval,
 	}
 }
 
@@ -413,13 +326,12 @@ func (nw *Network) AddDurablePeer(name, dir string, relations ...string) (*Peer,
 // database.
 func (nw *Network) storageOptions(dir string) storage.Options {
 	return storage.Options{
-		Dir:                dir,
-		Shards:             nw.opts.Storage.Shards,
-		SyncOnCommit:       nw.opts.Storage.SyncOnCommit,
-		DisableGroupCommit: nw.opts.Storage.DisableGroupCommit,
-		SegmentBytes:       nw.opts.Storage.SegmentBytes,
-		RetainSegments:     nw.opts.Storage.RetainSegments,
-		ChangelogLimit:     nw.opts.Storage.ChangelogLimit,
+		Dir:            dir,
+		Shards:         nw.opts.Storage.Shards,
+		SyncOnCommit:   nw.opts.Storage.SyncOnCommit,
+		SegmentBytes:   nw.opts.Storage.SegmentBytes,
+		RetainSegments: nw.opts.Storage.RetainSegments,
+		ChangelogLimit: nw.opts.Storage.ChangelogLimit,
 	}
 }
 
@@ -453,9 +365,9 @@ func (nw *Network) addPeer(name, dir string, relations ...string) (*Peer, error)
 	return p, nil
 }
 
-// AddMediator starts a peer without a local database: the schema must still
-// be declared, and all operations execute in the wrapper (paper Figure 1's
-// dashed LDB).
+// AddMediator starts a peer without a local database (paper Figure 1's
+// dashed LDB): the schema must still be declared, and the relations are
+// held transiently in the wrapper, by a memory-only engine.
 func (nw *Network) AddMediator(name string, relations ...string) (*Peer, error) {
 	schema := relation.NewSchema()
 	for _, decl := range relations {
@@ -882,19 +794,18 @@ func (nw *Network) QueryStream(node, query string, mode QueryMode) (<-chan Tuple
 }
 
 // PeerReadStats returns a node's query-cache counters; ok is false for
-// unknown peers and peers without a concurrent read path (mediators, or
-// NetworkOptions.DisableReadPath).
+// unknown peers.
 func (nw *Network) PeerReadStats(node string) (stats ReadStats, ok bool) {
 	p := nw.Peer(node)
 	if p == nil {
 		return ReadStats{}, false
 	}
-	return p.ReadStats()
+	return p.ReadStats(), true
 }
 
 // PeerStorageStats returns a node's storage-engine report (per-shard
 // row/byte counts, WAL size, group-commit batching counters); ok is false
-// for unknown peers and mediators.
+// for unknown peers.
 func (nw *Network) PeerStorageStats(node string) (stats StorageStats, ok bool) {
 	p := nw.Peer(node)
 	if p == nil {

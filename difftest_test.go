@@ -6,10 +6,11 @@ package codb
 // For every randomized scenario — topology shape (acyclic and cyclic),
 // network size, workload, insert/update trace — the same trace runs twice:
 // once with the default cross-session incremental export and once with
-// FullExport (the paper-faithful full re-ship, the reference
-// implementation). After every update round the two networks must hold
-// byte-identical databases, and their certain answers to a panel of
-// queries must agree exactly.
+// FullExport and nested-loop joins (the paper-faithful full re-ship over the
+// evaluator's correctness reference, sharing no join code with the default
+// path). After every update round the two networks must hold byte-identical
+// databases, and their certain answers to a panel of queries must agree
+// exactly.
 //
 // The final round additionally checks the concurrent read path against
 // quiescent evaluation: queries issued *while* the update runs must be
@@ -32,6 +33,7 @@ import (
 	"codb/internal/config"
 	"codb/internal/core"
 	"codb/internal/cq"
+	"codb/internal/peer"
 	"codb/internal/relation"
 	"codb/internal/storage"
 	"codb/internal/topo"
@@ -57,11 +59,14 @@ type diffScenario struct {
 	// in-process bus — so byte-identity also proves the codec loses
 	// nothing in flight.
 	tcp bool
-	// par is the network-under-test's write-path evaluation parallelism
-	// (the hash-join fan-out of snapshot-backed session evaluation); the
-	// reference network always evaluates serially, so byte-identity
-	// doubles as the parallel-eval oracle.
-	par int
+}
+
+// name is the scenario's subtest name. Its last field, par=1 or par=4, is
+// left from a retired evaluation-parallelism dimension; it keeps every
+// scenario's name — what failure reports and test histories know it by —
+// unchanged.
+func (sc diffScenario) name() string {
+	return fmt.Sprintf("%s/n=%d/seed=%d/shards=%d/tcp=%v/par=%d", sc.shape, sc.nodes, sc.seed, sc.shards, sc.tcp, 1+3*(sc.seed%2))
 }
 
 // diffShapes mixes acyclic (chain, tree, star, grid) and cyclic (ring,
@@ -72,10 +77,6 @@ var diffShapes = []topo.Shape{topo.Chain, topo.Ring, topo.Tree, topo.Star, topo.
 // reference network always runs shards=1, so every scenario with shards>1
 // doubles as a sharded-vs-unsharded differential check.
 var diffShards = []int{1, 2, 8}
-
-// diffPar cycles the write-path evaluation parallelism of the network
-// under test between serial and 4-way fan-out.
-var diffPar = []int{1, 4}
 
 func diffScenarios(n int) []diffScenario {
 	out := make([]diffScenario, 0, n)
@@ -90,7 +91,6 @@ func diffScenarios(n int) []diffScenario {
 			shards: diffShards[s%len(diffShards)],
 			spill:  s%3 == 1, // every third scenario runs the spill hot path
 			tcp:    s%4 == 2, // every fourth runs over real TCP sockets
-			par:    diffPar[s%len(diffPar)],
 		})
 	}
 	return out
@@ -341,27 +341,26 @@ func TestDifferentialIncrementalVsFullExport(t *testing.T) {
 	const scenarios = 26 // ≥ 25 randomized topologies
 	for _, sc := range diffScenarios(scenarios) {
 		sc := sc
-		t.Run(fmt.Sprintf("%s/n=%d/seed=%d/shards=%d/tcp=%v/par=%d", sc.shape, sc.nodes, sc.seed, sc.shards, sc.tcp, sc.par), func(t *testing.T) {
+		t.Run(sc.name(), func(t *testing.T) {
 			t.Parallel()
 			cfg, err := topo.Build(sc.shape, sc.nodes, topo.Options{Seed: sc.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The network under test runs the scenario's shard count and
-			// write-path parallelism over snapshot-backed session views
-			// (spill scenarios additionally run durable with tiny rings +
-			// segments; tcp scenarios run over real sockets with the binary
-			// wire codec); the FullExport reference always runs unsharded in
-			// memory on the bus, evaluating serially over the live wrapper,
-			// so the byte-identity check also covers sharded-vs-unsharded,
-			// snapshot-vs-live evaluation, parallel-vs-serial joins,
-			// spilled-vs-resident storage, and wire-vs-bus transport.
+			// The network under test runs the scenario's shard count (spill
+			// scenarios additionally run durable with tiny rings + segments;
+			// tcp scenarios run over real sockets with the binary wire
+			// codec); the FullExport reference always runs unsharded in
+			// memory on the bus, joining by nested loops, so the
+			// byte-identity check also covers sharded-vs-unsharded,
+			// hash/probe-vs-nested-loop joins, spilled-vs-resident storage,
+			// and wire-vs-bus transport.
 			incr := networkFromTopo(t, cfg,
-				NetworkOptions{EvalParallelism: sc.par, Transport: TransportGroup{TCP: sc.tcp}},
+				NetworkOptions{Transport: TransportGroup{TCP: sc.tcp}},
 				sc.storeOptions(t))
 			defer incr.Close()
 			full := networkFromTopo(t, cfg,
-				NetworkOptions{FullExport: true, DisableSessionSnapshots: true},
+				NetworkOptions{FullExport: true, NestedLoopJoin: true},
 				storage.Options{Shards: 1})
 			defer full.Close()
 
@@ -460,7 +459,7 @@ func TestDifferentialChurn(t *testing.T) {
 				storage.Options{Dir: churnDir})
 			defer churn.Close()
 			full := networkFromTopo(t, cfg,
-				NetworkOptions{FullExport: true, DisableSessionSnapshots: true},
+				NetworkOptions{FullExport: true, NestedLoopJoin: true},
 				storage.Options{Shards: 1})
 			defer full.Close()
 
@@ -563,7 +562,7 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 				storage.Options{Shards: sc.shards})
 			defer lazy.Close()
 			full := networkFromTopo(t, cfg,
-				NetworkOptions{FullExport: true, DisableSessionSnapshots: true},
+				NetworkOptions{FullExport: true, NestedLoopJoin: true},
 				storage.Options{Shards: 1})
 			defer full.Close()
 
@@ -626,20 +625,24 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 // over the same durable directory. The next hint/pull cycle must resume
 // from the restored watermark — shipping exactly the post-rejoin delta,
 // not a full re-export — and the importer must still converge to the
-// exporter's exact extent.
+// exporter's exact extent. A second importer, c, takes the same extent over
+// an adaptive link and is never read.
 func TestDifferentialPropagationChurn(t *testing.T) {
 	dirB := t.TempDir()
 	nw := NewNetworkWithOptions(NetworkOptions{
-		Propagation: PropagationGroup{Policies: map[string]string{"r1": "pull"}},
+		Propagation: PropagationGroup{Policies: map[string]string{"r1": "pull", "r2": "adaptive"}},
 	})
 	defer nw.Close()
-	if _, err := nw.AddPeer("a", "data(x int, y int)"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"a", "c"} {
+		if _, err := nw.AddPeer(name, "data(x int, y int)"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := nw.AddDurablePeer("b", dirB, "data(x int, y int)"); err != nil {
 		t.Fatal(err)
 	}
 	nw.MustAddRule("r1", `a.data(x, y) <- b.data(x, y)`)
+	nw.MustAddRule("r2", `c.data(x, y) <- b.data(x, y)`)
 
 	const seeded = 30
 	for i := 0; i < seeded; i++ {
@@ -665,6 +668,7 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.MustAddRule("r1", `a.data(x, y) <- b.data(x, y)`)
+	nw.MustAddRule("r2", `c.data(x, y) <- b.data(x, y)`)
 
 	const delta = 5
 	for i := 0; i < delta; i++ {
@@ -705,6 +709,55 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 	kb := answerSet(t, nw, "b", diffQueries[0], AllAnswers)
 	if !equalKeys(ka, kb) {
 		t.Fatalf("importer extent (%d) != churned exporter extent (%d)", len(ka), len(kb))
+	}
+
+	// A read is demand: after the next update the hinted link is pulled by
+	// the importer's local query itself, which sees the fresh tuples with no
+	// catch-up, and waited no longer than the pull timeout for them.
+	for i := 0; i < delta; i++ {
+		if err := nw.Insert("b", "data", Row(Int(2000+i), Int(2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nw.Update(ctxT(t), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(answerSet(t, nw, "a", diffQueries[0], AllAnswers)), seeded+2*delta; got != want {
+		t.Fatalf("a read after the update sees %d tuples, want %d: the read did not pull", got, want)
+	}
+	if st, _ = nw.PeerPropagationStats("a"); st.StalenessP99 > peer.DefaultPullTimeout {
+		t.Errorf("staleness p99 %v exceeds the pull timeout %v", st.StalenessP99, peer.DefaultPullTimeout)
+	}
+
+	// Three updates have now pushed to the unread c, past the adaptive
+	// demotion threshold: the next update moves no data over its link, and
+	// a catch-up still brings c level with its exporter.
+	pushedToC := func() uint64 {
+		st, _ := nw.PeerPropagationStats("b")
+		for _, l := range st.Links {
+			if l.RuleID == "r2" {
+				return l.BytesPushed
+			}
+		}
+		return 0
+	}
+	pushed := pushedToC()
+	for i := 0; i < delta; i++ {
+		if err := nw.Insert("b", "data", Row(Int(3000+i), Int(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nw.Update(ctxT(t), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if now := pushedToC(); now != pushed {
+		t.Errorf("cold adaptive link pushed %d bytes in its fourth update, want 0", now-pushed)
+	}
+	if _, err := nw.CatchUp(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := nw.Peer("c").Count("data"), seeded+3*delta; got != want {
+		t.Fatalf("c.data = %d after catch-up, want %d", got, want)
 	}
 }
 
@@ -756,7 +809,7 @@ func TestDifferentialConcurrentQueriesSandwich(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw := networkFromTopo(t, cfg, NetworkOptions{EvalParallelism: sc.par}, storage.Options{Shards: sc.shards})
+			nw := networkFromTopo(t, cfg, NetworkOptions{}, storage.Options{Shards: sc.shards})
 			defer nw.Close()
 			names := make([]string, 0, len(cfg.Nodes))
 			for _, n := range cfg.Nodes {

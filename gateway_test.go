@@ -221,33 +221,6 @@ func TestGatewayReadyzAfterStop(t *testing.T) {
 	}
 }
 
-// TestFlatOptionsStillApply pins the deprecated flat NetworkOptions fields
-// to their group equivalents.
-func TestFlatOptionsStillApply(t *testing.T) {
-	flat := NetworkOptions{
-		Shards:          4,
-		SyncOnCommit:    true,
-		QueryCacheSize:  7,
-		DisableReadPath: true,
-		EvalParallelism: 3,
-		SegmentBytes:    1 << 20,
-		RetainSegments:  2,
-		ChangelogLimit:  9,
-	}.resolved()
-	want := StorageGroup{Shards: 4, SyncOnCommit: true, SegmentBytes: 1 << 20, RetainSegments: 2, ChangelogLimit: 9}
-	if flat.Storage != want {
-		t.Errorf("Storage = %+v, want %+v", flat.Storage, want)
-	}
-	if flat.Read != (ReadGroup{EvalParallelism: 3, QueryCacheSize: 7, DisableReadPath: true}) {
-		t.Errorf("Read = %+v", flat.Read)
-	}
-	// A set group field wins over the flat spelling.
-	both := NetworkOptions{Shards: 4, Storage: StorageGroup{Shards: 8}}.resolved()
-	if both.Storage.Shards != 8 {
-		t.Errorf("Shards = %d, want group value 8", both.Storage.Shards)
-	}
-}
-
 // TestGatewayNDJSONAcceptHeader exercises stream negotiation through the
 // Accept header rather than the query parameter.
 func TestGatewayNDJSONAcceptHeader(t *testing.T) {

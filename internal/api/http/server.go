@@ -465,8 +465,7 @@ func (s *Server) handleReadStats(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	stats, ok := p.ReadStats()
-	writeJSON(w, http.StatusOK, map[string]any{"node": p.Name(), "available": ok, "read": stats})
+	writeJSON(w, http.StatusOK, map[string]any{"node": p.Name(), "available": true, "read": p.ReadStats()})
 }
 
 func (s *Server) handleStorageStats(w http.ResponseWriter, r *http.Request) {
@@ -486,14 +485,11 @@ func (s *Server) handleWireStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frames, bytes, ok := p.WireStats()
-	resp := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"node": p.Name(), "available": ok,
 		"frames_sent": frames, "bytes_sent": bytes,
-	}
-	if ob, obOK := p.OutboxStats(); obOK {
-		resp["outbox"] = ob
-	}
-	writeJSON(w, http.StatusOK, resp)
+		"outbox": p.OutboxStats(),
+	})
 }
 
 // handleStats serves the node's cumulative export counters. Unlike

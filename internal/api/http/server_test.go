@@ -1,0 +1,149 @@
+package httpapi
+
+import (
+	"encoding/json"
+	"net/http"
+	"slices"
+	"strings"
+	"testing"
+
+	"codb/internal/core"
+	"codb/internal/peer"
+	"codb/internal/relation"
+	"codb/internal/storage"
+	"codb/internal/transport"
+)
+
+// statsGateway fronts two peers on one bus — "store", over an in-memory
+// engine, and "med", a mediator — each declaring a one-column relation and
+// holding one row of it.
+func statsGateway(t *testing.T) string {
+	t.Helper()
+	bus := transport.NewBus()
+	schema := relation.NewSchema()
+	if err := schema.Add(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.MustOpenMem()
+	t.Cleanup(func() { db.Close() })
+	if err := db.DefineSchema(schema); err != nil {
+		t.Fatal(err)
+	}
+	peers := make(map[string]*peer.Peer)
+	for name, w := range map[string]core.Wrapper{"store": core.NewStoreWrapper(db), "med": core.NewMediatorWrapper(schema)} {
+		p, err := peer.New(peer.Options{Name: name, Transport: bus.MustJoin(name), Wrapper: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		if err := p.Insert("r", relation.Tuple{relation.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		peers[name] = p
+	}
+	srv, err := New(Options{Addr: "127.0.0.1:0", Resolve: func(node string) (*peer.Peer, error) {
+		if p := peers[node]; p != nil {
+			return p, nil
+		}
+		return nil, ErrUnknownNode
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + srv.Addr()
+}
+
+// getObject fetches a JSON object, failing on any status but 200.
+func getObject(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	var out map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return out
+}
+
+// keysOf returns an object's keys, sorted.
+func keysOf(t *testing.T, obj map[string]json.RawMessage) []string {
+	t.Helper()
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// field decodes one member of an object.
+func field[T any](t *testing.T, obj map[string]json.RawMessage, key string) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(obj[key], &v); err != nil {
+		t.Fatalf("field %q: %v", key, err)
+	}
+	return v
+}
+
+// TestStatsEndpointsShape pins the JSON shape of /v1/stats/read and
+// /v1/stats/storage, and that both are available on a store-backed peer and
+// on a mediator alike: every wrapper is a storage engine with a read path.
+func TestStatsEndpointsShape(t *testing.T) {
+	base := statsGateway(t)
+	for _, node := range []string{"store", "med"} {
+		// One local query through the gateway, so the read path has a miss
+		// to count.
+		resp, err := http.Post(base+"/v1/query?node="+node, "application/json",
+			strings.NewReader(`{"query": "ans(a) :- r(a)", "local": true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: local query: %s", node, resp.Status)
+		}
+
+		read := getObject(t, base+"/v1/stats/read?node="+node)
+		if got, want := keysOf(t, read), []string{"available", "node", "read"}; !slices.Equal(got, want) {
+			t.Errorf("%s: /v1/stats/read keys %v, want %v", node, got, want)
+		}
+		if field[string](t, read, "node") != node || !field[bool](t, read, "available") {
+			t.Errorf("%s: /v1/stats/read = node %s, available %s", node, read["node"], read["available"])
+		}
+		cache := field[map[string]json.RawMessage](t, read, "read")
+		if got, want := keysOf(t, cache), []string{"Entries", "Hits", "Misses", "Stale"}; !slices.Equal(got, want) {
+			t.Errorf("%s: read counters %v, want %v", node, got, want)
+		}
+		if misses := field[int](t, cache, "Misses"); misses != 1 {
+			t.Errorf("%s: read path counted %d misses, want 1", node, misses)
+		}
+
+		st := getObject(t, base+"/v1/stats/storage?node="+node)
+		if got, want := keysOf(t, st), []string{"available", "node", "storage"}; !slices.Equal(got, want) {
+			t.Errorf("%s: /v1/stats/storage keys %v, want %v", node, got, want)
+		}
+		if field[string](t, st, "node") != node || !field[bool](t, st, "available") {
+			t.Errorf("%s: /v1/stats/storage = node %s, available %s", node, st["node"], st["available"])
+		}
+		engine := field[map[string]json.RawMessage](t, st, "storage")
+		want := []string{"GroupCommit", "GroupCommitEnabled", "LSN", "Relations", "Shards", "SpillHits", "SpillMisses", "WAL", "WALBytes"}
+		if got := keysOf(t, engine); !slices.Equal(got, want) {
+			t.Errorf("%s: storage report keys %v, want %v", node, got, want)
+		}
+		rels := field[[]struct {
+			Name   string
+			Shards []struct{ Tuples int }
+		}](t, engine, "Relations")
+		if len(rels) != 1 || rels[0].Name != "r" || len(rels[0].Shards) != 1 || rels[0].Shards[0].Tuples != 1 {
+			t.Errorf("%s: storage relations = %+v, want r holding 1 tuple in 1 shard", node, rels)
+		}
+	}
+}

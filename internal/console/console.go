@@ -284,7 +284,7 @@ func (c *Console) runCache(args []string) {
 	}
 	st, ok := c.nw.PeerReadStats(args[0])
 	if !ok {
-		c.printf("no read path on %s (unknown peer, mediator, or read path disabled)\n", args[0])
+		c.printf("no read path on %s (unknown peer)\n", args[0])
 		return
 	}
 	c.printf("query cache: %d entries, %d hits, %d misses (%d stale)\n",
@@ -303,7 +303,7 @@ func (c *Console) runWire(args []string) {
 	}
 	c.printf("wire: %d frames, %d bytes sent (headers included)\n", frames, bytes)
 	if p := c.nw.Peer(args[0]); p != nil {
-		if ob, obOK := p.OutboxStats(); obOK && ob.Frames > 0 {
+		if ob := p.OutboxStats(); ob.Frames > 0 {
 			c.printf("outbox: %d payloads in %d frames (%d batches), %.2f payloads/frame\n",
 				ob.Payloads, ob.Frames, ob.Batches, float64(ob.Payloads)/float64(ob.Frames))
 		}
@@ -317,7 +317,7 @@ func (c *Console) runStorage(args []string) {
 	}
 	st, ok := c.nw.PeerStorageStats(args[0])
 	if !ok {
-		c.printf("no storage engine on %s (unknown peer or mediator)\n", args[0])
+		c.printf("no storage engine on %s (unknown peer)\n", args[0])
 		return
 	}
 	c.printf("shards: %d, commit LSN: %d, WAL: %d bytes\n", st.Shards, st.LSN, st.WALBytes)

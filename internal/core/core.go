@@ -46,62 +46,21 @@ import (
 	"codb/internal/diffuse"
 	"codb/internal/msg"
 	"codb/internal/relation"
+	"codb/internal/storage"
 )
 
-// ChangeTracker is the optional change-capture interface of a Wrapper.
-// When the local storage implements it, the node keeps a persistent LSN
-// watermark per incoming link and exports incrementally across sessions
-// (exportSince); wrappers without it always export in full.
-type ChangeTracker interface {
-	// LSN returns the storage's monotone commit sequence number.
-	LSN() uint64
-	// Changes returns the tuples committed into rel after sinceLSN, in
-	// commit order; ok is false when that history is unavailable (deletes,
-	// changelog truncation, restart past a checkpoint) and the caller must
-	// fall back to a full scan.
-	Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok bool)
-}
-
-// ReadView is an immutable point-in-time view of a wrapper's data, pinned
-// at one storage commit LSN: the unit of the concurrent query path. A view
-// is safe for concurrent use and never blocks (or is blocked by) writers.
-type ReadView interface {
-	cq.Source
-	// Has reports tuple presence as of the view.
-	Has(rel string, t relation.Tuple) bool
-	// Count returns a relation's cardinality as of the view.
-	Count(rel string) int
-	// Tuples returns all tuples of a relation as of the view, in key order.
-	Tuples(rel string) []relation.Tuple
-	// Schema returns the schema as of the view.
-	Schema() *relation.Schema
-	// LSN is the commit sequence number the view is pinned at — the
-	// query-result cache's invalidation token.
-	LSN() uint64
-}
-
-// Snapshotter is the optional snapshot capability of a Wrapper. Wrappers
-// implementing it let the peer serve queries off the actor loop: readers
-// evaluate over pinned views concurrently with update sessions, while
-// writes keep serialising through the loop. Implementing Snapshotter also
-// asserts that the wrapper's plain read methods (Schema, Scan, Has, Count)
-// are safe for concurrent use — the peer answers point reads like Count
-// through them directly, reserving snapshots for whole evaluations.
-type Snapshotter interface {
-	ReadSnapshot() ReadView
-}
-
 // Wrapper is the storage interface the algorithm needs from the Local
-// Database — the paper's Wrapper module. StoreWrapper (over the embedded
-// engine) and MediatorWrapper (no LDB; operations executed in the wrapper)
-// both implement it.
+// Database — the paper's Wrapper module. StoreWrapper implements it over the
+// embedded engine, for a node with an LDB and for a mediator alike
+// (NewMediatorWrapper: the same engine, memory-only). Every wrapper captures
+// changes and pins snapshots: sessions evaluate over pinned snapshots plus
+// their staged tuples, and the peer serves reads from snapshots off its
+// actor loop, so a wrapper's read methods must be safe for concurrent use.
 type Wrapper interface {
 	// Schema returns the node's shared schema (DBS).
 	Schema() *relation.Schema
 	// Scan iterates a relation (cq.Source).
 	Scan(rel string, fn func(relation.Tuple) bool)
-	// Has reports tuple presence.
-	Has(rel string, t relation.Tuple) bool
 	// InsertMany inserts a batch with set semantics and returns the
 	// tuples that were actually new (T′ = T \ R). The wrapper keeps the
 	// tuples it is given.
@@ -113,6 +72,17 @@ type Wrapper interface {
 	InsertKeyed(rows []relation.Row) ([]bool, error)
 	// Count returns a relation's cardinality.
 	Count(rel string) int
+	// LSN returns the storage's monotone commit sequence number: the
+	// incremental-export watermarks and the query-result cache key on it.
+	LSN() uint64
+	// Changes returns the tuples committed into rel after sinceLSN, in
+	// commit order; ok is false when that history is unavailable (deletes,
+	// changelog truncation, restart past a checkpoint) and the caller must
+	// fall back to a full scan.
+	Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok bool)
+	// ReadSnapshot pins an immutable view at the current commit LSN: safe
+	// for concurrent use, it never blocks (or is blocked by) writers.
+	ReadSnapshot() *storage.Snapshot
 }
 
 // DefaultMaxDepth bounds the chase's null derivation depth unless the
@@ -121,7 +91,8 @@ type Wrapper interface {
 const DefaultMaxDepth = 16
 
 // Config configures a Node. The zero value of the feature toggles selects
-// the paper's algorithm; the toggles exist for the ablation benchmarks.
+// the incremental algorithm; FullExport selects the paper's, and Eval and
+// Naive the ablation benchmarks' join strategy and re-evaluation.
 type Config struct {
 	// Self is this node's network-unique name.
 	Self string
@@ -132,8 +103,6 @@ type Config struct {
 	MaxDepth int
 	// Eval selects the join strategy (A3 ablation).
 	Eval cq.EvalOptions
-	// DisableDedup turns off the per-link sent caches (A2 ablation).
-	DisableDedup bool
 	// Naive replaces semi-naive delta re-evaluation with full
 	// re-evaluation of dependent links (A1 ablation).
 	Naive bool
@@ -147,12 +116,6 @@ type Config struct {
 	// fingerprint set (0 = 1<<20). On overflow the rule's export state is
 	// reset, degrading the next session to a full export.
 	MaxFingerprints int
-	// DisableSessionSnapshots forces session evaluation back onto the live
-	// wrapper (serial scans under storage locks) even when the wrapper
-	// implements Snapshotter + ChangeTracker. The default evaluates update
-	// sessions over pinned snapshots, unlocking shard-parallel hash-join
-	// builds and secondary-index pushdown on the write path.
-	DisableSessionSnapshots bool
 	// LinkSpeaksPull reports whether the named peer can receive the
 	// pull-family payloads (wire protocol version 2). nil assumes every
 	// peer can — correct for in-process transports; the peer layer wires a
@@ -293,17 +256,10 @@ type Node struct {
 	ds       *diffuse.Engine
 	reports  []msg.UpdateReport
 
-	// tracker is the wrapper's change-capture interface (nil when the
-	// storage has none); exports holds the per-rule persistent export
-	// state of the incremental machinery (Source == Self rules only).
-	// pendingExports buffers restored snapshots for rules not yet
-	// declared (see RestoreExportState).
-	tracker ChangeTracker
-	// snapshotter is the wrapper's snapshot capability (nil when absent).
-	// With both tracker and snapshotter present (and the toggle off),
-	// session evaluation reads pinned snapshots instead of the live
-	// wrapper; see Node.sessionView.
-	snapshotter    Snapshotter
+	// exports holds the per-rule persistent export state of the
+	// incremental machinery (Source == Self rules only). pendingExports
+	// buffers restored snapshots for rules not yet declared (see
+	// RestoreExportState).
 	exports        map[string]*exportState
 	pendingExports map[string]ExportSnapshot
 	// resetRules names the rules whose export state was dropped or begun
@@ -373,25 +329,18 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.MaxFingerprints == 0 {
 		cfg.MaxFingerprints = 1 << 20
 	}
-	tracker, _ := cfg.Wrapper.(ChangeTracker)
-	snapshotter, _ := cfg.Wrapper.(Snapshotter)
-	if cfg.DisableSessionSnapshots {
-		snapshotter = nil
-	}
 	return &Node{
-		cfg:         cfg,
-		maxDepth:    maxDepth,
-		rules:       make(map[string]*ruleState),
-		appliers:    make(map[string]*chase.Applier),
-		sessions:    make(map[string]*session),
-		ds:          diffuse.New(cfg.Self),
-		dirty:       make(map[string]*session),
-		tracker:     tracker,
-		snapshotter: snapshotter,
-		exports:     make(map[string]*exportState),
-		resetRules:  make(map[string]bool),
-		policies:    make(map[string]*linkPolicy),
-		propStats:   make(map[string]*propStat),
+		cfg:        cfg,
+		maxDepth:   maxDepth,
+		rules:      make(map[string]*ruleState),
+		appliers:   make(map[string]*chase.Applier),
+		sessions:   make(map[string]*session),
+		ds:         diffuse.New(cfg.Self),
+		dirty:      make(map[string]*session),
+		exports:    make(map[string]*exportState),
+		resetRules: make(map[string]bool),
+		policies:   make(map[string]*linkPolicy),
+		propStats:  make(map[string]*propStat),
 	}, nil
 }
 
@@ -660,10 +609,10 @@ func (n *Node) ExportState() map[string]ExportSnapshot {
 // are typically declared after construction, so snapshots wait in a pending
 // set and attach when a matching rule arrives. An entry that cannot be
 // trusted is dropped, degrading that rule to a full first export: a changed
-// rule definition, a watermark ahead of the storage's current LSN (the
-// state file outlived the data), or a wrapper without change capture.
+// rule definition, or a watermark ahead of the storage's current LSN (the
+// state file outlived the data).
 func (n *Node) RestoreExportState(state map[string]ExportSnapshot) {
-	if n.tracker == nil || n.cfg.FullExport {
+	if n.cfg.FullExport {
 		return
 	}
 	if n.pendingExports == nil {
@@ -681,13 +630,13 @@ func (n *Node) RestoreExportState(state map[string]ExportSnapshot) {
 // installExportSnapshot validates one restored snapshot against the (now
 // known) rule and the storage state, installing it only when safe.
 func (n *Node) installExportSnapshot(rs *ruleState, snap ExportSnapshot) {
-	if n.tracker == nil || n.cfg.FullExport {
+	if n.cfg.FullExport {
 		return
 	}
 	if rs.rule.Source != n.cfg.Self || snap.RuleText != rs.text {
 		return
 	}
-	if snap.Watermark > n.tracker.LSN() || len(snap.Shipped) > n.cfg.MaxFingerprints {
+	if snap.Watermark > n.cfg.Wrapper.LSN() || len(snap.Shipped) > n.cfg.MaxFingerprints {
 		return
 	}
 	shipped := make(map[string]bool, len(snap.Shipped))

@@ -96,13 +96,12 @@ func (n *Node) StartScopedUpdate(sid string, rels []string) (Result, error) {
 // LocalQuery evaluates a query against the local database only (no
 // session), as nodes do after a global update has materialised everything.
 func (n *Node) LocalQuery(q *cq.Query, mode QueryMode) ([]relation.Tuple, error) {
-	return EvalQuery(q, n.cfg.Wrapper, mode, n.cfg.Eval)
+	return EvalQuery(q, n.cfg.Wrapper.ReadSnapshot(), mode, n.cfg.Eval)
 }
 
 // EvalQuery evaluates a query over any source under the given answer mode.
-// It is the evaluation step shared by Node.LocalQuery (over the live
-// wrapper, inside the actor loop) and the peer's concurrent read path
-// (over pinned ReadViews, off the loop).
+// It is the evaluation step shared by Node.LocalQuery and the peer's
+// concurrent read path, both over pinned snapshots.
 func EvalQuery(q *cq.Query, src cq.Source, mode QueryMode, opts cq.EvalOptions) ([]relation.Tuple, error) {
 	answers, err := cq.Eval(q, src, opts)
 	if err != nil {
@@ -406,32 +405,22 @@ func (n *Node) noteEvalError(s *session, r *Result, err error) {
 }
 
 // incrementalFor reports whether cross-session incremental export applies
-// to the given session: the wrapper must capture changes, FullExport must
-// be off, and the session must materialise at the importer (query sessions
-// sink into per-session overlays that are discarded at completion, so
-// nothing shipped for one query can be assumed present for the next).
+// to the given session: FullExport must be off, and the session must
+// materialise at the importer (query sessions sink into per-session overlays
+// that are discarded at completion, so nothing shipped for one query can be
+// assumed present for the next).
 func (n *Node) incrementalFor(s *session) bool {
-	return n.tracker != nil && !n.cfg.FullExport && s.kind != msg.KindQuery
-}
-
-// viewLSN returns the commit horizon an evaluation over the view observes:
-// the pinned snapshot's LSN, or the live tracker's when the view reads the
-// live wrapper (callers guarantee n.tracker != nil on that path).
-func (n *Node) viewLSN(v view) uint64 {
-	if v.snap != nil {
-		return v.snap.LSN()
-	}
-	return n.tracker.LSN()
+	return !n.cfg.FullExport && s.kind != msg.KindQuery
 }
 
 // exportSince runs the initial evaluation of an incoming link for a session
 // and ships the bindings to the importer. Idempotent per session.
 //
-// This is the cross-session refactor of the seed's exportFull: when the
-// wrapper captures changes, the link keeps a persistent LSN watermark (the
-// commit horizon up to which its body relations have been exported) and
-// only tuples committed past it are evaluated, through the same semi-naive
-// machinery the in-session delta step uses. The first session, lost change
+// This is the cross-session refactor of the seed's exportFull: the link
+// keeps a persistent LSN watermark (the commit horizon up to which its body
+// relations have been exported) and only tuples committed past it are
+// evaluated, through the same semi-naive machinery the in-session delta
+// step uses. The first session, lost change
 // history (deletes, changelog truncation, restart past a checkpoint), and
 // the FullExport toggle all fall back to a full evaluation.
 func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
@@ -450,9 +439,9 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 		return
 	}
 
-	// Pin the evaluation view before reading the watermark horizon: with a
-	// snapshot-backed view the new watermark is the snapshot's own LSN, so
-	// it can never advance past commits the evaluation didn't observe.
+	// Pin the evaluation view before reading the watermark horizon: the new
+	// watermark is the snapshot's own LSN, so it can never advance past
+	// commits the evaluation didn't observe.
 	v := n.sessionView(s)
 
 	mode := msg.ExportFull
@@ -477,17 +466,17 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	case es == nil:
 		// First session for this link: full export establishes the
 		// watermark and the fingerprint base.
-		cur := n.viewLSN(v)
+		cur := v.snap.LSN()
 		if !full() {
 			return
 		}
 		n.beginExport(rule.ID, cur)
 	default:
-		cur := n.viewLSN(v)
+		cur := v.snap.LSN()
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
 		for _, rel := range rule.BodyRelations() {
-			delta, ok := n.tracker.Changes(rel, es.watermark)
+			delta, ok := n.cfg.Wrapper.Changes(rel, es.watermark)
 			if !ok {
 				intact = false
 				break
@@ -606,38 +595,36 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 // its persistent shipped-fingerprint set, then ships one data batch.
 func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relation.Tuple, path []string, mode msg.ExportMode, skipped int, r *Result) {
 	bindings = n.applyFilter(rule, bindings)
-	if !n.cfg.DisableDedup {
-		sent := s.sentSet(rule.ID)
-		// Cross-session suppression: a binding shipped in an earlier
-		// update session is already materialised at the importer. The
-		// state advances inside running sessions too, so the in-session
-		// delta step contributes to the next session's savings.
-		es := n.exports[rule.ID]
-		if !n.incrementalFor(s) {
-			es = nil
+	sent := s.sentSet(rule.ID)
+	// Cross-session suppression: a binding shipped in an earlier update
+	// session is already materialised at the importer. The state advances
+	// inside running sessions too, so the in-session delta step contributes
+	// to the next session's savings.
+	es := n.exports[rule.ID]
+	if !n.incrementalFor(s) {
+		es = nil
+	}
+	kept := make([]relation.Tuple, 0, len(bindings))
+	for _, b := range bindings {
+		k := b.Key() // encoded once, for both sets
+		if sent[k] {
+			continue
 		}
-		kept := make([]relation.Tuple, 0, len(bindings))
-		for _, b := range bindings {
-			k := b.Key() // encoded once, for both sets
-			if sent[k] {
+		sent[k] = true
+		if es != nil {
+			if es.shipped[k] {
+				s.rep.SuppressedBindings++
 				continue
 			}
-			sent[k] = true
-			if es != nil {
-				if es.shipped[k] {
-					s.rep.SuppressedBindings++
-					continue
-				}
-				es.fingerprint(k)
-			}
-			kept = append(kept, b)
+			es.fingerprint(k)
 		}
-		bindings = kept
-		if es != nil && len(es.shipped) > n.cfg.MaxFingerprints {
-			// Bound the memory: drop the state; the next session
-			// re-exports in full (set semantics make that safe).
-			n.forgetExport(rule.ID)
-		}
+		kept = append(kept, b)
+	}
+	bindings = kept
+	if es != nil && len(es.shipped) > n.cfg.MaxFingerprints {
+		// Bound the memory: drop the state; the next session re-exports in
+		// full (set semantics make that safe).
+		n.forgetExport(rule.ID)
 	}
 	if len(bindings) == 0 {
 		return

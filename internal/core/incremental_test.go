@@ -292,9 +292,11 @@ func TestIncrementalAcrossChain(t *testing.T) {
 	}
 }
 
-// TestMediatorStaysFullExport: wrappers without change capture keep the
-// seed's behaviour — full export every session.
-func TestMediatorStaysFullExport(t *testing.T) {
+// TestMediatorExportsLikeInMemoryPeer: a mediator's wrapper is the
+// in-memory engine, so it keeps export watermarks like any in-memory peer —
+// its second session exports incrementally, shipping nothing already
+// shipped — while the importer still holds everything.
+func TestMediatorExportsLikeInMemoryPeer(t *testing.T) {
 	s := newSim(t)
 	s.addNode("A", "r/1")
 	schema := relation.NewSchema()
@@ -306,10 +308,13 @@ func TestMediatorStaysFullExport(t *testing.T) {
 	s.updateSID("A", "u1")
 	s.updateSID("A", "u2")
 	repB := reportFor(t, s.nodes["B"], "u2")
-	if repB.ExportsFull != 1 || repB.ExportsIncremental != 0 {
-		t.Errorf("mediator exports: full=%d incr=%d, want 1/0", repB.ExportsFull, repB.ExportsIncremental)
+	if repB.ExportsFull != 0 || repB.ExportsIncremental != 1 {
+		t.Errorf("mediator exports: full=%d incr=%d, want 0/1", repB.ExportsFull, repB.ExportsIncremental)
 	}
-	if got := receivedTuples(reportFor(t, s.nodes["A"], "u2")); got != 2 {
-		t.Errorf("A received %d tuples from the mediator's re-export, want 2", got)
+	if got := receivedTuples(reportFor(t, s.nodes["A"], "u2")); got != 0 {
+		t.Errorf("A received %d tuples from the mediator's second export, want 0", got)
+	}
+	if got := len(s.instanceOf("A")["r"]); got != 2 {
+		t.Errorf("A holds %d tuples, want 2", got)
 	}
 }

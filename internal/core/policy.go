@@ -250,11 +250,7 @@ func (n *Node) sendHint(s *session, rule *cq.Rule, to string, r *Result) {
 		return
 	}
 	s.hinted[rule.ID] = true
-	var lsn uint64
-	if n.tracker != nil {
-		lsn = n.tracker.LSN()
-	}
-	r.send(to, &msg.UpdateHint{RuleID: rule.ID, LSN: lsn})
+	r.send(to, &msg.UpdateHint{RuleID: rule.ID, LSN: n.cfg.Wrapper.LSN()})
 	n.propStatFor(rule.ID).hintsSent++
 }
 
@@ -285,14 +281,8 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 	// Pin the evaluation view before reading the watermark horizon, exactly
 	// as exportSince does: the new watermark is the view's own LSN, so it
 	// can never advance past commits the evaluation did not observe.
-	v := view{base: n.cfg.Wrapper}
-	if n.snapshotter != nil && n.tracker != nil {
-		v.snap = n.snapshotter.ReadSnapshot()
-	}
-	var cur uint64
-	if n.tracker != nil {
-		cur = n.viewLSN(v)
-	}
+	v := view{snap: n.cfg.Wrapper.ReadSnapshot()}
+	cur := v.snap.LSN()
 
 	mode := msg.ExportFull
 	var bindings []relation.Tuple
@@ -308,7 +298,7 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 
 	es := n.exports[rule.ID]
 	switch {
-	case n.tracker == nil || n.cfg.FullExport:
+	case n.cfg.FullExport:
 		if err := full(); err != nil {
 			return nil, err
 		}
@@ -321,7 +311,7 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
 		for _, rel := range rule.BodyRelations() {
-			delta, ok := n.tracker.Changes(rel, es.watermark)
+			delta, ok := n.cfg.Wrapper.Changes(rel, es.watermark)
 			if !ok {
 				intact = false
 				break
@@ -348,7 +338,7 @@ func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
 	}
 
 	bindings = n.applyFilter(rule, bindings)
-	if es := n.exports[rule.ID]; es != nil && !n.cfg.DisableDedup {
+	if es := n.exports[rule.ID]; es != nil {
 		kept := bindings[:0:0]
 		for _, b := range bindings {
 			k := b.Key()

@@ -7,6 +7,7 @@ import (
 	"codb/internal/cq"
 	"codb/internal/msg"
 	"codb/internal/relation"
+	"codb/internal/storage"
 )
 
 // session is this node's state for one global update or distributed query.
@@ -60,14 +61,13 @@ type session struct {
 	// belong to the requester's topology, not ours).
 	extra map[string]*cq.Rule
 
-	// pinned is the storage snapshot the session currently evaluates over
-	// (nil when the wrapper has no snapshot capability or session snapshots
-	// are disabled). It is re-pinned by sessionView whenever the storage
-	// LSN has moved past it — in particular after the session's staged
-	// tuples were flushed into the LDB — so evaluation keeps observing the
-	// session's own writes, first in the overlay, then in the snapshot.
-	// finalize releases it.
-	pinned ReadView
+	// pinned is the storage snapshot the session currently evaluates over.
+	// It is re-pinned by sessionView whenever the storage LSN has moved
+	// past it — in particular after the session's staged tuples were
+	// flushed into the LDB — so evaluation keeps observing the session's
+	// own writes, first in the overlay, then in the snapshot. finalize
+	// releases it.
+	pinned *storage.Snapshot
 
 	// Link-state protocol (reporting; see close.go).
 	outClosed map[string]bool // outgoing links closed (exporter notified us)
@@ -154,23 +154,19 @@ func (s *session) noteSentTo(node string) {
 	s.rep.SentTo = append(s.rep.SentTo, node)
 }
 
-// view is what rule evaluation reads: the LDB plus the session overlay.
-// When the wrapper can take snapshots (and session snapshots are enabled),
-// the LDB half is a pinned immutable snapshot instead of the live wrapper:
-// evaluation then runs without storage locks, the CQ evaluator's hash-join
-// builds fan out per shard (the view forwards cq.ShardedSource), and
-// constant pushdown and index-probe joins reach the snapshot's lazy
+// view is what rule evaluation reads: the LDB, as a pinned immutable
+// snapshot, plus the session overlay. Evaluation runs without storage locks,
+// and constant pushdown and index-probe joins reach the snapshot's lazy
 // secondary views (cq.EqScanner). Writes go to the overlay, never to the
-// snapshot; Node.commitStaged moves them into the live wrapper.
+// snapshot; Node.commitStaged moves them into the wrapper.
 //
 // The overlay is a relation.Set: ordered (scans stay in key order, so
 // exports are deterministic) and indexed (ScanEq probes it). Overlay tuples
-// that meanwhile appeared in the LDB half are shadowed — skipped, since the
-// base scan already delivered them; the check reuses the key the overlay
+// that meanwhile appeared in the snapshot are shadowed — skipped, since the
+// snapshot scan already delivered them; the check reuses the key the overlay
 // stores, so it encodes nothing.
 type view struct {
-	base    Wrapper
-	snap    ReadView      // nil: evaluation falls back to the live wrapper
+	snap    *storage.Snapshot
 	overlay *relation.Set // nil once the session is finished
 }
 
@@ -180,49 +176,16 @@ type view struct {
 // what happens when the session's staged tuples are flushed into the LDB, so
 // the next evaluation finds them in the snapshot instead of the overlay.
 func (n *Node) sessionView(s *session) view {
-	v := view{base: n.cfg.Wrapper, overlay: s.overlay}
-	if n.snapshotter != nil && n.tracker != nil && !s.done {
-		if s.pinned == nil || s.pinned.LSN() != n.tracker.LSN() {
-			s.pinned = n.snapshotter.ReadSnapshot()
-		}
-		v.snap = s.pinned
+	if s.pinned == nil || s.pinned.LSN() != n.cfg.Wrapper.LSN() {
+		s.pinned = n.cfg.Wrapper.ReadSnapshot()
 	}
-	return v
+	return view{snap: s.pinned, overlay: s.overlay}
 }
 
-// keyedHas is optionally implemented by wrappers and read views that test
-// presence by a tuple's already-encoded key (storage snapshots and both
-// wrappers do), so a caller holding the key does not encode it again.
-type keyedHas interface {
-	HasKey(rel, key string) bool
-}
-
-// ldb returns the LDB half of the view: the pinned snapshot, or the live
-// wrapper without one. All reads of one evaluation go through it, so they
-// see one consistent state.
-func (v view) ldb() interface {
-	cq.Source
-	Has(rel string, t relation.Tuple) bool
-} {
-	if v.snap != nil {
-		return v.snap
-	}
-	return v.base
-}
-
-// baseHas reports presence of tuple t, encoded as key, in the LDB half.
-func (v view) baseHas(rel, key string, t relation.Tuple) bool {
-	b := v.ldb()
-	if kh, ok := b.(keyedHas); ok {
-		return kh.HasKey(rel, key)
-	}
-	return b.Has(rel, t)
-}
-
-// Scan implements cq.Source over base ∪ overlay.
+// Scan implements cq.Source over snapshot ∪ overlay.
 func (v view) Scan(rel string, fn func(relation.Tuple) bool) {
 	stopped := false
-	v.ldb().Scan(rel, func(t relation.Tuple) bool {
+	v.snap.Scan(rel, func(t relation.Tuple) bool {
 		stopped = !fn(t)
 		return !stopped
 	})
@@ -230,98 +193,35 @@ func (v view) Scan(rel string, fn func(relation.Tuple) bool) {
 		return
 	}
 	v.overlay.ScanKeys(rel, func(key string, t relation.Tuple) bool {
-		return v.baseHas(rel, key, t) || fn(t)
+		return v.snap.HasKey(rel, key) || fn(t)
 	})
 }
 
-// ScanEq implements cq.EqScanner over base ∪ overlay: the snapshot probes
-// its lazy secondary view, the live wrapper its own index, the overlay its
-// secondary tree. An LDB half that cannot probe is filtered from a full
-// scan.
+// ScanEq implements cq.EqScanner over snapshot ∪ overlay: the snapshot
+// probes its lazy secondary view, the overlay its secondary tree.
 func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.Tuple) bool) {
 	stopped := false
-	scan := func(t relation.Tuple) bool {
+	v.snap.ScanEq(rel, pos, val, func(t relation.Tuple) bool {
 		stopped = !fn(t)
 		return !stopped
-	}
-	b := v.ldb()
-	if es, ok := b.(cq.EqScanner); ok {
-		es.ScanEq(rel, pos, val, scan)
-	} else {
-		b.Scan(rel, func(t relation.Tuple) bool {
-			if pos < len(t) && t[pos] == val {
-				return scan(t)
-			}
-			return true
-		})
-	}
+	})
 	if stopped || v.overlay == nil {
 		return
 	}
 	v.overlay.ScanEqKeys(rel, pos, val, func(key string, t relation.Tuple) bool {
-		return v.baseHas(rel, key, t) || fn(t)
+		return v.snap.HasKey(rel, key) || fn(t)
 	})
 }
 
-// IndexedProbes implements cq.ProbeGate: a pinned snapshot always probes
-// an index; a live wrapper speaks for itself, or is trusted when it offers
-// ScanEq without reservation.
-func (v view) IndexedProbes() bool {
-	if v.snap != nil {
-		return true
-	}
-	if g, ok := v.base.(cq.ProbeGate); ok {
-		return g.IndexedProbes()
-	}
-	_, ok := v.base.(cq.EqScanner)
-	return ok
-}
-
-// ShardCount implements cq.ShardedSource by forwarding the pinned
-// snapshot's sharding. It reports 0 (no fan-out) when the view has no
-// snapshot or the overlay holds tuples for the relation — the contract
-// requires the union of shards to equal Scan, and overlay tuples live in
-// no shard.
-func (v view) ShardCount(rel string) int {
-	if v.snap == nil {
-		return 0
-	}
-	if v.overlay != nil && v.overlay.Len(rel) > 0 {
-		return 0
-	}
-	if ss, ok := v.snap.(cq.ShardedSource); ok {
-		return ss.ShardCount(rel)
-	}
-	return 0
-}
-
-// ScanShard implements cq.ShardedSource (see ShardCount).
-func (v view) ScanShard(rel string, shard int, fn func(relation.Tuple) bool) {
-	if v.snap == nil {
-		return
-	}
-	if ss, ok := v.snap.(cq.ShardedSource); ok {
-		ss.ScanShard(rel, shard, fn)
-	}
-}
-
-// relDef returns the definition of a relation of the LDB half, or nil.
-func (v view) relDef(rel string) *relation.RelDef {
-	if v.snap != nil {
-		return v.snap.Schema().Rel(rel)
-	}
-	return v.base.Schema().Rel(rel)
-}
-
 // stage sinks a batch into the session overlay and returns the genuinely new
-// tuples: those neither in the LDB half nor staged before. Each tuple's key
+// tuples: those neither in the snapshot nor staged before. Each tuple's key
 // is encoded once, for the presence check, the overlay and — when the
 // session flushes — the LDB commit, and the tuples are retained as they are
 // (chase facts are never mutated). A batch holding a tuple the relation's
 // schema does not admit is refused whole: staged tuples are derived from and
 // shipped on before the LDB sees them, so its admission check runs here.
 func (v view) stage(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
-	def := v.relDef(rel)
+	def := v.snap.Rel(rel)
 	if def == nil {
 		return nil, fmt.Errorf("core: unknown relation %q", rel)
 	}
@@ -333,7 +233,7 @@ func (v view) stage(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
 	fresh := make([]relation.Tuple, 0, len(ts))
 	for _, t := range ts {
 		key := t.Key()
-		if v.baseHas(rel, key, t) {
+		if v.snap.HasKey(rel, key) {
 			continue
 		}
 		if v.overlay.Insert(rel, key, t) {

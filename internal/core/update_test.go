@@ -184,43 +184,30 @@ func TestUpdateRuleAdoptionWithoutBroadcast(t *testing.T) {
 }
 
 func TestUpdateDiamondDedupSavesTraffic(t *testing.T) {
-	// Diamond: A imports from B and C, both import from D. D's data
-	// reaches A twice without content dedup at A (sink dedups), and the
-	// sent caches at B/C suppress nothing across paths (different links),
-	// so compare a diamond run with dedup against one without: disabling
-	// dedup must not change the result but may add messages.
-	build := func(disable bool) (*sim, msg.UpdateReport) {
-		s := newSim(t)
-		s.addNodeCfg(Config{Self: "A", DisableDedup: disable}, "r/1")
-		s.addNodeCfg(Config{Self: "B", DisableDedup: disable}, "r/1")
-		s.addNodeCfg(Config{Self: "C", DisableDedup: disable}, "r/1")
-		s.addNodeCfg(Config{Self: "D", DisableDedup: disable}, "r/1")
-		s.rule("rAB", `A.r(x) <- B.r(x)`)
-		s.rule("rAC", `A.r(x) <- C.r(x)`)
-		s.rule("rBD", `B.r(x) <- D.r(x)`)
-		s.rule("rCD", `C.r(x) <- D.r(x)`)
-		s.seed("D", "r", []int{1}, []int{2}, []int{3})
-		rep := s.update("A")
-		return s, rep
+	// Diamond: A imports from B and C, both import from D. D's data reaches
+	// A over both paths (the sink dedups), while each link's sent cache keeps
+	// a binding from crossing that link twice in the session: every link
+	// carries D's three tuples exactly once.
+	s := newSim(t)
+	for _, name := range []string{"A", "B", "C", "D"} {
+		s.addNode(name, "r/1")
 	}
-	withDedup, _ := build(false)
-	withoutDedup, _ := build(true)
-	a1, a2 := withDedup.instanceOf("A"), withoutDedup.instanceOf("A")
-	if !relation.EqualUpToNulls(a1, a2) {
-		t.Error("dedup changed the result")
+	s.rule("rAB", `A.r(x) <- B.r(x)`)
+	s.rule("rAC", `A.r(x) <- C.r(x)`)
+	s.rule("rBD", `B.r(x) <- D.r(x)`)
+	s.rule("rCD", `C.r(x) <- D.r(x)`)
+	s.seed("D", "r", []int{1}, []int{2}, []int{3})
+	s.updateSID("A", "u1")
+	if got := len(s.instanceOf("A")["r"]); got != 3 {
+		t.Errorf("A holds %d tuples, want 3", got)
 	}
-	msgs := func(s *sim) int {
-		total := 0
-		for _, n := range s.nodes {
-			for _, rep := range n.Reports() {
-				total += rep.SentMsgs
+	for importer, links := range map[string][]string{"A": {"rAB", "rAC"}, "B": {"rBD"}, "C": {"rCD"}} {
+		rep := reportFor(t, s.nodes[importer], "u1")
+		for _, id := range links {
+			if got := rep.TuplesPerRule[id]; got != 3 {
+				t.Errorf("link %s carried %d bindings to %s, want 3", id, got, importer)
 			}
 		}
-		return total
-	}
-	m1, m2 := msgs(withDedup), msgs(withoutDedup)
-	if m1 > m2 {
-		t.Errorf("dedup increased traffic: %d vs %d", m1, m2)
 	}
 }
 

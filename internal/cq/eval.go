@@ -2,8 +2,6 @@ package cq
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"codb/internal/relation"
 )
@@ -20,36 +18,12 @@ type Source interface {
 // EqScanner is optionally implemented by sources that can enumerate the
 // tuples with a fixed value at one position as an index probe — O(log n +
 // matches), amortised — in the same (key) order Scan delivers them (storage
-// snapshots and relation.Set do; see ProbeGate for sources that only
-// sometimes can). The evaluator pushes the first constant of an atom down
-// to it, and joins a small set of partial bindings against an atom by
-// probing once per binding instead of hash-building the whole relation (see
-// probeMaxOuter).
+// snapshots and relation.Set do). The evaluator pushes the first constant
+// of an atom down to it, and joins a small set of partial bindings against
+// an atom by probing once per binding instead of hash-building the whole
+// relation (see probeMaxOuter).
 type EqScanner interface {
 	ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool)
-}
-
-// ProbeGate is implemented by an EqScanner that cannot always keep the
-// index-probe cost: the live storage engine answers ScanEq by filtering a
-// full scan unless the position was indexed, and a session view is only as
-// good as what it wraps. When IndexedProbes reports false the evaluator
-// still pushes constants down (one ScanEq per atom costs no more than the
-// scan it replaces) but keeps the hash join, whose one scan beats a full
-// scan per binding. An EqScanner without the method is taken at its word.
-type ProbeGate interface {
-	IndexedProbes() bool
-}
-
-// ShardedSource is optionally implemented by sources whose relations are
-// hash-partitioned into independently scannable shards (the storage
-// engine's snapshots are). With EvalOptions.Parallelism > 1 the hash-join
-// build phase fans its scan out across shards — safe only because such
-// sources are immutable views, so per-shard scans at different times still
-// observe one consistent state. Per-shard iteration must be in key order;
-// the union of all shards must equal Scan's tuples.
-type ShardedSource interface {
-	ShardCount(rel string) int
-	ScanShard(rel string, shard int, fn func(relation.Tuple) bool)
 }
 
 // Strategy selects the join algorithm.
@@ -66,19 +40,7 @@ const (
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
 	Strategy Strategy
-	// Parallelism caps the worker fan-out of the hash-join probe phase:
-	// once the partial-binding set is large enough (it originates from the
-	// partitions of the outermost atom's scan), each join stage probes its
-	// partitions on up to this many goroutines. 0 or 1 evaluates serially;
-	// the nested-loop strategy (a correctness reference) is always serial.
-	// Results are identical to serial evaluation, in the same order.
-	Parallelism int
 }
-
-// parallelMinBindings is the binding-set size below which a probe stays
-// serial: fan-out overhead (goroutines, per-worker slices) only pays off
-// against relations large enough to matter.
-const parallelMinBindings = 256
 
 // probeMaxOuter is the partial-binding count up to which a join step probes
 // an EqScanner source once per binding instead of scanning the whole
@@ -91,8 +53,7 @@ const parallelMinBindings = 256
 // 20k, and loses 1.4x (36 µs) at 16. The relation's size is not known here,
 // so the bound caps that loss rather than locating the crossover: batches of
 // the session data path (64–128 fresh tuples per message) stay under it,
-// full exports (thousands of bindings) keep the hash join and its parallel
-// build.
+// full exports (thousands of bindings) keep the hash join.
 const probeMaxOuter = 128
 
 // Eval evaluates a conjunctive query over src and returns the deduplicated
@@ -403,7 +364,7 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 	case NestedLoop:
 		bindings = p.evalNested(src, delta)
 	default:
-		bindings = p.evalHash(src, delta, opts.Parallelism)
+		bindings = p.evalHash(src, delta)
 	}
 	seen := make(map[string]bool, len(bindings))
 	var out []relation.Tuple
@@ -566,16 +527,10 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 // or, when the binding set is small and the source can probe (EqScanner),
 // via one index probe per binding, so the cost follows the bindings rather
 // than the relation (an index nested-loop step; same tuples, same order).
-// With parallelism > 1, once the binding set is large each stage's probe
-// fans out over partitions of it (the build phase — one scan per atom —
-// stays serial, so sources only ever see sequential access).
-func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*binding {
+func (p *plan) evalHash(src Source, delta []relation.Tuple) []*binding {
 	cur := []*binding{{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))}}
 	boundSoFar := make([]bool, len(p.vars))
 	eq, _ := src.(EqScanner)
-	if g, ok := src.(ProbeGate); ok && !g.IndexedProbes() {
-		eq = nil
-	}
 	for i := range p.atoms {
 		pa := &p.atoms[i]
 		// Join key: positions of atom terms whose variable is already bound.
@@ -590,8 +545,8 @@ func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*
 		if eq != nil && !pa.delta && !pa.hasConst() && len(keyTermIdx) > 0 && len(cur) <= probeMaxOuter {
 			cur = p.probeIndex(eq, cur, pa, i, keyTermIdx[0])
 		} else {
-			buckets := p.buildBuckets(src, pa, delta, keyTermIdx, parallelism)
-			cur = p.probe(cur, pa, i, keyTermIdx, buckets, parallelism)
+			buckets := p.buildBuckets(src, pa, delta, keyTermIdx)
+			cur = p.probe(cur, pa, i, keyTermIdx, buckets)
 		}
 		for _, vp := range pa.varPos {
 			if vp >= 0 {
@@ -607,135 +562,31 @@ func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*
 
 // buildBuckets is the hash-join build phase for one atom: bucket the
 // atom's tuples by join key (also filtering constants; intra-atom repeated
-// variables are re-checked via unify at probe time). When the source
-// exposes hash-sharded relations (ShardedSource — storage snapshots do)
-// and parallelism allows, the scan fans out across shards on a worker
-// pool; each bucket is then re-sorted into tuple order, so the bucket
-// contents are bit-identical to the serial scan's (tuple keys are unique
-// and serial scans deliver global key order).
-func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTermIdx []int, parallelism int) map[string][]relation.Tuple {
-	collect := func(buckets map[string][]relation.Tuple) func(relation.Tuple) bool {
-		return func(t relation.Tuple) bool {
-			if len(t) != len(pa.varPos) {
-				return true
-			}
-			for ti, vp := range pa.varPos {
-				if vp < 0 && t[ti] != pa.consts[ti] {
-					return true
-				}
-			}
-			var kb []byte
-			for _, ti := range keyTermIdx {
-				kb = relation.EncodeValue(kb, t[ti])
-			}
-			k := string(kb)
-			buckets[k] = append(buckets[k], t)
+// variables are re-checked via unify at probe time).
+func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTermIdx []int) map[string][]relation.Tuple {
+	buckets := make(map[string][]relation.Tuple)
+	scanAtom(src, pa, delta, func(t relation.Tuple) bool {
+		if len(t) != len(pa.varPos) {
 			return true
 		}
-	}
-	if ss, ok := shardableScan(src, pa, delta, parallelism); ok {
-		n := ss.ShardCount(pa.rel)
-		workers := parallelism
-		if workers > n {
-			workers = n
-		}
-		parts := make([]map[string][]relation.Tuple, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m := make(map[string][]relation.Tuple)
-				fn := collect(m)
-				for sh := w; sh < n; sh += workers {
-					ss.ScanShard(pa.rel, sh, fn)
-				}
-				parts[w] = m
-			}(w)
-		}
-		wg.Wait()
-		buckets := parts[0]
-		for _, m := range parts[1:] {
-			for k, ts := range m {
-				buckets[k] = append(buckets[k], ts...)
+		for ti, vp := range pa.varPos {
+			if vp < 0 && t[ti] != pa.consts[ti] {
+				return true
 			}
 		}
-		for _, ts := range buckets {
-			if len(ts) > 1 {
-				sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-			}
+		var kb []byte
+		for _, ti := range keyTermIdx {
+			kb = relation.EncodeValue(kb, t[ti])
 		}
-		return buckets
-	}
-	buckets := make(map[string][]relation.Tuple)
-	scanAtom(src, pa, delta, collect(buckets))
+		k := string(kb)
+		buckets[k] = append(buckets[k], t)
+		return true
+	})
 	return buckets
 }
 
-// shardableScan reports whether the atom's build scan may fan out per
-// shard: a non-delta atom, no constant-pushdown access path in play
-// (scanAtom would prefer ScanEq), a sharded source, more than one shard,
-// and parallelism enabled.
-func shardableScan(src Source, pa *patom, delta []relation.Tuple, parallelism int) (ShardedSource, bool) {
-	if pa.delta || parallelism <= 1 {
-		return nil, false
-	}
-	if _, eq := src.(EqScanner); eq {
-		for _, vp := range pa.varPos {
-			if vp < 0 {
-				return nil, false // constant pushdown wins
-			}
-		}
-	}
-	ss, ok := src.(ShardedSource)
-	if !ok || ss.ShardCount(pa.rel) <= 1 {
-		return nil, false
-	}
-	return ss, true
-}
-
 // probe extends every partial binding with the matching tuples of one atom.
-// Large binding sets are probed by a worker pool over contiguous partitions;
-// buckets and the plan are read-only during the probe, each worker appends
-// to its own output, and outputs concatenate in partition order, so the
-// result is bit-identical to the serial probe.
-func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple, parallelism int) []*binding {
-	workers := parallelism
-	if limit := len(cur) / parallelMinBindings; workers > limit {
-		workers = limit
-	}
-	if workers <= 1 {
-		return p.probeRange(cur, pa, atomIdx, keyTermIdx, buckets)
-	}
-	parts := make([][]*binding, workers)
-	var wg sync.WaitGroup
-	chunk := (len(cur) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cur) {
-			hi = len(cur)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = p.probeRange(cur[lo:hi], pa, atomIdx, keyTermIdx, buckets)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	next := make([]*binding, 0, total)
-	for _, part := range parts {
-		next = append(next, part...)
-	}
-	return next
-}
-
-// probeRange is the serial probe over one partition of the binding set.
-func (p *plan) probeRange(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple) []*binding {
+func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple) []*binding {
 	var next []*binding
 	for _, b := range cur {
 		var kb []byte

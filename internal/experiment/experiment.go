@@ -2,21 +2,18 @@
 // §4 demo: build a network in a given topology, seed a synthetic workload,
 // run global updates and queries, and aggregate the statistics every node's
 // statistical module accumulated (total execution time, messages per
-// coordination rule, data volume, longest update propagation path). It is
-// shared by the root benchmark suite and cmd/codb-bench.
+// coordination rule, data volume, longest update propagation path). It backs
+// the root benchmark suite.
 package experiment
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"time"
 
 	"codb/internal/config"
 	"codb/internal/core"
 	"codb/internal/cq"
 	"codb/internal/peer"
-	"codb/internal/relation"
 	"codb/internal/storage"
 	"codb/internal/topo"
 	"codb/internal/transport"
@@ -42,37 +39,22 @@ type Params struct {
 	Seed     int64
 
 	// Algorithm toggles (ablations).
-	MaxDepth     int
-	NestedLoop   bool
-	DisableDedup bool
-	Naive        bool
+	MaxDepth   int
+	NestedLoop bool
+	Naive      bool
 
 	// TCP runs the network over loopback sockets instead of the
 	// in-process bus, so frames-on-the-wire and the outbound pipeline are
 	// measured for real.
 	TCP bool
-	// DisableOutbox sends synchronously per message (the unbatched
-	// baseline of the batching benchmarks).
-	DisableOutbox bool
 	// FullExport disables cross-session incremental export: repeated
 	// update sessions re-evaluate and re-ship every link in full (the
-	// paper-faithful baseline of B2, and the steady-state re-ship
-	// behaviour the repeated-update benchmarks measure).
+	// paper-faithful algorithm, and the steady-state re-ship behaviour the
+	// repeated-update benchmarks measure).
 	FullExport bool
-	// DisableReadPath forces reads through the peer actor loop (the seed
-	// behaviour, and the B3 baseline) instead of the concurrent snapshot
-	// read path.
-	DisableReadPath bool
-	// EvalParallelism caps the hash-join probe fan-out on large binding
-	// sets (see cq.EvalOptions.Parallelism); 0 or 1 is serial.
-	EvalParallelism int
 	// Shards hash-partitions every node database's relations (see
 	// storage.Options.Shards); 0/1 keeps the unsharded layout.
 	Shards int
-	// DisableSessionSnapshots evaluates update sessions over the live
-	// wrapper instead of pinned snapshots (the B7 serial baseline); see
-	// core.Config.DisableSessionSnapshots.
-	DisableSessionSnapshots bool
 }
 
 // Result aggregates one run.
@@ -89,8 +71,8 @@ type Result struct {
 	Answers     int // query experiments: number of answers
 	// Frames / WireBytes count envelope frames written to the sockets and
 	// their volume, network-wide; TCP runs only (0 over the bus). With
-	// the outbound pipeline enabled, Frames < the number of payloads sent
-	// whenever coalescing packed messages together.
+	// the outbound pipeline, Frames < the number of payloads sent whenever
+	// coalescing packed messages together.
 	Frames    int
 	WireBytes int
 	// Incremental-export statistics, summed network-wide: initial link
@@ -146,7 +128,7 @@ func Build(p Params) (*Net, error) {
 			}
 		}
 	}
-	eval := cq.EvalOptions{Parallelism: p.EvalParallelism}
+	eval := cq.EvalOptions{}
 	if p.NestedLoop {
 		eval.Strategy = cq.NestedLoop
 	}
@@ -181,18 +163,14 @@ func Build(p Params) (*Net, error) {
 			return nil, err
 		}
 		pr, err := peer.New(peer.Options{
-			Name:                    node.Name,
-			Transport:               transports[node.Name],
-			Wrapper:                 core.NewStoreWrapper(db),
-			Directory:               directory,
-			MaxDepth:                p.MaxDepth,
-			Eval:                    eval,
-			DisableDedup:            p.DisableDedup,
-			Naive:                   p.Naive,
-			FullExport:              p.FullExport,
-			DisableOutbox:           p.DisableOutbox,
-			DisableReadPath:         p.DisableReadPath,
-			DisableSessionSnapshots: p.DisableSessionSnapshots,
+			Name:       node.Name,
+			Transport:  transports[node.Name],
+			Wrapper:    core.NewStoreWrapper(db),
+			Directory:  directory,
+			MaxDepth:   p.MaxDepth,
+			Eval:       eval,
+			Naive:      p.Naive,
+			FullExport: p.FullExport,
 		})
 		if err != nil {
 			closeAll()
@@ -251,8 +229,8 @@ func RunUpdate(ctx context.Context, p Params) (Result, error) {
 // are per-session, so a later session re-ships the full frontier over the
 // same pipes (materialising nothing new) — steady-state messaging without
 // the rebuild cost. In the default incremental mode, later sessions ship
-// only what changed since the previous one (that delta is what B2
-// measures). Frames and WireBytes are deltas for this run.
+// only what changed since the previous one. Frames and WireBytes are deltas
+// for this run.
 func RunUpdateOn(ctx context.Context, net *Net) (Result, error) {
 	frames0, bytes0 := net.FramesSent()
 	start := time.Now()
@@ -363,99 +341,4 @@ func RunQueryMaterialised(ctx context.Context, p Params) (Result, error) {
 	res := Result{Params: p, Wall: time.Since(start), Answers: len(answers)}
 	collect(ctx, net, urep.SID, &res)
 	return res, nil
-}
-
-// RunRounds is the B2 programme on one network: an initial update over the
-// seed data (round 0), then rounds-1 repetitions of "commit a small burst
-// of fresh tuples at every node, run a global update". The per-round
-// results expose what each session actually shipped, so incremental export
-// (default) can be compared against Params.FullExport re-shipping. The
-// final per-peer contents of data are returned for cross-mode equality
-// checks.
-func RunRounds(ctx context.Context, p Params, rounds, burst int) ([]Result, map[string][]relation.Tuple, error) {
-	net, err := Build(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer net.Close()
-	results := make([]Result, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if round > 0 {
-			// Burst keys live far above the workload generator's ranges,
-			// so every round commits genuinely fresh tuples.
-			nodeIdx := 0
-			for _, node := range net.Cfg.Nodes {
-				tuples := make([]relation.Tuple, burst)
-				for i := range tuples {
-					k := 10_000_000 + round*1_000_000 + nodeIdx*burst + i
-					tuples[i] = relation.Tuple{relation.Int(k), relation.Int(round)}
-				}
-				if err := net.Peers[node.Name].Insert("data", tuples...); err != nil {
-					return nil, nil, err
-				}
-				nodeIdx++
-			}
-		}
-		res, err := RunUpdateOn(ctx, net)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Params = p
-		results = append(results, res)
-	}
-	states := make(map[string][]relation.Tuple, len(net.Peers))
-	for name, pr := range net.Peers {
-		states[name] = pr.Tuples("data")
-	}
-	return results, states, nil
-}
-
-// StatesEqual compares two per-peer state snapshots (as RunRounds returns
-// them) for exact equality; Tuples returns key order, so a positional
-// comparison suffices.
-func StatesEqual(a, b map[string][]relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, ta := range a {
-		tb, ok := b[name]
-		if !ok || len(ta) != len(tb) {
-			return false
-		}
-		for i := range ta {
-			if ta[i].Key() != tb[i].Key() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Percentile returns the pth percentile of the latency sample (nearest-
-// rank on a copy; the input is left unsorted). Zero for an empty sample.
-func Percentile(lats []time.Duration, p int) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := len(sorted) * p / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Header returns the experiment table header.
-func Header() string {
-	return fmt.Sprintf("%-9s %5s %7s %9s %8s %10s %8s %8s %7s",
-		"topology", "nodes", "tuples", "wall(ms)", "msgs", "bytes", "shipped", "new", "maxpath")
-}
-
-// Render formats one result row.
-func Render(r Result) string {
-	return fmt.Sprintf("%-9s %5d %7d %9.2f %8d %10d %8d %8d %7d",
-		r.Params.Shape, r.Params.Nodes, r.Params.TuplesPerNode,
-		float64(r.Wall.Nanoseconds())/1e6,
-		r.TotalMsgs, r.TotalBytes, r.TotalTuples, r.NewTuples, r.MaxPath)
 }

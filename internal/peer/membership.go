@@ -273,11 +273,7 @@ func (p *Peer) RemoveNode(node string) error {
 // send a JoinRequest, and wait for the JoinAccept handoff or ctx expiry.
 // Requires an address-dialing transport (TCP).
 func (p *Peer) JoinVia(ctx context.Context, addr string) error {
-	dialer, ok := p.tr.(transport.AddrDialer)
-	if !ok {
-		return fmt.Errorf("peer %s: transport %T cannot join by address", p.name, p.tr)
-	}
-	admitter, err := dialer.ConnectAddr(addr)
+	admitter, err := p.tr.ConnectAddr(addr)
 	if err != nil {
 		return fmt.Errorf("peer %s: join via %s: %w", p.name, addr, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"codb/internal/core"
+	"codb/internal/msg"
 	"codb/internal/relation"
 	"codb/internal/storage"
 	"codb/internal/transport"
@@ -66,30 +67,20 @@ func TestUpdateCompensatesDeadPeer(t *testing.T) {
 	}
 }
 
-// TestOutboxStatsExposed: the peer surfaces its pipeline counters; with the
-// pipeline disabled the accessor reports absence.
+// TestOutboxStatsExposed: the peer surfaces its pipeline counters, which
+// count what it sent once the pipeline has flushed.
 func TestOutboxStatsExposed(t *testing.T) {
 	bus := transport.NewBus()
-	db := storage.MustOpenMem()
-	db.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}})
-	p, err := New(Options{Name: "A", Transport: bus.MustJoin("A"), Wrapper: core.NewStoreWrapper(db)})
-	if err != nil {
+	a := newBusPeer(t, bus, "A", "r/1")
+	newBusPeer(t, bus, "B", "r/1")
+	if got := a.OutboxStats(); got.Frames != 0 {
+		t.Errorf("idle peer wrote %d frames", got.Frames)
+	}
+	if err := a.SendTo("B", &msg.Heartbeat{}); err != nil {
 		t.Fatal(err)
 	}
-	defer p.Stop()
-	if _, ok := p.OutboxStats(); !ok {
-		t.Error("outbox should be on by default")
+	a.FlushOutbox()
+	if got := a.OutboxStats(); got.Frames == 0 || got.Payloads == 0 {
+		t.Errorf("outbox stats after a send and a flush = %+v, want frames and payloads", got)
 	}
-
-	db2 := storage.MustOpenMem()
-	db2.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}})
-	p2, err := New(Options{Name: "B", Transport: bus.MustJoin("B"), Wrapper: core.NewStoreWrapper(db2), DisableOutbox: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Stop()
-	if _, ok := p2.OutboxStats(); ok {
-		t.Error("DisableOutbox should disable the pipeline")
-	}
-	p2.FlushOutbox() // no-op, must not panic
 }

@@ -16,8 +16,7 @@
 // write error in a writer goroutine, or a pipe-down notification for
 // frames already written into a dead connection — are routed back into
 // the actor loop and compensated in the termination detector
-// (core.CompensateLost / core.CompensatePeerLoss). Options.DisableOutbox
-// restores the seed's synchronous per-message behaviour.
+// (core.CompensateLost / core.CompensatePeerLoss).
 package peer
 
 import (
@@ -46,8 +45,8 @@ type Options struct {
 	Name string
 	// Transport connects the peer to the network (required).
 	Transport transport.Transport
-	// Wrapper is the local storage; required (use core.NewStoreWrapper or
-	// core.NewMediatorWrapper).
+	// Wrapper is the local storage; required (core.NewStoreWrapper, or
+	// core.NewMediatorWrapper for a node without an LDB).
 	Wrapper core.Wrapper
 	// Directory seeds the node -> dial-address map used to establish
 	// pipes (TCP); in-process buses resolve names themselves. Seed entries
@@ -58,30 +57,15 @@ type Options struct {
 	// other peers know this node under. Every runtime join bumps it;
 	// static bootstrap deployments leave it 0.
 	Epoch uint64
-	// MaxDepth, Eval, DisableDedup, Naive, FullExport tune the algorithm;
-	// see core.Config.
-	MaxDepth     int
-	Eval         cq.EvalOptions
-	DisableDedup bool
-	Naive        bool
-	FullExport   bool
-	// DisableSessionSnapshots forces update-session evaluation back onto
-	// the live wrapper (serial, under storage locks) instead of pinned
-	// snapshots — the serial baseline of the B7 benchmark; see
-	// core.Config.DisableSessionSnapshots.
-	DisableSessionSnapshots bool
-	// DisableOutbox bypasses the asynchronous outbound pipeline and sends
-	// synchronously per message, as the seed implementation did (the
-	// unbatched baseline of the batching benchmarks).
-	DisableOutbox bool
+	// MaxDepth, Eval, Naive, FullExport tune the algorithm; see
+	// core.Config.
+	MaxDepth   int
+	Eval       cq.EvalOptions
+	Naive      bool
+	FullExport bool
 	// QueryCacheSize bounds the concurrent read path's query-result cache
-	// (0 selects core.DefaultQueryCacheSize). The read path exists only
-	// when the Wrapper implements core.Snapshotter; other wrappers keep
-	// serving reads through the actor loop.
+	// (0 selects core.DefaultQueryCacheSize).
 	QueryCacheSize int
-	// DisableReadPath forces every read through the actor loop, as the
-	// seed implementation did — the baseline of the B3 benchmark.
-	DisableReadPath bool
 	// LinkPolicies maps rule IDs to propagation policy modes ("push",
 	// "pull", "adaptive", "filter"); LinkFilters maps rule IDs to filter
 	// predicates (comma-separated comparisons over the rule's frontier
@@ -121,10 +105,9 @@ type Options struct {
 type Peer struct {
 	name      string
 	node      *core.Node
-	tr        transport.Transport
-	outbox    *transport.Outbox // == tr unless Options.DisableOutbox
+	tr        *transport.Outbox // the asynchronous outbound pipeline over Options.Transport
 	exportLog *exportLog        // export-state sidecar log (nil = not durable); actor-owned
-	readPath  *readPath         // concurrent reads; nil when the wrapper cannot snapshot
+	readPath  *readPath         // concurrent reads off the actor loop
 	log       *slog.Logger
 
 	// Propagation-policy runtime (see propagation.go). prop carries its own
@@ -174,14 +157,12 @@ func New(opts Options) (*Peer, error) {
 	// peer that answers it exists.
 	var speaks func(string) bool
 	node, err := core.NewNode(core.Config{
-		Self:                    opts.Name,
-		Wrapper:                 opts.Wrapper,
-		MaxDepth:                opts.MaxDepth,
-		Eval:                    opts.Eval,
-		DisableDedup:            opts.DisableDedup,
-		Naive:                   opts.Naive,
-		FullExport:              opts.FullExport,
-		DisableSessionSnapshots: opts.DisableSessionSnapshots,
+		Self:       opts.Name,
+		Wrapper:    opts.Wrapper,
+		MaxDepth:   opts.MaxDepth,
+		Eval:       opts.Eval,
+		Naive:      opts.Naive,
+		FullExport: opts.FullExport,
 		LinkSpeaksPull: func(node string) bool {
 			if speaks == nil {
 				return true
@@ -213,7 +194,6 @@ func New(opts Options) (*Peer, error) {
 	p := &Peer{
 		name:       opts.Name,
 		node:       node,
-		tr:         opts.Transport,
 		exportLog:  exports,
 		log:        log.With("peer", opts.Name),
 		inbox:      make(chan any, inboxCap),
@@ -249,33 +229,26 @@ func New(opts Options) (*Peer, error) {
 	for k, v := range opts.Directory {
 		p.directory[k] = dirEntry{addr: v}
 	}
-	if sn, ok := opts.Wrapper.(core.Snapshotter); ok && !opts.DisableReadPath {
-		p.readPath = newReadPath(opts.Name, sn, node, opts.Eval, opts.QueryCacheSize)
-		p.readPath.record = p.noteLocalQueryReport
-		p.readPath.beforeRead = p.maybePullForQuery
-		p.refreshReadRules() // loop not yet running: safe here
-	}
-	if !opts.DisableOutbox {
-		oo := opts.Outbox
-		userDrop := oo.OnDrop
-		oo.OnDrop = func(to string, payload msg.Payload, err error) {
-			p.noteLostSend(to, payload, err)
-			if userDrop != nil {
-				userDrop(to, payload, err)
-			}
+	p.readPath = newReadPath(opts.Name, opts.Wrapper, node, opts.Eval, opts.QueryCacheSize)
+	p.readPath.record = p.noteLocalQueryReport
+	p.readPath.beforeRead = p.maybePullForQuery
+	p.refreshReadRules() // loop not yet running: safe here
+	oo := opts.Outbox
+	userDrop := oo.OnDrop
+	oo.OnDrop = func(to string, payload msg.Payload, err error) {
+		p.noteLostSend(to, payload, err)
+		if userDrop != nil {
+			userDrop(to, payload, err)
 		}
-		p.outbox = transport.NewOutbox(opts.Transport, oo)
-		p.tr = p.outbox
 	}
+	p.tr = transport.NewOutbox(opts.Transport, oo)
 	p.tr.SetHandler(func(env msg.Envelope) {
 		select {
 		case p.inbox <- env:
 		case <-p.stopped:
 		}
 	})
-	if pn, ok := p.tr.(transport.PipeNotifier); ok {
-		pn.SetPipeDownHandler(p.notePipeDown)
-	}
+	p.tr.SetPipeDownHandler(p.notePipeDown)
 	// The detector must exist before the loop starts: the loop consults
 	// p.susp on every envelope.
 	if opts.SuspicionTimeout > 0 {
@@ -459,13 +432,7 @@ const maxBurst = 256
 // outbound results shipped — strictly in arrival order. The first
 // non-envelope item pulled while draining is returned for the caller to
 // process after the burst (it arrived after every envelope handled here).
-// Deferral is a companion of the outbound pipeline: with the pipeline
-// disabled, the peer keeps the seed's ack-per-message behaviour.
 func (p *Peer) handleEnvelopeBurst(first msg.Envelope) (carried any) {
-	if p.outbox == nil {
-		p.handleEnvelope(first)
-		return nil
-	}
 	p.node.DeferAcks(true)
 	p.handleEnvelope(first)
 	for i := 1; i < maxBurst && carried == nil; i++ {
@@ -900,47 +867,22 @@ func (p *Peer) Insert(rel string, tuples ...relation.Tuple) error {
 	return err
 }
 
-// Count returns a local relation's cardinality. With a snapshot-capable
-// wrapper it reads the engine directly (short read lock, off the actor
-// loop); see core.Snapshotter for the concurrency contract.
-func (p *Peer) Count(rel string) int {
-	if rp := p.readPath; rp != nil {
-		return rp.wrapper().Count(rel)
-	}
-	var n int
-	p.do(func() { n = p.node.Wrapper().Count(rel) })
-	return n
-}
+// Count returns a local relation's cardinality, read from the engine
+// directly (short read lock, off the actor loop).
+func (p *Peer) Count(rel string) int { return p.readPath.w.Count(rel) }
 
-// Tuples returns a snapshot of a local relation. Served from a pinned read
-// view, off the actor loop, when the wrapper supports snapshots.
+// Tuples returns a snapshot of a local relation, served from a pinned read
+// view off the actor loop.
 func (p *Peer) Tuples(rel string) []relation.Tuple {
-	if rp := p.readPath; rp != nil {
-		out := rp.view().Tuples(rel)
-		for i, t := range out {
-			out[i] = t.Clone()
-		}
-		return out
+	out := p.readPath.w.ReadSnapshot().Tuples(rel)
+	for i, t := range out {
+		out[i] = t.Clone()
 	}
-	var out []relation.Tuple
-	p.do(func() {
-		p.node.Wrapper().Scan(rel, func(t relation.Tuple) bool {
-			out = append(out, t.Clone())
-			return true
-		})
-	})
 	return out
 }
 
 // Schema returns the node's shared schema.
-func (p *Peer) Schema() *relation.Schema {
-	if rp := p.readPath; rp != nil {
-		return rp.wrapper().Schema()
-	}
-	var s *relation.Schema
-	p.do(func() { s = p.node.Wrapper().Schema() })
-	return s
-}
+func (p *Peer) Schema() *relation.Schema { return p.readPath.w.Schema() }
 
 // RunUpdate starts a global update at this node and waits for its
 // completion report.
@@ -1012,10 +954,8 @@ func (p *Peer) RunScopedUpdate(ctx context.Context, rels []string) (msg.UpdateRe
 // concurrent read path (snapshot plus result cache), without entering the
 // actor loop or the session machinery.
 func (p *Peer) QueryStream(q *cq.Query, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
-	if rp := p.readPath; rp != nil {
-		if answers, done, ok := rp.tryLocalStream(q, mode); ok {
-			return answers, done, nil
-		}
+	if answers, done, ok := p.readPath.tryLocalStream(q, mode); ok {
+		return answers, done, nil
 	}
 	sid := msg.NewSID(p.name)
 	w := &queryWaiter{answers: make(chan relation.Tuple, 1024), done: make(chan msg.UpdateReport, 1)}
@@ -1061,35 +1001,17 @@ func (p *Peer) Query(ctx context.Context, q *cq.Query, mode core.QueryMode) ([]r
 	}
 }
 
-// LocalQuery evaluates a query against local data only. With a
-// snapshot-capable wrapper it runs on the concurrent read path: evaluation
-// happens on the caller's goroutine over a pinned view, with results
-// memoised in the LSN-invalidated query cache, so local queries neither
-// wait for nor delay the actor loop.
+// LocalQuery evaluates a query against local data only, on the concurrent
+// read path: evaluation happens on the caller's goroutine over a pinned
+// view, with results memoised in the LSN-invalidated query cache, so local
+// queries neither wait for nor delay the actor loop.
 func (p *Peer) LocalQuery(q *cq.Query, mode core.QueryMode) ([]relation.Tuple, error) {
-	if rp := p.readPath; rp != nil {
-		out, _, err := rp.localQuery(q, mode)
-		return out, err
-	}
-	var (
-		out []relation.Tuple
-		err error
-	)
-	if derr := p.do(func() { out, err = p.node.LocalQuery(q, mode) }); derr != nil {
-		return nil, derr
-	}
+	out, _, err := p.readPath.localQuery(q, mode)
 	return out, err
 }
 
-// ReadStats returns the concurrent read path's query-cache counters; ok is
-// false when the peer has no read path (wrapper without snapshots, or
-// Options.DisableReadPath).
-func (p *Peer) ReadStats() (stats core.QueryCacheStats, ok bool) {
-	if p.readPath == nil {
-		return core.QueryCacheStats{}, false
-	}
-	return p.readPath.stats(), true
-}
+// ReadStats returns the concurrent read path's query-cache counters.
+func (p *Peer) ReadStats() core.QueryCacheStats { return p.readPath.stats() }
 
 // Running reports whether the peer's actor loop is still serving — the
 // readiness signal of the HTTP gateway's /readyz.
@@ -1116,8 +1038,8 @@ func (p *Peer) WireStats() (frames, bytes uint64, ok bool) {
 
 // StorageStats returns the storage engine's per-shard report (row/byte
 // counts per shard, WAL size, group-commit batching counters); ok is false
-// for peers without an embedded storage engine (mediators). Safe to call
-// concurrently with the actor loop: the engine takes its own locks.
+// for a wrapper that does not expose its engine. Safe to call concurrently
+// with the actor loop: the engine takes its own locks.
 func (p *Peer) StorageStats() (stats storage.DetailedStats, ok bool) {
 	w, ok := p.node.Wrapper().(interface{ DB() *storage.DB })
 	if !ok {
@@ -1216,22 +1138,12 @@ func (p *Peer) Links() (outgoing, incoming []string) {
 // Pipes lists the peers this node has live pipes with.
 func (p *Peer) Pipes() []string { return p.tr.Peers() }
 
-// OutboxStats returns the outbound pipeline's wire counters; ok is false
-// when the pipeline is disabled (Options.DisableOutbox).
-func (p *Peer) OutboxStats() (stats transport.OutboxStats, ok bool) {
-	if p.outbox == nil {
-		return transport.OutboxStats{}, false
-	}
-	return p.outbox.Stats(), true
-}
+// OutboxStats returns the outbound pipeline's wire counters.
+func (p *Peer) OutboxStats() transport.OutboxStats { return p.tr.Stats() }
 
 // FlushOutbox blocks until every queued outbound frame has been written (or
-// its pipe has failed); a no-op when the pipeline is disabled.
-func (p *Peer) FlushOutbox() {
-	if p.outbox != nil {
-		p.outbox.Flush()
-	}
-}
+// its pipe has failed).
+func (p *Peer) FlushOutbox() { p.tr.Flush() }
 
 // Discovered lists peers known through gossip that are not acquaintances —
 // the paper's Figure 3 "discovered peers" panel.

@@ -379,22 +379,13 @@ func (p *Peer) clearStale(ruleID string, at time.Time) {
 // only): a pull that materialises tuples here makes the downstream lazy
 // importers stale in turn, exactly as an in-session export would have.
 func (p *Peer) cascadeHints(changed []string) {
-	lsn := p.commitLSN()
+	lsn := p.node.Wrapper().LSN()
 	for _, rule := range p.node.LazyDependents(changed) {
 		p.node.NoteHintSent(rule.ID)
 		if err := p.sendTo(rule.Target, &msg.UpdateHint{RuleID: rule.ID, LSN: lsn}); err != nil {
 			p.log.Warn("cascade hint send failed", "rule", rule.ID, "to", rule.Target, "err", err)
 		}
 	}
-}
-
-// commitLSN reads the wrapper's commit LSN (0 for wrappers without change
-// capture).
-func (p *Peer) commitLSN() uint64 {
-	if tr, ok := p.node.Wrapper().(core.ChangeTracker); ok {
-		return tr.LSN()
-	}
-	return 0
 }
 
 // PullLink synchronously pulls one outgoing link's pending delta from its
@@ -490,9 +481,6 @@ func (p *Peer) sendLinkDemand(rule *cq.Rule, wantPull bool) {
 // observes fresh data (stale on timeout). Runs on the reader's goroutine.
 func (p *Peer) maybePullForQuery(q *cq.Query) {
 	rp := p.readPath
-	if rp == nil {
-		return
-	}
 	rels := q.Relations()
 	rp.mu.RLock()
 	outgoing := rp.outgoing

@@ -10,23 +10,17 @@ import (
 	"codb/internal/relation"
 )
 
-// wrapper returns the snapshotter as the Wrapper it is (only wrappers
-// implement core.Snapshotter), for thread-safe point reads — Count and
-// Schema go straight to the storage engine's short-lock methods instead of
-// pinning (and possibly rebuilding) a whole-database snapshot.
-func (rp *readPath) wrapper() core.Wrapper { return rp.snap.(core.Wrapper) }
-
 // readPath is the peer's concurrent read subsystem: queries served off the
 // actor loop.
 //
-// The seed implementation funnelled every read — LocalQuery, Count, Tuples
-// — through the peer's single actor goroutine, so one long update session
-// (or one slow query evaluation) stalled every reader behind it. When the
-// wrapper can pin snapshots (core.Snapshotter; the embedded storage engine
-// can), the peer instead serves reads from immutable views taken at the
-// current commit LSN: any number of queries evaluate concurrently with the
-// actor loop, with each other, and with committing writers. Writes keep
-// serialising through the loop, unchanged.
+// Funnelling every read — LocalQuery, Count, Tuples — through the peer's
+// single actor goroutine would stall every reader behind one long update
+// session (or one slow query evaluation). The peer instead serves reads from
+// immutable snapshots the wrapper pins at the current commit LSN: any number
+// of queries evaluate concurrently with the actor loop, with each other, and
+// with committing writers. Point reads (Count, Schema) go straight to the
+// wrapper's short-lock methods instead of pinning a whole-database snapshot.
+// Writes keep serialising through the loop.
 //
 // Results are memoised in a bounded query-result cache keyed by the
 // normalized query plus answer mode and validated against the pair
@@ -35,13 +29,10 @@ func (rp *readPath) wrapper() core.Wrapper { return rp.snap.(core.Wrapper) }
 // exactly what evaluating the query right now would return.
 type readPath struct {
 	name  string
-	snap  core.Snapshotter
+	w     core.Wrapper
 	node  *core.Node // only the atomic RuleSetVersion is touched off-loop
 	eval  cq.EvalOptions
 	cache *core.QueryCache
-	// lsn reads the wrapper's current commit LSN without pinning a
-	// snapshot (nil when the wrapper cannot; hits then pin a view).
-	lsn func() uint64
 
 	// record posts a bypassed query's synthetic report to the statistics
 	// module (set by the peer; never blocks the reader).
@@ -59,22 +50,14 @@ type readPath struct {
 	ver      uint64
 }
 
-func newReadPath(name string, snap core.Snapshotter, node *core.Node, eval cq.EvalOptions, cacheSize int) *readPath {
-	rp := &readPath{
+func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptions, cacheSize int) *readPath {
+	return &readPath{
 		name:  name,
-		snap:  snap,
+		w:     w,
 		node:  node,
 		eval:  eval,
 		cache: core.NewQueryCache(cacheSize),
 	}
-	// Cheap validity probe for the cache-hit path: when the wrapper
-	// exposes its commit LSN directly (the storage engine does, via
-	// ChangeTracker), a hit costs one atomic-ish LSN read instead of
-	// pinning a whole-database snapshot.
-	if tr, ok := snap.(interface{ LSN() uint64 }); ok {
-		rp.lsn = tr.LSN
-	}
-	return rp
 }
 
 // refreshReadRules republishes the outgoing-rule copy after a rule-set
@@ -84,9 +67,6 @@ func newReadPath(name string, snap core.Snapshotter, node *core.Node, eval cq.Ev
 // envelope.
 func (p *Peer) refreshReadRules() {
 	rp := p.readPath
-	if rp == nil {
-		return
-	}
 	ver := p.node.RuleSetVersion()
 	rp.mu.RLock()
 	cur := rp.ver
@@ -100,12 +80,9 @@ func (p *Peer) refreshReadRules() {
 	rp.mu.Unlock()
 }
 
-// view pins a fresh read view.
-func (rp *readPath) view() core.ReadView { return rp.snap.ReadSnapshot() }
-
 // localQuery evaluates a query over a pinned view, consulting the result
 // cache first. hit reports whether the cache answered. A hit validates
-// against the engine's current commit LSN without pinning a snapshot; a
+// against the wrapper's current commit LSN without pinning a snapshot; a
 // snapshot is taken (and the entry stamped with *its* LSN) only when the
 // query must actually evaluate.
 func (rp *readPath) localQuery(q *cq.Query, mode core.QueryMode) (answers []relation.Tuple, hit bool, err error) {
@@ -114,20 +91,10 @@ func (rp *readPath) localQuery(q *cq.Query, mode core.QueryMode) (answers []rela
 	}
 	key := core.CacheKey(q, mode)
 	ver := rp.node.RuleSetVersion()
-	var view core.ReadView
-	var lsnNow uint64
-	if rp.lsn != nil {
-		lsnNow = rp.lsn()
-	} else {
-		view = rp.view()
-		lsnNow = view.LSN()
-	}
-	if ans, ok := rp.cache.Get(key, lsnNow, ver); ok {
+	if ans, ok := rp.cache.Get(key, rp.w.LSN(), ver); ok {
 		return ans, true, nil
 	}
-	if view == nil {
-		view = rp.view()
-	}
+	view := rp.w.ReadSnapshot()
 	ans, err := core.EvalQuery(q, view, mode, rp.eval)
 	if err != nil {
 		return nil, false, err

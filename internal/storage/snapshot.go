@@ -21,11 +21,6 @@ import (
 // copies only the nodes on the paths it writes, and the view keeps the
 // originals. Tuples are shared with the live shards (they are never mutated
 // in place).
-//
-// Snapshots expose their sharding (ShardCount / ScanShard): the CQ
-// evaluator fans its hash-join build scans out across shards when
-// EvalOptions.Parallelism allows, which is safe exactly because the views
-// are immutable.
 type Snapshot struct {
 	lsn    uint64
 	schema *relation.Schema
@@ -189,26 +184,6 @@ func (s *Snapshot) Scan(rel string, fn func(relation.Tuple) bool) {
 	if t, ok := s.tables[rel]; ok {
 		scanMerged(t.indexes(0), "", "", fn)
 	}
-}
-
-// ShardCount returns the number of hash partitions of the relation as of
-// the snapshot (0 for unknown relations). Implements cq.ShardedSource.
-func (s *Snapshot) ShardCount(rel string) int {
-	if t, ok := s.tables[rel]; ok {
-		return len(t.shards)
-	}
-	return 0
-}
-
-// ScanShard iterates one shard of the relation in key order. The view is
-// immutable, so any number of shard scans run concurrently. Implements
-// cq.ShardedSource.
-func (s *Snapshot) ScanShard(rel string, shard int, fn func(relation.Tuple) bool) {
-	t, ok := s.tables[rel]
-	if !ok || shard < 0 || shard >= len(t.shards) {
-		return
-	}
-	t.shards[shard].primary.AscendValues(fn)
 }
 
 // ScanEq scans the tuples whose attribute at position pos equals v, in key

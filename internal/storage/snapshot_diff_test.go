@@ -51,26 +51,6 @@ func (p *diffPin) check(t *testing.T, r *rand.Rand, current bool) {
 	p.snap.Scan("r", func(row relation.Tuple) bool { scanned = append(scanned, row); return true })
 	sameRows("Scan", scanned, want)
 
-	// The shards partition the relation, each in key order.
-	perShard := 0
-	for sh := 0; sh < p.snap.ShardCount("r"); sh++ {
-		var prev relation.Tuple
-		p.snap.ScanShard("r", sh, func(row relation.Tuple) bool {
-			if prev != nil && prev.Compare(row) >= 0 {
-				t.Fatalf("lsn %d: shard %d out of order: %v then %v", p.lsn, sh, prev, row)
-			}
-			if !p.model.Has("r", row) {
-				t.Fatalf("lsn %d: shard %d holds %v, model does not", p.lsn, sh, row)
-			}
-			prev = row
-			perShard++
-			return true
-		})
-	}
-	if perShard != len(want) {
-		t.Fatalf("lsn %d: shards hold %d tuples, model %d", p.lsn, perShard, len(want))
-	}
-
 	for i := 0; i < 20; i++ {
 		probe := diffRow(r)
 		if len(want) > 0 && i%2 == 0 {
@@ -123,7 +103,7 @@ func diffRow(r *rand.Rand) relation.Tuple {
 
 // TestSnapshotDifferential drives random inserts, deletes and re-inserts
 // through 1 and 4 shards, pins snapshots at random LSNs, and compares each
-// with a relation.Instance model of that LSN — Scan, ScanShard, HasKey,
+// with a relation.Instance model of that LSN — Scan, HasKey,
 // Count, Tuples, and ScanEq over the primary position, an IndexOn position,
 // a position whose probe-built index the shards adopt and maintain, and a
 // position only ever probed on outdated snapshots — when pinned and again

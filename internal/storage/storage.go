@@ -41,7 +41,7 @@ type Options struct {
 	// before it becomes visible to any reader). It engages the
 	// group-commit pipeline, under which concurrent commits share fsyncs
 	// — one per batch — so sync-on-commit is viable under multi-writer
-	// load; with DisableGroupCommit it degrades to one fsync per commit.
+	// load.
 	SyncOnCommit bool
 	// CheckpointEvery triggers an automatic checkpoint after this many
 	// commits (0 disables automatic checkpoints).
@@ -59,10 +59,6 @@ type Options struct {
 	// the same logical contents — merged scans are always in global key
 	// order — and a database may be reopened with a different count.
 	Shards int
-	// DisableGroupCommit reverts the WAL to inline per-commit appends
-	// (and, with SyncOnCommit, one fsync per commit): the pre-group-commit
-	// baseline of the B4 benchmark.
-	DisableGroupCommit bool
 	// SegmentBytes rotates the WAL to a fresh segment file once the
 	// active one reaches this size (0 selects wal.DefaultSegmentBytes).
 	// Smaller segments tighten checkpoint truncation and changelog-spill
@@ -99,7 +95,7 @@ type DB struct {
 	opts    Options
 	nshards int
 	log     *wal.Segmented      // nil when memory-only
-	group   *wal.GroupCommitter // nil when memory-only or DisableGroupCommit
+	group   *wal.GroupCommitter // nil unless durable with SyncOnCommit
 	closed  bool
 
 	// ckptMu serialises checkpoints (explicit, automatic-background, and
@@ -208,7 +204,7 @@ func Open(opts Options) (*DB, error) {
 	// The group-commit pipeline only pays when there are fsyncs to share;
 	// without SyncOnCommit the inline append under commitMu is cheaper
 	// than a cross-goroutine round-trip per commit.
-	if opts.SyncOnCommit && !opts.DisableGroupCommit {
+	if opts.SyncOnCommit {
 		db.group = wal.NewGroupCommitter(log)
 	}
 	return db, nil
@@ -284,12 +280,11 @@ func (db *DB) finishCommit(l uint64) {
 }
 
 // appendRecord ships one WAL record. Callers hold commitMu, so records are
-// enqueued (or appended) in LSN order. On the group-commit path the
-// returned channel delivers the durability outcome once the record's batch
-// is fsynced — callers must receive from it before making the commit
-// visible, so sync-on-commit keeps its visible-implies-durable guarantee;
-// the inline path appends (and, for sync-on-commit databases with
-// DisableGroupCommit, fsyncs) before returning.
+// enqueued (or appended) in LSN order. On the group-commit path (sync on
+// commit) the returned channel delivers the durability outcome once the
+// record's batch is fsynced — callers must receive from it before making the
+// commit visible, so sync-on-commit keeps its visible-implies-durable
+// guarantee; otherwise the record is appended, unsynced, before returning.
 func (db *DB) appendRecord(rec []byte) (<-chan error, error) {
 	if db.log == nil {
 		return nil, nil
@@ -297,15 +292,7 @@ func (db *DB) appendRecord(rec []byte) (<-chan error, error) {
 	if db.group != nil {
 		return db.group.Commit(rec, true), nil
 	}
-	if err := db.log.Append(rec); err != nil {
-		return nil, err
-	}
-	if db.opts.SyncOnCommit {
-		if err := db.log.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
+	return nil, db.log.Append(rec)
 }
 
 // Schema returns a snapshot copy of the schema.
@@ -670,8 +657,8 @@ type DetailedStats struct {
 	WALBytes    int64
 	WAL         wal.SegmentedStats
 	GroupCommit wal.GroupStats
-	// GroupCommitEnabled distinguishes "no batches yet" from "pipeline
-	// disabled or memory-only".
+	// GroupCommitEnabled distinguishes "no batches yet" from "no pipeline"
+	// (memory-only, or not syncing on commit).
 	GroupCommitEnabled bool
 	// SpillHits / SpillMisses count Changes calls answered from retained
 	// WAL segments and ones whose segment window was unavailable.

@@ -91,6 +91,12 @@ func TestBroadcastInstallsRulesAndSchemas(t *testing.T) {
 	if peers["A"].Schema().Rel("r") == nil {
 		t.Error("broadcast did not define A's schema")
 	}
+	// The super-peer's own wrapper accepts DDL like any mediator's, but the
+	// configuration declares no node of its name: the flood coming back
+	// defines nothing there.
+	if names := sp.Peer().Schema().Names(); len(names) != 0 {
+		t.Errorf("broadcast defined relations %v at the super-peer", names)
+	}
 }
 
 func TestSuperDrivenUpdateAndStats(t *testing.T) {

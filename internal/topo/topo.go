@@ -58,7 +58,7 @@ const (
 	ExistentialRule
 	// ProjectionRule maps data(x,0) <- data(x,y): many source tuples
 	// collapse onto one imported tuple, which is what the per-link sent
-	// caches (A2) deduplicate.
+	// caches deduplicate.
 	ProjectionRule
 	// JoinRule maps data(x,z) <- data(x,y), data(y,z): a self-join at
 	// the exporter, exercising the join strategies (A3).

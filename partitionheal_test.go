@@ -111,6 +111,15 @@ func TestPartitionHealStress(t *testing.T) {
 	parts["b"].Partition("c")
 	partStart := time.Now()
 
+	// The silence is noticed within twice the timeout: one timeout of it,
+	// plus at most one scan interval.
+	waitMembership(t, hub, "leaf suspected", func(st MembershipStats) bool {
+		return st.States["c"] == "suspect" || st.States["c"] == "down"
+	})
+	if took := time.Since(partStart); took > 2*timeout {
+		t.Errorf("leaf suspected %v after the partition, want within %v", took, 2*timeout)
+	}
+
 	// Update traffic continues through the partition. The leaf keeps
 	// committing locally; every hub session must terminate without error,
 	// written off by the detector rather than hung on stranded acks.

@@ -123,7 +123,7 @@ func TestRestartRestoresExportWatermarks(t *testing.T) {
 // WAL segments across the restart, shipping exactly the new tuples.
 func TestRestartServesSpilledHistory(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	opts := NetworkOptions{ChangelogLimit: 4, SegmentBytes: 256}
+	opts := NetworkOptions{Storage: StorageGroup{ChangelogLimit: 4, SegmentBytes: 256}}
 
 	nw := buildDurablePairOpts(t, dirA, dirB, opts)
 	for i := 0; i < 30; i++ {

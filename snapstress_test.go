@@ -17,7 +17,6 @@ import (
 
 func TestSessionSnapshotCheckpointRaceStress(t *testing.T) {
 	nw := NewNetworkWithOptions(NetworkOptions{
-		Read:    ReadGroup{EvalParallelism: 4},
 		Storage: StorageGroup{Shards: 4},
 	})
 	defer nw.Close()
