@@ -57,7 +57,6 @@ func main() {
 	listen := flag.String("listen", "", "listen address (defaults to the address in -config)")
 	cfgPath := flag.String("config", "", "network configuration file")
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory)")
-	shards := flag.Int("shards", 0, "hash shards per relation (0 = recovered count, else 1)")
 	syncCommit := flag.Bool("sync-commit", false, "make every commit durable before it returns (group-committed)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = default)")
 	retainSegments := flag.Int("retain-segments", 0, "checkpoint-superseded WAL segments kept for changelog spill (0 = default, negative = none)")
@@ -129,7 +128,6 @@ func main() {
 		var err error
 		db, err = storage.Open(storage.Options{
 			Dir:            *dataDir,
-			Shards:         *shards,
 			SyncOnCommit:   *syncCommit,
 			SegmentBytes:   *segmentBytes,
 			RetainSegments: *retainSegments,

@@ -22,7 +22,7 @@
 //	peers <node>                pipes, links and discovered peers (Fig. 3)
 //	report <node>               the node's session reports
 //	cache <node>                the node's query-result-cache counters
-//	storage <node>              per-shard storage, WAL and group-commit stats
+//	storage <node>              per-relation storage, WAL and group-commit stats
 //	wire <node>                 TCP frame/byte counters and outbox batching
 //	stats                       super-peer: collect and aggregate statistics
 //	reload <file>               broadcast a new rules file (runtime change)

@@ -67,7 +67,7 @@ type (
 	// ReadStats are a peer's query-result-cache counters (concurrent read
 	// path).
 	ReadStats = core.QueryCacheStats
-	// StorageStats is a peer's storage-engine report: per-shard row/byte
+	// StorageStats is a peer's storage-engine report: per-relation row/byte
 	// counts, WAL size, group-commit batching counters.
 	StorageStats = storage.DetailedStats
 	// PropagationStats is a peer's propagation-policy snapshot: per-link
@@ -123,12 +123,6 @@ type Network struct {
 
 // StorageGroup groups the storage-engine knobs of NetworkOptions.
 type StorageGroup struct {
-	// Shards hash-partitions every peer database's relations into this
-	// many shards, each with its own lock, indexes, changelog and snapshot
-	// view, so concurrent writers to different shards never contend (see
-	// storage.Options.Shards). 0 keeps a recovered database's own count
-	// (1 for fresh databases).
-	Shards int
 	// SyncOnCommit makes every commit of a durable peer database reach
 	// stable storage before the commit returns. Viable under load thanks
 	// to the WAL group-commit pipeline, which shares one fsync across a
@@ -143,7 +137,7 @@ type StorageGroup struct {
 	// stay answerable from disk across checkpoints and restarts (0 =
 	// storage default, negative = none).
 	RetainSegments int
-	// ChangelogLimit bounds each peer database's per-shard in-memory
+	// ChangelogLimit bounds each peer database's per-relation in-memory
 	// changelog (0 = storage default, negative disables change capture).
 	// On durable peers an overflowed ring spills to the WAL segments
 	// instead of degrading exports to history-lost full re-ships.
@@ -327,7 +321,6 @@ func (nw *Network) AddDurablePeer(name, dir string, relations ...string) (*Peer,
 func (nw *Network) storageOptions(dir string) storage.Options {
 	return storage.Options{
 		Dir:            dir,
-		Shards:         nw.opts.Storage.Shards,
 		SyncOnCommit:   nw.opts.Storage.SyncOnCommit,
 		SegmentBytes:   nw.opts.Storage.SegmentBytes,
 		RetainSegments: nw.opts.Storage.RetainSegments,
@@ -803,7 +796,7 @@ func (nw *Network) PeerReadStats(node string) (stats ReadStats, ok bool) {
 	return p.ReadStats(), true
 }
 
-// PeerStorageStats returns a node's storage-engine report (per-shard
+// PeerStorageStats returns a node's storage-engine report (per-relation
 // row/byte counts, WAL size, group-commit batching counters); ok is false
 // for unknown peers.
 func (nw *Network) PeerStorageStats(node string) (stats StorageStats, ok bool) {

@@ -48,7 +48,9 @@ type diffScenario struct {
 	tuples int
 	rounds int
 	burst  int
-	shards int // storage shard count of the network under test
+	// shards is left from a retired storage-layout dimension, like par= in
+	// name: it only keeps the subtest names test histories know.
+	shards int
 	// spill runs the network under test on durable storage with tiny
 	// changelog rings and tiny WAL segments, so the incremental-export
 	// hot path is forced through changelog spill and segment-served
@@ -73,9 +75,7 @@ func (sc diffScenario) name() string {
 // random-with-back-edges) rule graphs.
 var diffShapes = []topo.Shape{topo.Chain, topo.Ring, topo.Tree, topo.Star, topo.Grid, topo.Random}
 
-// diffShards cycles the storage shard counts the scenarios exercise; the
-// reference network always runs shards=1, so every scenario with shards>1
-// doubles as a sharded-vs-unsharded differential check.
+// diffShards cycles the shards= name field.
 var diffShards = []int{1, 2, 8}
 
 func diffScenarios(n int) []diffScenario {
@@ -101,7 +101,7 @@ func diffScenarios(n int) []diffScenario {
 // segments a few records long, so Changes must be answered from retained
 // WAL segments to stay incremental.
 func (sc diffScenario) storeOptions(t *testing.T) storage.Options {
-	opts := storage.Options{Shards: sc.shards}
+	var opts storage.Options
 	if sc.spill {
 		opts.Dir = t.TempDir() // per-node subdirectories are added below
 		opts.ChangelogLimit = 6
@@ -347,21 +347,19 @@ func TestDifferentialIncrementalVsFullExport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The network under test runs the scenario's shard count (spill
-			// scenarios additionally run durable with tiny rings + segments;
-			// tcp scenarios run over real sockets with the binary wire
-			// codec); the FullExport reference always runs unsharded in
+			// Spill scenarios run the network under test durable with tiny
+			// rings + segments; tcp scenarios run it over real sockets with
+			// the binary wire codec. The FullExport reference always runs in
 			// memory on the bus, joining by nested loops, so the
-			// byte-identity check also covers sharded-vs-unsharded,
-			// hash/probe-vs-nested-loop joins, spilled-vs-resident storage,
-			// and wire-vs-bus transport.
+			// byte-identity check also covers hash/probe-vs-nested-loop
+			// joins, spilled-vs-resident storage, and wire-vs-bus transport.
 			incr := networkFromTopo(t, cfg,
 				NetworkOptions{Transport: TransportGroup{TCP: sc.tcp}},
 				sc.storeOptions(t))
 			defer incr.Close()
 			full := networkFromTopo(t, cfg,
 				NetworkOptions{FullExport: true, NestedLoopJoin: true},
-				storage.Options{Shards: 1})
+				storage.Options{})
 			defer full.Close()
 
 			names := make([]string, 0, len(cfg.Nodes))
@@ -460,7 +458,7 @@ func TestDifferentialChurn(t *testing.T) {
 			defer churn.Close()
 			full := networkFromTopo(t, cfg,
 				NetworkOptions{FullExport: true, NestedLoopJoin: true},
-				storage.Options{Shards: 1})
+				storage.Options{})
 			defer full.Close()
 
 			names := make([]string, 0, len(cfg.Nodes))
@@ -559,11 +557,11 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 			}
 			lazy := networkFromTopo(t, cfg,
 				NetworkOptions{Propagation: PropagationGroup{Policies: policies}},
-				storage.Options{Shards: sc.shards})
+				storage.Options{})
 			defer lazy.Close()
 			full := networkFromTopo(t, cfg,
 				NetworkOptions{FullExport: true, NestedLoopJoin: true},
-				storage.Options{Shards: 1})
+				storage.Options{})
 			defer full.Close()
 
 			names := make([]string, 0, len(cfg.Nodes))
@@ -809,7 +807,7 @@ func TestDifferentialConcurrentQueriesSandwich(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw := networkFromTopo(t, cfg, NetworkOptions{}, storage.Options{Shards: sc.shards})
+			nw := networkFromTopo(t, cfg, NetworkOptions{}, storage.Options{})
 			defer nw.Close()
 			names := make([]string, 0, len(cfg.Nodes))
 			for _, n := range cfg.Nodes {

@@ -134,16 +134,19 @@ func TestStatsEndpointsShape(t *testing.T) {
 			t.Errorf("%s: /v1/stats/storage = node %s, available %s", node, st["node"], st["available"])
 		}
 		engine := field[map[string]json.RawMessage](t, st, "storage")
-		want := []string{"GroupCommit", "GroupCommitEnabled", "LSN", "Relations", "Shards", "SpillHits", "SpillMisses", "WAL", "WALBytes"}
+		want := []string{"GroupCommit", "GroupCommitEnabled", "LSN", "Relations", "SpillHits", "SpillMisses", "WAL", "WALBytes"}
 		if got := keysOf(t, engine); !slices.Equal(got, want) {
 			t.Errorf("%s: storage report keys %v, want %v", node, got, want)
 		}
-		rels := field[[]struct {
-			Name   string
-			Shards []struct{ Tuples int }
-		}](t, engine, "Relations")
-		if len(rels) != 1 || rels[0].Name != "r" || len(rels[0].Shards) != 1 || rels[0].Shards[0].Tuples != 1 {
-			t.Errorf("%s: storage relations = %+v, want r holding 1 tuple in 1 shard", node, rels)
+		rels := field[[]map[string]json.RawMessage](t, engine, "Relations")
+		if len(rels) != 1 {
+			t.Fatalf("%s: storage relations = %v, want r alone", node, rels)
+		}
+		if got, want := keysOf(t, rels[0]), []string{"Bytes", "Name", "Tuples"}; !slices.Equal(got, want) {
+			t.Errorf("%s: relation report keys %v, want %v", node, got, want)
+		}
+		if field[string](t, rels[0], "Name") != "r" || field[int](t, rels[0], "Tuples") != 1 || field[int](t, rels[0], "Bytes") == 0 {
+			t.Errorf("%s: storage relation = %v, want r holding 1 tuple", node, rels[0])
 		}
 	}
 }

@@ -408,7 +408,7 @@ func (m *Map[V]) rebalance(n *node[V], i int) {
 // Ascend calls fn for every key in [from, to) in ascending order; an empty
 // `to` means "until the end". fn returning false stops the scan.
 func (m *Map[V]) Ascend(from, to string, fn func(key string, value V) bool) {
-	var it Iterator[V]
+	var it cursor[V]
 	it.seek(m.root, from)
 	for more := true; more; more = it.nextLeaf() {
 		keys, vals := it.n.keys, it.n.vals
@@ -467,30 +467,27 @@ func (m *Map[V]) AscendPrefix(prefix string, fn func(key string, value V) bool) 
 	})
 }
 
-// Iterator is a pull-style cursor over the tree in ascending key order: the
-// current leaf plus the stack of interior nodes above it. It lets callers
-// merge several trees (the sharded storage engine's per-shard indexes)
-// without callback inversion. The tree must not be mutated while an iterator
-// is live; iterators over a clone nobody writes to need no lock at all.
-type Iterator[V any] struct {
-	n     *node[V] // current leaf; nil once exhausted
+// cursor is Ascend's position in the tree: the current leaf plus the stack
+// of interior nodes above it.
+type cursor[V any] struct {
+	n     *node[V] // current leaf
 	i     int      // next item of n
 	depth int      // live frames of stack
-	// stack is an array, not a slice, so that an iterator declared in a
-	// scan's frame stays there. Twelve interior levels cannot fill up: at
+	// stack is an array, not a slice, so that a cursor declared in a scan's
+	// frame stays there. Twelve interior levels cannot fill up: at
 	// the minimum fan-out they span more keys than memory holds.
 	stack [12]frame[V]
 }
 
-// frame is one interior node on an iterator's path, with the index of the
+// frame is one interior node on a cursor's path, with the index of the
 // next child to descend into.
 type frame[V any] struct {
 	n    *node[V]
 	next int
 }
 
-// seek positions the iterator at the smallest key >= from under root.
-func (it *Iterator[V]) seek(root *node[V], from string) {
+// seek positions the cursor at the smallest key >= from under root.
+func (it *cursor[V]) seek(root *node[V], from string) {
 	it.depth = 0
 	n := root
 	for !n.leaf() {
@@ -509,8 +506,8 @@ func (it *Iterator[V]) seek(root *node[V], from string) {
 }
 
 // nextLeaf moves to the first item of the following leaf, reporting false
-// (and retiring the iterator) when there is none.
-func (it *Iterator[V]) nextLeaf() bool {
+// when there is none.
+func (it *cursor[V]) nextLeaf() bool {
 	for it.depth > 0 {
 		top := &it.stack[it.depth-1]
 		if top.next == len(top.n.children) {
@@ -527,43 +524,7 @@ func (it *Iterator[V]) nextLeaf() bool {
 		it.n, it.i = n, 0
 		return true
 	}
-	it.n = nil
 	return false
-}
-
-// Iter returns an iterator positioned at the smallest key >= from (the
-// whole tree for from == "").
-func (m *Map[V]) Iter(from string) *Iterator[V] {
-	it := new(Iterator[V])
-	it.seek(m.root, from)
-	return it
-}
-
-// settle steps past exhausted leaves, reporting whether an item is current.
-func (it *Iterator[V]) settle() bool {
-	for it.n != nil && it.i >= len(it.n.keys) {
-		it.nextLeaf()
-	}
-	return it.n != nil
-}
-
-// Next returns the current key/value and advances, or ok=false at the end.
-func (it *Iterator[V]) Next() (key string, value V, ok bool) {
-	if !it.settle() {
-		var zero V
-		return "", zero, false
-	}
-	key, value = it.n.keys[it.i], it.n.vals[it.i]
-	it.i++
-	return key, value, true
-}
-
-// Peek returns the current key without advancing, or ok=false at the end.
-func (it *Iterator[V]) Peek() (key string, ok bool) {
-	if !it.settle() {
-		return "", false
-	}
-	return it.n.keys[it.i], true
 }
 
 // Min returns the smallest key, if any.

@@ -150,25 +150,6 @@ func (x *modelled) verify(t *testing.T, r *rand.Rand, space int) {
 		what := fmt.Sprintf("Ascend[%s,%s)", from, to)
 		same(what, scanned(func(fn func(string, int) bool) { x.m.Ascend(from, to, fn) }), keys[lo:hi])
 
-		// The iterator from the same bound, Peek agreeing with Next.
-		it := x.m.Iter(from)
-		for j := lo; ; j++ {
-			pk, pok := it.Peek()
-			k, v, ok := it.Next()
-			if pok != ok || pk != k {
-				t.Fatalf("Iter(%s): Peek = %s,%v then Next = %s,%v", from, pk, pok, k, ok)
-			}
-			if !ok {
-				if j != len(keys) {
-					t.Fatalf("Iter(%s) ended after %d keys, model %d", from, j-lo, len(keys)-lo)
-				}
-				break
-			}
-			if j >= len(keys) || k != keys[j] || v != x.ref[k] {
-				t.Fatalf("Iter(%s): item %d is %s=%d", from, j-lo, k, v)
-			}
-		}
-
 		prefix := key(r.Intn(space))[:4+r.Intn(6)]
 		var want []string
 		for _, k := range keys {
@@ -236,9 +217,12 @@ func TestCloneAgainstModel(t *testing.T) {
 				}
 			default:
 				// Mostly a key that is there: the successor of a random one.
-				if next, _, ok := x.m.Iter(k).Next(); ok && r.Intn(10) > 0 {
-					k = next
-				}
+				x.m.Ascend(k, "", func(next string, _ int) bool {
+					if r.Intn(10) > 0 {
+						k = next
+					}
+					return false
+				})
 				old, had := x.m.Delete(k)
 				if rv, rhad := x.ref[k]; had != rhad || old != rv {
 					t.Fatalf("seed %d step %d: Delete(%s) = %d,%v, model %d,%v", seed, step, k, old, had, rv, rhad)
@@ -313,10 +297,7 @@ func TestCloneReadersVersusWriter(t *testing.T) {
 						sum += v
 						return true
 					})
-					it := p.m.Iter("")
-					for _, v, ok := it.Next(); ok; _, v, ok = it.Next() {
-						sum -= v
-					}
+					p.m.AscendValues(func(v int) bool { sum -= v; return true })
 					if n != p.n || n != p.m.Len() || sum != 0 {
 						t.Errorf("clone of %d keys scanned %d, Len %d, checksum off by %d", p.n, n, p.m.Len(), sum)
 					}

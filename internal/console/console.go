@@ -320,20 +320,14 @@ func (c *Console) runStorage(args []string) {
 		c.printf("no storage engine on %s (unknown peer)\n", args[0])
 		return
 	}
-	c.printf("shards: %d, commit LSN: %d, WAL: %d bytes\n", st.Shards, st.LSN, st.WALBytes)
+	c.printf("commit LSN: %d, WAL: %d bytes\n", st.LSN, st.WALBytes)
 	if st.WAL.Segments > 0 {
 		c.printf("wal segments: %d (first lsn %d, %d rotations, %d pruned), spill: %d hits %d misses\n",
 			st.WAL.Segments, st.WAL.FirstLSN, st.WAL.Rotations, st.WAL.Pruned,
 			st.SpillHits, st.SpillMisses)
 	}
 	for _, rel := range st.Relations {
-		c.printf("  %s:\n", rel.Name)
-		for i, sh := range rel.Shards {
-			if sh.Tuples == 0 && len(rel.Shards) > 1 {
-				continue
-			}
-			c.printf("    shard %2d: %6d rows %8d bytes\n", i, sh.Tuples, sh.Bytes)
-		}
+		c.printf("  %s: %6d rows %8d bytes\n", rel.Name, rel.Tuples, rel.Bytes)
 	}
 	if st.GroupCommitEnabled {
 		gc := st.GroupCommit

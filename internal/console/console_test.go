@@ -182,10 +182,9 @@ func TestExecuteStorage(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"shards: 1",
 		"commit LSN:",
-		"  r:",
-		"rows",
+		"  r:      1 rows",
+		"bytes",
 		"group commit: off",
 		"no storage engine on nope",
 		"usage: storage <node>",

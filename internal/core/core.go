@@ -116,12 +116,6 @@ type Config struct {
 	// fingerprint set (0 = 1<<20). On overflow the rule's export state is
 	// reset, degrading the next session to a full export.
 	MaxFingerprints int
-	// LinkSpeaksPull reports whether the named peer can receive the
-	// pull-family payloads (wire protocol version 2). nil assumes every
-	// peer can — correct for in-process transports; the peer layer wires a
-	// negotiated-version check for TCP so pull links toward old peers
-	// degrade to push instead of tearing the pipe with an unknown tag.
-	LinkSpeaksPull func(node string) bool
 	// Clock supplies timestamps (UnixNano); nil uses a zero clock, which
 	// keeps pure-core tests deterministic. The peer layer injects real
 	// time.

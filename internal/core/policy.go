@@ -104,9 +104,7 @@ type propStat struct {
 type LinkPropagationStats struct {
 	RuleID string `json:"rule"`
 	// Policy is the configured mode; Effective is what the exporter is
-	// doing right now (adaptive links flip between push and pull, pull
-	// links degrade to push toward peers that do not speak the pull
-	// protocol).
+	// doing right now (adaptive links flip between push and pull).
 	Policy    string `json:"policy"`
 	Effective string `json:"effective"`
 	Filter    string `json:"filter,omitempty"`
@@ -169,20 +167,8 @@ func (n *Node) LinkPolicy(ruleID string) (mode, filter string) {
 	return PolicyPush.String(), ""
 }
 
-// speaksPull reports whether the peer at the far end of a link can receive
-// the pull-family payloads (wire protocol version 2). Without a callback
-// every peer is assumed capable — correct for in-process transports.
-func (n *Node) speaksPull(node string) bool {
-	if n.cfg.LinkSpeaksPull == nil {
-		return true
-	}
-	return n.cfg.LinkSpeaksPull(node)
-}
-
 // pullEffective reports whether exports through the rule currently go lazy:
-// the policy wants pull (configured or adaptive demand) and the importer
-// speaks the pull protocol. Links toward peers that do not are degraded to
-// push rather than starved.
+// the policy wants pull, configured or by adaptive demand.
 func (n *Node) pullEffective(rule *cq.Rule) bool {
 	pol := n.policies[rule.ID]
 	if pol == nil {
@@ -190,14 +176,11 @@ func (n *Node) pullEffective(rule *cq.Rule) bool {
 	}
 	switch pol.mode {
 	case PolicyPull:
+		return true
 	case PolicyAdaptive:
-		if !pol.demandPull {
-			return false
-		}
-	default:
-		return false
+		return pol.demandPull
 	}
-	return n.speaksPull(rule.Target)
+	return false
 }
 
 // propStatFor returns (creating) one rule's counter record.

@@ -30,25 +30,20 @@ var snapshotEvalTemplates = []string{
 // property: evaluating a session's incoming link over its pinned snapshot
 // view (hash joins, index-probe joins and secondary-view ScanEq pushdown)
 // yields exactly the bindings the nested-loop reference strategy finds over a
-// relation.Instance copy of the same data, across randomized rules, shard
-// counts, data, and the semi-naive delta entry point.
+// relation.Instance copy of the same data, across randomized rules, data,
+// and the semi-naive delta entry point.
 func TestSessionSnapshotBindingsMatchSerial(t *testing.T) {
-	shardChoices := []int{1, 2, 8}
 	for seed := int64(0); seed < 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
-			shards := shardChoices[rnd.Intn(len(shardChoices))]
 			ruleText := snapshotEvalTemplates[rnd.Intn(len(snapshotEvalTemplates))]
 			rule, err := cq.ParseRule("r1", ruleText)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			db, err := storage.Open(storage.Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := storage.MustOpenMem()
 			defer db.Close()
 			defs := []*relation.RelDef{
 				{Name: "data", Attrs: []relation.Attr{

@@ -52,9 +52,6 @@ type Params struct {
 	// paper-faithful algorithm, and the steady-state re-ship behaviour the
 	// repeated-update benchmarks measure).
 	FullExport bool
-	// Shards hash-partitions every node database's relations (see
-	// storage.Options.Shards); 0/1 keeps the unsharded layout.
-	Shards int
 }
 
 // Result aggregates one run.
@@ -153,7 +150,7 @@ func Build(p Params) (*Net, error) {
 		}
 	}
 	for _, node := range cfg.Nodes {
-		db, err := storage.Open(storage.Options{Shards: p.Shards})
+		db, err := storage.Open(storage.Options{})
 		if err != nil {
 			closeAll()
 			return nil, err

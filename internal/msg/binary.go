@@ -29,11 +29,10 @@ import (
 // frame cannot be silently half-read.
 //
 // Compatibility: the tag space and field order are part of the wire
-// protocol version (internal/wire). Tags 0x10–0x1F are version 1; the
+// protocol version (internal/wire): the session family at 0x10–0x1F and the
 // pull-propagation family at 0x20+ (UpdateHint, PullRequest, PullResponse,
-// LinkDemand) and the Heartbeat liveness frame are version 2 — peers never
-// send those tags on a connection negotiated at V1. Adding a payload type means a new tag; changing a field
-// order or width means a new protocol version.
+// LinkDemand, and the Heartbeat liveness frame). Adding a payload type means
+// a new tag; changing a field order or width means a new protocol version.
 
 // Tag identifies a payload type on the wire. Tags 0x00–0x0F are reserved
 // for the wire layer itself (handshake frames); payload tags start at 0x10.
@@ -58,10 +57,7 @@ const (
 	TagDirectoryDelta
 )
 
-// Pull-family tags (wire protocol version 2). Kept in their own block at
-// 0x20 so the V1 tag space stays closed: a V1-negotiated connection never
-// carries these (the peer layer degrades pull links to push toward peers
-// that only speak V1).
+// Pull-family tags, in their own block at 0x20.
 const (
 	TagUpdateHint Tag = 0x20 + iota
 	TagPullRequest

@@ -100,152 +100,3 @@ func TestPeerUpdateTerminatesOnOldVersionPeer(t *testing.T) {
 		t.Errorf("termination took %v", elapsed)
 	}
 }
-
-// TestPullLinkDegradesToPushForOldPeer: a link configured pull whose
-// importer only speaks V1 (negotiated before the pull-family tags existed)
-// must degrade to eager push — the old peer receives plain SessionData,
-// never a 0x20+ frame it cannot decode, the pipe stays up, and the update
-// terminates normally. The exporter's link stats must report the
-// configured policy as pull but the effective mode as push.
-func TestPullLinkDegradesToPushForOldPeer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type observed struct {
-		dataBindings int  // bindings received in SessionData frames for r1
-		newTags      int  // frames with a pull-family tag (must stay 0)
-		badVersion   bool // frames not at the negotiated V1
-	}
-	got := make(chan observed, 1)
-	go func() {
-		var o observed
-		defer func() { got <- o }()
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if _, err := wire.ReadHello(c); err != nil {
-			return
-		}
-		// An old build: V1 is all it speaks.
-		if err := wire.WriteHello(c, wire.Hello{Name: "B", Min: wire.V1, Max: wire.V1}); err != nil {
-			return
-		}
-		ack := func(sid string) {
-			body, tag, err := msg.AppendEnvelope(nil, msg.Envelope{From: "B", Payload: &msg.SessionAck{SID: sid, N: 1}})
-			if err == nil {
-				wire.WriteFrame(c, wire.V1, byte(tag), body)
-			}
-		}
-		// handle processes one payload like a minimal V1 participant:
-		// ack every basic message, count data bindings, stop at done.
-		var handle func(p msg.Payload) (done bool)
-		handle = func(p msg.Payload) bool {
-			switch m := p.(type) {
-			case *msg.Batch: // the outbox coalesces payloads per pipe
-				for _, inner := range m.Payloads {
-					if handle(inner) {
-						return true
-					}
-				}
-			case *msg.SessionRequest:
-				ack(m.SID)
-			case *msg.SessionData:
-				if m.RuleID == "r1" {
-					o.dataBindings += len(m.Bindings)
-				}
-				ack(m.SID)
-			case *msg.LinkClose:
-				ack(m.SID)
-			case *msg.SessionDone:
-				return true // quiescence reached the old peer
-			}
-			return false
-		}
-		for {
-			h, body, err := wire.ReadFrame(c)
-			if err != nil {
-				return
-			}
-			if h.Version != wire.V1 {
-				o.badVersion = true
-			}
-			if h.Type >= 0x20 {
-				o.newTags++
-				continue
-			}
-			env, err := msg.DecodeEnvelope(msg.Tag(h.Type), body)
-			if err != nil {
-				return
-			}
-			if handle(env.Payload) {
-				return
-			}
-		}
-	}()
-
-	db := storage.MustOpenMem()
-	if err := db.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}}); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := transport.NewTCP("A", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Options{
-		Name:         "A",
-		Transport:    tr,
-		Wrapper:      core.NewStoreWrapper(db),
-		Directory:    map[string]string{"B": ln.Addr().String()},
-		LinkPolicies: map[string]string{"r1": "pull"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Stop)
-	if err := p.AddRule("r1", `B.r(x) <- A.r(x)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Insert("r", relation.Tuple{relation.Int(1)}, relation.Tuple{relation.Int(2)}, relation.Tuple{relation.Int(3)}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := p.RunUpdate(ctxT(t)); err != nil {
-		t.Fatalf("update across mixed-version pull link: %v", err)
-	}
-
-	select {
-	case o := <-got:
-		if o.newTags != 0 {
-			t.Errorf("old peer received %d pull-family frames it cannot decode, want 0", o.newTags)
-		}
-		if o.badVersion {
-			t.Error("frames arrived at a version other than the negotiated V1")
-		}
-		if o.dataBindings != 3 {
-			t.Errorf("old peer received %d bindings over the degraded link, want 3 (eager push)", o.dataBindings)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("old peer never observed session completion")
-	}
-
-	st := p.PropagationStats()
-	for _, l := range st.Links {
-		if l.RuleID != "r1" {
-			continue
-		}
-		if l.Policy != "pull" {
-			t.Errorf("link policy = %q, want pull", l.Policy)
-		}
-		if l.Effective != "push" {
-			t.Errorf("effective mode = %q, want push (importer speaks V1)", l.Effective)
-		}
-		if l.HintsSent != 0 {
-			t.Errorf("exporter sent %d hints to a V1 importer, want 0", l.HintsSent)
-		}
-	}
-}

@@ -153,9 +153,6 @@ func New(opts Options) (*Peer, error) {
 	if opts.Name == "" || opts.Transport == nil || opts.Wrapper == nil {
 		return nil, fmt.Errorf("peer: Name, Transport and Wrapper are required")
 	}
-	// The capability callback is late-bound: the node is built before the
-	// peer that answers it exists.
-	var speaks func(string) bool
 	node, err := core.NewNode(core.Config{
 		Self:       opts.Name,
 		Wrapper:    opts.Wrapper,
@@ -163,13 +160,7 @@ func New(opts Options) (*Peer, error) {
 		Eval:       opts.Eval,
 		Naive:      opts.Naive,
 		FullExport: opts.FullExport,
-		LinkSpeaksPull: func(node string) bool {
-			if speaks == nil {
-				return true
-			}
-			return speaks(node)
-		},
-		Clock: func() int64 { return time.Now().UnixNano() },
+		Clock:      func() int64 { return time.Now().UnixNano() },
 	})
 	if err != nil {
 		return nil, err
@@ -211,7 +202,6 @@ func New(opts Options) (*Peer, error) {
 		maxStaleness: opts.MaxStaleness,
 		pullTimeout:  opts.PullTimeout,
 	}
-	speaks = p.speaksPull
 	if p.pullTimeout <= 0 {
 		p.pullTimeout = DefaultPullTimeout
 	}
@@ -1036,8 +1026,8 @@ func (p *Peer) WireStats() (frames, bytes uint64, ok bool) {
 	return t.FramesSent(), t.BytesSent(), true
 }
 
-// StorageStats returns the storage engine's per-shard report (row/byte
-// counts per shard, WAL size, group-commit batching counters); ok is false
+// StorageStats returns the storage engine's report (row/byte counts per
+// relation, WAL size, group-commit batching counters); ok is false
 // for a wrapper that does not expose its engine. Safe to call concurrently
 // with the actor loop: the engine takes its own locks.
 func (p *Peer) StorageStats() (stats storage.DetailedStats, ok bool) {

@@ -10,8 +10,6 @@ import (
 	"codb/internal/core"
 	"codb/internal/cq"
 	"codb/internal/msg"
-	"codb/internal/transport"
-	"codb/internal/wire"
 )
 
 // DefaultPullTimeout bounds how long a local query blocks on a triggered
@@ -88,20 +86,6 @@ type PropagationStats struct {
 	StalenessP99 time.Duration `json:"staleness_p99_ns"`
 	// StalenessSamples is the number of measurements behind the quantiles.
 	StalenessSamples int `json:"staleness_samples"`
-}
-
-// speaksPull reports whether the named peer's pipe can carry the V2
-// pull-family payloads. In-process transports always can; on TCP the
-// negotiated version of the live pipe decides, and an unknown peer (no
-// handshake yet) conservatively cannot — so the first contact on a fresh
-// pull link pushes, and the link goes lazy once the pipe is up.
-func (p *Peer) speaksPull(node string) bool {
-	t, ok := rawTransport(p.tr).(*transport.TCP)
-	if !ok {
-		return true
-	}
-	v, ok := t.PeerVersion(node)
-	return ok && v >= wire.V2
 }
 
 // SetLinkPolicy configures (or reconfigures) one rule's propagation policy.
@@ -253,14 +237,9 @@ func (p *Peer) outgoingRule(id string) *cq.Rule {
 func (p *Peer) startPull(ruleID string, waiter chan pullResult) {
 	rule := p.outgoingRule(ruleID)
 	if rule == nil {
-		p.deliverPull(ruleID, pullResult{err: fmt.Errorf("peer %s: unknown outgoing rule %s", p.name, ruleID)}, waiter)
-		return
-	}
-	if !p.speaksPull(rule.Source) {
-		// The exporter cannot serve pulls (old peer, or no pipe yet): the
-		// link behaves as push, nothing is stale on our side of it.
-		p.clearStale(ruleID, time.Time{})
-		p.deliverPull(ruleID, pullResult{}, waiter)
+		if waiter != nil {
+			waiter <- pullResult{err: fmt.Errorf("peer %s: unknown outgoing rule %s", p.name, ruleID)}
+		}
 		return
 	}
 	var since uint64
@@ -285,13 +264,6 @@ func (p *Peer) startPull(ruleID string, waiter chan pullResult) {
 		delete(p.prop.inflightAt, ruleID)
 		p.prop.mu.Unlock()
 		p.failPullWaiters(ruleID, err)
-	}
-}
-
-// deliverPull hands one result to a single waiter (nil-safe).
-func (p *Peer) deliverPull(ruleID string, res pullResult, waiter chan pullResult) {
-	if waiter != nil {
-		waiter <- res
 	}
 }
 
@@ -340,7 +312,7 @@ func (p *Peer) handlePullResponse(from string, resp *msg.PullResponse) {
 		}
 		return
 	}
-	p.clearStale(resp.RuleID, time.Now())
+	p.clearStale(resp.RuleID)
 	for _, w := range ws {
 		w <- pullResult{fresh: total}
 	}
@@ -354,8 +326,8 @@ func (p *Peer) handlePullResponse(from string, resp *msg.PullResponse) {
 }
 
 // clearStale removes a link's staleness record, sampling the staleness at
-// pull time when `at` is nonzero (loop only).
-func (p *Peer) clearStale(ruleID string, at time.Time) {
+// pull time (loop only).
+func (p *Peer) clearStale(ruleID string) {
 	p.prop.mu.Lock()
 	defer p.prop.mu.Unlock()
 	sl := p.prop.stale[ruleID]
@@ -366,11 +338,9 @@ func (p *Peer) clearStale(ruleID string, at time.Time) {
 	if sl.timer != nil {
 		sl.timer.Stop()
 	}
-	if !at.IsZero() {
-		p.prop.samples = append(p.prop.samples, at.Sub(sl.since))
-		if len(p.prop.samples) > maxStalenessSamples {
-			p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
-		}
+	p.prop.samples = append(p.prop.samples, time.Since(sl.since))
+	if len(p.prop.samples) > maxStalenessSamples {
+		p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
 	}
 }
 
@@ -389,10 +359,9 @@ func (p *Peer) cascadeHints(changed []string) {
 }
 
 // PullLink synchronously pulls one outgoing link's pending delta from its
-// exporter, returning the number of genuinely new tuples materialised. A
-// link whose exporter does not speak the pull protocol returns 0 — push
-// keeps such links fresh. Safe to call concurrently; concurrent pulls of
-// the same link coalesce onto one request.
+// exporter, returning the number of genuinely new tuples materialised. Safe
+// to call concurrently; concurrent pulls of the same link coalesce onto one
+// request.
 func (p *Peer) PullLink(ctx context.Context, ruleID string) (int, error) {
 	waiter := make(chan pullResult, 1)
 	if err := p.do(func() { p.startPull(ruleID, waiter) }); err != nil {
@@ -458,7 +427,7 @@ func (p *Peer) noteDataDelivery(ruleID string) {
 		p.prop.demandPull[ruleID] = true
 	}
 	p.prop.mu.Unlock()
-	if demote && p.speaksPull(rule.Source) {
+	if demote {
 		p.sendLinkDemand(rule, true)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"codb/internal/transport"
-	"codb/internal/wire"
 )
 
 // The suspicion failure detector turns silence into membership signal.
@@ -121,7 +120,7 @@ func (s *suspicion) forget(peer string) { delete(s.peers, peer) }
 
 // tick advances every tracked peer against the clock and returns the peers
 // that newly became suspect and newly became down, sorted. exempt marks
-// peers that cannot be judged by silence — e.g. a V1 pipe, which predates
+// peers that cannot be judged by silence — e.g. over a transport without
 // heartbeats — and resets their timer instead.
 func (s *suspicion) tick(exempt func(peer string) bool) (suspects, downs []string) {
 	now := s.now()
@@ -207,20 +206,11 @@ func (p *Peer) suspicionLoop(interval time.Duration) {
 	}
 }
 
-// suspicionExempt marks peers that cannot be judged by silence: a pipe
-// negotiated at V1 predates heartbeats, so an idle V1 peer is
-// indistinguishable from a partitioned one and is never suspected — the
-// same degrade-gracefully posture every other V2 feature takes. Transports
+// suspicionExempt marks peers that cannot be judged by silence: transports
 // without heartbeats (the in-process bus) exempt everyone.
-func (p *Peer) suspicionExempt(peer string) bool {
-	t, ok := rawTransport(p.tr).(*transport.TCP)
-	if !ok {
-		return true
-	}
-	if v, ok := t.PeerVersion(peer); ok && v < wire.V2 {
-		return true
-	}
-	return false
+func (p *Peer) suspicionExempt(string) bool {
+	_, ok := rawTransport(p.tr).(*transport.TCP)
+	return !ok
 }
 
 // suspicionTick advances the detector one scan: new suspects are logged,

@@ -91,29 +91,29 @@ func TestSuspicionNoteDown(t *testing.T) {
 	}
 }
 
-// Exempt peers (V1 pipes, heartbeat-less transports) are never judged by
+// Exempt peers (heartbeat-less transports) are never judged by
 // silence: each tick resets their timer instead.
 func TestSuspicionExemptPeersNeverSuspected(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	s := newSuspicion(time.Second, clock.now)
-	s.track("v1")
-	s.track("v2")
-	exempt := func(peer string) bool { return peer == "v1" }
+	s.track("exempt")
+	s.track("judged")
+	exempt := func(peer string) bool { return peer == "exempt" }
 	for i := 0; i < 5; i++ {
 		clock.advance(time.Second)
 		suspects, downs := s.tick(exempt)
 		for _, p := range append(suspects, downs...) {
-			if p == "v1" {
+			if p == "exempt" {
 				t.Fatalf("exempt peer judged by silence at tick %d", i)
 			}
 		}
 	}
 	st := s.states()
-	if st["v1"] != "alive" {
-		t.Errorf("exempt peer state = %q, want alive", st["v1"])
+	if st["exempt"] != "alive" {
+		t.Errorf("exempt peer state = %q, want alive", st["exempt"])
 	}
-	if st["v2"] != "down" {
-		t.Errorf("silent V2 peer state = %q, want down", st["v2"])
+	if st["judged"] != "down" {
+		t.Errorf("silent judged peer state = %q, want down", st["judged"])
 	}
 }
 

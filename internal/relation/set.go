@@ -24,7 +24,7 @@ type Set struct {
 }
 
 // relSet is one relation: the tuples in insertion order, and trees mapping
-// keys to their slots (the storage shards' layout: a tree leaf then moves
+// keys to their slots (the storage tables' layout: a tree leaf then moves
 // plain ints when it shifts, not slice headers under GC write barriers).
 type relSet struct {
 	rows    []Tuple

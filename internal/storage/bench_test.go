@@ -68,39 +68,6 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-func BenchmarkScanEqIndexed(b *testing.B) {
-	db := benchDB(b, "")
-	for i := 0; i < 10000; i++ {
-		db.Insert("emp", emp(i, fmt.Sprintf("n%d", i%100)))
-	}
-	db.IndexOn("emp", "name")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		db.ScanEq("emp", 1, relation.Str("n42"), func(relation.Tuple) bool { n++; return true })
-		if n != 100 {
-			b.Fatal(n)
-		}
-	}
-}
-
-func BenchmarkScanEqUnindexed(b *testing.B) {
-	db := benchDB(b, "")
-	for i := 0; i < 10000; i++ {
-		db.Insert("emp", emp(i, fmt.Sprintf("n%d", i%100)))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		db.ScanEq("emp", 1, relation.Str("n42"), func(relation.Tuple) bool { n++; return true })
-		if n != 100 {
-			b.Fatal(n)
-		}
-	}
-}
-
 func BenchmarkRecovery(b *testing.B) {
 	dir := b.TempDir()
 	db := benchDB(b, dir)
@@ -147,7 +114,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					t.Errorf("scan saw %d < 500 tuples", n)
 					return
 				}
-				db.Has("emp", emp(1, "base"))
+				has(db, "emp", emp(1, "base"))
 				db.Count("emp")
 			}
 		}()

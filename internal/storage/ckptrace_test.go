@@ -26,7 +26,7 @@ func TestBackgroundCheckpointCommitRace(t *testing.T) {
 	// its whole duration, not when CI is slow.
 	const maxCommitStall = 5 * time.Second
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, Shards: 4, SegmentBytes: 4096})
+	db, err := Open(Options{Dir: dir, SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

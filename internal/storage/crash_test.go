@@ -96,11 +96,11 @@ func loadModelSnapshot(t *testing.T, path string, m *crashModel) {
 	if len(data) < 12 || string(data[:4]) != "cdbS" {
 		t.Fatalf("model: %s is not a snapshot", path)
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	r := &modelReader{b: data[12:]}
-	if version >= 3 {
-		r.uvarint(t) // shard count
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != 4 {
+		t.Fatalf("model: snapshot version %d", version)
 	}
+	r := &modelReader{b: data[12:]}
+	r.uvarint(t) // shard count
 	nrels := int(r.uvarint(t))
 	names := make([]string, 0, nrels)
 	for i := 0; i < nrels; i++ {
@@ -114,13 +114,8 @@ func loadModelSnapshot(t *testing.T, path string, m *crashModel) {
 		}
 		m.rels[name] = set
 	}
-	if version >= 2 {
-		m.lsn = r.uvarint(t)
-	}
-	m.ckpt = m.lsn
-	if version >= 4 {
-		m.ckpt = r.uvarint(t)
-	}
+	m.lsn = r.uvarint(t)
+	m.ckpt = r.uvarint(t)
 }
 
 // replayModelSegments parses the surviving segment files in order and
@@ -195,10 +190,10 @@ func applyModelRecord(t *testing.T, m *crashModel, payload []byte) {
 
 type tortureSpec struct {
 	name          string
-	shards        int
 	segmentBytes  int64
 	checkpointMid bool
 	writers       int
+	relations     int // the writers of a multi-writer spec spread over this many
 	deletes       bool
 	trials        int
 }
@@ -207,14 +202,15 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	specs := []tortureSpec{
 		// Single writer, many tiny segments, multi-op transactions torn
 		// mid-record, mid-segment and mid-rotation.
-		{name: "segments", shards: 1, segmentBytes: 192, writers: 1, deletes: true, trials: 28},
+		{name: "segments", segmentBytes: 192, writers: 1, deletes: true, trials: 28},
 		// A checkpoint in the middle: trials land before, inside and after
 		// the snapshot-covered prefix, including inside retained segments.
-		{name: "checkpoint", shards: 4, segmentBytes: 192, checkpointMid: true, writers: 1, deletes: true, trials: 28},
+		{name: "checkpoint", segmentBytes: 192, checkpointMid: true, writers: 1, deletes: true, trials: 28},
 		// Concurrent committers through the group-commit pipeline: batches
 		// torn mid-batch; the model replays whatever order the pipeline
-		// actually wrote.
-		{name: "group-commit", shards: 4, segmentBytes: 256, writers: 4, trials: 20},
+		// actually wrote. A commit holds its relation's lock across the
+		// fsync, so only writers to different relations can share a batch.
+		{name: "group-commit", segmentBytes: 256, writers: 4, relations: 4, trials: 20},
 	}
 	for _, spec := range specs {
 		spec := spec
@@ -230,14 +226,19 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 	db, err := Open(Options{
 		Dir:          srcDir,
 		SyncOnCommit: true,
-		Shards:       spec.shards,
 		SegmentBytes: spec.segmentBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DefineRelation(empDef()); err != nil {
-		t.Fatal(err)
+	rels := []string{"emp"}
+	for i := 1; i < spec.relations; i++ {
+		rels = append(rels, fmt.Sprintf("emp%d", i))
+	}
+	for _, rel := range rels {
+		if err := db.DefineRelation(&relation.RelDef{Name: rel, Attrs: empDef().Attrs}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// commitHalf is the single-writer workload; multi-writer specs use the
@@ -269,7 +270,7 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 25; i++ {
-					if _, err := db.Insert("emp", emp(w*1000+i, "conc")); err != nil {
+					if _, err := db.Insert(rels[w%len(rels)], emp(w*1000+i, "conc")); err != nil {
 						t.Error(err)
 						return
 					}
@@ -277,6 +278,9 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			}(w)
 		}
 		wg.Wait()
+		if st := db.DetailedStats().GroupCommit; st.MaxBatch < 2 {
+			t.Fatalf("no group-commit batch held more than one record (%+v): torn batches go untested", st)
+		}
 	} else {
 		commitHalf(0)
 		if spec.checkpointMid {
@@ -314,12 +318,20 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 		offsets = append(offsets, rnd.Int63n(total+1))
 	}
 
-	for _, off := range offsets {
+	for i, off := range offsets {
 		if off < 0 || off > total {
 			continue
 		}
-		off := off
-		t.Run(fmt.Sprintf("off=%d", off), func(t *testing.T) {
+		// A single writer's WAL stream is the same bytes every run, so its
+		// trials are named by offset. Where concurrent writers' batches fall
+		// decides where segments rotate, so theirs are named by index, which
+		// -run can select again.
+		name := fmt.Sprintf("off=%d", off)
+		if spec.writers > 1 {
+			name = fmt.Sprintf("trial=%02d", i)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Logf("killed at WAL byte %d of %d", off, total)
 			trialDir := t.TempDir()
 			if data, err := os.ReadFile(filepath.Join(srcDir, snapshotName)); err == nil {
 				if err := os.WriteFile(filepath.Join(trialDir, snapshotName), data, 0o644); err != nil {

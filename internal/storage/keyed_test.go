@@ -15,9 +15,9 @@ func keyedRow(rel string, a, b int) relation.Row {
 	return relation.Row{Rel: rel, Key: t.Key(), Tuple: t}
 }
 
-func openKeyedDB(t *testing.T, dir string, shards int) *DB {
+func openKeyedDB(t *testing.T, dir string) *DB {
 	t.Helper()
-	db, err := Open(Options{Dir: dir, Shards: shards, SyncOnCommit: dir != ""})
+	db, err := Open(Options{Dir: dir, SyncOnCommit: dir != ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,13 @@ func sameAsModel(t *testing.T, db *DB, model relation.Instance, when string) {
 // flush and InsertMany both commit through — against a relation.Instance
 // model: batches over two relations with duplicates inside a batch and rows
 // already present; a writer that commits one of the batch's tuples between
-// the moment the batch was staged (looked up as absent) and its flush; at 1
-// and 4 shards, in memory and durable (reopened at the end). The per-row
-// answer, the contents, the change capture and the LSN must all agree with
-// the model: a row is new exactly once, a batch that changes nothing takes no
-// LSN, and Changes reports exactly the new rows in batch order.
+// the moment the batch was staged (looked up as absent) and its flush; in
+// memory and durable (reopened at the end). The per-row answer, the
+// contents, the change capture and the LSN must all agree with the model: a
+// row is new exactly once, a batch that changes nothing takes no LSN, and
+// Changes reports exactly the new rows in batch order. The shards= field of
+// the subtest names is left from a retired storage layout; it keeps the
+// names test histories know and picks each subtest's random trace.
 func TestInsertKeyedAgainstModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, durable := range []bool{false, true} {
@@ -66,7 +68,7 @@ func TestInsertKeyedAgainstModel(t *testing.T) {
 				if durable {
 					dir = t.TempDir()
 				}
-				db := openKeyedDB(t, dir, shards)
+				db := openKeyedDB(t, dir)
 				defer func() { db.Close() }()
 				model := relation.NewInstance()
 				r := rand.New(rand.NewSource(int64(shards)*7 + 1))
@@ -144,7 +146,7 @@ func TestInsertKeyedAgainstModel(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				db = openKeyedDB(t, dir, shards)
+				db = openKeyedDB(t, dir)
 				sameAsModel(t, db, model, "after reopening")
 			})
 		}
@@ -154,7 +156,7 @@ func TestInsertKeyedAgainstModel(t *testing.T) {
 // TestInsertKeyedRefusesWholeBatch: a row of an unknown relation or one that
 // does not fit its schema fails the batch before anything is applied.
 func TestInsertKeyedRefusesWholeBatch(t *testing.T) {
-	db := openKeyedDB(t, "", 1)
+	db := openKeyedDB(t, "")
 	defer db.Close()
 	bad := relation.Tuple{relation.Str("x"), relation.Int(1)}
 	for name, batch := range map[string][]relation.Row{
@@ -178,49 +180,47 @@ func TestInsertKeyedRefusesWholeBatch(t *testing.T) {
 // single inserts over overlapping tuples from several goroutines; every
 // tuple is reported new exactly once across all of them.
 func TestInsertKeyedConcurrentWriters(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		db := openKeyedDB(t, "", shards)
-		const writers, span = 6, 400
-		newCount := make([]int, writers)
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < 60; i++ {
-					if w%2 == 0 {
-						batch := make([]relation.Row, 16)
-						for j := range batch {
-							batch[j] = keyedRow("r", r.Intn(span), 0)
-						}
-						isNew, err := db.InsertKeyed(batch)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						for _, ok := range isNew {
-							if ok {
-								newCount[w]++
-							}
-						}
-					} else if ok, err := db.Insert("r", keyedRow("r", r.Intn(span), 0).Tuple); err != nil {
+	db := openKeyedDB(t, "")
+	defer db.Close()
+	const writers, span = 6, 400
+	newCount := make([]int, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 60; i++ {
+				if w%2 == 0 {
+					batch := make([]relation.Row, 16)
+					for j := range batch {
+						batch[j] = keyedRow("r", r.Intn(span), 0)
+					}
+					isNew, err := db.InsertKeyed(batch)
+					if err != nil {
 						t.Error(err)
 						return
-					} else if ok {
-						newCount[w]++
 					}
+					for _, ok := range isNew {
+						if ok {
+							newCount[w]++
+						}
+					}
+				} else if ok, err := db.Insert("r", keyedRow("r", r.Intn(span), 0).Tuple); err != nil {
+					t.Error(err)
+					return
+				} else if ok {
+					newCount[w]++
 				}
-			}(w)
-		}
-		wg.Wait()
-		total := 0
-		for _, c := range newCount {
-			total += c
-		}
-		if got := db.Count("r"); got != total {
-			t.Errorf("shards=%d: %d tuples stored, %d reported new", shards, got, total)
-		}
-		db.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range newCount {
+		total += c
+	}
+	if got := db.Count("r"); got != total {
+		t.Errorf("%d tuples stored, %d reported new", got, total)
 	}
 }

@@ -130,7 +130,7 @@ func encodeOps(ops []op) []byte {
 }
 
 // applyLogRecord replays one WAL record during recovery. It bypasses the
-// transaction layer and mutates shards directly (the DB is not yet shared).
+// transaction layer and mutates tables directly (the DB is not yet shared).
 // Each record is one commit carrying the LSN its segment header implies,
 // and replayed inserts re-enter the changelogs — a watermark taken after
 // the last checkpoint stays incrementally answerable across a restart. The
@@ -154,7 +154,7 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 		return fmt.Errorf("storage: truncated op")
 	}
 	db.lsn = lsn
-	capt := db.beginCapture(lsn, int(count))
+	capt := db.beginCapture(lsn)
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		if r.off >= len(r.b) {
 			return fmt.Errorf("storage: truncated op")
@@ -170,7 +170,7 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			if err := db.schema.Add(def); err != nil {
 				return fmt.Errorf("storage: replay ddl: %w", err)
 			}
-			db.tables[def.Name] = newTable(def, db.nshards)
+			db.tables[def.Name] = newTable(def)
 		case opInsert, opDelete:
 			rel := r.str()
 			enc := r.bytes()
@@ -185,16 +185,15 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			if err != nil {
 				return fmt.Errorf("storage: replay %s: %w", rel, err)
 			}
-			// The encoded op payload IS the tuple key, so routing needs no
-			// re-encoding.
+			// The encoded op payload IS the tuple key.
 			key := string(enc)
-			s := db.tables[rel].shardFor(key)
+			t := db.tables[rel]
 			if kind == opInsert {
-				if s.insert(key, tuple) {
-					capt.insert(s, tuple)
+				if t.insert(key, tuple) {
+					capt.insert(t, tuple)
 				}
-			} else if s.delete(key) {
-				capt.delete(s)
+			} else if t.delete(key) {
+				capt.delete(t)
 			}
 		default:
 			return fmt.Errorf("storage: replay: bad op kind %d", kind)
@@ -247,31 +246,30 @@ func decodeRelOps(payload []byte, rel string, arity int) ([]relation.Tuple, erro
 	return out, r.err
 }
 
-// Snapshot file layout: magic "cdbS", version u32, CRC u32 of body.
+// Snapshot file layout: magic "cdbS", version u32 (always 4), CRC u32 of
+// the body. The body is, in order:
 //
-//	v1 body: schema (uvarint count + defs), then per relation uvarint
-//	         tuple count + tuples.
-//	v2 body: v1 plus the commit LSN trailing the body, so the sequence
-//	         numbers export watermarks reference survive a checkpoint +
-//	         restart.
-//	v3 body: the shard count leads the body, then the v2 layout. Tuples
-//	         are always written in global (shard-merged) key order, so the
-//	         post-shard-count bytes are identical for every shard count —
-//	         and a v2 snapshot upgrades transparently: it is read as
-//	         "shard count unrecorded" and rewritten as v3 by the next
-//	         checkpoint.
-//	v4 body: v3 plus the checkpoint LSN trailing it — the LSN the
-//	         snapshot's contents were pinned at. Background checkpoints
-//	         write the snapshot while commits continue, so WAL records
-//	         above this LSN (and retained segments below it) coexist with
-//	         the snapshot; replay skips records at or below it.
+//	uvarint shard count — always written as 1; a reader checks it is >= 1
+//	        and otherwise ignores it (tuples are in global key order
+//	        whatever count an earlier engine recorded)
+//	schema: uvarint relation count + relation definitions
+//	per relation: uvarint tuple count + tuples in key order
+//	uvarint commit LSN — the sequence number export watermarks reference
+//	uvarint checkpoint LSN — the LSN the contents were pinned at.
+//	        Background checkpoints write the snapshot while commits
+//	        continue, so WAL records above this LSN (and retained segments
+//	        below it) coexist with the snapshot; replay skips records at
+//	        or below it.
+//
+// Versions 1–3 (the same body without the trailing fields, or without the
+// shard count) are refused.
 var snapMagic = [4]byte{'c', 'd', 'b', 'S'}
 
 const snapVersion = 4
 
 // Checkpoint writes a snapshot of the committed state and truncates the
 // WAL by whole segments, without stopping the world: the state is pinned
-// as a Snapshot (a brief all-shard read lock), then written to a temp file
+// as a Snapshot (a brief all-relation read lock), then written to a temp file
 // and atomically swapped in while commits proceed. Only segments wholly at
 // or below the pinned LSN are deleted — the newest few are retained for
 // changelog spill — so a checkpoint that fails mid-way leaves every
@@ -338,7 +336,7 @@ func (db *DB) checkpointPinned() error {
 	// checkpoint trigger.
 	pinnedCount := db.commitsSinceCheckpoint.Load()
 	snap := db.Snapshot()
-	body := encodeSnapshotBody(snap, db.nshards)
+	body := encodeSnapshotBody(snap)
 	path := filepath.Join(db.opts.Dir, snapshotName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -377,14 +375,12 @@ func (db *DB) checkpointPinned() error {
 	return nil
 }
 
-// encodeSnapshotBody renders a pinned Snapshot as a v4 snapshot body.
-// Tuples are written in global (shard-merged) key order, so the bytes
-// after the leading shard-count field are identical for every shard count
-// — and identical whether the checkpoint ran quiescent or against
+// encodeSnapshotBody renders a pinned Snapshot as a v4 snapshot body. The
+// bytes are identical whether the checkpoint ran quiescent or against
 // concurrent commits, since the pin is a consistent cut.
-func encodeSnapshotBody(snap *Snapshot, nshards int) []byte {
+func encodeSnapshotBody(snap *Snapshot) []byte {
 	names := snap.schema.Names()
-	body := binary.AppendUvarint(nil, uint64(nshards))
+	body := binary.AppendUvarint(nil, 1) // shard count
 	body = binary.AppendUvarint(body, uint64(len(names)))
 	for _, name := range names {
 		body = encodeDef(body, snap.schema.Rel(name))
@@ -397,7 +393,7 @@ func encodeSnapshotBody(snap *Snapshot, nshards int) []byte {
 		})
 	}
 	body = binary.AppendUvarint(body, snap.lsn)
-	body = binary.AppendUvarint(body, snap.lsn) // v4: the checkpoint LSN
+	body = binary.AppendUvarint(body, snap.lsn) // the checkpoint LSN
 	return body
 }
 
@@ -414,30 +410,16 @@ func (db *DB) loadSnapshot(path string) error {
 	if len(data) < 12 || [4]byte(data[:4]) != snapMagic {
 		return fmt.Errorf("storage: %s: not a snapshot file", path)
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	if version < 1 || version > snapVersion {
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != snapVersion {
 		return fmt.Errorf("storage: %s: unsupported snapshot version %d", path, version)
 	}
-	db.recoveredSnapVersion = version
 	body := data[12:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[8:12]) {
 		return fmt.Errorf("storage: %s: snapshot checksum mismatch", path)
 	}
 	r := &reader{b: body}
-	if version >= 3 {
-		recorded := r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
-		if recorded < 1 || recorded > maxShards {
-			return fmt.Errorf("storage: %s: recorded shard count %d out of range", path, recorded)
-		}
-		// Options.Shards == 0 means "keep the database's own sharding";
-		// an explicit option reshards on load (routing is key-determined,
-		// so any count reproduces the same logical contents).
-		if db.opts.Shards == 0 {
-			db.nshards = int(recorded)
-		}
+	if shards := r.uvarint(); r.err == nil && shards < 1 {
+		return fmt.Errorf("storage: %s: recorded shard count %d", path, shards)
 	}
 	nrels := r.uvarint()
 	defs := make([]*relation.RelDef, 0, nrels)
@@ -449,7 +431,7 @@ func (db *DB) loadSnapshot(path string) error {
 		if err := db.schema.Add(def); err != nil {
 			return fmt.Errorf("storage: snapshot schema: %w", err)
 		}
-		db.tables[def.Name] = newTable(def, db.nshards)
+		db.tables[def.Name] = newTable(def)
 		defs = append(defs, def)
 	}
 	for _, def := range defs {
@@ -464,20 +446,11 @@ func (db *DB) loadSnapshot(path string) error {
 			if err != nil {
 				return fmt.Errorf("storage: snapshot %s: %w", def.Name, err)
 			}
-			key := string(enc)
-			t.shardFor(key).insert(key, tuple)
+			t.insert(string(enc), tuple)
 		}
 	}
-	if version >= 2 {
-		db.lsn = r.uvarint()
-	}
-	db.recoveredCkpt = db.lsn
-	if version >= 4 {
-		ckpt := r.uvarint()
-		if r.err == nil && ckpt < db.recoveredCkpt {
-			db.recoveredCkpt = ckpt
-		}
-	}
+	db.lsn = r.uvarint()
+	db.recoveredCkpt = min(db.lsn, r.uvarint())
 	if r.err != nil {
 		return r.err
 	}
@@ -489,9 +462,7 @@ func (db *DB) loadSnapshot(path string) error {
 	// present) keep serving it through the spill path; without them,
 	// watermarks older than the snapshot degrade to full scans.
 	for _, t := range db.tables {
-		for _, s := range t.shards {
-			s.evictedBelow = db.lsn
-		}
+		t.evictedBelow = db.lsn
 	}
 	return nil
 }

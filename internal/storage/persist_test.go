@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"codb/internal/relation"
@@ -39,10 +41,10 @@ func TestDurableRecoveryFromWAL(t *testing.T) {
 	if db2.Rel("emp") == nil {
 		t.Fatal("schema lost")
 	}
-	if db2.Has("emp", emp(1, "ann")) {
+	if has(db2, "emp", emp(1, "ann")) {
 		t.Error("deleted tuple recovered")
 	}
-	if !db2.Has("emp", emp(2, "bob")) {
+	if !has(db2, "emp", emp(2, "bob")) {
 		t.Error("inserted tuple lost")
 	}
 	if db2.Count("emp") != 1 {
@@ -74,7 +76,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if db2.Count("emp") != 51 {
 		t.Errorf("recovered Count = %d, want 51", db2.Count("emp"))
 	}
-	if !db2.Has("emp", emp(100, "late")) || !db2.Has("emp", emp(49, "p49")) {
+	if !has(db2, "emp", emp(100, "late")) || !has(db2, "emp", emp(49, "p49")) {
 		t.Error("recovered content wrong")
 	}
 }
@@ -121,7 +123,7 @@ func TestRecoveryWithNullsAndAllTypes(t *testing.T) {
 	db2 := openDurable(t, dir, Options{})
 	defer db2.Close()
 	for _, r := range rows {
-		if !db2.Has("mix", r) {
+		if !has(db2, "mix", r) {
 			t.Errorf("tuple %v lost", r)
 		}
 	}
@@ -163,10 +165,10 @@ func TestTornWALTailRecovers(t *testing.T) {
 
 	db2 := openDurable(t, dir, Options{})
 	defer db2.Close()
-	if !db2.Has("emp", emp(1, "a")) {
+	if !has(db2, "emp", emp(1, "a")) {
 		t.Error("intact commit lost")
 	}
-	if db2.Has("emp", emp(2, "b")) {
+	if has(db2, "emp", emp(2, "b")) {
 		t.Error("torn commit partially applied")
 	}
 }
@@ -192,94 +194,47 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
-func TestLegacyWALMigration(t *testing.T) {
-	// A pre-segment database directory holds a single "log.wal". Opening
-	// it must replay the records, checkpoint them into a snapshot, delete
-	// the legacy file and continue on segments.
-	dir := t.TempDir()
-	l, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range [][]byte{
-		encodeDDL(empDef()),
-		encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}),
-		encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(2, "b").Key()}, {kind: opDelete, rel: "emp", key: emp(1, "a").Key()}}),
-	} {
-		if err := l.Append(rec); err != nil {
+// TestLegacyWALRefused: a directory holding the pre-segment single-file
+// log — alone, or as a stray next to a current database — is refused at
+// Open with an error naming the file, and the file is left untouched.
+func TestLegacyWALRefused(t *testing.T) {
+	writeLegacy := func(t *testing.T, dir string) string {
+		path := filepath.Join(dir, legacyLogName)
+		l, err := wal.Create(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		l.Append(encodeDDL(empDef()))
+		l.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	refused := func(t *testing.T, dir, path string) {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("Open with %s = %v, want an error naming the file", path, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("the refused log changed: %v", err)
+		}
 	}
-	l.Close()
-
-	db := openDurable(t, dir, Options{})
-	if db.Count("emp") != 1 || !db.Has("emp", emp(2, "b")) || db.Has("emp", emp(1, "a")) {
-		t.Fatalf("migrated contents wrong: count=%d", db.Count("emp"))
-	}
-	if got := db.LSN(); got != 3 {
-		t.Fatalf("migrated LSN = %d, want 3", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy log.wal not removed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatalf("migration checkpoint missing: %v", err)
-	}
-	if _, err := db.Insert("emp", emp(3, "c")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2 := openDurable(t, dir, Options{})
-	defer db2.Close()
-	if db2.Count("emp") != 2 || !db2.Has("emp", emp(3, "c")) {
-		t.Fatalf("post-migration restart lost data: count=%d", db2.Count("emp"))
-	}
-}
-
-func TestLegacyWALRemnantAfterMigrationCrash(t *testing.T) {
-	// Crash window inside the migration itself: the v4 checkpoint landed
-	// but log.wal was not yet deleted. The remnant's records are already
-	// snapshot-covered; replaying them would double-apply under inflated
-	// LSNs, so the next open must discard the file instead.
-	dir := t.TempDir()
-	l, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(encodeDDL(empDef()))
-	l.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
-	l.Sync()
-	l.Close()
-	db := openDurable(t, dir, Options{}) // migrates: replay, v4 checkpoint, delete
-	wantLSN := db.LSN()
-	db.Close()
-
-	// Resurrect the legacy file next to the v4 snapshot, as the crash
-	// would have left it.
-	l2, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.Append(encodeDDL(empDef()))
-	l2.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
-	l2.Sync()
-	l2.Close()
-
-	db2 := openDurable(t, dir, Options{})
-	defer db2.Close()
-	if got := db2.LSN(); got != wantLSN {
-		t.Fatalf("LSN after remnant open = %d, want %d (no double replay)", got, wantLSN)
-	}
-	if db2.Count("emp") != 1 {
-		t.Fatalf("Count = %d", db2.Count("emp"))
-	}
-	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy remnant not discarded: %v", err)
-	}
+	t.Run("alone", func(t *testing.T) {
+		dir := t.TempDir()
+		refused(t, dir, writeLegacy(t, dir))
+	})
+	t.Run("beside-segments", func(t *testing.T) {
+		dir := t.TempDir()
+		db := openDurable(t, dir, Options{})
+		db.DefineRelation(empDef())
+		db.Insert("emp", emp(2, "b"))
+		db.Close()
+		refused(t, dir, writeLegacy(t, dir))
+	})
 }
 
 func TestCheckpointIsNoopInMemory(t *testing.T) {

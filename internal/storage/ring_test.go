@@ -4,122 +4,92 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 
 	"codb/internal/relation"
 )
 
-// ringModel is the naive changelog the ring replaced: one slice per shard,
-// appended to and trimmed from the front, with the same two floors. all
-// keeps every captured insert ever, which is what the spill path serves.
+// ringModel is the naive changelog the ring replaced: a slice appended to
+// and trimmed from the front, with the same two floors. all keeps every
+// captured insert ever, which is what the spill path serves.
 type ringModel struct {
-	limit        int
-	shards       []modelShard
-	all          []modelChange
-	present      map[string]bool
-	lsn, nextSeq uint64
-}
-
-type modelShard struct {
-	changes                 []modelChange
+	limit                   int
+	changes, all            []modelChange
 	lostBelow, evictedBelow uint64
+	present                 map[string]bool
+	lsn                     uint64
 }
 
 type modelChange struct {
-	lsn, seq uint64
-	key      string
+	lsn uint64
+	key string
 }
 
 // apply replays one committed transaction's staged ops, in order.
 func (m *ringModel) apply(lsn uint64, ops []op) {
 	m.lsn = lsn
 	for _, o := range ops {
-		s := &m.shards[shardIndex(o.key, len(m.shards))]
 		switch {
 		case o.kind == opInsert && !m.present[o.key]:
 			m.present[o.key] = true
-			m.nextSeq++
-			c := modelChange{lsn: lsn, seq: m.nextSeq, key: o.key}
+			c := modelChange{lsn: lsn, key: o.key}
 			m.all = append(m.all, c)
-			s.changes = append(s.changes, c)
-			if drop := len(s.changes) - m.limit; drop > 0 {
-				s.evictedBelow = max(s.evictedBelow, s.changes[drop-1].lsn)
-				s.changes = s.changes[drop:]
+			m.changes = append(m.changes, c)
+			if drop := len(m.changes) - m.limit; drop > 0 {
+				m.evictedBelow = max(m.evictedBelow, m.changes[drop-1].lsn)
+				m.changes = m.changes[drop:]
 			}
 		case o.kind == opDelete && m.present[o.key]:
 			delete(m.present, o.key)
-			s.lostBelow = max(s.lostBelow, lsn)
-			s.changes = nil
+			m.lostBelow = max(m.lostBelow, lsn)
+			m.changes = nil
 		}
 	}
 }
 
-// floors returns the relation-wide poison and eviction floors.
-func (m *ringModel) floors() (poisoned, evicted uint64) {
-	for _, s := range m.shards {
-		poisoned = max(poisoned, s.lostBelow)
-		evicted = max(evicted, s.evictedBelow)
-	}
-	return poisoned, evicted
-}
-
-// changes is what Changes(rel, w) must return. spill reports that the
+// delta is what Changes(rel, w) must return. spill reports that the
 // answer has to come from retained WAL segments.
-func (m *ringModel) changes(w uint64, durable bool) (keys []string, ok, spill bool) {
-	poisoned, evicted := m.floors()
-	var delta []modelChange
-	collect := func(src []modelChange) {
-		for _, c := range src {
-			if c.lsn > w {
-				delta = append(delta, c)
-			}
-		}
-	}
+func (m *ringModel) delta(w uint64, durable bool) (keys []string, ok, spill bool) {
+	src := m.changes
 	switch {
-	case w >= poisoned && w >= evicted:
-		for _, s := range m.shards {
-			collect(s.changes)
-		}
-		sort.Slice(delta, func(i, j int) bool { return delta[i].seq < delta[j].seq })
-	case w < poisoned || !durable:
+	case w >= m.lostBelow && w >= m.evictedBelow:
+	case w < m.lostBelow || !durable:
 		return nil, false, false
 	default:
-		collect(m.all)
-		spill = true
+		src, spill = m.all, true
 	}
-	for _, c := range delta {
-		keys = append(keys, c.key)
+	for _, c := range src {
+		if c.lsn > w {
+			keys = append(keys, c.key)
+		}
 	}
 	return keys, true, spill
 }
 
-// checkRing compares every shard's ring and floors with the model's; when
+// checkRing compares the relation's ring and floors with the model's; when
 // not full, only the oldest and newest ring entries are compared.
 func checkRing(t *testing.T, db *DB, m *ringModel, full bool) {
 	t.Helper()
-	for i, s := range db.tables["emp"].shards {
-		ms := m.shards[i]
-		if s.lostBelow != ms.lostBelow || s.evictedBelow != ms.evictedBelow {
-			t.Fatalf("lsn %d shard %d: floors lost=%d evicted=%d, model lost=%d evicted=%d",
-				m.lsn, i, s.lostBelow, s.evictedBelow, ms.lostBelow, ms.evictedBelow)
-		}
-		if s.changes.n != len(ms.changes) {
-			t.Fatalf("lsn %d shard %d: ring holds %d entries, model %d", m.lsn, i, s.changes.n, len(ms.changes))
-		}
-		if len(s.changes.buf) > m.limit {
-			t.Fatalf("lsn %d shard %d: ring capacity %d exceeds limit %d", m.lsn, i, len(s.changes.buf), m.limit)
-		}
-		step := 1
-		if !full {
-			step = max(1, len(ms.changes)-1)
-		}
-		for j := 0; j < len(ms.changes); j += step {
-			mc := ms.changes[j]
-			if c := s.changes.at(j); c.lsn != mc.lsn || c.tuple.Key() != mc.key {
-				t.Fatalf("lsn %d shard %d entry %d: ring (%d, %q), model (%d, %q)",
-					m.lsn, i, j, c.lsn, c.tuple.Key(), mc.lsn, mc.key)
-			}
+	tb := db.tables["emp"]
+	if tb.lostBelow != m.lostBelow || tb.evictedBelow != m.evictedBelow {
+		t.Fatalf("lsn %d: floors lost=%d evicted=%d, model lost=%d evicted=%d",
+			m.lsn, tb.lostBelow, tb.evictedBelow, m.lostBelow, m.evictedBelow)
+	}
+	if tb.changes.n != len(m.changes) {
+		t.Fatalf("lsn %d: ring holds %d entries, model %d", m.lsn, tb.changes.n, len(m.changes))
+	}
+	if len(tb.changes.buf) > m.limit {
+		t.Fatalf("lsn %d: ring capacity %d exceeds limit %d", m.lsn, len(tb.changes.buf), m.limit)
+	}
+	step := 1
+	if !full {
+		step = max(1, len(m.changes)-1)
+	}
+	for j := 0; j < len(m.changes); j += step {
+		mc := m.changes[j]
+		if c := tb.changes.at(j); c.lsn != mc.lsn || c.tuple.Key() != mc.key {
+			t.Fatalf("lsn %d entry %d: ring (%d, %q), model (%d, %q)",
+				m.lsn, j, c.lsn, c.tuple.Key(), mc.lsn, mc.key)
 		}
 	}
 }
@@ -129,7 +99,7 @@ func checkRing(t *testing.T, db *DB, m *ringModel, full bool) {
 func checkChanges(t *testing.T, db *DB, m *ringModel, w uint64) {
 	t.Helper()
 	durable := db.log != nil
-	want, wantOK, wantSpill := m.changes(w, durable)
+	want, wantOK, wantSpill := m.delta(w, durable)
 	before := db.spillHits.Load() + db.spillMisses.Load()
 	got, ok := db.Changes("emp", w)
 	spilled := db.spillHits.Load()+db.spillMisses.Load() != before
@@ -147,9 +117,11 @@ func checkChanges(t *testing.T, db *DB, m *ringModel, w uint64) {
 }
 
 // TestChangeRingAgainstModel drives random multi-op commits — inserts,
-// duplicates, deletes that reset a ring, enough rows to wrap every ring
-// several times — through the engine and the naive slice model, and
-// requires identical rings, floors and Changes answers at every watermark.
+// duplicates, deletes that reset the ring, enough rows to wrap it several
+// times — through the engine and the naive slice model, and requires
+// identical rings, floors and Changes answers at every watermark. The
+// shards= field of the subtest names is left from a retired storage layout;
+// it keeps the names test histories know.
 func TestChangeRingAgainstModel(t *testing.T) {
 	cases := []struct {
 		limit, shards, commits int
@@ -167,7 +139,7 @@ func TestChangeRingAgainstModel(t *testing.T) {
 	for ci, tc := range cases {
 		name := fmt.Sprintf("limit=%d/shards=%d/durable=%v", tc.limit, tc.shards, tc.durable)
 		t.Run(name, func(t *testing.T) {
-			opts := Options{ChangelogLimit: tc.limit, Shards: tc.shards}
+			opts := Options{ChangelogLimit: tc.limit}
 			if tc.durable {
 				opts.Dir = t.TempDir()
 			}
@@ -179,7 +151,7 @@ func TestChangeRingAgainstModel(t *testing.T) {
 			if err := db.DefineRelation(empDef()); err != nil {
 				t.Fatal(err)
 			}
-			m := &ringModel{limit: db.changelogLimit(), shards: make([]modelShard, tc.shards), present: map[string]bool{}}
+			m := &ringModel{limit: db.changelogLimit(), present: map[string]bool{}}
 			rng := rand.New(rand.NewSource(int64(ci) + 1))
 			domain := tc.commits * 4
 			every := tc.limit > 0 && tc.limit <= 6 // small runs: all watermarks after every commit
@@ -207,7 +179,7 @@ func TestChangeRingAgainstModel(t *testing.T) {
 					// Large rings answer a mid-history watermark with
 					// thousands of tuples: sweep those with a stride, the
 					// floors' neighbourhood and the recent past densely.
-					_, evicted := m.floors()
+					evicted := m.evictedBelow
 					for w := uint64(0); w <= m.lsn; w++ {
 						if every || w%41 == 0 || w+128 > m.lsn || (w+2 >= evicted && w <= evicted+2) {
 							checkChanges(t, db, m, w)
@@ -220,14 +192,13 @@ func TestChangeRingAgainstModel(t *testing.T) {
 				// and then, every watermark at the end.
 				marks := []uint64{m.lsn, m.lsn - 1, m.lsn - uint64(rng.Int63n(int64(min(m.lsn, 64))))}
 				if c%250 == 0 {
-					poisoned, evicted := m.floors()
-					marks = append(marks, poisoned, evicted, max(evicted, 1)-1, uint64(rng.Int63n(int64(m.lsn))))
+					marks = append(marks, m.lostBelow, m.evictedBelow, max(m.evictedBelow, 1)-1, uint64(rng.Int63n(int64(m.lsn))))
 				}
 				for _, w := range marks {
 					checkChanges(t, db, m, w)
 				}
 			}
-			if _, evicted := m.floors(); evicted == 0 {
+			if m.evictedBelow == 0 {
 				t.Fatal("no ring ever wrapped: the case does not test eviction")
 			}
 		})
@@ -236,27 +207,24 @@ func TestChangeRingAgainstModel(t *testing.T) {
 
 // TestReplayRebuildsSameRing commits more than ChangelogLimit inserts (with
 // a delete among them), kills the database without a checkpoint, and
-// requires WAL replay to leave every shard's ring and floors exactly as
-// the live commits did.
+// requires WAL replay to leave the ring and floors exactly as the live
+// commits did.
 func TestReplayRebuildsSameRing(t *testing.T) {
 	type dump struct {
 		entries                 []modelChange
 		lostBelow, evictedBelow uint64
 	}
-	dumpRings := func(db *DB) []dump {
-		var out []dump
-		for _, s := range db.tables["emp"].shards {
-			d := dump{lostBelow: s.lostBelow, evictedBelow: s.evictedBelow}
-			for i := 0; i < s.changes.n; i++ {
-				c := s.changes.at(i)
-				d.entries = append(d.entries, modelChange{lsn: c.lsn, key: c.tuple.Key()})
-			}
-			out = append(out, d)
+	dumpRing := func(db *DB) dump {
+		tb := db.tables["emp"]
+		d := dump{lostBelow: tb.lostBelow, evictedBelow: tb.evictedBelow}
+		for i := 0; i < tb.changes.n; i++ {
+			c := tb.changes.at(i)
+			d.entries = append(d.entries, modelChange{lsn: c.lsn, key: c.tuple.Key()})
 		}
-		return out
+		return d
 	}
 	dir := t.TempDir()
-	opts := Options{ChangelogLimit: 6, Shards: 2}
+	opts := Options{ChangelogLimit: 6}
 	db := openDurable(t, dir, opts)
 	if err := db.DefineRelation(empDef()); err != nil {
 		t.Fatal(err)
@@ -272,7 +240,7 @@ func TestReplayRebuildsSameRing(t *testing.T) {
 			}
 		}
 	}
-	live, lsn := dumpRings(db), db.LSN()
+	live, lsn := dumpRing(db), db.LSN()
 	db.crash()
 
 	re := openDurable(t, dir, opts)
@@ -280,14 +248,11 @@ func TestReplayRebuildsSameRing(t *testing.T) {
 	if re.LSN() != lsn {
 		t.Fatalf("replayed LSN = %d, live %d", re.LSN(), lsn)
 	}
-	replayed := dumpRings(re)
-	for i := range live {
-		if live[i].evictedBelow == 0 {
-			t.Fatalf("shard %d never evicted: the test does not cover wrap-around", i)
-		}
-		if fmt.Sprint(live[i]) != fmt.Sprint(replayed[i]) {
-			t.Errorf("shard %d: live ring %v, replayed %v", i, live[i], replayed[i])
-		}
+	if live.evictedBelow == 0 {
+		t.Fatal("the ring never evicted: the test does not cover wrap-around")
+	}
+	if replayed := dumpRing(re); fmt.Sprint(live) != fmt.Sprint(replayed) {
+		t.Errorf("live ring %v, replayed %v", live, replayed)
 	}
 }
 

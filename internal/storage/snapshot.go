@@ -13,37 +13,31 @@ import (
 // database lock again, so any number of query evaluations run concurrently
 // with committing writers (and with each other) without lock coupling.
 //
-// The implementation is copy-on-write per shard, at B+tree node
-// granularity: a shard's view is an O(1) clone of its primary tree and of
+// The implementation is copy-on-write per relation, at B+tree node
+// granularity: a relation's view is an O(1) clone of its primary tree and of
 // the secondary trees it maintains (btree.Map.Clone), cached until the
-// shard's next write so that quiescent snapshots share it. Pinning costs
-// O(relations × shards) whatever the tables hold; a commit after a pin
-// copies only the nodes on the paths it writes, and the view keeps the
-// originals. Tuples are shared with the live shards (they are never mutated
-// in place).
+// relation's next write so that quiescent snapshots share it. Pinning costs
+// O(relations) whatever the tables hold; a commit after a pin copies only
+// the nodes on the paths it writes, and the view keeps the originals.
+// Tuples are shared with the live tables (they are never mutated in place).
 type Snapshot struct {
 	lsn    uint64
 	schema *relation.Schema
-	tables map[string]*relSnap
+	tables map[string]*tableSnap
 }
 
-// relSnap is the immutable view of one relation: one tableSnap per shard.
-type relSnap struct {
-	def    *relation.RelDef
-	shards []*tableSnap
-}
-
-// tableSnap is the immutable view of one shard: a clone of its primary tree
-// and, in sec, of the secondary indexes it maintained when the view was
+// tableSnap is the immutable view of one relation: a clone of its primary
+// tree and, in sec, of the secondary indexes it maintained when the view was
 // made.
 //
-// An attribute position the shard has no index for gets one on the first
-// ScanEq that probes it, built from the view's own primary with no shard
+// An attribute position the relation has no index for gets one on the first
+// ScanEq that probes it, built from the view's own primary with no table
 // lock and kept in sec for every snapshot sharing the view. If the view is
-// still the shard's current state at the shard's next write, the shard
-// adopts that index and maintains it (shard.beginWrite), so the build is
-// paid once per position, not once per commit.
+// still the relation's current state at its next write, the table adopts
+// that index and maintains it (table.beginWrite), so the build is paid once
+// per position, not once per commit.
 type tableSnap struct {
+	def     *relation.RelDef
 	primary *btree.Map[relation.Tuple]
 
 	secMu sync.Mutex
@@ -52,7 +46,9 @@ type tableSnap struct {
 
 // index returns the view's index over one attribute position, building it
 // on first use; secMu serialises concurrent builders. Position 0 is served
-// by the primary (see shard.index).
+// by the primary: a tuple key begins with the encoding of the tuple's first
+// value, so value-prefix scans over it enumerate what a (value ‖ key) index
+// would, in the same order.
 func (v *tableSnap) index(pos int) *btree.Map[relation.Tuple] {
 	if pos == 0 {
 		return v.primary
@@ -70,21 +66,12 @@ func (v *tableSnap) index(pos int) *btree.Map[relation.Tuple] {
 	return idx
 }
 
-// indexes returns every shard view's index over the position.
-func (t *relSnap) indexes(pos int) []*btree.Map[relation.Tuple] {
-	out := make([]*btree.Map[relation.Tuple], len(t.shards))
-	for i, sh := range t.shards {
-		out[i] = sh.index(pos)
-	}
-	return out
-}
-
 // Snapshot pins a read view at the current commit LSN. The returned
 // Snapshot is immutable and safe for concurrent use; it observes every
 // transaction committed before the call and none committed after. Every
-// shard lock is held at once while the view is assembled — and a commit
-// holds all its shard write locks from LSN assignment through application —
-// so the cut is consistent even under concurrent multi-shard commits.
+// table lock is held at once while the view is assembled — and a commit
+// holds all its table write locks from LSN assignment through application —
+// so the cut is consistent even under concurrent multi-relation commits.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -97,39 +84,34 @@ func (db *DB) Snapshot() *Snapshot {
 	s := &Snapshot{
 		lsn:    lsn,
 		schema: db.schema.Clone(),
-		tables: make(map[string]*relSnap, len(db.tables)),
+		tables: make(map[string]*tableSnap, len(db.tables)),
 	}
 	for _, name := range names {
-		t := db.tables[name]
-		rs := &relSnap{def: t.def, shards: make([]*tableSnap, len(t.shards))}
-		for i, sh := range t.shards {
-			rs.shards[i] = sh.snapshot()
-		}
-		s.tables[name] = rs
+		s.tables[name] = db.tables[name].snapshot()
 	}
 	return s
 }
 
-// snapshot returns the shard's cached view, cloning the trees if a write
-// forgot the previous one. The caller holds the shard read lock (so no
+// snapshot returns the table's cached view, cloning the trees if a write
+// forgot the previous one. The caller holds the table read lock (so no
 // writer is inside the trees; Clone only re-tokens them, which readers never
-// look at); snapMu serialises concurrent cloners. Writers reset s.snap under
-// the shard write lock, which excludes every reader, so all access to s.snap
+// look at); snapMu serialises concurrent cloners. Writers reset t.snap under
+// the table write lock, which excludes every reader, so all access to t.snap
 // is race-free.
-func (s *shard) snapshot() *tableSnap {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snap == nil {
-		v := &tableSnap{primary: s.primary.Clone()}
-		if len(s.second) > 0 {
-			v.sec = make(map[int]*btree.Map[relation.Tuple], len(s.second))
-			for pos, idx := range s.second {
+func (t *table) snapshot() *tableSnap {
+	t.snapMu.Lock()
+	defer t.snapMu.Unlock()
+	if t.snap == nil {
+		v := &tableSnap{def: t.def, primary: t.primary.Clone()}
+		if len(t.second) > 0 {
+			v.sec = make(map[int]*btree.Map[relation.Tuple], len(t.second))
+			for pos, idx := range t.second {
 				v.sec[pos] = idx.Clone()
 			}
 		}
-		s.snap = v
+		t.snap = v
 	}
-	return s.snap
+	return t.snap
 }
 
 // LSN returns the commit sequence number the snapshot is pinned at.
@@ -148,15 +130,10 @@ func (s *Snapshot) Rel(name string) *relation.RelDef {
 
 // Count returns the number of tuples in the relation as of the snapshot.
 func (s *Snapshot) Count(rel string) int {
-	t, ok := s.tables[rel]
-	if !ok {
-		return 0
+	if t, ok := s.tables[rel]; ok {
+		return t.primary.Len()
 	}
-	n := 0
-	for _, sh := range t.shards {
-		n += sh.primary.Len()
-	}
-	return n
+	return 0
 }
 
 // Has reports whether the tuple is present in the relation as of the
@@ -172,33 +149,45 @@ func (s *Snapshot) HasKey(rel, key string) bool {
 	if !ok {
 		return false
 	}
-	_, ok = t.shards[shardIndex(key, len(t.shards))].primary.Get(key)
+	_, ok = t.primary.Get(key)
 	return ok
 }
 
-// Scan calls fn for every tuple of the relation in global key order (a
-// k-way merge over the per-shard views); fn returning false stops the
-// scan. No locks are held: fn may take arbitrarily long and may read back
-// into the live database.
+// Scan calls fn for every tuple of the relation in key order; fn returning
+// false stops the scan. No locks are held: fn may take arbitrarily long and
+// may read back into the live database.
 func (s *Snapshot) Scan(rel string, fn func(relation.Tuple) bool) {
 	if t, ok := s.tables[rel]; ok {
-		scanMerged(t.indexes(0), "", "", fn)
+		t.primary.AscendValues(fn)
 	}
 }
 
 // ScanEq scans the tuples whose attribute at position pos equals v, in key
-// order, as an index probe: each shard view's index over the position (see
-// tableSnap.index) is entered at the value prefix, and the per-shard runs
-// are k-way merged. Within one value prefix the index order is the
-// tuple-key order (the value encoding is prefix-free), so the result is
-// bit-identical to a filtered full scan — at O(log n + matches) per shard
-// instead of O(n).
+// order, as an index probe: the view's index over the position (see
+// tableSnap.index) is entered at the value prefix. Within one value prefix
+// the index order is the tuple-key order (the value encoding is
+// prefix-free), so the result is bit-identical to a filtered full scan — at
+// O(log n + matches) instead of O(n).
 func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
 	t, ok := s.tables[rel]
 	if !ok || pos < 0 || pos >= t.def.Arity() {
 		return
 	}
-	scanPrefix(t.indexes(pos), string(relation.EncodeValue(nil, v)), fn)
+	prefix := string(relation.EncodeValue(nil, v))
+	t.index(pos).Ascend(prefix, prefixSuccessor(prefix), func(_ string, row relation.Tuple) bool { return fn(row) })
+}
+
+// prefixSuccessor returns the smallest string greater than every string
+// with the given prefix ("" when no such string exists).
+func prefixSuccessor(p string) string {
+	b := []byte(p)
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] != 0xFF {
+			b[i]++
+			return string(b[:i+1])
+		}
+	}
+	return ""
 }
 
 // Tuples returns all tuples of the relation as of the snapshot, in key
@@ -220,12 +209,10 @@ func (s *Snapshot) Tuples(rel string) []relation.Tuple {
 func (s *Snapshot) Instance() relation.Instance {
 	in := relation.NewInstance()
 	for name, t := range s.tables {
-		for _, sh := range t.shards {
-			sh.primary.AscendValues(func(row relation.Tuple) bool {
-				in.Insert(name, row)
-				return true
-			})
-		}
+		t.primary.AscendValues(func(row relation.Tuple) bool {
+			in.Insert(name, row)
+			return true
+		})
 	}
 	return in
 }

@@ -77,23 +77,22 @@ func TestSnapshotSharingAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := db.Snapshot(), db.Snapshot()
-	if a.tables["data"].shards[0] != b.tables["data"].shards[0] {
-		t.Fatal("quiescent snapshots do not share the per-shard view")
+	if a.tables["data"] != b.tables["data"] {
+		t.Fatal("quiescent snapshots do not share the relation view")
 	}
 	if _, err := db.Insert("data", relation.Tuple{relation.Int(2), relation.Int(2)}); err != nil {
 		t.Fatal(err)
 	}
 	c := db.Snapshot()
-	if c.tables["data"].shards[0] == a.tables["data"].shards[0] {
-		t.Fatal("commit did not invalidate the cached per-shard view")
+	if c.tables["data"] == a.tables["data"] {
+		t.Fatal("commit did not invalidate the cached relation view")
 	}
 }
 
+// TestSnapshotScanEqMatchesDB: a snapshot's index probe finds exactly the
+// tuples a filtered scan of the live database does.
 func TestSnapshotScanEqMatchesDB(t *testing.T) {
 	db := snapTestDB(t)
-	if err := db.IndexOn("data", "v"); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 50; i++ {
 		if _, err := db.Insert("data", relation.Tuple{relation.Int(i), relation.Int(i % 5)}); err != nil {
 			t.Fatal(err)
@@ -102,8 +101,10 @@ func TestSnapshotScanEqMatchesDB(t *testing.T) {
 	snap := db.Snapshot()
 	for v := 0; v < 5; v++ {
 		want := map[string]bool{}
-		db.ScanEq("data", 1, relation.Int(v), func(tu relation.Tuple) bool {
-			want[tu.Key()] = true
+		db.Scan("data", func(tu relation.Tuple) bool {
+			if tu[1] == relation.Int(v) {
+				want[tu.Key()] = true
+			}
 			return true
 		})
 		got := map[string]bool{}
@@ -277,21 +278,11 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // TestSnapshotScanEqShardedOrderIdentity checks the index-probe ScanEq
-// against the definitionally correct filtered Scan on a multi-shard
-// database: same tuples, same (tuple-key) order — the invariant the CQ
+// against the definitionally correct filtered Scan, with keys inserted out
+// of order: same tuples, same (tuple-key) order — the invariant the CQ
 // evaluator's constant pushdown relies on for bit-identical results.
 func TestSnapshotScanEqShardedOrderIdentity(t *testing.T) {
-	db, err := Open(Options{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	if err := db.DefineRelation(&relation.RelDef{
-		Name:  "data",
-		Attrs: []relation.Attr{{Name: "k", Type: relation.TInt}, {Name: "v", Type: relation.TInt}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	db := snapTestDB(t)
 	for i := 0; i < 500; i++ {
 		if _, err := db.Insert("data", relation.Tuple{relation.Int(i * 37 % 501), relation.Int(i % 7)}); err != nil {
 			t.Fatal(err)
@@ -319,7 +310,7 @@ func TestSnapshotScanEqShardedOrderIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Early stop must not fall over mid-merge.
+	// Early stop stops.
 	n := 0
 	snap.ScanEq("data", 1, relation.Int(0), func(relation.Tuple) bool { n++; return n < 2 })
 	if n != 2 {
@@ -328,8 +319,8 @@ func TestSnapshotScanEqShardedOrderIdentity(t *testing.T) {
 }
 
 // TestSnapshotSecondaryViewSharing checks how lazily built secondary
-// indexes live on: sibling snapshots share a shard view and the index one of
-// them built; a commit makes the shard adopt that index, so a later snapshot
+// indexes live on: sibling snapshots share a relation view and the index one
+// of them built; a commit makes the table adopt that index, so a later snapshot
 // sees the committed rows through a maintained index — one that still
 // shares its untouched nodes with the original — not a rebuilt one; and the
 // pinned snapshots keep answering from the state they pinned.
@@ -346,9 +337,9 @@ func TestSnapshotSecondaryViewSharing(t *testing.T) {
 		return v.sec[1]
 	}
 	a, b := db.Snapshot(), db.Snapshot()
-	shA, shB := a.tables["data"].shards[0], b.tables["data"].shards[0]
+	shA, shB := a.tables["data"], b.tables["data"]
 	if shA != shB {
-		t.Fatal("quiescent snapshots do not share the shard view")
+		t.Fatal("quiescent snapshots do not share the relation view")
 	}
 	if sec(shA) != nil {
 		t.Fatal("a never-probed position has an index")
@@ -371,14 +362,14 @@ func TestSnapshotSecondaryViewSharing(t *testing.T) {
 	if _, err := db.Insert("data", relation.Tuple{relation.Int(5000), relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	live := db.tables["data"].shards[0].second[1]
+	live := db.tables["data"].second[1]
 	if live == nil {
 		t.Fatal("the commit did not adopt the index a reader built")
 	}
 	c := db.Snapshot()
-	shC := c.tables["data"].shards[0]
+	shC := c.tables["data"]
 	if shC == shA {
-		t.Fatal("the commit left the old shard view cached")
+		t.Fatal("the commit left the old relation view cached")
 	}
 	pinned := sec(shC)
 	if pinned == nil {
@@ -406,7 +397,7 @@ func TestSnapshotSecondaryViewSharing(t *testing.T) {
 // TestSnapshotAllocationAfterCommitIsFlat guards what a pin costs after a
 // commit: DB.Snapshot following a 64-row commit allocates the same small
 // number of bytes whether the table holds 1k or 32k rows. (The flat views
-// this replaces copied the shard: 40 B per row, 1.3 MB at 32k.)
+// this replaces copied the table: 40 B per row, 1.3 MB at 32k.)
 func TestSnapshotAllocationAfterCommitIsFlat(t *testing.T) {
 	perPin := func(rows int) uint64 {
 		db := snapTestDB(t)

@@ -1,22 +1,24 @@
 // Package storage implements coDB's embedded relational engine: the Local
 // Database (LDB) each peer manages. Relations are sets of typed tuples
 // (set semantics, as required by the update algorithm's "T′ = T \ R" step).
-// Each relation is hash-partitioned into Options.Shards shards; every shard
-// owns its own lock, B+tree primary index over the order-preserving tuple
-// encoding, secondary indexes, changelog segment, and cached snapshot view
-// (an O(1) copy-on-write clone of the trees). Durability is optional: when
-// opened with a directory, every commit is logged to a write-ahead log —
-// through a group-commit pipeline when SyncOnCommit is set, so concurrent
-// commits share fsyncs — and periodically checkpointed into a snapshot
-// file; recovery loads the snapshot and replays the log.
+// Every relation owns one lock, a B+tree primary index over the
+// order-preserving tuple encoding, the secondary indexes snapshot probes
+// built, a changelog ring, and a cached snapshot view (an O(1) copy-on-write
+// clone of the trees). Durability is optional: when opened with a
+// directory, every commit is logged to a write-ahead log — through a
+// group-commit pipeline when SyncOnCommit is set, so concurrent commits
+// share fsyncs — and periodically checkpointed into a snapshot file;
+// recovery loads the snapshot and replays the log.
 //
-// Concurrency: readers and writers coordinate per shard, so transactions
-// touching disjoint shards commit in parallel. Commit sequence numbers stay
-// globally monotone: LSNs are assigned under a short ordering mutex while
-// the committing transaction already holds its shard locks, which makes the
-// WAL order equal the LSN order and lets Snapshot pin a consistent cut by
-// holding every shard lock at once. Transactions stage their writes
-// privately and apply them atomically at Commit.
+// Concurrency: readers and writers coordinate per relation, so transactions
+// touching disjoint relations commit in parallel (a peer commits from its
+// one actor loop, so in practice each database has a single committer).
+// Commit sequence numbers stay globally monotone: LSNs are assigned under a
+// short ordering mutex while the committing transaction already holds its
+// relation locks, which makes the WAL order equal the LSN order and lets
+// Snapshot pin a consistent cut by holding every relation lock at once.
+// Transactions stage their writes privately and apply them atomically at
+// Commit.
 package storage
 
 import (
@@ -27,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"codb/internal/btree"
 	"codb/internal/relation"
 	"codb/internal/wal"
 )
@@ -46,19 +47,12 @@ type Options struct {
 	// CheckpointEvery triggers an automatic checkpoint after this many
 	// commits (0 disables automatic checkpoints).
 	CheckpointEvery int
-	// ChangelogLimit bounds the per-shard in-memory changelog backing
+	// ChangelogLimit bounds the per-relation in-memory changelog backing
 	// Changes (0 selects DefaultChangelogLimit, negative disables change
-	// capture entirely). When a shard's changelog overflows, its oldest
+	// capture entirely). When a relation's changelog overflows, its oldest
 	// entries are dropped and Changes reports "history lost" for
 	// watermarks that precede the drop.
 	ChangelogLimit int
-	// Shards is the number of hash partitions per relation. 0 selects the
-	// snapshot-recorded count for recovered databases (1 for fresh ones);
-	// 1 preserves the unsharded layout exactly. Tuples are routed by a
-	// hash of their order-preserving encoding, so any shard count yields
-	// the same logical contents — merged scans are always in global key
-	// order — and a database may be reopened with a different count.
-	Shards int
 	// SegmentBytes rotates the WAL to a fresh segment file once the
 	// active one reaches this size (0 selects wal.DefaultSegmentBytes).
 	// Smaller segments tighten checkpoint truncation and changelog-spill
@@ -72,7 +66,7 @@ type Options struct {
 	RetainSegments int
 }
 
-// DefaultChangelogLimit is the per-shard changelog bound used when
+// DefaultChangelogLimit is the per-relation changelog bound used when
 // Options.ChangelogLimit is zero.
 const DefaultChangelogLimit = 4096
 
@@ -80,27 +74,22 @@ const DefaultChangelogLimit = 4096
 // segments kept for changelog spill when Options.RetainSegments is zero.
 const DefaultRetainSegments = 4
 
-// maxShards bounds Options.Shards (and the snapshot-recorded count) to
-// keep per-relation overhead sane.
-const maxShards = 1 << 12
-
 // DB is an embedded relational database.
 type DB struct {
 	// mu guards the schema, the tables map and the closed flag. Reads and
-	// commits hold it shared (shard locks provide their isolation); DDL,
-	// IndexOn, Checkpoint and Close hold it exclusively.
-	mu      sync.RWMutex
-	schema  *relation.Schema
-	tables  map[string]*table
-	opts    Options
-	nshards int
-	log     *wal.Segmented      // nil when memory-only
-	group   *wal.GroupCommitter // nil unless durable with SyncOnCommit
-	closed  bool
+	// commits hold it shared (table locks provide their isolation); DDL and
+	// Close hold it exclusively.
+	mu     sync.RWMutex
+	schema *relation.Schema
+	tables map[string]*table
+	opts   Options
+	log    *wal.Segmented      // nil when memory-only
+	group  *wal.GroupCommitter // nil unless durable with SyncOnCommit
+	closed bool
 
 	// ckptMu serialises checkpoints (explicit, automatic-background, and
 	// the final one in Close). It is never held while commits are blocked:
-	// a checkpoint pins a Snapshot — a brief all-shard read lock — and
+	// a checkpoint pins a Snapshot — a brief all-relation read lock — and
 	// writes it with no database locks held. Lock order: ckptMu before
 	// db.mu.
 	ckptMu sync.Mutex
@@ -110,11 +99,8 @@ type DB struct {
 	ckptErr   error
 	// recoveredCkpt is the checkpoint LSN the last loaded snapshot
 	// recorded: WAL replay skips records at or below it (they may survive
-	// in retained segments). recoveredSnapVersion is that snapshot's
-	// format version (0 when none was found), which gates the legacy
-	// log.wal migration.
-	recoveredCkpt        uint64
-	recoveredSnapVersion uint32
+	// in retained segments).
+	recoveredCkpt uint64
 
 	// spillHits / spillMisses count Changes calls served from retained
 	// WAL segments and ones that found the segment window unavailable.
@@ -124,7 +110,7 @@ type DB struct {
 	// commitMu orders commits: LSN assignment and the WAL append/enqueue
 	// happen together under it, so the log's record order always equals
 	// the LSN order. It is held only for that short window, never during
-	// fsyncs (group-commit path) or shard application.
+	// fsyncs (group-commit path) or table application.
 	commitMu sync.Mutex
 
 	// lsnMu guards the commit sequence state below.
@@ -142,30 +128,24 @@ type DB struct {
 	// inflight holds the LSNs assigned but not yet fully applied.
 	inflight map[uint64]struct{}
 
-	// captureSeq totally orders changelog entries within one commit LSN
-	// (a multi-tuple commit captures across several shards; the merge in
-	// Changes restores its op order by this sequence).
-	captureSeq atomic.Uint64
-
 	commitsSinceCheckpoint atomic.Int64
 }
 
 const (
 	snapshotName = "snapshot.cdb"
-	logName      = "log.wal"
+	// legacyLogName is the single-file log of the pre-segment engine. No
+	// database in that format is supported: a directory holding one is
+	// refused rather than opened without the commits it holds.
+	legacyLogName = "log.wal"
 )
 
 // Open opens (or creates) a database. With a Dir, prior state is recovered
 // from the snapshot and WAL in that directory.
 func Open(opts Options) (*DB, error) {
-	if opts.Shards < 0 || opts.Shards > maxShards {
-		return nil, fmt.Errorf("storage: Shards = %d out of range [0, %d]", opts.Shards, maxShards)
-	}
 	db := &DB{
 		schema:   relation.NewSchema(),
 		tables:   make(map[string]*table),
 		opts:     opts,
-		nshards:  max(1, opts.Shards),
 		inflight: make(map[uint64]struct{}),
 	}
 	if opts.Dir == "" {
@@ -174,14 +154,14 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir: %w", err)
 	}
+	legacy := filepath.Join(opts.Dir, legacyLogName)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("storage: %s: unsupported pre-segment write-ahead log", legacy)
+	}
 	// A crash can leave a half-written snapshot behind; it was never
 	// renamed into place, so it holds nothing durable.
 	os.Remove(filepath.Join(opts.Dir, snapshotName) + ".tmp")
 	if err := db.loadSnapshot(filepath.Join(opts.Dir, snapshotName)); err != nil {
-		return nil, err
-	}
-	migrate, err := db.replayLegacyLog()
-	if err != nil {
 		return nil, err
 	}
 	log, err := wal.OpenSegmented(opts.Dir, db.lsn,
@@ -191,16 +171,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.log = log
 	db.visible = db.lsn
-	if migrate {
-		// The legacy records live nowhere but the old file: checkpoint the
-		// replayed state before dropping it. One-time, at open, unshared —
-		// the stop-the-world cost is irrelevant here.
-		if err := db.checkpointPinned(); err != nil {
-			db.log.Close()
-			return nil, fmt.Errorf("storage: migrate legacy wal: %w", err)
-		}
-		os.Remove(filepath.Join(opts.Dir, logName))
-	}
 	// The group-commit pipeline only pays when there are fsyncs to share;
 	// without SyncOnCommit the inline append under commitMu is cheaper
 	// than a cross-goroutine round-trip per commit.
@@ -208,36 +178,6 @@ func Open(opts Options) (*DB, error) {
 		db.group = wal.NewGroupCommitter(log)
 	}
 	return db, nil
-}
-
-// replayLegacyLog migrates a pre-segment "log.wal" file: its records are
-// replayed on top of the snapshot and the caller then checkpoints and
-// deletes the file. Reports whether a legacy log was found and replayed.
-//
-// Legacy records carry no LSNs, so a record cannot individually be
-// recognised as checkpoint-covered. Instead the snapshot version
-// disambiguates the migration crash window: only the new engine writes v4
-// snapshots, and it deletes log.wal right after its first one — so a
-// log.wal alongside a v4 snapshot is a remnant whose every record that
-// checkpoint already covers, and replaying it would double-apply them
-// under inflated LSNs. It is discarded instead.
-func (db *DB) replayLegacyLog() (bool, error) {
-	path := filepath.Join(db.opts.Dir, logName)
-	if _, err := os.Stat(path); err != nil {
-		return false, nil
-	}
-	if db.recoveredSnapVersion >= 4 {
-		os.Remove(path)
-		return false, nil
-	}
-	l, err := wal.Open(path, func(payload []byte) error {
-		return db.applyLogRecord(db.lsn+1, payload)
-	})
-	if err != nil {
-		return false, err
-	}
-	l.Close()
-	return true, nil
 }
 
 // MustOpenMem opens a memory-only database, panicking on error; convenience
@@ -251,7 +191,7 @@ func MustOpenMem() *DB {
 }
 
 // assignLSN allocates the next commit sequence number and marks it
-// in-flight. Callers hold commitMu (for ordering) and their shard locks
+// in-flight. Callers hold commitMu (for ordering) and their table locks
 // (so the LSN becomes visible to full-cut readers only when applied).
 func (db *DB) assignLSN() uint64 {
 	db.lsnMu.Lock()
@@ -319,7 +259,7 @@ func (db *DB) DefineRelation(def *relation.RelDef) error {
 	if err := db.schema.Add(def); err != nil {
 		return err
 	}
-	db.tables[def.Name] = newTable(def, db.nshards)
+	db.tables[def.Name] = newTable(def)
 	db.commitMu.Lock()
 	l := db.assignLSN()
 	var wait <-chan error
@@ -360,56 +300,24 @@ func (db *DB) DefineSchema(s *relation.Schema) error {
 	return nil
 }
 
-// IndexOn creates a secondary index over one attribute of a relation
-// (maintained per shard), enabling ScanEq/ScanRange on that attribute.
-// Idempotent, and a no-op for the first attribute, which the primary index
-// already orders (see shard.index).
-func (db *DB) IndexOn(rel, attr string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t := db.tables[rel]
-	if t == nil {
-		return fmt.Errorf("storage: unknown relation %q", rel)
-	}
-	pos := t.def.AttrIndex(attr)
-	if pos < 0 {
-		return fmt.Errorf("storage: relation %s has no attribute %q", rel, attr)
-	}
-	// db.mu is held exclusively: no commit and no Snapshot runs beside this.
-	for _, s := range t.shards {
-		if s.index(pos) == nil {
-			s.second[pos] = secondaryOf(s.primary, pos)
-			s.snap = nil // the next snapshot pins the new index too
-		}
-	}
-	return nil
-}
-
 var errClosed = fmt.Errorf("storage: database is closed")
 
-// Has reports whether the tuple is present in the relation.
-func (db *DB) Has(rel string, tuple relation.Tuple) bool {
-	return db.HasKey(rel, tuple.Key())
-}
-
-// HasKey is Has for a caller that already holds the tuple's key
-// (tuple.Key()), sparing the re-encoding.
-func (db *DB) HasKey(rel, key string) bool {
+// hasKey reports whether the tuple whose key (tuple.Key()) is given is
+// present in the relation.
+func (db *DB) hasKey(rel, key string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t := db.tables[rel]
 	if t == nil {
 		return false
 	}
-	s := t.shardFor(key)
-	s.mu.RLock()
-	_, ok := s.primary.Get(key)
-	s.mu.RUnlock()
+	t.mu.RLock()
+	_, ok := t.primary.Get(key)
+	t.mu.RUnlock()
 	return ok
 }
 
-// Count returns the number of tuples in the relation. All shards are
-// locked at once, so the count is a consistent cut.
+// Count returns the number of tuples in the relation.
 func (db *DB) Count(rel string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -417,19 +325,14 @@ func (db *DB) Count(rel string) int {
 	if t == nil {
 		return 0
 	}
-	t.rlockAll()
-	defer t.runlockAll()
-	n := 0
-	for _, s := range t.shards {
-		n += s.primary.Len()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.primary.Len()
 }
 
-// Scan calls fn for every tuple of the relation in global key order (a
-// k-way merge over the per-shard primary indexes), under the relation's
-// shard read locks; fn must not call back into the DB's write methods. fn
-// returning false stops the scan.
+// Scan calls fn for every tuple of the relation in key order, under the
+// relation's read lock; fn must not call back into the DB's write methods.
+// fn returning false stops the scan.
 func (db *DB) Scan(rel string, fn func(relation.Tuple) bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -437,118 +340,9 @@ func (db *DB) Scan(rel string, fn func(relation.Tuple) bool) {
 	if t == nil {
 		return
 	}
-	t.rlockAll()
-	defer t.runlockAll()
-	t.scanLocked(fn)
-}
-
-// scanLocked merges the shard primaries in key order (shard locks held).
-func (t *table) scanLocked(fn func(relation.Tuple) bool) {
-	scanMerged(t.indexes(0), "", "", fn)
-}
-
-// scanMerged calls fn for the rows of the per-shard trees whose keys lie in
-// [from, to), in global key order; empty bounds are open. A single shard is
-// scanned leaf by leaf with no merge; fn returning false stops the scan.
-func scanMerged(trees []*btree.Map[relation.Tuple], from, to string, fn func(relation.Tuple) bool) {
-	if len(trees) == 1 {
-		if from == "" && to == "" {
-			trees[0].AscendValues(fn)
-			return
-		}
-		trees[0].Ascend(from, to, func(_ string, row relation.Tuple) bool { return fn(row) })
-		return
-	}
-	mergeAscend(itersFrom(trees, from), func(key string, row relation.Tuple) bool {
-		if to != "" && key >= to {
-			return false // merged order: once the minimum passes the bound, all do
-		}
-		return fn(row)
-	})
-}
-
-// scanPrefix is scanMerged over the keys that start with prefix.
-func scanPrefix(trees []*btree.Map[relation.Tuple], prefix string, fn func(relation.Tuple) bool) {
-	scanMerged(trees, prefix, prefixSuccessor(prefix), fn)
-}
-
-// ScanEq scans tuples whose attribute at position pos equals v, using the
-// per-shard secondary indexes when they exist and a full merged scan
-// otherwise. Either way tuples arrive in a deterministic order (secondary:
-// by attr value ‖ tuple key; fallback: global key order).
-func (db *DB) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil || pos < 0 || pos >= t.def.Arity() {
-		return
-	}
-	t.rlockAll()
-	defer t.runlockAll()
-	if idx := t.indexes(pos); idx != nil {
-		scanPrefix(idx, string(relation.EncodeValue(nil, v)), fn)
-		return
-	}
-	t.scanLocked(func(tp relation.Tuple) bool {
-		if tp[pos] == v {
-			return fn(tp)
-		}
-		return true
-	})
-}
-
-// ScanRange scans tuples whose attribute at position pos lies within the
-// given bounds (each bound optional: nil means unbounded; inclusive).
-// With a secondary index on the attribute the scan touches only the range;
-// otherwise it falls back to a filtered merged scan.
-func (db *DB) ScanRange(rel string, pos int, lo, hi *relation.Value, fn func(relation.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil || pos < 0 || pos >= t.def.Arity() {
-		return
-	}
-	t.rlockAll()
-	defer t.runlockAll()
-	if idx := t.indexes(pos); idx != nil {
-		from, to := "", ""
-		if lo != nil {
-			from = string(relation.EncodeValue(nil, *lo))
-		}
-		if hi != nil {
-			to = prefixSuccessor(string(relation.EncodeValue(nil, *hi)))
-		}
-		scanMerged(idx, from, to, fn)
-		return
-	}
-	within := func(v relation.Value) bool {
-		if lo != nil && v.Compare(*lo) < 0 {
-			return false
-		}
-		if hi != nil && v.Compare(*hi) > 0 {
-			return false
-		}
-		return true
-	}
-	t.scanLocked(func(tp relation.Tuple) bool {
-		if within(tp[pos]) {
-			return fn(tp)
-		}
-		return true
-	})
-}
-
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix ("" when no such string exists).
-func prefixSuccessor(p string) string {
-	b := []byte(p)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.primary.AscendValues(fn)
 }
 
 // Tuples returns a copied slice of all tuples in the relation, in key order.
@@ -562,8 +356,8 @@ func (db *DB) Tuples(rel string) []relation.Tuple {
 }
 
 // Instance exports the whole database as a relation.Instance (for oracles,
-// stats and tests). Every shard of every relation is locked at once, so
-// the export is a consistent cut.
+// stats and tests). Every relation is locked at once, so the export is a
+// consistent cut.
 func (db *DB) Instance() relation.Instance {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -572,13 +366,10 @@ func (db *DB) Instance() relation.Instance {
 	defer unlock()
 	in := relation.NewInstance()
 	for _, name := range names {
-		t := db.tables[name]
-		for _, s := range t.shards {
-			s.primary.AscendValues(func(row relation.Tuple) bool {
-				in.Insert(name, row)
-				return true
-			})
-		}
+		db.tables[name].primary.AscendValues(func(row relation.Tuple) bool {
+			in.Insert(name, row)
+			return true
+		})
 	}
 	return in
 }
@@ -594,18 +385,17 @@ func (db *DB) sortedTableNames() []string {
 	return names
 }
 
-// rlockTables read-locks every shard of the named tables in the global
-// (relation name, shard index) order and returns the matching unlock.
-// Holding every shard lock at once blocks any in-flight commit from being
-// half-visible: a commit holds all its shard write locks from LSN
-// assignment through application.
+// rlockTables read-locks the named tables in the global (relation name)
+// lock order and returns the matching unlock. Holding every table lock at
+// once blocks any in-flight commit from being half-visible: a commit holds
+// all its table write locks from LSN assignment through application.
 func (db *DB) rlockTables(names []string) func() {
 	for _, name := range names {
-		db.tables[name].rlockAll()
+		db.tables[name].mu.RLock()
 	}
 	return func() {
 		for _, name := range names {
-			db.tables[name].runlockAll()
+			db.tables[name].mu.RUnlock()
 		}
 	}
 }
@@ -623,11 +413,9 @@ func (db *DB) Stats() Stats {
 	defer db.mu.RUnlock()
 	s := Stats{Relations: db.schema.Len()}
 	for _, t := range db.tables {
-		t.rlockAll()
-		for _, sh := range t.shards {
-			s.Tuples += sh.primary.Len()
-		}
-		t.runlockAll()
+		t.mu.RLock()
+		s.Tuples += t.primary.Len()
+		t.mu.RUnlock()
 	}
 	if db.log != nil {
 		s.WALBytes = db.log.Size()
@@ -635,23 +423,17 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// ShardStats summarises one shard of one relation.
-type ShardStats struct {
+// RelationStats summarises one relation.
+type RelationStats struct {
+	Name   string
 	Tuples int
 	Bytes  int64 // encoded tuple volume (sum of primary key lengths)
 }
 
-// RelationStats is the per-shard breakdown of one relation.
-type RelationStats struct {
-	Name   string
-	Shards []ShardStats
-}
-
-// DetailedStats is the storage command's full engine report: per-shard
+// DetailedStats is the storage command's full engine report: per-relation
 // row/byte counts, WAL segment/size figures, changelog-spill counters and
 // group-commit batching counters.
 type DetailedStats struct {
-	Shards      int
 	LSN         uint64
 	Relations   []RelationStats
 	WALBytes    int64
@@ -666,24 +448,20 @@ type DetailedStats struct {
 	SpillMisses uint64
 }
 
-// DetailedStats returns the per-shard engine report.
+// DetailedStats returns the engine report.
 func (db *DB) DetailedStats() DetailedStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := DetailedStats{Shards: db.nshards, LSN: db.LSN()}
+	out := DetailedStats{LSN: db.LSN()}
 	for _, name := range db.sortedTableNames() {
 		t := db.tables[name]
-		rs := RelationStats{Name: name, Shards: make([]ShardStats, len(t.shards))}
-		t.rlockAll()
-		for i, sh := range t.shards {
-			st := ShardStats{Tuples: sh.primary.Len()}
-			sh.primary.AscendAll(func(key string, _ relation.Tuple) bool {
-				st.Bytes += int64(len(key))
-				return true
-			})
-			rs.Shards[i] = st
-		}
-		t.runlockAll()
+		t.mu.RLock()
+		rs := RelationStats{Name: name, Tuples: t.primary.Len()}
+		t.primary.AscendAll(func(key string, _ relation.Tuple) bool {
+			rs.Bytes += int64(len(key))
+			return true
+		})
+		t.mu.RUnlock()
 		out.Relations = append(out.Relations, rs)
 	}
 	if db.log != nil {
@@ -709,13 +487,10 @@ func (db *DB) LSN() uint64 {
 	return db.visible
 }
 
-// Shards returns the number of hash partitions per relation.
-func (db *DB) Shards() int { return db.nshards }
-
 // Dir returns the durability directory ("" for memory-only databases).
 func (db *DB) Dir() string { return db.opts.Dir }
 
-// changelogLimit resolves the configured per-shard changelog bound.
+// changelogLimit resolves the configured per-relation changelog bound.
 func (db *DB) changelogLimit() int {
 	if db.opts.ChangelogLimit == 0 {
 		return DefaultChangelogLimit
@@ -724,9 +499,8 @@ func (db *DB) changelogLimit() int {
 }
 
 // Changes reports the tuples committed into the relation after sinceLSN, in
-// commit order. The hot path merges the per-shard in-memory changelogs (by
-// LSN, then by capture sequence within a multi-tuple commit). When the
-// watermark has fallen out of the rings — evicted by overflow, or older
+// commit order. The hot path reads the relation's in-memory changelog. When
+// the watermark has fallen out of the ring — evicted by overflow, or older
 // than the snapshot a restart recovered from — the delta is served from
 // the retained WAL segments instead (the changelog spill path), so
 // long-lived hot relations and reopened databases keep answering
@@ -749,21 +523,17 @@ func (db *DB) Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok
 		db.mu.RUnlock()
 		return nil, false
 	}
-	t.rlockAll()
+	t.mu.RLock()
 	visible := db.LSN()
-	var poisoned, evicted uint64
-	for _, s := range t.shards {
-		poisoned = max(poisoned, s.lostBelow)
-		evicted = max(evicted, s.evictedBelow)
-	}
-	if sinceLSN >= poisoned && sinceLSN >= evicted {
+	poisoned := t.lostBelow
+	if sinceLSN >= poisoned && sinceLSN >= t.evictedBelow {
 		inserts = t.memChangesLocked(sinceLSN, visible)
-		t.runlockAll()
+		t.mu.RUnlock()
 		db.mu.RUnlock()
 		return inserts, true
 	}
 	arity := t.def.Arity()
-	t.runlockAll()
+	t.mu.RUnlock()
 	db.mu.RUnlock()
 	if sinceLSN < poisoned || db.log == nil {
 		return nil, false
@@ -771,38 +541,18 @@ func (db *DB) Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok
 	return db.changesFromSegments(rel, arity, sinceLSN, visible)
 }
 
-// memChangesLocked merges the in-memory shard changelogs for (sinceLSN,
-// visible]; shard read locks held by the caller. Each ring is LSN-ordered,
-// so the window is found by binary search and costs O(log n + delta).
+// memChangesLocked reads the in-memory changelog for (sinceLSN, visible];
+// the caller holds the table read lock. The ring is LSN-ordered, so the
+// window is found by binary search and costs O(log n + delta).
 func (t *table) memChangesLocked(sinceLSN, visible uint64) []relation.Tuple {
-	if len(t.shards) == 1 {
-		r := &t.shards[0].changes
-		lo, hi := r.after(sinceLSN), r.after(visible)
-		if lo >= hi {
-			return nil
-		}
-		inserts := make([]relation.Tuple, hi-lo)
-		for i := range inserts {
-			inserts[i] = r.at(lo + i).tuple
-		}
-		return inserts
+	r := &t.changes
+	lo, hi := r.after(sinceLSN), r.after(visible)
+	if lo >= hi {
+		return nil
 	}
-	var merged []change
-	for _, s := range t.shards {
-		r := &s.changes
-		for i, hi := r.after(sinceLSN), r.after(visible); i < hi; i++ {
-			merged = append(merged, *r.at(i))
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].lsn != merged[j].lsn {
-			return merged[i].lsn < merged[j].lsn
-		}
-		return merged[i].seq < merged[j].seq
-	})
-	inserts := make([]relation.Tuple, len(merged))
-	for i, c := range merged {
-		inserts[i] = c.tuple
+	inserts := make([]relation.Tuple, hi-lo)
+	for i := range inserts {
+		inserts[i] = r.at(lo + i).tuple
 	}
 	return inserts
 }

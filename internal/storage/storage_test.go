@@ -29,6 +29,11 @@ func emp(id int, name string) relation.Tuple {
 	return relation.Tuple{relation.Int(id), relation.Str(name)}
 }
 
+// has reports whether the committed state of rel holds the tuple.
+func has(db *DB, rel string, tuple relation.Tuple) bool {
+	return db.hasKey(rel, tuple.Key())
+}
+
 func TestInsertHasCount(t *testing.T) {
 	db := newEmpDB(t)
 	fresh, err := db.Insert("emp", emp(1, "ann"))
@@ -39,7 +44,7 @@ func TestInsertHasCount(t *testing.T) {
 	if err != nil || fresh {
 		t.Fatalf("duplicate Insert = %v, %v (want set semantics)", fresh, err)
 	}
-	if !db.Has("emp", emp(1, "ann")) || db.Has("emp", emp(2, "bob")) {
+	if !has(db, "emp", emp(1, "ann")) || has(db, "emp", emp(2, "bob")) {
 		t.Error("Has wrong")
 	}
 	if db.Count("emp") != 1 {
@@ -71,7 +76,7 @@ func TestDelete(t *testing.T) {
 	if err != nil || !existed {
 		t.Fatalf("Delete = %v, %v", existed, err)
 	}
-	if db.Has("emp", emp(1, "ann")) || db.Count("emp") != 0 {
+	if has(db, "emp", emp(1, "ann")) || db.Count("emp") != 0 {
 		t.Error("tuple survived delete")
 	}
 	existed, _ = db.Delete("emp", emp(1, "ann"))
@@ -80,7 +85,7 @@ func TestDelete(t *testing.T) {
 	}
 	// Slot reuse: delete then insert a different tuple.
 	db.Insert("emp", emp(2, "bob"))
-	if !db.Has("emp", emp(2, "bob")) {
+	if !has(db, "emp", emp(2, "bob")) {
 		t.Error("insert after delete failed")
 	}
 }
@@ -144,13 +149,13 @@ func TestTxReadYourWrites(t *testing.T) {
 		t.Errorf("tx scan = %v", seen)
 	}
 	// Uncommitted: DB unchanged.
-	if db.Has("emp", emp(2, "bob")) || !db.Has("emp", emp(1, "ann")) {
+	if has(db, "emp", emp(2, "bob")) || !has(db, "emp", emp(1, "ann")) {
 		t.Error("staged writes leaked before commit")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !db.Has("emp", emp(2, "bob")) || db.Has("emp", emp(1, "ann")) {
+	if !has(db, "emp", emp(2, "bob")) || has(db, "emp", emp(1, "ann")) {
 		t.Error("commit not applied")
 	}
 }
@@ -184,24 +189,27 @@ func TestTxInsertDeleteInterleave(t *testing.T) {
 		t.Error("re-insert after staged delete not fresh")
 	}
 	tx.Commit()
-	if !db.Has("emp", emp(1, "a")) {
+	if !has(db, "emp", emp(1, "a")) {
 		t.Error("net insert missing")
 	}
 }
 
+// TestSecondaryIndexScanEq probes a secondary position through snapshots:
+// the first probe builds the index, a commit adopts it, and the adopted
+// index stays consistent under insert and delete.
 func TestSecondaryIndexScanEq(t *testing.T) {
 	db := newEmpDB(t)
 	for i := 0; i < 100; i++ {
 		db.Insert("emp", emp(i, fmt.Sprintf("name%d", i%10)))
 	}
-	if err := db.IndexOn("emp", "name"); err != nil {
-		t.Fatal(err)
+	ids := func(pos int, v relation.Value) (got []int64) {
+		db.Snapshot().ScanEq("emp", pos, v, func(tp relation.Tuple) bool {
+			got = append(got, tp[0].Int)
+			return true
+		})
+		return got
 	}
-	var got []int64
-	db.ScanEq("emp", 1, relation.Str("name3"), func(tp relation.Tuple) bool {
-		got = append(got, tp[0].Int)
-		return true
-	})
+	got := ids(1, relation.Str("name3"))
 	if len(got) != 10 {
 		t.Fatalf("indexed ScanEq returned %d tuples", len(got))
 	}
@@ -210,91 +218,19 @@ func TestSecondaryIndexScanEq(t *testing.T) {
 			t.Errorf("wrong tuple id=%d", id)
 		}
 	}
-	// Unindexed path must agree.
-	var got2 []int64
-	db.ScanEq("emp", 0, relation.Int(42), func(tp relation.Tuple) bool {
-		got2 = append(got2, tp[0].Int)
-		return true
-	})
-	if len(got2) != 1 || got2[0] != 42 {
-		t.Errorf("unindexed ScanEq = %v", got2)
+	// The primary serves position 0.
+	if got := ids(0, relation.Int(42)); len(got) != 1 || got[0] != 42 {
+		t.Errorf("primary ScanEq = %v", got)
 	}
-	// Index stays consistent under delete.
+	// The next commits adopt the index and keep it consistent.
 	db.Delete("emp", emp(3, "name3"))
-	count := 0
-	db.ScanEq("emp", 1, relation.Str("name3"), func(relation.Tuple) bool { count++; return true })
-	if count != 9 {
-		t.Errorf("after delete, indexed count = %d", count)
+	db.Insert("emp", emp(1003, "name3"))
+	if db.tables["emp"].second[1] == nil {
+		t.Fatal("the commit did not adopt the probed index")
 	}
-	if err := db.IndexOn("emp", "ghost"); err == nil {
-		t.Error("IndexOn unknown attribute accepted")
+	if got := ids(1, relation.Str("name3")); len(got) != 10 || got[len(got)-1] != 1003 {
+		t.Errorf("after delete and insert, indexed ScanEq = %v", got)
 	}
-	if err := db.IndexOn("ghost", "x"); err == nil {
-		t.Error("IndexOn unknown relation accepted")
-	}
-}
-
-func TestScanRange(t *testing.T) {
-	db := newEmpDB(t)
-	for i := 0; i < 100; i++ {
-		db.Insert("emp", emp(i, fmt.Sprintf("p%02d", i)))
-	}
-	lo, hi := relation.Int(10), relation.Int(19)
-	count := func() int {
-		n := 0
-		db.ScanRange("emp", 0, &lo, &hi, func(tp relation.Tuple) bool {
-			if tp[0].Int < 10 || tp[0].Int > 19 {
-				t.Errorf("out-of-range tuple %v", tp)
-			}
-			n++
-			return true
-		})
-		return n
-	}
-	// Unindexed path.
-	if got := count(); got != 10 {
-		t.Errorf("unindexed range = %d, want 10", got)
-	}
-	// Indexed path must agree.
-	if err := db.IndexOn("emp", "id"); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(); got != 10 {
-		t.Errorf("indexed range = %d, want 10", got)
-	}
-	// Open bounds.
-	n := 0
-	db.ScanRange("emp", 0, &lo, nil, func(relation.Tuple) bool { n++; return true })
-	if n != 90 {
-		t.Errorf("lo-only range = %d, want 90", n)
-	}
-	n = 0
-	db.ScanRange("emp", 0, nil, &hi, func(relation.Tuple) bool { n++; return true })
-	if n != 20 {
-		t.Errorf("hi-only range = %d, want 20", n)
-	}
-	n = 0
-	db.ScanRange("emp", 0, nil, nil, func(relation.Tuple) bool { n++; return true })
-	if n != 100 {
-		t.Errorf("unbounded range = %d, want 100", n)
-	}
-	// Early stop.
-	n = 0
-	db.ScanRange("emp", 0, &lo, &hi, func(relation.Tuple) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
-	}
-	// String attribute ranges on the indexed path.
-	sLo, sHi := relation.Str("p50"), relation.Str("p59")
-	db.IndexOn("emp", "name")
-	n = 0
-	db.ScanRange("emp", 1, &sLo, &sHi, func(relation.Tuple) bool { n++; return true })
-	if n != 10 {
-		t.Errorf("string range = %d, want 10", n)
-	}
-	// Bad relation / position are no-ops.
-	db.ScanRange("ghost", 0, nil, nil, func(relation.Tuple) bool { t.Error("visited"); return false })
-	db.ScanRange("emp", 9, nil, nil, func(relation.Tuple) bool { t.Error("visited"); return false })
 }
 
 func TestPrefixSuccessor(t *testing.T) {

@@ -2,7 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"codb/internal/relation"
 )
@@ -30,7 +31,7 @@ const (
 type op struct {
 	kind  opKind
 	rel   string
-	key   string         // the tuple's Key(): computed once at staging, reused to route, apply and log
+	key   string         // the tuple's Key(): computed once at staging, reused to apply and log
 	tuple relation.Tuple // nil for opDelete
 }
 
@@ -74,7 +75,7 @@ func (tx *Tx) Insert(rel string, tuple relation.Tuple) (bool, error) {
 			return false, nil
 		}
 		// Staged delete followed by insert: net effect is presence.
-	} else if tx.db.HasKey(rel, key) {
+	} else if tx.db.hasKey(rel, key) {
 		return false, nil
 	}
 	tx.record(m, op{opInsert, rel, key, tuple.Clone()})
@@ -95,7 +96,7 @@ func (tx *Tx) Delete(rel string, tuple relation.Tuple) (bool, error) {
 		if !st.present {
 			return false, nil
 		}
-	} else if !tx.db.HasKey(rel, key) {
+	} else if !tx.db.hasKey(rel, key) {
 		return false, nil
 	}
 	tx.record(m, op{kind: opDelete, rel: rel, key: key}) // a delete is fully described by its key
@@ -115,7 +116,7 @@ func (tx *Tx) Has(rel string, tuple relation.Tuple) bool {
 	if st, ok := tx.overlay[rel][key]; ok {
 		return st.present
 	}
-	return tx.db.HasKey(rel, key)
+	return tx.db.hasKey(rel, key)
 }
 
 // Scan iterates the relation as seen by the transaction: committed tuples
@@ -137,7 +138,7 @@ func (tx *Tx) Scan(rel string, fn func(relation.Tuple) bool) {
 		return
 	}
 	for key, st := range stage {
-		if st.present && !tx.db.HasKey(rel, key) {
+		if st.present && !tx.db.hasKey(rel, key) {
 			if !fn(st.tuple) {
 				return
 			}
@@ -163,9 +164,9 @@ func (tx *Tx) Commit() error {
 // commit is the one commit path of the engine: transactions, InsertMany and
 // the keyed batch all end here. It applies ops atomically, logs them, and
 // sets applied[i] (len(applied) == len(ops)) for every op that changed its
-// shard — for an insert, "the tuple was new".
+// relation — for an insert, "the tuple was new".
 //
-// The commit write-locks exactly the shards its ops touch (in the global
+// The commit write-locks exactly the relations its ops touch (in the global
 // lock order) and applies the ops to them straight away: what each
 // set-semantics insert or delete did to its tree is the only presence test,
 // so nothing is looked up twice, a duplicate inside the batch or a tuple
@@ -174,28 +175,28 @@ func (tx *Tx) Commit() error {
 // no LSN and writes no record. Then the LSN is taken and the WAL record
 // enqueued under the short commit-ordering mutex, and — on the sync-on-commit
 // group path — the shared batch fsync is awaited, still holding only those
-// shard locks: commits to disjoint shards form batches and run in parallel,
-// while no reader ever observes a commit that is not yet durable.
+// relation locks: commits to disjoint relations form batches and run in
+// parallel, while no reader ever observes a commit that is not yet durable.
 func (db *DB) commit(ops []op, applied []bool) error {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
 		return errClosed
 	}
-	locked := db.lockOpShards(ops)
+	locked := db.lockOpTables(ops)
 	unlock := func() {
-		for _, s := range locked {
-			s.mu.Unlock()
+		for _, t := range locked {
+			t.mu.Unlock()
 		}
 	}
 	changed := 0
 	for i := range ops {
 		o := &ops[i]
-		s := db.tables[o.rel].shardFor(o.key)
+		t := db.tables[o.rel]
 		if o.kind == opInsert {
-			applied[i] = s.insert(o.key, o.tuple)
+			applied[i] = t.insert(o.key, o.tuple)
 		} else {
-			applied[i] = s.delete(o.key)
+			applied[i] = t.delete(o.key)
 		}
 		if applied[i] {
 			changed++
@@ -225,8 +226,8 @@ func (db *DB) commit(ops []op, applied []bool) error {
 	db.commitMu.Unlock()
 	// Durability before visibility: on the group-commit path (sync-on-
 	// commit) the record must be stable before any reader can observe the
-	// commit, so the fsync is awaited while the shard locks are still
-	// held. Concurrent committers on other shards enqueue into the same
+	// commit, so the fsync is awaited while the relation locks are still
+	// held. Concurrent committers to other relations enqueue into the same
 	// batch before waiting, so the fsync is still shared.
 	//
 	// A WAL failure is surfaced to the caller but the ops stay applied in
@@ -237,14 +238,14 @@ func (db *DB) commit(ops []op, applied []bool) error {
 	if wait != nil {
 		werr = <-wait
 	}
-	capt := db.beginCapture(lsn, len(ops))
+	capt := db.beginCapture(lsn)
 	for i := range ops {
 		o := &ops[i]
-		s := db.tables[o.rel].shardFor(o.key)
+		t := db.tables[o.rel]
 		if o.kind == opInsert {
-			capt.insert(s, o.tuple)
+			capt.insert(t, o.tuple)
 		} else {
-			capt.delete(s)
+			capt.delete(t)
 		}
 	}
 	unlock()
@@ -264,54 +265,20 @@ func (db *DB) commit(ops []op, applied []bool) error {
 	return nil
 }
 
-// lockOpShards write-locks the distinct shards the ops touch, in the
-// global (relation name, shard index) order, and returns them for unlock.
-// Consistent ordering across commits and full-cut readers (rlockTables)
-// makes the per-shard locking deadlock-free. The bookkeeping is sized by the
-// shards there are, not by the ops: a batch of any length into an unsharded
-// relation locks one shard and remembers one.
-func (db *DB) lockOpShards(ops []op) []*shard {
-	type ref struct {
-		rel string
-		idx int
-		s   *shard
-	}
-	bound := min(len(ops), db.nshards*len(db.tables))
-	refs := make([]ref, 0, bound)
-	var seen map[*shard]struct{} // made for the second distinct shard
-	var last *shard
+// lockOpTables write-locks the distinct relations the ops touch, in name
+// order — the global lock order full-cut readers (rlockTables) use too,
+// which makes the per-relation locking deadlock-free — and returns them for
+// unlock.
+func (db *DB) lockOpTables(ops []op) []*table {
+	var out []*table
 	for i := range ops {
-		t := db.tables[ops[i].rel]
-		idx := shardIndex(ops[i].key, len(t.shards))
-		s := t.shards[idx]
-		if s == last {
-			continue
+		if t := db.tables[ops[i].rel]; !slices.Contains(out, t) {
+			out = append(out, t)
 		}
-		last = s
-		if len(refs) > 0 {
-			if seen == nil {
-				seen = make(map[*shard]struct{}, bound)
-				seen[refs[0].s] = struct{}{}
-			}
-			if _, dup := seen[s]; dup {
-				continue
-			}
-			seen[s] = struct{}{}
-		}
-		refs = append(refs, ref{ops[i].rel, idx, s})
 	}
-	if len(refs) > 1 {
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].rel != refs[j].rel {
-				return refs[i].rel < refs[j].rel
-			}
-			return refs[i].idx < refs[j].idx
-		})
-	}
-	out := make([]*shard, len(refs))
-	for i, r := range refs {
-		r.s.mu.Lock()
-		out[i] = r.s
+	slices.SortFunc(out, func(a, b *table) int { return strings.Compare(a.def.Name, b.def.Name) })
+	for _, t := range out {
+		t.mu.Lock()
 	}
 	return out
 }

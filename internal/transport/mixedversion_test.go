@@ -63,39 +63,50 @@ func errorsAs(err error, target *net.Error) bool {
 }
 
 // TestTCPHandshakeVersionMismatch: a dialer offering only a future protocol
-// version is refused — the acceptor closes the connection without ever
-// registering a pipe, so no pipe-down fires.
+// version, or only the retired V1, is refused — the acceptor closes the
+// connection without ever registering a pipe, so no pipe-down fires.
 func TestTCPHandshakeVersionMismatch(t *testing.T) {
-	srv, err := NewTCP("srv", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	downs := make(chan string, 1)
-	srv.SetPipeDownHandler(func(p string) { downs <- p })
+	for _, tc := range []struct {
+		name     string
+		min, max byte
+	}{
+		{"future", 99, 99},
+		{"v1-only", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewTCP("srv", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			downs := make(chan string, 1)
+			srv.SetPipeDownHandler(func(p string) { downs <- p })
 
-	c, _, err := rawDial(t, srv.Addr(), "future", 99, 99)
-	if err == nil {
-		// The acceptor may close before or after writing anything; either
-		// way the connection must die without a registered pipe.
-		waitClosed(t, c)
-	}
-	c.Close()
+			c, _, err := rawDial(t, srv.Addr(), tc.name, tc.min, tc.max)
+			if err == nil {
+				// The acceptor may close before or after writing anything;
+				// either way the connection must die without a registered
+				// pipe.
+				waitClosed(t, c)
+			}
+			c.Close()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(srv.Peers()) == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := srv.Peers(); len(got) != 0 {
-		t.Fatalf("refused dialer registered a pipe: %v", got)
-	}
-	select {
-	case p := <-downs:
-		t.Fatalf("pipe-down fired for never-established pipe %q", p)
-	default:
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				if len(srv.Peers()) == 0 {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := srv.Peers(); len(got) != 0 {
+				t.Fatalf("refused dialer registered a pipe: %v", got)
+			}
+			select {
+			case p := <-downs:
+				t.Fatalf("pipe-down fired for never-established pipe %q", p)
+			default:
+			}
+		})
 	}
 }
 
@@ -149,11 +160,11 @@ func TestTCPUnknownTypeAndBadCRCFailPipe(t *testing.T) {
 		frame func(t *testing.T) []byte
 	}{
 		{"unknown-type", func(t *testing.T) []byte {
-			return wire.AppendFrame(nil, wire.V1, 0xEE, []byte("??"))
+			return wire.AppendFrame(nil, wire.V2, 0xEE, []byte("??"))
 		}},
 		{"wire-type-after-handshake", func(t *testing.T) []byte {
 			var b bytes.Buffer
-			if err := wire.WriteHello(&b, wire.Hello{Name: "again", Min: 1, Max: 1}); err != nil {
+			if err := wire.WriteHello(&b, wire.Hello{Name: "again", Min: wire.MinVersion, Max: wire.MaxVersion}); err != nil {
 				t.Fatal(err)
 			}
 			return b.Bytes()
@@ -163,7 +174,7 @@ func TestTCPUnknownTypeAndBadCRCFailPipe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := wire.AppendFrame(nil, wire.V1, byte(tag), body)
+			f := wire.AppendFrame(nil, wire.V2, byte(tag), body)
 			f[len(f)-1] ^= 0x01
 			return f
 		}},
@@ -210,7 +221,7 @@ func TestTCPMixedVersionRangeNegotiatesDown(t *testing.T) {
 	var got collector
 	srv.SetHandler(got.handler)
 
-	// Pretend to be a newer build that still speaks V1.
+	// Pretend to be a newer build that still speaks V2.
 	c, theirs, err := rawDial(t, srv.Addr(), "newer", wire.MinVersion, wire.MaxVersion+3)
 	if err != nil {
 		t.Fatalf("handshake: %v", err)

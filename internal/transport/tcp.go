@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -518,10 +519,9 @@ func (t *TCP) writeEnvelope(to string, conn *tcpConn, env msg.Envelope) error {
 }
 
 // StartHeartbeats begins emitting one msg.Heartbeat frame per interval on
-// every pipe whose negotiated protocol version is at least wire.V2 — V1
-// peers predate the heartbeat tag and must never see one. Heartbeats are
-// control traffic below the peer layer: they reset the receiver's suspicion
-// timer but carry no session obligations and are not deficit-counted.
+// every pipe. Heartbeats are control traffic below the peer layer: they
+// reset the receiver's suspicion timer but carry no session obligations and
+// are not deficit-counted.
 // Subsequent calls are no-ops; the loop stops when the transport closes.
 func (t *TCP) StartHeartbeats(interval time.Duration) {
 	if interval <= 0 {
@@ -552,12 +552,7 @@ func (t *TCP) heartbeatLoop(interval time.Duration) {
 		}
 		seq++
 		t.mu.Lock()
-		targets := make(map[string]*tcpConn, len(t.conns))
-		for name, conn := range t.conns {
-			if conn.version >= wire.V2 {
-				targets[name] = conn
-			}
-		}
+		targets := maps.Clone(t.conns)
 		t.mu.Unlock()
 		for name, conn := range targets {
 			env := msg.Envelope{From: t.self, Payload: &msg.Heartbeat{Seq: seq}}
@@ -568,20 +563,6 @@ func (t *TCP) heartbeatLoop(interval time.Duration) {
 			conn.writeMu.Unlock()
 		}
 	}
-}
-
-// PeerVersion reports the wire protocol version negotiated with a piped
-// peer; ok is false when no live pipe to the node exists. The peer layer
-// consults it before sending V2-only payloads (the pull-propagation
-// family): an unknown or V1 pipe degrades the link to push.
-func (t *TCP) PeerVersion(node string) (version byte, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	conn := t.conns[node]
-	if conn == nil {
-		return 0, false
-	}
-	return conn.version, true
 }
 
 // Disconnect implements Transport.

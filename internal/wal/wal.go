@@ -4,12 +4,10 @@
 // The current log format is the segmented WAL (see segment.go): a directory
 // of numbered append-only segment files whose headers carry the LSN of
 // their first record, rotated at a size threshold and truncated by
-// checkpoints. The single-file Log in this file is the legacy (pre-segment)
-// format; it is retained so old "log.wal" files can be replayed once and
-// migrated, as the simplest harness for the shared record framing, and as
-// the file under the peer layer's export-state log (a small append-only
-// sidecar that wants exactly this framing and torn-tail recovery, and none
-// of the segment machinery).
+// checkpoints. The single-file Log in this file is the simplest harness for
+// the shared record framing and the file under the peer layer's
+// export-state log (a small append-only sidecar that wants exactly this
+// framing and torn-tail recovery, and none of the segment machinery).
 //
 // Record layout (shared by both formats):
 //
@@ -111,9 +109,8 @@ func scanRecords(buf []byte, fn func(payload []byte) error) (end int, torn bool,
 }
 
 // Log is the single-file append-only log. Append and Sync may be called
-// from one goroutine at a time. Databases use Segmented instead; Log remains
-// for migrating old "log.wal" files, for the peer layer's export-state file,
-// and for tests of the shared framing.
+// from one goroutine at a time. Databases use Segmented instead; Log serves
+// the peer layer's export-state file and tests of the shared framing.
 type Log struct {
 	f    *os.File
 	path string

@@ -22,10 +22,10 @@ func FuzzWireFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(wire.AppendFrame(nil, frameVersion(tag), byte(tag), body))
+		f.Add(wire.AppendFrame(nil, wire.MaxVersion, byte(tag), body))
 	}
 	var hello bytes.Buffer
-	if err := wire.WriteHello(&hello, wire.Hello{Name: "N1", Min: 1, Max: 1}); err != nil {
+	if err := wire.WriteHello(&hello, wire.Hello{Name: "N1", Min: wire.MinVersion, Max: wire.MaxVersion}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(hello.Bytes())

@@ -92,24 +92,15 @@ func goldenPayloads() []msg.Payload {
 	}
 }
 
-// frameVersion is the lowest protocol version that carries a tag: the
-// pull-family payloads (0x20+) only exist on V2 connections.
-func frameVersion(tag msg.Tag) byte {
-	if byte(tag) >= 0x20 {
-		return wire.V2
-	}
-	return wire.V1
-}
-
 // goldenFrame builds the full frame for a payload, exactly as the TCP
-// transport writes it, at the lowest version that can carry the tag.
+// transport writes it.
 func goldenFrame(t *testing.T, p msg.Payload) ([]byte, msg.Tag) {
 	t.Helper()
 	body, tag, err := msg.AppendEnvelope(nil, msg.Envelope{From: "N1", Payload: p})
 	if err != nil {
 		t.Fatalf("encode %T: %v", p, err)
 	}
-	return wire.AppendFrame(nil, frameVersion(tag), byte(tag), body), tag
+	return wire.AppendFrame(nil, wire.MaxVersion, byte(tag), body), tag
 }
 
 func fixturePath(tag msg.Tag) string {
@@ -151,8 +142,8 @@ func TestGoldenVectors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture frame unreadable: %v", err)
 			}
-			if h.Version != frameVersion(tag) || h.Type != byte(tag) {
-				t.Fatalf("fixture header = %+v, want version %d type %d", h, frameVersion(tag), tag)
+			if h.Version != wire.MaxVersion || h.Type != byte(tag) {
+				t.Fatalf("fixture header = %+v, want version %d type %d", h, wire.MaxVersion, tag)
 			}
 			env, err := msg.DecodeEnvelope(msg.Tag(h.Type), body)
 			if err != nil {

@@ -24,9 +24,11 @@
 // sender's maximum) carrying the sender's node name and supported version
 // range [Min, Max]. Each side computes the negotiated version as
 // min(Max_a, Max_b); the handshake fails unless that is >= max(Min_a,
-// Min_b). Every subsequent frame on the connection must carry exactly the
-// negotiated version; anything else — wrong version, unknown type, bad
-// magic or CRC — fails the pipe cleanly.
+// Min_b). This implementation speaks exactly one version, V2, so a peer
+// offering only older ones is refused at the handshake. Every subsequent
+// frame on the connection must carry exactly the negotiated version;
+// anything else — wrong version, unknown type, bad magic or CRC — fails the
+// pipe cleanly.
 package wire
 
 import (
@@ -46,20 +48,15 @@ const HeaderLen = 12
 
 // Protocol versions this implementation speaks.
 const (
-	// V1 is the first frame protocol version: the header above with
-	// internal/msg binary payload bodies (tags 0x10–0x1F).
-	V1 = 1
-
-	// V2 adds the pull-propagation payload family (msg tags 0x20+:
-	// UpdateHint, PullRequest, PullResponse, LinkDemand). The frame layout
-	// is unchanged; a connection negotiated at V1 simply never carries
-	// those tags — the peer layer degrades pull links to push toward
-	// V1-only peers.
+	// V2 is the frame protocol version: the header above with
+	// internal/msg binary payload bodies — the session family (tags
+	// 0x10–0x1F) and the pull-propagation and heartbeat family (0x20+).
+	// Version 1, which predated the 0x20+ tags, is not spoken.
 	V2 = 2
 
 	// MinVersion and MaxVersion bound the supported range offered in the
 	// handshake.
-	MinVersion = V1
+	MinVersion = V2
 	MaxVersion = V2
 )
 
@@ -174,8 +171,7 @@ func appendHelloBody(dst []byte, h Hello) []byte {
 }
 
 // WriteHello sends the handshake frame for h. The frame's version field
-// carries h.Max so even a future implementation that dropped V1 can parse
-// the header.
+// carries h.Max; a receiver reads a hello whatever version it carries.
 func WriteHello(w io.Writer, h Hello) error {
 	return WriteFrame(w, h.Max, TypeHello, appendHelloBody(nil, h))
 }

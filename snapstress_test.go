@@ -5,7 +5,7 @@ package codb
 // materialising insert advances the LSN and forces a fresh pin) while a
 // checkpoint storm pins its own snapshots and rewrites the durable state
 // of the same databases, and concurrent readers take the snapshot read
-// path. Exactly the interleavings of the per-shard COW views — primary
+// path. Exactly the interleavings of the per-relation COW views — primary
 // and lazy secondary — that the write path now depends on. Run under
 // -race in CI.
 
@@ -16,9 +16,7 @@ import (
 )
 
 func TestSessionSnapshotCheckpointRaceStress(t *testing.T) {
-	nw := NewNetworkWithOptions(NetworkOptions{
-		Storage: StorageGroup{Shards: 4},
-	})
+	nw := NewNetwork()
 	defer nw.Close()
 	names := []string{"A", "B", "C"}
 	for _, name := range names {
@@ -84,7 +82,7 @@ func TestSessionSnapshotCheckpointRaceStress(t *testing.T) {
 	// Concurrent update sessions from two origins: each materialising
 	// insert at an importer advances its LSN, so the session re-pins on
 	// the next evaluation — racing the checkpointers invalidating and
-	// rebuilding the same shard views.
+	// rebuilding the same relation views.
 	const rounds = 10
 	var uwg sync.WaitGroup
 	for w, origin := range []string{"C", "B"} {
