@@ -1,5 +1,5 @@
 // Benchmark harness regenerating the paper's §4 experiment programme
-// (DESIGN.md, experiments E1–E7 and ablations A1, A3 and A4). Each benchmark
+// (DESIGN.md, experiments E1–E7 and ablations A3 and A4). Each benchmark
 // reports, besides ns/op, the statistics the coDB statistical module
 // collects: data messages (msgs/op), shipped volume (bytes/op), and the
 // longest update propagation path (maxpath).
@@ -214,15 +214,6 @@ func BenchmarkCyclicFixpoint(b *testing.B) {
 			})
 		})
 	}
-}
-
-// A1: semi-naive delta propagation vs naive full re-evaluation.
-func BenchmarkAblationSemiNaive(b *testing.B) {
-	base := experiment.Params{Shape: topo.Ring, Nodes: 8, TuplesPerNode: 300, Seed: 47}
-	b.Run("semi-naive", func(b *testing.B) { runUpdateBench(b, base) })
-	naive := base
-	naive.Naive = true
-	b.Run("naive", func(b *testing.B) { runUpdateBench(b, naive) })
 }
 
 // A3: hash join vs nested-loop join, on join rules (self-join bodies) over

@@ -30,6 +30,7 @@ package codb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -222,9 +223,8 @@ type HTTPGroup struct {
 	Addr string
 }
 
-// NetworkOptions tune every peer of the network: algorithm/ablation toggles
-// at the top level, engine knobs in the Storage, Transport, Read and HTTP
-// groups.
+// NetworkOptions tune every peer of the network: algorithm toggles at the
+// top level, engine knobs in the Storage, Transport, Read and HTTP groups.
 type NetworkOptions struct {
 	// MaxDepth bounds the chase's null derivation depth (0 = default,
 	// negative = unlimited); see core.Config.
@@ -232,8 +232,6 @@ type NetworkOptions struct {
 	// NestedLoopJoin switches the CQ evaluator to nested loops (A3) — the
 	// evaluator's correctness reference.
 	NestedLoopJoin bool
-	// Naive disables semi-naive delta evaluation (A1).
-	Naive bool
 	// FullExport disables cross-session incremental export: every update
 	// session re-evaluates and re-ships every link in full, as the paper's
 	// algorithm does (the differential tests' reference). By default peers
@@ -292,7 +290,6 @@ func (nw *Network) peerOptions(name string, w core.Wrapper) peer.Options {
 		Wrapper:           w,
 		MaxDepth:          nw.opts.MaxDepth,
 		Eval:              eval,
-		Naive:             nw.opts.Naive,
 		FullExport:        nw.opts.FullExport,
 		QueryCacheSize:    nw.opts.Read.QueryCacheSize,
 		LinkPolicies:      nw.opts.Propagation.Policies,
@@ -688,11 +685,13 @@ func (nw *Network) PeerPropagationStats(node string) (stats PropagationStats, ok
 
 // CatchUp drives every lazy (pull/adaptive) link in the network to the
 // fixpoint eager push would have reached: each round asks every peer to pull
-// each of its outgoing links once, and rounds repeat until one materialises
-// nothing new anywhere — tuples arriving over one pulled link can make
-// another link's pending delta non-empty, exactly like in-session cascading.
-// It returns the total number of tuples materialised. After CatchUp, pulled
-// databases are byte-identical to what all-push propagation yields.
+// all of its outgoing links, and rounds repeat until one leaves every peer's
+// commit LSN where it was. A pull is transitive and materialises at every
+// peer it passes, so only that network-wide condition says nothing is left
+// pending. It returns the number of tuples the pulling peers materialised
+// themselves (rows a pull left at intermediate peers are not counted).
+// After CatchUp, pulled databases are byte-identical to what all-push
+// propagation yields.
 func (nw *Network) CatchUp(ctx context.Context) (int, error) {
 	nw.mu.Lock()
 	ps := make([]*peer.Peer, 0, len(nw.peers))
@@ -700,18 +699,24 @@ func (nw *Network) CatchUp(ctx context.Context) (int, error) {
 		ps = append(ps, p)
 	}
 	nw.mu.Unlock()
+	lsns := func() []uint64 {
+		out := make([]uint64, len(ps))
+		for i, p := range ps {
+			out[i] = p.LSN()
+		}
+		return out
+	}
 	total := 0
 	for {
-		round := 0
+		before := lsns()
 		for _, p := range ps {
 			n, err := p.CatchUp(ctx)
 			if err != nil {
 				return total, err
 			}
-			round += n
+			total += n
 		}
-		total += round
-		if round == 0 {
+		if slices.Equal(before, lsns()) {
 			return total, nil
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"codb/internal/config"
 	"codb/internal/core"
 	"codb/internal/cq"
+	"codb/internal/msg"
 	"codb/internal/peer"
 	"codb/internal/relation"
 	"codb/internal/storage"
@@ -624,7 +625,9 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 // from the restored watermark — shipping exactly the post-rejoin delta,
 // not a full re-export — and the importer must still converge to the
 // exporter's exact extent. A second importer, c, takes the same extent over
-// an adaptive link and is never read.
+// an adaptive link and is never read. A separate chain of pull links then
+// pins what a pull is: a scoped session, so transitive, and a scoped session
+// that materialises rows hints the pull links downstream of them.
 func TestDifferentialPropagationChurn(t *testing.T) {
 	dirB := t.TempDir()
 	nw := NewNetworkWithOptions(NetworkOptions{
@@ -677,28 +680,24 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 	if _, err := nw.Update(ctxT(t), "b"); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := nw.PeerPropagationStats("a")
-	if !ok {
-		t.Fatal("no propagation stats at a")
-	}
-	var before uint64
-	for _, l := range st.Links {
-		if l.RuleID == "r1" {
-			before = l.PulledTuples
-		}
+	seen := make(map[string]bool)
+	for _, rep := range nw.Peer("a").Reports() {
+		seen[rep.SID] = true
 	}
 	if n, err := nw.CatchUp(ctxT(t)); err != nil || n != delta {
 		t.Fatalf("post-rejoin catch-up applied %d fresh tuples (err %v), want %d", n, err, delta)
 	}
-	st, _ = nw.PeerPropagationStats("a")
-	for _, l := range st.Links {
-		if l.RuleID == "r1" {
-			// The pull resumed from the durable watermark: the response
-			// carried only the post-rejoin delta, not the whole extent.
-			if shipped := l.PulledTuples - before; shipped != delta {
-				t.Errorf("post-rejoin pull shipped %d bindings, want %d (watermark not resumed)", shipped, delta)
-			}
+	// The pull resumed from the durable watermark and fingerprints: the
+	// pull sessions carried only the post-rejoin delta over r1, not the
+	// whole extent.
+	shipped := 0
+	for _, rep := range nw.Peer("a").Reports() {
+		if !seen[rep.SID] && rep.Kind == msg.KindScoped {
+			shipped += rep.TuplesPerRule["r1"]
 		}
+	}
+	if shipped != delta {
+		t.Errorf("post-rejoin pull shipped %d bindings over r1, want %d (export state not resumed)", shipped, delta)
 	}
 	if got, want := nw.Peer("a").Count("data"), seeded+delta; got != want {
 		t.Fatalf("a.data = %d after churn catch-up, want %d", got, want)
@@ -723,7 +722,7 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 	if got, want := len(answerSet(t, nw, "a", diffQueries[0], AllAnswers)), seeded+2*delta; got != want {
 		t.Fatalf("a read after the update sees %d tuples, want %d: the read did not pull", got, want)
 	}
-	if st, _ = nw.PeerPropagationStats("a"); st.StalenessP99 > peer.DefaultPullTimeout {
+	if st, _ := nw.PeerPropagationStats("a"); st.StalenessP99 > peer.DefaultPullTimeout {
 		t.Errorf("staleness p99 %v exceeds the pull timeout %v", st.StalenessP99, peer.DefaultPullTimeout)
 	}
 
@@ -756,6 +755,57 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 	}
 	if got, want := nw.Peer("c").Count("data"), seeded+3*delta; got != want {
 		t.Fatalf("c.data = %d after catch-up, want %d", got, want)
+	}
+
+	// A pull is transitive: on the pull chain x <- y <- z, an update at z
+	// only hints y, and one pull at x still brings x level with z.
+	chain := NewNetworkWithOptions(NetworkOptions{
+		Propagation: PropagationGroup{Policies: map[string]string{"p1": "pull", "p2": "pull"}},
+	})
+	defer chain.Close()
+	for _, name := range []string{"x", "y", "z"} {
+		if _, err := chain.AddPeer(name, "data(x int, y int)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain.MustAddRule("p1", `x.data(x, y) <- y.data(x, y)`)
+	chain.MustAddRule("p2", `y.data(x, y) <- z.data(x, y)`)
+	insertAtZ := func(base int) {
+		t.Helper()
+		for i := 0; i < delta; i++ {
+			if err := chain.Insert("z", "data", Row(Int(base+i), Int(0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insertAtZ(0)
+	if _, err := chain.Update(ctxT(t), "z"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := chain.Peer("x").PullLink(ctxT(t), "p1"); err != nil || n != delta {
+		t.Fatalf("one pull at the chain's head materialised %d tuples (err %v), want %d", n, err, delta)
+	}
+	if got := chain.Peer("y").Count("data"); got != delta {
+		t.Fatalf("the pull left %d tuples at the intermediate y, want %d", got, delta)
+	}
+
+	// A scoped update that materialises rows at y makes y's pull link to x
+	// stale, as an update session delivering them would.
+	if stale := chain.Peer("x").StaleLinks(); len(stale) != 0 {
+		t.Fatalf("x's links are stale after its pull: %v", stale)
+	}
+	insertAtZ(100)
+	if _, err := chain.ScopedUpdate(ctxT(t), "y", "data"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stale := chain.Peer("x").StaleLinks()
+		if len(stale) == 1 && stale[0] == "p1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("x's stale links after a scoped update at y: %v, want [p1]", stale)
+		}
 	}
 }
 

@@ -435,7 +435,7 @@ func (c *Console) runCatchUp() {
 		c.printf("error: %v\n", err)
 		return
 	}
-	c.printf("caught up: %d tuples materialised in %v\n", n, time.Since(start).Round(time.Microsecond))
+	c.printf("caught up: %d tuples materialised at the pulling peers in %v\n", n, time.Since(start).Round(time.Microsecond))
 }
 
 func (c *Console) runStats() {

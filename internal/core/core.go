@@ -91,8 +91,8 @@ type Wrapper interface {
 const DefaultMaxDepth = 16
 
 // Config configures a Node. The zero value of the feature toggles selects
-// the incremental algorithm; FullExport selects the paper's, and Eval and
-// Naive the ablation benchmarks' join strategy and re-evaluation.
+// the incremental algorithm; FullExport selects the paper's, and Eval the
+// join strategy.
 type Config struct {
 	// Self is this node's network-unique name.
 	Self string
@@ -103,9 +103,6 @@ type Config struct {
 	MaxDepth int
 	// Eval selects the join strategy (A3 ablation).
 	Eval cq.EvalOptions
-	// Naive replaces semi-naive delta re-evaluation with full
-	// re-evaluation of dependent links (A1 ablation).
-	Naive bool
 	// FullExport disables the cross-session incremental export machinery:
 	// every session re-evaluates and re-ships every incoming link in full,
 	// as the paper's algorithm does. The default (incremental) evaluates

@@ -77,17 +77,44 @@ func (n *Node) StartQuery(sid string, q *cq.Query, mode QueryMode) (Result, erro
 // a global update it materialises the fetched data into the local databases
 // along the way, so subsequent queries over those relations are local.
 func (n *Node) StartScopedUpdate(sid string, rels []string) (Result, error) {
+	if len(rels) == 0 {
+		return Result{}, fmt.Errorf("core: scoped update needs at least one relation")
+	}
+	return n.startScoped(sid, cq.Closure(rels, n.Outgoing()))
+}
+
+// StartPull initiates a pull of the given outgoing links: a scoped session
+// over exactly those links. Like any scoped session it is transitive — each
+// exporter forwards the request to its own relevant outgoing links, whatever
+// their policy — so the pull brings this node level with everything upstream
+// of the links, and materialises along the way.
+func (n *Node) StartPull(sid string, ruleIDs []string) (Result, error) {
+	links := make([]*cq.Rule, 0, len(ruleIDs))
+	for _, id := range ruleIDs {
+		rs := n.rules[id]
+		if rs == nil || rs.rule.Target != n.cfg.Self {
+			return Result{}, fmt.Errorf("core: cannot pull %s: not an outgoing link of %s", id, n.cfg.Self)
+		}
+		links = append(links, rs.rule)
+	}
+	r, err := n.startScoped(sid, links)
+	if err == nil {
+		for _, id := range ruleIDs {
+			n.propStatFor(id).pullsIssued++
+		}
+	}
+	return r, err
+}
+
+// startScoped initiates a scoped session over the given outgoing links.
+func (n *Node) startScoped(sid string, links []*cq.Rule) (Result, error) {
 	var r Result
 	if _, dup := n.sessions[sid]; dup {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
-	if len(rels) == 0 {
-		return r, fmt.Errorf("core: scoped update needs at least one relation")
-	}
 	s := n.newSession(sid, msg.KindScoped, n.cfg.Self)
 	n.ds.Start(sid)
-	relevant := cq.Closure(rels, n.Outgoing())
-	n.requestQueryLinks(s, relevant, []string{n.cfg.Self}, &r)
+	n.requestQueryLinks(s, links, []string{n.cfg.Self}, &r)
 	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r, nil
@@ -339,11 +366,14 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 		if len(fs) > 0 {
 			fresh[rel] = fs
 			s.rep.NewTuples += len(fs)
+			if s.kind == msg.KindScoped {
+				n.propStatFor(d.RuleID).pulledTuples += uint64(len(fs))
+			}
 		}
 	}
 
-	// Propagate the delta through the dependent incoming links (semi-naive
-	// step; the Naive toggle re-evaluates fully for the A1 ablation).
+	// Propagate the delta through the dependent incoming links (the
+	// semi-naive step).
 	if len(fresh) > 0 {
 		path := append(append([]string{}, d.Path...), n.cfg.Self)
 		switch s.kind {
@@ -356,6 +386,9 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 				if in := n.ruleOf(s, id); in != nil {
 					n.exportDelta(s, in, requester, fresh, path, &r)
 				}
+			}
+			if s.kind == msg.KindScoped {
+				n.hintStale(s, fresh, &r)
 			}
 		}
 		// A query origin streams the answers the fresh tuples make new.
@@ -430,13 +463,16 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	s.evaluated[rule.ID] = true
 
 	// Lazy links: a global update floods only the cheap invalidation hint;
-	// the importer pulls the actual delta on demand (ServePull serves it
-	// from the durable watermark, so nothing here is lost — merely
-	// deferred). Query and scoped sessions are explicit demand and always
-	// export eagerly.
-	if s.kind == msg.KindUpdate && n.pullEffective(rule) {
+	// the importer pulls the actual delta on demand with a scoped session,
+	// which exports from the durable watermark below, so nothing here is
+	// lost — merely deferred. Query and scoped sessions are explicit demand
+	// and always export eagerly.
+	switch {
+	case s.kind == msg.KindUpdate && n.pullEffective(rule):
 		n.sendHint(s, rule, to, r)
 		return
+	case s.kind == msg.KindScoped:
+		n.propStatFor(rule.ID).pullsServed++
 	}
 
 	// Pin the evaluation view before reading the watermark horizon: the new
@@ -562,32 +598,9 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 		n.sendHint(s, rule, to, r)
 		return
 	}
-	reads := rule.BodyRelations()
-	var bindings []relation.Tuple
-	if n.cfg.Naive {
-		// A1 ablation: recompute the link in full.
-		touched := false
-		for _, rel := range reads {
-			if len(fresh[rel]) > 0 {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			return
-		}
-		bs, err := chase.Bindings(rule, n.sessionView(s), n.chaseOpts())
-		if err != nil {
-			n.noteEvalError(s, r, fmt.Errorf("naive re-export %s: %w", rule.ID, err))
-			return
-		}
-		bindings = bs
-	} else {
-		// Failed per-relation evaluations are counted inside; ship what
-		// did evaluate (the session stays live either way).
-		bs, _ := n.deltaBindings(s, rule, fresh, r)
-		bindings = bs
-	}
+	// Failed per-relation evaluations are counted inside; ship what did
+	// evaluate (the session stays live either way).
+	bindings, _ := n.deltaBindings(s, rule, fresh, r)
 	n.sendData(s, rule, to, bindings, path, msg.ExportSessionDelta, 0, r)
 }
 
@@ -646,7 +659,11 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	s.rep.SentMsgs++
 	size := data.Size()
 	s.rep.SentBytes += size
-	n.propStatFor(rule.ID).bytesPushed += uint64(size)
+	if st := n.propStatFor(rule.ID); s.kind == msg.KindScoped {
+		st.bytesPulled += uint64(size)
+	} else {
+		st.bytesPushed += uint64(size)
+	}
 	s.noteSentTo(to)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"codb/internal/chase"
 	"codb/internal/cq"
 	"codb/internal/msg"
 	"codb/internal/relation"
@@ -20,9 +19,8 @@ const (
 	PolicyPush PolicyMode = iota
 	// PolicyPull makes the link lazy: update sessions flood only a cheap
 	// UpdateHint (the exporter's LSN advanced); the importer pulls the
-	// actual delta on demand via PullRequest/PullResponse, served from the
-	// link's durable watermark — exactly the incremental export it would
-	// have received eagerly.
+	// actual delta on demand with a scoped session over the link (StartPull),
+	// which exports from the link's durable watermark like any session.
 	PolicyPull
 	// PolicyAdaptive flips the link between push and pull based on the
 	// importer's demand signal (LinkDemand): cold links (no reads since the
@@ -84,7 +82,8 @@ type linkPolicy struct {
 
 // propStat accumulates one rule's propagation counters. Exporter-side and
 // importer-side fields live in the same struct; each endpoint only writes
-// its own half.
+// its own half. A pull is a scoped session: its exports count as pulls
+// served and bytes pulled, what it stages as pulled tuples.
 type propStat struct {
 	hintsSent   uint64
 	pullsServed uint64
@@ -237,6 +236,23 @@ func (n *Node) sendHint(s *session, rule *cq.Rule, to string, r *Result) {
 	n.propStatFor(rule.ID).hintsSent++
 }
 
+// hintStale is a scoped session's share of the lazy-link protocol: the
+// tuples it stages here make every pull-effective incoming link that reads
+// them stale, except the links the session itself carries data down.
+func (n *Node) hintStale(s *session, fresh map[string][]relation.Tuple, r *Result) {
+	for _, in := range n.Incoming() {
+		if _, active := s.activeIncoming[in.ID]; active || !n.pullEffective(in) {
+			continue
+		}
+		for _, rel := range in.BodyRelations() {
+			if len(fresh[rel]) > 0 {
+				n.sendHint(s, in, in.Target, r)
+				break
+			}
+		}
+	}
+}
+
 // HandleLinkDemand applies the importer's demand signal to an adaptive
 // link: wantPull demotes the link to lazy hints, !wantPull promotes it back
 // to eager push. Ignored for non-adaptive policies (the configuration wins).
@@ -248,188 +264,8 @@ func (n *Node) HandleLinkDemand(ruleID string, wantPull bool) {
 	pol.demandPull = wantPull
 }
 
-// ServePull computes a downstream pull: exactly the incremental export the
-// importer would have received eagerly, evaluated sessionless from the
-// link's durable watermark over the wrapper's change spill, with the same
-// fallback-to-full ladder as exportSince. The link's watermark and shipped
-// fingerprints advance, so a later session (or pull) ships only what
-// committed afterwards.
-func (n *Node) ServePull(req *msg.PullRequest) (*msg.PullResponse, error) {
-	rs, ok := n.rules[req.RuleID]
-	if !ok || rs.rule.Source != n.cfg.Self {
-		return nil, fmt.Errorf("core: pull for unknown or foreign rule %s", req.RuleID)
-	}
-	rule := rs.rule
-
-	// Pin the evaluation view before reading the watermark horizon, exactly
-	// as exportSince does: the new watermark is the view's own LSN, so it
-	// can never advance past commits the evaluation did not observe.
-	v := view{snap: n.cfg.Wrapper.ReadSnapshot()}
-	cur := v.snap.LSN()
-
-	mode := msg.ExportFull
-	var bindings []relation.Tuple
-	var skipped int
-	full := func() error {
-		bs, err := chase.Bindings(rule, v, n.chaseOpts())
-		if err != nil {
-			return fmt.Errorf("core: pull export %s: %w", rule.ID, err)
-		}
-		bindings = bs
-		return nil
-	}
-
-	es := n.exports[rule.ID]
-	switch {
-	case n.cfg.FullExport:
-		if err := full(); err != nil {
-			return nil, err
-		}
-	case es == nil:
-		if err := full(); err != nil {
-			return nil, err
-		}
-		n.beginExport(rule.ID, cur)
-	default:
-		deltas := make(map[string][]relation.Tuple)
-		intact := true
-		for _, rel := range rule.BodyRelations() {
-			delta, ok := n.cfg.Wrapper.Changes(rel, es.watermark)
-			if !ok {
-				intact = false
-				break
-			}
-			if len(delta) > 0 {
-				deltas[rel] = delta
-			}
-			skipped += n.cfg.Wrapper.Count(rel) - len(delta)
-		}
-		if !intact {
-			mode, skipped = msg.ExportFallback, 0
-			if err := full(); err != nil {
-				return nil, err
-			}
-		} else {
-			mode = msg.ExportIncremental
-			bs, err := n.deltaBindingsOver(v, rule, deltas)
-			if err != nil {
-				return nil, err
-			}
-			bindings = bs
-		}
-		es.advance(cur)
-	}
-
-	bindings = n.applyFilter(rule, bindings)
-	if es := n.exports[rule.ID]; es != nil {
-		kept := bindings[:0:0]
-		for _, b := range bindings {
-			k := b.Key()
-			if !es.shipped[k] {
-				es.fingerprint(k)
-				kept = append(kept, b)
-			}
-		}
-		bindings = kept
-		if len(es.shipped) > n.cfg.MaxFingerprints {
-			n.forgetExport(rule.ID)
-		}
-	}
-
-	resp := &msg.PullResponse{RuleID: rule.ID, AtLSN: cur, Mode: mode, Skipped: skipped, Bindings: bindings}
-	st := n.propStatFor(rule.ID)
-	st.pullsServed++
-	st.bytesPulled += uint64(resp.Size())
-	return resp, nil
-}
-
-// deltaBindingsOver is the sessionless variant of deltaBindings: semi-naive
-// evaluation over per-relation deltas against an explicit view.
-func (n *Node) deltaBindingsOver(v view, rule *cq.Rule, deltas map[string][]relation.Tuple) ([]relation.Tuple, error) {
-	seen := make(map[string]bool)
-	var bindings []relation.Tuple
-	for _, rel := range rule.BodyRelations() {
-		delta := deltas[rel]
-		if len(delta) == 0 {
-			continue
-		}
-		bs, err := chase.BindingsDelta(rule, v, rel, delta, n.chaseOpts())
-		if err != nil {
-			return nil, fmt.Errorf("core: pull delta export %s over %s: %w", rule.ID, rel, err)
-		}
-		for _, b := range bs {
-			if k := b.Key(); !seen[k] {
-				seen[k] = true
-				bindings = append(bindings, b)
-			}
-		}
-	}
-	return bindings, nil
-}
-
-// ApplyPull materialises a pull response at the importer through the normal
-// chase-and-commit path (deterministic Skolem nulls plus set semantics make
-// the result byte-identical to an eager push). It returns the per-relation
-// fresh tuples — the caller cascades invalidation hints through its own
-// dependent links — and the total count of genuinely new tuples.
-func (n *Node) ApplyPull(resp *msg.PullResponse) (fresh map[string][]relation.Tuple, total int, err error) {
-	rs := n.rules[resp.RuleID]
-	applier := n.appliers[resp.RuleID]
-	if rs == nil || applier == nil || rs.rule.Target != n.cfg.Self {
-		return nil, 0, fmt.Errorf("core: pull response for unknown or foreign rule %s", resp.RuleID)
-	}
-	if applier.Existential() {
-		applier = applier.Fork() // no session here to scope the memo to
-	}
-	facts := applier.Facts(resp.Bindings)
-	byRel := make(map[string][]relation.Tuple)
-	for _, f := range facts {
-		byRel[f.Rel] = append(byRel[f.Rel], f.Tuple)
-	}
-	fresh = make(map[string][]relation.Tuple)
-	for rel, ts := range byRel {
-		fs, insErr := n.cfg.Wrapper.InsertMany(rel, ts)
-		if insErr != nil {
-			continue // schema violation from a remote peer: drop, keep going
-		}
-		if len(fs) > 0 {
-			fresh[rel] = fs
-			total += len(fs)
-		}
-	}
-	st := n.propStatFor(resp.RuleID)
-	st.pulledTuples += uint64(total)
-	return fresh, total, nil
-}
-
-// LazyDependents returns this node's currently-lazy incoming links whose
-// bodies read any of the changed relations: the links that would have
-// received a hint had the change arrived in a session. The peer uses it to
-// cascade invalidation after materialising a pull outside any session.
-func (n *Node) LazyDependents(changed []string) []*cq.Rule {
-	var out []*cq.Rule
-	for _, rule := range n.Incoming() {
-		if !n.pullEffective(rule) {
-			continue
-		}
-		for _, rel := range rule.BodyRelations() {
-			if containsStr(changed, rel) {
-				out = append(out, rule)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// NoteHintSent counts an exporter-side out-of-session hint (pull cascade).
-func (n *Node) NoteHintSent(ruleID string) { n.propStatFor(ruleID).hintsSent++ }
-
 // NoteHintReceived counts an importer-side hint arrival.
 func (n *Node) NoteHintReceived(ruleID string) { n.propStatFor(ruleID).hintsReceived++ }
-
-// NotePullIssued counts an importer-side pull request.
-func (n *Node) NotePullIssued(ruleID string) { n.propStatFor(ruleID).pullsIssued++ }
 
 // PropagationStats snapshots the per-link propagation counters, sorted by
 // rule ID. Every rule with a configured policy or recorded traffic appears.
@@ -451,15 +287,15 @@ func (n *Node) PropagationStats() []LinkPropagationStats {
 		if rs, ok := n.rules[id]; ok {
 			if rs.rule.Source == n.cfg.Self {
 				// Exporter side: the gate actually applied, including the
-				// importer-speaks-pull and adaptive-demand checks.
+				// adaptive-demand check.
 				if n.pullEffective(rs.rule) {
 					ls.Effective = PolicyPull.String()
 				}
 			} else if pol := n.policies[id]; pol != nil && pol.mode == PolicyPull {
 				// Importer side: a configured pull policy is what this node
 				// acts on (stale marks, read-triggered pulls); adaptive
-				// demand and version degradation are exporter-side state it
-				// cannot see, so those report the configured default.
+				// demand is exporter-side state it cannot see, so adaptive
+				// links report the configured default.
 				ls.Effective = PolicyPull.String()
 			}
 		}

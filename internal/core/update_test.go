@@ -211,32 +211,6 @@ func TestUpdateDiamondDedupSavesTraffic(t *testing.T) {
 	}
 }
 
-func TestUpdateNaiveMatchesSemiNaive(t *testing.T) {
-	build := func(naive bool) *sim {
-		s := newSim(t)
-		s.addNodeCfg(Config{Self: "A", Naive: naive}, "r/1")
-		s.addNodeCfg(Config{Self: "B", Naive: naive}, "r/1")
-		s.addNodeCfg(Config{Self: "C", Naive: naive}, "r/1")
-		s.rule("r1", `A.r(x) <- B.r(x)`)
-		s.rule("r2", `B.r(x) <- C.r(x)`)
-		s.rule("r3", `C.r(x) <- A.r(x)`) // cycle
-		s.seed("A", "r", []int{1})
-		s.seed("B", "r", []int{2})
-		s.seed("C", "r", []int{3})
-		s.update("A")
-		return s
-	}
-	semi, naive := build(false), build(true)
-	for _, n := range []string{"A", "B", "C"} {
-		if !relation.EqualUpToNulls(semi.instanceOf(n), naive.instanceOf(n)) {
-			t.Errorf("node %s: naive and semi-naive disagree", n)
-		}
-		if got := len(semi.instanceOf(n)["r"]); got != 3 {
-			t.Errorf("node %s has %d tuples, want 3", n, got)
-		}
-	}
-}
-
 func TestUpdateMediatorNode(t *testing.T) {
 	// B has no LDB: it mediates between A and C through its wrapper.
 	s := newSim(t)

@@ -41,7 +41,6 @@ type Params struct {
 	// Algorithm toggles (ablations).
 	MaxDepth   int
 	NestedLoop bool
-	Naive      bool
 
 	// TCP runs the network over loopback sockets instead of the
 	// in-process bus, so frames-on-the-wire and the outbound pipeline are
@@ -166,7 +165,6 @@ func Build(p Params) (*Net, error) {
 			Directory:  directory,
 			MaxDepth:   p.MaxDepth,
 			Eval:       eval,
-			Naive:      p.Naive,
 			FullExport: p.FullExport,
 		})
 		if err != nil {

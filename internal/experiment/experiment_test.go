@@ -114,23 +114,6 @@ func TestJoinRuleWorkload(t *testing.T) {
 	}
 }
 
-func TestAblationNaiveSameResult(t *testing.T) {
-	base := Params{Shape: topo.Ring, Nodes: 4, TuplesPerNode: 20, Seed: 7}
-	semi, err := RunUpdate(ctxT(t), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv := base
-	nv.Naive = true
-	naive, err := RunUpdate(ctxT(t), nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if semi.NewTuples != naive.NewTuples {
-		t.Errorf("naive changed results: %d vs %d", semi.NewTuples, naive.NewTuples)
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Params{Shape: "nope", Nodes: 3}); err == nil {
 		t.Error("unknown shape accepted")

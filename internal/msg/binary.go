@@ -30,9 +30,9 @@ import (
 //
 // Compatibility: the tag space and field order are part of the wire
 // protocol version (internal/wire): the session family at 0x10–0x1F and the
-// pull-propagation family at 0x20+ (UpdateHint, PullRequest, PullResponse,
-// LinkDemand, and the Heartbeat liveness frame). Adding a payload type means
-// a new tag; changing a field order or width means a new protocol version.
+// lazy-link family at 0x20+ (UpdateHint, LinkDemand, and the Heartbeat
+// liveness frame). Adding a payload type means a new tag; changing a field
+// order or width means a new protocol version.
 
 // Tag identifies a payload type on the wire. Tags 0x00–0x0F are reserved
 // for the wire layer itself (handshake frames); payload tags start at 0x10.
@@ -57,13 +57,12 @@ const (
 	TagDirectoryDelta
 )
 
-// Pull-family tags, in their own block at 0x20.
+// Lazy-link and liveness tags, in their own block at 0x20. 0x21 and 0x22
+// are unassigned: a body tagged with either is refused as an unknown tag.
 const (
-	TagUpdateHint Tag = 0x20 + iota
-	TagPullRequest
-	TagPullResponse
-	TagLinkDemand
-	TagHeartbeat
+	TagUpdateHint Tag = 0x20
+	TagLinkDemand Tag = 0x23
+	TagHeartbeat  Tag = 0x24
 )
 
 // String names the tag for diagnostics.
@@ -103,10 +102,6 @@ func (t Tag) String() string {
 		return "DirectoryDelta"
 	case TagUpdateHint:
 		return "UpdateHint"
-	case TagPullRequest:
-		return "PullRequest"
-	case TagPullResponse:
-		return "PullResponse"
 	case TagLinkDemand:
 		return "LinkDemand"
 	case TagHeartbeat:
@@ -153,10 +148,6 @@ func TagOf(p Payload) (Tag, error) {
 		return TagDirectoryDelta, nil
 	case *UpdateHint:
 		return TagUpdateHint, nil
-	case *PullRequest:
-		return TagPullRequest, nil
-	case *PullResponse:
-		return TagPullResponse, nil
 	case *LinkDemand:
 		return TagLinkDemand, nil
 	case *Heartbeat:
@@ -560,17 +551,6 @@ func AppendPayload(dst []byte, p Payload) ([]byte, error) {
 		dst = appendString(dst, m.RuleID)
 		dst = binary.AppendUvarint(dst, m.LSN)
 		return dst, nil
-	case *PullRequest:
-		dst = appendString(dst, m.RuleID)
-		dst = binary.AppendUvarint(dst, m.SinceLSN)
-		return dst, nil
-	case *PullResponse:
-		dst = appendString(dst, m.RuleID)
-		dst = binary.AppendUvarint(dst, m.AtLSN)
-		dst = append(dst, byte(m.Mode))
-		dst = binary.AppendVarint(dst, int64(m.Skipped))
-		dst = appendTuples(dst, m.Bindings)
-		return dst, nil
 	case *LinkDemand:
 		dst = appendString(dst, m.RuleID)
 		dst = append(dst, m.Mode)
@@ -695,16 +675,6 @@ func decodePayload(tag Tag, r *reader) (Payload, error) {
 		return &DirectoryDelta{Entries: r.dirEntries()}, nil
 	case TagUpdateHint:
 		return &UpdateHint{RuleID: r.str(), LSN: r.uvarint()}, nil
-	case TagPullRequest:
-		return &PullRequest{RuleID: r.str(), SinceLSN: r.uvarint()}, nil
-	case TagPullResponse:
-		m := &PullResponse{RuleID: r.str(), AtLSN: r.uvarint()}
-		if mb := r.take(1); len(mb) == 1 {
-			m.Mode = ExportMode(mb[0])
-		}
-		m.Skipped = int(r.varint())
-		m.Bindings = r.tuples()
-		return m, nil
 	case TagLinkDemand:
 		m := &LinkDemand{RuleID: r.str()}
 		if mb := r.take(1); len(mb) == 1 {

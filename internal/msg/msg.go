@@ -421,55 +421,21 @@ func (m *DirectoryDelta) Size() int {
 // UpdateHint is the pull-policy replacement for a SessionData export: the
 // exporter of a pull-configured link announces that its extent advanced to
 // LSN without shipping the delta. The importer marks the link stale and
-// pulls the actual bindings on demand (next local query touching the
-// relation, or a staleness deadline). Hints are control traffic, not basic
-// messages: they carry no session obligations and are never counted in the
-// Dijkstra–Scholten deficit.
+// pulls the actual bindings on demand with a scoped session over the link
+// (next local query touching the relation, a staleness deadline, or an
+// explicit pull), so the data itself always travels as SessionData. Hints
+// are control traffic, not basic messages: they carry no session
+// obligations and are never counted in the Dijkstra–Scholten deficit.
 type UpdateHint struct {
 	RuleID string
-	// LSN is the exporter's commit LSN at hint time — the horizon a pull
-	// must reach to clear the staleness.
+	// LSN is the exporter's commit LSN at hint time. It is informational:
+	// the pull that clears the staleness exports from the link's own
+	// durable watermark.
 	LSN uint64
 }
 
 // Size implements Payload.
 func (m *UpdateHint) Size() int { return len(m.RuleID) + 8 }
-
-// PullRequest asks the exporter of a rule to serve the incremental export
-// the importer would have received under push: every binding derivable from
-// tuples committed past SinceLSN (the importer's view of the exporter's
-// watermark; the exporter serves from its own durable watermark, which is
-// authoritative). Control traffic, sessionless.
-type PullRequest struct {
-	RuleID   string
-	SinceLSN uint64
-}
-
-// Size implements Payload.
-func (m *PullRequest) Size() int { return len(m.RuleID) + 8 }
-
-// PullResponse answers a PullRequest with exactly the incremental export
-// the link would have pushed: frontier bindings for the rule, the
-// exporter's commit LSN the pull caught up to, how the batch was produced
-// (incremental from the watermark, or a full/fallback re-export when change
-// history was lost), and the body tuples the watermark let the exporter
-// skip re-evaluating.
-type PullResponse struct {
-	RuleID   string
-	AtLSN    uint64
-	Mode     ExportMode
-	Skipped  int
-	Bindings []relation.Tuple
-}
-
-// Size implements Payload.
-func (m *PullResponse) Size() int {
-	n := len(m.RuleID) + 10
-	for _, t := range m.Bindings {
-		n += t.EncodedLen()
-	}
-	return n
-}
 
 // LinkDemand is the adaptive policy's feedback signal: the importer of a
 // rule tells the exporter which effective mode (push or pull) its observed

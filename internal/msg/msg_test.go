@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,41 +22,94 @@ func TestNewSIDUniqueAndPrefixed(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip encodes and decodes one sample of every payload
+// type the codec knows and requires the decoded payload to be deeply equal
+// to the original. Every named tag must have a sample, so a payload type
+// added without one fails here.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	tuples := []relation.Tuple{
+		{relation.Int(-7), relation.Str("a\x00b"), relation.Float(2.5), relation.Bool(true)},
+		{relation.Null("d1~ff"), relation.Int(1 << 40)},
+	}
+	report := UpdateReport{
+		SID: "s1", Kind: KindScoped, Origin: "a",
+		StartUnixNano: 1, EndUnixNano: 2,
+		MsgsPerRule: map[string]int{"r1": 2}, BytesPerRule: map[string]int{"r1": 64},
+		TuplesPerRule: map[string]int{"r1": 3},
+		SentMsgs:      1, SentBytes: 64, LongestPath: 3,
+		Queried: []string{"c"}, SentTo: []string{"a"},
+		NewTuples: 3, CompensatedLost: 1, ExportsIncremental: 1, CacheMisses: 1,
+	}
+	dir := []DirEntry{{Node: "a", Addr: "127.0.0.1:9000", Epoch: 2}, {Node: "b", Epoch: 3, Deleted: true}}
 	payloads := []Payload{
 		&SessionRequest{SID: "s1", Kind: KindUpdate, Origin: "a", Path: []string{"a", "b"},
 			Rules: []RuleDef{{ID: "r1", Text: "A.p(x) <- B.q(x)"}}},
-		&SessionData{SID: "s1", RuleID: "r1", Seq: 3, Path: []string{"b"},
-			Bindings: []relation.Tuple{{relation.Int(1), relation.Null("d1~ff")}}},
+		&SessionData{SID: "s1", Kind: KindScoped, Origin: "a", RuleID: "r1", Bindings: tuples,
+			Path: []string{"b"}, Seq: 3, Mode: ExportIncremental, Skipped: 17},
 		&SessionAck{SID: "s1", N: 2},
 		&LinkClose{SID: "s1", RuleID: "r1"},
 		&SessionDone{SID: "s1", Origin: "a"},
 		&RulesBroadcast{Version: 7, Text: "rule r1: ..."},
-		&StatsRequest{ID: "q1"},
-		&StatsReport{ID: "q1", Node: "b", Reports: []UpdateReport{{
-			SID: "s1", Kind: KindUpdate, Origin: "a",
-			MsgsPerRule: map[string]int{"r1": 2}, LongestPath: 3,
-			Queried: []string{"c"}, SentTo: []string{"a"},
-		}}},
-		&Discovery{Known: map[string]string{"a": "127.0.0.1:9000"}},
+		&StatsRequest{ID: "q1", ReplyTo: "super", Addr: "127.0.0.1:9"},
+		&StatsReport{ID: "q1", Node: "b", Reports: []UpdateReport{report}},
+		&StartUpdateCmd{SID: "s1", ReplyTo: "super"},
+		&UpdateFinished{SID: "s1", Node: "b", Report: report},
+		&Discovery{Known: map[string]string{"a": "127.0.0.1:9000", "b": ""}},
+		&Batch{Payloads: []Payload{&SessionAck{SID: "s1", N: 1}, &UpdateHint{RuleID: "r1", LSN: 9}}},
+		&JoinRequest{Node: "d", Addr: "127.0.0.1:9003"},
+		&JoinAccept{Node: "a", Epoch: 4, RulesVersion: 2, RulesText: "node a\n", Directory: dir},
+		&Leave{Node: "d", Epoch: 4},
+		&DirectoryDelta{Entries: dir},
+		&UpdateHint{RuleID: "r1", LSN: 1 << 33},
+		&LinkDemand{RuleID: "r1", Mode: 1},
+		&Heartbeat{Seq: 1 << 21},
 	}
+	covered := make(map[Tag]bool)
 	for _, p := range payloads {
+		tag, err := TagOf(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered[tag] = true
 		enc, err := Encode(Envelope{From: "x", Payload: p})
 		if err != nil {
-			t.Fatalf("encode %T: %v", p, err)
+			t.Fatalf("encode %s: %v", tag, err)
 		}
 		dec, err := Decode(enc)
 		if err != nil {
-			t.Fatalf("decode %T: %v", p, err)
+			t.Fatalf("decode %s: %v", tag, err)
 		}
-		if dec.From != "x" {
-			t.Errorf("From = %q", dec.From)
-		}
-		if _, ok := dec.Payload.(Payload); !ok {
-			t.Errorf("decoded payload %T does not implement Payload", dec.Payload)
+		if dec.From != "x" || !reflect.DeepEqual(dec.Payload, p) {
+			t.Errorf("%s round trip:\n got  %#v\n want %#v", tag, dec.Payload, p)
 		}
 		if p.Size() <= 0 {
 			t.Errorf("%T.Size() = %d, want > 0", p, p.Size())
+		}
+	}
+	for tag := Tag(0x10); tag < 0x40; tag++ {
+		if !strings.HasPrefix(tag.String(), "tag(") && !covered[tag] {
+			t.Errorf("payload %s has no round-trip sample", tag)
+		}
+	}
+}
+
+// TestUnassignedPullTagsRefused: 0x21 and 0x22 name no payload, so a body
+// tagged with either is refused as an unknown tag, however well-formed.
+func TestUnassignedPullTagsRefused(t *testing.T) {
+	body, _, err := AppendEnvelope(nil, Envelope{From: "x", Payload: &UpdateHint{RuleID: "r1", LSN: 42}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []Tag{0x21, 0x22} {
+		if name := tag.String(); !strings.HasPrefix(name, "tag(") {
+			t.Errorf("tag 0x%02x is named %s", uint8(tag), name)
+		}
+		_, err := DecodeEnvelope(tag, body)
+		if err == nil || !strings.Contains(err.Error(), "unknown payload tag") {
+			t.Errorf("body tagged 0x%02x: err = %v, want an unknown-tag refusal", uint8(tag), err)
+		}
+		if _, err := Decode(append([]byte{byte(tag)}, body...)); err == nil {
+			t.Errorf("envelope tagged 0x%02x decoded", uint8(tag))
 		}
 	}
 }

@@ -57,11 +57,9 @@ type Options struct {
 	// other peers know this node under. Every runtime join bumps it;
 	// static bootstrap deployments leave it 0.
 	Epoch uint64
-	// MaxDepth, Eval, Naive, FullExport tune the algorithm; see
-	// core.Config.
+	// MaxDepth, Eval, FullExport tune the algorithm; see core.Config.
 	MaxDepth   int
 	Eval       cq.EvalOptions
-	Naive      bool
 	FullExport bool
 	// QueryCacheSize bounds the concurrent read path's query-result cache
 	// (0 selects core.DefaultQueryCacheSize).
@@ -158,7 +156,6 @@ func New(opts Options) (*Peer, error) {
 		Wrapper:    opts.Wrapper,
 		MaxDepth:   opts.MaxDepth,
 		Eval:       opts.Eval,
-		Naive:      opts.Naive,
 		FullExport: opts.FullExport,
 		Clock:      func() int64 { return time.Now().UnixNano() },
 	})
@@ -526,19 +523,16 @@ func (p *Peer) handleEnvelope(env msg.Envelope) {
 		p.applyDirectoryDelta(m.Entries)
 	case *msg.UpdateHint:
 		p.handleUpdateHint(env.From, m)
-	case *msg.PullRequest:
-		p.handlePullRequest(env.From, m)
-	case *msg.PullResponse:
-		p.handlePullResponse(env.From, m)
 	case *msg.LinkDemand:
 		p.node.HandleLinkDemand(m.RuleID, m.Mode == 1)
 	case *msg.Heartbeat:
 		// Pure liveness: the observe above already reset the suspicion
 		// timer, and a heartbeat carries nothing else.
 	default:
-		if d, ok := m.(*msg.SessionData); ok {
+		if d, ok := m.(*msg.SessionData); ok && d.Kind == msg.KindUpdate {
 			// Feed the adaptive policy's cold-link detector before the
-			// session machinery consumes the delivery.
+			// session machinery consumes the delivery. Only pushed data
+			// counts: a pull or a query is demand, not a push nobody read.
 			p.noteDataDelivery(d.RuleID)
 		}
 		res := p.node.Handle(env)
@@ -587,6 +581,9 @@ func (p *Peer) dispatch(res core.Result) {
 		if replyTo, ok := p.remoteCmds[f.SID]; ok {
 			delete(p.remoteCmds, f.SID)
 			p.sendTo(replyTo, &msg.UpdateFinished{SID: f.SID, Node: p.name, Report: f.Report})
+		}
+		if ps, ok := p.prop.pulls[f.SID]; ok {
+			p.finishPull(ps, f.Report)
 		}
 	}
 	// Materialising sessions advance the export watermarks; persist what
@@ -856,6 +853,10 @@ func (p *Peer) Insert(rel string, tuples ...relation.Tuple) error {
 	}
 	return err
 }
+
+// LSN returns the local database's commit sequence number, read off the
+// actor loop: it advances with every commit, whichever session made it.
+func (p *Peer) LSN() uint64 { return p.readPath.w.LSN() }
 
 // Count returns a local relation's cardinality, read from the engine
 // directly (short read lock, off the actor loop).

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,17 +25,25 @@ const coldDeliveries = 2
 // maxStalenessSamples bounds the retained staleness-at-pull measurements.
 const maxStalenessSamples = 4096
 
-// pullResult is delivered to a synchronous pull waiter.
-type pullResult struct {
-	fresh int
-	err   error
-}
-
 // staleLink is the importer-side record of one hinted, not-yet-pulled link.
 type staleLink struct {
-	lsn   uint64    // exporter LSN at the latest hint
 	since time.Time // first unserved hint arrival (staleness clock)
-	timer *time.Timer
+	// hints counts the hints received: a pull clears the record only when
+	// none arrived after it started.
+	hints int
+	timer *time.Timer // the MaxStaleness deadline; nil while none is armed
+}
+
+// pullSession is one in-flight pull: a scoped session this peer started
+// over some of its outgoing links. A trigger for a link already being
+// pulled — a read, the staleness deadline, PullLink, CatchUp — waits on
+// that session instead of starting another.
+type pullSession struct {
+	sid   string
+	rules []string
+	hints []int            // each rule's staleLink.hints when the pull started
+	done  chan struct{}    // closed when the session finishes here
+	rep   msg.UpdateReport // the initiator's report, valid once done is closed
 }
 
 // propState is the peer's propagation-policy state. The actor loop owns all
@@ -44,10 +53,6 @@ type propState struct {
 	mu sync.Mutex
 	// stale maps outgoing (importing) rule IDs to their staleness record.
 	stale map[string]*staleLink
-	// waiters holds synchronous pull waiters per rule; inflightAt stamps
-	// the last outstanding PullRequest (dedup with retry-after).
-	waiters    map[string][]chan pullResult
-	inflightAt map[string]time.Time
 	// samples are staleness-at-pull measurements (importer side, bounded).
 	samples []time.Duration
 	// Adaptive demand tracking (importer side): reads counts local queries
@@ -58,17 +63,22 @@ type propState struct {
 	lastReads  map[string]uint64
 	cold       map[string]int
 	demandPull map[string]bool
+
+	// pulling maps outgoing rule IDs to their in-flight pull, pulls the
+	// same sessions by SID. Loop only, like the sessions themselves.
+	pulling map[string]*pullSession
+	pulls   map[string]*pullSession
 }
 
 func newPropState() *propState {
 	return &propState{
 		stale:      make(map[string]*staleLink),
-		waiters:    make(map[string][]chan pullResult),
-		inflightAt: make(map[string]time.Time),
 		reads:      make(map[string]uint64),
 		lastReads:  make(map[string]uint64),
 		cold:       make(map[string]int),
 		demandPull: make(map[string]bool),
+		pulling:    make(map[string]*pullSession),
+		pulls:      make(map[string]*pullSession),
 	}
 }
 
@@ -142,14 +152,10 @@ func (p *Peer) applyLinkPolicies() {
 func (p *Peer) PropagationStats() PropagationStats {
 	var links []core.LinkPropagationStats
 	p.do(func() { links = p.node.PropagationStats() })
-	st := PropagationStats{Links: links}
+	st := PropagationStats{Links: links, StaleLinks: p.StaleLinks()}
 	p.prop.mu.Lock()
-	for id := range p.prop.stale {
-		st.StaleLinks = append(st.StaleLinks, id)
-	}
 	samples := append([]time.Duration(nil), p.prop.samples...)
 	p.prop.mu.Unlock()
-	sort.Strings(st.StaleLinks)
 	st.StalenessSamples = len(samples)
 	st.StalenessP50 = durPercentile(samples, 50)
 	st.StalenessP99 = durPercentile(samples, 99)
@@ -200,19 +206,36 @@ func (p *Peer) handleUpdateHint(from string, h *msg.UpdateHint) {
 		sl = &staleLink{since: time.Now()}
 		p.prop.stale[h.RuleID] = sl
 	}
-	sl.lsn = h.LSN
-	needTimer := p.maxStaleness > 0 && sl.timer == nil
-	if needTimer {
-		id := h.RuleID
-		sl.timer = time.AfterFunc(p.maxStaleness, func() { p.deadlinePull(id) })
+	sl.hints++
+	if sl.timer == nil {
+		p.armDeadline(h.RuleID, sl)
 	}
 	p.prop.mu.Unlock()
 }
 
+// armDeadline starts a stale link's MaxStaleness timer, when the peer has a
+// deadline (caller holds prop.mu).
+func (p *Peer) armDeadline(ruleID string, sl *staleLink) {
+	if p.maxStaleness > 0 {
+		sl.timer = time.AfterFunc(p.maxStaleness, func() { p.deadlinePull(ruleID, sl) })
+	}
+}
+
 // deadlinePull fires when a stale link outlived MaxStaleness without a
-// query pulling it: the actor loop issues the pull on its own.
-func (p *Peer) deadlinePull(ruleID string) {
-	cmd := command{run: func() { p.startPull(ruleID, nil) }, done: make(chan struct{})}
+// query pulling it: the actor loop issues the pull on its own, unless the
+// record it was armed for has been cleared meanwhile.
+func (p *Peer) deadlinePull(ruleID string, sl *staleLink) {
+	cmd := command{run: func() {
+		p.prop.mu.Lock()
+		current := p.prop.stale[ruleID] == sl
+		if current {
+			sl.timer = nil
+		}
+		p.prop.mu.Unlock()
+		if current {
+			p.startPull([]string{ruleID})
+		}
+	}, done: make(chan struct{})}
 	select {
 	case p.inbox <- cmd:
 	case <-p.stopped:
@@ -230,175 +253,130 @@ func (p *Peer) outgoingRule(id string) *cq.Rule {
 	return nil
 }
 
-// startPull sends a PullRequest for one outgoing link (loop only),
-// registering the optional waiter. Requests are deduplicated: while one is
-// outstanding (younger than the pull timeout), further triggers only attach
-// waiters.
-func (p *Peer) startPull(ruleID string, waiter chan pullResult) {
-	rule := p.outgoingRule(ruleID)
-	if rule == nil {
-		if waiter != nil {
-			waiter <- pullResult{err: fmt.Errorf("peer %s: unknown outgoing rule %s", p.name, ruleID)}
+// startPull makes sure every given outgoing link has a pull in flight —
+// one new scoped session covers those that have none — and returns the
+// pull sessions covering them (loop only).
+func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
+	var pulls []*pullSession
+	var idle []string
+	for _, id := range ids {
+		if ps := p.prop.pulling[id]; ps == nil {
+			idle = append(idle, id)
+		} else if !slices.Contains(pulls, ps) {
+			pulls = append(pulls, ps)
 		}
-		return
 	}
-	var since uint64
-	p.prop.mu.Lock()
-	if sl := p.prop.stale[ruleID]; sl != nil {
-		since = sl.lsn
+	if len(idle) == 0 {
+		return pulls, nil
 	}
-	if waiter != nil {
-		p.prop.waiters[ruleID] = append(p.prop.waiters[ruleID], waiter)
-	}
-	at, inflight := p.prop.inflightAt[ruleID]
-	if inflight && time.Since(at) < p.pullTimeout {
-		p.prop.mu.Unlock()
-		return // a request is already in flight; the response serves us too
-	}
-	p.prop.inflightAt[ruleID] = time.Now()
-	p.prop.mu.Unlock()
-
-	p.node.NotePullIssued(ruleID)
-	if err := p.sendTo(rule.Source, &msg.PullRequest{RuleID: ruleID, SinceLSN: since}); err != nil {
-		p.prop.mu.Lock()
-		delete(p.prop.inflightAt, ruleID)
-		p.prop.mu.Unlock()
-		p.failPullWaiters(ruleID, err)
-	}
-}
-
-// failPullWaiters resolves every registered waiter of a rule with an error.
-func (p *Peer) failPullWaiters(ruleID string, err error) {
-	p.prop.mu.Lock()
-	ws := p.prop.waiters[ruleID]
-	delete(p.prop.waiters, ruleID)
-	p.prop.mu.Unlock()
-	for _, w := range ws {
-		w <- pullResult{err: err}
-	}
-}
-
-// handlePullRequest serves an exporter-side pull (loop only): exactly the
-// incremental export the importer would have received, computed from the
-// durable watermark. The advanced watermark is persisted like any
-// materialising session's.
-func (p *Peer) handlePullRequest(from string, req *msg.PullRequest) {
-	resp, err := p.node.ServePull(req)
+	sid := msg.NewSID(p.name)
+	res, err := p.node.StartPull(sid, idle)
 	if err != nil {
-		p.log.Warn("pull not served", "rule", req.RuleID, "from", from, "err", err)
-		return
+		return nil, err
 	}
-	p.persistExportState()
-	if err := p.sendTo(from, resp); err != nil {
-		p.log.Warn("pull response send failed", "rule", req.RuleID, "to", from, "err", err)
-	}
-}
-
-// handlePullResponse materialises a pulled delta (loop only): tuples go
-// through the normal chase-and-commit path, the staleness record clears
-// (and is sampled), waiters wake, and invalidation hints cascade through
-// this node's own lazy dependent links.
-func (p *Peer) handlePullResponse(from string, resp *msg.PullResponse) {
-	fresh, total, err := p.node.ApplyPull(resp)
+	ps := &pullSession{sid: sid, rules: idle, hints: make([]int, len(idle)), done: make(chan struct{})}
 	p.prop.mu.Lock()
-	delete(p.prop.inflightAt, resp.RuleID)
-	ws := p.prop.waiters[resp.RuleID]
-	delete(p.prop.waiters, resp.RuleID)
+	for i, id := range idle {
+		if sl := p.prop.stale[id]; sl != nil {
+			ps.hints[i] = sl.hints
+		}
+		p.prop.pulling[id] = ps
+	}
 	p.prop.mu.Unlock()
-	if err != nil {
-		p.log.Warn("pull response not applied", "rule", resp.RuleID, "from", from, "err", err)
-		for _, w := range ws {
-			w <- pullResult{err: err}
-		}
-		return
-	}
-	p.clearStale(resp.RuleID)
-	for _, w := range ws {
-		w <- pullResult{fresh: total}
-	}
-	if total > 0 {
-		changed := make([]string, 0, len(fresh))
-		for rel := range fresh {
-			changed = append(changed, rel)
-		}
-		p.cascadeHints(changed)
-	}
+	p.prop.pulls[sid] = ps
+	p.dispatch(res) // may finish the session already: register it first
+	return append(pulls, ps), nil
 }
 
-// clearStale removes a link's staleness record, sampling the staleness at
-// pull time (loop only).
-func (p *Peer) clearStale(ruleID string) {
+// finishPull completes a pull when its session finishes here (loop only):
+// the pulled links' staleness records clear, each sampled for the staleness
+// quantiles, and the waiters wake. A record stays when the pull wrote off
+// messages, or when a hint arrived after the pull started — the exporter
+// may have committed past what it shipped.
+func (p *Peer) finishPull(ps *pullSession, rep msg.UpdateReport) {
+	delete(p.prop.pulls, ps.sid)
+	ps.rep = rep
 	p.prop.mu.Lock()
-	defer p.prop.mu.Unlock()
-	sl := p.prop.stale[ruleID]
-	if sl == nil {
-		return
-	}
-	delete(p.prop.stale, ruleID)
-	if sl.timer != nil {
-		sl.timer.Stop()
-	}
-	p.prop.samples = append(p.prop.samples, time.Since(sl.since))
-	if len(p.prop.samples) > maxStalenessSamples {
-		p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
-	}
-}
-
-// cascadeHints floods out-of-session invalidation hints through this node's
-// lazy incoming links whose bodies read any of the changed relations (loop
-// only): a pull that materialises tuples here makes the downstream lazy
-// importers stale in turn, exactly as an in-session export would have.
-func (p *Peer) cascadeHints(changed []string) {
-	lsn := p.node.Wrapper().LSN()
-	for _, rule := range p.node.LazyDependents(changed) {
-		p.node.NoteHintSent(rule.ID)
-		if err := p.sendTo(rule.Target, &msg.UpdateHint{RuleID: rule.ID, LSN: lsn}); err != nil {
-			p.log.Warn("cascade hint send failed", "rule", rule.ID, "to", rule.Target, "err", err)
+	for i, id := range ps.rules {
+		delete(p.prop.pulling, id)
+		sl := p.prop.stale[id]
+		switch {
+		case sl == nil:
+		case rep.CompensatedLost > 0 || sl.hints != ps.hints[i]:
+			if sl.timer == nil {
+				p.armDeadline(id, sl)
+			}
+		default:
+			delete(p.prop.stale, id)
+			if sl.timer != nil {
+				sl.timer.Stop()
+			}
+			p.prop.samples = append(p.prop.samples, time.Since(sl.since))
+			if len(p.prop.samples) > maxStalenessSamples {
+				p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
+			}
 		}
 	}
+	p.prop.mu.Unlock()
+	close(ps.done)
 }
 
-// PullLink synchronously pulls one outgoing link's pending delta from its
-// exporter, returning the number of genuinely new tuples materialised. Safe
-// to call concurrently; concurrent pulls of the same link coalesce onto one
-// request.
-func (p *Peer) PullLink(ctx context.Context, ruleID string) (int, error) {
-	waiter := make(chan pullResult, 1)
-	if err := p.do(func() { p.startPull(ruleID, waiter) }); err != nil {
+// awaitPulls waits for the given pulls and sums the tuples they
+// materialised at this peer. A pull that wrote off messages — its exporter
+// was unreachable, or a pipe failed under it — is an error: the links it
+// covered may still lag.
+func (p *Peer) awaitPulls(ctx context.Context, pulls []*pullSession) (int, error) {
+	total := 0
+	for _, ps := range pulls {
+		select {
+		case <-ps.done:
+		case <-ctx.Done():
+			return total, fmt.Errorf("peer %s: pull of %v: %w", p.name, ps.rules, ctx.Err())
+		case <-p.stopped:
+			return total, fmt.Errorf("peer %s: pull of %v: %w", p.name, ps.rules, ErrStopped)
+		}
+		if lost := ps.rep.CompensatedLost; lost > 0 {
+			return total, fmt.Errorf("peer %s: pull of %v wrote off %d undeliverable messages", p.name, ps.rules, lost)
+		}
+		total += ps.rep.NewTuples
+	}
+	return total, nil
+}
+
+// pull starts pulls of the links ids names (evaluated on the actor loop)
+// and waits for them.
+func (p *Peer) pull(ctx context.Context, ids func() []string) (int, error) {
+	var pulls []*pullSession
+	var err error
+	if derr := p.do(func() { pulls, err = p.startPull(ids()) }); derr != nil {
+		return 0, derr
+	}
+	if err != nil {
 		return 0, err
 	}
-	select {
-	case res := <-waiter:
-		return res.fresh, res.err
-	case <-ctx.Done():
-		return 0, fmt.Errorf("peer %s: pull %s: %w", p.name, ruleID, ctx.Err())
-	case <-p.stopped:
-		return 0, fmt.Errorf("peer %s: stopped during pull of %s", p.name, ruleID)
-	}
+	return p.awaitPulls(ctx, pulls)
 }
 
-// CatchUp pulls every outgoing link once, returning the total number of new
-// tuples materialised. Repeating until it returns 0 drives the node to the
-// same fixpoint eager push would have reached (codb.Network.CatchUp does
-// the network-wide iteration).
+// PullLink synchronously pulls one outgoing link: a scoped session over the
+// link, which brings this node level with everything upstream of it (the
+// exporter forwards the pull to its own relevant links). It returns the
+// number of new tuples materialised here. Safe to call concurrently;
+// concurrent pulls of the same link share one session.
+func (p *Peer) PullLink(ctx context.Context, ruleID string) (int, error) {
+	return p.pull(ctx, func() []string { return []string{ruleID} })
+}
+
+// CatchUp pulls every outgoing link — one scoped session over those not
+// already being pulled — returning the number of new tuples materialised
+// here. codb.Network.CatchUp repeats it network-wide until nothing commits.
 func (p *Peer) CatchUp(ctx context.Context) (int, error) {
-	var ids []string
-	if err := p.do(func() {
+	return p.pull(ctx, func() []string {
+		ids := make([]string, 0, len(p.node.Outgoing()))
 		for _, r := range p.node.Outgoing() {
 			ids = append(ids, r.ID)
 		}
-	}); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, id := range ids {
-		n, err := p.PullLink(ctx, id)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
+		return ids
+	})
 }
 
 // noteDataDelivery feeds the adaptive policy's demand detector (loop only):
@@ -446,8 +424,9 @@ func (p *Peer) sendLinkDemand(rule *cq.Rule, wantPull bool) {
 
 // maybePullForQuery is the concurrent read path's pre-read hook: it counts
 // read demand per outgoing link and, when a stale pull link feeds one of
-// the queried relations, issues a bounded synchronous pull so the query
-// observes fresh data (stale on timeout). Runs on the reader's goroutine.
+// the queried relations, pulls it and waits up to the pull timeout so the
+// query observes fresh data (stale on timeout or a failed pull). Runs on
+// the reader's goroutine.
 func (p *Peer) maybePullForQuery(q *cq.Query) {
 	rp := p.readPath
 	rels := q.Relations()
@@ -457,7 +436,7 @@ func (p *Peer) maybePullForQuery(q *cq.Query) {
 	var touched []*cq.Rule
 	for _, rule := range outgoing {
 		for _, h := range rule.HeadRelations() {
-			if containsStr(rels, h) {
+			if slices.Contains(rels, h) {
 				touched = append(touched, rule)
 				break
 			}
@@ -466,14 +445,14 @@ func (p *Peer) maybePullForQuery(q *cq.Query) {
 	if len(touched) == 0 {
 		return
 	}
-	var stale []*cq.Rule
+	var stale []string
 	var promote []*cq.Rule
 	p.prop.mu.Lock()
 	for _, rule := range touched {
 		p.prop.reads[rule.ID]++
 		p.prop.cold[rule.ID] = 0
 		if p.prop.stale[rule.ID] != nil {
-			stale = append(stale, rule)
+			stale = append(stale, rule.ID)
 		}
 		if p.prop.demandPull[rule.ID] {
 			// The link is hot again: promote it back to push.
@@ -485,39 +464,19 @@ func (p *Peer) maybePullForQuery(q *cq.Query) {
 	if len(stale) == 0 && len(promote) == 0 {
 		return
 	}
-	waiters := make([]chan pullResult, len(stale))
+	var pulls []*pullSession
 	if err := p.do(func() {
 		for _, rule := range promote {
 			p.sendLinkDemand(rule, false)
 		}
-		for i, rule := range stale {
-			waiters[i] = make(chan pullResult, 1)
-			p.startPull(rule.ID, waiters[i])
+		if len(stale) > 0 {
+			pulls, _ = p.startPull(stale) // a link removed meanwhile: read as is
 		}
-	}); err != nil {
+	}); err != nil || len(pulls) == 0 {
 		return
 	}
-	if len(waiters) == 0 {
-		return
-	}
-	deadline := time.NewTimer(p.pullTimeout)
-	defer deadline.Stop()
-	for _, w := range waiters {
-		select {
-		case <-w:
-		case <-deadline.C:
-			return // serve stale: the pull completes in the background
-		case <-p.stopped:
-			return
-		}
-	}
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
+	// On timeout the pull completes in the background.
+	ctx, cancel := context.WithTimeout(context.Background(), p.pullTimeout)
+	defer cancel()
+	p.awaitPulls(ctx, pulls)
 }

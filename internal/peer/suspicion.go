@@ -264,9 +264,9 @@ func (p *Peer) healPeer(peer string) {
 }
 
 // afterHeal finishes a heal: ensurePipe has re-run the directory delta
-// exchange over the fresh pipe; catch-up then resumes every pull/push link
-// from its durable watermark. CatchUp posts commands into the actor loop,
-// so it runs in its own goroutine.
+// exchange over the fresh pipe; catch-up then pulls every outgoing link,
+// each resuming from its exporter's durable watermark. CatchUp posts
+// commands into the actor loop, so it runs in its own goroutine.
 func (p *Peer) afterHeal(peer string) {
 	p.log.Info("peer healed, catching up", "peer", peer)
 	go func() {

@@ -229,7 +229,7 @@ func (t *TCP) serve(c net.Conn) {
 //
 // When a conn for the peer already exists in the OPPOSITE direction, the two
 // ends dialed each other simultaneously (both redialing after a heal is the
-// common case). Naive last-write-wins is a shootout: each end replaces and
+// common case). Plain last-write-wins is a shootout: each end replaces and
 // closes a different socket, the close each inflicts tears down the conn the
 // other end kept, both pipes die, and the paced redials cross again one
 // timeout later. Instead both ends apply the same tie-break — keep the

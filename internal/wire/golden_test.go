@@ -82,11 +82,6 @@ func goldenPayloads() []msg.Payload {
 			&msg.LinkClose{SID: "N1-1-abc", RuleID: "r1"},
 		}},
 		&msg.UpdateHint{RuleID: "r1", LSN: 1 << 33},
-		&msg.PullRequest{RuleID: "r1", SinceLSN: 42},
-		&msg.PullResponse{
-			RuleID: "r1", AtLSN: 99, Mode: msg.ExportIncremental, Skipped: 3,
-			Bindings: tuples,
-		},
 		&msg.LinkDemand{RuleID: "r1", Mode: 1},
 		&msg.Heartbeat{Seq: 1 << 21},
 	}

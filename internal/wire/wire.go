@@ -50,7 +50,7 @@ const HeaderLen = 12
 const (
 	// V2 is the frame protocol version: the header above with
 	// internal/msg binary payload bodies — the session family (tags
-	// 0x10–0x1F) and the pull-propagation and heartbeat family (0x20+).
+	// 0x10–0x1F) and the lazy-link and heartbeat family (0x20+).
 	// Version 1, which predated the 0x20+ tags, is not spoken.
 	V2 = 2
 

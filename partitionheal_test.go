@@ -1,6 +1,7 @@
 package codb
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -182,6 +183,88 @@ func TestPartitionHealStress(t *testing.T) {
 	if st.Tombstones != 0 {
 		t.Errorf("partition produced %d tombstones, want 0 (suspicion must not tombstone)", st.Tombstones)
 	}
+}
+
+// TestLostPullDataReExported loses the data a pull ships: over a TCP pull
+// link a <- b, b's reply to a's pull is dropped, then the pipe goes down both
+// ways. The pull must fail rather than report success, and after the heal a
+// catch-up must bring a level with b — the exporter may not go on believing
+// a holds what it shipped into the dead pipe.
+func TestLostPullDataReExported(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	parts := make(map[string]*transport.Partitioner)
+	var pmu sync.Mutex
+	nw := NewNetworkWithOptions(NetworkOptions{
+		Transport: TransportGroup{
+			TCP: true,
+			Wrap: func(node string, tr transport.Transport) transport.Transport {
+				f := transport.NewPartitioner(tr)
+				pmu.Lock()
+				parts[node] = f
+				pmu.Unlock()
+				return f
+			},
+		},
+		Suspicion:   SuspicionGroup{Timeout: timeout},
+		Propagation: PropagationGroup{Policies: map[string]string{"r1": "pull"}},
+	})
+	defer nw.Close()
+	nw.MustAddPeer("a", "r(x int)")
+	nw.MustAddPeer("b", "r(x int)")
+	nw.MustAddRule("r1", `a.r(x) <- b.r(x)`)
+
+	const rows = 20
+	for i := 0; i < rows; i++ {
+		if err := nw.Insert("b", "r", Row(Int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nw.Update(ctxT(t), "b"); err != nil {
+		t.Fatal(err)
+	}
+	a, b := nw.Peer("a"), nw.Peer("b")
+	b.FlushOutbox()
+
+	// b serves a's pull, and its reply vanishes.
+	parts["b"].BlockOutbound("a")
+	pulled := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err := a.PullLink(ctx, "r1")
+		pulled <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, _ := nw.PeerPropagationStats("b")
+		if len(st.Links) == 1 && st.Links[0].PullsServed > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("b never served the pull: %+v", st)
+		}
+	}
+
+	// Then the pipe goes down.
+	parts["a"].Partition("b")
+	parts["b"].Partition("a")
+	waitMembership(t, a, "b down", func(st MembershipStats) bool { return st.States["b"] == "down" })
+	waitMembership(t, b, "a down", func(st MembershipStats) bool { return st.States["a"] == "down" })
+	if err := <-pulled; err == nil {
+		t.Error("a pull whose data was lost reported success")
+	}
+
+	for _, f := range parts {
+		f.Heal()
+	}
+	waitMembership(t, a, "b healed", func(st MembershipStats) bool {
+		return st.States["b"] == "alive" && st.Heals >= 1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := nw.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	expectTuples(t, a, rows)
 }
 
 // restartDurablePeer crash-stops a durable peer and brings a fresh

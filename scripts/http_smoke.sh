@@ -144,7 +144,7 @@ echo "leave ok"
 # Propagation policies through the gateway: flip the N1→N0 link to pull on
 # both endpoints, update upstream, and watch the importer go stale (the
 # update floods only a hint) and then fresh (the next local query pulls the
-# delta synchronously).
+# delta synchronously, as a scoped session over the link).
 curl -fsS -X PUT http://127.0.0.1:8181/v1/links/e0/policy \
     -d '{"mode":"pull"}' | grep -q '"mode":"pull"'
 curl -fsS -X PUT http://127.0.0.1:8180/v1/links/e0/policy \
@@ -166,7 +166,17 @@ echo "$body" | grep -q '"count":5' || {
     echo "post-pull query: want count 5, got: $body" >&2
     exit 1
 }
-# …and the cumulative counters saw the pull on both sides of the link.
+# …the pull's completion cleared the stale mark, and the cumulative
+# counters saw the pull on both sides of the link.
+prop=$(curl -fsS http://127.0.0.1:8180/v1/stats/propagation)
+echo "$prop" | grep -q '"pulls_issued":1' || {
+    echo "importer counted no pull: $prop" >&2
+    exit 1
+}
+if echo "$prop" | grep -q '"stale_links":\["'; then
+    echo "pull link still stale after the read: $prop" >&2
+    exit 1
+fi
 curl -fsS http://127.0.0.1:8181/v1/stats/propagation | grep -q '"pulls_served":1'
 curl -fsS http://127.0.0.1:8180/v1/stats | grep -q '"sessions"'
 echo "propagation policies ok"
