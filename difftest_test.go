@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -778,16 +779,32 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 			}
 		}
 	}
+	staleAt := func(name string, want ...string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			stale := chain.Peer(name).StaleLinks()
+			if slices.Equal(stale, want) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s's stale links: %v, want %v", name, stale, want)
+			}
+		}
+	}
 	insertAtZ(0)
 	if _, err := chain.Update(ctxT(t), "z"); err != nil {
 		t.Fatal(err)
 	}
+	staleAt("y", "p2")
 	if n, err := chain.Peer("x").PullLink(ctxT(t), "p1"); err != nil || n != delta {
 		t.Fatalf("one pull at the chain's head materialised %d tuples (err %v), want %d", n, err, delta)
 	}
 	if got := chain.Peer("y").Count("data"); got != delta {
 		t.Fatalf("the pull left %d tuples at the intermediate y, want %d", got, delta)
 	}
+	// The pull reached y over p2 and left it level with z: y's own record of
+	// p2 clears too.
+	staleAt("y")
 
 	// A scoped update that materialises rows at y makes y's pull link to x
 	// stale, as an update session delivering them would.
@@ -798,15 +815,7 @@ func TestDifferentialPropagationChurn(t *testing.T) {
 	if _, err := chain.ScopedUpdate(ctxT(t), "y", "data"); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		stale := chain.Peer("x").StaleLinks()
-		if len(stale) == 1 && stale[0] == "p1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("x's stale links after a scoped update at y: %v, want [p1]", stale)
-		}
-	}
+	staleAt("x", "p1")
 }
 
 // exportTotals sums fallback and incremental export counts across every

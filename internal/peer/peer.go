@@ -546,6 +546,8 @@ func (p *Peer) handleEnvelope(env msg.Envelope) {
 // dispatch ships a core Result: messages out, answers to query waiters,
 // finished sessions to update waiters.
 func (p *Peer) dispatch(res core.Result) {
+	// Before any send: a failed one can finish a session right away.
+	p.noteScopedRequests(res.Out)
 	// Grouped per destination, so the outbox sees contiguous runs it can
 	// coalesce into batch frames.
 	for _, out := range res.GroupedOut() {
@@ -581,6 +583,9 @@ func (p *Peer) dispatch(res core.Result) {
 		if replyTo, ok := p.remoteCmds[f.SID]; ok {
 			delete(p.remoteCmds, f.SID)
 			p.sendTo(replyTo, &msg.UpdateFinished{SID: f.SID, Node: p.name, Report: f.Report})
+		}
+		if f.Report.Kind == msg.KindScoped {
+			p.settlePulls(f)
 		}
 		if ps, ok := p.prop.pulls[f.SID]; ok {
 			p.finishPull(ps, f.Report)

@@ -28,9 +28,11 @@ const maxStalenessSamples = 4096
 // staleLink is the importer-side record of one hinted, not-yet-pulled link.
 type staleLink struct {
 	since time.Time // first unserved hint arrival (staleness clock)
-	// hints counts the hints received: a pull clears the record only when
-	// none arrived after it started.
+	// hints counts the hints received; pulls maps each scoped session that
+	// requested the link from this peer to hints at that moment. A session
+	// clears the record only when none arrived after it requested the link.
 	hints int
+	pulls map[string]int
 	timer *time.Timer // the MaxStaleness deadline; nil while none is armed
 }
 
@@ -41,7 +43,6 @@ type staleLink struct {
 type pullSession struct {
 	sid   string
 	rules []string
-	hints []int            // each rule's staleLink.hints when the pull started
 	done  chan struct{}    // closed when the session finishes here
 	rep   msg.UpdateReport // the initiator's report, valid once done is closed
 }
@@ -253,72 +254,123 @@ func (p *Peer) outgoingRule(id string) *cq.Rule {
 	return nil
 }
 
-// startPull makes sure every given outgoing link has a pull in flight —
-// one new scoped session covers those that have none — and returns the
-// pull sessions covering them (loop only).
-func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
-	var pulls []*pullSession
-	var idle []string
-	for _, id := range ids {
-		if ps := p.prop.pulling[id]; ps == nil {
-			idle = append(idle, id)
-		} else if !slices.Contains(pulls, ps) {
-			pulls = append(pulls, ps)
-		}
-	}
-	if len(idle) == 0 {
-		return pulls, nil
-	}
-	sid := msg.NewSID(p.name)
-	res, err := p.node.StartPull(sid, idle)
-	if err != nil {
-		return nil, err
-	}
-	ps := &pullSession{sid: sid, rules: idle, hints: make([]int, len(idle)), done: make(chan struct{})}
+// lazyOutgoing lists the outgoing links this peer pulls rather than has
+// pushed to it: those configured pull, adaptive ones it demoted, and any
+// hinted stale (loop only).
+func (p *Peer) lazyOutgoing() []string {
+	var ids []string
 	p.prop.mu.Lock()
-	for i, id := range idle {
-		if sl := p.prop.stale[id]; sl != nil {
-			ps.hints[i] = sl.hints
+	defer p.prop.mu.Unlock()
+	for _, r := range p.node.Outgoing() {
+		mode, _ := p.node.LinkPolicy(r.ID)
+		if mode == core.PolicyPull.String() || p.prop.demandPull[r.ID] || p.prop.stale[r.ID] != nil {
+			ids = append(ids, r.ID)
 		}
-		p.prop.pulling[id] = ps
 	}
-	p.prop.mu.Unlock()
-	p.prop.pulls[sid] = ps
-	p.dispatch(res) // may finish the session already: register it first
-	return append(pulls, ps), nil
+	return ids
 }
 
-// finishPull completes a pull when its session finishes here (loop only):
-// the pulled links' staleness records clear, each sampled for the staleness
-// quantiles, and the waiters wake. A record stays when the pull wrote off
-// messages, or when a hint arrived after the pull started — the exporter
-// may have committed past what it shipped.
+// startPull makes sure every given outgoing link has a pull in flight —
+// one new scoped session covers those that have none — and returns the
+// pull sessions covering them (loop only). An id that is not an outgoing
+// link is an error, but the others are pulled all the same.
+func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
+	var pulls []*pullSession
+	var idle, unknown []string
+	for _, id := range ids {
+		if ps := p.prop.pulling[id]; ps != nil {
+			if !slices.Contains(pulls, ps) {
+				pulls = append(pulls, ps)
+			}
+		} else if p.outgoingRule(id) != nil {
+			idle = append(idle, id)
+		} else {
+			unknown = append(unknown, id)
+		}
+	}
+	var err error
+	if len(unknown) > 0 {
+		err = fmt.Errorf("peer %s: cannot pull %v: not outgoing links", p.name, unknown)
+	}
+	if len(idle) == 0 {
+		return pulls, err
+	}
+	sid := msg.NewSID(p.name)
+	res, serr := p.node.StartPull(sid, idle)
+	if serr != nil {
+		return pulls, serr
+	}
+	ps := &pullSession{sid: sid, rules: idle, done: make(chan struct{})}
+	for _, id := range idle {
+		p.prop.pulling[id] = ps
+	}
+	p.prop.pulls[sid] = ps
+	p.dispatch(res) // may finish the session already: register it first
+	return append(pulls, ps), err
+}
+
+// finishPull wakes a pull's waiters when its session finishes here (loop
+// only).
 func (p *Peer) finishPull(ps *pullSession, rep msg.UpdateReport) {
 	delete(p.prop.pulls, ps.sid)
-	ps.rep = rep
-	p.prop.mu.Lock()
-	for i, id := range ps.rules {
+	for _, id := range ps.rules {
 		delete(p.prop.pulling, id)
-		sl := p.prop.stale[id]
-		switch {
-		case sl == nil:
-		case rep.CompensatedLost > 0 || sl.hints != ps.hints[i]:
+	}
+	ps.rep = rep
+	close(ps.done)
+}
+
+// noteScopedRequests marks the stale links a scoped session is about to
+// request from their exporters (loop only). Every scoped session pulls the
+// links it requests, whether this peer started it or forwards it.
+func (p *Peer) noteScopedRequests(out []core.Outbound) {
+	for _, o := range out {
+		req, ok := o.Payload.(*msg.SessionRequest)
+		if !ok || req.Kind != msg.KindScoped {
+			continue
+		}
+		p.prop.mu.Lock()
+		for _, d := range req.Rules {
+			if sl := p.prop.stale[d.ID]; sl != nil {
+				if sl.pulls == nil {
+					sl.pulls = make(map[string]int)
+				}
+				sl.pulls[req.SID] = sl.hints
+			}
+		}
+		p.prop.mu.Unlock()
+	}
+}
+
+// settlePulls clears the staleness records of the links a finished scoped
+// session requested, each sampled for the staleness quantiles (loop only).
+// A record stays when the session wrote off messages here, or when a hint
+// arrived after the session requested the link — the exporter may have
+// committed past what it shipped.
+func (p *Peer) settlePulls(f core.Finished) {
+	p.prop.mu.Lock()
+	defer p.prop.mu.Unlock()
+	for id, sl := range p.prop.stale {
+		hints, ok := sl.pulls[f.SID]
+		if !ok {
+			continue
+		}
+		delete(sl.pulls, f.SID)
+		if f.Report.CompensatedLost > 0 || sl.hints != hints {
 			if sl.timer == nil {
 				p.armDeadline(id, sl)
 			}
-		default:
-			delete(p.prop.stale, id)
-			if sl.timer != nil {
-				sl.timer.Stop()
-			}
-			p.prop.samples = append(p.prop.samples, time.Since(sl.since))
-			if len(p.prop.samples) > maxStalenessSamples {
-				p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
-			}
+			continue
+		}
+		delete(p.prop.stale, id)
+		if sl.timer != nil {
+			sl.timer.Stop()
+		}
+		p.prop.samples = append(p.prop.samples, time.Since(sl.since))
+		if len(p.prop.samples) > maxStalenessSamples {
+			p.prop.samples = p.prop.samples[len(p.prop.samples)-maxStalenessSamples:]
 		}
 	}
-	p.prop.mu.Unlock()
-	close(ps.done)
 }
 
 // awaitPulls waits for the given pulls and sums the tuples they
@@ -470,7 +522,7 @@ func (p *Peer) maybePullForQuery(q *cq.Query) {
 			p.sendLinkDemand(rule, false)
 		}
 		if len(stale) > 0 {
-			pulls, _ = p.startPull(stale) // a link removed meanwhile: read as is
+			pulls, _ = p.startPull(stale) // a link removed meanwhile is skipped
 		}
 	}); err != nil || len(pulls) == 0 {
 		return

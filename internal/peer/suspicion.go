@@ -264,15 +264,19 @@ func (p *Peer) healPeer(peer string) {
 }
 
 // afterHeal finishes a heal: ensurePipe has re-run the directory delta
-// exchange over the fresh pipe; catch-up then pulls every outgoing link,
-// each resuming from its exporter's durable watermark. CatchUp posts
-// commands into the actor loop, so it runs in its own goroutine.
+// exchange over the fresh pipe; catch-up then pulls every lazy outgoing
+// link, each resuming from its exporter's durable watermark. Push links are
+// not pulled: the write-off already reset their exporters' export state
+// (distrustImporter), and the next update re-exports over them. A pull
+// there would commit upstream rows behind a running update's exports, which
+// then never push them on. The pull posts commands into the actor loop, so
+// it runs in its own goroutine.
 func (p *Peer) afterHeal(peer string) {
 	p.log.Info("peer healed, catching up", "peer", peer)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), healCatchUpTimeout)
 		defer cancel()
-		if _, err := p.CatchUp(ctx); err != nil && !errors.Is(err, ErrStopped) {
+		if _, err := p.pull(ctx, p.lazyOutgoing); err != nil && !errors.Is(err, ErrStopped) {
 			p.log.Warn("post-heal catch-up incomplete", "peer", peer, "err", err)
 		}
 	}()

@@ -42,11 +42,8 @@ func (w *crashingStore) InsertKeyed(rows []relation.Row) ([]bool, error) {
 // the burst staged. Downstream keeps what it was shipped — sound
 // consequences of n3's durable rows; upstream wrote the unacknowledged data
 // message off and must not trust its export state toward n2 any more. After
-// RestartDurablePeer, n2 holds only what it had synced, and the next session
-// over n3's link re-exports toward it in full — one more update, or the
-// catch-up pull n1 starts when it sees n2 healed, whichever reaches n3
-// first. Once both have run and the network has caught up, every node
-// equals the oracle fixpoint.
+// RestartDurablePeer, n2 holds only what it had synced, and one more update
+// re-exports toward it in full: every node equals the oracle fixpoint.
 func TestCrashBetweenShipAndSync(t *testing.T) {
 	const nodes, victim = 4, 2
 	name := func(i int) string { return fmt.Sprintf("n%d", i) }
@@ -183,27 +180,16 @@ func TestCrashBetweenShipAndSync(t *testing.T) {
 	}
 
 	// A new process over the same directory: only what was synced is there.
-	fullBefore := nw.Peer(name(victim + 1)).ExportTotals().ExportsFull
 	restartDurablePeer(t, nw, name(victim), dirs[victim])
 	expectTuples(t, nw.Peer(name(victim)), synced)
 	nw.MustAddRule(fmt.Sprintf("r%d", victim-1), ruleText(victim-1))
 	nw.MustAddRule(tailRule, ruleText(victim))
 
 	insertAtTail(4)
-	update()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		tot := nw.Peer(name(victim + 1)).ExportTotals()
-		if tot.ExportsFull > fullBefore {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never re-exported toward the restarted peer in full: %+v", name(victim+1), tot)
-		}
-	}
-	// Rows the heal's pull committed at n1 behind the update's export reach
-	// n0 with the next session over r0.
-	if _, err := nw.CatchUp(ctxT(t)); err != nil {
-		t.Fatal(err)
+	rep = update()
+	if r := sessionReport(t, nw.Peer(name(victim+1)), rep.SID); r.ExportsFull == 0 {
+		t.Errorf("%s exported toward the restarted peer incr=%d full=%d fallback=%d; want a full re-export",
+			name(victim+1), r.ExportsIncremental, r.ExportsFull, r.ExportsFallback)
 	}
 
 	// Every node equals the oracle fixpoint of the final base data.
