@@ -1,12 +1,11 @@
-// Benchmark harness regenerating the paper's §4 experiment programme
-// (DESIGN.md, experiments E1–E7 and ablations A3 and A4). Each benchmark
-// reports, besides ns/op, the statistics the coDB statistical module
-// collects: data messages (msgs/op), shipped volume (bytes/op), and the
-// longest update propagation path (maxpath).
+// Root benchmark and timing gates, on plain codb.Network calls. The repo's
+// end-to-end benchmark is the bench/ module; what stays here is a data-scale
+// gate, an end-to-end coalescing check over TCP, and the durable-hop
+// micro-benchmark.
 //
-// Run everything with:
+// Run the benchmark with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench DurableChainIncrement -benchmem .
 package codb
 
 import (
@@ -16,69 +15,38 @@ import (
 	"testing"
 	"time"
 
-	"codb/internal/experiment"
 	"codb/internal/topo"
+	"codb/internal/workload"
 )
 
-func reportUpdateMetrics(b *testing.B, res experiment.Result) {
-	b.Helper()
-	b.ReportMetric(float64(res.TotalMsgs), "msgs/op")
-	b.ReportMetric(float64(res.TotalBytes), "xferbytes/op")
-	b.ReportMetric(float64(res.MaxPath), "maxpath")
-	b.ReportMetric(float64(res.NewTuples), "newtuples/op")
-}
-
-func runUpdateBench(b *testing.B, p experiment.Params) {
-	b.Helper()
-	ctx := context.Background()
-	var last experiment.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunUpdate(ctx, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+// topoNetwork builds an in-process network in the generated topology (copy
+// rules over data(k, v) unless opts says otherwise) and seeds tuples
+// node-unique rows of data at every node. The caller closes it.
+func topoNetwork(tb testing.TB, shape topo.Shape, n, tuples int, seed int64, opts topo.Options, nopts NetworkOptions) *Network {
+	tb.Helper()
+	cfg, err := topo.Build(shape, n, opts)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	reportUpdateMetrics(b, last)
-}
-
-// E1–E4: global update across topologies and network sizes. One run
-// measures the update's total execution time (E1); the reported metrics
-// carry messages per rule (E2), data volume (E3) and longest propagation
-// path (E4).
-func BenchmarkUpdateTopology(b *testing.B) {
-	shapes := []topo.Shape{topo.Chain, topo.Ring, topo.Star, topo.Tree, topo.Random}
-	for _, shape := range shapes {
-		for _, n := range []int{4, 8, 16, 32} {
-			b.Run(fmt.Sprintf("%s/n=%d", shape, n), func(b *testing.B) {
-				runUpdateBench(b, experiment.Params{
-					Shape: shape, Nodes: n, TuplesPerNode: 250, Overlap: 0.1, Seed: 42,
-				})
-			})
+	nw, err := NewNetworkFromConfigWithOptions(cfg.String(), nopts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := workload.Generate(nw.Peers(), workload.Spec{TuplesPerNode: tuples, Seed: seed})
+	for node, ts := range rows {
+		if err := nw.Insert(node, "data", ts...); err != nil {
+			nw.Close()
+			tb.Fatal(err)
 		}
 	}
+	return nw
 }
 
-// dataScaleParams is the E1 data-size chain: 8 nodes, the given per-node
-// cardinality.
-func dataScaleParams(tuples int) experiment.Params {
-	return experiment.Params{Shape: topo.Chain, Nodes: 8, TuplesPerNode: tuples, Seed: 43}
-}
-
-// E1 (scaling in data size): chain of 8, growing per-node cardinality.
-func BenchmarkUpdateDataScale(b *testing.B) {
-	for _, tuples := range []int{100, 500, 1000, 2000} {
-		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
-			runUpdateBench(b, dataScaleParams(tuples))
-		})
-	}
-}
-
-// TestUpdateDataScaleIsLinear is BenchmarkUpdateDataScale as a gate: one op
-// (build the chain, run the global update) at 2,000 rows/node may cost at
-// most 8x one at 500 rows/node (linear is 4x), so a per-row cost that grows
-// with the table fails tier-1. Medians of three, so one slow run does not
-// decide it.
+// TestUpdateDataScaleIsLinear gates the update's per-row cost: one op (build
+// an 8-node chain, run the global update, close) at 2,000 rows/node may cost
+// at most 8x one at 500 rows/node (linear is 4x), so a per-row cost that
+// grows with the table fails tier-1. Medians of three, so one slow run does
+// not decide it.
 func TestUpdateDataScaleIsLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -87,8 +55,14 @@ func TestUpdateDataScaleIsLinear(t *testing.T) {
 		var runs []time.Duration
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := experiment.RunUpdate(context.Background(), dataScaleParams(tuples)); err != nil {
+			nw := topoNetwork(t, topo.Chain, 8, tuples, 44, topo.Options{Seed: 43}, NetworkOptions{})
+			rep, err := nw.Update(context.Background(), topo.NodeName(0))
+			nw.Close()
+			if err != nil {
 				t.Fatal(err)
+			}
+			if rep.NewTuples != 7*tuples {
+				t.Fatalf("%d rows/node: head materialised %d tuples, want %d", tuples, rep.NewTuples, 7*tuples)
 			}
 			runs = append(runs, time.Since(start))
 		}
@@ -104,139 +78,32 @@ func TestUpdateDataScaleIsLinear(t *testing.T) {
 	}
 }
 
-// E5: query-time fetching vs local query after a global update — the
-// paper's core motivation for materialisation.
-func BenchmarkQueryColdVsMaterialised(b *testing.B) {
-	p := experiment.Params{Shape: topo.Chain, Nodes: 8, TuplesPerNode: 500, Seed: 44}
-	ctx := context.Background()
-	b.Run("cold-distributed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := experiment.RunQueryCold(ctx, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Answers), "answers")
-		}
-	})
-	b.Run("materialised-local", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := experiment.RunQueryMaterialised(ctx, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// res.Wall covers only the local query; surface it.
-			b.ReportMetric(float64(res.Wall.Nanoseconds()), "localquery-ns")
-			b.ReportMetric(float64(res.Answers), "answers")
-		}
-	})
-}
-
-// Fan-out over loopback TCP: one initiator exporting to N acquaintances —
-// the outbound pipeline's stress shape: the asynchronous per-destination
-// outbox with frame coalescing. frames/op vs msgs/op shows the
-// frames-on-the-wire reduction from coalescing.
-func BenchmarkFanoutBatching(b *testing.B) {
-	ctx := context.Background()
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("n=%d/batched", n), func(b *testing.B) {
-			// FullExport keeps every iteration re-shipping the full
-			// frontier; the benchmark measures the outbound pipeline, not
-			// the incremental-export watermarks.
-			net, err := experiment.Build(experiment.Params{
-				Shape: topo.Fanout, Nodes: n + 1, TuplesPerNode: 5, FanRules: 32, Seed: 51,
-				TCP: true, FullExport: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer net.Close()
-			b.ResetTimer()
-			var last experiment.Result
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunUpdateOn(ctx, net)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.StopTimer()
-			reportUpdateMetrics(b, last)
-			b.ReportMetric(float64(last.Frames), "frames/op")
-			b.ReportMetric(float64(last.WireBytes), "wirebytes/op")
-		})
+// TestFanoutOverTCP: a fan-out update over real sockets (every leaf imports
+// from the hub through four parallel rules) materialises at every leaf, and
+// the outbound pipeline ships fewer frames than payloads, because queued
+// messages to one leaf coalesce.
+func TestFanoutOverTCP(t *testing.T) {
+	const leaves, tuples = 4, 20
+	nw := topoNetwork(t, topo.Fanout, leaves+1, tuples, 8, topo.Options{FanRules: 4, Seed: 7},
+		NetworkOptions{Transport: TransportGroup{TCP: true}})
+	defer nw.Close()
+	if _, err := nw.Update(ctxT(t), topo.NodeName(0)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// E6: dynamic topology change at runtime via the super-peer.
-func BenchmarkDynamicReconfig(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		net, err := experiment.Build(experiment.Params{
-			Shape: topo.Chain, Nodes: 8, TuplesPerNode: 100, Seed: 45,
-		})
-		if err != nil {
-			b.Fatal(err)
+	var frames, payloads uint64
+	for i := 0; i <= leaves; i++ {
+		p := nw.Peer(topo.NodeName(i))
+		if want := 2 * tuples; i > 0 && p.Count("data") != want {
+			t.Errorf("leaf %s holds %d tuples, want %d", p.Name(), p.Count("data"), want)
 		}
-		// Reconfigure to a star mid-life, then update: must terminate and
-		// materialise under the new shape.
-		starCfg, err := topo.Build(topo.Star, 8, topo.Options{Version: 2})
-		if err != nil {
-			net.Close()
-			b.Fatal(err)
-		}
-		for _, pr := range net.Peers {
-			if err := pr.ApplyConfig(starCfg, 2); err != nil {
-				net.Close()
-				b.Fatal(err)
-			}
-		}
-		if _, err := net.Peers[net.Origin].RunUpdate(ctx); err != nil {
-			net.Close()
-			b.Fatal(err)
-		}
-		net.Close()
+		p.FlushOutbox()
+		st := p.OutboxStats()
+		frames += st.Frames
+		payloads += st.Payloads
 	}
-}
-
-// E7: cyclic rule graphs — rings with copy rules and with existential
-// rules (the fix-point case the paper highlights).
-func BenchmarkCyclicFixpoint(b *testing.B) {
-	for _, n := range []int{3, 6, 12} {
-		b.Run(fmt.Sprintf("copy-ring/n=%d", n), func(b *testing.B) {
-			runUpdateBench(b, experiment.Params{
-				Shape: topo.Ring, Nodes: n, TuplesPerNode: 100, Seed: 46,
-			})
-		})
-		b.Run(fmt.Sprintf("existential-ring/n=%d", n), func(b *testing.B) {
-			runUpdateBench(b, experiment.Params{
-				Shape: topo.Ring, Nodes: n, TuplesPerNode: 100, Seed: 46,
-				Existential: true, MaxDepth: 8,
-			})
-		})
+	if frames == 0 || frames >= payloads {
+		t.Errorf("%d frames for %d payloads: coalescing had no effect", frames, payloads)
 	}
-}
-
-// A3: hash join vs nested-loop join, on join rules (self-join bodies) over
-// a small value domain so the joins have partners.
-func BenchmarkAblationJoin(b *testing.B) {
-	base := experiment.Params{
-		Shape: topo.Chain, Nodes: 3, TuplesPerNode: 400,
-		Rule: topo.JoinRule, Domain: 200, Seed: 49,
-	}
-	b.Run("hash", func(b *testing.B) { runUpdateBench(b, base) })
-	nested := base
-	nested.NestedLoop = true
-	b.Run("nested-loop", func(b *testing.B) { runUpdateBench(b, nested) })
-}
-
-// A4: marked-null cost — copy rules vs existential rules on the same
-// topology and data.
-func BenchmarkAblationNulls(b *testing.B) {
-	base := experiment.Params{Shape: topo.Tree, Nodes: 7, TuplesPerNode: 300, Seed: 50}
-	b.Run("copy-rules", func(b *testing.B) { runUpdateBench(b, base) })
-	ex := base
-	ex.Existential = true
-	b.Run("existential-rules", func(b *testing.B) { runUpdateBench(b, ex) })
 }
 
 // BenchmarkDurableChainIncrement shows the durable hop: a 6-node TCP chain of

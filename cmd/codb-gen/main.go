@@ -28,11 +28,11 @@ func main() {
 	version := flag.Int("version", 1, "configuration version")
 	flag.Parse()
 
-	cfg, err := topo.Build(topo.Shape(*shape), *n, topo.Options{
-		Existential: *existential,
-		Seed:        *seed,
-		Version:     *version,
-	})
+	opts := topo.Options{Seed: *seed, Version: *version}
+	if *existential {
+		opts.Rule = topo.ExistentialRule
+	}
+	cfg, err := topo.Build(topo.Shape(*shape), *n, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codb-gen:", err)
 		os.Exit(2)

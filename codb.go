@@ -169,7 +169,7 @@ type TransportGroup struct {
 // is suspected, past 2×Timeout declared down — in-flight work written off,
 // pipe severed, paced redials armed — but never tombstoned, because a
 // partitioned peer is expected back. On reconnect the pipe, directory and
-// lazy links heal automatically. See internal/peer/suspicion.go.
+// lazy links heal automatically. See internal/peer/lifecycle.go.
 type SuspicionGroup struct {
 	// Timeout is the silence threshold; 0 disables the detector.
 	Timeout time.Duration

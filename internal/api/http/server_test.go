@@ -2,10 +2,12 @@ package httpapi
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"codb/internal/core"
 	"codb/internal/peer"
@@ -41,6 +43,48 @@ func statsGateway(t *testing.T) string {
 		}
 		peers[name] = p
 	}
+	return serve(t, peers)
+}
+
+// detectorGateway fronts two TCP peers, "a" and "b", running the suspicion
+// detector and joined by one rule, so each tracks the other.
+func detectorGateway(t *testing.T) string {
+	t.Helper()
+	trs := make(map[string]*transport.TCP)
+	dir := make(map[string]string)
+	for _, name := range []string{"a", "b"} {
+		tr, err := transport.NewTCP(name, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[name], dir[name] = tr, tr.Addr()
+	}
+	peers := make(map[string]*peer.Peer)
+	for name, tr := range trs {
+		db := storage.MustOpenMem()
+		t.Cleanup(func() { db.Close() })
+		if err := db.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := peer.New(peer.Options{Name: name, Transport: tr, Wrapper: core.NewStoreWrapper(db),
+			Directory: dir, SuspicionTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		peers[name] = p
+	}
+	for _, p := range peers {
+		if err := p.AddRule("r1", "a.r(x) <- b.r(x)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return serve(t, peers)
+}
+
+// serve fronts the peers with a gateway and returns its base URL.
+func serve(t *testing.T, peers map[string]*peer.Peer) string {
+	t.Helper()
 	srv, err := New(Options{Addr: "127.0.0.1:0", Resolve: func(node string) (*peer.Peer, error) {
 		if p := peers[node]; p != nil {
 			return p, nil
@@ -96,6 +140,7 @@ func field[T any](t *testing.T, obj map[string]json.RawMessage, key string) T {
 // TestStatsEndpointsShape pins the JSON shape of /v1/stats/read and
 // /v1/stats/storage, and that both are available on a store-backed peer and
 // on a mediator alike: every wrapper is a storage engine with a read path.
+// It also pins /v1/stats/membership with the suspicion detector off and on.
 func TestStatsEndpointsShape(t *testing.T) {
 	base := statsGateway(t)
 	for _, node := range []string{"store", "med"} {
@@ -148,5 +193,44 @@ func TestStatsEndpointsShape(t *testing.T) {
 		if field[string](t, rels[0], "Name") != "r" || field[int](t, rels[0], "Tuples") != 1 || field[int](t, rels[0], "Bytes") == 0 {
 			t.Errorf("%s: storage relation = %v, want r holding 1 tuple", node, rels[0])
 		}
+
+		ms := membership(t, base, node)
+		if got, want := keysOf(t, ms), []string{"downs", "enabled", "heals", "live_peers", "suspects", "tombstones"}; !slices.Equal(got, want) {
+			t.Errorf("%s: membership keys %v, want %v", node, got, want)
+		}
+		if field[bool](t, ms, "enabled") {
+			t.Errorf("%s: detector reported enabled without a suspicion timeout", node)
+		}
 	}
+
+	tcp := detectorGateway(t)
+	for node, other := range map[string]string{"a": "b", "b": "a"} {
+		ms := membership(t, tcp, node)
+		if got, want := keysOf(t, ms), []string{"downs", "enabled", "heals", "live_peers", "states", "suspects", "tombstones"}; !slices.Equal(got, want) {
+			t.Errorf("%s: membership keys %v, want %v", node, got, want)
+		}
+		if !field[bool](t, ms, "enabled") {
+			t.Errorf("%s: detector reported disabled", node)
+		}
+		if got, want := field[map[string]string](t, ms, "states"), map[string]string{other: "alive"}; !maps.Equal(got, want) {
+			t.Errorf("%s: membership states %v, want %v", node, got, want)
+		}
+		if field[int](t, ms, "live_peers") != 1 || field[int](t, ms, "tombstones") != 0 {
+			t.Errorf("%s: directory totals %s live, %s tombstones; want 1, 0", node, ms["live_peers"], ms["tombstones"])
+		}
+	}
+}
+
+// membership fetches a node's /v1/stats/membership and returns its
+// "membership" object, checking the envelope around it.
+func membership(t *testing.T, base, node string) map[string]json.RawMessage {
+	t.Helper()
+	obj := getObject(t, base+"/v1/stats/membership?node="+node)
+	if got, want := keysOf(t, obj), []string{"membership", "node"}; !slices.Equal(got, want) {
+		t.Errorf("%s: /v1/stats/membership keys %v, want %v", node, got, want)
+	}
+	if field[string](t, obj, "node") != node {
+		t.Errorf("%s: /v1/stats/membership node = %s", node, obj["node"])
+	}
+	return field[map[string]json.RawMessage](t, obj, "membership")
 }

@@ -12,7 +12,7 @@ import (
 func TestHandleUnknownPayloadIgnored(t *testing.T) {
 	s := newSim(t)
 	n := s.addNode("A", "r/1")
-	res := n.Handle(msg.Envelope{From: "x", Payload: &msg.Discovery{}})
+	res := n.Handle(msg.Envelope{From: "x", Payload: &msg.Heartbeat{Seq: 1}})
 	if len(res.Out) != 0 || len(res.Finished) != 0 {
 		t.Errorf("unknown payload produced output: %+v", res)
 	}

@@ -49,12 +49,16 @@ const (
 	TagStatsReport
 	TagStartUpdateCmd
 	TagUpdateFinished
-	TagDiscovery
-	TagBatch
-	TagJoinRequest
-	TagJoinAccept
-	TagLeave
-	TagDirectoryDelta
+)
+
+// Membership and framing tags. 0x1A is unassigned (it carried the legacy
+// address gossip): a body tagged with it is refused as an unknown tag.
+const (
+	TagBatch          Tag = 0x1B
+	TagJoinRequest    Tag = 0x1C
+	TagJoinAccept     Tag = 0x1D
+	TagLeave          Tag = 0x1E
+	TagDirectoryDelta Tag = 0x1F
 )
 
 // Lazy-link and liveness tags, in their own block at 0x20. 0x21 and 0x22
@@ -88,8 +92,6 @@ func (t Tag) String() string {
 		return "StartUpdateCmd"
 	case TagUpdateFinished:
 		return "UpdateFinished"
-	case TagDiscovery:
-		return "Discovery"
 	case TagBatch:
 		return "Batch"
 	case TagJoinRequest:
@@ -134,8 +136,6 @@ func TagOf(p Payload) (Tag, error) {
 		return TagStartUpdateCmd, nil
 	case *UpdateFinished:
 		return TagUpdateFinished, nil
-	case *Discovery:
-		return TagDiscovery, nil
 	case *Batch:
 		return TagBatch, nil
 	case *JoinRequest:
@@ -196,20 +196,6 @@ func appendIntMap(dst []byte, m map[string]int) []byte {
 	for _, k := range keys {
 		dst = appendString(dst, k)
 		dst = binary.AppendVarint(dst, int64(m[k]))
-	}
-	return dst
-}
-
-func appendStringMap(dst []byte, m map[string]string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = appendString(dst, m[k])
 	}
 	return dst
 }
@@ -383,19 +369,6 @@ func (r *reader) intMap() map[string]int {
 	return out
 }
 
-func (r *reader) stringMap() map[string]string {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	out := make(map[string]string, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
-		out[k] = r.str()
-	}
-	return out
-}
-
 func (r *reader) dirEntries() []DirEntry {
 	n := r.count()
 	if n == 0 {
@@ -528,8 +501,6 @@ func AppendPayload(dst []byte, p Payload) ([]byte, error) {
 		dst = appendString(dst, m.Node)
 		dst = appendUpdateReport(dst, &m.Report)
 		return dst, nil
-	case *Discovery:
-		return appendStringMap(dst, m.Known), nil
 	case *JoinRequest:
 		dst = appendString(dst, m.Node)
 		dst = appendString(dst, m.Addr)
@@ -659,8 +630,6 @@ func decodePayload(tag Tag, r *reader) (Payload, error) {
 		m := &UpdateFinished{SID: r.str(), Node: r.str()}
 		m.Report = r.updateReport()
 		return m, nil
-	case TagDiscovery:
-		return &Discovery{Known: r.stringMap()}, nil
 	case TagJoinRequest:
 		return &JoinRequest{Node: r.str(), Addr: r.str()}, nil
 	case TagJoinAccept:

@@ -327,30 +327,13 @@ type UpdateFinished struct {
 // Size implements Payload.
 func (m *UpdateFinished) Size() int { return len(m.SID) + len(m.Node) + 64 }
 
-// Discovery gossips known peers (name -> dial address; empty address for
-// in-process transports). Supports the paper's Figure 3 "discovered peers"
-// view.
-type Discovery struct {
-	Known map[string]string
-}
-
-// Size implements Payload.
-func (m *Discovery) Size() int {
-	n := 0
-	for k, v := range m.Known {
-		n += len(k) + len(v)
-	}
-	return n
-}
-
 // DirEntry is one epoch-stamped directory fact: where a node can be
 // dialed, or — with Deleted — that it left the network. Epochs make the
 // directory last-writer-wins: a fact only replaces an older one when its
 // epoch is higher (or it tombstones the same epoch), so a peer rejoining
 // at a new address overrides the stale entry everywhere, and a tombstone
 // lets the directory finally forget a departed name instead of re-dialing
-// it forever. Epoch 0 is the static-bootstrap epoch (configuration files,
-// legacy Discovery gossip).
+// it forever. Epoch 0 is the static-bootstrap epoch (configuration files).
 type DirEntry struct {
 	Node    string
 	Addr    string

@@ -54,7 +54,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		&StatsReport{ID: "q1", Node: "b", Reports: []UpdateReport{report}},
 		&StartUpdateCmd{SID: "s1", ReplyTo: "super"},
 		&UpdateFinished{SID: "s1", Node: "b", Report: report},
-		&Discovery{Known: map[string]string{"a": "127.0.0.1:9000", "b": ""}},
 		&Batch{Payloads: []Payload{&SessionAck{SID: "s1", N: 1}, &UpdateHint{RuleID: "r1", LSN: 9}}},
 		&JoinRequest{Node: "d", Addr: "127.0.0.1:9003"},
 		&JoinAccept{Node: "a", Epoch: 4, RulesVersion: 2, RulesText: "node a\n", Directory: dir},
@@ -93,14 +92,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnassignedPullTagsRefused: 0x21 and 0x22 name no payload, so a body
-// tagged with either is refused as an unknown tag, however well-formed.
+// TestUnassignedPullTagsRefused: 0x1A, 0x21 and 0x22 name no payload, so a
+// body tagged with any of them is refused as an unknown tag, however
+// well-formed.
 func TestUnassignedPullTagsRefused(t *testing.T) {
 	body, _, err := AppendEnvelope(nil, Envelope{From: "x", Payload: &UpdateHint{RuleID: "r1", LSN: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tag := range []Tag{0x21, 0x22} {
+	for _, tag := range []Tag{0x1A, 0x21, 0x22} {
 		if name := tag.String(); !strings.HasPrefix(name, "tag(") {
 			t.Errorf("tag 0x%02x is named %s", uint8(tag), name)
 		}

@@ -7,11 +7,11 @@
 // lower one, and within an epoch a tombstone beats a live entry — so a
 // coordinated leave (tombstone at the leaver's own epoch) removes the node,
 // while a later rejoin (admitted at epoch+1) resurrects it, possibly at a
-// new address. Epoch 0 is the static bootstrap: Options.Directory seeds,
-// configuration files, and legacy msg.Discovery gossip, which fill gaps but
-// never override runtime facts. This replaces the old merge-only directory,
-// which could neither forget a departed peer nor follow a rejoiner to a new
-// address.
+// new address. Epoch 0 is the static bootstrap: Options.Directory seeds and
+// configuration files, which fill gaps but never override runtime facts.
+// The directory is the listed part of the member table (lifecycle.go); what
+// a change of fact does to the pipe and the in-flight sessions is the
+// lifecycle's evTombstone and evMoved.
 //
 // Deltas are star-flooded: the peer that admits or removes a node sends the
 // delta directly to every live peer it knows; receivers apply it locally
@@ -24,14 +24,15 @@ import (
 	"sort"
 
 	"codb/internal/msg"
-	"codb/internal/transport"
 )
 
-// dirEntry is the actor-owned directory record for one remote node.
-type dirEntry struct {
-	addr    string // dial address ("" on in-process buses)
-	epoch   uint64 // incarnation the fact belongs to (0 = static bootstrap)
-	deleted bool   // tombstone: the node left under this epoch
+// member returns a copy of the node's member record (the zero member when
+// there is none).
+func (p *Peer) member(node string) member {
+	if m := p.members[node]; m != nil {
+		return *m
+	}
+	return member{}
 }
 
 // applyDirEntry merges one membership fact into the directory, returning
@@ -44,61 +45,44 @@ func (p *Peer) applyDirEntry(e msg.DirEntry) bool {
 		}
 		return false
 	}
-	cur, ok := p.directory[e.Node]
+	cur := p.member(e.Node)
 	switch {
-	case !ok:
+	case !cur.listed:
 		// First fact about the node.
 	case e.Epoch > cur.epoch:
 		// A newer incarnation wins outright, including tombstones.
-	case e.Epoch == cur.epoch && e.Deleted && !cur.deleted:
+	case e.Epoch == cur.epoch && e.Deleted && !cur.tombstoned:
 		// A leave tombstones the node's own (current) incarnation.
-	case e.Epoch == cur.epoch && e.Deleted == cur.deleted && cur.addr == "" && e.Addr != "":
+	case e.Epoch == cur.epoch && e.Deleted == cur.tombstoned && cur.addr == "" && e.Addr != "":
 		// Same-epoch refinement: learn a missing dial address.
 	default:
 		return false
 	}
-	p.directory[e.Node] = dirEntry{addr: e.Addr, epoch: e.Epoch, deleted: e.Deleted}
+	m := p.members[e.Node]
+	if m == nil {
+		m = &member{}
+		p.members[e.Node] = m
+	}
+	m.listed, m.addr, m.epoch, m.tombstoned = true, e.Addr, e.Epoch, e.Deleted
 	return true
 }
 
-// applyDirectoryDelta merges a batch of membership facts and reacts to the
-// transitions they cause: a node newly tombstoned is forgotten (pipe down,
-// deficits written off, export watermarks reset), and a node that moved to
-// a new address has its stale pipe dropped so the next send redials.
+// applyDirectoryDelta merges a batch of membership facts and feeds the
+// transitions they cause to the lifecycle: a node newly tombstoned
+// (evTombstone), and a live node that moved to a new address (evMoved).
 func (p *Peer) applyDirectoryDelta(entries []msg.DirEntry) {
 	for _, e := range entries {
-		was, had := p.directory[e.Node]
+		was := p.member(e.Node)
 		if !p.applyDirEntry(e) {
 			continue
 		}
-		now := p.directory[e.Node]
+		now := p.member(e.Node)
 		switch {
-		case now.deleted && !(had && was.deleted):
-			p.forgetPeer(e.Node)
-		case !now.deleted && had && !was.deleted && was.addr != now.addr && p.piped[e.Node]:
-			// The live pipe points at the dead incarnation; sever it so
-			// ensurePipe redials the new address.
-			p.tr.Disconnect(e.Node)
-			delete(p.piped, e.Node)
+		case now.tombstoned && !(was.listed && was.tombstoned):
+			p.apply(e.Node, event{kind: evTombstone})
+		case !now.tombstoned && was.listed && !was.tombstoned && was.addr != now.addr:
+			p.apply(e.Node, event{kind: evMoved})
 		}
-	}
-}
-
-// forgetPeer severs a departed node: the pipe comes down, its in-flight
-// deficits are written off in the termination detector, and the exporter
-// watermarks toward it are reset — a future incarnation starts from a
-// clean slate and receives a full (or durably-resumed) export.
-func (p *Peer) forgetPeer(node string) {
-	p.tr.Disconnect(node)
-	delete(p.piped, node)
-	p.dispatch(p.node.CompensatePeerLoss(node))
-	p.node.ResetExportStateToward(node)
-	p.persistExportState()
-	if p.susp != nil {
-		// A tombstoned peer is not expected back: stop judging its silence
-		// (contrast with a suspicion down, which keeps the entry and the
-		// watermarks so a comeback resumes incrementally).
-		p.susp.forget(node)
 	}
 }
 
@@ -106,9 +90,11 @@ func (p *Peer) forgetPeer(node string) {
 // this node's own live entry, sorted by node name for deterministic wire
 // encoding.
 func (p *Peer) directoryEntries() []msg.DirEntry {
-	out := make([]msg.DirEntry, 0, len(p.directory)+1)
-	for node, e := range p.directory {
-		out = append(out, msg.DirEntry{Node: node, Addr: e.addr, Epoch: e.epoch, Deleted: e.deleted})
+	out := make([]msg.DirEntry, 0, len(p.members)+1)
+	for node, m := range p.members {
+		if m.listed {
+			out = append(out, msg.DirEntry{Node: node, Addr: m.addr, Epoch: m.epoch, Deleted: m.tombstoned})
+		}
 	}
 	out = append(out, msg.DirEntry{Node: p.name, Addr: p.listenAddr(), Epoch: p.selfEpoch})
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
@@ -118,8 +104,8 @@ func (p *Peer) directoryEntries() []msg.DirEntry {
 // listenAddr returns this node's dialable listen address, or "" when the
 // transport has none (in-process bus).
 func (p *Peer) listenAddr() string {
-	if t, ok := rawTransport(p.tr).(*transport.TCP); ok {
-		return t.Addr()
+	if p.tcp != nil {
+		return p.tcp.Addr()
 	}
 	return ""
 }
@@ -132,8 +118,8 @@ func (p *Peer) mergeBootstrapAddr(node, addr string) {
 	if node == p.name {
 		return
 	}
-	if cur, ok := p.directory[node]; ok && cur.epoch == 0 && !cur.deleted && addr != "" && cur.addr != addr {
-		p.directory[node] = dirEntry{addr: addr}
+	if cur := p.members[node]; cur != nil && cur.listed && cur.epoch == 0 && !cur.tombstoned && addr != "" && cur.addr != addr {
+		cur.addr = addr
 		return
 	}
 	p.applyDirEntry(msg.DirEntry{Node: node, Addr: addr})
@@ -146,8 +132,8 @@ func (p *Peer) floodTargets() []string {
 	for _, a := range p.node.Acquaintances() {
 		targets[a] = true
 	}
-	for node, e := range p.directory {
-		if !e.deleted {
+	for node, m := range p.members {
+		if m.listed && !m.tombstoned {
 			targets[node] = true
 		}
 	}
@@ -165,7 +151,7 @@ func (p *Peer) floodTargets() []string {
 // full directory).
 func (p *Peer) admit(node, addr string) *msg.JoinAccept {
 	epoch := uint64(1)
-	if cur, ok := p.directory[node]; ok && cur.epoch >= epoch {
+	if cur := p.member(node); cur.listed && cur.epoch >= epoch {
 		epoch = cur.epoch + 1
 	}
 	entry := msg.DirEntry{Node: node, Addr: addr, Epoch: epoch}
@@ -257,7 +243,7 @@ func (p *Peer) RemoveNode(node string) error {
 		return fmt.Errorf("peer %s: cannot remove %q", p.name, node)
 	}
 	return p.do(func() {
-		entry := msg.DirEntry{Node: node, Epoch: p.directory[node].epoch, Deleted: true}
+		entry := msg.DirEntry{Node: node, Epoch: p.member(node).epoch, Deleted: true}
 		p.applyDirectoryDelta([]msg.DirEntry{entry})
 		delta := &msg.DirectoryDelta{Entries: []msg.DirEntry{entry}}
 		for _, to := range p.floodTargets() {
@@ -281,7 +267,7 @@ func (p *Peer) JoinVia(ctx context.Context, addr string) error {
 	var sendErr error
 	if derr := p.do(func() {
 		p.joinWait = wait
-		p.piped[admitter] = true
+		p.apply(admitter, event{kind: evPipeOpened})
 		sendErr = p.tr.Send(admitter, &msg.JoinRequest{Node: p.name, Addr: p.listenAddr()})
 	}); derr != nil {
 		return derr
@@ -342,9 +328,8 @@ func (p *Peer) SetRulesSnapshot(version int, text string) {
 // is unknown.
 func (p *Peer) DirectoryEntry(node string) (addr string, deleted bool, ok bool) {
 	p.do(func() {
-		var e dirEntry
-		e, ok = p.directory[node]
-		addr, deleted = e.addr, e.deleted
+		m := p.member(node)
+		addr, deleted, ok = m.addr, m.tombstoned, m.listed
 	})
 	return addr, deleted, ok
 }
@@ -353,8 +338,8 @@ func (p *Peer) DirectoryEntry(node string) (addr string, deleted bool, ok bool) 
 // when the transport does not track dials (in-process bus). Stale-address
 // regression tests assert this stays zero across churn.
 func (p *Peer) DialFailures() (uint64, bool) {
-	if t, isTCP := rawTransport(p.tr).(*transport.TCP); isTCP {
-		return t.DialFailures(), true
+	if p.tcp != nil {
+		return p.tcp.DialFailures(), true
 	}
 	return 0, false
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"codb/internal/config"
@@ -83,9 +84,9 @@ type Options struct {
 	// silent for this long is suspected, and for twice this long declared
 	// down — in-flight deficits written off, pipe severed, paced redials
 	// armed — but never tombstoned: a partitioned peer is expected back
-	// (see suspicion.go). 0 disables the detector. Meaningful with a
-	// transport that emits heartbeats (transport.HeartbeatStarter, i.e.
-	// TCP); other transports exempt every peer from silence judgment.
+	// (see lifecycle.go). 0 disables the detector. Meaningful over TCP,
+	// which emits heartbeats; other transports exempt every peer from
+	// silence judgment.
 	SuspicionTimeout time.Duration
 	// SuspicionInterval is the heartbeat emission and suspicion-scan period
 	// (0 selects SuspicionTimeout / 4).
@@ -104,6 +105,7 @@ type Peer struct {
 	name      string
 	node      *core.Node
 	tr        *transport.Outbox // the asynchronous outbound pipeline over Options.Transport
+	tcp       *transport.TCP    // the concrete transport when it is TCP (nil otherwise)
 	exportLog *exportLog        // export-state sidecar log (nil = not durable); actor-owned
 	readPath  *readPath         // concurrent reads off the actor loop
 	log       *slog.Logger
@@ -114,14 +116,16 @@ type Peer struct {
 	maxStaleness time.Duration
 	pullTimeout  time.Duration
 
-	susp *suspicion // failure detector; nil when disabled (actor-owned)
+	// Peer lifecycle (see lifecycle.go): timeout is the suspicion timeout
+	// (0 = detector off); suspects, downs and heals count transitions.
+	timeout                time.Duration
+	suspects, downs, heals uint64
 
 	inbox chan any // envelopes and commands, consumed by the actor loop
 
 	// Actor-owned state (no locks; only the loop touches these).
-	directory    map[string]dirEntry
-	selfEpoch    uint64 // this node's own incarnation number
-	piped        map[string]bool
+	members      map[string]*member // directory, pipes and liveness, per remote peer
+	selfEpoch    uint64             // this node's own incarnation number
 	rulesVersion int
 	rulesText    string          // concrete syntax of the installed config (join handoff)
 	statsSeen    map[string]bool // stats-request flood dedup
@@ -185,9 +189,9 @@ func New(opts Options) (*Peer, error) {
 		exportLog:  exports,
 		log:        log.With("peer", opts.Name),
 		inbox:      make(chan any, inboxCap),
-		directory:  make(map[string]dirEntry),
+		members:    make(map[string]*member),
 		selfEpoch:  opts.Epoch,
-		piped:      make(map[string]bool),
+		timeout:    opts.SuspicionTimeout,
 		statsSeen:  make(map[string]bool),
 		queries:    make(map[string]*queryWaiter),
 		updates:    make(map[string]chan msg.UpdateReport),
@@ -214,7 +218,7 @@ func New(opts Options) (*Peer, error) {
 		}
 	}
 	for k, v := range opts.Directory {
-		p.directory[k] = dirEntry{addr: v}
+		p.members[k] = &member{listed: true, addr: v}
 	}
 	p.readPath = newReadPath(opts.Name, opts.Wrapper, node, opts.Eval, opts.QueryCacheSize)
 	p.readPath.record = p.noteLocalQueryReport
@@ -229,6 +233,7 @@ func New(opts Options) (*Peer, error) {
 		}
 	}
 	p.tr = transport.NewOutbox(opts.Transport, oo)
+	p.tcp, _ = rawTransport(p.tr).(*transport.TCP)
 	p.tr.SetHandler(func(env msg.Envelope) {
 		select {
 		case p.inbox <- env:
@@ -236,10 +241,7 @@ func New(opts Options) (*Peer, error) {
 		}
 	})
 	p.tr.SetPipeDownHandler(p.notePipeDown)
-	// The detector must exist before the loop starts: the loop consults
-	// p.susp on every envelope.
-	if opts.SuspicionTimeout > 0 {
-		p.susp = newSuspicion(opts.SuspicionTimeout, time.Now)
+	if p.timeout > 0 {
 		interval := opts.SuspicionInterval
 		if interval <= 0 {
 			interval = opts.SuspicionTimeout / 4
@@ -247,8 +249,11 @@ func New(opts Options) (*Peer, error) {
 		if interval <= 0 {
 			interval = time.Millisecond
 		}
-		if hb, ok := rawTransport(p.tr).(transport.HeartbeatStarter); ok {
-			hb.StartHeartbeats(interval)
+		if p.tcp != nil {
+			// Emitted below any fault-injection wrapper: a Partitioner
+			// silences a pipe by blocking the receiving side. Other
+			// transports have no heartbeats; their members are exempt.
+			p.tcp.StartHeartbeats(interval)
 		}
 		go p.suspicionLoop(interval)
 	}
@@ -374,37 +379,15 @@ func (p *Peer) loop() {
 	}
 }
 
-// handlePipeDown compensates the termination detector for every in-flight
-// message toward a failed pipe. An asynchronous write can succeed into a
-// connection the far side has already abandoned — no send error is ever
-// observed for such a message — so when the transport reports the pipe
-// down, the outstanding per-destination deficit counts messages whose
-// acknowledgements may never arrive.
-//
-// The notification travels through a goroutine, so it can be stale: if a
-// pipe to the peer is live again by the time the event is processed (the
-// peer redialled, or we re-established while the event was in flight),
-// the blanket write-off is skipped — the peer is alive and acks for both
-// old and re-sent messages can still arrive, whereas wiping the deficit
-// would terminate sessions prematurely with data still in flight.
+// handlePipeDown writes off every in-flight message toward a failed pipe.
+// An asynchronous write can succeed into a connection the far side has
+// already abandoned — no send error is ever observed for such a message —
+// so when the transport reports the pipe down, the outstanding
+// per-destination deficit counts messages whose acknowledgements may never
+// arrive. The notification travels through a goroutine, so it can be
+// stale: the lifecycle ignores it while the transport lists a live pipe.
 func (p *Peer) handlePipeDown(d pipeDown) {
-	for _, live := range p.tr.Peers() {
-		if live == d.peer {
-			p.log.Warn("pipe down superseded by live pipe", "peer", d.peer)
-			return
-		}
-	}
-	p.log.Warn("pipe down", "peer", d.peer)
-	delete(p.piped, d.peer)
-	p.dispatch(p.node.CompensatePeerLoss(d.peer))
-	// Writing off shipped data resets the export state toward the peer; the
-	// state log must say so before a restart could trust it again.
-	p.persistExportState()
-	if p.susp != nil {
-		// The transport beat the detector to the verdict; recording it
-		// arms the paced-redial heal path.
-		p.susp.noteDown(d.peer)
-	}
+	p.apply(d.peer, event{kind: evPipeDown, pipeLive: slices.Contains(p.tr.Peers(), d.peer)})
 }
 
 // maxBurst bounds how many queued inbox items one burst may drain, so a
@@ -445,17 +428,12 @@ func (p *Peer) handleEnvelopeBurst(first msg.Envelope) (carried any) {
 // non-envelope item that still needs processing).
 type noMoreItems struct{}
 
-// handleLostSend compensates the termination detector for a message the
-// outbox accepted but could not deliver (pipe failure or disconnect with
-// queued frames) — the asynchronous counterpart of sendSessionMsg's
-// error path.
+// handleLostSend writes off a message the outbox accepted but could not
+// deliver (pipe failure or disconnect with queued frames) — the
+// asynchronous counterpart of sendTo's error path.
 func (p *Peer) handleLostSend(l lostSend) {
 	p.log.Warn("async send failed", "to", l.to, "err", l.err)
-	delete(p.piped, l.to)
-	if sid := sessionIDOf(l.payload); sid != "" && isBasic(l.payload) {
-		p.dispatch(p.node.CompensateLost(sid, l.to, 1))
-		p.persistExportState() // as in handlePipeDown
-	}
+	p.apply(l.to, event{kind: evSendFailed, sid: sessionIDOf(l.payload)})
 }
 
 // Stop shuts the peer down and returns once the actor loop has exited, so
@@ -486,10 +464,8 @@ func (p *Peer) Stop() {
 func (p *Peer) handleEnvelope(env msg.Envelope) {
 	// Any traffic at all is liveness: reset the sender's suspicion timer,
 	// and if it was declared down, its return is a heal.
-	if p.susp != nil && env.From != p.name {
-		if p.susp.observe(env.From) {
-			p.healPeer(env.From)
-		}
+	if p.timeout > 0 && env.From != p.name {
+		p.apply(env.From, event{kind: evHeard})
 	}
 	switch m := env.Payload.(type) {
 	case *msg.RulesBroadcast:
@@ -507,8 +483,6 @@ func (p *Peer) handleEnvelope(env msg.Envelope) {
 			// Super-peers consume these through the sink as well.
 			p.statsSink(msg.StatsReport{ID: m.SID, Node: m.Node, Reports: []msg.UpdateReport{m.Report}})
 		}
-	case *msg.Discovery:
-		p.mergeDiscovery(m)
 	case *msg.JoinRequest:
 		p.handleJoinRequest(m)
 	case *msg.JoinAccept:
@@ -526,7 +500,7 @@ func (p *Peer) handleEnvelope(env msg.Envelope) {
 	case *msg.LinkDemand:
 		p.node.HandleLinkDemand(m.RuleID, m.Mode == 1)
 	case *msg.Heartbeat:
-		// Pure liveness: the observe above already reset the suspicion
+		// Pure liveness: the evHeard above already reset the suspicion
 		// timer, and a heartbeat carries nothing else.
 	default:
 		if d, ok := m.(*msg.SessionData); ok && d.Kind == msg.KindUpdate {
@@ -599,62 +573,49 @@ func (p *Peer) dispatch(res core.Result) {
 	}
 }
 
-// sendSessionMsg sends one session message, establishing the pipe first and
-// compensating the termination detector if the peer is unreachable.
+// sendSessionMsg sends one session message; sendTo writes it off if the
+// peer is unreachable.
 func (p *Peer) sendSessionMsg(out core.Outbound) {
 	if err := p.sendTo(out.To, out.Payload); err != nil {
 		p.log.Warn("send failed", "to", out.To, "err", err)
-		if sid := sessionIDOf(out.Payload); sid != "" && isBasic(out.Payload) {
-			res := p.node.CompensateLost(sid, out.To, 1)
-			p.dispatch(res)
-			p.persistExportState() // as in handlePipeDown
-		}
 	}
 }
 
-// ensurePipe opens the pipe to a node if absent, gossiping our directory
-// over fresh pipes (the paper's Figure 3 discovery).
+// ensurePipe opens the pipe to a node if absent, sending our directory over
+// fresh pipes (the paper's Figure 3 discovery).
 func (p *Peer) ensurePipe(to string) error {
-	if p.piped[to] {
+	m := p.members[to]
+	if m != nil && m.piped {
 		return nil
 	}
-	entry := p.directory[to]
-	if entry.deleted {
+	if m != nil && m.tombstoned {
 		// Tombstoned peers are never dialed: a departed node's address
 		// must not accumulate failed dial attempts.
 		return fmt.Errorf("peer %s: %s has left the network", p.name, to)
 	}
-	if err := p.tr.Connect(to, entry.addr); err != nil {
+	if err := p.tr.Connect(to, p.member(to).addr); err != nil {
 		return err
 	}
-	p.piped[to] = true
-	if p.susp != nil {
-		p.susp.track(to)
-	}
+	p.apply(to, event{kind: evPipeOpened})
 	p.tr.Send(to, &msg.DirectoryDelta{Entries: p.directoryEntries()})
 	return nil
 }
 
+// sendTo sends one payload, opening the pipe first. A failure is a lifecycle
+// event: the pipe is dropped, and a session message is written off.
 func (p *Peer) sendTo(to string, payload msg.Payload) error {
-	if err := p.ensurePipe(to); err != nil {
-		return err
+	err := p.ensurePipe(to)
+	if err == nil {
+		err = p.tr.Send(to, payload)
 	}
-	err := p.tr.Send(to, payload)
 	if err != nil {
-		delete(p.piped, to)
+		p.apply(to, event{kind: evSendFailed, sid: sessionIDOf(payload)})
 	}
 	return err
 }
 
-// mergeDiscovery applies a legacy address gossip map. Entries carry no
-// epoch, so they are treated as bootstrap (epoch 0) facts: they fill gaps
-// but can never override a runtime incarnation or resurrect a tombstone.
-func (p *Peer) mergeDiscovery(d *msg.Discovery) {
-	for node, addr := range d.Known {
-		p.applyDirEntry(msg.DirEntry{Node: node, Addr: addr})
-	}
-}
-
+// sessionIDOf returns the session of a payload that counts in the
+// termination detector's deficit, or "" for any other payload.
 func sessionIDOf(p msg.Payload) string {
 	switch m := p.(type) {
 	case *msg.SessionRequest:
@@ -665,17 +626,6 @@ func sessionIDOf(p msg.Payload) string {
 		return m.SID
 	default:
 		return ""
-	}
-}
-
-// isBasic reports whether the payload counts in the termination detector's
-// deficit.
-func isBasic(p msg.Payload) bool {
-	switch p.(type) {
-	case *msg.SessionRequest, *msg.SessionData, *msg.LinkClose:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -740,11 +690,7 @@ func (p *Peer) installConfig(cfg *config.Config) error {
 	// Drop pipes that no longer back any coordination rule.
 	for _, old := range before {
 		if !after[old] {
-			p.tr.Disconnect(old)
-			delete(p.piped, old)
-			if p.susp != nil {
-				p.susp.forget(old)
-			}
+			p.apply(old, event{kind: evDropped})
 		}
 	}
 	// Create pipes for the new acquaintances (paper §3: "When a node
@@ -1025,11 +971,10 @@ func (p *Peer) Running() bool {
 // TCP transport. Safe off-loop: the transport reference is immutable and
 // the counters are atomics.
 func (p *Peer) WireStats() (frames, bytes uint64, ok bool) {
-	t, isTCP := rawTransport(p.tr).(*transport.TCP)
-	if !isTCP {
+	if p.tcp == nil {
 		return 0, 0, false
 	}
-	return t.FramesSent(), t.BytesSent(), true
+	return p.tcp.FramesSent(), p.tcp.BytesSent(), true
 }
 
 // StorageStats returns the storage engine's report (row/byte counts per
@@ -1150,8 +1095,8 @@ func (p *Peer) Discovered() []string {
 		for _, a := range p.node.Acquaintances() {
 			acq[a] = true
 		}
-		for node, e := range p.directory {
-			if !acq[node] && node != p.name && !e.deleted {
+		for node, m := range p.members {
+			if m.listed && !m.tombstoned && !acq[node] && node != p.name {
 				out = append(out, node)
 			}
 		}

@@ -8,11 +8,11 @@
 //
 //	<importer>.data(x, y) <- <exporter>.data(x, y)
 //
-// or, with Existential set, the null-generating variant
+// or, with Rule set to ExistentialRule, the null-generating variant
 //
 //	<importer>.data(x, z) <- <exporter>.data(x, y)
 //
-// so one harness covers both plain materialisation and marked-null
+// (or one of the other RuleKind templates), so one harness covers both plain materialisation and marked-null
 // workloads. Data flows toward node 0 (the conventional update initiator /
 // query origin of the experiments).
 package topo
@@ -69,8 +69,6 @@ const (
 type Options struct {
 	// Rule selects the rule template (default CopyRule).
 	Rule RuleKind
-	// Existential is a legacy alias for Rule == ExistentialRule.
-	Existential bool
 	// EdgeProb is the edge probability for Random (default 0.3).
 	EdgeProb float64
 	// Seed makes Random deterministic.
@@ -109,14 +107,10 @@ func Build(shape Shape, n int, opts Options) (*config.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := opts.Rule
-	if opts.Existential {
-		kind = ExistentialRule
-	}
 	for i, e := range edges {
 		imp, exp := NodeName(e.importer), NodeName(e.exporter)
 		var text string
-		switch kind {
+		switch opts.Rule {
 		case ExistentialRule:
 			text = fmt.Sprintf("%s.data(x, z) <- %s.data(x, y)", imp, exp)
 		case ProjectionRule:

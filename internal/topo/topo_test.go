@@ -77,7 +77,7 @@ func TestRandomDeterministicAndConnected(t *testing.T) {
 }
 
 func TestExistentialVariant(t *testing.T) {
-	cfg, err := Build(Chain, 3, Options{Existential: true})
+	cfg, err := Build(Chain, 3, Options{Rule: ExistentialRule})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,13 +200,3 @@ func (f *Partitioner) SetPipeDownHandler(fn func(peer string)) {
 		n.SetPipeDownHandler(fn)
 	}
 }
-
-// StartHeartbeats implements HeartbeatStarter when the inner transport
-// does. Heartbeats are emitted below the injector, so an outbound block
-// does not stop them — partition the receiving side's inbound direction to
-// silence a pipe, as NewPartitioner's doc describes.
-func (f *Partitioner) StartHeartbeats(interval time.Duration) {
-	if hb, ok := f.tr.(HeartbeatStarter); ok {
-		hb.StartHeartbeats(interval)
-	}
-}

@@ -19,7 +19,6 @@ package transport
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"codb/internal/msg"
 )
@@ -68,15 +67,6 @@ type AddrDialer interface {
 // synchronously.
 type PipeNotifier interface {
 	SetPipeDownHandler(func(peer string))
-}
-
-// HeartbeatStarter is implemented by transports that can emit periodic
-// liveness frames (msg.Heartbeat) on their pipes. The peer layer starts
-// heartbeats when its suspicion failure detector is enabled; transports
-// without heartbeats (e.g. the in-process Bus, whose pipes cannot silently
-// partition) simply do not implement the interface.
-type HeartbeatStarter interface {
-	StartHeartbeats(interval time.Duration)
 }
 
 // ErrUnknownPeer is returned by Send when no pipe to the peer exists.

@@ -62,7 +62,6 @@ func goldenPayloads() []msg.Payload {
 		&msg.StatsReport{ID: "q-1", Node: "N1", Reports: []msg.UpdateReport{report}},
 		&msg.StartUpdateCmd{SID: "N1-1-abc", ReplyTo: "super"},
 		&msg.UpdateFinished{SID: "N1-1-abc", Node: "N1", Report: report},
-		&msg.Discovery{Known: map[string]string{"N1": "127.0.0.1:9", "N2": ""}},
 		&msg.JoinRequest{Node: "N4", Addr: "127.0.0.1:7004"},
 		&msg.JoinAccept{
 			Node: "super", Epoch: 3, RulesVersion: 2,

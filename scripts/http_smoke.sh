@@ -5,7 +5,8 @@
 # health, insert, update, sync and streaming queries, stats, the 404/400
 # error mapping, and runtime membership: a fourth peer admitted over
 # POST /v1/membership/join, an update with it present, a coordinated
-# leave, and the survivors answering afterwards.
+# leave (its tombstone visible on the remover and on a peer it flooded),
+# and the survivors answering afterwards.
 set -eu
 
 dir=$(mktemp -d)
@@ -139,6 +140,23 @@ echo "$body" | grep -q '"count":4' || {
     echo "post-leave query: want count 4, got: $body" >&2
     exit 1
 }
+# The tombstone is in the remover's member table, and in N1's too: the
+# directory delta flood reached a peer that did not do the removal.
+for i in 0 1; do
+    ok=""
+    for _ in $(seq 1 25); do
+        if curl -fsS "http://127.0.0.1:818$i/v1/stats/membership" |
+            grep -q '"tombstones":1'; then
+            ok=1
+            break
+        fi
+        sleep 0.2
+    done
+    [ -n "$ok" ] || {
+        echo "N$i: no tombstone after the leave: $(curl -fsS "http://127.0.0.1:818$i/v1/stats/membership")" >&2
+        exit 1
+    }
+done
 echo "leave ok"
 
 # Propagation policies through the gateway: flip the N1→N0 link to pull on
