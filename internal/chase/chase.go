@@ -260,6 +260,12 @@ func BindingsDelta(rule *cq.Rule, src cq.Source, deltaRel string, delta []relati
 	return cq.EvalDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval)
 }
 
+// BindingsSetDelta is BindingsDelta for a delta that repeats no tuple
+// (cq.EvalSetDelta): an injective rule's bindings are not keyed.
+func BindingsSetDelta(rule *cq.Rule, src cq.Source, deltaRel string, delta []relation.Tuple, opts Options) ([]relation.Tuple, error) {
+	return cq.EvalSetDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval)
+}
+
 // Apply evaluates the rule end to end against a source instance and returns
 // the facts for the target. Convenience for tests and the oracle.
 func Apply(rule *cq.Rule, src cq.Source, a *Applier) ([]Fact, error) {

@@ -25,7 +25,7 @@ import (
 // outgoing links is closed for this session.
 func (n *Node) handleLinkClose(from string, lc *msg.LinkClose) Result {
 	var r Result
-	s, _ := n.getSession(lc.SID, msg.KindUpdate, from)
+	s := n.getSession(lc.SID, msg.KindUpdate, from)
 	n.ds.Received(lc.SID, from)
 	if !s.done {
 		if rs := n.rules[lc.RuleID]; rs != nil && rs.rule.Target == n.cfg.Self {

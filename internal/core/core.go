@@ -243,7 +243,11 @@ type Node struct {
 	maxDepth int
 	rules    map[string]*ruleState
 	appliers map[string]*chase.Applier // per outgoing rule (Target == Self)
-	sessions map[string]*session
+	sessions map[string]*session       // running sessions
+	// finished maps every session that finished here to the peers it
+	// shipped data to (see forget): one small entry per finished session,
+	// kept so a stale message is acknowledged, not taken for a new session.
+	finished map[string][]string
 	ds       *diffuse.Engine
 	reports  []msg.UpdateReport
 
@@ -326,6 +330,7 @@ func NewNode(cfg Config) (*Node, error) {
 		rules:      make(map[string]*ruleState),
 		appliers:   make(map[string]*chase.Applier),
 		sessions:   make(map[string]*session),
+		finished:   make(map[string][]string),
 		ds:         diffuse.New(cfg.Self),
 		dirty:      make(map[string]*session),
 		exports:    make(map[string]*exportState),
@@ -732,10 +737,8 @@ func (n *Node) Reports() []msg.UpdateReport {
 // ActiveSessions lists sessions not yet finished (diagnostics).
 func (n *Node) ActiveSessions() []string {
 	var out []string
-	for sid, s := range n.sessions {
-		if !s.done {
-			out = append(out, sid)
-		}
+	for sid := range n.sessions {
+		out = append(out, sid)
 	}
 	sort.Strings(out)
 	return out

@@ -14,7 +14,7 @@ import (
 // shipped before the caller processes further events.
 func (n *Node) StartUpdate(sid string) (Result, error) {
 	var r Result
-	if _, dup := n.sessions[sid]; dup {
+	if n.known(sid) {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
 	s := n.newSession(sid, msg.KindUpdate, n.cfg.Self)
@@ -42,7 +42,7 @@ const (
 // through subsequent Handle calls.
 func (n *Node) StartQuery(sid string, q *cq.Query, mode QueryMode) (Result, error) {
 	var r Result
-	if _, dup := n.sessions[sid]; dup {
+	if n.known(sid) {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
 	if err := q.Validate(); err != nil {
@@ -109,7 +109,7 @@ func (n *Node) StartPull(sid string, ruleIDs []string) (Result, error) {
 // startScoped initiates a scoped session over the given outgoing links.
 func (n *Node) startScoped(sid string, links []*cq.Rule) (Result, error) {
 	var r Result
-	if _, dup := n.sessions[sid]; dup {
+	if n.known(sid) {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
 	s := n.newSession(sid, msg.KindScoped, n.cfg.Self)
@@ -229,7 +229,7 @@ func (n *Node) requestQueryLinks(s *session, links []*cq.Rule, path []string, r 
 // handleRequest processes a session request from an acquaintance.
 func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 	var r Result
-	s, _ := n.getSession(req.SID, req.Kind, req.Origin)
+	s := n.getSession(req.SID, req.Kind, req.Origin)
 	n.ds.Received(req.SID, from)
 	if s.done {
 		// Stale request after completion: just acknowledge.
@@ -311,7 +311,7 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 // tuples may travel ahead of the local sync.
 func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	var r Result
-	s, _ := n.getSession(d.SID, d.Kind, d.Origin)
+	s := n.getSession(d.SID, d.Kind, d.Origin)
 	n.ds.Received(d.SID, from)
 	if s.done {
 		n.flushDS(s, &r)
@@ -404,10 +404,10 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 func (n *Node) handleAck(from string, a *msg.SessionAck) Result {
 	var r Result
 	s := n.sessions[a.SID]
-	n.ds.AckReceived(a.SID, from, a.N)
 	if s == nil {
-		return r
+		return r // finished: everything it sent was acknowledged or written off
 	}
+	n.ds.AckReceived(a.SID, from, a.N)
 	n.flushDS(s, &r)
 	return r
 }
@@ -535,7 +535,8 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 			}
 		} else {
 			mode = msg.ExportIncremental
-			bs, evalFailed := n.deltaBindings(s, rule, deltas, r)
+			// Committed changes and the overlay may share tuples: not a set.
+			bs, evalFailed := n.deltaBindings(s, rule, deltas, chase.BindingsDelta, r)
 			bindings = bs
 			if evalFailed {
 				// A failed delta evaluation must stay above the
@@ -564,12 +565,14 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	n.sendData(s, rule, to, bindings, []string{n.cfg.Self}, mode, skipped, r)
 }
 
-// deltaBindings evaluates a rule semi-naively over per-relation deltas;
-// bindings produced through more than one delta relation are merged
-// duplicate-free (one relation's are unique already and pass through).
-// evalFailed reports whether any per-relation evaluation errored (the
-// returned bindings then cover only the relations that succeeded).
-func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]relation.Tuple, r *Result) (bindings []relation.Tuple, evalFailed bool) {
+// deltaBindings evaluates a rule semi-naively over per-relation deltas with
+// eval — chase.BindingsSetDelta when every delta is a set, such as the fresh
+// tuples view.stage returns, else chase.BindingsDelta; bindings produced
+// through more than one delta relation are merged duplicate-free (one
+// relation's are unique already and pass through). evalFailed reports
+// whether any per-relation evaluation errored (the returned bindings then
+// cover only the relations that succeeded).
+func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]relation.Tuple, eval deltaEval, r *Result) (bindings []relation.Tuple, evalFailed bool) {
 	v := n.sessionView(s)
 	var merged relation.Union
 	for _, rel := range rule.BodyRelations() {
@@ -577,7 +580,7 @@ func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]rela
 		if len(delta) == 0 {
 			continue
 		}
-		bs, err := chase.BindingsDelta(rule, v, rel, delta, n.chaseOpts())
+		bs, err := eval(rule, v, rel, delta, n.chaseOpts())
 		if err != nil {
 			n.noteEvalError(s, r, fmt.Errorf("delta export %s over %s: %w", rule.ID, rel, err))
 			evalFailed = true
@@ -587,6 +590,9 @@ func (n *Node) deltaBindings(s *session, rule *cq.Rule, deltas map[string][]rela
 	}
 	return merged.Tuples, evalFailed
 }
+
+// deltaEval is the signature of chase.BindingsDelta and BindingsSetDelta.
+type deltaEval func(rule *cq.Rule, src cq.Source, deltaRel string, delta []relation.Tuple, opts chase.Options) ([]relation.Tuple, error)
 
 // exportDelta re-evaluates an incoming link against the fresh tuples of the
 // running session (the in-session semi-naive step) and ships any new
@@ -599,8 +605,9 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 		return
 	}
 	// Failed per-relation evaluations are counted inside; ship what did
-	// evaluate (the session stays live either way).
-	bindings, _ := n.deltaBindings(s, rule, fresh, r)
+	// evaluate (the session stays live either way). What view.stage found
+	// fresh is a set.
+	bindings, _ := n.deltaBindings(s, rule, fresh, chase.BindingsSetDelta, r)
 	n.sendData(s, rule, to, bindings, path, msg.ExportSessionDelta, 0, r)
 }
 
@@ -608,7 +615,6 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 // its persistent shipped-fingerprint set, then ships one data batch.
 func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relation.Tuple, path []string, mode msg.ExportMode, skipped int, r *Result) {
 	bindings = n.applyFilter(rule, bindings)
-	sent := s.sentSet(rule.ID)
 	// Cross-session suppression: a binding shipped in an earlier update
 	// session is already materialised at the importer. The state advances
 	// inside running sessions too, so the in-session delta step contributes
@@ -617,23 +623,43 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	if !n.incrementalFor(s) {
 		es = nil
 	}
-	kept := make([]relation.Tuple, 0, len(bindings))
-	for _, b := range bindings {
-		k := b.Key() // encoded once, for both sets
-		if sent[k] {
-			continue
-		}
-		sent[k] = true
-		if es != nil {
-			if es.shipped[k] {
-				s.rep.SuppressedBindings++
-				continue
-			}
-			es.fingerprint(k)
-		}
-		kept = append(kept, b)
+	// An injective one-atom link of a query session keeps no sent cache: it
+	// could never hit. Its bindings stand one to one for body tuples
+	// (cq.Rule.Injective), and each tuple reaches the link once: handleRequest
+	// activates the link and exports the set snapshot ∪ overlay in one step,
+	// and every later delta holds only tuples view.stage found new to
+	// snapshot ∪ overlay — and within a session the overlay only grows, and
+	// so does the snapshot, since nothing deletes. Deletes (ROADMAP item 7)
+	// must revisit this: a tuple deleted and re-derived would ship twice.
+	// Update and scoped sessions keep the cache: there a link's deltas may
+	// precede its first export (an update exports every incoming link's
+	// delta), and that export need not be a set (an incremental one reads
+	// committed changes plus the overlay).
+	var sent map[string]bool
+	if s.kind != msg.KindQuery || !rule.Injective() {
+		sent = s.sentSet(rule.ID)
 	}
-	bindings = kept
+	if sent != nil || es != nil {
+		kept := make([]relation.Tuple, 0, len(bindings))
+		for _, b := range bindings {
+			k := b.Key() // encoded once, for both sets
+			if sent != nil {
+				if sent[k] {
+					continue
+				}
+				sent[k] = true
+			}
+			if es != nil {
+				if es.shipped[k] {
+					s.rep.SuppressedBindings++
+					continue
+				}
+				es.fingerprint(k)
+			}
+			kept = append(kept, b)
+		}
+		bindings = kept
+	}
 	if es != nil && len(es.shipped) > n.cfg.MaxFingerprints {
 		// Bound the memory: drop the state; the next session re-exports in
 		// full (set semantics make that safe).
@@ -728,6 +754,11 @@ func (n *Node) emitDS(s *session, r *Result) {
 		for _, acq := range n.Acquaintances() {
 			r.send(acq, &msg.SessionDone{SID: s.sid, Origin: s.origin})
 		}
+	}
+	if s.done {
+		// The session finished here, or this was a stale message of a
+		// finished session, whose receipt engaged the detector anew: either
+		// way its detector state is spent.
 		n.ds.Drop(s.sid)
 	}
 }
@@ -781,8 +812,11 @@ func (n *Node) finalize(s *session, initiator bool, r *Result) {
 	n.forceCloseAll(s)
 	s.rep.EndUnixNano = n.cfg.Clock()
 	n.recordReport(s.rep)
-	s.release()
 	r.Finished = append(r.Finished, Finished{SID: s.sid, Initiator: initiator, Report: s.rep})
+	n.forget(s)
+	// The handler that finished it may still hold the session (and a burst's
+	// dirty list, until FlushDeferred): keep only what they read.
+	*s = session{sid: s.sid, kind: s.kind, origin: s.origin, done: true}
 }
 
 // sessionApplier returns the applier a session instantiates a rule's head
@@ -813,12 +847,21 @@ func (n *Node) sessionApplier(s *session, ruleID string) *chase.Applier {
 // caller must then process the returned messages as usual.
 func (n *Node) CompensateLost(sid, to string, lost int) Result {
 	var r Result
+	if lost <= 0 {
+		return r
+	}
 	s := n.sessions[sid]
-	if s == nil || lost <= 0 {
+	if s == nil {
+		// A session can finish here with messages in flight when an
+		// upstream peer wrote this node off; their loss still voids what
+		// the export state claims the importer holds.
+		if sentTo, ok := n.finished[sid]; ok {
+			n.distrustImporter(sentTo, to)
+		}
 		return r
 	}
 	s.rep.CompensatedLost += lost
-	n.distrustImporter(s, to)
+	n.distrustImporter(s.rep.SentTo, to)
 	n.ds.AckReceived(sid, to, lost)
 	n.flushDS(s, &r)
 	return r
@@ -833,12 +876,9 @@ func (n *Node) CompensateLost(sid, to string, lost int) Result {
 func (n *Node) CompensatePeerLoss(to string) Result {
 	var r Result
 	for _, s := range n.sessions {
-		if s.done {
-			continue
-		}
 		if lost := n.ds.LostPeer(s.sid, to); lost > 0 {
 			s.rep.CompensatedLost += lost
-			n.distrustImporter(s, to)
+			n.distrustImporter(s.rep.SentTo, to)
 			n.flushDS(s, &r)
 		}
 	}
@@ -846,14 +886,14 @@ func (n *Node) CompensatePeerLoss(to string) Result {
 }
 
 // distrustImporter is called when messages of a session toward a peer are
-// written off. If the session shipped data to that peer, the write-off may
-// cover it: the peer acknowledges data only once it is synced, so
-// unacknowledged bindings may be held nowhere — lost on the wire, or staged
-// at the peer when it died. The export state toward the peer claims it has
-// them; it is reset, and the next session re-exports those links in full
-// (set semantics make that safe).
-func (n *Node) distrustImporter(s *session, peer string) {
-	if containsStr(s.rep.SentTo, peer) {
+// written off, with the peers the session shipped data to. If they include
+// that peer, the write-off may cover data: the peer acknowledges data only
+// once it is synced, so unacknowledged bindings may be held nowhere — lost
+// on the wire, or staged at the peer when it died. The export state toward
+// the peer claims it has them; it is reset, and the next session re-exports
+// those links in full (set semantics make that safe).
+func (n *Node) distrustImporter(sentTo []string, peer string) {
+	if containsStr(sentTo, peer) {
 		n.ResetExportStateToward(peer)
 	}
 }

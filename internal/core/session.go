@@ -106,22 +106,36 @@ func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 	return s
 }
 
-// release drops everything a finished session no longer needs — the overlay,
-// the pinned snapshot, the chase memos, every per-tuple and per-link map — by
-// resetting the session to what must stay: the identity, the done flag
-// (stale messages of the session are recognised by it and return before
-// touching anything else) and the report. That is O(1) per finished session.
-func (s *session) release() {
-	*s = session{sid: s.sid, kind: s.kind, origin: s.origin, rep: s.rep, done: true}
+// forget drops a finished session from the session table. Its report is in
+// the bounded report ring already; what stays is one entry of n.finished —
+// the SID, by which stale messages of the session are recognised, and the
+// peers it shipped data to, which a late write-off must still distrust
+// (CompensateLost). Everything else — overlay, pinned snapshot, chase memos,
+// every per-tuple and per-link map — goes with the session object.
+func (n *Node) forget(s *session) {
+	delete(n.sessions, s.sid)
+	n.finished[s.sid] = s.rep.SentTo
 }
 
-// getSession returns (creating if needed) the session, reporting whether it
-// already existed.
-func (n *Node) getSession(sid string, kind msg.Kind, origin string) (*session, bool) {
+// known reports whether this node has taken part in the session, running or
+// finished.
+func (n *Node) known(sid string) bool {
+	_, running := n.sessions[sid]
+	_, finished := n.finished[sid]
+	return running || finished
+}
+
+// getSession returns the session, creating it if the node has not seen it.
+// A message of a finished session gets a stub marked done, which the
+// handlers only acknowledge; it is not kept.
+func (n *Node) getSession(sid string, kind msg.Kind, origin string) *session {
 	if s, ok := n.sessions[sid]; ok {
-		return s, true
+		return s
 	}
-	return n.newSession(sid, kind, origin), false
+	if _, ok := n.finished[sid]; ok {
+		return &session{sid: sid, kind: kind, origin: origin, done: true}
+	}
+	return n.newSession(sid, kind, origin)
 }
 
 // sentSet returns the sent cache for one incoming link.

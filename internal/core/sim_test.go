@@ -21,6 +21,8 @@ type sim struct {
 	answers  map[string][]relation.Tuple
 	finished map[string][]Finished
 	steps    int
+	// observe, when set, sees every message as it is delivered.
+	observe func(to string, env msg.Envelope)
 }
 
 type simEnv struct {
@@ -135,6 +137,9 @@ func (s *sim) run() {
 		node := s.nodes[item.to]
 		if node == nil {
 			continue // departed node: message lost
+		}
+		if s.observe != nil {
+			s.observe(item.to, item.env)
 		}
 		res := node.Handle(item.env)
 		sid := sidOf(item.env.Payload)

@@ -115,20 +115,6 @@ func TestStreamedAnswersMatchOracle(t *testing.T) {
 	}
 }
 
-// retained counts what a session still holds besides its identity and
-// report.
-func (s *session) retained() int {
-	n := len(s.evaluated) + len(s.seqOut) + len(s.hinted) + len(s.activeIncoming) +
-		len(s.requestedOut) + len(s.answerKeys) + len(s.extra) + len(s.outClosed) + len(s.inClosed)
-	for _, m := range s.sent {
-		n += 1 + len(m)
-	}
-	if s.overlay != nil || s.pinned != nil || s.query != nil {
-		n++
-	}
-	return n
-}
-
 // queryChain builds A <- B <- C over b/2 copy rules with `rows` tuples at C
 // and B each.
 func queryChain(t *testing.T, rows int) *sim {
@@ -151,9 +137,10 @@ func queryChain(t *testing.T, rows int) *sim {
 }
 
 // TestFinishedQuerySessionRetainsNothing: once a query session is done,
-// every node on its path has released the per-tuple and per-link state
-// (ROADMAP 1(c): sent caches and answer keys used to stay, ~0.55 MB per
-// query), and the heap does not grow with the number of finished queries.
+// every node on its path has dropped the session — per-tuple and per-link
+// state, report and all (sent caches and answer keys used to stay, ~0.55 MB
+// per query) — keeping only its SID, and the heap does not grow with the
+// number of finished queries.
 func TestFinishedQuerySessionRetainsNothing(t *testing.T) {
 	const rows = 500
 	s := queryChain(t, rows)
@@ -169,16 +156,8 @@ func TestFinishedQuerySessionRetainsNothing(t *testing.T) {
 	}
 	run()
 	for name, n := range s.nodes {
-		if len(n.sessions) != 1 {
-			t.Fatalf("%s knows %d sessions, want 1", name, len(n.sessions))
-		}
-		for sid, sess := range n.sessions {
-			if !sess.done {
-				t.Fatalf("%s: session %s not done", name, sid)
-			}
-			if got := sess.retained(); got != 0 {
-				t.Errorf("%s: finished session retains %d entries, want 0", name, got)
-			}
+		if len(n.sessions) != 0 || len(n.finished) != 1 {
+			t.Fatalf("%s keeps %d running and %d finished sessions, want 0 and 1", name, len(n.sessions), len(n.finished))
 		}
 	}
 
@@ -197,8 +176,9 @@ func TestFinishedQuerySessionRetainsNothing(t *testing.T) {
 		run()
 	}
 	after := heap()
-	// A finished session is a stub plus its report, ~1.4 KB per node;
-	// retained sent caches and answer keys were ~200 KB per query here.
+	// A finished session is one SID entry per node; a stub session with
+	// its report was ~1.4 KB per node, and retained sent caches and answer
+	// keys ~200 KB per query here.
 	t.Logf("heap: %d B before, %d B after %d more queries", before, after, more)
 	if after > before && (after-before)/more > 16<<10 {
 		t.Errorf("heap grew %d B per finished query over %d queries; want O(1) stubs", (after-before)/more, more)
@@ -243,9 +223,11 @@ func hopFixture(tb testing.TB) (node *Node, batch func(n int) msg.Envelope) {
 // TestQueryHopAllocations guards the per-tuple cost of the query data path:
 // one handleData hop of a 128-binding copy-rule batch — every binding new,
 // so the chase memo misses, the overlay grows and everything is re-exported
-// — stays under 10 allocations and 1.25 KiB per binding. (It measured 6.4
-// allocations and 845 B when this guard was written; before evaluation
-// became delta-driven, 35.1 and 2,207 B.)
+// — stays under 2 allocations and 512 B per binding. (It measures 1.3
+// allocations and 417 B, with the tuple keyed once per hop, by view.stage.
+// Before: 3.4 and 627 B while the projection and the sent cache keyed it
+// again; 6.4 and 845 B when the guard was written; 35.1 and 2,207 B before
+// evaluation became delta-driven.)
 func TestQueryHopAllocations(t *testing.T) {
 	const size, runs = 128, 20
 	node, batch := hopFixture(t)
@@ -274,11 +256,11 @@ func TestQueryHopAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * size)
 	t.Logf("query hop: %.1f allocs and %.0f B per binding", allocs, bytes)
-	if allocs > 10 {
-		t.Errorf("query hop makes %.1f allocations per binding, want <= 10", allocs)
+	if allocs > 2 {
+		t.Errorf("query hop makes %.1f allocations per binding, want <= 2", allocs)
 	}
-	if bytes > 1280 {
-		t.Errorf("query hop allocates %.0f B per binding, want <= 1280", bytes)
+	if bytes > 512 {
+		t.Errorf("query hop allocates %.0f B per binding, want <= 512", bytes)
 	}
 }
 

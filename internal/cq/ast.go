@@ -308,6 +308,39 @@ func (r *Rule) Existentials() []string {
 	return out
 }
 
+// Injective reports whether the rule's body is a single atom all of whose
+// variables reach the head — a copy, a selection or a reordering, not a
+// projection like x, z <- data(x, y). Its frontier bindings then stand one
+// to one for the body tuples that match: distinct tuples, distinct
+// bindings.
+func (r *Rule) Injective() bool {
+	return len(r.Body) == 1 && injective(&r.Body[0], r.Head)
+}
+
+// injective reports whether every variable of atom a occurs in the head
+// atoms. A tuple matching a is fixed by its variables' values — the atom's
+// constants and repeated variables fix the other positions — so projecting
+// the matches onto head terms that keep every variable loses nothing.
+func injective(a *Atom, head []Atom) bool {
+	for _, t := range a.Terms {
+		if t.IsVar() && !occurs(t.Var, head) {
+			return false
+		}
+	}
+	return true
+}
+
+func occurs(v string, atoms []Atom) bool {
+	for _, a := range atoms {
+		for _, t := range a.Terms {
+			if t.IsVar() && t.Var == v {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (r *Rule) bodyVars() []string {
 	var vars []string
 	for _, a := range r.Body {

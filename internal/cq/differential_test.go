@@ -174,51 +174,105 @@ func TestIndexProbePathTaken(t *testing.T) {
 	}
 }
 
-// TestDifferentialSingleAtom: the single-atom projection equals the general
-// plan (reached through the nested-loop reference strategy), full and
-// delta, with constants and repeated variables in body and head and
-// duplicates in the delta, in the same order.
-func TestDifferentialSingleAtom(t *testing.T) {
+// randomSingleAtom draws a one-atom body over p/1, q/2 or r/3 with
+// constants and repeated variables, and a head over its variables and
+// constants: half the time one that keeps every variable (an injective
+// projection, in a random order), otherwise up to three random terms.
+func randomSingleAtom(rnd *rand.Rand) (head []Term, atom Atom) {
 	pool := []string{"a", "b", "c"}
 	rels := []struct {
 		name  string
 		arity int
 	}{{"p", 1}, {"q", 2}, {"r", 3}}
-	for seed := int64(0); seed < 600; seed++ {
+	rel := rels[rnd.Intn(len(rels))]
+	atom = Atom{Rel: rel.name, Terms: make([]Term, rel.arity)}
+	for j := range atom.Terms {
+		if rnd.Intn(4) == 0 {
+			atom.Terms[j] = C(randomValue(rnd))
+		} else {
+			atom.Terms[j] = V(pool[rnd.Intn(len(pool))])
+		}
+	}
+	vars := atom.Vars(nil)
+	if rnd.Intn(2) == 0 {
+		for _, i := range rnd.Perm(len(vars)) {
+			head = append(head, V(vars[i]))
+		}
+		if len(head) == 0 || rnd.Intn(4) == 0 {
+			i := rnd.Intn(len(head) + 1)
+			head = append(head[:i], append([]Term{C(relation.Int(rnd.Intn(4)))}, head[i:]...)...)
+		}
+		return head, atom
+	}
+	for i, n := 0, rnd.Intn(3)+1; i < n; i++ {
+		if len(vars) == 0 || rnd.Intn(4) == 0 {
+			head = append(head, C(relation.Int(rnd.Intn(4))))
+		} else {
+			head = append(head, V(vars[rnd.Intn(len(vars))]))
+		}
+	}
+	return head, atom
+}
+
+// distinct drops repeated tuples, keeping first occurrences in order.
+func distinct(ts []relation.Tuple) []relation.Tuple {
+	seen := make(map[string]bool, len(ts))
+	var out []relation.Tuple
+	for _, t := range ts {
+		if k := t.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestDifferentialSingleAtom: the single-atom projection equals the general
+// plan (reached through the nested-loop reference strategy), in the same
+// order, on random one-atom bodies with constants and repeated variables,
+// injective heads and not: over a source scan, over a delta with duplicates,
+// and over a delta that is a set, where an injective projection keys no row.
+// A projection wrongly taken for injective ships duplicates on the
+// dedup-free path, which this catches.
+func TestDifferentialSingleAtom(t *testing.T) {
+	var injectiveDups, lossyDups int
+	for seed := int64(0); seed < 1200; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		rel := rels[rnd.Intn(len(rels))]
-		atom := Atom{Rel: rel.name, Terms: make([]Term, rel.arity)}
-		for j := range atom.Terms {
-			if rnd.Intn(4) == 0 {
-				atom.Terms[j] = C(randomValue(rnd))
-			} else {
-				atom.Terms[j] = V(pool[rnd.Intn(len(pool))])
-			}
-		}
-		vars := atom.Vars(nil)
-		var head []Term
-		for i, n := 0, rnd.Intn(3)+1; i < n; i++ {
-			if len(vars) == 0 || rnd.Intn(4) == 0 {
-				head = append(head, C(relation.Int(rnd.Intn(4))))
-			} else {
-				head = append(head, V(vars[rnd.Intn(len(vars))]))
-			}
-		}
+		head, atom := randomSingleAtom(rnd)
 		body := []Atom{atom}
 		data := randomTuples(rnd, 12)
-		delta := randomTuples(rnd, 8)[rel.name]
+		delta := randomTuples(rnd, 8)[atom.Rel]
+		set := distinct(delta)
 		src := &probeSpy{Set: toSet(data)}
 
-		fast, err1 := evalProject(head, body, nil, src, nil, nil, EvalOptions{})
-		general, err2 := evalProject(head, body, nil, src, nil, nil, EvalOptions{Strategy: NestedLoop})
+		fast, err1 := evalProject(head, body, nil, src, nil, nil, false, EvalOptions{})
+		general, err2 := evalProject(head, body, nil, src, nil, nil, false, EvalOptions{Strategy: NestedLoop})
 		if err1 != nil || err2 != nil || !equalInOrder(fast, general) {
 			t.Fatalf("seed %d: %v <- %v\n fast:    %v %v\n general: %v %v", seed, head, atom, fast, err1, general, err2)
 		}
-		fast, err1 = evalDelta(head, body, nil, src, rel.name, delta, EvalOptions{})
-		general, err2 = evalDelta(head, body, nil, src, rel.name, delta, EvalOptions{Strategy: NestedLoop})
-		if err1 != nil || err2 != nil || !equalInOrder(fast, general) {
-			t.Fatalf("seed %d: %v <- %v over delta %v\n fast:    %v %v\n general: %v %v", seed, head, atom, delta, fast, err1, general, err2)
+		for _, c := range []struct {
+			delta    []relation.Tuple
+			setDelta bool
+		}{{delta, false}, {set, true}} {
+			fast, err1 = evalDelta(head, body, nil, src, atom.Rel, c.delta, c.setDelta, EvalOptions{})
+			general, err2 = evalDelta(head, body, nil, src, atom.Rel, c.delta, c.setDelta, EvalOptions{Strategy: NestedLoop})
+			if err1 != nil || err2 != nil || !equalInOrder(fast, general) {
+				t.Fatalf("seed %d: %v <- %v over delta %v (set %v)\n fast:    %v %v\n general: %v %v", seed, head, atom, c.delta, c.setDelta, fast, err1, general, err2)
+			}
 		}
+
+		// Tally the cases that decide the dedup: matches of the set delta
+		// colliding on their projection happen only for lossy heads.
+		if matches, _ := evalDelta(atom.Terms, body, nil, src, atom.Rel, set, true, EvalOptions{Strategy: NestedLoop}); len(matches) > 1 {
+			if injective(&atom, []Atom{{Terms: head}}) {
+				injectiveDups++
+			} else if rows, _ := evalDelta(head, body, nil, src, atom.Rel, set, true, EvalOptions{Strategy: NestedLoop}); len(rows) < len(matches) {
+				lossyDups++
+			}
+		}
+	}
+	if injectiveDups == 0 || lossyDups == 0 {
+		t.Fatalf("weak generator: %d injective and %d collapsing projections over several matches", injectiveDups, lossyDups)
 	}
 
 	// An unbound projection variable is an error on both paths, and only
@@ -228,10 +282,10 @@ func TestDifferentialSingleAtom(t *testing.T) {
 	some := &probeSpy{Set: toSet(map[string][]relation.Tuple{"q": {{relation.Int(1), relation.Int(2)}}})}
 	none := &probeSpy{Set: relation.NewSet()}
 	for _, opts := range []EvalOptions{{}, {Strategy: NestedLoop}} {
-		if _, err := evalProject(head, body, nil, some, nil, nil, opts); err == nil {
+		if _, err := evalProject(head, body, nil, some, nil, nil, false, opts); err == nil {
 			t.Errorf("strategy %d: unbound projection variable accepted", opts.Strategy)
 		}
-		if _, err := evalProject(head, body, nil, none, nil, nil, opts); err != nil {
+		if _, err := evalProject(head, body, nil, none, nil, nil, false, opts); err != nil {
 			t.Errorf("strategy %d: empty relation: %v", opts.Strategy, err)
 		}
 	}

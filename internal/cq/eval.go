@@ -7,10 +7,14 @@ import (
 )
 
 // Source is any provider of relation scans: the storage engine, a
-// relation.Instance, or a peer's overlay view all satisfy it. Tuples handed
-// to fn are never mutated afterwards — by the source or by the evaluator —
-// so the evaluator keeps them (join buckets, the delta slice) without
-// cloning; a source must not reuse one tuple's backing array for the next.
+// relation.Instance, or a peer's overlay view all satisfy it. A scan
+// delivers a set: no tuple twice (storage snapshots, relation.Set and
+// relation.Instance key their tuples, and the session view shadows overlay
+// tuples the snapshot holds), so an injective projection of one scan needs
+// no deduplication. Tuples handed to fn are never mutated afterwards — by
+// the source or by the evaluator — so the evaluator keeps them (join
+// buckets, the delta slice) without cloning; a source must not reuse one
+// tuple's backing array for the next.
 type Source interface {
 	Scan(rel string, fn func(relation.Tuple) bool)
 }
@@ -62,16 +66,12 @@ func Eval(q *Query, src Source, opts EvalOptions) ([]relation.Tuple, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return evalProject(q.Head.Terms, q.Body, q.Cmps, src, nil, nil, opts)
+	return evalProject(q.Head.Terms, q.Body, q.Cmps, src, nil, nil, false, opts)
 }
 
 // EvalBindings evaluates the body and projects the bindings onto outVars.
 // Every outVar must be bound by the body.
 func EvalBindings(body []Atom, cmps []Comparison, outVars []string, src Source, opts EvalOptions) ([]relation.Tuple, error) {
-	terms := make([]Term, len(outVars))
-	for i, v := range outVars {
-		terms[i] = V(v)
-	}
 	var bodyVars []string
 	for _, a := range body {
 		bodyVars = a.Vars(bodyVars)
@@ -81,43 +81,57 @@ func EvalBindings(body []Atom, cmps []Comparison, outVars []string, src Source, 
 			return nil, fmt.Errorf("cq: output variable %s not bound by the body", v)
 		}
 	}
-	return evalProject(terms, body, cmps, src, nil, nil, opts)
+	return evalProject(varTerms(outVars), body, cmps, src, nil, nil, false, opts)
 }
 
 // EvalDelta performs the semi-naive step: it evaluates the body with one
 // occurrence of deltaRel at a time restricted to the delta tuples (all other
 // atoms over the full source), unioning the projections. Sound and complete
-// for "results that use at least one delta tuple".
+// for "results that use at least one delta tuple". The delta may repeat
+// tuples; the result does not.
 func EvalDelta(body []Atom, cmps []Comparison, outVars []string, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
-	terms := make([]Term, len(outVars))
-	for i, v := range outVars {
-		terms[i] = V(v)
-	}
-	return evalDelta(terms, body, cmps, src, deltaRel, delta, opts)
+	return evalDelta(varTerms(outVars), body, cmps, src, deltaRel, delta, false, opts)
 }
 
-// EvalQueryDelta is EvalDelta for a whole query: the answers (head tuples,
-// whose terms may be constants) that use at least one delta tuple of
-// deltaRel. A query origin streams answers with it: the union over the
-// batches fetched so far, plus Eval over the data held before the first
-// batch, equals Eval over everything.
+// EvalSetDelta is EvalDelta for a delta that is a set — no tuple twice —
+// such as the tuples a session overlay has just admitted. An injective
+// single-atom body (see Rule.Injective) then projects it without keying a
+// single row.
+func EvalSetDelta(body []Atom, cmps []Comparison, outVars []string, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
+	return evalDelta(varTerms(outVars), body, cmps, src, deltaRel, delta, true, opts)
+}
+
+func varTerms(vars []string) []Term {
+	terms := make([]Term, len(vars))
+	for i, v := range vars {
+		terms[i] = V(v)
+	}
+	return terms
+}
+
+// EvalQueryDelta is EvalSetDelta for a whole query: the answers (head
+// tuples, whose terms may be constants) that use at least one tuple of
+// deltaRel's delta, which must be a set. A query origin streams answers
+// with it: the union over the batches fetched so far, plus Eval over the
+// data held before the first batch, equals Eval over everything.
 func EvalQueryDelta(q *Query, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return evalDelta(q.Head.Terms, q.Body, q.Cmps, src, deltaRel, delta, opts)
+	return evalDelta(q.Head.Terms, q.Body, q.Cmps, src, deltaRel, delta, true, opts)
 }
 
 // evalDelta unions the projections of one evaluation per occurrence of
-// deltaRel, that occurrence restricted to the delta.
-func evalDelta(terms []Term, body []Atom, cmps []Comparison, src Source, deltaRel string, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
+// deltaRel, that occurrence restricted to the delta; setDelta says the delta
+// repeats no tuple.
+func evalDelta(terms []Term, body []Atom, cmps []Comparison, src Source, deltaRel string, delta []relation.Tuple, setDelta bool, opts EvalOptions) ([]relation.Tuple, error) {
 	var out relation.Union
 	for i := range body {
 		if body[i].Rel != deltaRel {
 			continue
 		}
 		idx := i
-		res, err := evalProject(terms, body, cmps, src, &idx, delta, opts)
+		res, err := evalProject(terms, body, cmps, src, &idx, delta, setDelta, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -350,13 +364,14 @@ func unify(pa *patom, t relation.Tuple, b *binding) bool {
 // evalProject compiles the body, evaluates it, and projects the bindings
 // through the given head terms (variables or constants), deduplicating the
 // result. deltaAtom (an index into body) and delta restrict one atom
-// occurrence to the delta tuples.
-func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, deltaAtom *int, delta []relation.Tuple, opts EvalOptions) ([]relation.Tuple, error) {
+// occurrence to the delta tuples; setDelta says the delta repeats no tuple.
+func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, deltaAtom *int, delta []relation.Tuple, setDelta bool, opts EvalOptions) ([]relation.Tuple, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("cq: empty body")
 	}
 	if len(body) == 1 && len(cmps) == 0 && opts.Strategy != NestedLoop {
-		return projectAtom(terms, &body[0], src, deltaAtom != nil, delta)
+		useDelta := deltaAtom != nil
+		return projectAtom(terms, &body[0], src, useDelta, delta, !useDelta || setDelta)
 	}
 	p := compile(body, cmps, deltaAtom)
 	var bindings []*binding
@@ -393,9 +408,12 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 // projectAtom evaluates a body of one atom and no comparisons — the copy,
 // projection and selection rules most GLAV mappings are — straight off the
 // atom's tuples (the delta, or the source with constant pushdown): no plan,
-// no partial bindings, one dedup of the projected rows. The nested-loop
-// reference strategy never takes it.
-func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relation.Tuple) ([]relation.Tuple, error) {
+// no partial bindings, at most one dedup of the projected rows. It needs
+// none when the input is a set (a source scan, or a delta its caller knows
+// to be one) and the projection is injective: distinct tuples then give
+// distinct rows, which are never keyed. The nested-loop reference strategy
+// never takes it.
+func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relation.Tuple, inputIsSet bool) ([]relation.Tuple, error) {
 	// A variable is identified by the position of its first occurrence in
 	// the atom, so unification is a comparison between two positions.
 	pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms)), delta: useDelta}
@@ -435,7 +453,10 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 	if useDelta {
 		out = make([]relation.Tuple, 0, len(delta))
 	}
-	seen := make(map[string]struct{}, len(delta))
+	var seen map[string]struct{}
+	if !inputIsSet || !injective(a, []Atom{{Terms: terms}}) {
+		seen = make(map[string]struct{}, len(delta))
+	}
 	var err error
 	scanAtom(src, &pa, delta, func(t relation.Tuple) bool {
 		if len(t) != len(pa.varPos) {
@@ -465,11 +486,14 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 				}
 			}
 		}
-		k := row.Key()
-		if _, dup := seen[k]; !dup {
+		if seen != nil {
+			k := row.Key()
+			if _, dup := seen[k]; dup {
+				return true
+			}
 			seen[k] = struct{}{}
-			out = append(out, row)
 		}
+		out = append(out, row)
 		return true
 	})
 	if err != nil {

@@ -8,14 +8,18 @@ import (
 
 // Set is an ordered, indexed tuple store for transient data: one B+tree per
 // relation keyed by the tuples' order-preserving encoding, plus secondary
-// trees per attribute position. It backs the per-session overlay of query
-// sessions and the mediator wrapper's relations in internal/core.
+// trees per attribute position past the first. It backs the per-session
+// overlay in internal/core.
 //
-// Scans deliver tuples in key order without sorting. Secondary trees are
-// built by the first ScanEq that probes a position and maintained by every
-// later Insert, so an equality probe costs O(log n + matches) — amortised,
-// like the storage snapshots' lazy secondary views. Because a probe may
-// build an index, a Set is not safe for concurrent use, readers included.
+// Scans deliver tuples in key order without sorting, each tuple once.
+// Position 0 is probed on the primary: a tuple key begins with the encoding
+// of its first value, so a value-prefix scan of it enumerates what a
+// (value ‖ key) index would, in the same order. Secondary trees for the
+// other positions are built by the first ScanEq that probes one and
+// maintained by every later Insert, so an equality probe costs
+// O(log n + matches) — amortised, like the storage snapshots' lazy
+// secondary views. Because a probe may build an index, a Set is not safe
+// for concurrent use, readers included.
 //
 // Tuples are retained, not cloned: callers must not mutate a tuple after
 // inserting it (the same contract cq.Source states for tuples handed out).
@@ -29,7 +33,7 @@ type Set struct {
 type relSet struct {
 	rows    []Tuple
 	primary *btree.Map[int]         // tuple key -> slot in rows
-	second  map[int]*btree.Map[int] // attr position -> (value ‖ tuple key) -> slot
+	second  map[int]*btree.Map[int] // attr position (> 0) -> (value ‖ tuple key) -> slot
 }
 
 // NewSet returns an empty set.
@@ -148,6 +152,12 @@ func (s *Set) ScanEqKeys(rel string, pos int, v Value, fn func(key string, t Tup
 	if r == nil || pos < 0 {
 		return
 	}
+	var buf [32]byte
+	prefix := string(EncodeValue(buf[:0], v))
+	if pos == 0 {
+		r.primary.AscendPrefix(prefix, func(key string, slot int) bool { return fn(key, r.rows[slot]) })
+		return
+	}
 	idx := r.second[pos]
 	if idx == nil {
 		idx = btree.New[int]()
@@ -162,8 +172,6 @@ func (s *Set) ScanEqKeys(rel string, pos int, v Value, fn func(key string, t Tup
 		}
 		r.second[pos] = idx
 	}
-	var buf [32]byte
-	prefix := string(EncodeValue(buf[:0], v))
 	idx.AscendPrefix(prefix, func(k string, slot int) bool { return fn(k[len(prefix):], r.rows[slot]) })
 }
 

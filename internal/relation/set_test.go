@@ -147,3 +147,23 @@ func TestKeyAllocatesOnce(t *testing.T) {
 		t.Error("Key() differs from EncodeTuple")
 	}
 }
+
+// TestSetProbesFirstPositionOnPrimary: an equality probe of position 0 — a
+// query origin's self-join — walks the primary tree, so it builds and
+// maintains no secondary tree; other positions still get one.
+func TestSetProbesFirstPositionOnPrimary(t *testing.T) {
+	s := NewSet()
+	for i := 0; i < 10; i++ {
+		tu := Tuple{Int(i % 3), Int(i)}
+		s.Insert("r", tu.Key(), tu)
+	}
+	n := 0
+	s.ScanEq("r", 0, Int(1), func(Tuple) bool { n++; return true })
+	if n != 3 || len(s.rels["r"].second) != 0 {
+		t.Fatalf("position-0 probe matched %d tuples and left %d secondary trees, want 3 and 0", n, len(s.rels["r"].second))
+	}
+	s.ScanEq("r", 1, Int(4), func(Tuple) bool { n++; return true })
+	if n != 4 || len(s.rels["r"].second) != 1 {
+		t.Fatalf("position-1 probe: %d matches in all, %d secondary trees; want 4 and 1", n, len(s.rels["r"].second))
+	}
+}
