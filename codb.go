@@ -229,8 +229,9 @@ type NetworkOptions struct {
 	// MaxDepth bounds the chase's null derivation depth (0 = default,
 	// negative = unlimited); see core.Config.
 	MaxDepth int
-	// NestedLoopJoin switches the CQ evaluator to nested loops (A3) — the
-	// evaluator's correctness reference.
+	// NestedLoopJoin switches the CQ evaluator to nested loops, which push
+	// down constants but no range: the correctness reference the
+	// differential and oracle tests compare the default hash join against.
 	NestedLoopJoin bool
 	// FullExport disables cross-session incremental export: every update
 	// session re-evaluates and re-ships every link in full, as the paper's

@@ -453,20 +453,6 @@ func (n *node[V]) values(fn func(value V) bool) bool {
 	return true
 }
 
-// AscendPrefix scans every key with the given prefix in ascending order.
-func (m *Map[V]) AscendPrefix(prefix string, fn func(key string, value V) bool) {
-	if prefix == "" {
-		m.Ascend("", "", fn)
-		return
-	}
-	m.Ascend(prefix, "", func(k string, v V) bool {
-		if len(k) < len(prefix) || k[:len(prefix)] != prefix {
-			return false
-		}
-		return fn(k, v)
-	})
-}
-
 // cursor is Ascend's position in the tree: the current leaf plus the stack
 // of interior nodes above it.
 type cursor[V any] struct {

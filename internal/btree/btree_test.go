@@ -176,27 +176,6 @@ func TestRangeScan(t *testing.T) {
 	}
 }
 
-func TestAscendPrefix(t *testing.T) {
-	m := New[int]()
-	m.Put("a:1", 1)
-	m.Put("a:2", 2)
-	m.Put("b:1", 3)
-	m.Put("", 0)
-	var got []int
-	m.AscendPrefix("a:", func(k string, v int) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("prefix scan = %v", got)
-	}
-	got = nil
-	m.AscendPrefix("", func(k string, v int) bool { got = append(got, v); return true })
-	if len(got) != 4 {
-		t.Errorf("empty prefix scan = %v", got)
-	}
-}
-
 func TestDepthGrowsLogarithmically(t *testing.T) {
 	m := New[int]()
 	for i := 0; i < 100000; i++ {

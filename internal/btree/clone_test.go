@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -149,15 +148,6 @@ func (x *modelled) verify(t *testing.T, r *rand.Rand, space int) {
 		}
 		what := fmt.Sprintf("Ascend[%s,%s)", from, to)
 		same(what, scanned(func(fn func(string, int) bool) { x.m.Ascend(from, to, fn) }), keys[lo:hi])
-
-		prefix := key(r.Intn(space))[:4+r.Intn(6)]
-		var want []string
-		for _, k := range keys {
-			if strings.HasPrefix(k, prefix) {
-				want = append(want, k)
-			}
-		}
-		same("AscendPrefix "+prefix, scanned(func(fn func(string, int) bool) { x.m.AscendPrefix(prefix, fn) }), want)
 	}
 
 	mink, minv, ok := x.m.Min()

@@ -9,8 +9,8 @@ import (
 
 // Fixpoint is the centralised oracle: it chases all rules over all node
 // instances to a fixpoint, exactly the state the distributed global update
-// must converge to. Used by correctness tests and by the naive-vs-semi-naive
-// ablation.
+// must converge to. It is the correctness reference of the difftest and the
+// oracle tests.
 //
 // Instances are keyed by node name; a rule reads Body relations from
 // start[rule.Source] and writes Head facts into the result for rule.Target.
@@ -80,8 +80,8 @@ func Fixpoint(rules []*cq.Rule, start map[string]relation.Instance, opts Options
 
 // FixpointSemiNaive is the delta-driven variant of the oracle, mirroring
 // what the distributed algorithm does: after the first full round, rules
-// re-fire only against the tuples newly added to their body relations. Used
-// by the A1 ablation benchmark; results must equal Fixpoint's.
+// re-fire only against the tuples newly added to their body relations. Its
+// results must equal Fixpoint's, which the oracle tests check.
 func FixpointSemiNaive(rules []*cq.Rule, start map[string]relation.Instance, opts Options) (map[string]relation.Instance, FixpointStats, error) {
 	state := make(map[string]relation.Instance, len(start))
 	for node, in := range start {

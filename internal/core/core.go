@@ -101,7 +101,8 @@ type Config struct {
 	// MaxDepth bounds null derivation depth; 0 selects DefaultMaxDepth,
 	// negative means unlimited.
 	MaxDepth int
-	// Eval selects the join strategy (A3 ablation).
+	// Eval selects the join strategy: the hash join, or the nested loop the
+	// differential and oracle tests use as the correctness reference.
 	Eval cq.EvalOptions
 	// FullExport disables the cross-session incremental export machinery:
 	// every session re-evaluates and re-ships every incoming link in full,

@@ -170,12 +170,13 @@ func (s *session) noteSentTo(node string) {
 
 // view is what rule evaluation reads: the LDB, as a pinned immutable
 // snapshot, plus the session overlay. Evaluation runs without storage locks,
-// and constant pushdown and index-probe joins reach the snapshot's lazy
-// secondary views (cq.EqScanner). Writes go to the overlay, never to the
-// snapshot; Node.commitStaged moves them into the wrapper.
+// and constant and range pushdown and index-probe joins reach the snapshot's
+// lazy secondary views (cq.EqScanner, cq.RangeScanner). Writes go to the
+// overlay, never to the snapshot; Node.commitStaged moves them into the
+// wrapper.
 //
 // The overlay is a relation.Set: ordered (scans stay in key order, so
-// exports are deterministic) and indexed (ScanEq probes it). Overlay tuples
+// exports are deterministic) and indexed (ScanRange walks it). Overlay tuples
 // that meanwhile appeared in the snapshot are shadowed — skipped, since the
 // snapshot scan already delivered them; the check reuses the key the overlay
 // stores, so it encodes nothing.
@@ -211,20 +212,26 @@ func (v view) Scan(rel string, fn func(relation.Tuple) bool) {
 	})
 }
 
-// ScanEq implements cq.EqScanner over snapshot ∪ overlay: the snapshot
-// probes its lazy secondary view, the overlay its secondary tree.
-func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.Tuple) bool) {
+// ScanRange implements cq.RangeScanner over snapshot ∪ overlay: each side
+// walks its index over the position (the snapshot's lazy secondary view, the
+// overlay's secondary tree), the overlay shadowed as in Scan.
+func (v view) ScanRange(rel string, pos int, r relation.Range, fn func(relation.Tuple) bool) {
 	stopped := false
-	v.snap.ScanEq(rel, pos, val, func(t relation.Tuple) bool {
+	v.snap.ScanRange(rel, pos, r, func(t relation.Tuple) bool {
 		stopped = !fn(t)
 		return !stopped
 	})
 	if stopped || v.overlay == nil {
 		return
 	}
-	v.overlay.ScanEqKeys(rel, pos, val, func(key string, t relation.Tuple) bool {
+	v.overlay.ScanRangeKeys(rel, pos, r, func(key string, t relation.Tuple) bool {
 		return v.snap.HasKey(rel, key) || fn(t)
 	})
+}
+
+// ScanEq implements cq.EqScanner: the point range of val.
+func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.Tuple) bool) {
+	v.ScanRange(rel, pos, relation.Point(val), fn)
 }
 
 // stage sinks a batch into the session overlay and returns the genuinely new

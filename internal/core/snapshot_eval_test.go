@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -200,4 +201,137 @@ func TestSessionViewRepinsAfterInsert(t *testing.T) {
 	if s.pinned != nil {
 		t.Fatal("finalize did not release the pinned snapshot")
 	}
+}
+
+// TestSessionViewRangeMatchesNestedLoop is the range differential over the
+// session view: snapshot ∪ overlay, the overlay holding both new tuples and
+// copies of snapshot tuples (which the view shadows). Random bodies with
+// constant comparisons of every kind — float and null constants, duplicate
+// and contradictory bounds included — over int, string, bool and float
+// columns holding NaN and -0.0 answer exactly as the nested loop does over a
+// relation.Instance of the same union, which pushes no range; and the range
+// walks happen.
+func TestSessionViewRangeMatchesNestedLoop(t *testing.T) {
+	defs := []*relation.RelDef{
+		{Name: "q", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}, {Name: "b", Type: relation.TString}}},
+		{Name: "r", Attrs: []relation.Attr{
+			{Name: "a", Type: relation.TBool}, {Name: "b", Type: relation.TFloat}, {Name: "c", Type: relation.TInt},
+		}},
+	}
+	value := func(rnd *rand.Rand, typ relation.Type) relation.Value {
+		if rnd.Intn(8) == 0 {
+			return relation.Null([]string{"n1", "n2"}[rnd.Intn(2)])
+		}
+		switch typ {
+		case relation.TInt:
+			return relation.Int(rnd.Intn(9) - 2)
+		case relation.TString:
+			return relation.Str([]string{"", "a", "a\x00", "b"}[rnd.Intn(4)])
+		case relation.TBool:
+			return relation.Bool(rnd.Intn(2) == 0)
+		default:
+			return relation.Float([]float64{math.Copysign(0, -1), 0, math.NaN(), 1.5}[rnd.Intn(4)])
+		}
+	}
+	types := []relation.Type{relation.TInt, relation.TString, relation.TBool, relation.TFloat}
+	ops := []cq.CmpOp{cq.OpEq, cq.OpNe, cq.OpLt, cq.OpLe, cq.OpGt, cq.OpGe}
+	qa := cq.NewAtom("q", cq.V("x"), cq.V("y"))
+	ra := cq.NewAtom("r", cq.V("z"), cq.V("w"), cq.V("x"))
+	bodies := [][]cq.Atom{{qa}, {ra}, {qa, ra}, {ra, qa}}
+	walks := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		db := storage.MustOpenMem()
+		overlay := relation.NewSet()
+		in := relation.NewInstance()
+		for _, def := range defs {
+			if err := db.DefineRelation(def); err != nil {
+				t.Fatal(err)
+			}
+			var stored []relation.Tuple
+			for i, n := 0, rnd.Intn(30); i < n; i++ {
+				tu := make(relation.Tuple, def.Arity())
+				for j, a := range def.Attrs {
+					tu[j] = value(rnd, a.Type)
+				}
+				in.Insert(def.Name, tu)
+				switch rnd.Intn(3) {
+				case 0:
+					overlay.Insert(def.Name, tu.Key(), tu)
+				case 1:
+					overlay.Insert(def.Name, tu.Key(), tu) // shadowed by the snapshot
+					fallthrough
+				default:
+					stored = append(stored, tu)
+				}
+			}
+			if _, err := db.InsertMany(def.Name, stored); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := view{snap: db.Snapshot(), overlay: overlay}
+		db.Close()
+
+		// The walk itself: every tuple the range holds, once, shadowed
+		// overlay copies included.
+		for _, def := range defs {
+			pos := rnd.Intn(def.Arity())
+			c := value(rnd, []relation.Type{relation.TInt, relation.TString, relation.TBool}[rnd.Intn(3)])
+			if c.IsNull() {
+				continue
+			}
+			var want, got []relation.Tuple
+			for _, tu := range in.Tuples(def.Name) {
+				if tu[pos].Compare(c) >= 0 {
+					want = append(want, tu)
+				}
+			}
+			v.ScanRange(def.Name, pos, relation.Range{}.AtLeast(c), func(tu relation.Tuple) bool {
+				got = append(got, tu)
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: %s at %d from %v walked %d tuples, want %d", seed, def.Name, pos, c, len(got), len(want))
+			}
+			mustEqualTuples(t, fmt.Sprintf("seed %d: walk of %s at %d from %v", seed, def.Name, pos, c), want, got)
+		}
+
+		q := &cq.Query{Head: cq.NewAtom("ans", cq.V("x")), Body: bodies[rnd.Intn(len(bodies))]}
+		vars := q.BodyVars()
+		for i, n := 0, rnd.Intn(4)+1; i < n; i++ {
+			c := cq.Comparison{Op: ops[rnd.Intn(len(ops))], L: cq.V(vars[rnd.Intn(len(vars))]), R: cq.C(value(rnd, types[rnd.Intn(len(types))]))}
+			if rnd.Intn(3) == 0 {
+				c.L, c.R = c.R, c.L
+			}
+			q.Cmps = append(q.Cmps, c)
+			if rnd.Intn(5) == 0 { // a duplicate
+				q.Cmps = append(q.Cmps, c)
+			}
+		}
+		want, err := cq.Eval(q, in, cq.EvalOptions{Strategy: cq.NestedLoop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spy := &rangeSpy{view: v}
+		got, err := cq.Eval(q, spy, cq.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualTuples(t, fmt.Sprintf("seed %d: %s", seed, q), want, got)
+		walks += spy.walks
+	}
+	if walks < 100 {
+		t.Fatalf("weak generator: %d range walks", walks)
+	}
+}
+
+// rangeSpy is the session view counting its range walks.
+type rangeSpy struct {
+	view
+	walks int
+}
+
+func (s *rangeSpy) ScanRange(rel string, pos int, r relation.Range, fn func(relation.Tuple) bool) {
+	s.walks++
+	s.view.ScanRange(rel, pos, r, fn)
 }

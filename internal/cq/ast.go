@@ -138,6 +138,23 @@ func (o CmpOp) Eval(l, r relation.Value) bool {
 	}
 }
 
+// flip returns the operator with its operands swapped: l op r holds exactly
+// when r op.flip() l does.
+func (o CmpOp) flip() CmpOp {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	default:
+		return o
+	}
+}
+
 // Comparison is a predicate "l op r" over terms.
 type Comparison struct {
 	Op   CmpOp

@@ -18,15 +18,20 @@ import (
 // TestQuickStrategiesAgree, extended with head constants, marked nulls and
 // duplicate delta tuples.
 
-// probeSpy is an EqScanner over a relation.Set that counts probes.
+// probeSpy is an EqScanner over a relation.Set that counts probes. It hides
+// the set's ScanRange: a range walk at a position past the first delivers by
+// value, not in key order, and these properties compare orders across the
+// probe step alone (TestRangeDifferential covers the range path).
 type probeSpy struct {
-	*relation.Set
+	set    *relation.Set
 	probes int
 }
 
+func (s *probeSpy) Scan(rel string, fn func(relation.Tuple) bool) { s.set.Scan(rel, fn) }
+
 func (s *probeSpy) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
 	s.probes++
-	s.Set.ScanEq(rel, pos, v, fn)
+	s.set.ScanEq(rel, pos, v, fn)
 }
 
 // scanOnly hides a source's ScanEq, which keeps the hash build over
@@ -110,7 +115,7 @@ func TestDifferentialIndexProbe(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		data := randomTuples(rnd, 12)
 		q := randomQueryWithConsts(rnd)
-		spy := &probeSpy{Set: toSet(data)}
+		spy := &probeSpy{set: toSet(data)}
 		probed, err := Eval(q, spy, EvalOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %s: %v", seed, q, err)
@@ -144,7 +149,7 @@ func TestIndexProbePathTaken(t *testing.T) {
 		data["q"] = append(data["q"], relation.Tuple{relation.Int(i), relation.Int(i + 1)})
 	}
 	join := MustParseQuery(`ans(z) :- q(7, y), q(y, z)`)
-	spy := &probeSpy{Set: toSet(data)}
+	spy := &probeSpy{set: toSet(data)}
 	got, err := Eval(join, spy, EvalOptions{})
 	if err != nil || len(got) != 1 || got[0][0] != relation.Int(9) {
 		t.Fatalf("self-join = %v, %v", got, err)
@@ -155,7 +160,7 @@ func TestIndexProbePathTaken(t *testing.T) {
 
 	// An outer set past probeMaxOuter keeps the hash build too.
 	wide := MustParseQuery(`ans(x, z) :- q(x, y), q(y, z)`)
-	spy = &probeSpy{Set: toSet(data)}
+	spy = &probeSpy{set: toSet(data)}
 	if _, err := Eval(wide, spy, EvalOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestIndexProbePathTaken(t *testing.T) {
 
 	// The delta atom is never probed: it is scanned from the delta.
 	delta := []relation.Tuple{{relation.Int(3), relation.Int(4)}}
-	spy = &probeSpy{Set: toSet(data)}
+	spy = &probeSpy{set: toSet(data)}
 	if _, err := EvalDelta(wide.Body, nil, []string{"x", "z"}, spy, "q", delta, EvalOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +248,7 @@ func TestDifferentialSingleAtom(t *testing.T) {
 		data := randomTuples(rnd, 12)
 		delta := randomTuples(rnd, 8)[atom.Rel]
 		set := distinct(delta)
-		src := &probeSpy{Set: toSet(data)}
+		src := &probeSpy{set: toSet(data)}
 
 		fast, err1 := evalProject(head, body, nil, src, nil, nil, false, EvalOptions{})
 		general, err2 := evalProject(head, body, nil, src, nil, nil, false, EvalOptions{Strategy: NestedLoop})
@@ -279,8 +284,8 @@ func TestDifferentialSingleAtom(t *testing.T) {
 	// once a tuple matches.
 	body := []Atom{{Rel: "q", Terms: []Term{V("a"), V("b")}}}
 	head := []Term{V("nope")}
-	some := &probeSpy{Set: toSet(map[string][]relation.Tuple{"q": {{relation.Int(1), relation.Int(2)}}})}
-	none := &probeSpy{Set: relation.NewSet()}
+	some := &probeSpy{set: toSet(map[string][]relation.Tuple{"q": {{relation.Int(1), relation.Int(2)}}})}
+	none := &probeSpy{set: relation.NewSet()}
 	for _, opts := range []EvalOptions{{}, {Strategy: NestedLoop}} {
 		if _, err := evalProject(head, body, nil, some, nil, nil, false, opts); err == nil {
 			t.Errorf("strategy %d: unbound projection variable accepted", opts.Strategy)

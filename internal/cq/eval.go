@@ -30,14 +30,27 @@ type EqScanner interface {
 	ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool)
 }
 
+// RangeScanner is optionally implemented by sources that can enumerate the
+// tuples whose value at one position lies in a relation.Range as one ordered
+// index walk — O(log n + matches), amortised (storage snapshots,
+// relation.Set and the session view do). The evaluator pushes the constant
+// comparison bounds of a variable down to the atom that binds it first,
+// when that atom has no constant of its own (see rangeBounds). Comparisons
+// are re-checked on every binding, so the range only narrows the scan to a
+// superset of the matches.
+type RangeScanner interface {
+	ScanRange(rel string, pos int, r relation.Range, fn func(relation.Tuple) bool)
+}
+
 // Strategy selects the join algorithm.
 type Strategy uint8
 
 const (
 	// HashJoin builds hash tables on shared variables (default).
 	HashJoin Strategy = iota
-	// NestedLoop re-scans each atom per partial binding; kept for the A3
-	// ablation and as a correctness reference.
+	// NestedLoop re-scans each atom per partial binding, pushing down
+	// constants but no range: the correctness reference the differential
+	// and oracle tests compare the hash join against.
 	NestedLoop
 )
 
@@ -172,6 +185,7 @@ type plan struct {
 	varIdx map[string]int
 	atoms  []patom
 	cmps   []pcmp
+	empty  bool // the constant comparisons of some variable admit no value
 }
 
 type patom struct {
@@ -179,6 +193,14 @@ type patom struct {
 	varPos []int            // per term: variable index, or -1 for constant
 	consts []relation.Value // per term: constant when varPos == -1
 	delta  bool             // scan the delta slice instead of src
+	bound  *posRange        // the range a RangeScanner source walks, or nil
+}
+
+// posRange is the range of values the comparisons admit at one position of
+// an atom.
+type posRange struct {
+	pos int
+	r   relation.Range
 }
 
 func (pa *patom) hasConst() bool {
@@ -199,9 +221,15 @@ type pcmp struct {
 }
 
 // compile builds the plan: atom order chosen greedily (delta atom first,
-// then most-constants, then max shared bound variables).
-func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
+// then most-constants, then range-bounded, then max shared bound variables).
+// With pushRanges, every constant-free atom that binds a variable first is
+// given the range its constant comparisons admit (see rangeBounds).
+func compile(body []Atom, cmps []Comparison, deltaAtom *int, pushRanges bool) *plan {
 	p := &plan{varIdx: make(map[string]int)}
+	var bounds map[string]relation.Range
+	if pushRanges {
+		bounds = rangeBounds(cmps)
+	}
 	intern := func(v string) int {
 		if i, ok := p.varIdx[v]; ok {
 			return i
@@ -235,11 +263,16 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 					score += 4
 				}
 			}
-			shared := 0
+			shared, ranged := 0, false
 			for _, v := range atomVars[ai] {
 				if boundVars[v] {
 					shared++
+				} else if _, ok := bounds[v]; ok {
+					ranged = true
 				}
+			}
+			if ranged {
+				score += 2 // below one constant
 			}
 			if len(order) > 0 && shared == 0 && score < 1<<20 {
 				score -= 1 << 10 // discourage cartesian products
@@ -262,6 +295,11 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 		pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms))}
 		for ti, t := range a.Terms {
 			if t.IsVar() {
+				if _, seen := p.varIdx[t.Var]; !seen && pa.bound == nil {
+					if r, ok := bounds[t.Var]; ok {
+						pa.bound = &posRange{pos: ti, r: r}
+					}
+				}
 				pa.varPos[ti] = intern(t.Var)
 			} else {
 				pa.varPos[ti] = -1
@@ -271,7 +309,13 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 		if deltaAtom != nil && ai == *deltaAtom {
 			pa.delta = true
 		}
+		if pa.delta || pa.hasConst() {
+			pa.bound = nil
+		}
 		p.atoms = append(p.atoms, pa)
+	}
+	for _, r := range bounds {
+		p.empty = p.empty || r.Empty()
 	}
 
 	// Compile comparisons and find the earliest prefix after which each is
@@ -325,6 +369,54 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 	return p
 }
 
+// rangeBounds folds the comparisons of a variable with a constant — x op c
+// or c op x, op one of = < <= > >= — into the tightest relation.Range of the
+// values they admit, per variable; nil when there is none. The range rests
+// on one premise: at the constant, encoding order is Value.Compare order. It
+// holds at an int, string or bool constant, and values of other kinds sit
+// wholly on one side of the bound in both orders (both order by kind first),
+// so the range is a superset of the matches. It fails at a Float (-0.0 and
+// +0.0 encode apart but compare equal, NaN compares equal to every float)
+// and does not describe a marked null (CmpOp.Eval holds no ordering with a
+// null and decides = by label), so neither is pushed.
+func rangeBounds(cmps []Comparison) map[string]relation.Range {
+	var out map[string]relation.Range
+	for _, c := range cmps {
+		x, k, op := c.L, c.R, c.Op
+		if !x.IsVar() {
+			x, k, op = c.R, c.L, op.flip()
+		}
+		if !x.IsVar() || k.IsVar() {
+			continue
+		}
+		switch k.Const.Kind {
+		case relation.KindInt, relation.KindString, relation.KindBool:
+		default:
+			continue
+		}
+		r := out[x.Var]
+		switch op {
+		case OpEq:
+			r = r.AtLeast(k.Const).AtMost(k.Const)
+		case OpLt:
+			r = r.Below(k.Const)
+		case OpLe:
+			r = r.AtMost(k.Const)
+		case OpGt:
+			r = r.Above(k.Const)
+		case OpGe:
+			r = r.AtLeast(k.Const)
+		default:
+			continue
+		}
+		if out == nil {
+			out = make(map[string]relation.Range)
+		}
+		out[x.Var] = r
+	}
+	return out
+}
+
 func (c *pcmp) eval(b *binding) bool {
 	l, r := c.lConst, c.rConst
 	if c.lVar >= 0 {
@@ -344,13 +436,13 @@ func unify(pa *patom, t relation.Tuple, b *binding) bool {
 	}
 	for i, vp := range pa.varPos {
 		if vp < 0 {
-			if t[i] != pa.consts[i] {
+			if !t[i].Equal(pa.consts[i]) {
 				return false
 			}
 			continue
 		}
 		if b.bound[vp] {
-			if b.vals[vp] != t[i] {
+			if !b.vals[vp].Equal(t[i]) {
 				return false
 			}
 			continue
@@ -373,7 +465,7 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 		useDelta := deltaAtom != nil
 		return projectAtom(terms, &body[0], src, useDelta, delta, !useDelta || setDelta)
 	}
-	p := compile(body, cmps, deltaAtom)
+	p := compile(body, cmps, deltaAtom, opts.Strategy != NestedLoop)
 	var bindings []*binding
 	switch opts.Strategy {
 	case NestedLoop:
@@ -464,10 +556,10 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 		}
 		for ti, vp := range pa.varPos {
 			if vp < 0 {
-				if t[ti] != pa.consts[ti] {
+				if !t[ti].Equal(pa.consts[ti]) {
 					return true
 				}
-			} else if t[vp] != t[ti] {
+			} else if vp != ti && !t[vp].Equal(t[ti]) {
 				return true
 			}
 		}
@@ -511,15 +603,22 @@ func scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(relation.Tu
 		}
 		return
 	}
-	// Constant pushdown: let an index-capable source enumerate only the
-	// tuples matching the atom's first constant. unify re-checks every
-	// constant, so this is purely an access-path optimisation.
+	// Constant and range pushdown: let an index-capable source enumerate
+	// only the tuples matching the atom's first constant, or else lying in
+	// its range. unify re-checks every constant and extend every
+	// comparison, so this is purely an access-path optimisation.
 	if eq, ok := src.(EqScanner); ok {
 		for ti, vp := range pa.varPos {
 			if vp < 0 {
 				eq.ScanEq(pa.rel, ti, pa.consts[ti], fn)
 				return
 			}
+		}
+	}
+	if pa.bound != nil {
+		if rs, ok := src.(RangeScanner); ok {
+			rs.ScanRange(pa.rel, pa.bound.pos, pa.bound.r, fn)
+			return
 		}
 	}
 	src.Scan(pa.rel, fn)
@@ -552,6 +651,9 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 // via one index probe per binding, so the cost follows the bindings rather
 // than the relation (an index nested-loop step; same tuples, same order).
 func (p *plan) evalHash(src Source, delta []relation.Tuple) []*binding {
+	if p.empty {
+		return nil
+	}
 	cur := []*binding{{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))}}
 	boundSoFar := make([]bool, len(p.vars))
 	eq, _ := src.(EqScanner)
@@ -594,7 +696,7 @@ func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTe
 			return true
 		}
 		for ti, vp := range pa.varPos {
-			if vp < 0 && t[ti] != pa.consts[ti] {
+			if vp < 0 && !t[ti].Equal(pa.consts[ti]) {
 				return true
 			}
 		}

@@ -15,9 +15,9 @@ import (
 // Position 0 is probed on the primary: a tuple key begins with the encoding
 // of its first value, so a value-prefix scan of it enumerates what a
 // (value ‖ key) index would, in the same order. Secondary trees for the
-// other positions are built by the first ScanEq that probes one and
-// maintained by every later Insert, so an equality probe costs
-// O(log n + matches) — amortised, like the storage snapshots' lazy
+// other positions are built by the first ScanRange over one and
+// maintained by every later Insert, so an equality probe or a range scan
+// costs O(log n + matches) — amortised, like the storage snapshots' lazy
 // secondary views. Because a probe may build an index, a Set is not safe
 // for concurrent use, readers included.
 //
@@ -144,18 +144,19 @@ func (s *Set) Scan(rel string, fn func(Tuple) bool) {
 	s.ScanKeys(rel, func(_ string, t Tuple) bool { return fn(t) })
 }
 
-// ScanEqKeys calls fn with every tuple whose value at position pos equals v,
-// and its key, in key order. Tuples too short to have that position never
+// ScanRangeKeys calls fn with every tuple whose value at position pos lies
+// in rg, and its key: in key order at position 0 (a walk of the primary), by
+// value and then key order elsewhere (a walk of the position's secondary
+// tree, built on first use). Tuples too short to have that position never
 // match.
-func (s *Set) ScanEqKeys(rel string, pos int, v Value, fn func(key string, t Tuple) bool) {
+func (s *Set) ScanRangeKeys(rel string, pos int, rg Range, fn func(key string, t Tuple) bool) {
 	r := s.rels[rel]
 	if r == nil || pos < 0 {
 		return
 	}
-	var buf [32]byte
-	prefix := string(EncodeValue(buf[:0], v))
+	from, to := rg.Keys()
 	if pos == 0 {
-		r.primary.AscendPrefix(prefix, func(key string, slot int) bool { return fn(key, r.rows[slot]) })
+		r.primary.Ascend(from, to, func(key string, slot int) bool { return fn(key, r.rows[slot]) })
 		return
 	}
 	idx := r.second[pos]
@@ -172,12 +173,22 @@ func (s *Set) ScanEqKeys(rel string, pos int, v Value, fn func(key string, t Tup
 		}
 		r.second[pos] = idx
 	}
-	idx.AscendPrefix(prefix, func(k string, slot int) bool { return fn(k[len(prefix):], r.rows[slot]) })
+	idx.Ascend(from, to, func(k string, slot int) bool {
+		t := r.rows[slot]
+		return fn(k[t[pos].EncodedLen():], t)
+	})
 }
 
-// ScanEq is ScanEqKeys without the keys (the cq.EqScanner signature).
+// ScanRange is ScanRangeKeys without the keys (the cq.RangeScanner
+// signature).
+func (s *Set) ScanRange(rel string, pos int, rg Range, fn func(Tuple) bool) {
+	s.ScanRangeKeys(rel, pos, rg, func(_ string, t Tuple) bool { return fn(t) })
+}
+
+// ScanEq is the point range of v (the cq.EqScanner signature): the tuples
+// whose value at position pos equals v, in key order.
 func (s *Set) ScanEq(rel string, pos int, v Value, fn func(Tuple) bool) {
-	s.ScanEqKeys(rel, pos, v, func(_ string, t Tuple) bool { return fn(t) })
+	s.ScanRange(rel, pos, Point(v), fn)
 }
 
 // Union accumulates duplicate-free batches of tuples into one duplicate-free

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,8 +10,8 @@ import (
 // replaced on the session data path with the same random inserts — mixed
 // arities, nulls, duplicates — and compares, at random points so that
 // secondary trees are both built late and maintained afterwards: Insert's
-// verdict, Len, HasKey, the scan order, and every equality probe against a
-// filtered scan.
+// verdict, Len, HasKey, the scan order, and every equality probe and range
+// scan against a filtered scan.
 func TestSetMatchesInstance(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -46,7 +47,7 @@ func TestSetMatchesInstance(t *testing.T) {
 					}
 				}
 				j := 0
-				set.ScanEqKeys("r", pos, v, func(key string, tu Tuple) bool {
+				set.ScanRangeKeys("r", pos, Point(v), func(key string, tu Tuple) bool {
 					if j >= len(filtered) || !tu.Equal(filtered[j]) || key != tu.Key() {
 						t.Fatalf("seed %d: ScanEq(%d, %v) position %d = %v, want one of %v in order", seed, pos, v, j, tu, filtered)
 					}
@@ -56,6 +57,7 @@ func TestSetMatchesInstance(t *testing.T) {
 				if j != len(filtered) {
 					t.Fatalf("seed %d: ScanEq(%d, %v) delivered %d tuples, want %d", seed, pos, v, j, len(filtered))
 				}
+				checkRange(t, set, want, pos, rnd)
 			}
 		}
 		for i, n := 0, rnd.Intn(200); i < n; i++ {
@@ -165,5 +167,57 @@ func TestSetProbesFirstPositionOnPrimary(t *testing.T) {
 	s.ScanEq("r", 1, Int(4), func(Tuple) bool { n++; return true })
 	if n != 4 || len(s.rels["r"].second) != 1 {
 		t.Fatalf("position-1 probe: %d matches in all, %d secondary trees; want 4 and 1", n, len(s.rels["r"].second))
+	}
+}
+
+// checkRange compares one random range scan of set at pos with the tuples of
+// want (key order) whose value there the range admits, ordered by that value
+// and then by key. The data holds ints and nulls, whose encoding order is
+// Value.Compare, so admission is decided by Compare.
+func checkRange(t *testing.T, set *Set, want []Tuple, pos int, rnd *rand.Rand) {
+	t.Helper()
+	rg := Range{}
+	var admits []func(Value) bool
+	for i, n := 0, rnd.Intn(3); i < n; i++ {
+		c := Int(rnd.Intn(6) - 1)
+		switch rnd.Intn(4) {
+		case 0:
+			rg = rg.AtLeast(c)
+			admits = append(admits, func(v Value) bool { return v.Compare(c) >= 0 })
+		case 1:
+			rg = rg.Above(c)
+			admits = append(admits, func(v Value) bool { return v.Compare(c) > 0 })
+		case 2:
+			rg = rg.AtMost(c)
+			admits = append(admits, func(v Value) bool { return v.Compare(c) <= 0 })
+		default:
+			rg = rg.Below(c)
+			admits = append(admits, func(v Value) bool { return v.Compare(c) < 0 })
+		}
+	}
+	var filtered []Tuple
+	for _, tu := range want {
+		ok := pos < len(tu)
+		for _, a := range admits {
+			ok = ok && a(tu[pos])
+		}
+		if ok {
+			filtered = append(filtered, tu)
+		}
+	}
+	if rg.Empty() && len(filtered) > 0 {
+		t.Fatalf("range %v over %d admits %v but is empty", rg, pos, filtered)
+	}
+	slices.SortStableFunc(filtered, func(a, b Tuple) int { return a[pos].Compare(b[pos]) })
+	var got []Tuple
+	set.ScanRangeKeys("r", pos, rg, func(key string, tu Tuple) bool {
+		if key != tu.Key() {
+			t.Fatalf("range scan key %q for %v", key, tu)
+		}
+		got = append(got, tu)
+		return true
+	})
+	if !slices.EqualFunc(got, filtered, Tuple.Equal) {
+		t.Fatalf("range %v over %d = %v, want %v", rg, pos, got, filtered)
 	}
 }

@@ -21,7 +21,7 @@ func (t Tuple) Equal(u Tuple) bool {
 		return false
 	}
 	for i := range t {
-		if t[i] != u[i] {
+		if !t[i].Equal(u[i]) {
 			return false
 		}
 	}

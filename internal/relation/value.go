@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -112,10 +113,18 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports value equality. Marked nulls are equal iff their labels are
+// Equal reports value identity: whether v and w encode alike, which is what
+// makes two tuples one key. Marked nulls are equal iff their labels are
 // equal; values of different kinds are never equal (no numeric coercion:
-// schemas are typed, so kinds always line up for well-typed data).
-func (v Value) Equal(w Value) bool { return v == w }
+// schemas are typed, so kinds always line up for well-typed data). Floats
+// compare by bits, not by ==: -0.0 and +0.0 are two values, and NaN is
+// equal to itself.
+func (v Value) Equal(w Value) bool {
+	if v.Kind == KindFloat {
+		return w.Kind == KindFloat && math.Float64bits(v.Float) == math.Float64bits(w.Float)
+	}
+	return v == w
+}
 
 // Compare orders values: null < bool < int < float < string across kinds
 // (kind order is only used for heterogeneous data, e.g. index keys over

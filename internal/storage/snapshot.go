@@ -31,11 +31,11 @@ type Snapshot struct {
 // made.
 //
 // An attribute position the relation has no index for gets one on the first
-// ScanEq that probes it, built from the view's own primary with no table
-// lock and kept in sec for every snapshot sharing the view. If the view is
-// still the relation's current state at its next write, the table adopts
-// that index and maintains it (table.beginWrite), so the build is paid once
-// per position, not once per commit.
+// ScanRange (or ScanEq, its point case) over it, built from the view's own
+// primary with no table lock and kept in sec for every snapshot sharing the
+// view. If the view is still the relation's current state at its next write,
+// the table adopts that index and maintains it (table.beginWrite), so the
+// build is paid once per position, not once per commit.
 type tableSnap struct {
 	def     *relation.RelDef
 	primary *btree.Map[relation.Tuple]
@@ -162,32 +162,26 @@ func (s *Snapshot) Scan(rel string, fn func(relation.Tuple) bool) {
 	}
 }
 
-// ScanEq scans the tuples whose attribute at position pos equals v, in key
-// order, as an index probe: the view's index over the position (see
-// tableSnap.index) is entered at the value prefix. Within one value prefix
-// the index order is the tuple-key order (the value encoding is
-// prefix-free), so the result is bit-identical to a filtered full scan — at
-// O(log n + matches) instead of O(n).
-func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
+// ScanRange scans the tuples whose attribute at position pos lies in r, as
+// one ordered walk of the view's index over the position (see
+// tableSnap.index): O(log n + matches) instead of O(n). Position 0 walks the
+// primary, so the tuples come in key order, as Scan delivers them; another
+// position delivers them by value, and within one value in key order (the
+// value encoding is prefix-free).
+func (s *Snapshot) ScanRange(rel string, pos int, r relation.Range, fn func(relation.Tuple) bool) {
 	t, ok := s.tables[rel]
 	if !ok || pos < 0 || pos >= t.def.Arity() {
 		return
 	}
-	prefix := string(relation.EncodeValue(nil, v))
-	t.index(pos).Ascend(prefix, prefixSuccessor(prefix), func(_ string, row relation.Tuple) bool { return fn(row) })
+	from, to := r.Keys()
+	t.index(pos).Ascend(from, to, func(_ string, row relation.Tuple) bool { return fn(row) })
 }
 
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix ("" when no such string exists).
-func prefixSuccessor(p string) string {
-	b := []byte(p)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
+// ScanEq scans the tuples whose attribute at position pos equals v, in key
+// order: the point range of v. The result is bit-identical to a filtered
+// full scan.
+func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
+	s.ScanRange(rel, pos, relation.Point(v), fn)
 }
 
 // Tuples returns all tuples of the relation as of the snapshot, in key

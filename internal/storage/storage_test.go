@@ -233,22 +233,6 @@ func TestSecondaryIndexScanEq(t *testing.T) {
 	}
 }
 
-func TestPrefixSuccessor(t *testing.T) {
-	cases := map[string]string{
-		"abc":             "abd",
-		"ab\xff":          "ac",
-		"\xff\xff":        "",
-		"":                "",
-		"a\xff\xff":       "b",
-		string([]byte{0}): string([]byte{1}),
-	}
-	for in, want := range cases {
-		if got := prefixSuccessor(in); got != want {
-			t.Errorf("prefixSuccessor(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestInstanceExport(t *testing.T) {
 	db := newEmpDB(t)
 	db.Insert("emp", emp(1, "a"))

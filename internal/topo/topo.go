@@ -61,7 +61,7 @@ const (
 	// caches deduplicate.
 	ProjectionRule
 	// JoinRule maps data(x,z) <- data(x,y), data(y,z): a self-join at
-	// the exporter, exercising the join strategies (A3).
+	// the exporter, exercising the hash join and its nested-loop reference.
 	JoinRule
 )
 
