@@ -770,11 +770,11 @@ func (nw *Network) Query(ctx context.Context, node, query string, mode QueryMode
 	if p == nil {
 		return nil, unknownPeer(node)
 	}
-	q, err := cq.ParseQuery(query)
+	st, err := p.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return p.Query(ctx, q, mode)
+	return st.Query(ctx, mode)
 }
 
 // QueryStream is Query with streaming results: answers arrive on the first
@@ -785,11 +785,11 @@ func (nw *Network) QueryStream(node, query string, mode QueryMode) (<-chan Tuple
 	if p == nil {
 		return nil, nil, unknownPeer(node)
 	}
-	q, err := cq.ParseQuery(query)
+	st, err := p.Prepare(query)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.QueryStream(q, mode)
+	return st.QueryStream(mode)
 }
 
 // PeerReadStats returns a node's query-cache counters; ok is false for
@@ -871,11 +871,11 @@ func (nw *Network) LocalQuery(node, query string, mode QueryMode) ([]Tuple, erro
 	if p == nil {
 		return nil, unknownPeer(node)
 	}
-	q, err := cq.ParseQuery(query)
+	st, err := p.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return p.LocalQuery(q, mode)
+	return st.LocalQuery(mode)
 }
 
 // SuperPeer returns (starting on first use) the network's super-peer.

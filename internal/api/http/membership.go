@@ -23,7 +23,7 @@ func (s *Server) handleMembershipJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req joinRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -54,7 +54,7 @@ func (s *Server) handleMembershipLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaveRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}

@@ -36,7 +36,9 @@
 //
 // Failures are JSON objects {"error": "..."} with a status code derived
 // from the error's sentinel: cq.ErrBadQuery maps to 400, ErrUnknownNode to
-// 404, peer.ErrStopped to 503, context deadline/cancel to 504.
+// 404, a request body over wire.MaxFrame to 413, peer.ErrStopped to 503,
+// context deadline/cancel to 504. A request body is one JSON value with no
+// undeclared field and nothing after it.
 package httpapi
 
 import (
@@ -44,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -54,6 +57,8 @@ import (
 	"codb/internal/cq"
 	"codb/internal/msg"
 	"codb/internal/peer"
+	"codb/internal/relation"
+	"codb/internal/wire"
 )
 
 // ErrUnknownNode is the sentinel for requests addressing a node the
@@ -84,6 +89,9 @@ type Server struct {
 	srv  *http.Server
 	opts Options
 	log  *slog.Logger
+	// maxBody bounds a request body: wire.MaxFrame, the largest batch a
+	// peer accepts from another.
+	maxBody int64
 }
 
 // New binds the listen address and starts serving. A bind failure is
@@ -103,7 +111,7 @@ func New(opts Options) (*Server, error) {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	s := &Server{ln: ln, opts: opts, log: log}
+	s := &Server{ln: ln, opts: opts, log: log, maxBody: wire.MaxFrame}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -165,6 +173,8 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, cq.ErrBadQuery):
 		return http.StatusBadRequest
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownNode):
 		return http.StatusNotFound
 	case errors.Is(err, peer.ErrStopped):
@@ -190,13 +200,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // decodeBody decodes a JSON request body into dst with numbers kept exact.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("%w: request body: %v", cq.ErrBadQuery, err)
+// The body is one JSON value of at most s.maxBody bytes with no field dst
+// does not declare (a misspelt "mdoe" must not silently select the
+// default) and nothing after it. A larger body fails with an
+// *http.MaxBytesError (413), any other violation with cq.ErrBadQuery (400).
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	if r.ContentLength > s.maxBody {
+		// Declared too large: refuse without reading it.
+		return fmt.Errorf("request body: %w", &http.MaxBytesError{Limit: s.maxBody})
 	}
-	return nil
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.UseNumber()
+	dec.DisallowUnknownFields()
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("trailing data after the JSON value")
+		} else if terr != io.EOF {
+			err = terr
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return fmt.Errorf("request body: %w", err)
+	}
+	return fmt.Errorf("%w: request body: %v", cq.ErrBadQuery, err)
 }
 
 // requestCtx applies an optional ?timeout= duration to the request context.
@@ -273,7 +303,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -282,13 +312,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	q, err := cq.ParseQuery(req.Query)
+	st, err := p.Prepare(req.Query)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
 	if wantsNDJSON(r) {
-		s.streamQuery(w, r, p, q, mode, req.Local)
+		s.streamQuery(w, st, mode, req.Local)
 		return
 	}
 	ctx, cancel, err := requestCtx(r)
@@ -297,22 +327,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	var rows []relationTuple
+	var got []relation.Tuple
 	if req.Local {
-		got, err := p.LocalQuery(q, mode)
-		if err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
-		rows = tuplesToJSON(got)
+		got, err = st.LocalQuery(mode)
 	} else {
-		got, err := p.Query(ctx, q, mode)
-		if err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
-		rows = tuplesToJSON(got)
+		got, err = st.Query(ctx, mode)
 	}
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
+	rows := tuplesToJSON(got)
 	writeJSON(w, http.StatusOK, map[string]any{"answers": rows, "count": len(rows)})
 }
 
@@ -320,7 +345,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // then a final object line {"done":true,"count":n[,"report":{...}]}.
 // Headers go out before evaluation completes, so failures mid-stream can
 // only be reported in the trailer object's "error" field.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, p *peer.Peer, q *cq.Query, mode core.QueryMode, local bool) {
+func (s *Server) streamQuery(w http.ResponseWriter, st *peer.Statement, mode core.QueryMode, local bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -331,7 +356,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, p *peer.Pee
 		}
 	}
 	if local {
-		rows, err := p.LocalQuery(q, mode)
+		rows, err := st.LocalQuery(mode)
 		if err != nil {
 			enc.Encode(map[string]any{"done": true, "count": 0, "error": err.Error()})
 			return
@@ -343,7 +368,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, p *peer.Pee
 		flush()
 		return
 	}
-	answers, reports, err := p.QueryStream(q, mode)
+	answers, reports, err := st.QueryStream(mode)
 	if err != nil {
 		enc.Encode(map[string]any{"done": true, "count": 0, "error": err.Error()})
 		return
@@ -374,7 +399,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -409,7 +434,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -539,7 +564,7 @@ func (s *Server) handleLinkPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	rule := r.PathValue("rule")
 	var req linkPolicyRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}

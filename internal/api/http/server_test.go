@@ -1,9 +1,14 @@
 package httpapi
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"maps"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +19,7 @@ import (
 	"codb/internal/relation"
 	"codb/internal/storage"
 	"codb/internal/transport"
+	"codb/internal/wire"
 )
 
 // statsGateway fronts two peers on one bus — "store", over an in-memory
@@ -233,4 +239,118 @@ func membership(t *testing.T, base, node string) map[string]json.RawMessage {
 		t.Errorf("%s: /v1/stats/membership node = %s", node, obj["node"])
 	}
 	return field[map[string]json.RawMessage](t, obj, "membership")
+}
+
+// queryServer is a gateway fronting one store-backed peer that holds r(1)
+// and r(2), with request bodies bounded to maxBody bytes. Tests drive its
+// handlers directly, with no listener.
+func queryServer(t *testing.T, maxBody int64) (*Server, *peer.Peer) {
+	t.Helper()
+	db := storage.MustOpenMem()
+	t.Cleanup(func() { db.Close() })
+	if err := db.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := peer.New(peer.Options{Name: "A", Transport: transport.NewBus().MustJoin("A"), Wrapper: core.NewStoreWrapper(db)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	if err := p.Insert("r", relation.Tuple{relation.Int(1)}, relation.Tuple{relation.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	return &Server{opts: Options{Peer: p}, log: slog.New(slog.DiscardHandler), maxBody: maxBody}, p
+}
+
+// TestRequestBodyDecoding pins what a request body may be: one JSON value,
+// every field declared, nothing after it, at most the body bound.
+func TestRequestBodyDecoding(t *testing.T) {
+	const query = `{"query": "ans(a) :- r(a)", "local": true`
+	s, _ := queryServer(t, 256)
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		body    string
+		chunked bool // no Content-Length: only reading finds the size
+		code    int
+		errHas  string
+	}{
+		{"query", s.handleQuery, query + `}`, false, http.StatusOK, ""},
+		{"trailing whitespace", s.handleQuery, query + "}\n\t ", false, http.StatusOK, ""},
+		{"misspelt field", s.handleQuery, query + `, "mdoe": "certain"}`, false, http.StatusBadRequest, `unknown field "mdoe"`},
+		{"second value", s.handleQuery, query + `} {"query": "ans(a) :- r(a)"}`, false, http.StatusBadRequest, "trailing data"},
+		{"trailing garbage", s.handleQuery, query + `}x`, false, http.StatusBadRequest, "invalid character"},
+		{"truncated", s.handleQuery, query, false, http.StatusBadRequest, "unexpected EOF"},
+		{"declared over the bound", s.handleQuery, query + strings.Repeat(" ", 256) + `}`, false, http.StatusRequestEntityTooLarge, "too large"},
+		{"read over the bound", s.handleQuery, query + strings.Repeat(" ", 256) + `}`, true, http.StatusRequestEntityTooLarge, "too large"},
+		{"insert, unknown field", s.handleInsert, `{"relation": "r", "rows": [[3]], "row": [4]}`, false, http.StatusBadRequest, `unknown field "row"`},
+		{"update, trailing data", s.handleUpdate, `{}{}`, false, http.StatusBadRequest, "trailing data"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(c.body))
+			if c.chunked {
+				req.ContentLength = -1
+			}
+			rec := httptest.NewRecorder()
+			c.handler(rec, req)
+			if rec.Code != c.code {
+				t.Fatalf("status %d, want %d; body %s", rec.Code, c.code, rec.Body)
+			}
+			var resp map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if c.errHas == "" {
+				if resp["count"] != float64(2) {
+					t.Fatalf("response %v, want 2 answers", resp)
+				}
+				return
+			}
+			if msg, _ := resp["error"].(string); !strings.Contains(msg, c.errHas) {
+				t.Fatalf("error %q, want it to mention %q", msg, c.errHas)
+			}
+		})
+	}
+}
+
+// TestRepeatedQueryText: the same text twice through /v1/query is one
+// statement — the second request is a result-cache hit — in the sync and
+// the NDJSON form alike.
+func TestRepeatedQueryText(t *testing.T) {
+	s, p := queryServer(t, wire.MaxFrame)
+	for i, path := range []string{"/v1/query", "/v1/query", "/v1/query?stream=ndjson"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"query": "ans(a) :- r(a)", "local": true}`))
+		rec := httptest.NewRecorder()
+		s.handleQuery(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, rec.Code, rec.Body)
+		}
+		if want := `"count":2`; !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("request %d: body %s, want %s", i, rec.Body, want)
+		}
+	}
+	if st := p.ReadStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("read path %+v, want 1 miss then 2 hits", st)
+	}
+}
+
+// TestOversizeBodyRefused: a live gateway answers 413 to a body declared
+// larger than wire.MaxFrame, without waiting for the body.
+func TestOversizeBodyRefused(t *testing.T) {
+	base := statsGateway(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/query?node=store HTTP/1.1\r\nHost: codb\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{", wire.MaxFrame+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %s, want 413", resp.Status)
+	}
 }

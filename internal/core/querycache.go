@@ -164,3 +164,10 @@ func CacheKey(q *cq.Query, mode QueryMode) string {
 	b.WriteByte(byte('0' + mode))
 	return b.String()
 }
+
+// CacheKeys returns the cache key of a query under each answer mode,
+// indexed by mode — CacheKey for both — rendering the query once.
+func CacheKeys(q *cq.Query) [2]string {
+	all := CacheKey(q, AllAnswers)
+	return [2]string{all, all[:len(all)-1] + string(rune('0'+CertainAnswers))}
+}

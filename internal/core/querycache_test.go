@@ -91,6 +91,11 @@ func TestCacheKeyNormalization(t *testing.T) {
 	if CacheKey(a, AllAnswers) == CacheKey(a, CertainAnswers) {
 		t.Fatal("answer modes share a cache key")
 	}
+	for _, mode := range []QueryMode{AllAnswers, CertainAnswers} {
+		if got, want := CacheKeys(a)[mode], CacheKey(a, mode); got != want {
+			t.Fatalf("CacheKeys under mode %d = %s, want CacheKey's %s", mode, got, want)
+		}
+	}
 	c := cq.MustParseQuery(`ans(y, x) :- data(x, y), x > 3`)
 	if CacheKey(a, AllAnswers) == CacheKey(c, AllAnswers) {
 		t.Fatal("distinct projections share a cache key")

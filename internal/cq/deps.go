@@ -20,18 +20,6 @@ func DependsOn(in, out *Rule) bool {
 	return false
 }
 
-// RelevantTo reports whether outgoing rule `out`'s head writes any relation
-// in the given set (e.g. the relations a query's body reads, or their
-// transitive closure).
-func RelevantTo(out *Rule, rels map[string]bool) bool {
-	for _, h := range out.HeadRelations() {
-		if rels[h] {
-			return true
-		}
-	}
-	return false
-}
-
 // Closure computes the transitive closure of relation relevance inside one
 // node: starting from seed relations, repeatedly adds the body relations of
 // every local rule projection... coDB nodes do not rewrite locally, so the
@@ -41,14 +29,13 @@ func RelevantTo(out *Rule, rels map[string]bool) bool {
 // and the node's outgoing rules, it returns the set of outgoing rules whose
 // heads intersect the seeds.
 func Closure(seeds []string, outgoing []*Rule) []*Rule {
-	set := make(map[string]bool, len(seeds))
-	for _, s := range seeds {
-		set[s] = true
-	}
 	var out []*Rule
 	for _, r := range outgoing {
-		if RelevantTo(r, set) {
-			out = append(out, r)
+		for _, h := range r.Head {
+			if contains(seeds, h.Rel) {
+				out = append(out, r)
+				break
+			}
 		}
 	}
 	return out

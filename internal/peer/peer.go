@@ -222,7 +222,7 @@ func New(opts Options) (*Peer, error) {
 	}
 	p.readPath = newReadPath(opts.Name, opts.Wrapper, node, opts.Eval, opts.QueryCacheSize)
 	p.readPath.record = p.noteLocalQueryReport
-	p.readPath.beforeRead = p.maybePullForQuery
+	p.readPath.beforeRead = p.maybePullForRead
 	p.refreshReadRules() // loop not yet running: safe here
 	oo := opts.Outbox
 	userDrop := oo.OnDrop
@@ -890,66 +890,21 @@ func (p *Peer) RunScopedUpdate(ctx context.Context, rels []string) (msg.UpdateRe
 }
 
 // QueryStream starts a distributed query and returns a channel of streamed
-// answers (closed at completion) plus a completion-report channel. A query
-// with no relevant outgoing links — everything it reads is local, the
-// steady state after a global update — is answered entirely on the
-// concurrent read path (snapshot plus result cache), without entering the
-// actor loop or the session machinery.
+// answers (closed at completion) plus a completion-report channel; see
+// Statement.QueryStream.
 func (p *Peer) QueryStream(q *cq.Query, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
-	if answers, done, ok := p.readPath.tryLocalStream(q, mode); ok {
-		return answers, done, nil
-	}
-	sid := msg.NewSID(p.name)
-	w := &queryWaiter{answers: make(chan relation.Tuple, 1024), done: make(chan msg.UpdateReport, 1)}
-	var startErr error
-	if err := p.do(func() {
-		p.queries[sid] = w
-		res, err := p.node.StartQuery(sid, q, mode)
-		if err != nil {
-			startErr = err
-			delete(p.queries, sid)
-			return
-		}
-		p.dispatch(res)
-	}); err != nil {
-		return nil, nil, err
-	}
-	if startErr != nil {
-		return nil, nil, startErr
-	}
-	return w.answers, w.done, nil
+	return p.statement(q).QueryStream(mode)
 }
 
 // Query runs a distributed query to completion and returns all answers.
 func (p *Peer) Query(ctx context.Context, q *cq.Query, mode core.QueryMode) ([]relation.Tuple, error) {
-	answers, done, err := p.QueryStream(q, mode)
-	if err != nil {
-		return nil, err
-	}
-	var out []relation.Tuple
-	for {
-		select {
-		case a, ok := <-answers:
-			if !ok {
-				<-done
-				return out, nil
-			}
-			out = append(out, a)
-		case <-ctx.Done():
-			return out, fmt.Errorf("peer %s: query: %w", p.name, ctx.Err())
-		case <-p.stopped:
-			return out, fmt.Errorf("peer %s: stopped during query", p.name)
-		}
-	}
+	return p.statement(q).Query(ctx, mode)
 }
 
-// LocalQuery evaluates a query against local data only, on the concurrent
-// read path: evaluation happens on the caller's goroutine over a pinned
-// view, with results memoised in the LSN-invalidated query cache, so local
-// queries neither wait for nor delay the actor loop.
+// LocalQuery evaluates a query against local data only; see
+// Statement.LocalQuery.
 func (p *Peer) LocalQuery(q *cq.Query, mode core.QueryMode) ([]relation.Tuple, error) {
-	out, _, err := p.readPath.localQuery(q, mode)
-	return out, err
+	return p.statement(q).LocalQuery(mode)
 }
 
 // ReadStats returns the concurrent read path's query-cache counters.

@@ -24,7 +24,7 @@ func ctxT(t *testing.T) context.Context {
 
 // newBusPeer builds a peer on the bus with relations declared as "name/arity"
 // over ints.
-func newBusPeer(t *testing.T, bus *transport.Bus, name string, rels ...string) *Peer {
+func newBusPeer(t testing.TB, bus *transport.Bus, name string, rels ...string) *Peer {
 	t.Helper()
 	db := storage.MustOpenMem()
 	for _, spec := range rels {

@@ -474,29 +474,12 @@ func (p *Peer) sendLinkDemand(rule *cq.Rule, wantPull bool) {
 	}
 }
 
-// maybePullForQuery is the concurrent read path's pre-read hook: it counts
-// read demand per outgoing link and, when a stale pull link feeds one of
-// the queried relations, pulls it and waits up to the pull timeout so the
-// query observes fresh data (stale on timeout or a failed pull). Runs on
-// the reader's goroutine.
-func (p *Peer) maybePullForQuery(q *cq.Query) {
-	rp := p.readPath
-	rels := q.Relations()
-	rp.mu.RLock()
-	outgoing := rp.outgoing
-	rp.mu.RUnlock()
-	var touched []*cq.Rule
-	for _, rule := range outgoing {
-		for _, h := range rule.HeadRelations() {
-			if slices.Contains(rels, h) {
-				touched = append(touched, rule)
-				break
-			}
-		}
-	}
-	if len(touched) == 0 {
-		return
-	}
+// maybePullForRead is the concurrent read path's pre-read hook: it counts
+// read demand on each outgoing link a local read touches and, when one of
+// them is a stale pull link, pulls it and waits up to the pull timeout so
+// the read observes fresh data (stale on timeout or a failed pull). Runs
+// on the reader's goroutine.
+func (p *Peer) maybePullForRead(touched []*cq.Rule) {
 	var stale []string
 	var promote []*cq.Rule
 	p.prop.mu.Lock()

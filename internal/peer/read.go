@@ -27,24 +27,32 @@ import (
 // (storage commit LSN, rule-set version): any commit or rule broadcast
 // implicitly invalidates every older entry, so a cached answer is always
 // exactly what evaluating the query right now would return.
+//
+// Every read runs a Statement (stmt.go): query texts are parsed, keyed and
+// link-scanned once per peer, in the statement table, so a repeated read
+// costs a table lookup, the demand step over its links, one LSN compare
+// and the answers copy.
 type readPath struct {
 	name  string
 	w     core.Wrapper
 	node  *core.Node // only the atomic RuleSetVersion is touched off-loop
 	eval  cq.EvalOptions
 	cache *core.QueryCache
+	stmts *stmtTable
 
 	// record posts a bypassed query's synthetic report to the statistics
 	// module (set by the peer; never blocks the reader).
 	record func(msg.UpdateReport)
 	// beforeRead runs on the reader's goroutine ahead of every local query
-	// (set by the peer): it counts read demand per outgoing link and pulls
-	// stale lazy links so the query observes fresh data. Nil-safe.
-	beforeRead func(*cq.Query)
+	// that touches outgoing links (set by the peer): it counts read demand
+	// per link and pulls stale lazy links so the query observes fresh
+	// data. Nil-safe.
+	beforeRead func(touched []*cq.Rule)
 
 	// outgoing is the actor loop's published copy of the node's outgoing
-	// rules at rule-set version ver, consulted by the local-only query
-	// bypass. Written by the loop (refresh), read by query goroutines.
+	// rules at rule-set version ver, from which statements derive the
+	// links they touch. Written by the loop (refresh), read by query
+	// goroutines.
 	mu       sync.RWMutex
 	outgoing []*cq.Rule
 	ver      uint64
@@ -57,6 +65,7 @@ func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptio
 		node:  node,
 		eval:  eval,
 		cache: core.NewQueryCache(cacheSize),
+		stmts: newStmtTable(cacheSize),
 	}
 }
 
@@ -80,22 +89,38 @@ func (p *Peer) refreshReadRules() {
 	rp.mu.Unlock()
 }
 
-// localQuery evaluates a query over a pinned view, consulting the result
-// cache first. hit reports whether the cache answered. A hit validates
-// against the wrapper's current commit LSN without pinning a snapshot; a
-// snapshot is taken (and the entry stamped with *its* LSN) only when the
-// query must actually evaluate.
-func (rp *readPath) localQuery(q *cq.Query, mode core.QueryMode) (answers []relation.Tuple, hit bool, err error) {
-	if rp.beforeRead != nil {
-		rp.beforeRead(q)
+// links returns the outgoing links st's reads touch at the published rule
+// set, re-deriving them only when the published version has moved since
+// they were last derived.
+func (rp *readPath) links(st *Statement) *stmtLinks {
+	rp.mu.RLock()
+	outgoing, ver := rp.outgoing, rp.ver
+	rp.mu.RUnlock()
+	if l := st.links.Load(); l != nil && l.ver == ver {
+		return l
 	}
-	key := core.CacheKey(q, mode)
+	l := &stmtLinks{ver: ver, touched: cq.Closure(st.rels, outgoing)}
+	st.links.Store(l)
+	return l
+}
+
+// localQuery evaluates a statement over a pinned view, consulting the
+// result cache first; l are the statement's links (rp.links). hit reports
+// whether the cache answered. A hit validates against the wrapper's
+// current commit LSN without pinning a snapshot; a snapshot is taken (and
+// the entry stamped with *its* LSN) only when the query must actually
+// evaluate.
+func (rp *readPath) localQuery(st *Statement, l *stmtLinks, mode core.QueryMode) (answers []relation.Tuple, hit bool, err error) {
+	if len(l.touched) > 0 && rp.beforeRead != nil {
+		rp.beforeRead(l.touched)
+	}
+	key := st.key(mode)
 	ver := rp.node.RuleSetVersion()
 	if ans, ok := rp.cache.Get(key, rp.w.LSN(), ver); ok {
 		return ans, true, nil
 	}
 	view := rp.w.ReadSnapshot()
-	ans, err := core.EvalQuery(q, view, mode, rp.eval)
+	ans, err := core.EvalQuery(st.q, view, mode, rp.eval)
 	if err != nil {
 		return nil, false, err
 	}
@@ -112,19 +137,14 @@ func (rp *readPath) localQuery(q *cq.Query, mode core.QueryMode) (answers []rela
 // query needs remote data, fails validation (the actor path surfaces the
 // error), or the published rule copy is stale; callers then fall through
 // to the ordinary session start.
-func (rp *readPath) tryLocalStream(q *cq.Query, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, bool) {
-	if err := q.Validate(); err != nil {
+func (rp *readPath) tryLocalStream(st *Statement, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, bool) {
+	if !st.valid {
 		return nil, nil, false
 	}
-	rp.mu.RLock()
-	outgoing, ver := rp.outgoing, rp.ver
-	rp.mu.RUnlock()
-	if ver != rp.node.RuleSetVersion() {
-		// Rules changed and the loop has not republished yet: be
-		// conservative, a relevant link may have just appeared.
-		return nil, nil, false
-	}
-	if len(cq.Closure(q.Relations(), outgoing)) > 0 {
+	l := rp.links(st)
+	// A published copy behind the live version is conservative: a relevant
+	// link may have just appeared.
+	if l.ver != rp.node.RuleSetVersion() || len(l.touched) > 0 {
 		return nil, nil, false
 	}
 	done := make(chan msg.UpdateReport, 1)
@@ -134,7 +154,7 @@ func (rp *readPath) tryLocalStream(q *cq.Query, mode core.QueryMode) (<-chan rel
 		Origin:        rp.name,
 		StartUnixNano: time.Now().UnixNano(),
 	}
-	ans, hit, err := rp.localQuery(q, mode)
+	ans, hit, err := rp.localQuery(st, l, mode)
 	if err != nil {
 		rep.EvalErrors++
 	}

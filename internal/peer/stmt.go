@@ -1,0 +1,194 @@
+package peer
+
+import (
+	"container/list"
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"codb/internal/core"
+	"codb/internal/cq"
+	"codb/internal/msg"
+	"codb/internal/relation"
+)
+
+// Statement is a query prepared at one peer: parsed and validated once,
+// with its normalised result-cache key for each answer mode, the relations
+// it reads and the outgoing links those reads touch. The parse and keys
+// never go stale; the links are stamped with the read path's published
+// rule-set version and re-derived when that version moves. Prepare shares
+// one Statement per query text among all readers; a Statement is safe for
+// concurrent use.
+type Statement struct {
+	p     *Peer
+	text  string // the table key; empty for a one-off statement
+	q     *cq.Query
+	valid bool // q passes Validate (always, for a parsed text)
+	rels  []string
+	keys  [2]string // core.CacheKey per answer mode
+	links atomic.Pointer[stmtLinks]
+}
+
+// stmtLinks are the outgoing rules whose heads a statement reads, derived
+// from the published rule copy at version ver. No touched rule means the
+// statement is local-only: cq.Closure over its relations is empty.
+type stmtLinks struct {
+	ver     uint64
+	touched []*cq.Rule
+}
+
+// statement builds a one-off (untabled) statement for a parsed query: the
+// *cq.Query entry points run the same read path as prepared texts.
+func (p *Peer) statement(q *cq.Query) *Statement {
+	return &Statement{
+		p:     p,
+		q:     q,
+		valid: q.Validate() == nil,
+		rels:  q.Relations(),
+		keys:  core.CacheKeys(q),
+	}
+}
+
+// Prepare returns the peer's statement for a query text, parsing it only
+// when the statement table does not hold it yet. The table is a bounded
+// LRU (Options.QueryCacheSize entries); a caller may keep and reuse a
+// Statement after it has been evicted. A malformed text fails with an
+// error matching cq.ErrBadQuery.
+func (p *Peer) Prepare(text string) (*Statement, error) {
+	t := p.readPath.stmts
+	if st := t.get(text); st != nil {
+		return st, nil
+	}
+	q, err := cq.ParseQuery(text)
+	if err != nil {
+		return nil, err
+	}
+	st := p.statement(q)
+	st.text = text
+	return t.put(st), nil
+}
+
+// key returns the result-cache key of the statement under an answer mode.
+func (s *Statement) key(mode core.QueryMode) string {
+	if int(mode) < len(s.keys) {
+		return s.keys[mode]
+	}
+	return core.CacheKey(s.q, mode)
+}
+
+// LocalQuery evaluates the statement against local data only, on the
+// concurrent read path: evaluation happens on the caller's goroutine over
+// a pinned view, with results memoised in the LSN-invalidated query cache,
+// so local queries neither wait for nor delay the actor loop.
+func (s *Statement) LocalQuery(mode core.QueryMode) ([]relation.Tuple, error) {
+	rp := s.p.readPath
+	out, _, err := rp.localQuery(s, rp.links(s), mode)
+	return out, err
+}
+
+// QueryStream starts the statement as a distributed query and returns a
+// channel of streamed answers (closed at completion) plus a
+// completion-report channel. A statement with no relevant outgoing links — everything it
+// reads is local, the steady state after a global update — is answered
+// entirely on the concurrent read path (snapshot plus result cache),
+// without entering the actor loop or the session machinery.
+func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
+	p := s.p
+	if answers, done, ok := p.readPath.tryLocalStream(s, mode); ok {
+		return answers, done, nil
+	}
+	sid := msg.NewSID(p.name)
+	w := &queryWaiter{answers: make(chan relation.Tuple, 1024), done: make(chan msg.UpdateReport, 1)}
+	var startErr error
+	if err := p.do(func() {
+		p.queries[sid] = w
+		res, err := p.node.StartQuery(sid, s.q, mode)
+		if err != nil {
+			startErr = err
+			delete(p.queries, sid)
+			return
+		}
+		p.dispatch(res)
+	}); err != nil {
+		return nil, nil, err
+	}
+	if startErr != nil {
+		return nil, nil, startErr
+	}
+	return w.answers, w.done, nil
+}
+
+// Query runs the statement as a distributed query to completion and
+// returns all answers.
+func (s *Statement) Query(ctx context.Context, mode core.QueryMode) ([]relation.Tuple, error) {
+	p := s.p
+	answers, done, err := s.QueryStream(mode)
+	if err != nil {
+		return nil, err
+	}
+	var out []relation.Tuple
+	for {
+		select {
+		case a, ok := <-answers:
+			if !ok {
+				<-done
+				return out, nil
+			}
+			out = append(out, a)
+		case <-ctx.Done():
+			return out, fmt.Errorf("peer %s: query: %w", p.name, ctx.Err())
+		case <-p.stopped:
+			return out, fmt.Errorf("peer %s: stopped during query", p.name)
+		}
+	}
+}
+
+// stmtTable is a peer's statement table: a bounded, thread-safe LRU from
+// query text to its prepared Statement.
+type stmtTable struct {
+	mu     sync.Mutex
+	cap    int
+	ll     *list.List // front = most recently used
+	byText map[string]*list.Element
+}
+
+// newStmtTable builds a table bounded to the given number of statements
+// (0 selects core.DefaultQueryCacheSize, the result cache's default).
+func newStmtTable(capacity int) *stmtTable {
+	if capacity <= 0 {
+		capacity = core.DefaultQueryCacheSize
+	}
+	return &stmtTable{cap: capacity, ll: list.New(), byText: make(map[string]*list.Element)}
+}
+
+// get returns the statement for text, or nil when the table lacks it.
+func (t *stmtTable) get(text string) *Statement {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.byText[text]
+	if !ok {
+		return nil
+	}
+	t.ll.MoveToFront(el)
+	return el.Value.(*Statement)
+}
+
+// put inserts st under its text, evicting the least recently used
+// statement when full, and returns the table's statement for the text: a
+// concurrent reader's, when one prepared the same text first.
+func (t *stmtTable) put(st *Statement) *Statement {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if el, ok := t.byText[st.text]; ok {
+		t.ll.MoveToFront(el)
+		return el.Value.(*Statement)
+	}
+	t.byText[st.text] = t.ll.PushFront(st)
+	for t.ll.Len() > t.cap {
+		oldest := t.ll.Back()
+		t.ll.Remove(oldest)
+		delete(t.byText, oldest.Value.(*Statement).text)
+	}
+	return st
+}

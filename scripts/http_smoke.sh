@@ -2,11 +2,12 @@
 # Smoke-test the HTTP/JSON serving layer on a real multi-process
 # deployment: three codb-peer processes on a TCP chain, each with its own
 # gateway, bootstrapped by codb-super, then driven end to end with curl —
-# health, insert, update, sync and streaming queries, stats, the 404/400
-# error mapping, and runtime membership: a fourth peer admitted over
-# POST /v1/membership/join, an update with it present, a coordinated
-# leave (its tombstone visible on the remover and on a peer it flooded),
-# and the survivors answering afterwards.
+# health, insert, update, sync and streaming queries, a repeated query
+# answered from the cache, stats, the 404/400/413 error mapping (malformed
+# and oversize bodies included), and runtime membership: a fourth peer
+# admitted over POST /v1/membership/join, an update with it present, a
+# coordinated leave (its tombstone visible on the remover and on a peer it
+# flooded), and the survivors answering afterwards.
 set -eu
 
 dir=$(mktemp -d)
@@ -73,6 +74,19 @@ echo "$stream" | tail -1 | grep -q '"done":true' || {
     echo "stream query: missing trailer, got: $stream" >&2
     exit 1
 }
+# The same text again: served from N0's statement table and result cache.
+hits0=$(curl -fsS http://127.0.0.1:8180/v1/stats/read | sed 's/.*"Hits":\([0-9]*\).*/\1/')
+body=$(curl -fsS -X POST http://127.0.0.1:8180/v1/query \
+    -d '{"query":"ans(k, v) :- data(k, v)","local":true}')
+echo "$body" | grep -q '"count":3' || {
+    echo "repeated query: want count 3, got: $body" >&2
+    exit 1
+}
+hits1=$(curl -fsS http://127.0.0.1:8180/v1/stats/read | sed 's/.*"Hits":\([0-9]*\).*/\1/')
+[ "$hits1" -eq $((hits0 + 1)) ] || {
+    echo "repeated query: cache hits went $hits0 -> $hits1, want one more" >&2
+    exit 1
+}
 echo "queries ok"
 
 # Stats and schema surface on every node; the wire counters must show
@@ -92,6 +106,24 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     http://127.0.0.1:8180/v1/query -d '{"query":"not a query"}')
 [ "$code" = 400 ] || {
     echo "bad query: want 400, got $code" >&2
+    exit 1
+}
+# A malformed body is 400 too: a misspelt field, or data after the value.
+for bad in '{"query":"ans(k, v) :- data(k, v)","local":true,"mdoe":"certain"}' \
+    '{"query":"ans(k, v) :- data(k, v)"} {}'; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+        http://127.0.0.1:8180/v1/query -d "$bad")
+    [ "$code" = 400 ] || {
+        echo "malformed body $bad: want 400, got $code" >&2
+        exit 1
+    }
+done
+# A body declared larger than the 64 MiB frame bound is 413, unread.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    -H 'Content-Length: 67108865' --data-binary '{}' \
+    http://127.0.0.1:8180/v1/query)
+[ "$code" = 413 ] || {
+    echo "oversize body: want 413, got $code" >&2
     exit 1
 }
 echo "error mapping ok"
