@@ -28,12 +28,15 @@
 // approximation of the fixpoint; the global update remains the mechanism
 // for full materialisation, which is exactly the paper's motivation for it.
 //
-// Termination uses Dijkstra–Scholten over all basic messages (requests,
-// data, link-closes); see internal/diffuse. The paper's per-link
-// open/closed protocol is layered on top for early completion reporting;
-// links trapped on dependency cycles are force-closed when the initiator's
-// detector fires (the paper's condition "all query results did not bring
-// any new data").
+// Termination departs from §3, where a node closes an incoming link once
+// the outgoing links it depends on are closed, and a session ends when its
+// links are. Here Dijkstra–Scholten over the basic messages (requests and
+// data; see internal/diffuse) alone decides completion: the initiator's
+// deficit reaches zero exactly when nothing that could bring new data is in
+// flight, which is the paper's quiescence condition ("all query results did
+// not bring any new data") on any topology, cycles included. Link states
+// would answer that question again, at a message and an ack per link per
+// session, so nodes keep none.
 package core
 
 import (
@@ -276,9 +279,10 @@ type Node struct {
 	dirty     map[string]*session
 
 	// Rule-set views, rebuilt lazily after rule mutations. Outgoing /
-	// Incoming / Acquaintances sit on the per-message hot path (every
-	// closeCheck scans them), so they must not re-sort the rule map on
-	// each call.
+	// Incoming / Acquaintances sit on the per-message hot path (every data
+	// message re-exports through the incoming links, every request scans
+	// the outgoing ones), so they must not re-sort the rule map on each
+	// call.
 	outgoingCache []*cq.Rule
 	incomingCache []*cq.Rule
 	acqCache      []string

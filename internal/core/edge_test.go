@@ -18,36 +18,56 @@ func TestHandleUnknownPayloadIgnored(t *testing.T) {
 	}
 }
 
-// TestStaleLinkCloseAfterDone: a link-close arriving after the session
-// completed must be acknowledged without corrupting state.
-func TestStaleLinkCloseAfterDone(t *testing.T) {
-	s := newSim(t)
-	s.addNode("A", "r/1")
-	s.addNode("B", "r/1")
-	s.rule("r1", `A.r(x) <- B.r(x)`)
-	s.seed("B", "r", []int{1})
-	s.update("A")
+// TestStaleMessageAfterDone: a basic message of a finished session must be
+// acknowledged (so the sender's detector does not wedge) without
+// re-finishing the session, recreating it, or applying what it carries.
+func TestStaleMessageAfterDone(t *testing.T) {
+	stale := []struct {
+		name    string
+		payload func(sid string) msg.Payload
+	}{
+		{"SessionData", func(sid string) msg.Payload {
+			return &msg.SessionData{SID: sid, Kind: msg.KindUpdate, Origin: "A", RuleID: "r1",
+				Bindings: []relation.Tuple{{relation.Int(9)}}, Path: []string{"B"}}
+		}},
+		{"SessionRequest", func(sid string) msg.Payload {
+			return &msg.SessionRequest{SID: sid, Kind: msg.KindUpdate, Origin: "A", Path: []string{"B"}}
+		}},
+	}
+	for _, tc := range stale {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSim(t)
+			s.addNode("A", "r/1")
+			s.addNode("B", "r/1")
+			s.rule("r1", `A.r(x) <- B.r(x)`)
+			s.seed("B", "r", []int{1})
+			s.update("A")
 
-	// Replay a LinkClose for the finished session.
-	a := s.nodes["A"]
-	var sid string
-	for _, rep := range a.Reports() {
-		sid = rep.SID
-	}
-	res := a.Handle(msg.Envelope{From: "B", Payload: &msg.LinkClose{SID: sid, RuleID: "r1"}})
-	// The message must be acknowledged (directly or as a deferred parent
-	// ack) so B's detector would not wedge.
-	ackSeen := false
-	for _, o := range res.Out {
-		if ack, ok := o.Payload.(*msg.SessionAck); ok && ack.SID == sid {
-			ackSeen = true
-		}
-	}
-	if !ackSeen {
-		t.Errorf("stale LinkClose not acknowledged: %+v", res.Out)
-	}
-	if len(res.Finished) != 0 {
-		t.Error("stale message re-finished the session")
+			a := s.nodes["A"]
+			var sid string
+			for _, rep := range a.Reports() {
+				sid = rep.SID
+			}
+			res := a.Handle(msg.Envelope{From: "B", Payload: tc.payload(sid)})
+			acked := 0
+			for _, o := range res.Out {
+				if ack, ok := o.Payload.(*msg.SessionAck); ok && ack.SID == sid && o.To == "B" {
+					acked += ack.N
+				}
+			}
+			if acked != 1 {
+				t.Errorf("stale %s acknowledged %d times, want 1: %+v", tc.name, acked, res.Out)
+			}
+			if len(res.Finished) != 0 {
+				t.Error("stale message re-finished the session")
+			}
+			if active := a.ActiveSessions(); len(active) != 0 {
+				t.Errorf("stale message recreated sessions %v", active)
+			}
+			if got := a.Wrapper().Count("r"); got != 1 {
+				t.Errorf("A holds %d r tuples after the stale message, want 1", got)
+			}
+		})
 	}
 }
 

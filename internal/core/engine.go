@@ -20,7 +20,6 @@ func (n *Node) StartUpdate(sid string) (Result, error) {
 	s := n.newSession(sid, msg.KindUpdate, n.cfg.Self)
 	n.ds.Start(sid)
 	n.joinUpdate(s, "", &r)
-	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r, nil
 }
@@ -66,7 +65,6 @@ func (n *Node) StartQuery(sid string, q *cq.Query, mode QueryMode) (Result, erro
 	// Propagate along the relevant outgoing links, path label [self].
 	relevant := cq.Closure(q.Relations(), n.Outgoing())
 	n.requestQueryLinks(s, relevant, []string{n.cfg.Self}, &r)
-	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r, nil
 }
@@ -115,7 +113,6 @@ func (n *Node) startScoped(sid string, links []*cq.Rule) (Result, error) {
 	s := n.newSession(sid, msg.KindScoped, n.cfg.Self)
 	n.ds.Start(sid)
 	n.requestQueryLinks(s, links, []string{n.cfg.Self}, &r)
-	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r, nil
 }
@@ -149,8 +146,6 @@ func (n *Node) Handle(env msg.Envelope) Result {
 		return n.handleData(env.From, p)
 	case *msg.SessionAck:
 		return n.handleAck(env.From, p)
-	case *msg.LinkClose:
-		return n.handleLinkClose(env.From, p)
 	case *msg.SessionDone:
 		return n.handleDone(env.From, p)
 	default:
@@ -294,7 +289,6 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 		}
 		n.requestQueryLinks(s, relevant, append(append([]string{}, req.Path...), n.cfg.Self), &r)
 	}
-	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r
 }
@@ -341,7 +335,6 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	if rs == nil || applier == nil || rs.rule.Target != n.cfg.Self {
 		// Unknown or foreign rule (topology changed mid-session): the
 		// message is still acknowledged so termination is preserved.
-		n.closeCheck(s, &r)
 		n.flushDS(s, &r)
 		return r
 	}
@@ -396,7 +389,6 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 			n.streamFresh(s, fresh, &r)
 		}
 	}
-	n.closeCheck(s, &r)
 	n.flushDS(s, &r)
 	return r
 }
@@ -804,12 +796,10 @@ func (n *Node) commitStaged(r *Result, sessions ...*session) {
 
 // finalize completes a session at this node: commit what it still has
 // staged (a completion notice can overtake the flush when an upstream peer
-// wrote this node off), force-close surviving links (the quiescence
-// condition), stamp the report, and surface it.
+// wrote this node off), stamp the report, and surface it.
 func (n *Node) finalize(s *session, initiator bool, r *Result) {
 	n.commitStaged(r, s)
 	s.done = true
-	n.forceCloseAll(s)
 	s.rep.EndUnixNano = n.cfg.Clock()
 	n.recordReport(s.rep)
 	r.Finished = append(r.Finished, Finished{SID: s.sid, Initiator: initiator, Report: s.rep})

@@ -69,10 +69,6 @@ type session struct {
 	// releases it.
 	pinned *storage.Snapshot
 
-	// Link-state protocol (reporting; see close.go).
-	outClosed map[string]bool // outgoing links closed (exporter notified us)
-	inClosed  map[string]bool // incoming links we have closed
-
 	// Stats under construction.
 	rep msg.UpdateReport
 
@@ -89,8 +85,6 @@ func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 		seqOut:         make(map[string]int),
 		activeIncoming: make(map[string]string),
 		requestedOut:   make(map[string]bool),
-		outClosed:      make(map[string]bool),
-		inClosed:       make(map[string]bool),
 		rep: msg.UpdateReport{
 			SID:           sid,
 			Kind:          kind,

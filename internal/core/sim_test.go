@@ -155,8 +155,6 @@ func sidOf(p msg.Payload) string {
 		return m.SID
 	case *msg.SessionAck:
 		return m.SID
-	case *msg.LinkClose:
-		return m.SID
 	case *msg.SessionDone:
 		return m.SID
 	default:

@@ -284,53 +284,6 @@ func TestUpdateReportQueriedAndSentTo(t *testing.T) {
 	}
 }
 
-func TestLinkCloseProtocolChainClosesEarly(t *testing.T) {
-	s := newSim(t)
-	s.addNode("A", "r/1")
-	s.addNode("B", "r/1")
-	s.addNode("C", "r/1")
-	s.rule("r1", `A.r(x) <- B.r(x)`)
-	s.rule("r2", `B.r(x) <- C.r(x)`)
-	s.seed("C", "r", []int{1})
-
-	s.update("A")
-
-	early, forced := 0, 0
-	for _, n := range []string{"A", "B", "C"} {
-		for _, rep := range s.nodes[n].Reports() {
-			early += rep.LinksClosedEarly
-			forced += rep.LinksClosedForced
-		}
-	}
-	if early != 2 {
-		t.Errorf("early closes = %d, want 2 (both links on an acyclic chain)", early)
-	}
-	if forced != 0 {
-		t.Errorf("forced closes = %d, want 0", forced)
-	}
-}
-
-func TestLinkCloseProtocolCycleForcedAtQuiescence(t *testing.T) {
-	s := newSim(t)
-	s.addNode("A", "r/1")
-	s.addNode("B", "r/1")
-	s.rule("r1", `A.r(x) <- B.r(x)`)
-	s.rule("r2", `B.r(x) <- A.r(x)`)
-	s.seed("A", "r", []int{1})
-
-	s.update("A")
-
-	forced := 0
-	for _, n := range []string{"A", "B"} {
-		for _, rep := range s.nodes[n].Reports() {
-			forced += rep.LinksClosedForced
-		}
-	}
-	if forced == 0 {
-		t.Error("cyclic links should be force-closed at quiescence")
-	}
-}
-
 func TestMultipleSequentialUpdates(t *testing.T) {
 	s := newSim(t)
 	s.addNode("A", "r/1")

@@ -5,7 +5,7 @@
 // computation approach [Lynch 1996]"; Dijkstra–Scholten is the canonical
 // such algorithm and is correct on arbitrary, including cyclic, topologies.
 //
-// Protocol summary. Basic messages (requests, data, link-closes) form the
+// Protocol summary. Basic messages (session requests and data) form the
 // computation; every basic message is eventually acknowledged. A node's
 // *deficit* counts its sent-but-unacknowledged basic messages. The first
 // basic message a disengaged node receives makes the sender its *parent*;

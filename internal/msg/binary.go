@@ -42,7 +42,7 @@ const (
 	TagSessionRequest Tag = 0x10 + iota
 	TagSessionData
 	TagSessionAck
-	TagLinkClose
+	_ // 0x13 is unassigned (it carried the per-link close notice)
 	TagSessionDone
 	TagRulesBroadcast
 	TagStatsRequest
@@ -78,8 +78,6 @@ func (t Tag) String() string {
 		return "SessionData"
 	case TagSessionAck:
 		return "SessionAck"
-	case TagLinkClose:
-		return "LinkClose"
 	case TagSessionDone:
 		return "SessionDone"
 	case TagRulesBroadcast:
@@ -122,8 +120,6 @@ func TagOf(p Payload) (Tag, error) {
 		return TagSessionData, nil
 	case *SessionAck:
 		return TagSessionAck, nil
-	case *LinkClose:
-		return TagLinkClose, nil
 	case *SessionDone:
 		return TagSessionDone, nil
 	case *RulesBroadcast:
@@ -401,7 +397,7 @@ func appendUpdateReport(dst []byte, u *UpdateReport) []byte {
 	dst = appendStrings(dst, u.SentTo)
 	for _, v := range []int{
 		u.SentMsgs, u.SentBytes, u.LongestPath, u.NewTuples, u.SkippedDepth,
-		u.LinksClosedEarly, u.LinksClosedForced, u.CompensatedLost,
+		u.CompensatedLost,
 		u.ExportsFull, u.ExportsIncremental, u.ExportsFallback,
 		u.SkippedByWatermark, u.SuppressedBindings, u.IncrementalMsgs,
 		u.EvalErrors, u.CacheHits, u.CacheMisses,
@@ -427,7 +423,7 @@ func (r *reader) updateReport() UpdateReport {
 	u.SentTo = r.strings()
 	for _, p := range []*int{
 		&u.SentMsgs, &u.SentBytes, &u.LongestPath, &u.NewTuples, &u.SkippedDepth,
-		&u.LinksClosedEarly, &u.LinksClosedForced, &u.CompensatedLost,
+		&u.CompensatedLost,
 		&u.ExportsFull, &u.ExportsIncremental, &u.ExportsFallback,
 		&u.SkippedByWatermark, &u.SuppressedBindings, &u.IncrementalMsgs,
 		&u.EvalErrors, &u.CacheHits, &u.CacheMisses,
@@ -466,10 +462,6 @@ func AppendPayload(dst []byte, p Payload) ([]byte, error) {
 	case *SessionAck:
 		dst = appendString(dst, m.SID)
 		dst = binary.AppendVarint(dst, int64(m.N))
-		return dst, nil
-	case *LinkClose:
-		dst = appendString(dst, m.SID)
-		dst = appendString(dst, m.RuleID)
 		return dst, nil
 	case *SessionDone:
 		dst = appendString(dst, m.SID)
@@ -606,8 +598,6 @@ func decodePayload(tag Tag, r *reader) (Payload, error) {
 		return m, nil
 	case TagSessionAck:
 		return &SessionAck{SID: r.str(), N: int(r.varint())}, nil
-	case TagLinkClose:
-		return &LinkClose{SID: r.str(), RuleID: r.str()}, nil
 	case TagSessionDone:
 		return &SessionDone{SID: r.str(), Origin: r.str()}, nil
 	case TagRulesBroadcast:

@@ -1,8 +1,8 @@
 // Package msg defines the typed messages coDB peers exchange — the
 // vocabulary the paper's JXTA layer envelopes carry: global update and query
 // requests, streamed query results, acknowledgements for the diffusing
-// computation, link-close notifications, coordination-rule broadcasts,
-// statistics collection, and topology discovery gossip.
+// computation, coordination-rule broadcasts, statistics collection, and
+// topology discovery gossip.
 //
 // Payloads are plain structs; the TCP transport serialises them with the
 // binary codec in this package (see binary.go and internal/wire), the
@@ -182,16 +182,6 @@ type SessionAck struct {
 // Size implements Payload.
 func (m *SessionAck) Size() int { return len(m.SID) + 4 }
 
-// LinkClose tells the importing node that the exporter has closed the given
-// incoming link for this session (paper §3's link state protocol).
-type LinkClose struct {
-	SID    string
-	RuleID string
-}
-
-// Size implements Payload.
-func (m *LinkClose) Size() int { return len(m.SID) + len(m.RuleID) }
-
 // SessionDone announces that the initiator has detected termination; it
 // floods the network (receivers forward it once) so that every participant
 // finalises its per-session state and reports.
@@ -249,11 +239,6 @@ type UpdateReport struct {
 	// NewTuples counts tuples actually added locally; SkippedDepth counts
 	// chase firings dropped by the depth bound.
 	NewTuples, SkippedDepth int
-	// LinksClosedEarly counts links closed by the dependency condition of
-	// the paper's link-state protocol; LinksClosedForced counts links
-	// closed only when the termination detector fired (cyclic
-	// dependencies: "all query results did not bring any new data").
-	LinksClosedEarly, LinksClosedForced int
 	// CompensatedLost counts basic messages written off by the sender
 	// because their pipe failed (core.CompensateLost / CompensatePeerLoss):
 	// nonzero means the session terminated without those messages being

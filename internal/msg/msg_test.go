@@ -47,7 +47,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		&SessionData{SID: "s1", Kind: KindScoped, Origin: "a", RuleID: "r1", Bindings: tuples,
 			Path: []string{"b"}, Seq: 3, Mode: ExportIncremental, Skipped: 17},
 		&SessionAck{SID: "s1", N: 2},
-		&LinkClose{SID: "s1", RuleID: "r1"},
 		&SessionDone{SID: "s1", Origin: "a"},
 		&RulesBroadcast{Version: 7, Text: "rule r1: ..."},
 		&StatsRequest{ID: "q1", ReplyTo: "super", Addr: "127.0.0.1:9"},
@@ -92,15 +91,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnassignedPullTagsRefused: 0x1A, 0x21 and 0x22 name no payload, so a
-// body tagged with any of them is refused as an unknown tag, however
-// well-formed.
-func TestUnassignedPullTagsRefused(t *testing.T) {
+// TestUnassignedTagsRefused: 0x13, 0x1A, 0x21 and 0x22 name no payload, so
+// a body tagged with any of them is refused as an unknown tag, however
+// well-formed. 0x13 carried the per-link LinkClose notice.
+func TestUnassignedTagsRefused(t *testing.T) {
 	body, _, err := AppendEnvelope(nil, Envelope{From: "x", Payload: &UpdateHint{RuleID: "r1", LSN: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tag := range []Tag{0x1A, 0x21, 0x22} {
+	for _, tag := range []Tag{0x13, 0x1A, 0x21, 0x22} {
 		if name := tag.String(); !strings.HasPrefix(name, "tag(") {
 			t.Errorf("tag 0x%02x is named %s", uint8(tag), name)
 		}

@@ -19,11 +19,12 @@ import (
 //
 //	tombstone (coordinated leave/removal) — deficits written off and export
 //	    state reset: the node is not coming back as the same importer
-//	silence (suspicion down), pipe-down — deficits written off, but no
-//	    tombstone and no reset: a partitioned peer comes back with its data,
-//	    and the durable watermarks let the heal ship only the missed delta
+//	silence (suspicion down), pipe-down, acquaintance dropped — deficits
+//	    written off, but no tombstone and no reset: a partitioned peer comes
+//	    back with its data, and the durable watermarks let the heal ship
+//	    only the missed delta
 //	lost or failed send — that one message written off
-//	address moved, acquaintance dropped — the pipe alone
+//	address moved — the pipe alone
 //
 // The suspicion detector turns silence into the second kind. It runs only
 // with a suspicion timeout (0 disables it: no member is tracked and no
@@ -175,7 +176,7 @@ func step(m member, ev event, now time.Time, timeout time.Duration) (member, []e
 		return m, []effect{{kind: disconnect}}
 	case evDropped:
 		m.piped = false
-		return untrack(m), []effect{{kind: disconnect}}
+		return untrack(m), []effect{{kind: disconnect}, {kind: writeOffPeer}}
 	}
 	return m, nil
 }

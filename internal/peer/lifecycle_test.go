@@ -99,10 +99,10 @@ var lifecycleSpec = []struct {
 		func(m *member, _ time.Time) { m.piped = false },
 		[]effect{{kind: disconnect}}},
 	{"moved, no pipe", func(c lifecycleCase) bool { return c.is(evMoved) }, nil, nil},
-	{"dropped by reconfiguration: no write-off",
+	{"dropped by reconfiguration: deficits written off, no reset",
 		func(c lifecycleCase) bool { return c.is(evDropped) },
 		func(m *member, _ time.Time) { m.piped = false; *m = untrack(*m) },
-		[]effect{{kind: disconnect}}},
+		[]effect{{kind: disconnect}, {kind: writeOffPeer}}},
 }
 
 // lifecycleEvents is every event variant, with the clock advances that

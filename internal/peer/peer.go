@@ -622,8 +622,6 @@ func sessionIDOf(p msg.Payload) string {
 		return m.SID
 	case *msg.SessionData:
 		return m.SID
-	case *msg.LinkClose:
-		return m.SID
 	default:
 		return ""
 	}

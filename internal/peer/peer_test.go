@@ -26,6 +26,13 @@ func ctxT(t *testing.T) context.Context {
 // over ints.
 func newBusPeer(t testing.TB, bus *transport.Bus, name string, rels ...string) *Peer {
 	t.Helper()
+	return newPeerOn(t, bus.MustJoin(name), name, rels...)
+}
+
+// newPeerOn builds a peer on the given transport with relations declared as
+// "name/arity" over ints.
+func newPeerOn(t testing.TB, tr transport.Transport, name string, rels ...string) *Peer {
+	t.Helper()
 	db := storage.MustOpenMem()
 	for _, spec := range rels {
 		relName := spec[:len(spec)-2]
@@ -38,7 +45,7 @@ func newBusPeer(t testing.TB, bus *transport.Bus, name string, rels ...string) *
 			t.Fatal(err)
 		}
 	}
-	p, err := New(Options{Name: name, Transport: bus.MustJoin(name), Wrapper: core.NewStoreWrapper(db)})
+	p, err := New(Options{Name: name, Transport: tr, Wrapper: core.NewStoreWrapper(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +226,64 @@ rule r2: A.r(x) <- C.r(x)
 	}
 	if a.Count("r") != 2 {
 		t.Errorf("A.r = %d after second update, want 2", a.Count("r"))
+	}
+}
+
+// TestDroppedAcquaintanceEndsQueryInFlight: a reconfiguration that drops
+// the only acquaintance a distributed query waits on writes that peer off,
+// so the query ends with the answers it has instead of hanging until its
+// context expires.
+func TestDroppedAcquaintanceEndsQueryInFlight(t *testing.T) {
+	bus := transport.NewBus()
+	part := transport.NewPartitioner(bus.MustJoin("A"))
+	a := newPeerOn(t, part, "A", "r/1")
+	b := newBusPeer(t, bus, "B", "r/1")
+	cfg := func(version int, rules string) *config.Config {
+		c, err := config.Parse(fmt.Sprintf("version %d\nnode A\n  rel r(x int)\nend\nnode B\n  rel r(x int)\nend\n%s", version, rules))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	linked := cfg(1, "rule r1: A.r(x) <- B.r(x)\n")
+	for _, p := range []*Peer{a, b} {
+		if err := p.ApplyConfig(linked, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Insert("r", ints(1))
+	b.Insert("r", ints(2))
+
+	// Hold everything B sends A: the query's request reaches B, but B's
+	// data and acknowledgements never come back.
+	part.BlockInbound("B")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type answer struct {
+		got []relation.Tuple
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		got, err := a.Query(ctx, cq.MustParseQuery(`ans(x) :- r(x)`), core.AllAnswers)
+		done <- answer{got, err}
+	}()
+	waitFor(t, "B's answer to the query", func() bool {
+		var active int
+		a.do(func() { active = len(a.node.ActiveSessions()) })
+		_, in := part.Dropped()
+		return active > 0 && in > 0
+	})
+
+	if err := a.ApplyConfig(cfg(2, ""), 2); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("query toward the dropped acquaintance: %v", res.err)
+	}
+	if len(res.got) != 1 || !res.got[0].Equal(ints(1)) {
+		t.Errorf("answers = %v, want A's own (1)", res.got)
 	}
 }
 

@@ -181,15 +181,13 @@ func TestStatementTableBound(t *testing.T) {
 // against rule broadcasts that alternately add and drop the link their
 // relation is fed by; run with -race. Every answer is either A's own rows
 // or A's plus B's (a distributed query while the link is up), and once the
-// last broadcast has landed the same statement goes distributed. B stays
-// an acquaintance throughout (a link on s replaces the one on r): a
-// broadcast that drops the acquaintance itself can strand a distributed
-// query already in flight toward it, which is not the read path's to
-// settle.
+// last broadcast has landed the same statement goes distributed. A
+// broadcast without the link drops B as an acquaintance, so it also writes
+// off any distributed query in flight toward B.
 func TestStatementConcurrentRuleBroadcast(t *testing.T) {
 	bus := transport.NewBus()
-	a := newBusPeer(t, bus, "A", "r/1", "s/1")
-	b := newBusPeer(t, bus, "B", "r/1", "s/1")
+	a := newBusPeer(t, bus, "A", "r/1")
+	b := newBusPeer(t, bus, "B", "r/1")
 	sender := newBusPeer(t, bus, "seed")
 	if err := a.Insert("r", ints(1), ints(2)); err != nil {
 		t.Fatal(err)
@@ -198,12 +196,11 @@ func TestStatementConcurrentRuleBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := func(version int, linked bool) string {
-		rel := "s"
+		text := fmt.Sprintf("version %d\nnode A\n  rel r(x int)\nend\nnode B\n  rel r(x int)\nend\n", version)
 		if linked {
-			rel = "r"
+			text += "rule lr: A.r(x) <- B.r(x)\n"
 		}
-		return fmt.Sprintf("version %d\nnode A\n  rel r(x int)\n  rel s(x int)\nend\n"+
-			"node B\n  rel r(x int)\n  rel s(x int)\nend\nrule l%s: A.%s(x) <- B.%s(x)\n", version, rel, rel, rel)
+		return text
 	}
 	const text = `ans(x) :- r(x)`
 

@@ -237,8 +237,6 @@ type Aggregate struct {
 	LongestPath  int
 	MsgsPerRule  map[string]int
 	BytesPerRule map[string]int
-	ClosedEarly  int
-	ClosedForced int
 	SkippedDepth int
 }
 
@@ -274,8 +272,6 @@ func AggregateSessions(byNode map[string][]msg.UpdateReport) []Aggregate {
 			a.TotalBytes += rep.SentBytes
 			a.NewTuples += rep.NewTuples
 			a.SkippedDepth += rep.SkippedDepth
-			a.ClosedEarly += rep.LinksClosedEarly
-			a.ClosedForced += rep.LinksClosedForced
 			if rep.LongestPath > a.LongestPath {
 				a.LongestPath = rep.LongestPath
 			}

@@ -29,10 +29,10 @@ import (
 //   - flush on size: a batch is cut at BatchPayloads payloads or BatchBytes
 //     payload volume, whichever is reached first;
 //   - flush on session-critical messages: because nothing lingers,
-//     SessionAck / SessionDone / LinkClose control traffic — which drives
-//     Dijkstra–Scholten termination and the link-state protocol — goes out
-//     in the first frame the writer can cut, at worst coalesced with the
-//     data it follows, never held for more coalescing.
+//     SessionAck / SessionDone control traffic — which drives
+//     Dijkstra–Scholten termination — goes out in the first frame the
+//     writer can cut, at worst coalesced with the data it follows, never
+//     held for more coalescing.
 //
 // Receiving transports unpack a Batch and deliver its payloads as
 // individual envelopes in order, so batching is invisible above the

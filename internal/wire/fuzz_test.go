@@ -31,13 +31,13 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(hello.Bytes())
 	f.Add([]byte{0xC0, 0xDB, 1, 0x11, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("not a frame at all"))
-	// Well-formed frames under the unassigned tags 0x1A, 0x21 and 0x22: the
-	// decoder must refuse them as unknown, whatever the body.
+	// Well-formed frames under the unassigned tags 0x13, 0x1A, 0x21 and
+	// 0x22: the decoder must refuse them as unknown, whatever the body.
 	hint, _, err := msg.AppendEnvelope(nil, msg.Envelope{From: "N1", Payload: &msg.UpdateHint{RuleID: "r1", LSN: 42}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, tag := range []byte{0x1A, 0x21, 0x22} {
+	for _, tag := range []byte{0x13, 0x1A, 0x21, 0x22} {
 		f.Add(wire.AppendFrame(nil, wire.MaxVersion, tag, hint))
 	}
 

@@ -37,8 +37,7 @@ func goldenPayloads() []msg.Payload {
 		TuplesPerRule: map[string]int{"r2": 9},
 		SentMsgs:      3, SentBytes: 640, LongestPath: 2,
 		Queried: []string{"N2", "N3"}, SentTo: []string{"N2"},
-		NewTuples: 12, SkippedDepth: 1,
-		LinksClosedEarly: 2, LinksClosedForced: 1, CompensatedLost: 0,
+		NewTuples: 12, SkippedDepth: 1, CompensatedLost: 0,
 		ExportsFull: 1, ExportsIncremental: 2, ExportsFallback: 0,
 		SkippedByWatermark: 40, SuppressedBindings: 5, IncrementalMsgs: 2,
 		EvalErrors: 0, CacheHits: 1, CacheMisses: 1,
@@ -55,7 +54,6 @@ func goldenPayloads() []msg.Payload {
 			Mode: msg.ExportIncremental, Skipped: 17,
 		},
 		&msg.SessionAck{SID: "N1-1-abc", N: 4},
-		&msg.LinkClose{SID: "N1-1-abc", RuleID: "r1"},
 		&msg.SessionDone{SID: "N1-1-abc", Origin: "N1"},
 		&msg.RulesBroadcast{Version: 2, Text: "node N1 addr :0\nend\n"},
 		&msg.StatsRequest{ID: "q-1", ReplyTo: "super", Addr: "127.0.0.1:9"},
@@ -78,7 +76,7 @@ func goldenPayloads() []msg.Payload {
 		}},
 		&msg.Batch{Payloads: []msg.Payload{
 			&msg.SessionAck{SID: "N1-1-abc", N: 1},
-			&msg.LinkClose{SID: "N1-1-abc", RuleID: "r1"},
+			&msg.SessionDone{SID: "N1-1-abc", Origin: "N1"},
 		}},
 		&msg.UpdateHint{RuleID: "r1", LSN: 1 << 33},
 		&msg.LinkDemand{RuleID: "r1", Mode: 1},
@@ -101,13 +99,25 @@ func fixturePath(tag msg.Tag) string {
 	return filepath.Join("testdata", strings.ToLower(tag.String())+".hex")
 }
 
+// seedDir holds the committed FuzzWireFrame corpus.
+var seedDir = filepath.Join("testdata", "fuzz", "FuzzWireFrame")
+
+// seedPath is where the corpus keeps a payload type's frame.
+func seedPath(tag msg.Tag) string {
+	return filepath.Join(seedDir, "seed_"+strings.ToLower(tag.String()))
+}
+
 // TestGoldenVectors pins the byte-level encoding of every payload type:
 // an accidental format change (field order, varint width, map ordering)
 // fails against the committed fixtures instead of silently forking the
-// protocol.
+// protocol. A fixture or corpus seed that no golden payload writes (left
+// behind by a deleted payload type) fails it too.
 func TestGoldenVectors(t *testing.T) {
+	written := make(map[string]bool)
 	for _, p := range goldenPayloads() {
 		frame, tag := goldenFrame(t, p)
+		written[fixturePath(tag)] = true
+		written[seedPath(tag)] = true
 		t.Run(tag.String(), func(t *testing.T) {
 			path := fixturePath(tag)
 			if *update {
@@ -148,6 +158,17 @@ func TestGoldenVectors(t *testing.T) {
 			}
 		})
 	}
+	for _, pattern := range []string{filepath.Join("testdata", "*.hex"), filepath.Join(seedDir, "seed_*")} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if !written[path] {
+				t.Errorf("orphan fixture %s: no golden payload writes it", path)
+			}
+		}
+	}
 }
 
 // wrapHex renders bytes as line-wrapped hex for readable fixtures.
@@ -168,13 +189,12 @@ func wrapHex(b []byte) string {
 // fuzzer always starts from every payload shape.
 func writeCorpusSeed(t *testing.T, tag msg.Tag, frame []byte) {
 	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireFrame")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path := seedPath(tag)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
-	name := "seed_" + strings.ToLower(tag.String())
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
