@@ -226,9 +226,6 @@ type HTTPGroup struct {
 // NetworkOptions tune every peer of the network: algorithm toggles at the
 // top level, engine knobs in the Storage, Transport, Read and HTTP groups.
 type NetworkOptions struct {
-	// MaxDepth bounds the chase's null derivation depth (0 = default,
-	// negative = unlimited); see core.Config.
-	MaxDepth int
 	// NestedLoopJoin switches the CQ evaluator to nested loops, which push
 	// down constants but no range: the correctness reference the
 	// differential and oracle tests compare the default hash join against.
@@ -289,7 +286,6 @@ func (nw *Network) peerOptions(name string, w core.Wrapper) peer.Options {
 	return peer.Options{
 		Name:              name,
 		Wrapper:           w,
-		MaxDepth:          nw.opts.MaxDepth,
 		Eval:              eval,
 		FullExport:        nw.opts.FullExport,
 		QueryCacheSize:    nw.opts.Read.QueryCacheSize,

@@ -231,7 +231,7 @@ func TestNetworkRemovePeer(t *testing.T) {
 }
 
 func TestNetworkCyclicExistentialTerminates(t *testing.T) {
-	nw := NewNetworkWithOptions(NetworkOptions{MaxDepth: 3})
+	nw := NewNetwork()
 	defer nw.Close()
 	nw.MustAddPeer("a", "r(x int, z int)")
 	nw.MustAddPeer("b", "s(x int)")
@@ -246,8 +246,9 @@ func TestNetworkCyclicExistentialTerminates(t *testing.T) {
 		t.Error("no report")
 	}
 	rows, _ := nw.LocalQuery("a", `ans(x, z) :- r(x, z)`, AllAnswers)
-	if len(rows) != 3 {
-		t.Errorf("a.r = %v (depth 3)", rows)
+	// r2 never ships the null a minted, so a.r keeps its one row.
+	if len(rows) != 1 {
+		t.Errorf("a.r = %v, want 1 row", rows)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestFixpointIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		rules, start := randomNetwork(rnd)
-		opts := Options{MaxDepth: 4}
+		opts := Options{}
 		once, stats1, err := Fixpoint(rules, start, opts)
 		if err != nil {
 			return false
@@ -46,7 +46,7 @@ func TestFixpointMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		rules, start := randomNetwork(rnd)
-		opts := Options{MaxDepth: 4}
+		opts := Options{}
 		small, _, err := Fixpoint(rules, start, opts)
 		if err != nil {
 			return false

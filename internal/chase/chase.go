@@ -3,21 +3,28 @@
 // bindings; for each binding the head atoms are instantiated, with
 // existential head variables replaced by marked nulls.
 //
+// A rule transfers only what its source peer knows: the certain answers of
+// its body. This is the epistemic reading of Franconi et al.'s
+// characterisation of coDB networks (PAPERS.md). Bindings, BindingsDelta and
+// BindingsSetDelta drop every frontier binding that holds a marked null, so
+// an exporter never ships one; a null may still join or be projected away
+// inside the body. Nulls therefore stay at the peer that minted them.
+//
+// That is why the chase terminates on every rule graph, cycles included:
+// every shipped value comes from the finite active domain of the network's
+// constants, so each peer receives finitely many bindings and mints
+// finitely many nulls (one per existential variable, rule and binding).
+//
 // Null minting is deterministic ("Skolemized"): the null standing for
 // existential variable z of rule r under frontier binding b has the label
 //
-//	d<depth>~<hash(r.ID, z, b)>
+//	hex(sha256(r.ID, z, b))[:24]
 //
 // so that independent executions — different peers, different message
 // orders, the centralised oracle — mint the *same* null for the same
 // derivation. This makes the chase confluent: the update algorithm's result
 // is a well-defined least fixpoint, and tests can compare distributed and
 // centralised results for plain equality.
-//
-// The embedded depth is the derivation depth: 1 + the maximum depth of any
-// null occurring in the frontier binding. Rule sets whose chase diverges
-// (non-weakly-acyclic existential cycles) are cut off at Options.MaxDepth;
-// the cutoff is reported so callers can surface the approximation.
 package chase
 
 import (
@@ -25,8 +32,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"codb/internal/cq"
 	"codb/internal/relation"
@@ -34,10 +39,6 @@ import (
 
 // Options tunes rule application.
 type Options struct {
-	// MaxDepth bounds the null derivation depth; bindings that would mint
-	// nulls deeper than this are skipped (counted, not applied).
-	// 0 means unlimited.
-	MaxDepth int
 	// Eval selects the join strategy for body evaluation.
 	Eval cq.EvalOptions
 }
@@ -56,9 +57,9 @@ type Fact struct {
 // Facts are a pure function of the binding (null labels are keyed by it), so
 // nothing needs remembering for correctness. A rule with existential
 // variables still keeps its facts per binding: a repeated delivery then costs
-// no hashing, and a binding dropped by the depth bound is counted once. That
-// memo lives as long as the applier; Fork starts an empty one for a scope of
-// its own. A rule without existential variables keeps no memo at all.
+// no hashing. That memo lives as long as the applier; Fork starts an empty
+// one for a scope of its own. A rule without existential variables keeps no
+// memo at all.
 type Applier struct {
 	rule     *cq.Rule
 	opts     Options
@@ -67,10 +68,6 @@ type Applier struct {
 	heads    []headAtom
 	width    int               // values in one binding's facts
 	memo     map[string][]Fact // existential rules only
-	skipMemo map[string]bool   // bindings already counted in Skipped
-	// Skipped counts frontier bindings dropped by the depth bound (or for
-	// being too short for the frontier) since construction, each once.
-	Skipped int
 }
 
 // headAtom is one compiled head atom.
@@ -121,12 +118,11 @@ func NewApplier(rule *cq.Rule, opts Options) (*Applier, error) {
 	return a, nil
 }
 
-// Fork returns an applier for the same rule with an empty memo and a zero
-// Skipped count: a scope of its own — one session's, say — whose remembered
-// bindings go when it is dropped. The compiled head is shared.
+// Fork returns an applier for the same rule with an empty memo: a scope of
+// its own — one session's, say — whose remembered bindings go when it is
+// dropped. The compiled head is shared.
 func (a *Applier) Fork() *Applier {
 	f := *a
-	f.skipMemo, f.Skipped = nil, 0
 	if f.memo != nil {
 		f.memo = make(map[string][]Fact)
 	}
@@ -145,10 +141,9 @@ func (a *Applier) Existential() bool { return len(a.exist) > 0 }
 func (a *Applier) Frontier() []string { return a.frontier }
 
 // Facts instantiates the head for every frontier binding, returning the
-// facts to assert at the target node. Bindings beyond the depth bound are
-// skipped and counted. The tuples of one call are cut from one backing array,
-// in binding order: one allocation, and neighbours in the delta stay
-// neighbours in memory wherever the tuples end up stored.
+// facts to assert at the target node. The tuples of one call are cut from
+// one backing array, in binding order: one allocation, and neighbours in the
+// delta stay neighbours in memory wherever the tuples end up stored.
 func (a *Applier) Facts(bindings []relation.Tuple) []Fact {
 	out := make([]Fact, 0, len(bindings)*len(a.heads))
 	slab := make([]relation.Value, 0, len(bindings)*a.width)
@@ -158,25 +153,12 @@ func (a *Applier) Facts(bindings []relation.Tuple) []Fact {
 	return out
 }
 
-// skip counts a dropped binding, once per distinct binding.
-func (a *Applier) skip(key string) {
-	if a.skipMemo[key] {
-		return
-	}
-	if a.skipMemo == nil {
-		a.skipMemo = make(map[string]bool)
-	}
-	a.skipMemo[key] = true
-	a.Skipped++
-}
-
 // appendFacts appends one binding's facts to out, taking the values of the
 // tuples it builds from slab.
 func (a *Applier) appendFacts(out []Fact, slab []relation.Value, binding relation.Tuple) ([]Fact, []relation.Value) {
 	if len(binding) < len(a.frontier) {
 		// Malformed binding; drop it rather than panic (it may come from a
 		// remote peer).
-		a.skip(binding.Key())
 		return out, slab
 	}
 	var key string
@@ -186,17 +168,9 @@ func (a *Applier) appendFacts(out []Fact, slab []relation.Value, binding relatio
 		if fs, ok := a.memo[key]; ok {
 			return append(out, fs...), slab
 		}
-		depth := 1
-		for _, v := range binding[:len(a.frontier)] {
-			depth = max(depth, NullDepth(v)+1)
-		}
-		if a.opts.MaxDepth > 0 && depth > a.opts.MaxDepth {
-			a.skip(key)
-			return out, slab
-		}
 		nulls = make([]relation.Value, len(a.exist))
 		for i, z := range a.exist {
-			nulls[i] = mintNull(a.rule.ID, z, key, depth)
+			nulls[i] = mintNull(a.rule.ID, z, key)
 		}
 	}
 	first := len(out)
@@ -222,48 +196,36 @@ func (a *Applier) appendFacts(out []Fact, slab []relation.Value, binding relatio
 }
 
 // mintNull builds the deterministic label for an existential witness.
-func mintNull(ruleID, varName, frontierKey string, depth int) relation.Value {
+func mintNull(ruleID, varName, frontierKey string) relation.Value {
 	h := sha256.Sum256([]byte(ruleID + "\x00" + varName + "\x00" + frontierKey))
-	return relation.Null("d" + strconv.Itoa(depth) + "~" + hex.EncodeToString(h[:12]))
+	return relation.Null(hex.EncodeToString(h[:12]))
 }
 
-// NullDepth returns the derivation depth embedded in a marked null's label;
-// non-nulls and foreign labels (user-minted nulls) have depth 0.
-func NullDepth(v relation.Value) int {
-	if v.Kind != relation.KindNull {
-		return 0
-	}
-	label := v.NullLabel()
-	if !strings.HasPrefix(label, "d") {
-		return 0
-	}
-	i := strings.IndexByte(label, '~')
-	if i < 2 {
-		return 0
-	}
-	d, err := strconv.Atoi(label[1:i])
-	if err != nil || d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Bindings evaluates the rule body over the source and returns the frontier
-// bindings (the payload an exporting node ships to the importer).
+// Bindings evaluates the rule body over the source and returns its certain
+// frontier bindings, those that hold no marked null: the payload an
+// exporting node ships to the importer.
 func Bindings(rule *cq.Rule, src cq.Source, opts Options) ([]relation.Tuple, error) {
-	return cq.EvalBindings(rule.Body, rule.Cmps, rule.Frontier(), src, opts.Eval)
+	return certain(cq.EvalBindings(rule.Body, rule.Cmps, rule.Frontier(), src, opts.Eval))
 }
 
 // BindingsDelta is the semi-naive variant of Bindings: only derivations
 // using at least one tuple of delta (for deltaRel) are produced.
 func BindingsDelta(rule *cq.Rule, src cq.Source, deltaRel string, delta []relation.Tuple, opts Options) ([]relation.Tuple, error) {
-	return cq.EvalDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval)
+	return certain(cq.EvalDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval))
 }
 
 // BindingsSetDelta is BindingsDelta for a delta that repeats no tuple
 // (cq.EvalSetDelta): an injective rule's bindings are not keyed.
 func BindingsSetDelta(rule *cq.Rule, src cq.Source, deltaRel string, delta []relation.Tuple, opts Options) ([]relation.Tuple, error) {
-	return cq.EvalSetDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval)
+	return certain(cq.EvalSetDelta(rule.Body, rule.Cmps, rule.Frontier(), src, deltaRel, delta, opts.Eval))
+}
+
+// certain passes an evaluation's result through cq.FilterCertain.
+func certain(bindings []relation.Tuple, err error) ([]relation.Tuple, error) {
+	if err != nil {
+		return nil, err
+	}
+	return cq.FilterCertain(bindings), nil
 }
 
 // Apply evaluates the rule end to end against a source instance and returns

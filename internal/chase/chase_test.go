@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,9 +47,6 @@ func TestExistentialMinting(t *testing.T) {
 	if z1 == z2 {
 		t.Error("distinct frontier bindings must mint distinct nulls")
 	}
-	if NullDepth(z1) != 1 {
-		t.Errorf("fresh null depth = %d, want 1", NullDepth(z1))
-	}
 }
 
 func TestMintingIsDeterministicAcrossAppliers(t *testing.T) {
@@ -93,67 +91,12 @@ func TestSharedExistentialAcrossHeadAtoms(t *testing.T) {
 	}
 }
 
-func TestDepthGrowsThroughNullChains(t *testing.T) {
-	r := cq.MustParseRule("r1", `A.p(x, z) <- B.q(x)`)
-	a := mustApplier(t, r, Options{})
-	// A frontier binding containing a depth-3 null yields depth-4 nulls.
-	deep := relation.Null("d3~abcdef")
-	facts := a.Facts([]relation.Tuple{{deep}})
-	if got := NullDepth(facts[0].Tuple[1]); got != 4 {
-		t.Errorf("depth = %d, want 4", got)
-	}
-}
-
-func TestDepthBoundSkips(t *testing.T) {
-	r := cq.MustParseRule("r1", `A.p(x, z) <- B.q(x)`)
-	a := mustApplier(t, r, Options{MaxDepth: 2})
-	deep := relation.Null("d2~ffff")
-	facts := a.Facts([]relation.Tuple{{deep}})
-	if len(facts) != 0 {
-		t.Errorf("facts past depth bound = %v", facts)
-	}
-	if a.Skipped != 1 {
-		t.Errorf("Skipped = %d", a.Skipped)
-	}
-	// Re-delivery of a skipped binding does not double count.
-	a.Facts([]relation.Tuple{{deep}})
-	if a.Skipped != 1 {
-		t.Errorf("Skipped after re-delivery = %d", a.Skipped)
-	}
-	// Non-existential rules ignore the bound.
-	rc := cq.MustParseRule("rc", `A.p(x) <- B.q(x)`)
-	ac := mustApplier(t, rc, Options{MaxDepth: 1})
-	if got := ac.Facts([]relation.Tuple{{deep}}); len(got) != 1 {
-		t.Errorf("copy rule blocked by depth bound: %v", got)
-	}
-}
-
-func TestNullDepthParsing(t *testing.T) {
-	cases := map[string]int{
-		"d1~ab":  1,
-		"d12~ab": 12,
-		"other":  0,
-		"d~ab":   0,
-		"dx~ab":  0,
-		"":       0,
-		"d-3~ab": 0,
-	}
-	for label, want := range cases {
-		if got := NullDepth(relation.Null(label)); got != want {
-			t.Errorf("NullDepth(%q) = %d, want %d", label, got, want)
-		}
-	}
-	if NullDepth(relation.Int(5)) != 0 {
-		t.Error("non-null depth must be 0")
-	}
-}
-
 func TestMalformedBindingSkipped(t *testing.T) {
 	r := cq.MustParseRule("r1", `A.p(x, y) <- B.q(x, y)`)
 	a := mustApplier(t, r, Options{})
 	facts := a.Facts([]relation.Tuple{{relation.Int(1)}}) // arity 1, frontier needs 2
-	if len(facts) != 0 || a.Skipped != 1 {
-		t.Errorf("malformed binding: facts=%v skipped=%d", facts, a.Skipped)
+	if len(facts) != 0 {
+		t.Errorf("malformed binding: facts=%v", facts)
 	}
 }
 
@@ -194,6 +137,61 @@ func TestBindingsDelta(t *testing.T) {
 	}
 }
 
+// TestBindingsTransferCertainOnly: a rule ships only the certain answers of
+// its body, on every evaluation path. A null may join or be projected away
+// inside the body, but never reaches the frontier.
+func TestBindingsTransferCertainOnly(t *testing.T) {
+	null := relation.Null("n")
+	cases := []struct {
+		name string
+		rule string
+		src  map[string][]relation.Tuple
+		want []relation.Tuple
+	}{
+		{
+			name: "null in frontier",
+			rule: `A.b(x, y) <- B.b(x, y)`,
+			src:  map[string][]relation.Tuple{"b": {{relation.Int(1), null}}},
+		},
+		{
+			name: "null projected away",
+			rule: `A.u(x) <- B.b(x, y)`,
+			src:  map[string][]relation.Tuple{"b": {{relation.Int(1), null}}},
+			want: []relation.Tuple{{relation.Int(1)}},
+		},
+		{
+			name: "join on null",
+			rule: `A.t(x) <- B.b(x, y), B.c(y)`,
+			src:  map[string][]relation.Tuple{"b": {{relation.Int(1), null}}, "c": {{null}}},
+			want: []relation.Tuple{{relation.Int(1)}},
+		},
+	}
+	for _, tc := range cases {
+		r := cq.MustParseRule("r1", tc.rule)
+		in := relation.NewInstance()
+		for rel, ts := range tc.src {
+			for _, tu := range ts {
+				in.Insert(rel, tu)
+			}
+		}
+		delta := tc.src["b"]
+		evals := map[string]func() ([]relation.Tuple, error){
+			"Bindings":         func() ([]relation.Tuple, error) { return Bindings(r, in, Options{}) },
+			"BindingsDelta":    func() ([]relation.Tuple, error) { return BindingsDelta(r, in, "b", delta, Options{}) },
+			"BindingsSetDelta": func() ([]relation.Tuple, error) { return BindingsSetDelta(r, in, "b", delta, Options{}) },
+		}
+		for name, eval := range evals {
+			got, err := eval()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, name, err)
+			}
+			if !slices.EqualFunc(got, tc.want, relation.Tuple.Equal) {
+				t.Errorf("%s/%s: bindings = %v, want %v", tc.name, name, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestConstantInHead(t *testing.T) {
 	r := cq.MustParseRule("r1", `A.p(x, "fixed") <- B.q(x)`)
 	a := mustApplier(t, r, Options{})
@@ -204,7 +202,7 @@ func TestConstantInHead(t *testing.T) {
 }
 
 func TestFactString(t *testing.T) {
-	f := Fact{Rel: "p", Tuple: relation.Tuple{relation.Int(1), relation.Null("d1~ab")}}
+	f := Fact{Rel: "p", Tuple: relation.Tuple{relation.Int(1), relation.Null("ab")}}
 	if !strings.HasPrefix(f.String(), "p(1, ") {
 		t.Errorf("String = %q", f.String())
 	}

@@ -21,8 +21,6 @@ type FixpointStats struct {
 	Rounds int
 	// FactsAdded is the number of new tuples inserted across all nodes.
 	FactsAdded int
-	// SkippedAtDepth counts frontier bindings dropped by the depth bound.
-	SkippedAtDepth int
 }
 
 // Fixpoint runs the oracle. The input map is not modified.
@@ -66,14 +64,6 @@ func Fixpoint(rules []*cq.Rule, start map[string]relation.Instance, opts Options
 		if !changed {
 			break
 		}
-		// A diverging chase with no depth bound would loop forever; guard
-		// with a generous round limit proportional to the depth bound.
-		if opts.MaxDepth > 0 && stats.Rounds > opts.MaxDepth*len(rules)+1_000 {
-			break
-		}
-	}
-	for _, a := range appliers {
-		stats.SkippedAtDepth += a.Skipped
 	}
 	return state, stats, nil
 }
@@ -151,9 +141,6 @@ func FixpointSemiNaive(rules []*cq.Rule, start map[string]relation.Instance, opt
 			}
 		}
 		deltas, next = next, nil
-	}
-	for _, a := range appliers {
-		stats.SkippedAtDepth += a.Skipped
 	}
 	return state, stats, nil
 }

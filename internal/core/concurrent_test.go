@@ -46,7 +46,7 @@ func TestConcurrentUpdatesInterleaved(t *testing.T) {
 		s := newSim(t)
 		s.rnd = rand.New(rand.NewSource(seed ^ 0x77))
 		for _, name := range names {
-			s.addNodeCfg(Config{Self: name, MaxDepth: 6}, "u/1", "b/2")
+			s.addNode(name, "u/1", "b/2")
 		}
 		for _, r := range rules {
 			s.rule(r.ID, r.String())
@@ -79,7 +79,7 @@ func TestConcurrentUpdatesInterleaved(t *testing.T) {
 				start[n] = relation.NewInstance()
 			}
 		}
-		oracle, _, err := chase.Fixpoint(rules, start, chase.Options{MaxDepth: 6})
+		oracle, _, err := chase.Fixpoint(rules, start, chase.Options{})
 		if err != nil {
 			return false
 		}
@@ -107,7 +107,7 @@ func TestIncrementalUpdatesConverge(t *testing.T) {
 		s := newSim(t)
 		s.rnd = rand.New(rand.NewSource(seed ^ 0x1234))
 		for _, name := range names {
-			s.addNodeCfg(Config{Self: name, MaxDepth: 6}, "u/1", "b/2")
+			s.addNode(name, "u/1", "b/2")
 		}
 		for _, r := range rules {
 			s.rule(r.ID, r.String())
@@ -148,7 +148,7 @@ func TestIncrementalUpdatesConverge(t *testing.T) {
 		for n := range comp {
 			start[n] = allSeeds[n].Clone()
 		}
-		oracle, _, err := chase.Fixpoint(oracleRules, start, chase.Options{MaxDepth: 6})
+		oracle, _, err := chase.Fixpoint(oracleRules, start, chase.Options{})
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,7 @@
 // algorithm synchronous and deterministic makes it testable against the
 // centralised chase oracle without any goroutines.
 //
-// # Semantics implemented (and the two deliberate readings of §3)
+// # Semantics implemented (and the three deliberate readings of the paper)
 //
 // Global update: the session floods to every acquaintance with duplicate
 // suppression ("request propagation is stopped … if that node has already
@@ -16,8 +16,8 @@
 // semi-naive re-evaluation of the dependent incoming links ("incoming
 // links, which are dependent on O, are computed by substituting R by T′"),
 // with per-link sent caches suppressing re-sends ("we delete from Ri those
-// tuples which have been already sent"). This computes the exact
-// Skolem-chase fixpoint, verified against internal/chase.Fixpoint.
+// tuples which have been already sent"). This computes the exact fixpoint
+// of internal/chase.Fixpoint, which the oracle tests check.
 //
 // Query answering: the query is answered from local data immediately and
 // propagated along the *relevant* outgoing links only, with node-ID path
@@ -37,6 +37,15 @@
 // not bring any new data") on any topology, cycles included. Link states
 // would answer that question again, at a message and an ack per link per
 // session, so nodes keep none.
+//
+// The third reading is what a rule transfers, which §3 leaves open for
+// marked nulls. Following Franconi et al.'s characterisation of coDB
+// networks (PAPERS.md), a link ships only what its source peer knows, the
+// certain answers of the rule body: a frontier binding that holds a null is
+// never exported (see internal/chase). Nulls stay at the peer that minted
+// them, every shipped value comes from the finite active domain, and the
+// global update computes that fixpoint on every topology with no bound on
+// derivation depth.
 package core
 
 import (
@@ -88,11 +97,6 @@ type Wrapper interface {
 	ReadSnapshot() *storage.Snapshot
 }
 
-// DefaultMaxDepth bounds the chase's null derivation depth unless the
-// configuration overrides it. Diverging (non-weakly-acyclic) rule sets are
-// cut off at this depth; terminating ones never reach it.
-const DefaultMaxDepth = 16
-
 // Config configures a Node. The zero value of the feature toggles selects
 // the incremental algorithm; FullExport selects the paper's, and Eval the
 // join strategy.
@@ -101,9 +105,6 @@ type Config struct {
 	Self string
 	// Wrapper is the local storage.
 	Wrapper Wrapper
-	// MaxDepth bounds null derivation depth; 0 selects DefaultMaxDepth,
-	// negative means unlimited.
-	MaxDepth int
 	// Eval selects the join strategy: the hash join, or the nested loop the
 	// differential and oracle tests use as the correctness reference.
 	Eval cq.EvalOptions
@@ -244,7 +245,6 @@ func (es *exportState) advance(lsn uint64) {
 // Node is the algorithm state machine for one peer.
 type Node struct {
 	cfg      Config
-	maxDepth int
 	rules    map[string]*ruleState
 	appliers map[string]*chase.Applier // per outgoing rule (Target == Self)
 	sessions map[string]*session       // running sessions
@@ -313,13 +313,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Wrapper == nil {
 		return nil, fmt.Errorf("core: Config.Wrapper is required")
 	}
-	maxDepth := cfg.MaxDepth
-	switch {
-	case maxDepth == 0:
-		maxDepth = DefaultMaxDepth
-	case maxDepth < 0:
-		maxDepth = 0 // chase.Options: 0 = unlimited
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return 0 }
 	}
@@ -331,7 +324,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	return &Node{
 		cfg:        cfg,
-		maxDepth:   maxDepth,
 		rules:      make(map[string]*ruleState),
 		appliers:   make(map[string]*chase.Applier),
 		sessions:   make(map[string]*session),
@@ -387,7 +379,7 @@ func (n *Node) Wrapper() Wrapper { return n.cfg.Wrapper }
 
 // chaseOpts builds the chase options from the config.
 func (n *Node) chaseOpts() chase.Options {
-	return chase.Options{MaxDepth: n.maxDepth, Eval: n.cfg.Eval}
+	return chase.Options{Eval: n.cfg.Eval}
 }
 
 // AddRule registers a coordination rule. The rule must involve this node as

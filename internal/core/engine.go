@@ -340,9 +340,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	}
 
 	// Chase: instantiate heads, stage, collect the per-relation deltas.
-	skippedBefore := applier.Skipped
 	facts := applier.Facts(d.Bindings)
-	s.rep.SkippedDepth += applier.Skipped - skippedBefore
 	v := n.sessionView(s)
 	fresh := make(map[string][]relation.Tuple)
 	for _, rel := range rs.rule.HeadRelations() {

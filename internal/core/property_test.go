@@ -15,7 +15,7 @@ import (
 // random topologies (possibly cyclic, with existential rules), random seed
 // data, and a random message delivery order, a global update leaves every
 // node in the initiator's weakly-connected component with exactly the
-// instance the centralised Skolem-chase fixpoint assigns it. Thanks to the
+// instance the centralised chase fixpoint assigns it. Thanks to the
 // deterministic null labels the comparison is plain set equality, not just
 // isomorphism.
 func TestQuickUpdateMatchesOracle(t *testing.T) {
@@ -27,7 +27,7 @@ func TestQuickUpdateMatchesOracle(t *testing.T) {
 		s := newSim(t)
 		s.rnd = rand.New(rand.NewSource(seed ^ 0x5eed))
 		for _, name := range names {
-			s.addNodeCfg(Config{Self: name, MaxDepth: 6}, "u/1", "b/2")
+			s.addNode(name, "u/1", "b/2")
 		}
 		for _, r := range rules {
 			s.rule(r.ID, r.String())
@@ -62,7 +62,7 @@ func TestQuickUpdateMatchesOracle(t *testing.T) {
 				start[node] = relation.NewInstance()
 			}
 		}
-		oracle, _, err := chase.Fixpoint(compRules, start, chase.Options{MaxDepth: 6})
+		oracle, _, err := chase.Fixpoint(compRules, start, chase.Options{})
 		if err != nil {
 			t.Logf("oracle: %v", err)
 			return false
@@ -142,7 +142,8 @@ func component(origin string, rules []*cq.Rule) map[string]bool {
 
 // randomTopology builds 3-6 nodes with relations u/1 and b/2, random rules
 // drawn from copy/projection/join/existential templates (duplicates and
-// cycles allowed), and random seed data.
+// cycles allowed; one template puts a minted null in a frontier), and
+// random seed data.
 func randomTopology(rnd *rand.Rand) ([]string, []*cq.Rule, map[string]relation.Instance) {
 	nNodes := rnd.Intn(4) + 3
 	names := make([]string, nNodes)
@@ -157,6 +158,7 @@ func randomTopology(rnd *rand.Rand) ([]string, []*cq.Rule, map[string]relation.I
 		func(t, s string) string { return fmt.Sprintf(`%s.b(x, z) <- %s.u(x)`, t, s) },
 		func(t, s string) string { return fmt.Sprintf(`%s.u(x) <- %s.b(x, y), y > 1`, t, s) },
 		func(t, s string) string { return fmt.Sprintf(`%s.b(x, x) <- %s.u(x)`, t, s) },
+		func(t, s string) string { return fmt.Sprintf(`%s.u(y) <- %s.b(x, y)`, t, s) },
 	}
 	nRules := rnd.Intn(6) + 2
 	var rules []*cq.Rule
@@ -226,7 +228,7 @@ func TestQuickQueryMatchesOracleOnTrees(t *testing.T) {
 		}
 		answers := s.query(names[0], `ans(x) :- u(x)`, AllAnswers)
 
-		oracle, _, err := chase.Fixpoint(rules, seeds, chase.Options{MaxDepth: 6})
+		oracle, _, err := chase.Fixpoint(rules, seeds, chase.Options{})
 		if err != nil {
 			return false
 		}

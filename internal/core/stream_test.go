@@ -58,7 +58,7 @@ func TestStreamedAnswersMatchOracle(t *testing.T) {
 			}
 			seeds[n] = in
 		}
-		oracle, _, err := chase.Fixpoint(rules, seeds, chase.Options{MaxDepth: DefaultMaxDepth})
+		oracle, _, err := chase.Fixpoint(rules, seeds, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"codb/internal/chase"
@@ -114,7 +115,7 @@ func TestUpdateMatchesOracleChainJoinExistential(t *testing.T) {
 	start["C"].Insert("e", intRow(2, 3))
 	start["B"].Insert("lab", intRow(2, 20))
 	start["B"].Insert("lab", intRow(3, 30))
-	oracle, _, err := chase.Fixpoint(rules, start, chase.Options{MaxDepth: DefaultMaxDepth})
+	oracle, _, err := chase.Fixpoint(rules, start, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestUpdateMatchesOracleChainJoinExistential(t *testing.T) {
 			t.Errorf("node %s:\n got %v\nwant %v", node, got, want)
 		}
 	}
-	// Deterministic Skolem nulls: not just isomorphic, identical.
+	// Deterministic nulls: not just isomorphic, identical.
 	gotA := s.instanceOf("A").Tuples("p")
 	wantA := oracle["A"].Tuples("p")
 	for i := range gotA {
@@ -135,32 +136,58 @@ func TestUpdateMatchesOracleChainJoinExistential(t *testing.T) {
 	}
 }
 
-func TestUpdateExistentialCycleCutOffAtDepth(t *testing.T) {
-	s := newSim(t)
-	s.addNodeCfg(Config{Self: "A", MaxDepth: 4}, "r/2")
-	s.addNodeCfg(Config{Self: "B", MaxDepth: 4}, "s/1")
-	s.rule("r1", `A.r(x, z) <- B.s(x)`)
-	s.rule("r2", `B.s(z) <- A.r(x, z)`)
-	s.seed("B", "s", []int{1})
+// TestUpdateExistentialCycleTerminates: a cyclic existential rule set, whose
+// first-order chase diverges, reaches the oracle's fixpoint with no bound,
+// because no rule ships the null it would need to go round again.
+func TestUpdateExistentialCycleTerminates(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes map[string]string // node → its one relation
+		rules []string
+	}{
+		{
+			name:  "2-node cycle",
+			nodes: map[string]string{"A": "r/2", "B": "s/1"},
+			rules: []string{`A.r(x, z) <- B.s(x)`, `B.s(z) <- A.r(x, z)`},
+		},
+		{
+			name:  "3-node ring",
+			nodes: map[string]string{"A": "r/2", "B": "s/1", "C": "t/1"},
+			rules: []string{`A.r(x, z) <- C.t(x)`, `B.s(z) <- A.r(x, z)`, `C.t(x) <- B.s(x)`},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSim(t)
+			start := make(map[string]relation.Instance)
+			for name, rel := range tc.nodes {
+				s.addNode(name, rel)
+				start[name] = relation.NewInstance()
+			}
+			var rules []*cq.Rule
+			for i, text := range tc.rules {
+				id := fmt.Sprintf("r%d", i+1)
+				s.rule(id, text)
+				rules = append(rules, cq.MustParseRule(id, text))
+			}
+			s.seed("B", "s", []int{1})
+			start["B"].Insert("s", intRow(1))
 
-	s.update("A")
+			s.update("A")
 
-	// Same counts as the oracle at MaxDepth 4: s gets 1+4, r gets 4.
-	if got := len(s.instanceOf("B")["s"]); got != 5 {
-		t.Errorf("B.s = %d tuples, want 5", got)
-	}
-	if got := len(s.instanceOf("A")["r"]); got != 4 {
-		t.Errorf("A.r = %d tuples, want 4", got)
-	}
-	// The depth bound must have been reported.
-	var skipped int
-	for _, n := range []string{"A", "B"} {
-		for _, rep := range s.nodes[n].Reports() {
-			skipped += rep.SkippedDepth
-		}
-	}
-	if skipped == 0 {
-		t.Error("no SkippedDepth reported on a diverging chase")
+			oracle, _, err := chase.Fixpoint(rules, start, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := oracle["A"].Tuples("r"); len(got) != 1 || !got[0][1].IsNull() {
+				t.Errorf("oracle A.r = %v, want one row with a null", got)
+			}
+			for name := range tc.nodes {
+				if got := s.instanceOf(name); !instancesIdentical(got, oracle[name]) {
+					t.Errorf("node %s:\n got %v\nwant %v", name, got, oracle[name])
+				}
+			}
+		})
 	}
 }
 

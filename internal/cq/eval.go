@@ -154,15 +154,23 @@ func evalDelta(terms []Term, body []Atom, cmps []Comparison, src Source, deltaRe
 }
 
 // FilterCertain drops tuples containing marked nulls: the certain-answer
-// semantics for unions of conjunctive queries over naive tables.
+// semantics for unions of conjunctive queries over naive tables. It never
+// writes to ts, which may be cached, and returns ts itself when no tuple
+// holds a null.
 func FilterCertain(ts []relation.Tuple) []relation.Tuple {
-	out := ts[:0:0]
-	for _, t := range ts {
+	for i, t := range ts {
 		if !t.HasNull() {
-			out = append(out, t)
+			continue
 		}
+		out := append(make([]relation.Tuple, 0, len(ts)-1), ts[:i]...)
+		for _, t := range ts[i+1:] {
+			if !t.HasNull() {
+				out = append(out, t)
+			}
+		}
+		return out
 	}
-	return out
+	return ts
 }
 
 // binding is a partial assignment: values parallel to the compiled variable

@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -259,6 +260,33 @@ func TestEvalNullSemantics(t *testing.T) {
 	}
 	if cert := FilterCertain(got3); len(cert) != 0 {
 		t.Errorf("certain answers = %v", cert)
+	}
+}
+
+func TestFilterCertainNullFreeAllocs(t *testing.T) {
+	ts := []relation.Tuple{{relation.Int(1), relation.Str("a")}, {relation.Int(2), relation.Str("b")}}
+	var got []relation.Tuple
+	if allocs := testing.AllocsPerRun(100, func() { got = FilterCertain(ts) }); allocs != 0 {
+		t.Errorf("FilterCertain on null-free input: %v allocs, want 0", allocs)
+	}
+	if len(got) != len(ts) || &got[0] != &ts[0] {
+		t.Errorf("null-free input not returned as is: %v", got)
+	}
+}
+
+func TestFilterCertainLeavesInputIntact(t *testing.T) {
+	null := relation.Null("n")
+	ts := []relation.Tuple{
+		{relation.Int(1)}, {null}, {relation.Int(2)}, {null}, {relation.Int(3)},
+	}
+	before := slices.Clone(ts)
+	got := FilterCertain(ts)
+	want := []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}, {relation.Int(3)}}
+	if !slices.EqualFunc(got, want, relation.Tuple.Equal) {
+		t.Errorf("FilterCertain = %v, want %v", got, want)
+	}
+	if !slices.EqualFunc(ts, before, relation.Tuple.Equal) {
+		t.Errorf("FilterCertain wrote to its input: %v, was %v", ts, before)
 	}
 }
 

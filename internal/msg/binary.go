@@ -396,7 +396,7 @@ func appendUpdateReport(dst []byte, u *UpdateReport) []byte {
 	dst = appendStrings(dst, u.Queried)
 	dst = appendStrings(dst, u.SentTo)
 	for _, v := range []int{
-		u.SentMsgs, u.SentBytes, u.LongestPath, u.NewTuples, u.SkippedDepth,
+		u.SentMsgs, u.SentBytes, u.LongestPath, u.NewTuples,
 		u.CompensatedLost,
 		u.ExportsFull, u.ExportsIncremental, u.ExportsFallback,
 		u.SkippedByWatermark, u.SuppressedBindings, u.IncrementalMsgs,
@@ -422,7 +422,7 @@ func (r *reader) updateReport() UpdateReport {
 	u.Queried = r.strings()
 	u.SentTo = r.strings()
 	for _, p := range []*int{
-		&u.SentMsgs, &u.SentBytes, &u.LongestPath, &u.NewTuples, &u.SkippedDepth,
+		&u.SentMsgs, &u.SentBytes, &u.LongestPath, &u.NewTuples,
 		&u.CompensatedLost,
 		&u.ExportsFull, &u.ExportsIncremental, &u.ExportsFallback,
 		&u.SkippedByWatermark, &u.SuppressedBindings, &u.IncrementalMsgs,

@@ -236,9 +236,8 @@ type UpdateReport struct {
 	// Queried lists acquaintances this node sent requests to; SentTo lists
 	// nodes this node shipped results to.
 	Queried, SentTo []string
-	// NewTuples counts tuples actually added locally; SkippedDepth counts
-	// chase firings dropped by the depth bound.
-	NewTuples, SkippedDepth int
+	// NewTuples counts tuples actually added locally.
+	NewTuples int
 	// CompensatedLost counts basic messages written off by the sender
 	// because their pipe failed (core.CompensateLost / CompensatePeerLoss):
 	// nonzero means the session terminated without those messages being

@@ -58,8 +58,7 @@ type Options struct {
 	// other peers know this node under. Every runtime join bumps it;
 	// static bootstrap deployments leave it 0.
 	Epoch uint64
-	// MaxDepth, Eval, FullExport tune the algorithm; see core.Config.
-	MaxDepth   int
+	// Eval, FullExport tune the algorithm; see core.Config.
 	Eval       cq.EvalOptions
 	FullExport bool
 	// QueryCacheSize bounds the concurrent read path's query-result cache
@@ -158,7 +157,6 @@ func New(opts Options) (*Peer, error) {
 	node, err := core.NewNode(core.Config{
 		Self:       opts.Name,
 		Wrapper:    opts.Wrapper,
-		MaxDepth:   opts.MaxDepth,
 		Eval:       opts.Eval,
 		FullExport: opts.FullExport,
 		Clock:      func() int64 { return time.Now().UnixNano() },

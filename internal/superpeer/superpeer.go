@@ -237,7 +237,6 @@ type Aggregate struct {
 	LongestPath  int
 	MsgsPerRule  map[string]int
 	BytesPerRule map[string]int
-	SkippedDepth int
 }
 
 // AggregateSessions merges per-node reports into per-session aggregates,
@@ -271,7 +270,6 @@ func AggregateSessions(byNode map[string][]msg.UpdateReport) []Aggregate {
 			a.TotalMsgs += rep.SentMsgs
 			a.TotalBytes += rep.SentBytes
 			a.NewTuples += rep.NewTuples
-			a.SkippedDepth += rep.SkippedDepth
 			if rep.LongestPath > a.LongestPath {
 				a.LongestPath = rep.LongestPath
 			}

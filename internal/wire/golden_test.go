@@ -37,7 +37,7 @@ func goldenPayloads() []msg.Payload {
 		TuplesPerRule: map[string]int{"r2": 9},
 		SentMsgs:      3, SentBytes: 640, LongestPath: 2,
 		Queried: []string{"N2", "N3"}, SentTo: []string{"N2"},
-		NewTuples: 12, SkippedDepth: 1, CompensatedLost: 0,
+		NewTuples: 12, CompensatedLost: 0,
 		ExportsFull: 1, ExportsIncremental: 2, ExportsFallback: 0,
 		SkippedByWatermark: 40, SuppressedBindings: 5, IncrementalMsgs: 2,
 		EvalErrors: 0, CacheHits: 1, CacheMisses: 1,
