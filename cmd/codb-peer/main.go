@@ -57,7 +57,7 @@ func main() {
 	listen := flag.String("listen", "", "listen address (defaults to the address in -config)")
 	cfgPath := flag.String("config", "", "network configuration file")
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory)")
-	syncCommit := flag.Bool("sync-commit", false, "make every commit durable before it returns (group-committed)")
+	syncCommit := flag.Bool("sync-commit", false, "make every commit durable before it returns (one fsync per commit)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = default)")
 	retainSegments := flag.Int("retain-segments", 0, "checkpoint-superseded WAL segments kept for changelog spill (0 = default, negative = none)")
 	httpAddr := flag.String("http", "", "serve the HTTP/JSON gateway on this address (empty = no gateway)")

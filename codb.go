@@ -69,7 +69,7 @@ type (
 	// path).
 	ReadStats = core.QueryCacheStats
 	// StorageStats is a peer's storage-engine report: per-relation row/byte
-	// counts, WAL size, group-commit batching counters.
+	// counts, WAL size, logged commits and their fsyncs.
 	StorageStats = storage.DetailedStats
 	// PropagationStats is a peer's propagation-policy snapshot: per-link
 	// counters plus staleness quantiles.
@@ -125,9 +125,7 @@ type Network struct {
 // StorageGroup groups the storage-engine knobs of NetworkOptions.
 type StorageGroup struct {
 	// SyncOnCommit makes every commit of a durable peer database reach
-	// stable storage before the commit returns. Viable under load thanks
-	// to the WAL group-commit pipeline, which shares one fsync across a
-	// batch of concurrent commits.
+	// stable storage before the commit returns (one fsync per commit).
 	SyncOnCommit bool
 	// SegmentBytes rotates each durable peer database's WAL to a fresh
 	// segment at this size (0 = storage default). Smaller segments mean
@@ -799,7 +797,7 @@ func (nw *Network) PeerReadStats(node string) (stats ReadStats, ok bool) {
 }
 
 // PeerStorageStats returns a node's storage-engine report (per-relation
-// row/byte counts, WAL size, group-commit batching counters); ok is false
+// row/byte counts, WAL size, logged commits and their fsyncs); ok is false
 // for unknown peers.
 func (nw *Network) PeerStorageStats(node string) (stats StorageStats, ok bool) {
 	p := nw.Peer(node)

@@ -185,7 +185,7 @@ func TestStatsEndpointsShape(t *testing.T) {
 			t.Errorf("%s: /v1/stats/storage = node %s, available %s", node, st["node"], st["available"])
 		}
 		engine := field[map[string]json.RawMessage](t, st, "storage")
-		want := []string{"GroupCommit", "GroupCommitEnabled", "LSN", "Relations", "SpillHits", "SpillMisses", "WAL", "WALBytes"}
+		want := []string{"GroupCommit", "LSN", "Relations", "SpillHits", "SpillMisses", "WAL", "WALBytes"}
 		if got := keysOf(t, engine); !slices.Equal(got, want) {
 			t.Errorf("%s: storage report keys %v, want %v", node, got, want)
 		}

@@ -325,20 +325,10 @@ func (c *Console) runStorage(args []string) {
 		c.printf("wal segments: %d (first lsn %d, %d rotations, %d pruned), spill: %d hits %d misses\n",
 			st.WAL.Segments, st.WAL.FirstLSN, st.WAL.Rotations, st.WAL.Pruned,
 			st.SpillHits, st.SpillMisses)
+		c.printf("logged commits: %d, %d fsyncs\n", st.GroupCommit.Commits, st.GroupCommit.Syncs)
 	}
 	for _, rel := range st.Relations {
 		c.printf("  %s: %6d rows %8d bytes\n", rel.Name, rel.Tuples, rel.Bytes)
-	}
-	if st.GroupCommitEnabled {
-		gc := st.GroupCommit
-		mean := 0.0
-		if gc.Batches > 0 {
-			mean = float64(gc.Commits) / float64(gc.Batches)
-		}
-		c.printf("group commit: %d commits in %d batches (mean %.1f, max %d), %d fsyncs\n",
-			gc.Commits, gc.Batches, mean, gc.MaxBatch, gc.Syncs)
-	} else {
-		c.printf("group commit: off (memory-only database or disabled)\n")
 	}
 	if p := c.nw.Peer(args[0]); p != nil {
 		if tot := p.ExportTotals(); tot.Sessions > 0 {

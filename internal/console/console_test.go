@@ -185,13 +185,15 @@ func TestExecuteStorage(t *testing.T) {
 		"commit LSN:",
 		"  r:      1 rows",
 		"bytes",
-		"group commit: off",
 		"no storage engine on nope",
 		"usage: storage <node>",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "logged commits") {
+		t.Errorf("a memory-only peer reports logged commits:\n%s", text)
 	}
 }
 
@@ -209,7 +211,7 @@ func TestExecuteStorageDurableShowsSegments(t *testing.T) {
 		}
 	}
 	text := out.String()
-	for _, want := range []string{"wal segments: 1", "spill: 0 hits"} {
+	for _, want := range []string{"wal segments: 1", "spill: 0 hits", "logged commits: 2, 0 fsyncs"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}

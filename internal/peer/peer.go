@@ -929,9 +929,9 @@ func (p *Peer) WireStats() (frames, bytes uint64, ok bool) {
 }
 
 // StorageStats returns the storage engine's report (row/byte counts per
-// relation, WAL size, group-commit batching counters); ok is false
+// relation, WAL size, logged commits and their fsyncs); ok is false
 // for a wrapper that does not expose its engine. Safe to call concurrently
-// with the actor loop: the engine takes its own locks.
+// with the actor loop: the report reads the engine's published state.
 func (p *Peer) StorageStats() (stats storage.DetailedStats, ok bool) {
 	w, ok := p.node.Wrapper().(interface{ DB() *storage.DB })
 	if !ok {

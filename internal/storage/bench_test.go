@@ -90,7 +90,7 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // TestConcurrentReadersAndWriter drives parallel scans against a writer;
-// run under -race this validates the locking discipline.
+// run under -race this validates that readers only touch published roots.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db := newEmpDB(t)
 	for i := 0; i < 500; i++ {

@@ -16,8 +16,8 @@ import (
 // TestBackgroundCheckpointCommitRace hammers commits from N goroutines
 // while checkpoints run in a loop (under -race in CI). Invariants: the
 // observed LSN never regresses, no commit blocks for longer than a bounded
-// threshold (the stop-the-world checkpoint held db.mu exclusively for the
-// whole snapshot write; the background one must not), and the state
+// threshold (a checkpoint writes the published root and must never hold the
+// writer lock for the whole snapshot write), and the state
 // reopened after the storm is byte-identical to a quiescent checkpoint of
 // it.
 func TestBackgroundCheckpointCommitRace(t *testing.T) {

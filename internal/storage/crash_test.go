@@ -17,24 +17,20 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"codb/internal/relation"
 )
 
 // crash simulates a kill -9: every file handle is dropped with no
-// checkpoint, no final sync, no group-commit drain beyond what commits
-// already awaited. The in-memory DB object is dead afterwards.
+// checkpoint and no final sync beyond what commits already did. The
+// in-memory DB object is dead afterwards.
 func (db *DB) crash() {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	db.mu.Lock()
-	db.closed = true
-	db.mu.Unlock()
-	if db.group != nil {
-		db.group.Close()
-	}
+	db.writeMu.Lock()
+	db.closed.Store(true)
+	db.writeMu.Unlock()
 	if db.log != nil {
 		db.log.Close()
 	}
@@ -192,25 +188,24 @@ type tortureSpec struct {
 	name          string
 	segmentBytes  int64
 	checkpointMid bool
-	writers       int
-	relations     int // the writers of a multi-writer spec spread over this many
-	deletes       bool
-	trials        int
+	// relations > 1 selects the burst workload: every commit is one keyed
+	// batch with a row in each of this many relations.
+	relations int
+	deletes   bool
+	trials    int
 }
 
 func TestCrashRecoveryTorture(t *testing.T) {
 	specs := []tortureSpec{
-		// Single writer, many tiny segments, multi-op transactions torn
-		// mid-record, mid-segment and mid-rotation.
-		{name: "segments", segmentBytes: 192, writers: 1, deletes: true, trials: 28},
+		// Many tiny segments, multi-op commits torn mid-record,
+		// mid-segment and mid-rotation.
+		{name: "segments", segmentBytes: 192, deletes: true, trials: 28},
 		// A checkpoint in the middle: trials land before, inside and after
 		// the snapshot-covered prefix, including inside retained segments.
-		{name: "checkpoint", segmentBytes: 192, checkpointMid: true, writers: 1, deletes: true, trials: 28},
-		// Concurrent committers through the group-commit pipeline: batches
-		// torn mid-batch; the model replays whatever order the pipeline
-		// actually wrote. A commit holds its relation's lock across the
-		// fsync, so only writers to different relations can share a batch.
-		{name: "group-commit", segmentBytes: 256, writers: 4, relations: 4, trials: 20},
+		{name: "checkpoint", segmentBytes: 192, checkpointMid: true, deletes: true, trials: 28},
+		// Every record spans four relations: a record torn anywhere must
+		// lose its rows in all four.
+		{name: "burst", segmentBytes: 256, relations: 4, trials: 20},
 	}
 	for _, spec := range specs {
 		spec := spec
@@ -241,8 +236,8 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 		}
 	}
 
-	// commitHalf is the single-writer workload; multi-writer specs use the
-	// concurrent path below instead.
+	// commitHalf is the one-relation workload; burst specs commit keyed
+	// batches across every relation instead.
 	commitHalf := func(base int) {
 		for i := base; i < base+30; i++ {
 			switch {
@@ -263,23 +258,16 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			}
 		}
 	}
-	if spec.writers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < spec.writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 25; i++ {
-					if _, err := db.Insert(rels[w%len(rels)], emp(w*1000+i, "conc")); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if st := db.DetailedStats().GroupCommit; st.MaxBatch < 2 {
-			t.Fatalf("no group-commit batch held more than one record (%+v): torn batches go untested", st)
+	if spec.relations > 1 {
+		for i := 0; i < 25; i++ {
+			rows := make([]relation.Row, len(rels))
+			for r, rel := range rels {
+				tp := emp(r*1000+i, "burst")
+				rows[r] = relation.Row{Rel: rel, Key: tp.Key(), Tuple: tp}
+			}
+			if _, err := db.InsertKeyed(rows); err != nil {
+				t.Fatal(err)
+			}
 		}
 	} else {
 		commitHalf(0)
@@ -318,19 +306,13 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 		offsets = append(offsets, rnd.Int63n(total+1))
 	}
 
-	for i, off := range offsets {
+	for _, off := range offsets {
 		if off < 0 || off > total {
 			continue
 		}
-		// A single writer's WAL stream is the same bytes every run, so its
-		// trials are named by offset. Where concurrent writers' batches fall
-		// decides where segments rotate, so theirs are named by index, which
-		// -run can select again.
-		name := fmt.Sprintf("off=%d", off)
-		if spec.writers > 1 {
-			name = fmt.Sprintf("trial=%02d", i)
-		}
-		t.Run(name, func(t *testing.T) {
+		// One writer's WAL stream is the same bytes every run, so trials
+		// are named by offset, which -run can select again.
+		t.Run(fmt.Sprintf("off=%d", off), func(t *testing.T) {
 			t.Logf("killed at WAL byte %d of %d", off, total)
 			trialDir := t.TempDir()
 			if data, err := os.ReadFile(filepath.Join(srcDir, snapshotName)); err == nil {

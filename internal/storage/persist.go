@@ -130,12 +130,12 @@ func encodeOps(ops []op) []byte {
 }
 
 // applyLogRecord replays one WAL record during recovery. It bypasses the
-// transaction layer and mutates tables directly (the DB is not yet shared).
-// Each record is one commit carrying the LSN its segment header implies,
-// and replayed inserts re-enter the changelogs — a watermark taken after
-// the last checkpoint stays incrementally answerable across a restart. The
-// WAL is written in LSN order (group commit preserves enqueue order), so
-// replay reproduces the original sequence numbers. Records at or below the
+// commit path and mutates tables directly (the DB is not yet shared or
+// published). Each record is one commit carrying the LSN its segment header
+// implies, and replayed inserts re-enter the changelogs — a watermark taken
+// after the last checkpoint stays incrementally answerable across a restart.
+// The one writer logs in LSN order, so replay reproduces the original
+// sequence numbers. Records at or below the
 // snapshot's checkpoint LSN are skipped, not re-applied: they survive in
 // retained segments (for changelog spill) or after a checkpoint that
 // failed before pruning, and their state is already in the snapshot — so
@@ -268,9 +268,9 @@ var snapMagic = [4]byte{'c', 'd', 'b', 'S'}
 const snapVersion = 4
 
 // Checkpoint writes a snapshot of the committed state and truncates the
-// WAL by whole segments, without stopping the world: the state is pinned
-// as a Snapshot (a brief all-relation read lock), then written to a temp file
-// and atomically swapped in while commits proceed. Only segments wholly at
+// WAL by whole segments, without stopping the world: it writes the
+// published root (taking no database lock) to a temp file and atomically
+// swaps it in while commits proceed. Only segments wholly at
 // or below the pinned LSN are deleted — the newest few are retained for
 // changelog spill — so a checkpoint that fails mid-way leaves every
 // acknowledged commit recoverable. No-op for memory-only databases.
@@ -281,19 +281,15 @@ func (db *DB) Checkpoint() error {
 	if err := db.takeCheckpointErr(); err != nil {
 		return err
 	}
-	db.mu.RLock()
-	closed := db.closed
-	db.mu.RUnlock()
-	if closed {
+	if db.closed.Load() {
 		return errClosed
 	}
 	return db.checkpointPinned()
 }
 
-// kickCheckpoint is the CheckpointEvery trigger, called from Commit after
-// durability with no locks held. The checkpoint runs on a background
-// goroutine so the committing caller (and every other writer) proceeds
-// immediately; ckptMu collapses concurrent triggers into one running
+// kickCheckpoint is the CheckpointEvery trigger, called by a commit after
+// it published. The checkpoint runs on a background goroutine so the writer
+// proceeds immediately; ckptMu collapses repeated triggers into one running
 // checkpoint, and failures are stashed for the next explicit Checkpoint or
 // Close.
 func (db *DB) kickCheckpoint() {
@@ -302,10 +298,7 @@ func (db *DB) kickCheckpoint() {
 	}
 	go func() {
 		defer db.ckptMu.Unlock()
-		db.mu.RLock()
-		closed := db.closed
-		db.mu.RUnlock()
-		if closed || db.commitsSinceCheckpoint.Load() < int64(db.opts.CheckpointEvery) {
+		if db.closed.Load() || db.commitsSinceCheckpoint.Load() < int64(db.opts.CheckpointEvery) {
 			return
 		}
 		if err := db.checkpointPinned(); err != nil {
@@ -315,22 +308,12 @@ func (db *DB) kickCheckpoint() {
 }
 
 // checkpointPinned is the checkpoint body; the caller holds ckptMu (and
-// nothing else — lock order is ckptMu before db.mu). It works the same
-// for explicit, background and Close-time checkpoints: after Close has
-// drained the group committer, Flush just reports the pipeline's sticky
-// error.
+// nothing else — lock order is ckptMu before writeMu). It works the same
+// for explicit, background and Close-time checkpoints. It needs no barrier:
+// a commit is published only after its record is in the log.
 func (db *DB) checkpointPinned() error {
 	if db.log == nil {
 		return nil
-	}
-	// Barrier: every record an applied commit enqueued must be in the log
-	// before segments representing it can be considered for pruning. (On
-	// the sync path commits await their batch anyway; this also surfaces a
-	// poisoned pipeline instead of checkpointing past it.)
-	if db.group != nil {
-		if err := db.group.Flush(); err != nil {
-			return fmt.Errorf("storage: checkpoint flush: %w", err)
-		}
 	}
 	// Commits that land after the pin stay counted toward the next
 	// checkpoint trigger.
@@ -376,8 +359,8 @@ func (db *DB) checkpointPinned() error {
 }
 
 // encodeSnapshotBody renders a pinned Snapshot as a v4 snapshot body. The
-// bytes are identical whether the checkpoint ran quiescent or against
-// concurrent commits, since the pin is a consistent cut.
+// bytes are identical whether the checkpoint ran quiescent or beside
+// commits, since the pin is a consistent cut.
 func encodeSnapshotBody(snap *Snapshot) []byte {
 	names := snap.schema.Names()
 	body := binary.AppendUvarint(nil, 1) // shard count

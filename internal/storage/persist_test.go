@@ -260,3 +260,68 @@ func TestRecoveryIdempotence(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestWALFailureSticks: once a WAL append fails (here at rotation, because a
+// directory stands where the next segment file goes), every later commit
+// fails too, with or without SyncOnCommit — even after the obstacle is gone.
+// A commit appended behind the failed one would be numbered from the log's
+// position, not the database's LSN, and recovery would bring it back under
+// another commit's LSN. After a crash exactly the acknowledged commits come
+// back, each at the LSN it was acknowledged with.
+func TestWALFailureSticks(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", sync), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 64, SyncOnCommit: sync}
+			db := openDurable(t, dir, opts)
+			if err := db.DefineRelation(empDef()); err != nil {
+				t.Fatal(err)
+			}
+			obstacle := filepath.Join(dir, "wal.000002")
+			if err := os.Mkdir(obstacle, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			type acked struct {
+				tuple relation.Tuple
+				lsn   uint64
+			}
+			var acks []acked
+			var failed error
+			for i := 0; i < 16 && failed == nil; i++ {
+				tp := emp(i, "w")
+				if _, failed = db.Insert("emp", tp); failed == nil {
+					acks = append(acks, acked{tp, db.LSN()})
+				}
+			}
+			if failed == nil || len(acks) == 0 {
+				t.Fatalf("after %d acknowledged inserts, rotation error = %v", len(acks), failed)
+			}
+			if got := db.Count("emp"); got != len(acks)+1 {
+				t.Fatalf("the failed commit is not published: %d rows, want %d", got, len(acks)+1)
+			}
+			if err := os.Remove(obstacle); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Insert("emp", emp(100, "after")); err == nil {
+				t.Fatal("a commit after a failed WAL append was acknowledged")
+			}
+			db.crash()
+
+			re := openDurable(t, dir, opts)
+			defer re.Close()
+			if got := re.Count("emp"); got != len(acks) {
+				t.Fatalf("recovered %d rows, want the %d acknowledged", got, len(acks))
+			}
+			last := acks[len(acks)-1].lsn
+			if re.LSN() != last {
+				t.Fatalf("recovered LSN %d, want %d", re.LSN(), last)
+			}
+			for _, a := range acks {
+				delta, ok := re.Changes("emp", a.lsn-1)
+				if !ok || len(delta) == 0 || delta[0].Key() != a.tuple.Key() {
+					t.Fatalf("LSN %d does not hold %v after recovery: %v (ok=%v)", a.lsn, a.tuple, delta, ok)
+				}
+			}
+		})
+	}
+}

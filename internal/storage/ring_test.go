@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"codb/internal/relation"
@@ -25,12 +26,18 @@ type modelChange struct {
 	key string
 }
 
-// apply replays one committed transaction's staged ops, in order.
-func (m *ringModel) apply(lsn uint64, ops []op) {
+// apply replays one commit's ops, in order, following applied[i]. It
+// returns the first op whose applied flag disagrees with the model's
+// presence set, or -1.
+func (m *ringModel) apply(lsn uint64, ops []op, applied []bool) int {
 	m.lsn = lsn
-	for _, o := range ops {
+	for i, o := range ops {
+		if applied[i] != (m.present[o.key] == (o.kind == opDelete)) {
+			return i
+		}
 		switch {
-		case o.kind == opInsert && !m.present[o.key]:
+		case !applied[i]:
+		case o.kind == opInsert:
 			m.present[o.key] = true
 			c := modelChange{lsn: lsn, key: o.key}
 			m.all = append(m.all, c)
@@ -39,12 +46,13 @@ func (m *ringModel) apply(lsn uint64, ops []op) {
 				m.evictedBelow = max(m.evictedBelow, m.changes[drop-1].lsn)
 				m.changes = m.changes[drop:]
 			}
-		case o.kind == opDelete && m.present[o.key]:
+		default:
 			delete(m.present, o.key)
 			m.lostBelow = max(m.lostBelow, lsn)
 			m.changes = nil
 		}
 	}
+	return -1
 }
 
 // delta is what Changes(rel, w) must return. spill reports that the
@@ -156,23 +164,25 @@ func TestChangeRingAgainstModel(t *testing.T) {
 			domain := tc.commits * 4
 			every := tc.limit > 0 && tc.limit <= 6 // small runs: all watermarks after every commit
 			for c := 0; c < tc.commits; c++ {
-				tx := db.Begin()
-				for n := 1 + rng.Intn(5); n > 0; n-- {
+				ops := make([]op, 1+rng.Intn(5))
+				for i := range ops {
 					tuple := emp(rng.Intn(domain), "x")
 					if rng.Intn(tc.deleteOneIn) == 0 {
-						tx.Delete("emp", tuple)
+						ops[i] = op{kind: opDelete, rel: "emp", key: tuple.Key()}
 					} else {
-						tx.Insert("emp", tuple)
+						ops[i] = op{kind: opInsert, rel: "emp", key: tuple.Key(), tuple: tuple}
 					}
 				}
-				ops := tx.ops
-				if err := tx.Commit(); err != nil {
+				applied := make([]bool, len(ops))
+				if err := db.commit(ops, applied); err != nil {
 					t.Fatal(err)
 				}
-				if len(ops) == 0 {
-					continue // nothing staged: no commit, no LSN
+				if i := m.apply(db.LSN(), ops, applied); i >= 0 {
+					t.Fatalf("commit %d: op %d (kind %d) applied=%v, model disagrees", c, i, ops[i].kind, applied[i])
 				}
-				m.apply(db.LSN(), ops)
+				if !slices.Contains(applied, true) {
+					continue // nothing changed: no commit, no LSN
+				}
 				full := every || c%100 == 0 || c == tc.commits-1
 				checkRing(t, db, m, full)
 				if every || c == tc.commits-1 {

@@ -8,21 +8,21 @@ import (
 )
 
 // Snapshot is an immutable point-in-time read view of the database, pinned
-// at the commit LSN current when it was taken. Snapshots are the storage
-// half of the concurrent query path: a reader holding one never touches a
-// database lock again, so any number of query evaluations run concurrently
-// with committing writers (and with each other) without lock coupling.
+// at a commit LSN. Snapshots are the storage half of the concurrent query
+// path: the writer publishes one after every commit, and a reader holding it
+// never touches a database lock, so any number of query evaluations run
+// concurrently with the writer (and with each other) without lock coupling.
 //
 // The implementation is copy-on-write per relation, at B+tree node
 // granularity: a relation's view is an O(1) clone of its primary tree and of
-// the secondary trees it maintains (btree.Map.Clone), cached until the
-// relation's next write so that quiescent snapshots share it. Pinning costs
-// O(relations) whatever the tables hold; a commit after a pin copies only
-// the nodes on the paths it writes, and the view keeps the originals.
-// Tuples are shared with the live tables (they are never mutated in place).
+// the secondary trees it maintains (btree.Map.Clone), kept by every root
+// until a commit writes the relation. Pinning is one atomic load; a commit
+// copies only the nodes on the paths it writes, and the views keep the
+// originals. Tuples are shared with the live tables (they are never mutated
+// in place).
 type Snapshot struct {
 	lsn    uint64
-	schema *relation.Schema
+	schema *relation.Schema // shared by every root until the next DDL: never mutated
 	tables map[string]*tableSnap
 }
 
@@ -32,10 +32,10 @@ type Snapshot struct {
 //
 // An attribute position the relation has no index for gets one on the first
 // ScanRange (or ScanEq, its point case) over it, built from the view's own
-// primary with no table lock and kept in sec for every snapshot sharing the
-// view. If the view is still the relation's current state at its next write,
-// the table adopts that index and maintains it (table.beginWrite), so the
-// build is paid once per position, not once per commit.
+// primary with no lock but secMu and kept in sec for every root sharing the
+// view. At the relation's next write the table adopts that index and
+// maintains it (table.beginWrite), so the build is paid once per position,
+// not once per commit.
 type tableSnap struct {
 	def     *relation.RelDef
 	primary *btree.Map[relation.Tuple]
@@ -66,58 +66,20 @@ func (v *tableSnap) index(pos int) *btree.Map[relation.Tuple] {
 	return idx
 }
 
-// Snapshot pins a read view at the current commit LSN. The returned
-// Snapshot is immutable and safe for concurrent use; it observes every
-// transaction committed before the call and none committed after. Every
-// table lock is held at once while the view is assembled — and a commit
-// holds all its table write locks from LSN assignment through application —
-// so the cut is consistent even under concurrent multi-relation commits.
+// Snapshot returns the published root: the state after the last commit,
+// as one immutable view that observes every commit before the call and
+// none after. It takes no lock, so it never waits for the writer (not even
+// for a commit's fsync), and a commit's record is in the log before the
+// commit shows in any snapshot.
 func (db *DB) Snapshot() *Snapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := db.sortedTableNames()
-	unlock := db.rlockTables(names)
-	defer unlock()
-	db.lsnMu.Lock()
-	lsn := db.lsn // == visible here: no commit is between assignment and apply
-	db.lsnMu.Unlock()
-	s := &Snapshot{
-		lsn:    lsn,
-		schema: db.schema.Clone(),
-		tables: make(map[string]*tableSnap, len(db.tables)),
-	}
-	for _, name := range names {
-		s.tables[name] = db.tables[name].snapshot()
-	}
-	return s
-}
-
-// snapshot returns the table's cached view, cloning the trees if a write
-// forgot the previous one. The caller holds the table read lock (so no
-// writer is inside the trees; Clone only re-tokens them, which readers never
-// look at); snapMu serialises concurrent cloners. Writers reset t.snap under
-// the table write lock, which excludes every reader, so all access to t.snap
-// is race-free.
-func (t *table) snapshot() *tableSnap {
-	t.snapMu.Lock()
-	defer t.snapMu.Unlock()
-	if t.snap == nil {
-		v := &tableSnap{def: t.def, primary: t.primary.Clone()}
-		if len(t.second) > 0 {
-			v.sec = make(map[int]*btree.Map[relation.Tuple], len(t.second))
-			for pos, idx := range t.second {
-				v.sec[pos] = idx.Clone()
-			}
-		}
-		t.snap = v
-	}
-	return t.snap
+	return db.root.Load()
 }
 
 // LSN returns the commit sequence number the snapshot is pinned at.
 func (s *Snapshot) LSN() uint64 { return s.lsn }
 
-// Schema returns the schema as of the snapshot.
+// Schema returns the schema as of the snapshot. It is shared with the
+// database: callers must not change it.
 func (s *Snapshot) Schema() *relation.Schema { return s.schema }
 
 // Rel returns the definition of a relation as of the snapshot, or nil.

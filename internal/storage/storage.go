@@ -1,31 +1,26 @@
 // Package storage implements coDB's embedded relational engine: the Local
 // Database (LDB) each peer manages. Relations are sets of typed tuples
 // (set semantics, as required by the update algorithm's "T′ = T \ R" step).
-// Every relation owns one lock, a B+tree primary index over the
-// order-preserving tuple encoding, the secondary indexes snapshot probes
-// built, a changelog ring, and a cached snapshot view (an O(1) copy-on-write
-// clone of the trees). Durability is optional: when opened with a
-// directory, every commit is logged to a write-ahead log — through a
-// group-commit pipeline when SyncOnCommit is set, so concurrent commits
-// share fsyncs — and periodically checkpointed into a snapshot file;
-// recovery loads the snapshot and replays the log.
+// Every relation owns a B+tree primary index over the order-preserving tuple
+// encoding, the secondary indexes snapshot probes built, and a changelog
+// ring. Durability is optional: when opened with a directory, every commit
+// is logged to a write-ahead log and periodically checkpointed into a
+// snapshot file; recovery loads the snapshot and replays the log.
 //
-// Concurrency: readers and writers coordinate per relation, so transactions
-// touching disjoint relations commit in parallel (a peer commits from its
-// one actor loop, so in practice each database has a single committer).
-// Commit sequence numbers stay globally monotone: LSNs are assigned under a
-// short ordering mutex while the committing transaction already holds its
-// relation locks, which makes the WAL order equal the LSN order and lets
-// Snapshot pin a consistent cut by holding every relation lock at once.
-// Transactions stage their writes privately and apply them atomically at
-// Commit.
+// Concurrency: a database has one writer. In the paper a node's Wrapper
+// touches its LDB one message at a time, and a peer commits only from its
+// actor loop. One mutex spans each commit or DDL: it applies the ops to the
+// trees the writer owns, appends one WAL record (and syncs it under
+// SyncOnCommit), captures the changes, and then publishes the committed
+// state as one immutable root, a Snapshot held in an atomic pointer. Readers
+// load the root and take no lock: a reader never waits on a commit's fsync,
+// and never sees a commit whose record is not yet in the log.
 package storage
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,10 +34,8 @@ type Options struct {
 	// no snapshots, nothing survives Close.
 	Dir string
 	// SyncOnCommit makes every commit durable before it returns (and
-	// before it becomes visible to any reader). It engages the
-	// group-commit pipeline, under which concurrent commits share fsyncs
-	// — one per batch — so sync-on-commit is viable under multi-writer
-	// load.
+	// before it becomes visible to any reader): the writer fsyncs the WAL
+	// after appending each commit's record.
 	SyncOnCommit bool
 	// CheckpointEvery triggers an automatic checkpoint after this many
 	// commits (0 disables automatic checkpoints).
@@ -76,22 +69,39 @@ const DefaultRetainSegments = 4
 
 // DB is an embedded relational database.
 type DB struct {
-	// mu guards the schema, the tables map and the closed flag. Reads and
-	// commits hold it shared (table locks provide their isolation); DDL and
-	// Close hold it exclusively.
-	mu     sync.RWMutex
+	opts Options
+	log  *wal.Segmented // nil when memory-only
+
+	// root is the committed state every reader sees. The writer stores a
+	// new one at the end of each commit or DDL.
+	root atomic.Pointer[Snapshot]
+
+	// writeMu spans a whole commit or DDL and guards the writer's state:
+	// the fields below, up to closed, and every table's trees and
+	// changelog.
+	writeMu sync.Mutex
+	// schema is shared with the published root, so DDL replaces it and
+	// never mutates it.
 	schema *relation.Schema
 	tables map[string]*table
-	opts   Options
-	log    *wal.Segmented      // nil when memory-only
-	group  *wal.GroupCommitter // nil unless durable with SyncOnCommit
-	closed bool
+	// lsn is the monotone commit sequence number: every commit (DDL
+	// included) gets the next value. It survives restarts (persisted in the
+	// snapshot, advanced by WAL replay).
+	lsn uint64
+	// walErr is the first failed WAL append or sync. The log may end in a
+	// torn record or a missing segment after it, so every later commit
+	// returns it and appends nothing.
+	walErr error
+	// closed is set under writeMu; checkpoints read it without the lock.
+	closed atomic.Bool
+
+	// logged counts the commits whose record reached the log; synced counts
+	// the fsyncs they issued.
+	logged, synced atomic.Uint64
 
 	// ckptMu serialises checkpoints (explicit, automatic-background, and
-	// the final one in Close). It is never held while commits are blocked:
-	// a checkpoint pins a Snapshot — a brief all-relation read lock — and
-	// writes it with no database locks held. Lock order: ckptMu before
-	// db.mu.
+	// the final one in Close). A checkpoint writes the published root, so
+	// commits go on while it runs. Lock order: ckptMu before writeMu.
 	ckptMu sync.Mutex
 	// ckptErrMu guards ckptErr, the sticky failure of a background
 	// checkpoint, surfaced by the next explicit Checkpoint or Close.
@@ -106,27 +116,6 @@ type DB struct {
 	// WAL segments and ones that found the segment window unavailable.
 	spillHits   atomic.Uint64
 	spillMisses atomic.Uint64
-
-	// commitMu orders commits: LSN assignment and the WAL append/enqueue
-	// happen together under it, so the log's record order always equals
-	// the LSN order. It is held only for that short window, never during
-	// fsyncs (group-commit path) or table application.
-	commitMu sync.Mutex
-
-	// lsnMu guards the commit sequence state below.
-	lsnMu sync.Mutex
-	// lsn is the monotone commit sequence number: every committed
-	// transaction (DDL included) gets the next value. It survives restarts
-	// (persisted in the snapshot, advanced by WAL replay).
-	lsn uint64
-	// visible is the largest LSN v such that every commit with LSN <= v
-	// has fully applied. With concurrent commits, a transaction with a
-	// higher LSN can finish applying before one with a lower LSN; export
-	// watermarks must not advance past unapplied commits, so LSN() reports
-	// visible, not lsn.
-	visible uint64
-	// inflight holds the LSNs assigned but not yet fully applied.
-	inflight map[uint64]struct{}
 
 	commitsSinceCheckpoint atomic.Int64
 }
@@ -143,12 +132,12 @@ const (
 // from the snapshot and WAL in that directory.
 func Open(opts Options) (*DB, error) {
 	db := &DB{
-		schema:   relation.NewSchema(),
-		tables:   make(map[string]*table),
-		opts:     opts,
-		inflight: make(map[uint64]struct{}),
+		schema: relation.NewSchema(),
+		tables: make(map[string]*table),
+		opts:   opts,
 	}
 	if opts.Dir == "" {
+		db.publish()
 		return db, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -170,13 +159,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.log = log
-	db.visible = db.lsn
-	// The group-commit pipeline only pays when there are fsyncs to share;
-	// without SyncOnCommit the inline append under commitMu is cheaper
-	// than a cross-goroutine round-trip per commit.
-	if opts.SyncOnCommit {
-		db.group = wal.NewGroupCommitter(log)
-	}
+	db.publish()
 	return db, nil
 }
 
@@ -190,101 +173,81 @@ func MustOpenMem() *DB {
 	return db
 }
 
-// assignLSN allocates the next commit sequence number and marks it
-// in-flight. Callers hold commitMu (for ordering) and their table locks
-// (so the LSN becomes visible to full-cut readers only when applied).
-func (db *DB) assignLSN() uint64 {
-	db.lsnMu.Lock()
-	db.lsn++
-	l := db.lsn
-	db.inflight[l] = struct{}{}
-	db.lsnMu.Unlock()
-	return l
+// publish stores the writer's state as the new root: the LSN, the schema,
+// and one view per relation. A relation written since the last publish
+// gets a fresh view (O(1) clones of its trees); every other relation keeps
+// its view, and with it the secondary indexes readers built on it. The
+// caller holds writeMu (or owns the database, during Open).
+func (db *DB) publish() {
+	views := make(map[string]*tableSnap, len(db.tables))
+	for name, t := range db.tables {
+		if t.view == nil {
+			t.view = t.newView()
+		}
+		views[name] = t.view
+	}
+	db.root.Store(&Snapshot{lsn: db.lsn, schema: db.schema, tables: views})
 }
 
-// finishCommit retires an in-flight LSN and advances the visible horizon to
-// the largest fully-applied prefix.
-func (db *DB) finishCommit(l uint64) {
-	db.lsnMu.Lock()
-	delete(db.inflight, l)
-	v := db.lsn
-	for pending := range db.inflight {
-		if pending-1 < v {
-			v = pending - 1
+// logRecord appends one commit's record to the WAL and, under SyncOnCommit,
+// syncs it. The caller holds writeMu. The first failure sticks (walErr).
+func (db *DB) logRecord(rec []byte) error {
+	if db.log == nil {
+		return nil
+	}
+	err := db.log.Append(rec)
+	if err == nil && db.opts.SyncOnCommit {
+		if err = db.log.Sync(); err == nil {
+			db.synced.Add(1)
 		}
 	}
-	if v > db.visible {
-		db.visible = v
+	if err != nil {
+		db.walErr = err
+		return err
 	}
-	db.lsnMu.Unlock()
+	db.logged.Add(1)
+	return nil
 }
 
-// appendRecord ships one WAL record. Callers hold commitMu, so records are
-// enqueued (or appended) in LSN order. On the group-commit path (sync on
-// commit) the returned channel delivers the durability outcome once the
-// record's batch is fsynced — callers must receive from it before making the
-// commit visible, so sync-on-commit keeps its visible-implies-durable
-// guarantee; otherwise the record is appended, unsynced, before returning.
-func (db *DB) appendRecord(rec []byte) (<-chan error, error) {
-	if db.log == nil {
-		return nil, nil
+// writable reports why the database refuses a commit or DDL, if it does.
+// The caller holds writeMu.
+func (db *DB) writable() error {
+	if db.closed.Load() {
+		return errClosed
 	}
-	if db.group != nil {
-		return db.group.Commit(rec, true), nil
-	}
-	return nil, db.log.Append(rec)
+	return db.walErr
 }
 
-// Schema returns a snapshot copy of the schema.
+// Schema returns a copy of the schema.
 func (db *DB) Schema() *relation.Schema {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.schema.Clone()
+	return db.root.Load().schema.Clone()
 }
 
 // Rel returns the definition of a relation, or nil.
 func (db *DB) Rel(name string) *relation.RelDef {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.schema.Rel(name)
+	return db.root.Load().Rel(name)
 }
 
 // DefineRelation adds a relation to the schema (DDL). Logged for recovery.
 func (db *DB) DefineRelation(def *relation.RelDef) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return errClosed
-	}
-	if err := db.schema.Add(def); err != nil {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	if err := db.writable(); err != nil {
 		return err
 	}
+	schema := db.schema.Clone()
+	if err := schema.Add(def); err != nil {
+		return err
+	}
+	db.schema = schema
 	db.tables[def.Name] = newTable(def)
-	db.commitMu.Lock()
-	l := db.assignLSN()
-	var wait <-chan error
-	var err error
-	if db.log != nil {
-		wait, err = db.appendRecord(encodeDDL(def))
-	}
-	db.commitMu.Unlock()
-	// Await durability before the LSN becomes visible, as Tx.Commit does:
-	// a watermark must never reference a commit whose record could still
-	// be lost. (The schema mutation itself is invisible until db.mu is
-	// released either way.)
-	if wait != nil {
-		if werr := <-wait; err == nil {
-			err = werr
-		}
-	}
-	db.finishCommit(l)
-	if err != nil {
-		return err
-	}
-	if db.log != nil {
+	db.lsn++
+	err := db.logRecord(encodeDDL(def))
+	db.publish()
+	if err == nil && db.log != nil {
 		db.commitsSinceCheckpoint.Add(1)
 	}
-	return nil
+	return err
 }
 
 // DefineSchema defines every relation of the given schema.
@@ -302,47 +265,16 @@ func (db *DB) DefineSchema(s *relation.Schema) error {
 
 var errClosed = fmt.Errorf("storage: database is closed")
 
-// hasKey reports whether the tuple whose key (tuple.Key()) is given is
-// present in the relation.
-func (db *DB) hasKey(rel, key string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil {
-		return false
-	}
-	t.mu.RLock()
-	_, ok := t.primary.Get(key)
-	t.mu.RUnlock()
-	return ok
-}
-
 // Count returns the number of tuples in the relation.
 func (db *DB) Count(rel string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil {
-		return 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.primary.Len()
+	return db.root.Load().Count(rel)
 }
 
-// Scan calls fn for every tuple of the relation in key order, under the
-// relation's read lock; fn must not call back into the DB's write methods.
-// fn returning false stops the scan.
+// Scan calls fn for every tuple of the relation in key order, over the
+// published state: no lock is held, so fn may call back into the DB. fn
+// returning false stops the scan.
 func (db *DB) Scan(rel string, fn func(relation.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil {
-		return
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.primary.AscendValues(fn)
+	db.root.Load().Scan(rel, fn)
 }
 
 // Tuples returns a copied slice of all tuples in the relation, in key order.
@@ -356,48 +288,9 @@ func (db *DB) Tuples(rel string) []relation.Tuple {
 }
 
 // Instance exports the whole database as a relation.Instance (for oracles,
-// stats and tests). Every relation is locked at once, so the export is a
-// consistent cut.
+// stats and tests): one published root, so a consistent cut.
 func (db *DB) Instance() relation.Instance {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := db.sortedTableNames()
-	unlock := db.rlockTables(names)
-	defer unlock()
-	in := relation.NewInstance()
-	for _, name := range names {
-		db.tables[name].primary.AscendValues(func(row relation.Tuple) bool {
-			in.Insert(name, row)
-			return true
-		})
-	}
-	return in
-}
-
-// sortedTableNames returns the relation names in the global lock order
-// (lexicographic; db.mu held).
-func (db *DB) sortedTableNames() []string {
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// rlockTables read-locks the named tables in the global (relation name)
-// lock order and returns the matching unlock. Holding every table lock at
-// once blocks any in-flight commit from being half-visible: a commit holds
-// all its table write locks from LSN assignment through application.
-func (db *DB) rlockTables(names []string) func() {
-	for _, name := range names {
-		db.tables[name].mu.RLock()
-	}
-	return func() {
-		for _, name := range names {
-			db.tables[name].mu.RUnlock()
-		}
-	}
+	return db.root.Load().Instance()
 }
 
 // Stats summarises the database for reports.
@@ -409,13 +302,10 @@ type Stats struct {
 
 // Stats returns current sizes.
 func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := Stats{Relations: db.schema.Len()}
-	for _, t := range db.tables {
-		t.mu.RLock()
-		s.Tuples += t.primary.Len()
-		t.mu.RUnlock()
+	root := db.root.Load()
+	s := Stats{Relations: root.schema.Len()}
+	for _, v := range root.tables {
+		s.Tuples += v.primary.Len()
 	}
 	if db.log != nil {
 		s.WALBytes = db.log.Size()
@@ -430,18 +320,25 @@ type RelationStats struct {
 	Bytes  int64 // encoded tuple volume (sum of primary key lengths)
 }
 
+// CommitStats counts what commits asked of the WAL.
+type CommitStats struct {
+	// Commits is the number of commits (DDL included) whose record was
+	// logged; zero for a memory-only database.
+	Commits uint64
+	// Syncs is the number of fsyncs those commits issued: one each under
+	// SyncOnCommit, none otherwise.
+	Syncs uint64
+}
+
 // DetailedStats is the storage command's full engine report: per-relation
 // row/byte counts, WAL segment/size figures, changelog-spill counters and
-// group-commit batching counters.
+// the logged-commit and fsync counts.
 type DetailedStats struct {
 	LSN         uint64
 	Relations   []RelationStats
 	WALBytes    int64
 	WAL         wal.SegmentedStats
-	GroupCommit wal.GroupStats
-	// GroupCommitEnabled distinguishes "no batches yet" from "no pipeline"
-	// (memory-only, or not syncing on commit).
-	GroupCommitEnabled bool
+	GroupCommit CommitStats
 	// SpillHits / SpillMisses count Changes calls answered from retained
 	// WAL segments and ones whose segment window was unavailable.
 	SpillHits   uint64
@@ -450,41 +347,33 @@ type DetailedStats struct {
 
 // DetailedStats returns the engine report.
 func (db *DB) DetailedStats() DetailedStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := DetailedStats{LSN: db.LSN()}
-	for _, name := range db.sortedTableNames() {
-		t := db.tables[name]
-		t.mu.RLock()
-		rs := RelationStats{Name: name, Tuples: t.primary.Len()}
-		t.primary.AscendAll(func(key string, _ relation.Tuple) bool {
+	root := db.root.Load()
+	out := DetailedStats{
+		LSN:         root.lsn,
+		GroupCommit: CommitStats{Commits: db.logged.Load(), Syncs: db.synced.Load()},
+		SpillHits:   db.spillHits.Load(),
+		SpillMisses: db.spillMisses.Load(),
+	}
+	for _, name := range root.schema.Names() {
+		rs := RelationStats{Name: name, Tuples: root.Count(name)}
+		root.tables[name].primary.AscendAll(func(key string, _ relation.Tuple) bool {
 			rs.Bytes += int64(len(key))
 			return true
 		})
-		t.mu.RUnlock()
 		out.Relations = append(out.Relations, rs)
 	}
 	if db.log != nil {
 		out.WAL = db.log.Stats()
 		out.WALBytes = out.WAL.Bytes
 	}
-	if db.group != nil {
-		out.GroupCommit = db.group.Stats()
-		out.GroupCommitEnabled = true
-	}
-	out.SpillHits = db.spillHits.Load()
-	out.SpillMisses = db.spillMisses.Load()
 	return out
 }
 
-// LSN returns the current commit sequence number: the largest LSN whose
-// commit (and every earlier one) is fully applied — 0 for a database
-// nothing was ever committed to. Export watermarks taken against it stay
-// meaningful across concurrent commits and process lives.
+// LSN returns the commit sequence number of the published state — 0 for a
+// database nothing was ever committed to. Export watermarks taken against it
+// stay meaningful across process lives.
 func (db *DB) LSN() uint64 {
-	db.lsnMu.Lock()
-	defer db.lsnMu.Unlock()
-	return db.visible
+	return db.root.Load().lsn
 }
 
 // Dir returns the durability directory ("" for memory-only databases).
@@ -511,46 +400,40 @@ func (db *DB) changelogLimit() int {
 // caller must then fall back to a full scan. ok is true with an empty
 // delta when nothing changed.
 //
-// The delta is clamped to the visible LSN horizon, so a watermark advanced
-// to LSN() never skips a commit still applying concurrently. A
-// segment-served delta can be a superset of the exact one: an insert
-// logged by a transaction that raced another inserter of the same tuple
-// re-appears, which set-semantics consumers absorb.
+// The changelog belongs to the writer, so Changes reads it under writeMu;
+// a peer calls it from the actor loop that commits, so the lock is
+// uncontended there.
 func (db *DB) Changes(rel string, sinceLSN uint64) (inserts []relation.Tuple, ok bool) {
-	db.mu.RLock()
+	db.writeMu.Lock()
 	t := db.tables[rel]
 	if t == nil {
-		db.mu.RUnlock()
+		db.writeMu.Unlock()
 		return nil, false
 	}
-	t.mu.RLock()
-	visible := db.LSN()
-	poisoned := t.lostBelow
+	lsn, poisoned := db.lsn, t.lostBelow
 	if sinceLSN >= poisoned && sinceLSN >= t.evictedBelow {
-		inserts = t.memChangesLocked(sinceLSN, visible)
-		t.mu.RUnlock()
-		db.mu.RUnlock()
+		inserts = t.memChanges(sinceLSN)
+		db.writeMu.Unlock()
 		return inserts, true
 	}
 	arity := t.def.Arity()
-	t.mu.RUnlock()
-	db.mu.RUnlock()
+	db.writeMu.Unlock()
 	if sinceLSN < poisoned || db.log == nil {
 		return nil, false
 	}
-	return db.changesFromSegments(rel, arity, sinceLSN, visible)
+	return db.changesFromSegments(rel, arity, sinceLSN, lsn)
 }
 
-// memChangesLocked reads the in-memory changelog for (sinceLSN, visible];
-// the caller holds the table read lock. The ring is LSN-ordered, so the
-// window is found by binary search and costs O(log n + delta).
-func (t *table) memChangesLocked(sinceLSN, visible uint64) []relation.Tuple {
+// memChanges reads the in-memory changelog after sinceLSN; the caller holds
+// writeMu. The ring is LSN-ordered, so the window is found by binary search
+// and costs O(log n + delta).
+func (t *table) memChanges(sinceLSN uint64) []relation.Tuple {
 	r := &t.changes
-	lo, hi := r.after(sinceLSN), r.after(visible)
-	if lo >= hi {
+	lo := r.after(sinceLSN)
+	if lo >= r.n {
 		return nil
 	}
-	inserts := make([]relation.Tuple, hi-lo)
+	inserts := make([]relation.Tuple, r.n-lo)
 	for i := range inserts {
 		inserts[i] = r.at(lo + i).tuple
 	}
@@ -563,17 +446,17 @@ func (t *table) memChangesLocked(sinceLSN, visible uint64) []relation.Tuple {
 var errSpillDelete = fmt.Errorf("storage: delete inside spill window")
 
 // changesFromSegments serves a changelog delta from the retained WAL
-// segments: every record in (sinceLSN, visible] is decoded and the
-// requested relation's inserts collected in commit order. No database
-// locks are held — the segments are immutable except the active tail,
-// whose records up to the visible horizon are fully written.
-func (db *DB) changesFromSegments(rel string, arity int, sinceLSN, visible uint64) ([]relation.Tuple, bool) {
-	if visible <= sinceLSN {
+// segments: every record in (sinceLSN, lsn] is decoded and the requested
+// relation's inserts collected in commit order. No database lock is held:
+// sealed segments are immutable, and the active one's records up to a
+// published LSN are fully written.
+func (db *DB) changesFromSegments(rel string, arity int, sinceLSN, lsn uint64) ([]relation.Tuple, bool) {
+	if lsn <= sinceLSN {
 		db.spillHits.Add(1)
 		return nil, true
 	}
 	var out []relation.Tuple
-	err := db.log.ReadRange(sinceLSN+1, visible, func(_ uint64, payload []byte) error {
+	err := db.log.ReadRange(sinceLSN+1, lsn, func(_ uint64, payload []byte) error {
 		delta, err := decodeRelOps(payload, rel, arity)
 		if err != nil {
 			return err
@@ -592,41 +475,35 @@ func (db *DB) changesFromSegments(rel string, arity int, sinceLSN, visible uint6
 // Close closes the database. Durable databases with commits since the last
 // checkpoint are checkpointed first, so reopening a long-lived peer loads
 // the snapshot instead of replaying the entire log; otherwise the WAL is
-// synced as before. An in-flight background checkpoint is waited out
-// (ckptMu), the group-commit pipeline drained, and any sticky background
-// checkpoint failure surfaced here.
+// synced. An in-flight background checkpoint is waited out (ckptMu), and a
+// sticky WAL or background-checkpoint failure is reported here.
 func (db *DB) Close() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	db.writeMu.Lock()
+	if db.closed.Load() {
+		db.writeMu.Unlock()
 		return nil
 	}
-	db.closed = true
-	log := db.log
-	db.mu.Unlock()
-	if log == nil {
+	db.closed.Store(true)
+	err := db.walErr
+	db.writeMu.Unlock()
+	if db.log == nil {
 		return nil
-	}
-	var err error
-	if db.group != nil {
-		err = db.group.Close()
 	}
 	if serr := db.takeCheckpointErr(); err == nil {
 		err = serr
 	}
-	// db.mu was released above: no commit can be in flight (they hold it
-	// shared for their whole span, and new ones fail on closed), so the
-	// final checkpoint pins a quiescent state.
+	// No commit can start any more, so the final checkpoint writes the
+	// last published state.
 	if db.commitsSinceCheckpoint.Load() > 0 {
 		if cerr := db.checkpointPinned(); err == nil {
 			err = cerr
 		}
-	} else if serr := log.Sync(); err == nil {
+	} else if serr := db.log.Sync(); err == nil {
 		err = serr
 	}
-	if cerr := log.Close(); err == nil {
+	if cerr := db.log.Close(); err == nil {
 		err = cerr
 	}
 	return err

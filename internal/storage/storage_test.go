@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"codb/internal/relation"
 )
@@ -31,7 +32,7 @@ func emp(id int, name string) relation.Tuple {
 
 // has reports whether the committed state of rel holds the tuple.
 func has(db *DB, rel string, tuple relation.Tuple) bool {
-	return db.hasKey(rel, tuple.Key())
+	return db.Snapshot().Has(rel, tuple)
 }
 
 func TestInsertHasCount(t *testing.T) {
@@ -125,72 +126,6 @@ func TestInsertMany(t *testing.T) {
 	}
 	if db.Count("emp") != 3 {
 		t.Errorf("Count = %d", db.Count("emp"))
-	}
-}
-
-func TestTxReadYourWrites(t *testing.T) {
-	db := newEmpDB(t)
-	db.Insert("emp", emp(1, "ann"))
-	tx := db.Begin()
-	tx.Insert("emp", emp(2, "bob"))
-	tx.Delete("emp", emp(1, "ann"))
-	if !tx.Has("emp", emp(2, "bob")) {
-		t.Error("tx does not see its insert")
-	}
-	if tx.Has("emp", emp(1, "ann")) {
-		t.Error("tx sees its deleted tuple")
-	}
-	var seen []string
-	tx.Scan("emp", func(tp relation.Tuple) bool {
-		seen = append(seen, tp[1].Str)
-		return true
-	})
-	if len(seen) != 1 || seen[0] != "bob" {
-		t.Errorf("tx scan = %v", seen)
-	}
-	// Uncommitted: DB unchanged.
-	if has(db, "emp", emp(2, "bob")) || !has(db, "emp", emp(1, "ann")) {
-		t.Error("staged writes leaked before commit")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if !has(db, "emp", emp(2, "bob")) || has(db, "emp", emp(1, "ann")) {
-		t.Error("commit not applied")
-	}
-}
-
-func TestTxRollback(t *testing.T) {
-	db := newEmpDB(t)
-	tx := db.Begin()
-	tx.Insert("emp", emp(1, "ann"))
-	tx.Rollback()
-	if db.Count("emp") != 0 {
-		t.Error("rollback leaked writes")
-	}
-	if _, err := tx.Insert("emp", emp(2, "b")); err == nil {
-		t.Error("insert after rollback accepted")
-	}
-	if err := tx.Commit(); err == nil {
-		t.Error("commit after rollback accepted")
-	}
-}
-
-func TestTxInsertDeleteInterleave(t *testing.T) {
-	db := newEmpDB(t)
-	tx := db.Begin()
-	if fresh, _ := tx.Insert("emp", emp(1, "a")); !fresh {
-		t.Error("insert not fresh")
-	}
-	if existed, _ := tx.Delete("emp", emp(1, "a")); !existed {
-		t.Error("staged tuple not deletable")
-	}
-	if fresh, _ := tx.Insert("emp", emp(1, "a")); !fresh {
-		t.Error("re-insert after staged delete not fresh")
-	}
-	tx.Commit()
-	if !has(db, "emp", emp(1, "a")) {
-		t.Error("net insert missing")
 	}
 }
 
@@ -317,5 +252,51 @@ func TestQuickAgainstReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadersNeverWaitForTheWriter holds the writer lock, as a commit does
+// across its WAL append and fsync, and requires every reader to return
+// regardless: readers load the published root and take no lock.
+func TestReadersNeverWaitForTheWriter(t *testing.T) {
+	db, err := Open(Options{Dir: t.TempDir(), SyncOnCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.DefineRelation(empDef()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("emp", emp(1, "ann")); err != nil {
+		t.Fatal(err)
+	}
+	readers := []struct {
+		name string
+		read func() bool
+	}{
+		{"Snapshot", func() bool { return db.Snapshot().Count("emp") == 1 }},
+		{"LSN", func() bool { return db.LSN() == 2 }},
+		{"Count", func() bool { return db.Count("emp") == 1 }},
+		{"Scan", func() bool {
+			n := 0
+			db.Scan("emp", func(relation.Tuple) bool { n++; return true })
+			return n == 1
+		}},
+		{"Schema", func() bool { return db.Schema().Rel("emp") != nil }},
+		{"DetailedStats", func() bool { return db.DetailedStats().LSN == 2 }},
+	}
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	for _, r := range readers {
+		done := make(chan bool, 1)
+		go func() { done <- r.read() }()
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Errorf("%s read the wrong state", r.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited for the writer", r.name)
+		}
 	}
 }

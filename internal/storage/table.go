@@ -4,22 +4,20 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"codb/internal/btree"
 	"codb/internal/relation"
 )
 
-// table is one relation, with its own lock, primary B+tree, secondary
-// indexes, changelog and cached snapshot view. Commits to different
-// relations never contend.
+// table is one relation as the writer holds it: its primary B+tree, the
+// secondary indexes it maintains, its changelog, and the view of its state
+// the published root holds. Only the writer touches a table, under writeMu.
 type table struct {
 	def *relation.RelDef
-	mu  sync.RWMutex
 	// primary maps tuple key -> tuple. second maps an attribute position
 	// (never 0, see index) to (attr value ‖ tuple key) -> tuple, for the
 	// positions a snapshot probe got adopted for. The trees hold the tuples
-	// themselves, so a snapshot is a Clone of them and nothing else.
+	// themselves, so a view is a Clone of them and nothing else.
 	primary *btree.Map[relation.Tuple]
 	second  map[int]*btree.Map[relation.Tuple]
 
@@ -34,12 +32,9 @@ type table struct {
 	lostBelow    uint64 // history before (and at) this LSN is unavailable
 	evictedBelow uint64 // in-memory history before (and at) this LSN was dropped
 
-	// snap is the view of the relation's current committed state that
-	// DB.Snapshot hands out: made under snapMu by the first snapshot after a
-	// write, shared by later snapshots, forgotten by the next write
-	// (beginWrite). See table.snapshot for the locking discipline.
-	snapMu sync.Mutex
-	snap   *tableSnap
+	// view is the published view of the table's current state; nil once a
+	// commit has begun writing the table, until DB.publish makes a new one.
+	view *tableSnap
 }
 
 // change is one captured committed insert.
@@ -51,8 +46,8 @@ type change struct {
 // changeRing is a relation's changelog: a circular buffer holding exactly
 // the last limit captured inserts, oldest first. Append and evict are O(1);
 // the backing array grows geometrically up to the limit, so a small relation
-// never pays for a full ring. Entries are in non-decreasing LSN order (a
-// commit holds its relation locks from LSN assignment through application).
+// never pays for a full ring. Entries are in non-decreasing LSN order (one
+// writer captures commits in LSN order).
 type changeRing struct {
 	buf  []change // len(buf) is the current capacity, at most the limit
 	head int      // index of the oldest entry
@@ -110,8 +105,7 @@ func (db *DB) beginCapture(lsn uint64) capture {
 	return capture{limit: db.changelogLimit(), lsn: lsn}
 }
 
-// insert appends a committed insert to the relation's changelog (caller
-// holds the table's write lock). Overflow drops the oldest entry and raises
+// insert appends a committed insert to the relation's changelog. Overflow drops the oldest entry and raises
 // the eviction floor — watermarks below it are answered from retained WAL
 // segments when the database is durable, and report history lost otherwise.
 func (c *capture) insert(t *table, tuple relation.Tuple) {
@@ -123,8 +117,7 @@ func (c *capture) insert(t *table, tuple relation.Tuple) {
 	t.evictedBelow = max(t.evictedBelow, evicted)
 }
 
-// delete records a committed delete (caller holds the table's write lock).
-// A delete cannot be expressed as a monotone insert delta, so the
+// delete records a committed delete. A delete cannot be expressed as a monotone insert delta, so the
 // relation's history is poisoned up to the deleting commit: callers of
 // Changes with an older watermark must fall back to a full scan.
 func (c *capture) delete(t *table) {
@@ -140,19 +133,19 @@ func newTable(def *relation.RelDef) *table {
 	}
 }
 
-// beginWrite prepares the table for a change (caller holds the write lock).
-// Until now the cached view was the table's current state, so a secondary
-// index some reader built over it is current too: the table adopts a clone
-// of it and maintains it from here on, instead of leaving the next snapshot
-// to sort the relation again. A view whose index is being built this instant
-// is passed over rather than waited for — its reader keeps the result, and a
+// beginWrite prepares the table for a commit's first write to it. Until now
+// the published view was the table's current state, so a secondary index
+// some reader built over it is current too: the table adopts a clone of it
+// and maintains it from here on, instead of leaving the next view to sort
+// the relation again. A view whose index is being built this instant is
+// passed over rather than waited for — its reader keeps the result, and a
 // later view gets adopted.
 func (t *table) beginWrite() {
-	v := t.snap
+	v := t.view
 	if v == nil {
 		return
 	}
-	t.snap = nil
+	t.view = nil
 	if !v.secMu.TryLock() {
 		return
 	}
@@ -164,8 +157,20 @@ func (t *table) beginWrite() {
 	v.secMu.Unlock()
 }
 
-// insert adds the tuple, whose encoding is key, to the table (caller holds
-// the write lock). Returns whether the tuple was new.
+// newView clones the table's trees into an immutable view.
+func (t *table) newView() *tableSnap {
+	v := &tableSnap{def: t.def, primary: t.primary.Clone()}
+	if len(t.second) > 0 {
+		v.sec = make(map[int]*btree.Map[relation.Tuple], len(t.second))
+		for pos, idx := range t.second {
+			v.sec[pos] = idx.Clone()
+		}
+	}
+	return v
+}
+
+// insert adds the tuple, whose encoding is key, to the table. Returns
+// whether the tuple was new.
 func (t *table) insert(key string, tuple relation.Tuple) bool {
 	t.beginWrite()
 	if !t.primary.Add(key, tuple) {
@@ -177,8 +182,7 @@ func (t *table) insert(key string, tuple relation.Tuple) bool {
 	return true
 }
 
-// delete removes the tuple encoded as key (caller holds the write lock).
-// Returns whether it was present.
+// delete removes the tuple encoded as key. Returns whether it was present.
 func (t *table) delete(key string) bool {
 	t.beginWrite()
 	tuple, ok := t.primary.Delete(key)

@@ -15,9 +15,9 @@ import (
 // classic group-commit design — while preserving exactly the record order
 // in which Commit was called.
 //
-// Enqueue order is the caller's responsibility: the storage engine calls
-// Commit under its commit-ordering mutex, so WAL order always equals LSN
-// order.
+// Enqueue order is the caller's responsibility. The storage engine has one
+// writer and appends inline, so its one caller is bench/probe.go, which
+// times a sync-on-commit append through it.
 type GroupCommitter struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

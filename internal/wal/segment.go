@@ -36,8 +36,8 @@ import (
 // restarts.
 //
 // Concurrency: appends are serialised by the caller (the storage engine's
-// commit mutex or the group-commit writer goroutine); Prune, ReadRange,
-// Stats and Sync may be called concurrently with appends and each other.
+// one writer); Prune, ReadRange, Stats and Sync may be called concurrently
+// with appends and each other.
 type Segmented struct {
 	mu     sync.Mutex
 	dir    string
@@ -322,9 +322,9 @@ func (g *Segmented) openActiveLocked() error {
 }
 
 // rotateLocked seals the active segment (fsync, so a later crash cannot
-// tear it once a newer segment exists) and opens the next one. The group
-// committer and the inline append path need no retargeting: they write
-// through this Segmented, which swaps the active file under them.
+// tear it once a newer segment exists) and opens the next one. Writers need
+// no retargeting: they write through this Segmented, which swaps the active
+// file under them.
 func (g *Segmented) rotateLocked() error {
 	if err := g.active.Sync(); err != nil {
 		return fmt.Errorf("wal: sync sealed segment: %w", err)
@@ -418,7 +418,7 @@ func (g *Segmented) Prune(ckptLSN uint64, retain int) int {
 // returns ErrRangeUnavailable when any part of the window is not present —
 // pruned away, beyond the written tail, or cut off by a torn record.
 // Callers must only request LSNs whose records are fully written (the
-// storage engine's visible horizon guarantees this).
+// storage engine publishes a commit only after its record is appended).
 func (g *Segmented) ReadRange(from, to uint64, fn func(lsn uint64, payload []byte) error) error {
 	if to < from {
 		return nil
