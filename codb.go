@@ -231,8 +231,9 @@ type NetworkOptions struct {
 	// FullExport disables cross-session incremental export: every update
 	// session re-evaluates and re-ships every link in full, as the paper's
 	// algorithm does (the differential tests' reference). By default peers
-	// keep per-rule LSN watermarks and shipped-binding fingerprints, so
-	// repeated updates ship only what changed since the previous session.
+	// keep a per-rule LSN watermark, kept exact and persisted in the
+	// storage log, so repeated updates ship only what changed since the
+	// previous session.
 	FullExport bool
 
 	// Storage holds the storage-engine knobs.

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestRestartAfterCompactionResumesIncremental: the export-state log is
-// compacted when a peer stops, so a restarted exporter reads a rewritten
-// file, not the records its sessions appended. What it loads must still be
-// the whole state: the first update after the restart ships the new rows
-// incrementally, with no full export — and again after a second restart,
-// whose compaction rewrote a file that was itself loaded from a compaction.
+// TestRestartAfterCompactionResumesIncremental: a stopped peer's store is
+// checkpointed, so a restarted exporter loads its watermark from the
+// checkpoint snapshot, not from the records its sessions appended. The
+// first update after the restart ships the new rows incrementally, with no
+// full export — and again after a second restart, whose checkpoint was
+// written by a store that itself loaded one.
 func TestRestartAfterCompactionResumesIncremental(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	nw := buildDurablePairOpts(t, dirA, dirB, NetworkOptions{

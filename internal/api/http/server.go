@@ -15,7 +15,7 @@
 //	GET  /v1/schema          the node's relation declarations
 //	GET  /v1/stats           cumulative per-node export counters (sessions,
 //	                         full/incremental/fallback exports, watermark
-//	                         skips, suppressed bindings, incremental batches)
+//	                         skips, incremental batches)
 //	GET  /v1/stats/read      query-result cache counters
 //	GET  /v1/stats/storage   storage engine report
 //	GET  /v1/stats/wire      TCP frame/byte counters + outbox batching

@@ -200,6 +200,12 @@ func TestStatsEndpointsShape(t *testing.T) {
 			t.Errorf("%s: storage relation = %v, want r holding 1 tuple", node, rels[0])
 		}
 
+		totals := field[map[string]json.RawMessage](t, getObject(t, base+"/v1/stats?node="+node), "totals")
+		wantTotals := []string{"exports_fallback", "exports_full", "exports_incremental", "incremental_msgs", "sessions", "skipped_by_watermark"}
+		if got := keysOf(t, totals); !slices.Equal(got, wantTotals) {
+			t.Errorf("%s: /v1/stats totals %v, want %v", node, got, wantTotals)
+		}
+
 		ms := membership(t, base, node)
 		if got, want := keysOf(t, ms), []string{"downs", "enabled", "heals", "live_peers", "suspects", "tombstones"}; !slices.Equal(got, want) {
 			t.Errorf("%s: membership keys %v, want %v", node, got, want)

@@ -334,8 +334,8 @@ func (c *Console) runStorage(args []string) {
 		if tot := p.ExportTotals(); tot.Sessions > 0 {
 			c.printf("exports (cumulative, %d sessions): %d full, %d incremental, %d fallback\n",
 				tot.Sessions, tot.ExportsFull, tot.ExportsIncremental, tot.ExportsFallback)
-			c.printf("  skipped by watermark: %d, suppressed bindings: %d, incremental batches: %d\n",
-				tot.SkippedByWatermark, tot.SuppressedBindings, tot.IncrementalMsgs)
+			c.printf("  skipped by watermark: %d, incremental batches: %d\n",
+				tot.SkippedByWatermark, tot.IncrementalMsgs)
 		}
 	}
 }

@@ -19,6 +19,14 @@
 // tuples which have been already sent"). This computes the exact fixpoint
 // of internal/chase.Fixpoint, which the oracle tests check.
 //
+// The sent caches live for one session. Across sessions a link is
+// incremental by its LSN watermark alone: the next session evaluates only
+// what was committed past it. The watermark is exact — a session's commit
+// at a relaying peer moves it only when nothing else was committed since and
+// the session's evaluations of the link saw exactly the data that commit
+// produced (followCommit) — so no record of shipped bindings is kept, and
+// the watermark persists as a mark in the peer's storage log.
+//
 // Query answering: the query is answered from local data immediately and
 // propagated along the *relevant* outgoing links only, with node-ID path
 // labels ("a node does not propagate a query request, if its ID is
@@ -50,7 +58,9 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"codb/internal/chase"
@@ -95,6 +105,14 @@ type Wrapper interface {
 	// ReadSnapshot pins an immutable view at the current commit LSN: safe
 	// for concurrent use, it never blocks (or is blocked by) writers.
 	ReadSnapshot() *storage.Snapshot
+	// Marks returns the marks the storage holds (storage.DB.Marks): where
+	// the export watermarks outlive the process. The map must not be
+	// modified.
+	Marks() map[string]uint64
+	// SetMark stages a mark (0 deletes it) to ride on the next commit
+	// record; LogMarks writes the staged marks as a record of their own.
+	SetMark(key string, v uint64)
+	LogMarks() error
 }
 
 // Config configures a Node. The zero value of the feature toggles selects
@@ -111,13 +129,8 @@ type Config struct {
 	// FullExport disables the cross-session incremental export machinery:
 	// every session re-evaluates and re-ships every incoming link in full,
 	// as the paper's algorithm does. The default (incremental) evaluates
-	// only tuples committed past each link's persistent LSN watermark and
-	// suppresses bindings already shipped in earlier sessions.
+	// only tuples committed past each link's persistent LSN watermark.
 	FullExport bool
-	// MaxFingerprints bounds the per-rule persistent shipped-binding
-	// fingerprint set (0 = 1<<20). On overflow the rule's export state is
-	// reset, degrading the next session to a full export.
-	MaxFingerprints int
 	// Clock supplies timestamps (UnixNano); nil uses a zero clock, which
 	// keeps pure-core tests deterministic. The peer layer injects real
 	// time.
@@ -202,44 +215,31 @@ type ruleState struct {
 	text string
 }
 
-// exportState is one incoming link's persistent export state: it survives
-// sessions (and, via ExportState/RestoreExportState, process restarts), so
-// a later session exports only what changed since the watermark and never
-// re-ships a binding the importer already materialised.
+// exportState is one incoming link's persistent export state: its
+// watermark, the storage LSN up to which the importer holds every binding of
+// the rule over this node's data. A session exports only what was committed
+// past it (exportSince) and moves it to the commits it fully exported
+// through (followCommit), so a later session re-evaluates nothing the
+// importer already has. The storage keeps it as a mark, under a key naming
+// the rule text, so it survives restarts and a redefined rule never
+// inherits it.
 //
-// Like the per-session sent caches, the fingerprints record *sends*, not
-// deliveries: a data message written off by the termination detector on a
-// failed pipe (Report.CompensatedLost != 0, which already signals possibly
-// incomplete materialisation) stays suppressed in later sessions too. The
-// recovery paths are ResetExportStateToward (used when an importer is known
-// to have lost its data), a FullExport configuration, or dropping the state
-// file — set semantics make blanket re-ships safe.
+// Like the per-session sent caches, a watermark records *sends*, not
+// deliveries. A data message written off by the termination detector on a
+// failed pipe makes the node distrust the importer (distrustImporter), which
+// resets the state, and the next session re-exports the link in full: set
+// semantics make a re-ship safe, never a skipped one.
 type exportState struct {
-	// watermark is the storage LSN up to which the rule's body relations
-	// have been evaluated and exported.
 	watermark uint64
-	// shipped fingerprints every binding shipped through the rule (by
-	// tuple key), across sessions.
-	shipped map[string]bool
-	// fresh lists the keys fingerprinted, and moved records a watermark
-	// advance, since the peer layer last drained the state's changes
-	// (DrainExportDelta): what a persisted copy of the state lacks.
-	fresh []string
-	moved bool
+	mark      string // the storage mark key (markKey)
 }
 
-// fingerprint records that the binding encoded as key was shipped.
-func (es *exportState) fingerprint(key string) {
-	es.shipped[key] = true
-	es.fresh = append(es.fresh, key)
-}
-
-// advance moves the watermark to lsn.
-func (es *exportState) advance(lsn uint64) {
-	if es.watermark != lsn {
-		es.watermark = lsn
-		es.moved = true
-	}
+// markKey names a rule's watermark in the storage: the rule ID and a hash of
+// the rule text.
+func markKey(id, text string) string {
+	h := fnv.New64a()
+	h.Write([]byte(text))
+	return fmt.Sprintf("%s\x00%016x", id, h.Sum64())
 }
 
 // Node is the algorithm state machine for one peer.
@@ -256,15 +256,8 @@ type Node struct {
 	reports  []msg.UpdateReport
 
 	// exports holds the per-rule persistent export state of the
-	// incremental machinery (Source == Self rules only). pendingExports
-	// buffers restored snapshots for rules not yet declared (see
-	// RestoreExportState).
-	exports        map[string]*exportState
-	pendingExports map[string]ExportSnapshot
-	// resetRules names the rules whose export state was dropped or begun
-	// anew since the last DrainExportDelta: whatever a persisted copy holds
-	// for them is void.
-	resetRules map[string]bool
+	// incremental machinery (Source == Self rules only).
+	exports map[string]*exportState
 
 	// policies holds the per-rule propagation policies (push is implicit
 	// for rules without one); propStats the per-rule propagation counters;
@@ -319,21 +312,17 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.MaxReports == 0 {
 		cfg.MaxReports = 128
 	}
-	if cfg.MaxFingerprints == 0 {
-		cfg.MaxFingerprints = 1 << 20
-	}
 	return &Node{
-		cfg:        cfg,
-		rules:      make(map[string]*ruleState),
-		appliers:   make(map[string]*chase.Applier),
-		sessions:   make(map[string]*session),
-		finished:   make(map[string][]string),
-		ds:         diffuse.New(cfg.Self),
-		dirty:      make(map[string]*session),
-		exports:    make(map[string]*exportState),
-		resetRules: make(map[string]bool),
-		policies:   make(map[string]*linkPolicy),
-		propStats:  make(map[string]*propStat),
+		cfg:       cfg,
+		rules:     make(map[string]*ruleState),
+		appliers:  make(map[string]*chase.Applier),
+		sessions:  make(map[string]*session),
+		finished:  make(map[string][]string),
+		ds:        diffuse.New(cfg.Self),
+		dirty:     make(map[string]*session),
+		exports:   make(map[string]*exportState),
+		policies:  make(map[string]*linkPolicy),
+		propStats: make(map[string]*propStat),
 	}, nil
 }
 
@@ -402,16 +391,12 @@ func (n *Node) addParsedRule(rule *cq.Rule, text string) error {
 	if prev, ok := n.rules[rule.ID]; ok && prev.text == text {
 		return nil // idempotent re-add
 	}
-	// A redefined rule invalidates its export state: the old watermark and
-	// fingerprints describe a different query. (Pending restored snapshots
-	// are kept for the text check below.)
+	// A redefined rule invalidates its export state: the old watermark
+	// describes a different query.
 	n.forgetExport(rule.ID)
 	rs := &ruleState{rule: rule, text: text}
 	n.rules[rule.ID] = rs
-	if snap, ok := n.pendingExports[rule.ID]; ok {
-		delete(n.pendingExports, rule.ID)
-		n.installExportSnapshot(rs, snap)
-	}
+	n.restoreExport(rs)
 	n.invalidateRuleCaches()
 	if rule.Target == n.cfg.Self {
 		a, err := chase.NewApplier(rule, n.chaseOpts())
@@ -429,43 +414,69 @@ func (n *Node) RemoveRule(id string) {
 	delete(n.rules, id)
 	delete(n.appliers, id)
 	delete(n.policies, id)
-	n.dropExportState(id)
+	n.forgetExport(id)
 	n.invalidateRuleCaches()
 }
 
-// beginExport starts a rule's export state at the given watermark. Whatever
-// a persisted copy holds for the rule — a restored snapshot that was turned
-// down, say — is void from here on.
-func (n *Node) beginExport(id string, watermark uint64) {
-	n.exports[id] = &exportState{watermark: watermark, shipped: make(map[string]bool)}
-	n.resetRules[id] = true
-}
-
-// forgetExport drops one rule's live export state, if it has any.
-func (n *Node) forgetExport(id string) {
-	if _, ok := n.exports[id]; ok {
-		delete(n.exports, id)
-		n.resetRules[id] = true
+// restoreExport installs the watermark the storage kept for the rule, if
+// any, and deletes the marks of the rule's earlier definitions.
+func (n *Node) restoreExport(rs *ruleState) {
+	if n.cfg.FullExport || rs.rule.Source != n.cfg.Self {
+		return
+	}
+	key, stale := markKey(rs.rule.ID, rs.text), false
+	for k, wm := range n.cfg.Wrapper.Marks() {
+		switch {
+		case k == key:
+			n.exports[rs.rule.ID] = &exportState{watermark: wm, mark: key}
+		case strings.HasPrefix(k, rs.rule.ID+"\x00"):
+			n.cfg.Wrapper.SetMark(k, 0)
+			stale = true
+		}
+	}
+	if stale {
+		n.cfg.Wrapper.LogMarks()
 	}
 }
 
-// dropExportState forgets one rule's export state, live or still waiting
-// for its rule.
-func (n *Node) dropExportState(id string) {
-	n.forgetExport(id)
-	delete(n.pendingExports, id)
+// beginExport starts a rule's export state at the given watermark.
+func (n *Node) beginExport(id string, watermark uint64) {
+	es := &exportState{watermark: watermark, mark: markKey(id, n.rules[id].text)}
+	n.exports[id] = es
+	n.cfg.Wrapper.SetMark(es.mark, watermark)
+}
+
+// setWatermark moves a link's watermark. Its mark rides on the storage's
+// next commit record: a crash before that loses the move, which costs one
+// re-ship, and never puts a watermark ahead of the data it describes.
+func (n *Node) setWatermark(es *exportState, lsn uint64) {
+	if es.watermark != lsn {
+		es.watermark = lsn
+		n.cfg.Wrapper.SetMark(es.mark, lsn)
+	}
+}
+
+// forgetExport drops one rule's export state, if it has any, and logs the
+// reset at once, so that no restart finds the watermark again. (A reset the
+// storage fails to log fails every later commit there too.)
+func (n *Node) forgetExport(id string) {
+	if es, ok := n.exports[id]; ok {
+		delete(n.exports, id)
+		n.cfg.Wrapper.SetMark(es.mark, 0)
+		n.cfg.Wrapper.LogMarks()
+	}
 }
 
 // ResetExportStateToward forgets the export state of every rule importing
 // into the given peer. Callers use it when that peer's materialised data is
 // known to be gone (it left the network, or was rebuilt from scratch):
-// the watermarks and fingerprints assert "the importer already has this",
+// the watermarks assert "the importer already has this",
 // which no longer holds, so the next session degrades to a full export and
 // re-materialises the importer completely.
 func (n *Node) ResetExportStateToward(peer string) {
 	for id, rs := range n.rules {
 		if rs.rule.Source == n.cfg.Self && rs.rule.Target == peer {
-			n.dropExportState(id)
+			n.forgetExport(id)
 		}
 	}
 }
@@ -507,136 +518,6 @@ func (n *Node) SetRules(defs []msg.RuleDef) error {
 		}
 	}
 	return nil
-}
-
-// ExportSnapshot is the serialisable export state of one incoming link.
-type ExportSnapshot struct {
-	// RuleText pins the snapshot to one rule definition: state restored
-	// for a rule whose text has changed is discarded.
-	RuleText string
-	// Watermark is the storage LSN up to which the rule's body relations
-	// have been exported.
-	Watermark uint64
-	// Shipped lists the binding keys already shipped through the rule.
-	Shipped []string
-}
-
-// ExportDelta is what one rule's export state gained since the previous
-// DrainExportDelta: the unit the peer layer appends to its state log.
-// Applying every delta in order to an empty map (Apply) rebuilds
-// ExportState().
-type ExportDelta struct {
-	RuleID string
-	// Reset voids what earlier deltas recorded for the rule: its state was
-	// dropped (importer lost, fingerprint bound exceeded, rule redefined or
-	// removed) or begun anew.
-	Reset bool
-	// ExportSnapshot carries the rule text and watermark in force and, in
-	// Shipped, only the keys fingerprinted since the previous drain.
-	ExportSnapshot
-}
-
-// Apply folds the delta into a state being rebuilt from a log of deltas: the
-// rule's entry is dropped on Reset; then, unless RuleText is empty (the rule
-// has no state any more), text and watermark are set and Shipped appended.
-func (d ExportDelta) Apply(state map[string]ExportSnapshot) {
-	if d.Reset {
-		delete(state, d.RuleID)
-	}
-	if d.RuleText == "" {
-		return
-	}
-	snap := state[d.RuleID]
-	snap.RuleText, snap.Watermark = d.RuleText, d.Watermark
-	snap.Shipped = append(snap.Shipped, d.Shipped...)
-	state[d.RuleID] = snap
-}
-
-// DrainExportDelta returns the changes of the export state since the last
-// call, ordered by rule ID, and forgets them: O(what changed), where
-// ExportState is O(everything ever shipped). Nil when nothing changed.
-func (n *Node) DrainExportDelta() []ExportDelta {
-	var out []ExportDelta
-	for id := range n.resetRules {
-		if _, live := n.exports[id]; !live {
-			out = append(out, ExportDelta{RuleID: id, Reset: true})
-		}
-	}
-	for id, es := range n.exports {
-		rs, ok := n.rules[id]
-		if !ok || (!es.moved && len(es.fresh) == 0 && !n.resetRules[id]) {
-			continue
-		}
-		out = append(out, ExportDelta{
-			RuleID:         id,
-			Reset:          n.resetRules[id],
-			ExportSnapshot: ExportSnapshot{RuleText: rs.text, Watermark: es.watermark, Shipped: es.fresh},
-		})
-		es.fresh, es.moved = nil, false
-	}
-	clear(n.resetRules)
-	sort.Slice(out, func(i, j int) bool { return out[i].RuleID < out[j].RuleID })
-	return out
-}
-
-// ExportState snapshots the whole persistent per-rule export state
-// (watermarks plus shipped-binding fingerprints): what the peer layer
-// compacts its state log to, and what tests and diagnostics read.
-func (n *Node) ExportState() map[string]ExportSnapshot {
-	out := make(map[string]ExportSnapshot, len(n.exports))
-	for id, es := range n.exports {
-		rs, ok := n.rules[id]
-		if !ok {
-			continue
-		}
-		shipped := make([]string, 0, len(es.shipped))
-		for k := range es.shipped {
-			shipped = append(shipped, k)
-		}
-		out[id] = ExportSnapshot{RuleText: rs.text, Watermark: es.watermark, Shipped: shipped}
-	}
-	return out
-}
-
-// RestoreExportState installs a previously snapshotted export state. Rules
-// are typically declared after construction, so snapshots wait in a pending
-// set and attach when a matching rule arrives. An entry that cannot be
-// trusted is dropped, degrading that rule to a full first export: a changed
-// rule definition, or a watermark ahead of the storage's current LSN (the
-// state file outlived the data).
-func (n *Node) RestoreExportState(state map[string]ExportSnapshot) {
-	if n.cfg.FullExport {
-		return
-	}
-	if n.pendingExports == nil {
-		n.pendingExports = make(map[string]ExportSnapshot, len(state))
-	}
-	for id, snap := range state {
-		if rs, ok := n.rules[id]; ok {
-			n.installExportSnapshot(rs, snap)
-			continue
-		}
-		n.pendingExports[id] = snap
-	}
-}
-
-// installExportSnapshot validates one restored snapshot against the (now
-// known) rule and the storage state, installing it only when safe.
-func (n *Node) installExportSnapshot(rs *ruleState, snap ExportSnapshot) {
-	if n.cfg.FullExport {
-		return
-	}
-	if rs.rule.Source != n.cfg.Self || snap.RuleText != rs.text {
-		return
-	}
-	if snap.Watermark > n.cfg.Wrapper.LSN() || len(snap.Shipped) > n.cfg.MaxFingerprints {
-		return
-	}
-	shipped := make(map[string]bool, len(snap.Shipped))
-	for _, k := range snap.Shipped {
-		shipped[k] = true
-	}
-	n.exports[rs.rule.ID] = &exportState{watermark: snap.Watermark, shipped: shipped}
 }
 
 // ExportWatermarks reports each incoming link's persistent LSN watermark
@@ -753,7 +634,6 @@ func (n *Node) recordReport(rep msg.UpdateReport) {
 	n.totals.ExportsIncremental += rep.ExportsIncremental
 	n.totals.ExportsFallback += rep.ExportsFallback
 	n.totals.SkippedByWatermark += rep.SkippedByWatermark
-	n.totals.SuppressedBindings += rep.SuppressedBindings
 	n.totals.IncrementalMsgs += rep.IncrementalMsgs
 	n.reports = append(n.reports, rep)
 	if len(n.reports) > n.cfg.MaxReports {

@@ -428,12 +428,14 @@ func (n *Node) noteEvalError(s *session, r *Result, err error) {
 }
 
 // incrementalFor reports whether cross-session incremental export applies
-// to the given session: FullExport must be off, and the session must
+// to the given session and link: FullExport must be off, the session must
 // materialise at the importer (query sessions sink into per-session overlays
 // that are discarded at completion, so nothing shipped for one query can be
-// assumed present for the next).
-func (n *Node) incrementalFor(s *session) bool {
-	return !n.cfg.FullExport && s.kind != msg.KindQuery
+// assumed present for the next), and the link must be one of the node's
+// rules, not one a request declared for its session alone.
+func (n *Node) incrementalFor(s *session, rule *cq.Rule) bool {
+	_, known := n.rules[rule.ID]
+	return !n.cfg.FullExport && s.kind != msg.KindQuery && known
 }
 
 // exportSince runs the initial evaluation of an incoming link for a session
@@ -469,6 +471,7 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	// watermark is the snapshot's own LSN, so it can never advance past
 	// commits the evaluation didn't observe.
 	v := n.sessionView(s)
+	cur := v.snap.LSN()
 
 	mode := msg.ExportFull
 	var bindings []relation.Tuple
@@ -485,20 +488,19 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 
 	es := n.exports[rule.ID]
 	switch {
-	case !n.incrementalFor(s):
+	case !n.incrementalFor(s, rule):
 		if !full() {
 			return
 		}
 	case es == nil:
 		// First session for this link: full export establishes the
-		// watermark and the fingerprint base.
-		cur := v.snap.LSN()
+		// watermark.
 		if !full() {
 			return
 		}
 		n.beginExport(rule.ID, cur)
+		s.reads[rule.ID] = cur
 	default:
-		cur := v.snap.LSN()
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
 		for _, rel := range rule.BodyRelations() {
@@ -530,17 +532,17 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 			bindings = bs
 			if evalFailed {
 				// A failed delta evaluation must stay above the
-				// watermark: ship what did evaluate (fingerprints keep
-				// re-derivations off the wire), but let the next session
-				// re-attempt the whole delta instead of permanently
-				// losing the failed relation's tuples.
+				// watermark: ship what did evaluate, but let the next
+				// session re-attempt the whole delta instead of
+				// permanently losing the failed relation's tuples.
 				n.sendData(s, rule, to, bindings, []string{n.cfg.Self}, mode, skipped, r)
 				s.rep.ExportsIncremental++
 				s.rep.SkippedByWatermark += skipped
 				return
 			}
 		}
-		es.advance(cur)
+		n.setWatermark(es, cur)
+		s.reads[rule.ID] = cur
 	}
 
 	switch mode {
@@ -592,27 +594,22 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 	// session, so a link that already hinted at join time stays quiet.
 	if s.kind == msg.KindUpdate && n.pullEffective(rule) {
 		n.sendHint(s, rule, to, r)
+		s.noteRead(rule.ID, 0, false)
 		return
 	}
 	// Failed per-relation evaluations are counted inside; ship what did
-	// evaluate (the session stays live either way). What view.stage found
+	// evaluate (the session stays live either way), but keep the link's
+	// watermark from following the session's commit. What view.stage found
 	// fresh is a set.
-	bindings, _ := n.deltaBindings(s, rule, fresh, chase.BindingsSetDelta, r)
+	bindings, evalFailed := n.deltaBindings(s, rule, fresh, chase.BindingsSetDelta, r)
+	s.noteRead(rule.ID, s.pinned.LSN(), !evalFailed)
 	n.sendData(s, rule, to, bindings, path, msg.ExportSessionDelta, 0, r)
 }
 
-// sendData filters the bindings against the link's session sent cache and
-// its persistent shipped-fingerprint set, then ships one data batch.
+// sendData filters the bindings against the link's session sent cache, then
+// ships one data batch.
 func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relation.Tuple, path []string, mode msg.ExportMode, skipped int, r *Result) {
 	bindings = n.applyFilter(rule, bindings)
-	// Cross-session suppression: a binding shipped in an earlier update
-	// session is already materialised at the importer. The state advances
-	// inside running sessions too, so the in-session delta step contributes
-	// to the next session's savings.
-	es := n.exports[rule.ID]
-	if !n.incrementalFor(s) {
-		es = nil
-	}
 	// An injective one-atom link of a query session keeps no sent cache: it
 	// could never hit. Its bindings stand one to one for body tuples
 	// (cq.Rule.Injective), and each tuple reaches the link once: handleRequest
@@ -629,31 +626,15 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	if s.kind != msg.KindQuery || !rule.Injective() {
 		sent = s.sentSet(rule.ID)
 	}
-	if sent != nil || es != nil {
+	if sent != nil {
 		kept := make([]relation.Tuple, 0, len(bindings))
 		for _, b := range bindings {
-			k := b.Key() // encoded once, for both sets
-			if sent != nil {
-				if sent[k] {
-					continue
-				}
+			if k := b.Key(); !sent[k] {
 				sent[k] = true
+				kept = append(kept, b)
 			}
-			if es != nil {
-				if es.shipped[k] {
-					s.rep.SuppressedBindings++
-					continue
-				}
-				es.fingerprint(k)
-			}
-			kept = append(kept, b)
 		}
 		bindings = kept
-	}
-	if es != nil && len(es.shipped) > n.cfg.MaxFingerprints {
-		// Bound the memory: drop the state; the next session re-exports in
-		// full (set semantics make that safe).
-		n.forgetExport(rule.ID)
 	}
 	if len(bindings) == 0 {
 		return
@@ -780,6 +761,7 @@ func (n *Node) commitStaged(r *Result, sessions ...*session) {
 	for _, s := range staged {
 		rows = s.overlay.AppendRows(rows)
 	}
+	before := n.cfg.Wrapper.LSN()
 	_, err := n.cfg.Wrapper.InsertKeyed(rows)
 	for _, s := range staged {
 		// A failed commit loses nothing the overlay could bring back: the
@@ -788,6 +770,31 @@ func (n *Node) commitStaged(r *Result, sessions ...*session) {
 		s.overlay = relation.NewSet()
 		if err != nil {
 			n.noteEvalError(s, r, fmt.Errorf("commit of staged tuples: %w", err))
+		}
+	}
+	// A burst's commit of several sessions' tuples moves no watermark: no
+	// evaluation saw them all, so a binding joining two of them was shipped
+	// by neither.
+	if err == nil && len(staged) == 1 && n.cfg.Wrapper.LSN() == before+1 {
+		n.followCommit(staged[0], before+1)
+	}
+}
+
+// followCommit keeps the watermarks exact. The session's staged tuples alone
+// have just landed at lsn. A link whose watermark stood at lsn-1 — nothing
+// else was committed since — and whose every evaluation since the session
+// last committed read the snapshot at lsn-1 has shipped every binding over
+// the data at lsn: the tuples the evaluations saw staged are what the commit
+// holds. Its watermark follows the commit. Any other link keeps its
+// watermark for the rest of the session, and the next session re-ships from
+// there, which set semantics make safe.
+func (n *Node) followCommit(s *session, lsn uint64) {
+	for id, read := range s.reads {
+		if es := n.exports[id]; es != nil && es.watermark == lsn-1 && read == lsn-1 {
+			n.setWatermark(es, lsn)
+			s.reads[id] = lsn
+		} else {
+			s.reads[id] = mixedReads
 		}
 	}
 }

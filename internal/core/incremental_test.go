@@ -130,8 +130,8 @@ func TestFullExportToggleReships(t *testing.T) {
 }
 
 // TestHistoryLostFallsBackToFullEval: a delete between sessions poisons the
-// changelog; the next export re-evaluates in full but the fingerprint set
-// still keeps already-shipped bindings off the wire.
+// changelog; the next export re-evaluates and re-ships the surviving extent
+// once, and the one after is incremental again.
 func TestHistoryLostFallsBackToFullEval(t *testing.T) {
 	s := newSim(t)
 	s.addNode("A", "r/1")
@@ -151,16 +151,21 @@ func TestHistoryLostFallsBackToFullEval(t *testing.T) {
 	if repB.ExportsFallback != 1 {
 		t.Errorf("B fallback exports = %d, want 1 (history lost)", repB.ExportsFallback)
 	}
-	if repB.SuppressedBindings != 2 {
-		t.Errorf("SuppressedBindings = %d, want 2 (the surviving already-shipped tuples)", repB.SuppressedBindings)
-	}
 	repA := reportFor(t, s.nodes["A"], "u2")
-	if got := receivedTuples(repA); got != 1 {
-		t.Errorf("A received %d tuples, want 1 (only the new tuple crosses the wire)", got)
+	if got := receivedTuples(repA); got != 3 {
+		t.Errorf("A received %d tuples, want 3 (the surviving extent, the new tuple included)", got)
 	}
 	// Materialisation is monotone: the delete does not retract at A.
 	if got := s.nodes["A"].Wrapper().Count("r"); got != 4 {
 		t.Errorf("A.r = %d, want 4", got)
+	}
+	s.seed("B", "r", []int{10})
+	s.updateSID("A", "u3")
+	if repB := reportFor(t, s.nodes["B"], "u3"); repB.ExportsIncremental != 1 {
+		t.Errorf("B exports after the fallback: incr=%d fallback=%d, want incremental", repB.ExportsIncremental, repB.ExportsFallback)
+	}
+	if got := receivedTuples(reportFor(t, s.nodes["A"], "u3")); got != 1 {
+		t.Errorf("A received %d tuples after the fallback, want 1", got)
 	}
 }
 
@@ -188,35 +193,35 @@ func TestQuerySessionsDoNotConsumeWatermarks(t *testing.T) {
 	}
 }
 
-// TestIncrementalExportStateRoundTrip: export state snapshotted from one
-// node and restored into a fresh node over the same storage resumes
-// incrementally; a watermark ahead of the storage LSN is rejected and the
-// node degrades to a full export.
+// TestIncrementalExportStateRoundTrip: the watermarks live in the storage as
+// marks, so a fresh node over the same storage resumes incrementally once
+// its rule is declared; the same rule ID with another text finds no
+// watermark, and declaring it deletes the old definition's mark.
 func TestIncrementalExportStateRoundTrip(t *testing.T) {
 	s := newSim(t)
 	s.addNode("A", "r/1")
-	b := s.addNode("B", "r/1")
+	b := s.addNode("B", "r/1", "q/1")
 	s.rule("r1", `A.r(x) <- B.r(x)`)
 	s.seed("B", "r", []int{1}, []int{2})
 	s.updateSID("A", "u1")
-
-	state := b.ExportState()
-	if snap := state["r1"]; snap.Watermark == 0 || len(snap.Shipped) != 2 {
-		t.Fatalf("snapshot = %+v, want nonzero watermark and 2 fingerprints", snap)
+	wm := b.ExportWatermarks()["r1"]
+	if wm == 0 {
+		t.Fatal("no watermark after the first session")
+	}
+	if err := b.Wrapper().LogMarks(); err != nil { // what the next commit would carry
+		t.Fatal(err)
 	}
 
-	// "Restart" B: fresh node over the same wrapper, state restored before
-	// the rule arrives (as the peer layer does).
+	// "Restart" B: a fresh node over the same storage.
 	b2, err := NewNode(Config{Self: "B", Wrapper: b.Wrapper()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2.RestoreExportState(state)
 	if err := b2.AddRule("r1", `A.r(x) <- B.r(x)`); err != nil {
 		t.Fatal(err)
 	}
-	if wm := b2.ExportWatermarks()["r1"]; wm != state["r1"].Watermark {
-		t.Fatalf("restored watermark = %d, want %d", wm, state["r1"].Watermark)
+	if got := b2.ExportWatermarks()["r1"]; got != wm {
+		t.Fatalf("restored watermark = %d, want %d", got, wm)
 	}
 	s.nodes["B"] = b2
 	s.updateSID("A", "u2")
@@ -225,40 +230,19 @@ func TestIncrementalExportStateRoundTrip(t *testing.T) {
 		t.Errorf("restored node: incr=%d sent=%d, want 1/0", repB.ExportsIncremental, repB.SentMsgs)
 	}
 
-	// A poisoned snapshot (watermark beyond the storage LSN) is rejected.
-	bad := map[string]ExportSnapshot{"r1": {
-		RuleText:  `A.r(x) <- B.r(x)`,
-		Watermark: 1 << 40,
-		Shipped:   state["r1"].Shipped,
-	}}
+	// The rule redefined: no watermark, and the old text's mark is gone.
 	b3, err := NewNode(Config{Self: "B", Wrapper: b.Wrapper()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3.RestoreExportState(bad)
-	if err := b3.AddRule("r1", `A.r(x) <- B.r(x)`); err != nil {
+	if err := b3.AddRule("r1", `A.r(x) <- B.q(x)`); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := b3.ExportWatermarks()["r1"]; ok {
-		t.Error("stale watermark past the storage LSN was installed")
+		t.Error("a redefined rule inherited the watermark")
 	}
-
-	// A snapshot for a redefined rule is rejected too.
-	changed := map[string]ExportSnapshot{"r1": {
-		RuleText:  `A.r(x) <- B.q(x)`,
-		Watermark: state["r1"].Watermark,
-		Shipped:   state["r1"].Shipped,
-	}}
-	b4, err := NewNode(Config{Self: "B", Wrapper: b.Wrapper()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b4.RestoreExportState(changed)
-	if err := b4.AddRule("r1", `A.r(x) <- B.r(x)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b4.ExportWatermarks()["r1"]; ok {
-		t.Error("snapshot of a redefined rule was installed")
+	if marks := b.Wrapper().Marks(); len(marks) != 0 {
+		t.Errorf("marks %v survive the redefinition", marks)
 	}
 }
 

@@ -326,7 +326,6 @@ type ExportTotals struct {
 	ExportsIncremental int `json:"exports_incremental"`
 	ExportsFallback    int `json:"exports_fallback"`
 	SkippedByWatermark int `json:"skipped_by_watermark"`
-	SuppressedBindings int `json:"suppressed_bindings"`
 	IncrementalMsgs    int `json:"incremental_msgs"`
 }
 

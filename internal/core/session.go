@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"codb/internal/chase"
 	"codb/internal/cq"
@@ -35,6 +36,11 @@ type session struct {
 	// hinted marks pull-policy links whose lazy invalidation hint has been
 	// flooded in this session (one hint per link per session).
 	hinted map[string]bool
+	// reads maps each incoming link the session exported incrementally to
+	// the snapshot LSN every evaluation of the link read since the session
+	// last committed, or to mixedReads once the link may no longer follow
+	// the session's commits (see Node.followCommit).
+	reads map[string]uint64
 
 	// Query-mode state.
 	query *cq.Query // non-nil at the origin of a query session
@@ -81,6 +87,7 @@ func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 		kind:           kind,
 		origin:         origin,
 		evaluated:      make(map[string]bool),
+		reads:          make(map[string]uint64),
 		sent:           make(map[string]map[string]bool),
 		seqOut:         make(map[string]int),
 		activeIncoming: make(map[string]string),
@@ -130,6 +137,19 @@ func (n *Node) getSession(sid string, kind msg.Kind, origin string) *session {
 		return &session{sid: sid, kind: kind, origin: origin, done: true}
 	}
 	return n.newSession(sid, kind, origin)
+}
+
+// mixedReads marks a link whose evaluations read different snapshots, or
+// did not ship every binding, since the session last committed.
+const mixedReads = math.MaxUint64
+
+// noteRead records an evaluation of a tracked link over the snapshot at lsn;
+// ok is false when it did not ship every binding (a failed evaluation, or a
+// lazy hint in its place).
+func (s *session) noteRead(id string, lsn uint64, ok bool) {
+	if read, tracked := s.reads[id]; tracked && (!ok || read != lsn) {
+		s.reads[id] = mixedReads
+	}
 }
 
 // sentSet returns the sent cache for one incoming link.

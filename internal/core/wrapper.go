@@ -50,6 +50,15 @@ func (w *StoreWrapper) LSN() uint64 { return w.db.LSN() }
 // ReadSnapshot implements Wrapper: storage.DB.Snapshot.
 func (w *StoreWrapper) ReadSnapshot() *storage.Snapshot { return w.db.Snapshot() }
 
+// Marks implements Wrapper: storage.DB.Marks.
+func (w *StoreWrapper) Marks() map[string]uint64 { return w.db.Marks() }
+
+// SetMark implements Wrapper: storage.DB.SetMark.
+func (w *StoreWrapper) SetMark(key string, v uint64) { w.db.SetMark(key, v) }
+
+// LogMarks implements Wrapper: storage.DB.LogMarks.
+func (w *StoreWrapper) LogMarks() error { return w.db.LogMarks() }
+
 // Changes implements Wrapper: the tuples committed after sinceLSN, with
 // ok=false when the engine's changelog no longer covers that horizon.
 func (w *StoreWrapper) Changes(rel string, sinceLSN uint64) ([]relation.Tuple, bool) {

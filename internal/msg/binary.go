@@ -399,7 +399,7 @@ func appendUpdateReport(dst []byte, u *UpdateReport) []byte {
 		u.SentMsgs, u.SentBytes, u.LongestPath, u.NewTuples,
 		u.CompensatedLost,
 		u.ExportsFull, u.ExportsIncremental, u.ExportsFallback,
-		u.SkippedByWatermark, u.SuppressedBindings, u.IncrementalMsgs,
+		u.SkippedByWatermark, u.IncrementalMsgs,
 		u.EvalErrors, u.CacheHits, u.CacheMisses,
 	} {
 		dst = binary.AppendVarint(dst, int64(v))
@@ -425,7 +425,7 @@ func (r *reader) updateReport() UpdateReport {
 		&u.SentMsgs, &u.SentBytes, &u.LongestPath, &u.NewTuples,
 		&u.CompensatedLost,
 		&u.ExportsFull, &u.ExportsIncremental, &u.ExportsFallback,
-		&u.SkippedByWatermark, &u.SuppressedBindings, &u.IncrementalMsgs,
+		&u.SkippedByWatermark, &u.IncrementalMsgs,
 		&u.EvalErrors, &u.CacheHits, &u.CacheMisses,
 	} {
 		*p = int(r.varint())

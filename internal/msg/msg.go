@@ -247,11 +247,14 @@ type UpdateReport struct {
 	// ExportsFull / ExportsIncremental / ExportsFallback count this node's
 	// initial link exports by mode (see ExportMode); SkippedByWatermark
 	// counts body tuples the persistent LSN watermarks let incremental
-	// exports skip re-evaluating; SuppressedBindings counts bindings the
-	// persistent shipped-fingerprint sets kept off the wire.
+	// exports skip re-evaluating.
 	ExportsFull, ExportsIncremental, ExportsFallback int
 	SkippedByWatermark                               int
-	SuppressedBindings                               int
+	// SuppressedBindings is always 0 and never encoded, on the wire or in
+	// JSON: nothing keeps shipped bindings off the wire since export
+	// watermarks became exact. It stays only for the benchmark harness,
+	// which still reads it.
+	SuppressedBindings int `json:"-"`
 	// IncrementalMsgs counts received SessionData batches produced by
 	// cross-session incremental exports.
 	IncrementalMsgs int

@@ -236,13 +236,13 @@ func (p *Peer) apply(peer string, ev event) {
 		delete(p.members, peer)
 	}
 	p.countTransition(was.live, next.live)
-	persist := false
+	writesOff := false
 	for _, e := range effs {
-		persist = persist || e.kind == writeOffPeer || e.kind == writeOffMsg || e.kind == resetExports
+		writesOff = writesOff || e.kind == writeOffPeer || e.kind == writeOffMsg || e.kind == resetExports
 	}
 	if was.live != next.live || len(effs) > 0 {
 		log := p.log.Info
-		if persist || next.live == suspect || next.live == down {
+		if writesOff || next.live == suspect || next.live == down {
 			log = p.log.Warn
 		}
 		log("peer lifecycle", "member", peer, "event", ev.kind, "from", was.live, "to", next.live, "effects", effs)
@@ -266,11 +266,6 @@ func (p *Peer) apply(peer string, ev event) {
 		case catchUp:
 			p.catchUp(peer)
 		}
-	}
-	if persist {
-		// Writing off shipped data resets export state; the state log must
-		// say so before a restart could trust it again.
-		p.persistExportState()
 	}
 }
 

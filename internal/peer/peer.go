@@ -101,13 +101,12 @@ type Options struct {
 
 // Peer is a running coDB node.
 type Peer struct {
-	name      string
-	node      *core.Node
-	tr        *transport.Outbox // the asynchronous outbound pipeline over Options.Transport
-	tcp       *transport.TCP    // the concrete transport when it is TCP (nil otherwise)
-	exportLog *exportLog        // export-state sidecar log (nil = not durable); actor-owned
-	readPath  *readPath         // concurrent reads off the actor loop
-	log       *slog.Logger
+	name     string
+	node     *core.Node
+	tr       *transport.Outbox // the asynchronous outbound pipeline over Options.Transport
+	tcp      *transport.TCP    // the concrete transport when it is TCP (nil otherwise)
+	readPath *readPath         // concurrent reads off the actor loop
+	log      *slog.Logger
 
 	// Propagation-policy runtime (see propagation.go). prop carries its own
 	// mutex: the read path consults it off the actor loop.
@@ -168,23 +167,9 @@ func New(opts Options) (*Peer, error) {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	// Durable peers restore the incremental-export watermarks persisted
-	// next to their database; failures only cost a full re-export.
-	var exports *exportLog
-	if path := exportStatePath(opts.Wrapper); path != "" {
-		var state map[string]core.ExportSnapshot
-		if exports, state, err = openExportLog(path); err != nil {
-			log.Warn("export state unreadable, starting full", "peer", opts.Name, "err", err)
-			if exports, err = createExportLog(path); err != nil {
-				log.Warn("export state will not be kept", "peer", opts.Name, "err", err)
-			}
-		}
-		node.RestoreExportState(state)
-	}
 	p := &Peer{
 		name:       opts.Name,
 		node:       node,
-		exportLog:  exports,
 		log:        log.With("peer", opts.Name),
 		inbox:      make(chan any, inboxCap),
 		members:    make(map[string]*member),
@@ -435,9 +420,8 @@ func (p *Peer) handleLostSend(l lostSend) {
 }
 
 // Stop shuts the peer down and returns once the actor loop has exited, so
-// the caller may close (or reopen) the peer's store straight away. A durable
-// peer's export-state log is compacted on the way out. Safe to call twice,
-// not from inside the loop.
+// the caller may close (or reopen) the peer's store straight away. Safe to
+// call twice, not from inside the loop.
 func (p *Peer) Stop() {
 	select {
 	case <-p.stopped:
@@ -448,14 +432,6 @@ func (p *Peer) Stop() {
 	close(p.stopped)
 	p.tr.Close()
 	<-p.loopDone
-	if l := p.exportLog; l != nil {
-		// The appended records are a complete log as they stand; a rewrite
-		// that fails only leaves the next start more of them to read.
-		if err := l.rewrite(p.node.ExportState()); err != nil {
-			p.log.Warn("export state not compacted", "err", err)
-		}
-		l.close()
-	}
 }
 
 // handleEnvelope processes one inbound message inside the actor loop.
@@ -539,10 +515,8 @@ func (p *Peer) dispatch(res core.Result) {
 			}
 		}
 	}
-	materialised := false
 	for _, f := range res.Finished {
 		p.log.Debug("session finished", "sid", f.SID, "initiator", f.Initiator)
-		materialised = materialised || f.Report.Kind != msg.KindQuery
 		if ch, ok := p.updates[f.SID]; ok {
 			ch <- f.Report
 			delete(p.updates, f.SID)
@@ -562,12 +536,6 @@ func (p *Peer) dispatch(res core.Result) {
 		if ps, ok := p.prop.pulls[f.SID]; ok {
 			p.finishPull(ps, f.Report)
 		}
-	}
-	// Materialising sessions advance the export watermarks; persist what
-	// they changed so a restarted peer resumes incrementally — once the
-	// sessions' waiters are on their way, none of them waits on the file.
-	if materialised {
-		p.persistExportState()
 	}
 }
 
@@ -964,47 +932,14 @@ func (p *Peer) ExportWatermarks() map[string]uint64 {
 	return out
 }
 
-// persistExportState appends what changed in the export state since the
-// last call to the sidecar log (durable peers; the others just drop it), and
-// compacts the log once it has outgrown the state. Runs inside the actor
-// loop.
-func (p *Peer) persistExportState() {
-	deltas := p.node.DrainExportDelta()
-	if p.exportLog == nil || len(deltas) == 0 {
-		return
-	}
-	compact, err := p.exportLog.append(deltas)
-	if err != nil {
-		// The file now lacks a delta: a restart must not trust it.
-		p.log.Warn("export state not persisted", "err", err)
-		compact = true
-	}
-	if compact {
-		p.compactExportLog()
-	}
-}
-
-// compactExportLog rewrites the sidecar log to the node's full export
-// state. A log that cannot be rewritten is given up for this process life.
-func (p *Peer) compactExportLog() {
-	if err := p.exportLog.compact(p.node.ExportState()); err != nil {
-		p.log.Warn("export state log abandoned", "err", err)
-		p.exportLog.abandon()
-		p.exportLog = nil
-	}
-}
-
 // ResetExportStateToward forgets this peer's incremental-export state for
 // every rule importing into the given peer, forcing the next session to
 // re-export those links in full. Callers use it when the importer's
 // materialised data is known to be gone — e.g. it left the network and a
-// fresh peer took its name — since the watermarks and fingerprints would
-// otherwise suppress data the new importer never received.
+// fresh peer took its name — since the watermarks would otherwise keep back
+// data the new importer never received.
 func (p *Peer) ResetExportStateToward(peer string) {
-	p.do(func() {
-		p.node.ResetExportStateToward(peer)
-		p.persistExportState()
-	})
+	p.do(func() { p.node.ResetExportStateToward(peer) })
 }
 
 // Rules lists the node's coordination rules.

@@ -31,9 +31,9 @@ type op struct {
 // presence test, so nothing is looked up twice, a duplicate inside the batch
 // simply does nothing, and only ops that did something are logged and
 // captured — a batch that changes nothing takes no LSN and writes no record.
-// Then the commit takes the next LSN, appends its record (synced under
-// SyncOnCommit), captures the changes and publishes the new root, so no
-// reader observes a commit before its record is in the log.
+// Then the commit takes the next LSN, appends its record with any staged
+// marks (synced under SyncOnCommit), captures the changes and publishes the
+// new root, so no reader observes a commit before its record is in the log.
 //
 // A WAL failure is returned to the caller, but the ops stay applied and
 // published: once the record has been handed to the log its bytes may
@@ -77,7 +77,8 @@ func (db *DB) commit(ops []op, applied []bool) error {
 		ops = did
 	}
 	db.lsn++
-	err := db.logRecord(encodeOps(ops))
+	err := db.logRecord(db.withMarks(encodeOps(ops)))
+	db.applyMarks()
 	capt := db.beginCapture(db.lsn)
 	for i := range ops {
 		o := &ops[i]

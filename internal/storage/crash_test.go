@@ -14,9 +14,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"codb/internal/relation"
@@ -38,11 +40,13 @@ func (db *DB) crash() {
 
 // --- independent model ----------------------------------------------------
 
-// crashModel is the oracle state: relation -> set of encoded tuple keys.
+// crashModel is the oracle state: relation -> set of encoded tuple keys,
+// and the marks in force.
 type crashModel struct {
-	rels map[string]map[string]bool
-	lsn  uint64
-	ckpt uint64
+	rels  map[string]map[string]bool
+	marks map[string]uint64
+	lsn   uint64
+	ckpt  uint64
 }
 
 type modelReader struct {
@@ -92,7 +96,7 @@ func loadModelSnapshot(t *testing.T, path string, m *crashModel) {
 	if len(data) < 12 || string(data[:4]) != "cdbS" {
 		t.Fatalf("model: %s is not a snapshot", path)
 	}
-	if version := binary.LittleEndian.Uint32(data[4:8]); version != 4 {
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != 5 {
 		t.Fatalf("model: snapshot version %d", version)
 	}
 	r := &modelReader{b: data[12:]}
@@ -112,6 +116,20 @@ func loadModelSnapshot(t *testing.T, path string, m *crashModel) {
 	}
 	m.lsn = r.uvarint(t)
 	m.ckpt = r.uvarint(t)
+	r.modelMarks(t, m)
+}
+
+// modelMarks applies a count-prefixed list of (key, value) marks; 0 deletes.
+func (r *modelReader) modelMarks(t *testing.T, m *crashModel) {
+	n := int(r.uvarint(t))
+	for i := 0; i < n; i++ {
+		k := string(r.bytes(t))
+		if v := r.uvarint(t); v == 0 {
+			delete(m.marks, k)
+		} else {
+			m.marks[k] = v
+		}
+	}
 }
 
 // replayModelSegments parses the surviving segment files in order and
@@ -180,6 +198,28 @@ func applyModelRecord(t *testing.T, m *crashModel, payload []byte) {
 			t.Fatalf("model: bad op kind %d", kind)
 		}
 	}
+	if r.off < len(r.b) {
+		r.modelMarks(t, m)
+	}
+}
+
+// modelRecordEnds returns the offset in the concatenated segment stream at
+// which each intact record ends.
+func modelRecordEnds(t *testing.T, segPaths []string) []int64 {
+	var ends []int64
+	var base int64
+	for _, path := range segPaths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 20; off+8 <= len(data); {
+			off += 8 + int(binary.LittleEndian.Uint32(data[off:off+4]))
+			ends = append(ends, base+int64(off))
+		}
+		base += int64(len(data))
+	}
+	return ends
 }
 
 // --- harness --------------------------------------------------------------
@@ -192,7 +232,11 @@ type tortureSpec struct {
 	// batch with a row in each of this many relations.
 	relations int
 	deletes   bool
-	trials    int
+	// marks selects the marks workload: inserts that carry staged marks,
+	// marks-only records that advance or reset them, crashed at every
+	// record boundary.
+	marks  bool
+	trials int
 }
 
 func TestCrashRecoveryTorture(t *testing.T) {
@@ -206,6 +250,10 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		// Every record spans four relations: a record torn anywhere must
 		// lose its rows in all four.
 		{name: "burst", segmentBytes: 256, relations: 4, trials: 20},
+		// Marks ride on commits and on records of their own; a crash keeps
+		// those of the durable prefix, none ahead of its LSN, and every
+		// reset in it.
+		{name: "marks", segmentBytes: 192, marks: true, checkpointMid: true},
 	}
 	for _, spec := range specs {
 		spec := spec
@@ -258,7 +306,39 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			}
 		}
 	}
-	if spec.relations > 1 {
+	// commitMarks is the marks workload: three keys advanced to the LSN
+	// before a commit that carries them, logged on their own, and reset.
+	commitMarks := func(base int) {
+		for i := base; i < base+30; i++ {
+			key := fmt.Sprintf("link%d", i%3)
+			switch i % 5 {
+			case 1:
+				db.SetMark(key, db.LSN()) // rides on the insert below
+			case 3:
+				db.SetMark(key, db.LSN())
+				if err := db.LogMarks(); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				db.SetMark(key, 0) // a reset is logged when it happens
+				if err := db.LogMarks(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.Insert("emp", emp(i, fmt.Sprintf("p%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	switch {
+	case spec.marks:
+		commitMarks(0)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		commitMarks(100)
+		db.SetMark("staged", db.LSN()) // never logged: a crash loses it
+	case spec.relations > 1:
 		for i := 0; i < 25; i++ {
 			rows := make([]relation.Row, len(rels))
 			for r, rel := range rels {
@@ -269,7 +349,7 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 				t.Fatal(err)
 			}
 		}
-	} else {
+	default:
 		commitHalf(0)
 		if spec.checkpointMid {
 			if err := db.Checkpoint(); err != nil {
@@ -304,6 +384,11 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 	rnd := rand.New(rand.NewSource(int64(len(spec.name)) * 7919))
 	for len(offsets) < 5+5*len(sizes)+spec.trials {
 		offsets = append(offsets, rnd.Int63n(total+1))
+	}
+	if spec.marks {
+		offsets = append(offsets, modelRecordEnds(t, segPaths)...)
+		slices.Sort(offsets)
+		offsets = slices.Compact(offsets)
 	}
 
 	for _, off := range offsets {
@@ -343,7 +428,7 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			}
 
 			// Oracle: parse the durable prefix independently.
-			model := &crashModel{rels: make(map[string]map[string]bool)}
+			model := &crashModel{rels: make(map[string]map[string]bool), marks: make(map[string]uint64)}
 			loadModelSnapshot(t, filepath.Join(trialDir, snapshotName), model)
 			replayModelSegments(t, trialDir, model)
 
@@ -355,6 +440,7 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 			if got := re.LSN(); got != model.lsn {
 				t.Fatalf("recovered LSN = %d, model %d", got, model.lsn)
 			}
+			compareMarks(t, re, model)
 
 			// The recovered database must keep working: commit, crash
 			// again, recover again.
@@ -371,8 +457,25 @@ func tortureRun(t *testing.T, spec tortureSpec) {
 				t.Fatalf("second recovery: %v", err)
 			}
 			compareWithModel(t, re2, model)
+			compareMarks(t, re2, model)
 			re2.Close()
 		})
+	}
+}
+
+// compareMarks asserts the recovered marks are the model's — so no reset
+// in the durable prefix is undone and no staged mark survives — and that no
+// mark exceeds the recovered LSN.
+func compareMarks(t *testing.T, db *DB, m *crashModel) {
+	t.Helper()
+	got := db.Marks()
+	if !maps.Equal(got, m.marks) {
+		t.Fatalf("recovered marks %v, model %v", got, m.marks)
+	}
+	for k, v := range got {
+		if v > db.LSN() {
+			t.Fatalf("mark %s = %d is ahead of the recovered LSN %d", k, v, db.LSN())
+		}
 	}
 }
 

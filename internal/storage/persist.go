@@ -18,7 +18,8 @@ import (
 //	tuples as uvarint length + order-preserving encoding
 //
 // A WAL payload is: count, then per op: kind byte, relation name, and for
-// insert/delete the tuple; for DDL the relation definition.
+// insert/delete the tuple; for DDL the relation definition. A record that
+// carries marks (marks.go) goes on with their count and key/value pairs.
 
 func putString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -199,6 +200,9 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			return fmt.Errorf("storage: replay: bad op kind %d", kind)
 		}
 	}
+	if r.err == nil && r.off < len(r.b) {
+		db.marks = setMarks(db.marks, r.marks())
+	}
 	return r.err
 }
 
@@ -260,12 +264,14 @@ func decodeRelOps(payload []byte, rel string, arity int) ([]relation.Tuple, erro
 //	        continue, so WAL records above this LSN (and retained segments
 //	        below it) coexist with the snapshot; replay skips records at
 //	        or below it.
+//	marks  — the marks in force at that LSN: uvarint count, then key and
+//	        uvarint value per mark, in key order.
 //
-// Versions 1–3 (the same body without the trailing fields, or without the
+// Versions 1–4 (the same body without the marks, the checkpoint LSN or the
 // shard count) are refused.
 var snapMagic = [4]byte{'c', 'd', 'b', 'S'}
 
-const snapVersion = 4
+const snapVersion = 5
 
 // Checkpoint writes a snapshot of the committed state and truncates the
 // WAL by whole segments, without stopping the world: it writes the
@@ -358,7 +364,7 @@ func (db *DB) checkpointPinned() error {
 	return nil
 }
 
-// encodeSnapshotBody renders a pinned Snapshot as a v4 snapshot body. The
+// encodeSnapshotBody renders a pinned Snapshot as a v5 snapshot body. The
 // bytes are identical whether the checkpoint ran quiescent or beside
 // commits, since the pin is a consistent cut.
 func encodeSnapshotBody(snap *Snapshot) []byte {
@@ -377,7 +383,7 @@ func encodeSnapshotBody(snap *Snapshot) []byte {
 	}
 	body = binary.AppendUvarint(body, snap.lsn)
 	body = binary.AppendUvarint(body, snap.lsn) // the checkpoint LSN
-	return body
+	return encodeMarks(body, snap.marks)
 }
 
 // loadSnapshot restores state from the snapshot file; a missing file leaves
@@ -434,6 +440,7 @@ func (db *DB) loadSnapshot(path string) error {
 	}
 	db.lsn = r.uvarint()
 	db.recoveredCkpt = min(db.lsn, r.uvarint())
+	db.marks = r.marks()
 	if r.err != nil {
 		return r.err
 	}

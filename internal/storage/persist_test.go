@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,7 +12,6 @@ import (
 	"testing"
 
 	"codb/internal/relation"
-	"codb/internal/wal"
 )
 
 func openDurable(t *testing.T, dir string, opts Options) *DB {
@@ -199,14 +200,16 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 // Open with an error naming the file, and the file is left untouched.
 func TestLegacyWALRefused(t *testing.T) {
 	writeLegacy := func(t *testing.T, dir string) string {
+		// The old format: an 8-byte header (magic, version 1), then
+		// length | CRC-32 | payload records. The refusal looks at the name.
 		path := filepath.Join(dir, legacyLogName)
-		l, err := wal.Create(path)
-		if err != nil {
-			t.Fatal(err)
+		data := append([]byte("cdbW"), 1, 0, 0, 0)
+		for _, p := range [][]byte{encodeDDL(empDef()), encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}})} {
+			data = binary.LittleEndian.AppendUint32(data, uint32(len(p)))
+			data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(p))
+			data = append(data, p...)
 		}
-		l.Append(encodeDDL(empDef()))
-		l.Append(encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}}))
-		if err := l.Close(); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path

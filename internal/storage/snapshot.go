@@ -24,6 +24,7 @@ type Snapshot struct {
 	lsn    uint64
 	schema *relation.Schema // shared by every root until the next DDL: never mutated
 	tables map[string]*tableSnap
+	marks  map[string]uint64 // in force at lsn; shared, never mutated
 }
 
 // tableSnap is the immutable view of one relation: a clone of its primary

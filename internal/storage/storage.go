@@ -5,7 +5,9 @@
 // encoding, the secondary indexes snapshot probes built, and a changelog
 // ring. Durability is optional: when opened with a directory, every commit
 // is logged to a write-ahead log and periodically checkpointed into a
-// snapshot file; recovery loads the snapshot and replays the log.
+// snapshot file (version 5); recovery loads the snapshot and replays the
+// log. Records and snapshots also carry marks, opaque key → uint64 pairs a
+// caller keeps with its data (marks.go): a peer's export watermarks.
 //
 // Concurrency: a database has one writer. In the paper a node's Wrapper
 // touches its LDB one message at a time, and a peer commits only from its
@@ -88,6 +90,10 @@ type DB struct {
 	// included) gets the next value. It survives restarts (persisted in the
 	// snapshot, advanced by WAL replay).
 	lsn uint64
+	// marks are the marks in force (shared with the published root, so
+	// replaced, never mutated, once published); pending are the ones staged
+	// to ride on the next record (see marks.go).
+	marks, pending map[string]uint64
 	// walErr is the first failed WAL append or sync. The log may end in a
 	// torn record or a missing segment after it, so every later commit
 	// returns it and appends nothing.
@@ -186,7 +192,7 @@ func (db *DB) publish() {
 		}
 		views[name] = t.view
 	}
-	db.root.Store(&Snapshot{lsn: db.lsn, schema: db.schema, tables: views})
+	db.root.Store(&Snapshot{lsn: db.lsn, schema: db.schema, tables: views, marks: db.marks})
 }
 
 // logRecord appends one commit's record to the WAL and, under SyncOnCommit,
@@ -242,7 +248,8 @@ func (db *DB) DefineRelation(def *relation.RelDef) error {
 	db.schema = schema
 	db.tables[def.Name] = newTable(def)
 	db.lsn++
-	err := db.logRecord(encodeDDL(def))
+	err := db.logRecord(db.withMarks(encodeDDL(def)))
+	db.applyMarks()
 	db.publish()
 	if err == nil && db.log != nil {
 		db.commitsSinceCheckpoint.Add(1)
@@ -475,8 +482,9 @@ func (db *DB) changesFromSegments(rel string, arity int, sinceLSN, lsn uint64) (
 // Close closes the database. Durable databases with commits since the last
 // checkpoint are checkpointed first, so reopening a long-lived peer loads
 // the snapshot instead of replaying the entire log; otherwise the WAL is
-// synced. An in-flight background checkpoint is waited out (ckptMu), and a
-// sticky WAL or background-checkpoint failure is reported here.
+// synced. Staged marks are logged first. An in-flight background checkpoint
+// is waited out (ckptMu), and a sticky WAL or background-checkpoint failure
+// is reported here.
 func (db *DB) Close() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -484,6 +492,10 @@ func (db *DB) Close() error {
 	if db.closed.Load() {
 		db.writeMu.Unlock()
 		return nil
+	}
+	// Staged marks get the record they were waiting for.
+	if len(db.pending) > 0 && db.walErr == nil {
+		db.logMarksLocked()
 	}
 	db.closed.Store(true)
 	err := db.walErr

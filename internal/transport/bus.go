@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"codb/internal/msg"
@@ -11,15 +10,11 @@ import (
 // Bus is the in-process transport: a registry of nodes with per-node
 // delivery goroutines. It simulates a whole P2P network inside one process,
 // which is how the test suite and the benchmark harness run multi-peer
-// topologies on one box.
-//
-// Fault injection: a FaultPlan can drop or duplicate messages, for testing
-// the robustness-reporting paths. (The core protocol assumes reliable pipes
-// as JXTA pipes are; faults are injected only in dedicated tests.)
+// topologies on one box. Faults are injected by wrapping a node's
+// Transport (Partitioner), not by the bus.
 type Bus struct {
 	mu    sync.Mutex
 	nodes map[string]*busNode
-	fault *FaultPlan
 }
 
 type busNode struct {
@@ -33,48 +28,9 @@ type busNode struct {
 	mu      sync.Mutex
 }
 
-// FaultPlan configures probabilistic message faults; probabilities in
-// [0,1]. The zero value injects nothing.
-type FaultPlan struct {
-	mu       sync.Mutex
-	rnd      *rand.Rand
-	DropProb float64
-	DupProb  float64
-	// Protect exempts a payload type from faults (e.g. acks), selected by
-	// a predicate; nil protects nothing.
-	Protect func(p msg.Payload) bool
-}
-
-// NewFaultPlan seeds a deterministic fault plan.
-func NewFaultPlan(seed int64, drop, dup float64) *FaultPlan {
-	return &FaultPlan{rnd: rand.New(rand.NewSource(seed)), DropProb: drop, DupProb: dup}
-}
-
-func (f *FaultPlan) decide(p msg.Payload) (drop, dup bool) {
-	if f == nil {
-		return false, false
-	}
-	if f.Protect != nil && f.Protect(p) {
-		return false, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rnd == nil {
-		f.rnd = rand.New(rand.NewSource(1))
-	}
-	return f.rnd.Float64() < f.DropProb, f.rnd.Float64() < f.DupProb
-}
-
 // NewBus returns an empty in-process network.
 func NewBus() *Bus {
 	return &Bus{nodes: make(map[string]*busNode)}
-}
-
-// SetFaultPlan installs (or clears, with nil) fault injection.
-func (b *Bus) SetFaultPlan(f *FaultPlan) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fault = f
 }
 
 // Join registers a node and returns its Transport. Node names must be
@@ -185,24 +141,13 @@ func (n *busNode) Send(to string, p msg.Payload) error {
 	if target == nil {
 		return fmt.Errorf("%w: %s (left the network)", ErrUnknownPeer, to)
 	}
-	n.bus.mu.Lock()
-	fault := n.bus.fault
-	n.bus.mu.Unlock()
 	payloads := []msg.Payload{p}
 	if b, ok := p.(*msg.Batch); ok {
 		payloads = b.Payloads
 	}
 	for _, pl := range payloads {
-		drop, dup := fault.decide(pl)
-		if drop {
-			continue
-		}
-		env := msg.Envelope{From: n.name, Payload: pl}
-		if !target.box.put(env) {
+		if !target.box.put(msg.Envelope{From: n.name, Payload: pl}) {
 			return fmt.Errorf("%w: %s (closed)", ErrUnknownPeer, to)
-		}
-		if dup {
-			target.box.put(env)
 		}
 	}
 	return nil

@@ -128,54 +128,6 @@ func TestBusDisconnectAndPeers(t *testing.T) {
 	}
 }
 
-func TestBusFaultInjectionDrop(t *testing.T) {
-	bus := NewBus()
-	a := bus.MustJoin("a")
-	b := bus.MustJoin("b")
-	var got collector
-	b.SetHandler(got.handler)
-	a.Connect("b", "")
-	bus.SetFaultPlan(NewFaultPlan(42, 1.0, 0)) // drop everything
-	for i := 0; i < 10; i++ {
-		a.Send("b", ping("s"))
-	}
-	bus.SetFaultPlan(nil)
-	a.Send("b", &msg.SessionAck{SID: "marker", N: 0})
-	envs := got.wait(t, 1)
-	if envs[0].Payload.(*msg.SessionAck).SID != "marker" {
-		t.Errorf("dropped messages were delivered: %+v", envs)
-	}
-}
-
-func TestBusFaultInjectionDuplicate(t *testing.T) {
-	bus := NewBus()
-	a := bus.MustJoin("a")
-	b := bus.MustJoin("b")
-	var got collector
-	b.SetHandler(got.handler)
-	a.Connect("b", "")
-	bus.SetFaultPlan(NewFaultPlan(7, 0, 1.0)) // duplicate everything
-	a.Send("b", ping("s"))
-	envs := got.wait(t, 2)
-	if len(envs) < 2 {
-		t.Error("duplicate not delivered")
-	}
-}
-
-func TestFaultPlanProtect(t *testing.T) {
-	f := NewFaultPlan(1, 1.0, 0)
-	f.Protect = func(p msg.Payload) bool {
-		_, isAck := p.(*msg.SessionAck)
-		return isAck
-	}
-	if drop, _ := f.decide(&msg.SessionAck{}); drop {
-		t.Error("protected payload dropped")
-	}
-	if drop, _ := f.decide(&msg.SessionDone{}); !drop {
-		t.Error("unprotected payload kept with DropProb=1")
-	}
-}
-
 func TestTCPBasicExchange(t *testing.T) {
 	a, err := NewTCP("a", "127.0.0.1:0")
 	if err != nil {

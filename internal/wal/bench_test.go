@@ -1,48 +1,10 @@
 package wal
 
 import (
-	"path/filepath"
 	"testing"
 )
 
 func BenchmarkAppend(b *testing.B) {
-	l, err := Create(filepath.Join(b.TempDir(), "bench.wal"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	payload := make([]byte, 256)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAppendSync(b *testing.B) {
-	l, err := Create(filepath.Join(b.TempDir(), "bench.wal"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	payload := make([]byte, 256)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-		if err := l.Sync(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSegmentedAppend(b *testing.B) {
 	g, err := OpenSegmented(b.TempDir(), 0, SegmentedOptions{}, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +21,27 @@ func BenchmarkSegmentedAppend(b *testing.B) {
 	}
 }
 
-func BenchmarkSegmentedReplay(b *testing.B) {
+func BenchmarkAppendSync(b *testing.B) {
+	g, err := OpenSegmented(b.TempDir(), 0, SegmentedOptions{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	payload := make([]byte, 256)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReplay(b *testing.B) {
 	dir := b.TempDir()
 	g, err := OpenSegmented(dir, 0, SegmentedOptions{SegmentBytes: 1 << 20}, nil)
 	if err != nil {
@@ -107,32 +89,5 @@ func BenchmarkSegmentedReadRange(b *testing.B) {
 		if n != records/2+1 {
 			b.Fatalf("read %d", n)
 		}
-	}
-}
-
-func BenchmarkReplay(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.wal")
-	l, err := Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 256)
-	const records = 10000
-	for i := 0; i < records; i++ {
-		l.Append(payload)
-	}
-	l.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		l, err := Open(path, func([]byte) error { n++; return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != records {
-			b.Fatalf("replayed %d", n)
-		}
-		l.Close()
 	}
 }

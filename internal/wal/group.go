@@ -34,10 +34,9 @@ type GroupCommitter struct {
 	done chan struct{} // writer goroutine exited
 }
 
-// Sink is the log the group committer writes through. Both the legacy Log
-// and the Segmented WAL implement it; with Segmented, rotation happens
-// inside AppendBatch, so the committer needs no retargeting when the
-// active segment changes.
+// Sink is the log the group committer writes through: the Segmented WAL,
+// whose rotation happens inside AppendBatch, so the committer needs no
+// retargeting when the active segment changes.
 type Sink interface {
 	AppendBatch(payloads [][]byte) error
 	Sync() error

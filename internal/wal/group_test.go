@@ -2,17 +2,23 @@ package wal
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 )
 
-func TestGroupCommitOrderAndReplay(t *testing.T) {
-	path := tempLog(t)
-	l, err := Create(path)
+// tempSeg opens a fresh segmented log in a temporary directory.
+func tempSeg(t *testing.T) (*Segmented, string) {
+	t.Helper()
+	dir := t.TempDir()
+	g, err := OpenSegmented(dir, 0, SegmentedOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, dir
+}
+
+func TestGroupCommitOrderAndReplay(t *testing.T) {
+	l, dir := tempSeg(t)
 	g := NewGroupCommitter(l)
 	const n = 200
 	waits := make([]<-chan error, n)
@@ -31,7 +37,7 @@ func TestGroupCommitOrderAndReplay(t *testing.T) {
 
 	// Replay order must equal enqueue order.
 	i := 0
-	l2, err := Open(path, func(p []byte) error {
+	l2, err := OpenSegmented(dir, 0, SegmentedOptions{}, func(_ uint64, p []byte) error {
 		if string(p) != fmt.Sprintf("rec-%d", i) {
 			return fmt.Errorf("record %d = %q", i, p)
 		}
@@ -48,10 +54,7 @@ func TestGroupCommitOrderAndReplay(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
-	l, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := tempSeg(t)
 	defer l.Close()
 	g := NewGroupCommitter(l)
 	const writers, per = 8, 40
@@ -86,10 +89,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 }
 
 func TestGroupCommitFlushBarrier(t *testing.T) {
-	l, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := tempSeg(t)
 	defer l.Close()
 	g := NewGroupCommitter(l)
 	w := g.Commit([]byte("payload"), false)
@@ -105,17 +105,14 @@ func TestGroupCommitFlushBarrier(t *testing.T) {
 	default:
 		t.Fatal("Flush returned before the earlier record was committed")
 	}
-	if l.Size() <= headerSize {
+	if l.Size() <= segHeaderSize {
 		t.Fatal("record not in the log after Flush")
 	}
 	g.Close()
 }
 
 func TestGroupCommitAfterCloseFails(t *testing.T) {
-	l, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := tempSeg(t)
 	defer l.Close()
 	g := NewGroupCommitter(l)
 	if err := g.Close(); err != nil {
@@ -135,10 +132,7 @@ func TestGroupCommitAfterCloseFails(t *testing.T) {
 // past a possibly-torn record would strand acknowledged data behind a CRC
 // break that stops recovery replay.
 func TestGroupCommitPoisonsAfterWriteFailure(t *testing.T) {
-	l, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := tempSeg(t)
 	g := NewGroupCommitter(l)
 	l.Close() // every subsequent write fails
 	if err := <-g.Commit([]byte("doomed"), true); err == nil {
@@ -157,9 +151,8 @@ func TestGroupCommitPoisonsAfterWriteFailure(t *testing.T) {
 }
 
 func TestAppendBatchEquivalentToAppends(t *testing.T) {
-	pa, pb := tempLog(t), filepath.Join(t.TempDir(), "b.wal")
-	la, _ := Create(pa)
-	lb, _ := Create(pb)
+	la, pa := tempSeg(t)
+	lb, pb := tempSeg(t)
 	payloads := [][]byte{[]byte("one"), nil, []byte("three"), make([]byte, 1000)}
 	for _, p := range payloads {
 		if err := la.Append(p); err != nil {
@@ -175,10 +168,10 @@ func TestAppendBatchEquivalentToAppends(t *testing.T) {
 	la.Close()
 	lb.Close()
 	var ra, rb []string
-	if _, err := Open(pa, func(p []byte) error { ra = append(ra, string(p)); return nil }); err != nil {
+	if _, err := OpenSegmented(pa, 0, SegmentedOptions{}, func(_ uint64, p []byte) error { ra = append(ra, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(pb, func(p []byte) error { rb = append(rb, string(p)); return nil }); err != nil {
+	if _, err := OpenSegmented(pb, 0, SegmentedOptions{}, func(_ uint64, p []byte) error { rb = append(rb, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(ra) != len(payloads) || len(rb) != len(payloads) {
@@ -196,10 +189,7 @@ func TestAppendBatchEquivalentToAppends(t *testing.T) {
 // the stats, bounded by the 1ms cap, while unsynced pipelines never choose
 // a window (nothing to amortise).
 func TestGroupCommitAdaptiveWindowStat(t *testing.T) {
-	l, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := tempSeg(t)
 	defer l.Close()
 	g := NewGroupCommitter(l)
 	for i := 0; i < 8; i++ {
@@ -218,10 +208,7 @@ func TestGroupCommitAdaptiveWindowStat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Create(tempLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2, _ := tempSeg(t)
 	defer l2.Close()
 	g2 := NewGroupCommitter(l2)
 	for i := 0; i < 8; i++ {

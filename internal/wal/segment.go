@@ -22,12 +22,11 @@ import (
 // header LSN plus its position — the storage engine appends exactly one
 // record per commit, in commit (LSN) order.
 //
-// Unlike the legacy single-file Log, a checkpoint never truncates in place:
-// it Prunes whole segments whose records all lie at or below the checkpoint
-// LSN (keeping the newest few for history serving), so a checkpoint that
-// fails after being half-applied can never orphan acknowledged commits —
-// the records are still in their segments, and replay skips the ones the
-// snapshot already covers.
+// A checkpoint never truncates in place: it Prunes whole segments whose
+// records all lie at or below the checkpoint LSN (keeping the newest few for
+// history serving), so a checkpoint that fails after being half-applied can
+// never orphan acknowledged commits — the records are still in their
+// segments, and replay skips the ones the snapshot already covers.
 //
 // Retained segments double as the spill store for the storage engine's
 // changelogs: ReadRange serves any still-present LSN window directly from

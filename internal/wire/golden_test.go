@@ -39,7 +39,7 @@ func goldenPayloads() []msg.Payload {
 		Queried: []string{"N2", "N3"}, SentTo: []string{"N2"},
 		NewTuples: 12, CompensatedLost: 0,
 		ExportsFull: 1, ExportsIncremental: 2, ExportsFallback: 0,
-		SkippedByWatermark: 40, SuppressedBindings: 5, IncrementalMsgs: 2,
+		SkippedByWatermark: 40, IncrementalMsgs: 2,
 		EvalErrors: 0, CacheHits: 1, CacheMisses: 1,
 	}
 	return []msg.Payload{

@@ -43,7 +43,7 @@ func TestPullHintCheckpointRaceStress(t *testing.T) {
 
 	// Checkpoint storm: every database rewrites its durable state as fast
 	// as it can, racing the spill-served Changes scans that pulls run and
-	// the export-state persistence that serving a pull triggers.
+	// the watermark marks that serving a pull commits.
 	checkpoints := make([]atomic.Int64, len(names))
 	for i, name := range names {
 		db := nw.dbs[name]

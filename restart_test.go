@@ -1,8 +1,6 @@
 package codb
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -20,22 +18,6 @@ func sessionReport(t *testing.T, p *Peer, sid string) Report {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("peer %s has no report for session %s", p.Name(), sid)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// waitForFile polls until the file exists (the exporter writes its state
-// when the completion flood reaches it, after the initiator returned).
-func waitForFile(t *testing.T, path string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never appeared", path)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -79,7 +61,6 @@ func TestRestartRestoresExportWatermarks(t *testing.T) {
 	if wm := nw.Peer("b").ExportWatermarks()["r1"]; wm == 0 {
 		t.Fatal("exporter has no watermark after a materialising session")
 	}
-	waitForFile(t, filepath.Join(dirB, "exports.state"))
 	nw.Close() // checkpoints both stores
 
 	// Second process life over the same directories.
@@ -141,7 +122,6 @@ func TestRestartServesSpilledHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitForFile(t, filepath.Join(dirB, "exports.state"))
 	nw.Close() // checkpoints both stores; segments are retained, not reset
 
 	nw2 := buildDurablePairOpts(t, dirA, dirB, opts)
@@ -175,11 +155,11 @@ func TestRestartServesSpilledHistory(t *testing.T) {
 	}
 }
 
-// TestRestartWithoutStateDegradesToFullExport: with the export-state file
-// gone, the reopened peer must fall back to a full export and still leave
-// the importer complete — persistence is an optimisation, never a
-// correctness dependency.
-func TestRestartWithoutStateDegradesToFullExport(t *testing.T) {
+// TestRestartRedefinedRuleGetsFullExport: a rule redefined while its
+// exporter was down inherits no watermark — the watermark is keyed by the
+// rule text — so the reopened peer exports it in full and the importer ends
+// up complete.
+func TestRestartRedefinedRuleGetsFullExport(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 
 	nw := buildDurablePair(t, dirA, dirB)
@@ -191,16 +171,21 @@ func TestRestartWithoutStateDegradesToFullExport(t *testing.T) {
 	if _, err := nw.Update(ctxT(t), "a"); err != nil {
 		t.Fatal(err)
 	}
-	waitForFile(t, filepath.Join(dirB, "exports.state"))
 	nw.Close()
 
-	// Lose the optimisation state (crash before rename, manual cleanup…).
-	if err := os.Remove(filepath.Join(dirB, "exports.state")); err != nil {
+	nw2 := NewNetworkWithOptions(NetworkOptions{})
+	defer nw2.Close()
+	if _, err := nw2.AddDurablePeer("a", dirA, "r(x int)"); err != nil {
 		t.Fatal(err)
 	}
-
-	nw2 := buildDurablePair(t, dirA, dirB)
-	defer nw2.Close()
+	if _, err := nw2.AddDurablePeer("b", dirB, "r(x int)"); err != nil {
+		t.Fatal(err)
+	}
+	// The narrower rule keeps from b what a already holds, plus 999.
+	nw2.MustAddRule("r1", `a.r(x) <- b.r(x), x > 9`)
+	if wm := nw2.Peer("b").ExportWatermarks(); len(wm) != 0 {
+		t.Fatalf("the redefined rule inherited watermarks %v", wm)
+	}
 	if err := nw2.Insert("b", "r", Row(Int(999))); err != nil {
 		t.Fatal(err)
 	}
@@ -209,45 +194,19 @@ func TestRestartWithoutStateDegradesToFullExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := nw2.Peer("a").Count("r"); got != 21 {
-		t.Fatalf("a.r = %d, want 21 (degraded restart must not lose tuples)", got)
+		t.Fatalf("a.r = %d, want 21 (a restart must not lose tuples)", got)
 	}
 	repB := sessionReport(t, nw2.Peer("b"), rep.SID)
 	if repB.ExportsFull != 1 {
-		t.Errorf("degraded exporter: full=%d incr=%d fallback=%d, want a full export",
+		t.Errorf("redefined rule: full=%d incr=%d fallback=%d, want a full export",
 			repB.ExportsFull, repB.ExportsIncremental, repB.ExportsFallback)
 	}
-}
-
-// TestRestartCorruptStateDegrades: a corrupt state file is ignored (full
-// export), not fatal.
-func TestRestartCorruptStateDegrades(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-
-	nw := buildDurablePair(t, dirA, dirB)
-	if err := nw.Insert("b", "r", Row(Int(1))); err != nil {
-		t.Fatal(err)
+	shipped := 0
+	for _, n := range sessionReport(t, nw2.Peer("a"), rep.SID).TuplesPerRule {
+		shipped += n
 	}
-	if _, err := nw.Update(ctxT(t), "a"); err != nil {
-		t.Fatal(err)
-	}
-	nw.Close()
-
-	if err := os.WriteFile(filepath.Join(dirB, "exports.state"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	nw2 := buildDurablePair(t, dirA, dirB)
-	defer nw2.Close()
-	rep, err := nw2.Update(ctxT(t), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nw2.Peer("a").Count("r"); got != 1 {
-		t.Fatalf("a.r = %d, want 1", got)
-	}
-	repB := sessionReport(t, nw2.Peer("b"), rep.SID)
-	if repB.ExportsFull != 1 {
-		t.Errorf("corrupt-state exporter: full=%d, want 1", repB.ExportsFull)
+	if shipped != 11 {
+		t.Errorf("full export shipped %d tuples, want the 11 the rule selects", shipped)
 	}
 }
 
@@ -268,7 +227,6 @@ func TestLeaveThenRejoinDurableResumesIncremental(t *testing.T) {
 	if _, err := nw.Update(ctxT(t), "a"); err != nil {
 		t.Fatal(err)
 	}
-	waitForFile(t, filepath.Join(dirB, "exports.state"))
 
 	// b departs; a tombstones it and resets its own state toward b.
 	nw.RemovePeer("b")
