@@ -21,7 +21,7 @@
 //	show <node> <rel>           dump a relation
 //	peers <node>                pipes, links and discovered peers (Fig. 3)
 //	report <node>               the node's session reports
-//	cache <node>                the node's query-result-cache counters
+//	cache <node>                the node's read-path counters
 //	storage <node>              per-relation storage, WAL and commit/fsync stats
 //	wire <node>                 TCP frame/byte counters and outbox batching
 //	stats                       super-peer: collect and aggregate statistics

@@ -65,9 +65,9 @@ type (
 	SuperPeer = superpeer.SuperPeer
 	// Aggregate is a cross-node per-session statistics summary.
 	Aggregate = superpeer.Aggregate
-	// ReadStats are a peer's query-result-cache counters (concurrent read
-	// path).
-	ReadStats = core.QueryCacheStats
+	// ReadStats are a peer's read-path counters: answer hits, misses and
+	// stale misses, and the statement table's population.
+	ReadStats = peer.ReadStats
 	// StorageStats is a peer's storage-engine report: per-relation row/byte
 	// counts, WAL size, logged commits and their fsyncs.
 	StorageStats = storage.DetailedStats
@@ -175,16 +175,6 @@ type SuspicionGroup struct {
 	Interval time.Duration
 }
 
-// ReadGroup groups the read-path knobs of NetworkOptions. Every peer answers
-// LocalQuery, local-only queries, Count and Tuples from pinned snapshots,
-// concurrently with running update sessions.
-type ReadGroup struct {
-	// QueryCacheSize bounds each peer's query-result cache (0 selects the
-	// default bound). Cached answers are invalidated by the storage commit
-	// LSN and the rule-set version, so they are always current.
-	QueryCacheSize int
-}
-
 // PropagationGroup configures per-link propagation policies: how committed
 // deltas travel each coordination rule during global updates.
 type PropagationGroup struct {
@@ -222,7 +212,8 @@ type HTTPGroup struct {
 }
 
 // NetworkOptions tune every peer of the network: algorithm toggles at the
-// top level, engine knobs in the Storage, Transport, Read and HTTP groups.
+// top level, engine knobs in the Storage, Transport, Propagation, Suspicion
+// and HTTP groups.
 type NetworkOptions struct {
 	// NestedLoopJoin switches the CQ evaluator to nested loops, which push
 	// down constants but no range: the correctness reference the
@@ -240,8 +231,6 @@ type NetworkOptions struct {
 	Storage StorageGroup
 	// Transport selects in-process bus (default) or TCP interconnect.
 	Transport TransportGroup
-	// Read holds the read-path knobs.
-	Read ReadGroup
 	// Propagation holds the per-link propagation policies.
 	Propagation PropagationGroup
 	// Suspicion enables the heartbeat failure detector (partition/heal).
@@ -287,7 +276,6 @@ func (nw *Network) peerOptions(name string, w core.Wrapper) peer.Options {
 		Wrapper:           w,
 		Eval:              eval,
 		FullExport:        nw.opts.FullExport,
-		QueryCacheSize:    nw.opts.Read.QueryCacheSize,
 		LinkPolicies:      nw.opts.Propagation.Policies,
 		LinkFilters:       nw.opts.Propagation.Filters,
 		MaxStaleness:      nw.opts.Propagation.MaxStaleness,
@@ -787,7 +775,7 @@ func (nw *Network) QueryStream(node, query string, mode QueryMode) (<-chan Tuple
 	return st.QueryStream(mode)
 }
 
-// PeerReadStats returns a node's query-cache counters; ok is false for
+// PeerReadStats returns a node's read-path counters; ok is false for
 // unknown peers.
 func (nw *Network) PeerReadStats(node string) (stats ReadStats, ok bool) {
 	p := nw.Peer(node)

@@ -16,7 +16,8 @@
 //	GET  /v1/stats           cumulative per-node export counters (sessions,
 //	                         full/incremental/fallback exports, watermark
 //	                         skips, incremental batches)
-//	GET  /v1/stats/read      query-result cache counters
+//	GET  /v1/stats/read      read-path counters (answer hits/misses,
+//	                         statements)
 //	GET  /v1/stats/storage   storage engine report
 //	GET  /v1/stats/wire      TCP frame/byte counters + outbox batching
 //	GET  /v1/stats/propagation  per-link propagation policy counters

@@ -321,8 +321,8 @@ func TestRequestBodyDecoding(t *testing.T) {
 }
 
 // TestRepeatedQueryText: the same text twice through /v1/query is one
-// statement — the second request is a result-cache hit — in the sync and
-// the NDJSON form alike.
+// statement — the second request is answered from its kept answers — in
+// the sync and the NDJSON form alike.
 func TestRepeatedQueryText(t *testing.T) {
 	s, p := queryServer(t, wire.MaxFrame)
 	for i, path := range []string{"/v1/query", "/v1/query", "/v1/query?stream=ndjson"} {

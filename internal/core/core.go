@@ -95,7 +95,8 @@ type Wrapper interface {
 	// Count returns a relation's cardinality.
 	Count(rel string) int
 	// LSN returns the storage's monotone commit sequence number: the
-	// incremental-export watermarks and the query-result cache key on it.
+	// incremental-export watermarks and the read path's kept answers key
+	// on it.
 	LSN() uint64
 	// Changes returns the tuples committed into rel after sinceLSN, in
 	// commit order; ok is false when that history is unavailable (deletes,
@@ -294,8 +295,8 @@ func (n *Node) invalidateRuleCaches() {
 
 // RuleSetVersion returns a counter that advances whenever the rule set
 // mutates. Safe to call from any goroutine (it is the one piece of Node
-// state read off the actor loop): the query-result cache keys validity on
-// it, so a rule broadcast mid-query invalidates cached results.
+// state read off the actor loop): the read path keys its kept answers'
+// validity on it, so a rule broadcast mid-query invalidates them.
 func (n *Node) RuleSetVersion() uint64 { return n.rulesVer.Load() }
 
 // NewNode builds a node. Config.Self and Config.Wrapper are required.

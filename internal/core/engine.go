@@ -117,15 +117,9 @@ func (n *Node) startScoped(sid string, links []*cq.Rule) (Result, error) {
 	return r, nil
 }
 
-// LocalQuery evaluates a query against the local database only (no
-// session), as nodes do after a global update has materialised everything.
-func (n *Node) LocalQuery(q *cq.Query, mode QueryMode) ([]relation.Tuple, error) {
-	return EvalQuery(q, n.cfg.Wrapper.ReadSnapshot(), mode, n.cfg.Eval)
-}
-
-// EvalQuery evaluates a query over any source under the given answer mode.
-// It is the evaluation step shared by Node.LocalQuery and the peer's
-// concurrent read path, both over pinned snapshots.
+// EvalQuery evaluates a query over any source under the given answer mode:
+// the local evaluation step of the peer's concurrent read path, over a
+// pinned snapshot. Every mode but CertainAnswers returns all answers.
 func EvalQuery(q *cq.Query, src cq.Source, mode QueryMode, opts cq.EvalOptions) ([]relation.Tuple, error) {
 	answers, err := cq.Eval(q, src, opts)
 	if err != nil {

@@ -1,12 +1,23 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"codb/internal/cq"
+	"codb/internal/relation"
+)
+
+// localQuery evaluates q over n's current snapshot, as a peer's read path
+// does after a global update has materialised everything.
+func localQuery(n *Node, q *cq.Query, mode QueryMode) ([]relation.Tuple, error) {
+	return EvalQuery(q, n.cfg.Wrapper.ReadSnapshot(), mode, n.cfg.Eval)
+}
 
 func TestQueryLocalOnly(t *testing.T) {
 	s := newSim(t)
 	s.addNode("A", "r/1")
 	s.seed("A", "r", []int{1}, []int{2})
-	got, err := s.nodes["A"].LocalQuery(mustQuery(t, `ans(x) :- r(x)`), AllAnswers)
+	got, err := localQuery(s.nodes["A"], mustQuery(t, `ans(x) :- r(x)`), AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +143,7 @@ func TestDistributedQueryEqualsLocalAfterUpdate(t *testing.T) {
 
 	s2 := build()
 	s2.update("A")
-	local, err := s2.nodes["A"].LocalQuery(mustQuery(t, q), AllAnswers)
+	local, err := localQuery(s2.nodes["A"], mustQuery(t, q), AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ func TestQueryInvalidRejected(t *testing.T) {
 	if _, err := s.nodes["A"].StartQuery("q1", &bad2, AllAnswers); err == nil {
 		t.Error("invalid query accepted")
 	}
-	if _, err := s.nodes["A"].LocalQuery(&bad2, AllAnswers); err == nil {
+	if _, err := localQuery(s.nodes["A"], &bad2, AllAnswers); err == nil {
 		t.Error("invalid local query accepted")
 	}
 }

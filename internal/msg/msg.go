@@ -262,10 +262,10 @@ type UpdateReport struct {
 	// answer streaming; nonzero means the session's result may be
 	// incomplete (the errors are also surfaced on core.Result).
 	EvalErrors int
-	// CacheHits / CacheMisses report the query-result cache's involvement
-	// in producing this report: set on the synthetic reports of the peer's
+	// CacheHits / CacheMisses report whether a statement's kept answers
+	// produced this report: set on the synthetic reports of the peer's
 	// concurrent local read path (1/0 or 0/1 per query), zero for
-	// distributed sessions, which never consult the cache.
+	// distributed sessions, which never consult them.
 	CacheHits, CacheMisses int
 }
 

@@ -61,9 +61,6 @@ type Options struct {
 	// Eval, FullExport tune the algorithm; see core.Config.
 	Eval       cq.EvalOptions
 	FullExport bool
-	// QueryCacheSize bounds the concurrent read path's query-result cache
-	// (0 selects core.DefaultQueryCacheSize).
-	QueryCacheSize int
 	// LinkPolicies maps rule IDs to propagation policy modes ("push",
 	// "pull", "adaptive", "filter"); LinkFilters maps rule IDs to filter
 	// predicates (comma-separated comparisons over the rule's frontier
@@ -203,7 +200,7 @@ func New(opts Options) (*Peer, error) {
 	for k, v := range opts.Directory {
 		p.members[k] = &member{listed: true, addr: v}
 	}
-	p.readPath = newReadPath(opts.Name, opts.Wrapper, node, opts.Eval, opts.QueryCacheSize)
+	p.readPath = newReadPath(opts.Name, opts.Wrapper, node, opts.Eval)
 	p.readPath.record = p.noteLocalQueryReport
 	p.readPath.beforeRead = p.maybePullForRead
 	p.refreshReadRules() // loop not yet running: safe here
@@ -871,8 +868,8 @@ func (p *Peer) LocalQuery(q *cq.Query, mode core.QueryMode) ([]relation.Tuple, e
 	return p.statement(q).LocalQuery(mode)
 }
 
-// ReadStats returns the concurrent read path's query-cache counters.
-func (p *Peer) ReadStats() core.QueryCacheStats { return p.readPath.stats() }
+// ReadStats returns the concurrent read path's counters.
+func (p *Peer) ReadStats() ReadStats { return p.readPath.stats() }
 
 // Running reports whether the peer's actor loop is still serving — the
 // readiness signal of the HTTP gateway's /readyz.

@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"codb/internal/core"
@@ -22,22 +22,19 @@ import (
 // wrapper's short-lock methods instead of pinning a whole-database snapshot.
 // Writes keep serialising through the loop.
 //
-// Results are memoised in a bounded query-result cache keyed by the
-// normalized query plus answer mode and validated against the pair
-// (storage commit LSN, rule-set version): any commit or rule broadcast
-// implicitly invalidates every older entry, so a cached answer is always
-// exactly what evaluating the query right now would return.
-//
-// Every read runs a Statement (stmt.go): query texts are parsed, keyed and
-// link-scanned once per peer, in the statement table, so a repeated read
-// costs a table lookup, the demand step over its links, one LSN compare
-// and the answers copy.
+// Every read runs a Statement (stmt.go): query texts are parsed and
+// link-scanned once per peer, in the statement table, and each statement
+// keeps its last answers per answer mode, stamped with the pair (storage
+// commit LSN, rule-set version) they were computed at. Any commit or rule
+// broadcast implicitly invalidates every older answer, so a kept answer is
+// always exactly what evaluating the query right now would return. A
+// repeated read costs a table lookup, the demand step over its links, one
+// atomic load, two compares and the answers copy.
 type readPath struct {
 	name  string
 	w     core.Wrapper
 	node  *core.Node // only the atomic RuleSetVersion is touched off-loop
 	eval  cq.EvalOptions
-	cache *core.QueryCache
 	stmts *stmtTable
 
 	// record posts a bypassed query's synthetic report to the statistics
@@ -49,24 +46,35 @@ type readPath struct {
 	// data. Nil-safe.
 	beforeRead func(touched []*cq.Rule)
 
-	// outgoing is the actor loop's published copy of the node's outgoing
-	// rules at rule-set version ver, from which statements derive the
-	// links they touch. Written by the loop (refresh), read by query
-	// goroutines.
-	mu       sync.RWMutex
-	outgoing []*cq.Rule
-	ver      uint64
+	// rules is the actor loop's published copy of the node's outgoing
+	// rules, from which statements derive the links they touch. Written by
+	// the loop (refreshReadRules), read by query goroutines.
+	rules atomic.Pointer[readRules]
+
+	hits, misses, stale atomic.Uint64
 }
 
-func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptions, cacheSize int) *readPath {
-	return &readPath{
-		name:  name,
-		w:     w,
-		node:  node,
-		eval:  eval,
-		cache: core.NewQueryCache(cacheSize),
-		stmts: newStmtTable(cacheSize),
-	}
+// readRules are the node's outgoing rules at rule-set version ver.
+// Immutable once published.
+type readRules struct {
+	ver      uint64
+	outgoing []*cq.Rule
+}
+
+// ReadStats are the read path's cumulative counters.
+type ReadStats struct {
+	// Hits and Misses count answer lookups; Stale counts the subset of
+	// misses that found answers invalidated by a newer LSN or rule-set
+	// version.
+	Hits, Misses, Stale uint64
+	// Entries is the statement table's population.
+	Entries int
+}
+
+func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptions) *readPath {
+	rp := &readPath{name: name, w: w, node: node, eval: eval, stmts: newStmtTable(stmtTableBound)}
+	rp.rules.Store(&readRules{})
+	return rp
 }
 
 // refreshReadRules republishes the outgoing-rule copy after a rule-set
@@ -75,58 +83,59 @@ func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptio
 // already current, which makes it cheap enough to call after every
 // envelope.
 func (p *Peer) refreshReadRules() {
-	rp := p.readPath
 	ver := p.node.RuleSetVersion()
-	rp.mu.RLock()
-	cur := rp.ver
-	rp.mu.RUnlock()
-	if cur == ver {
+	if p.readPath.rules.Load().ver == ver {
 		return
 	}
 	out := append([]*cq.Rule(nil), p.node.Outgoing()...)
-	rp.mu.Lock()
-	rp.outgoing, rp.ver = out, ver
-	rp.mu.Unlock()
+	p.readPath.rules.Store(&readRules{ver: ver, outgoing: out})
 }
 
 // links returns the outgoing links st's reads touch at the published rule
 // set, re-deriving them only when the published version has moved since
 // they were last derived.
 func (rp *readPath) links(st *Statement) *stmtLinks {
-	rp.mu.RLock()
-	outgoing, ver := rp.outgoing, rp.ver
-	rp.mu.RUnlock()
-	if l := st.links.Load(); l != nil && l.ver == ver {
+	r := rp.rules.Load()
+	if l := st.links.Load(); l != nil && l.ver == r.ver {
 		return l
 	}
-	l := &stmtLinks{ver: ver, touched: cq.Closure(st.rels, outgoing)}
+	l := &stmtLinks{ver: r.ver, touched: cq.Closure(st.rels, r.outgoing)}
 	st.links.Store(l)
 	return l
 }
 
-// localQuery evaluates a statement over a pinned view, consulting the
-// result cache first; l are the statement's links (rp.links). hit reports
-// whether the cache answered. A hit validates against the wrapper's
-// current commit LSN without pinning a snapshot; a snapshot is taken (and
-// the entry stamped with *its* LSN) only when the query must actually
-// evaluate.
+// localQuery evaluates a statement over a pinned view unless the answers it
+// keeps for the mode are current; l are the statement's links (rp.links).
+// hit reports whether the kept answers served. They are validated against
+// the wrapper's current commit LSN without pinning a snapshot; a snapshot
+// is taken (and the answers stamped with *its* LSN) only when the query
+// must actually evaluate. Two readers that miss at once both evaluate, and
+// the later store wins: that can only cost a later miss, since every hit
+// is validated. The returned tuples are shared and must not be mutated.
 func (rp *readPath) localQuery(st *Statement, l *stmtLinks, mode core.QueryMode) (answers []relation.Tuple, hit bool, err error) {
 	if len(l.touched) > 0 && rp.beforeRead != nil {
 		rp.beforeRead(l.touched)
 	}
-	key := st.key(mode)
+	slot := st.slot(mode)
 	ver := rp.node.RuleSetVersion()
-	if ans, ok := rp.cache.Get(key, rp.w.LSN(), ver); ok {
-		return ans, true, nil
+	if a := slot.Load(); a != nil {
+		if a.lsn == rp.w.LSN() && a.ver == ver {
+			rp.hits.Add(1)
+			out := make([]relation.Tuple, len(a.rows))
+			copy(out, a.rows)
+			return out, true, nil
+		}
+		rp.stale.Add(1)
 	}
+	rp.misses.Add(1)
 	view := rp.w.ReadSnapshot()
 	ans, err := core.EvalQuery(st.q, view, mode, rp.eval)
 	if err != nil {
 		return nil, false, err
 	}
-	// The cache keeps its own copy of the slice: callers own (and may
+	// The statement keeps its own copy of the slice: callers own (and may
 	// mutate) the one returned to them, on hit and miss alike.
-	rp.cache.Put(key, view.LSN(), ver, append([]relation.Tuple(nil), ans...))
+	slot.Store(&stmtAnswers{lsn: view.LSN(), ver: ver, rows: append([]relation.Tuple(nil), ans...)})
 	return ans, false, nil
 }
 
@@ -178,5 +187,7 @@ func (rp *readPath) tryLocalStream(st *Statement, mode core.QueryMode) (<-chan r
 	return answers, done, true
 }
 
-// stats returns the cache counters.
-func (rp *readPath) stats() core.QueryCacheStats { return rp.cache.Stats() }
+// stats returns the read path's counters.
+func (rp *readPath) stats() ReadStats {
+	return ReadStats{Hits: rp.hits.Load(), Misses: rp.misses.Load(), Stale: rp.stale.Load(), Entries: rp.stmts.len()}
+}

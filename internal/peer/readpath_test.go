@@ -1,7 +1,11 @@
 package peer
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,4 +225,195 @@ func TestReadPathMatchesActorPath(t *testing.T) {
 	if st := med.ReadStats(); st.Misses != 1 {
 		t.Fatalf("mediator read stats = %+v, want the query served by the read path", st)
 	}
+}
+
+// TestReadPathAnswersAreTheCallers: the rows a read returns are the
+// caller's own, on a miss and on a hit: overwriting or appending to them
+// leaves the statement's kept answers unchanged.
+func TestReadPathAnswersAreTheCallers(t *testing.T) {
+	p := newBusPeer(t, transport.NewBus(), "A", "r/2")
+	if err := p.Insert("r", ints(1, 10), ints(2, 20)); err != nil {
+		t.Fatal(err)
+	}
+	st := prepared(t, p, `ans(x, y) :- r(x, y)`)
+	want := sortedKeys([]relation.Tuple{ints(1, 10), ints(2, 20)})
+	for _, what := range []string{"miss", "hit"} {
+		got, err := st.LocalQuery(core.AllAnswers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = append(got[:1], ints(9, 90))
+		got[0] = ints(8, 80)
+		_ = append(got, ints(7, 70))
+		again, err := st.LocalQuery(core.AllAnswers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sortedKeys(again), want) {
+			t.Fatalf("after changing the rows of a %s: re-read %v, want %v", what, again, want)
+		}
+	}
+	if st := p.ReadStats(); st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("read stats %+v, want 3 hits / 1 miss", st)
+	}
+}
+
+// TestReadPathAnswerModesKeepApart: one text read under AllAnswers and
+// under CertainAnswers over a relation holding a marked null keeps two
+// answers, and each repeat is a hit.
+func TestReadPathAnswerModesKeepApart(t *testing.T) {
+	p := newBusPeer(t, transport.NewBus(), "A", "r/2")
+	if err := p.Insert("r", ints(1, 10), relation.Tuple{relation.Int(2), relation.Null("n1")}); err != nil {
+		t.Fatal(err)
+	}
+	st := prepared(t, p, `ans(x, y) :- r(x, y)`)
+	for round := range 2 {
+		all, err := st.LocalQuery(core.AllAnswers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certain, err := st.LocalQuery(core.CertainAnswers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != 2 || len(certain) != 1 || !certain[0].Equal(ints(1, 10)) {
+			t.Fatalf("round %d: all answers %v, certain answers %v; want both rows, then (1, 10) alone", round, all, certain)
+		}
+	}
+	if st := p.ReadStats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("read stats %+v, want 2 hits / 2 misses", st)
+	}
+}
+
+// TestReadPathConcurrentAnswers races 8 readers of shared statements, in
+// both answer modes, against a writer committing one row at a time, with
+// more texts than the statement table holds, so statements are evicted and
+// prepared again under the race; run with -race. Every answer is the
+// query's answer over some committed state, and the table never holds more
+// than its bound.
+func TestReadPathConcurrentAnswers(t *testing.T) {
+	const bound, texts, rows = 4, 6, 40
+	p := newBusPeer(t, transport.NewBus(), "A", "r/2")
+	p.readPath.stmts = newStmtTable(bound)
+	text := func(i int) string { return fmt.Sprintf("ans(k) :- r(k, v), v >= %d", i) }
+	row := func(k int) relation.Tuple { return ints(k, k%(texts+1)) }
+
+	// valid[i] holds text i's answer over every committed state: the
+	// empty relation and each prefix of the writer's rows.
+	valid := make([]map[string]bool, texts)
+	in := relation.NewInstance()
+	for k := -1; k < rows; k++ {
+		if k >= 0 {
+			in.Insert("r", row(k))
+		}
+		for i := range texts {
+			ans, err := cq.Eval(cq.MustParseQuery(text(i)), in, cq.EvalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if valid[i] == nil {
+				valid[i] = make(map[string]bool)
+			}
+			valid[i][strings.Join(sortedKeys(ans), ";")] = true
+		}
+	}
+
+	modes := [2]core.QueryMode{core.AllAnswers, core.CertainAnswers}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (g + n) % texts
+				st, err := p.Prepare(text(i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := st.LocalQuery(modes[n%2])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if key := strings.Join(sortedKeys(got), ";"); !valid[i][key] {
+					t.Errorf("%s answered %v, the answer over no committed state", text(i), got)
+					return
+				}
+				if e := p.ReadStats().Entries; e > bound {
+					t.Errorf("statement table holds %d texts, bound %d", e, bound)
+					return
+				}
+			}
+		}()
+	}
+	for k := range rows {
+		if err := p.Insert("r", row(k)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestReadPathStaleCountsOutdatedAnswers: Stale counts exactly the lookups
+// that found a statement's kept answers outdated, by a commit or by a rule
+// change. A first read, a first read under the other answer mode and a
+// re-read of current answers are not stale.
+func TestReadPathStaleCountsOutdatedAnswers(t *testing.T) {
+	bus := transport.NewBus()
+	a := newBusPeer(t, bus, "A", "r/1", "s/1")
+	newBusPeer(t, bus, "B", "r/1")
+	r := prepared(t, a, `ans(x) :- r(x)`)
+	s := prepared(t, a, `ans(x) :- s(x)`)
+	read := func(st *Statement, mode core.QueryMode) {
+		t.Helper()
+		if _, err := st.LocalQuery(mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(what string, hits, misses, stale uint64) {
+		t.Helper()
+		got := a.ReadStats()
+		if got.Hits != hits || got.Misses != misses || got.Stale != stale || got.Entries != 2 {
+			t.Fatalf("%s: read stats %+v, want %d hits / %d misses / %d stale / 2 entries", what, got, hits, misses, stale)
+		}
+	}
+	read(r, core.AllAnswers)
+	want("first read", 0, 1, 0)
+	read(r, core.AllAnswers)
+	want("re-read", 1, 1, 0)
+	read(r, core.CertainAnswers)
+	want("first read under the other mode", 1, 2, 0)
+
+	if err := a.Insert("r", ints(1)); err != nil {
+		t.Fatal(err)
+	}
+	read(r, core.AllAnswers)
+	want("read after a commit", 1, 3, 1)
+	read(s, core.AllAnswers)
+	want("first read of another statement", 1, 4, 1)
+
+	if err := a.Insert("s", ints(2)); err != nil {
+		t.Fatal(err)
+	}
+	read(r, core.AllAnswers)
+	read(r, core.CertainAnswers)
+	read(s, core.AllAnswers)
+	want("reads after a second commit", 1, 7, 4)
+	read(r, core.AllAnswers)
+	want("re-read after the second commit", 2, 7, 4)
+
+	if err := a.AddRule("r1", `A.r(x) <- B.r(x)`); err != nil {
+		t.Fatal(err)
+	}
+	read(r, core.AllAnswers)
+	want("read after a rule change", 2, 8, 5)
 }

@@ -13,21 +13,25 @@ import (
 	"codb/internal/relation"
 )
 
+// stmtTableBound bounds a peer's statement table.
+const stmtTableBound = 256
+
 // Statement is a query prepared at one peer: parsed and validated once,
-// with its normalised result-cache key for each answer mode, the relations
-// it reads and the outgoing links those reads touch. The parse and keys
-// never go stale; the links are stamped with the read path's published
-// rule-set version and re-derived when that version moves. Prepare shares
-// one Statement per query text among all readers; a Statement is safe for
-// concurrent use.
+// with the relations it reads, the outgoing links those reads touch and
+// its last answers under each answer mode. The parse never goes stale; the
+// links are stamped with the read path's published rule-set version and
+// re-derived when that version moves; the answers are stamped with the
+// commit LSN and rule-set version they were computed at and hit only while
+// both still match. The statement table shares one Statement per text
+// among all readers; a Statement is safe for concurrent use.
 type Statement struct {
-	p     *Peer
-	text  string // the table key; empty for a one-off statement
-	q     *cq.Query
-	valid bool // q passes Validate (always, for a parsed text)
-	rels  []string
-	keys  [2]string // core.CacheKey per answer mode
-	links atomic.Pointer[stmtLinks]
+	p       *Peer
+	text    string // the table key: the prepared text, or a parsed query's rendering
+	q       *cq.Query
+	valid   bool // q passes Validate (always, for a parsed text)
+	rels    []string
+	links   atomic.Pointer[stmtLinks]
+	answers [2]atomic.Pointer[stmtAnswers] // AllAnswers, CertainAnswers
 }
 
 // stmtLinks are the outgoing rules whose heads a statement reads, derived
@@ -38,49 +42,59 @@ type stmtLinks struct {
 	touched []*cq.Rule
 }
 
-// statement builds a one-off (untabled) statement for a parsed query: the
-// *cq.Query entry points run the same read path as prepared texts.
-func (p *Peer) statement(q *cq.Query) *Statement {
-	return &Statement{
-		p:     p,
-		q:     q,
-		valid: q.Validate() == nil,
-		rels:  q.Relations(),
-		keys:  core.CacheKeys(q),
+// stmtAnswers are a statement's answers evaluated over the snapshot at
+// commit LSN lsn under rule-set version ver. Immutable once published.
+type stmtAnswers struct {
+	lsn, ver uint64
+	rows     []relation.Tuple
+}
+
+// slot returns the statement's answers slot for a mode: CertainAnswers has
+// its own, every other mode evaluates as AllAnswers (core.EvalQuery).
+func (s *Statement) slot(mode core.QueryMode) *atomic.Pointer[stmtAnswers] {
+	if mode == core.CertainAnswers {
+		return &s.answers[1]
 	}
+	return &s.answers[0]
 }
 
 // Prepare returns the peer's statement for a query text, parsing it only
 // when the statement table does not hold it yet. The table is a bounded
-// LRU (Options.QueryCacheSize entries); a caller may keep and reuse a
-// Statement after it has been evicted. A malformed text fails with an
-// error matching cq.ErrBadQuery.
+// LRU (stmtTableBound texts); a caller may keep and reuse a Statement
+// after it has been evicted. A malformed text fails with an error matching
+// cq.ErrBadQuery.
 func (p *Peer) Prepare(text string) (*Statement, error) {
-	t := p.readPath.stmts
-	if st := t.get(text); st != nil {
+	if st := p.readPath.stmts.get(text); st != nil {
 		return st, nil
 	}
 	q, err := cq.ParseQuery(text)
 	if err != nil {
 		return nil, err
 	}
-	st := p.statement(q)
-	st.text = text
-	return t.put(st), nil
+	return p.readPath.stmts.put(p.newStatement(text, q)), nil
 }
 
-// key returns the result-cache key of the statement under an answer mode.
-func (s *Statement) key(mode core.QueryMode) string {
-	if int(mode) < len(s.keys) {
-		return s.keys[mode]
+// statement returns the peer's statement for a parsed query, interned in
+// the statement table under the query's rendering: the *cq.Query entry
+// points run the same read path, and share answers, as prepared texts.
+// The statement keeps q, so the caller must not mutate it afterwards.
+func (p *Peer) statement(q *cq.Query) *Statement {
+	text := q.String()
+	if st := p.readPath.stmts.get(text); st != nil {
+		return st
 	}
-	return core.CacheKey(s.q, mode)
+	return p.readPath.stmts.put(p.newStatement(text, q))
+}
+
+func (p *Peer) newStatement(text string, q *cq.Query) *Statement {
+	return &Statement{p: p, text: text, q: q, valid: q.Validate() == nil, rels: q.Relations()}
 }
 
 // LocalQuery evaluates the statement against local data only, on the
 // concurrent read path: evaluation happens on the caller's goroutine over
-// a pinned view, with results memoised in the LSN-invalidated query cache,
-// so local queries neither wait for nor delay the actor loop.
+// a pinned view, with the answers kept on the statement until the next
+// commit or rule change, so local queries neither wait for nor delay the
+// actor loop.
 func (s *Statement) LocalQuery(mode core.QueryMode) ([]relation.Tuple, error) {
 	rp := s.p.readPath
 	out, _, err := rp.localQuery(s, rp.links(s), mode)
@@ -91,7 +105,7 @@ func (s *Statement) LocalQuery(mode core.QueryMode) ([]relation.Tuple, error) {
 // channel of streamed answers (closed at completion) plus a
 // completion-report channel. A statement with no relevant outgoing links — everything it
 // reads is local, the steady state after a global update — is answered
-// entirely on the concurrent read path (snapshot plus result cache),
+// entirely on the concurrent read path (snapshot plus cached answers),
 // without entering the actor loop or the session machinery.
 func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
 	p := s.p
@@ -153,13 +167,16 @@ type stmtTable struct {
 	byText map[string]*list.Element
 }
 
-// newStmtTable builds a table bounded to the given number of statements
-// (0 selects core.DefaultQueryCacheSize, the result cache's default).
+// newStmtTable builds a table bounded to the given number of statements.
 func newStmtTable(capacity int) *stmtTable {
-	if capacity <= 0 {
-		capacity = core.DefaultQueryCacheSize
-	}
 	return &stmtTable{cap: capacity, ll: list.New(), byText: make(map[string]*list.Element)}
+}
+
+// len returns the number of statements the table holds.
+func (t *stmtTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ll.Len()
 }
 
 // get returns the statement for text, or nil when the table lacks it.

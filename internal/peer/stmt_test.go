@@ -140,11 +140,12 @@ func TestStatementTableBound(t *testing.T) {
 	if err := db.DefineRelation(&relation.RelDef{Name: "r", Attrs: []relation.Attr{{Name: "a", Type: relation.TInt}, {Name: "b", Type: relation.TInt}}}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Options{Name: "A", Transport: transport.NewBus().MustJoin("A"), Wrapper: core.NewStoreWrapper(db), QueryCacheSize: bound})
+	p, err := New(Options{Name: "A", Transport: transport.NewBus().MustJoin("A"), Wrapper: core.NewStoreWrapper(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Stop)
+	p.readPath.stmts = newStmtTable(bound)
 	for k := range texts {
 		if err := p.Insert("r", ints(k, 10*k)); err != nil {
 			t.Fatal(err)
@@ -262,7 +263,7 @@ func TestStatementConcurrentRuleBroadcast(t *testing.T) {
 }
 
 // TestLocalQueryHitAllocs pins the cost of a hot read: a repeated text
-// answered from the result cache allocates only the answers copy.
+// answered from the statement's kept answers allocates only their copy.
 func TestLocalQueryHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -284,7 +285,7 @@ func TestLocalQueryHitAllocs(t *testing.T) {
 
 // hotReadPeer builds a peer whose relation feeds an outgoing link (so a
 // read runs the demand step) and returns a text already in its statement
-// table and result cache.
+// table, with its answers kept.
 func hotReadPeer(tb testing.TB) (*Peer, string) {
 	tb.Helper()
 	bus := transport.NewBus()
@@ -304,7 +305,7 @@ func hotReadPeer(tb testing.TB) (*Peer, string) {
 }
 
 // BenchmarkLocalQueryHit measures a hot read: a repeated text answered from
-// the statement table and the result cache.
+// the statement table and the statement's kept answers.
 func BenchmarkLocalQueryHit(b *testing.B) {
 	p, text := hotReadPeer(b)
 	b.ReportAllocs()

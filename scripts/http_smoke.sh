@@ -76,7 +76,7 @@ echo "$stream" | tail -1 | grep -q '"done":true' || {
     echo "stream query: missing trailer, got: $stream" >&2
     exit 1
 }
-# The same text again: served from N0's statement table and result cache.
+# The same text again: served from the answers N0's statement keeps.
 hits0=$(curl -fsS http://127.0.0.1:8180/v1/stats/read | sed 's/.*"Hits":\([0-9]*\).*/\1/')
 body=$(curl -fsS -X POST http://127.0.0.1:8180/v1/query \
     -d '{"query":"ans(k, v) :- data(k, v)","local":true}')
