@@ -92,7 +92,11 @@ func diffScenarios(n int) []diffScenario {
 			burst:  4 + s%5,
 			shards: diffShards[s%len(diffShards)],
 			spill:  s%3 == 1, // every third scenario runs the spill hot path
-			tcp:    s%4 == 2, // every fourth runs over real TCP sockets
+			// Two in eleven run over real TCP sockets. Eleven is coprime
+			// to every other dimension's period (2 to 6), so TCP is
+			// chosen independently of them, and residues 0 and 3 give
+			// the 26 scenarios a TCP run of every shape and node count.
+			tcp: s%11 == 0 || s%11 == 3,
 		})
 	}
 	return out

@@ -136,6 +136,28 @@ func (a *Applier) Rule() *cq.Rule { return a.rule }
 // whether the applier keeps a memo.
 func (a *Applier) Existential() bool { return len(a.exist) > 0 }
 
+// Identity reports whether Facts would make each of the bindings into a
+// fact equal to it: the rule's head is its frontier in order (one atom, no
+// constants, no existentials) and every binding has the frontier's arity.
+// A caller may then take the bindings as they are for the head relation's
+// tuples.
+func (a *Applier) Identity(bindings []relation.Tuple) bool {
+	if len(a.heads) != 1 || len(a.heads[0].slots) != len(a.frontier) {
+		return false
+	}
+	for i, sl := range a.heads[0].slots {
+		if sl.kind != slotFrontier || sl.index != i {
+			return false
+		}
+	}
+	for _, b := range bindings {
+		if len(b) != len(a.frontier) {
+			return false
+		}
+	}
+	return true
+}
+
 // Frontier returns the frontier variable order the applier expects bindings
 // in (the order of first occurrence in the rule head).
 func (a *Applier) Frontier() []string { return a.frontier }

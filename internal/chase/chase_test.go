@@ -33,6 +33,46 @@ func TestCopyRuleNoExistentials(t *testing.T) {
 	}
 }
 
+// TestIdentity: Identity holds exactly when Facts would make every binding
+// into a fact equal to it, and then it does.
+func TestIdentity(t *testing.T) {
+	pair := []relation.Tuple{{relation.Int(1), relation.Int(2)}, {relation.Int(3), relation.Int(4)}}
+	for _, c := range []struct {
+		rule     string
+		bindings []relation.Tuple
+		want     bool
+	}{
+		{`A.p(x, y) <- B.q(x, y)`, pair, true},
+		{`A.p(y, x) <- B.q(x, y)`, pair, true}, // the frontier is in head order
+		{`A.p(x, y) <- B.q(x, z), B.s(z, y)`, pair, true},
+		{`A.p(x) <- B.q(x, y)`, []relation.Tuple{{relation.Int(1)}}, true},
+		{`A.p(x, y) <- B.q(x, y)`, nil, true},
+		{`A.p(x, y) <- B.q(x, y)`, append(pair, relation.Tuple{relation.Int(5)}), false},
+		{`A.p(x, y) <- B.q(x, y)`, append(pair, relation.Tuple{relation.Int(5), relation.Int(6), relation.Int(7)}), false},
+		{`A.p(x, x) <- B.q(x)`, []relation.Tuple{{relation.Int(1)}}, false},
+		{`A.p(x, 7) <- B.q(x)`, []relation.Tuple{{relation.Int(1)}}, false},
+		{`A.p(x, z) <- B.q(x)`, []relation.Tuple{{relation.Int(1)}}, false},
+		{`A.p(x, y), A.s(x) <- B.q(x, y)`, pair, false},
+	} {
+		a := mustApplier(t, cq.MustParseRule("r1", c.rule), Options{})
+		if got := a.Identity(c.bindings); got != c.want {
+			t.Errorf("%s over %v: Identity = %v, want %v", c.rule, c.bindings, got, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		facts := a.Facts(c.bindings)
+		if len(facts) != len(c.bindings) {
+			t.Fatalf("%s: %d facts for %d bindings", c.rule, len(facts), len(c.bindings))
+		}
+		for i, f := range facts {
+			if f.Rel != "p" || !f.Tuple.Equal(c.bindings[i]) {
+				t.Errorf("%s: fact %d = %v, want p%v", c.rule, i, f, c.bindings[i])
+			}
+		}
+	}
+}
+
 func TestExistentialMinting(t *testing.T) {
 	r := cq.MustParseRule("r1", `A.p(x, z) <- B.q(x)`)
 	a := mustApplier(t, r, Options{})

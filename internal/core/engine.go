@@ -334,19 +334,12 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	}
 
 	// Chase: instantiate heads, stage, collect the per-relation deltas.
-	facts := applier.Facts(d.Bindings)
 	v := n.sessionView(s)
 	fresh := make(map[string][]relation.Tuple)
-	for _, rel := range rs.rule.HeadRelations() {
-		ts := make([]relation.Tuple, 0, len(facts))
-		for _, f := range facts {
-			if f.Rel == rel {
-				ts = append(ts, f.Tuple)
-			}
-		}
-		fs, err := v.stage(rel, ts)
+	stage := func(rel string, ts []relation.Tuple, keys []string) {
+		fs, err := v.stage(rel, ts, keys)
 		if err != nil {
-			continue // schema violation from a remote peer: drop, keep going
+			return // schema violation from a remote peer: drop, keep going
 		}
 		if len(fs) > 0 {
 			fresh[rel] = fs
@@ -354,6 +347,22 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 			if s.kind == msg.KindScoped {
 				n.propStatFor(d.RuleID).pulledTuples += uint64(len(fs))
 			}
+		}
+	}
+	if d.Keys != nil && applier.Identity(d.Bindings) {
+		// A decoded batch on an identity-head link is its head relation's
+		// tuples, keyed by the wire: it is staged as it arrived.
+		stage(rs.rule.Head[0].Rel, d.Bindings, d.Keys)
+	} else {
+		facts := applier.Facts(d.Bindings)
+		for _, rel := range rs.rule.HeadRelations() {
+			ts := make([]relation.Tuple, 0, len(facts))
+			for _, f := range facts {
+				if f.Rel == rel {
+					ts = append(ts, f.Tuple)
+				}
+			}
+			stage(rel, ts, nil)
 		}
 	}
 

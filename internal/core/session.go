@@ -251,11 +251,13 @@ func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.T
 // stage sinks a batch into the session overlay and returns the genuinely new
 // tuples: those neither in the snapshot nor staged before. Each tuple's key
 // is encoded once, for the presence check, the overlay and — when the
-// session flushes — the LDB commit, and the tuples are retained as they are
-// (chase facts are never mutated). A batch holding a tuple the relation's
-// schema does not admit is refused whole: staged tuples are derived from and
-// shipped on before the LDB sees them, so its admission check runs here.
-func (v view) stage(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
+// session flushes — the LDB commit; keys, when not nil, holds those keys
+// already (keys[i] == ts[i].Key(), as a decoded message carries them). The
+// tuples are retained as they are (chase facts and received bindings are
+// never mutated). A batch holding a tuple the relation's schema does not
+// admit is refused whole: staged tuples are derived from and shipped on
+// before the LDB sees them, so its admission check runs here.
+func (v view) stage(rel string, ts []relation.Tuple, keys []string) ([]relation.Tuple, error) {
 	def := v.snap.Rel(rel)
 	if def == nil {
 		return nil, fmt.Errorf("core: unknown relation %q", rel)
@@ -266,8 +268,13 @@ func (v view) stage(rel string, ts []relation.Tuple) ([]relation.Tuple, error) {
 		}
 	}
 	fresh := make([]relation.Tuple, 0, len(ts))
-	for _, t := range ts {
-		key := t.Key()
+	for i, t := range ts {
+		var key string
+		if keys != nil {
+			key = keys[i]
+		} else {
+			key = t.Key()
+		}
 		if v.snap.HasKey(rel, key) {
 			continue
 		}

@@ -179,7 +179,7 @@ func TestSessionViewRepinsAfterInsert(t *testing.T) {
 		t.Fatal("pin not reused with no intervening commit")
 	}
 	tup := relation.Tuple{relation.Int(1), relation.Int(2)}
-	if fresh, err := v1.stage("data", []relation.Tuple{tup}); err != nil || len(fresh) != 1 {
+	if fresh, err := v1.stage("data", []relation.Tuple{tup}, nil); err != nil || len(fresh) != 1 {
 		t.Fatalf("stage: fresh=%v err=%v", fresh, err)
 	}
 	seen := 0

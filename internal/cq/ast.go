@@ -7,6 +7,8 @@ package cq
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"codb/internal/relation"
@@ -29,10 +31,21 @@ func C(v relation.Value) Term { return Term{Const: v} }
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Var != "" }
 
-// String renders the term in concrete syntax.
+// String renders the term in concrete syntax. A finite float constant is
+// written in plain decimal with a fractional part (1.0, -0.0, 1000000.0),
+// which the parser reads back as the same float: relation.Value.String
+// renders Float(1) as 1, like Int(1), and a query's rendering is the key its
+// prepared statement is found by.
 func (t Term) String() string {
 	if t.IsVar() {
 		return t.Var
+	}
+	if f := t.Const.Float; t.Const.Kind == relation.KindFloat && !math.IsNaN(f) && !math.IsInf(f, 0) {
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return t.Const.String()
 }

@@ -547,6 +547,12 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 		}
 		identity = identity && outPos[i] == i
 	}
+	// An identity projection of a set delta is the delta itself, once every
+	// tuple has the atom's arity: there is nothing to filter, reorder or
+	// deduplicate.
+	if identity && useDelta && inputIsSet && arityIs(delta, len(a.Terms)) {
+		return delta, nil
+	}
 	// Sized for the delta; a source scan (no delta) grows them, and an
 	// empty one still returns nil like the general path.
 	var out []relation.Tuple
@@ -600,6 +606,16 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 		return nil, err
 	}
 	return out, nil
+}
+
+// arityIs reports whether every tuple has n values.
+func arityIs(ts []relation.Tuple, n int) bool {
+	for _, t := range ts {
+		if len(t) != n {
+			return false
+		}
+	}
+	return true
 }
 
 func scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(relation.Tuple) bool) {

@@ -157,8 +157,8 @@ scan:
 				l.pos++
 				continue
 			}
-			// Exponent: floats render in Go's 'g' format (e.g. 1e+06), so
-			// the lexer accepts [eE][+-]?digits after the mantissa.
+			// Exponent: the lexer accepts [eE][+-]?digits after the
+			// mantissa (1e+06). Terms render floats in plain decimal.
 			if (ch == 'e' || ch == 'E') && l.pos > start && l.src[l.pos-1] >= '0' && l.src[l.pos-1] <= '9' {
 				rest := l.src[l.pos+1:]
 				if len(rest) > 0 && (rest[0] == '+' || rest[0] == '-') {

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -207,6 +208,47 @@ func TestQuickQueryPrintParseRoundTrip(t *testing.T) {
 		return q2.String() == text
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickConstantKindRoundTrip: a rendered query parses back to constants
+// of the same kind and the same bits, for random int and float constants —
+// so a float constant with an integral value never reads back as an int.
+func TestQuickConstantKindRoundTrip(t *testing.T) {
+	f := func(i int64, bits uint64, small int16) bool {
+		fl := math.Float64frombits(bits)
+		if math.IsNaN(fl) || math.IsInf(fl, 0) {
+			fl = float64(small) // NaN and ±Inf have no literal
+		}
+		consts := []relation.Value{
+			relation.Int64(i), relation.Int64(int64(small)),
+			relation.Float(fl), relation.Float(float64(small)), relation.Float(math.Copysign(0, -1)),
+		}
+		q := &Query{Head: Atom{Rel: "ans", Terms: []Term{V("x")}}}
+		body := Atom{Rel: "r", Terms: []Term{V("x")}}
+		for _, c := range consts {
+			body.Terms = append(body.Terms, C(c))
+			q.Cmps = append(q.Cmps, Comparison{Op: OpEq, L: V("x"), R: C(c)})
+		}
+		q.Body = []Atom{body}
+		text := q.String()
+		q2, err := ParseQuery(text)
+		if err != nil {
+			t.Logf("re-parse of %q failed: %v", text, err)
+			return false
+		}
+		for k, c := range consts {
+			for _, got := range []relation.Value{q2.Body[0].Terms[k+1].Const, q2.Cmps[k].R.Const} {
+				if got.Kind != c.Kind || got.Int != c.Int || math.Float64bits(got.Float) != math.Float64bits(c.Float) {
+					t.Logf("%q: constant %d read back as %#v, want %#v", text, k, got, c)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -22,6 +22,11 @@ import (
 //	           tuple bodies move between index and wire without
 //	           re-serialisation)
 //
+// Decoding a SessionData keeps those bytes: SessionData.Keys[i] is binding
+// i's encoding, which equals Bindings[i].Key() because only canonical
+// encodings decode, and the importer stages the batch with them. The
+// bindings' values share one slab and the keys one string per message.
+//
 // Maps encode as a uvarint count followed by key-sorted entries, making the
 // encoding deterministic: identical payloads produce identical bytes (the
 // golden-vector tests in internal/wire depend on this). Decoding is strict —
@@ -222,10 +227,6 @@ type reader struct {
 	b   []byte
 	off int
 	err error
-	// arity is the length of the last tuple decoded (0 before the first):
-	// the tuples of one message come from one rule head or relation, so it
-	// sizes the next one exactly.
-	arity int
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -312,7 +313,8 @@ func (r *reader) strings() []string {
 	return out
 }
 
-func (r *reader) tuple() relation.Tuple {
+// tupleBytes reads one tuple's length prefix and returns its encoding.
+func (r *reader) tupleBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
 		return nil
@@ -321,35 +323,60 @@ func (r *reader) tuple() relation.Tuple {
 		r.fail("msg: tuple length %d exceeds %d remaining bytes", n, len(r.b)-r.off)
 		return nil
 	}
-	b := r.take(int(n))
-	size := r.arity
-	if size == 0 {
-		size = 4
-	}
-	t := make(relation.Tuple, 0, size)
+	return r.take(int(n))
+}
+
+// values appends the values encoded in b, one tuple's bytes, to dst.
+func (r *reader) values(dst []relation.Value, b []byte) []relation.Value {
 	for off := 0; off < len(b); {
 		v, vn, err := relation.DecodeValue(b[off:])
 		if err != nil {
-			r.fail("msg: tuple value %d: %v", len(t), err)
-			return nil
+			r.fail("msg: tuple value %d: %v", len(dst), err)
+			return dst
 		}
-		t = append(t, v)
+		dst = append(dst, v)
 		off += vn
 	}
-	r.arity = len(t)
-	return t
+	return dst
 }
 
-func (r *reader) tuples() []relation.Tuple {
+// bindings decodes a SessionData's tuples and their keys (see
+// SessionData.Keys). The values of all tuples come from one slab, sized
+// from the first tuple's arity, which is exact: a message's tuples come
+// from one rule head. The keys are cut from one string of the message's
+// tuple bytes.
+func (r *reader) bindings() (bindings []relation.Tuple, keys []string) {
 	n := r.count()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	out := make([]relation.Tuple, 0, n)
+	start := r.off
+	bindings = make([]relation.Tuple, 0, n)
+	var slab []relation.Value
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.tuple())
+		b := r.tupleBytes()
+		at := len(slab)
+		if i == 0 {
+			// Decode the first tuple on the stack to learn the arity.
+			var first [8]relation.Value
+			vs := r.values(first[:0], b)
+			slab = append(make([]relation.Value, 0, n*len(vs)), vs...)
+		} else {
+			slab = r.values(slab, b)
+		}
+		bindings = append(bindings, relation.Tuple(slab[at:len(slab):len(slab)]))
 	}
-	return out
+	if r.err != nil {
+		return nil, nil
+	}
+	section := string(r.b[start:r.off])
+	keys = make([]string, n)
+	kr := reader{b: r.b[start:r.off]}
+	for i := range keys {
+		b := kr.tupleBytes()
+		keys[i] = section[kr.off-len(b) : kr.off]
+	}
+	return bindings, keys
 }
 
 func (r *reader) intMap() map[string]int {
@@ -588,7 +615,7 @@ func decodePayload(tag Tag, r *reader) (Payload, error) {
 		}
 		m.Origin = r.str()
 		m.RuleID = r.str()
-		m.Bindings = r.tuples()
+		m.Bindings, m.Keys = r.bindings()
 		m.Path = r.strings()
 		m.Seq = int(r.varint())
 		if mb := r.take(1); len(mb) == 1 {

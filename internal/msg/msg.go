@@ -147,12 +147,19 @@ func (m ExportMode) String() string {
 // longest-path statistic); Seq numbers the batches per (session, rule).
 // Mode tells the importer how the batch was produced; Skipped counts the
 // body tuples the exporter's watermark let it skip re-evaluating.
+//
+// Keys is set by the decoder only: Keys[i] is the wire encoding of
+// Bindings[i], which is exactly Bindings[i].Key(), so the importer stages a
+// received batch with the keys the wire carried instead of encoding every
+// tuple again. It is never encoded, and it stays nil on a payload that never
+// left the process (the in-process bus).
 type SessionData struct {
 	SID      string
 	Kind     Kind
 	Origin   string
 	RuleID   string
 	Bindings []relation.Tuple
+	Keys     []string
 	Path     []string
 	Seq      int
 	Mode     ExportMode
@@ -164,6 +171,12 @@ func (m *SessionData) Size() int {
 	n := len(m.SID) + len(m.RuleID) + 8
 	for _, p := range m.Path {
 		n += len(p)
+	}
+	if m.Keys != nil {
+		for _, k := range m.Keys {
+			n += len(k)
+		}
+		return n
 	}
 	for _, t := range m.Bindings {
 		n += t.EncodedLen()

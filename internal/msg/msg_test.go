@@ -46,6 +46,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Rules: []RuleDef{{ID: "r1", Text: "A.p(x) <- B.q(x)"}}},
 		&SessionData{SID: "s1", Kind: KindScoped, Origin: "a", RuleID: "r1", Bindings: tuples,
 			Path: []string{"b"}, Seq: 3, Mode: ExportIncremental, Skipped: 17},
+		// Mixed arities, growing past the slab the first tuple sized, and
+		// a first tuple wider than the decoder's stack buffer.
+		&SessionData{SID: "s1", RuleID: "r1", Bindings: []relation.Tuple{
+			{}, {relation.Int(1)}, {relation.Str("b"), relation.Int(2), relation.Null("n")},
+		}},
+		&SessionData{SID: "s1", RuleID: "r1", Bindings: []relation.Tuple{
+			intTuple(0, 9), intTuple(9, 2), intTuple(11, 12),
+		}},
+		// No bindings at all.
+		&SessionData{SID: "s1", Kind: KindQuery, Origin: "a", RuleID: "r1", Seq: 1},
 		&SessionAck{SID: "s1", N: 2},
 		&SessionDone{SID: "s1", Origin: "a"},
 		&RulesBroadcast{Version: 7, Text: "rule r1: ..."},
@@ -77,11 +87,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", tag, err)
 		}
-		if dec.From != "x" || !reflect.DeepEqual(dec.Payload, p) {
-			t.Errorf("%s round trip:\n got  %#v\n want %#v", tag, dec.Payload, p)
+		got := withoutKeys(t, dec.Payload)
+		if dec.From != "x" || !reflect.DeepEqual(got, p) {
+			t.Errorf("%s round trip:\n got  %#v\n want %#v", tag, got, p)
 		}
 		if p.Size() <= 0 {
 			t.Errorf("%T.Size() = %d, want > 0", p, p.Size())
+		}
+		if dec.Payload.Size() != p.Size() {
+			t.Errorf("%s: decoded Size() = %d, want %d", tag, dec.Payload.Size(), p.Size())
 		}
 	}
 	for tag := Tag(0x10); tag < 0x40; tag++ {
@@ -89,6 +103,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("payload %s has no round-trip sample", tag)
 		}
 	}
+}
+
+// withoutKeys checks the decoder's Keys invariant on a decoded SessionData
+// (Keys[i] == Bindings[i].Key(), and no keys without bindings) and returns
+// the payload with Keys cleared, for comparison with what was encoded.
+// Other payloads are returned as they are.
+func withoutKeys(t *testing.T, p Payload) Payload {
+	t.Helper()
+	d, ok := p.(*SessionData)
+	if !ok {
+		return p
+	}
+	if len(d.Keys) != len(d.Bindings) || (len(d.Bindings) == 0) != (d.Keys == nil) {
+		t.Fatalf("decoded %d keys for %d bindings (keys nil: %v)", len(d.Keys), len(d.Bindings), d.Keys == nil)
+	}
+	for i, b := range d.Bindings {
+		if d.Keys[i] != b.Key() {
+			t.Fatalf("Keys[%d] = %x, want Bindings[%d].Key() = %x", i, d.Keys[i], i, b.Key())
+		}
+	}
+	c := *d
+	c.Keys = nil
+	return &c
+}
+
+func intTuple(from, n int) relation.Tuple {
+	t := make(relation.Tuple, n)
+	for i := range t {
+		t[i] = relation.Int(from + i)
+	}
+	return t
 }
 
 // TestUnassignedTagsRefused: 0x13, 0x1A, 0x21 and 0x22 name no payload, so
@@ -181,9 +226,10 @@ func TestBatchSizeAndRoundtrip(t *testing.T) {
 }
 
 // TestDecodedTuplesAreSizedToTheirArity: all tuples of a batch share one
-// arity, so every tuple after the first is decoded into exactly that
-// capacity — one allocation each and no slack — whatever the arity is; a
-// batch that does mix arities still decodes correctly.
+// arity, so every tuple is cut from the message's value slab with exactly
+// that capacity — no slack, and appending to one never writes into its
+// neighbour — whatever the arity is; a batch that does mix arities still
+// decodes correctly, with its keys.
 func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 	for _, arity := range []int{1, 2, 4, 7} {
 		in := &SessionData{SID: "s", RuleID: "r"}
@@ -207,7 +253,7 @@ func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 			if !row.Equal(in.Bindings[i]) {
 				t.Fatalf("arity %d: tuple %d = %v, want %v", arity, i, row, in.Bindings[i])
 			}
-			if i > 0 && cap(row) != arity {
+			if cap(row) != arity {
 				t.Errorf("arity %d: tuple %d decoded into capacity %d", arity, i, cap(row))
 			}
 		}
@@ -223,9 +269,11 @@ func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range dec.Payload.(*SessionData).Bindings {
-		if !row.Equal(mixed.Bindings[i]) {
-			t.Errorf("mixed arities: tuple %d = %v, want %v", i, row, mixed.Bindings[i])
+	got := dec.Payload.(*SessionData)
+	for i, row := range got.Bindings {
+		if !row.Equal(mixed.Bindings[i]) || cap(row) != len(row) {
+			t.Errorf("mixed arities: tuple %d = %v (capacity %d), want %v", i, row, cap(row), mixed.Bindings[i])
 		}
 	}
+	withoutKeys(t, got)
 }

@@ -417,3 +417,44 @@ func TestReadPathStaleCountsOutdatedAnswers(t *testing.T) {
 	read(r, core.AllAnswers)
 	want("read after a rule change", 2, 8, 5)
 }
+
+// TestFloatConstantIsItsOwnStatement: a query is found by its rendering, so
+// the float constant 1.0 must not render like the int 1. After the int
+// query, the float query answers what core.EvalQuery does over the same
+// data — nothing, since an int never equals a float — instead of the int
+// query's cached answers.
+func TestFloatConstantIsItsOwnStatement(t *testing.T) {
+	bus := transport.NewBus()
+	p := newBusPeer(t, bus, "A", "r/1")
+	rows := []relation.Tuple{ints(1), ints(2)}
+	if err := p.Insert("r", rows...); err != nil {
+		t.Fatal(err)
+	}
+	in := relation.NewInstance()
+	for _, row := range rows {
+		in.Insert("r", row)
+	}
+	cmp := func(c relation.Value) *cq.Query {
+		return &cq.Query{
+			Head: cq.Atom{Rel: "ans", Terms: []cq.Term{cq.V("x")}},
+			Body: []cq.Atom{{Rel: "r", Terms: []cq.Term{cq.V("x")}}},
+			Cmps: []cq.Comparison{{Op: cq.OpEq, L: cq.V("x"), R: cq.C(c)}},
+		}
+	}
+	for _, q := range []*cq.Query{cmp(relation.Int(1)), cmp(relation.Float(1))} {
+		got, err := p.LocalQuery(q, core.AllAnswers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.EvalQuery(q, in, core.AllAnswers, cq.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sortedKeys(got), sortedKeys(want)) {
+			t.Errorf("%s: LocalQuery = %v, core.EvalQuery = %v", q, got, want)
+		}
+	}
+	if st := p.ReadStats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("read stats %+v, want 0 hits and 2 misses", st)
+	}
+}

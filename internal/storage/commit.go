@@ -77,7 +77,7 @@ func (db *DB) commit(ops []op, applied []bool) error {
 		ops = did
 	}
 	db.lsn++
-	err := db.logRecord(db.withMarks(encodeOps(ops)))
+	err := db.logRecord(func() []byte { return encodeOps(ops) })
 	db.applyMarks()
 	capt := db.beginCapture(db.lsn)
 	for i := range ops {

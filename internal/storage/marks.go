@@ -54,7 +54,7 @@ func (db *DB) LogMarks() error {
 // logMarksLocked is LogMarks under writeMu: a record with no ops.
 func (db *DB) logMarksLocked() error {
 	db.lsn++
-	err := db.logRecord(db.withMarks(binary.AppendUvarint(nil, 0)))
+	err := db.logRecord(func() []byte { return binary.AppendUvarint(nil, 0) })
 	db.applyMarks()
 	db.publish()
 	if err == nil && db.log != nil {

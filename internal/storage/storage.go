@@ -195,13 +195,15 @@ func (db *DB) publish() {
 	db.root.Store(&Snapshot{lsn: db.lsn, schema: db.schema, tables: views, marks: db.marks})
 }
 
-// logRecord appends one commit's record to the WAL and, under SyncOnCommit,
-// syncs it. The caller holds writeMu. The first failure sticks (walErr).
-func (db *DB) logRecord(rec []byte) error {
+// logRecord appends one commit's record — the payload encode builds, then
+// the staged marks — to the WAL and, under SyncOnCommit, syncs it. A
+// memory-only database has no log, so it builds no record. The caller holds
+// writeMu. The first failure sticks (walErr).
+func (db *DB) logRecord(encode func() []byte) error {
 	if db.log == nil {
 		return nil
 	}
-	err := db.log.Append(rec)
+	err := db.log.Append(db.withMarks(encode()))
 	if err == nil && db.opts.SyncOnCommit {
 		if err = db.log.Sync(); err == nil {
 			db.synced.Add(1)
@@ -248,7 +250,7 @@ func (db *DB) DefineRelation(def *relation.RelDef) error {
 	db.schema = schema
 	db.tables[def.Name] = newTable(def)
 	db.lsn++
-	err := db.logRecord(db.withMarks(encodeDDL(def)))
+	err := db.logRecord(func() []byte { return encodeDDL(def) })
 	db.applyMarks()
 	db.publish()
 	if err == nil && db.log != nil {

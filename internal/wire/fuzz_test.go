@@ -5,20 +5,36 @@ import (
 	"testing"
 
 	"codb/internal/msg"
+	"codb/internal/relation"
 	"codb/internal/wire"
 )
 
 // FuzzWireFrame throws arbitrary bytes at the full inbound frame path the
 // TCP read loop runs — header parse, CRC check, hello or payload decode —
-// and checks two invariants: no panic or runaway allocation on garbage,
-// and for every frame that does decode, re-encoding the decoded envelope
-// is a fixed point (encode(decode(encode(e))) == encode(e)), so decoding
-// loses nothing the codec can express. The committed corpus under
+// and checks three invariants: no panic or runaway allocation on garbage;
+// for every frame that does decode, re-encoding the decoded envelope is a
+// fixed point (encode(decode(encode(e))) == encode(e)), so decoding loses
+// nothing the codec can express; and every decoded SessionData carries its
+// bindings' keys (Keys[i] == Bindings[i].Key()), the wire bytes the importer
+// stages them with. The committed corpus under
 // testdata/fuzz/FuzzWireFrame seeds one frame per payload type (written by
 // the golden-vector test's -update mode).
 func FuzzWireFrame(f *testing.F) {
 	for _, p := range goldenPayloads() {
 		body, tag, err := msg.AppendEnvelope(nil, msg.Envelope{From: "N1", Payload: p})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire.AppendFrame(nil, wire.MaxVersion, byte(tag), body))
+	}
+	// A mixed-arity batch and an empty one, beside the golden samples.
+	for _, d := range []*msg.SessionData{
+		{SID: "s", RuleID: "r1", Bindings: []relation.Tuple{
+			{}, {relation.Int(1)}, {relation.Str("x\x00y"), relation.Float(-0.5), relation.Null("n")},
+		}},
+		{SID: "s", RuleID: "r1"},
+	} {
+		body, tag, err := msg.AppendEnvelope(nil, msg.Envelope{From: "N1", Payload: d})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -54,6 +70,7 @@ func FuzzWireFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkKeys(t, env.Payload)
 		// Accepted frame: the decoded envelope must re-encode, and the
 		// re-encoding must be a fixed point. (The input bytes themselves
 		// need not be reproduced — non-minimal varints decode but are

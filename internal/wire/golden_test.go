@@ -153,8 +153,9 @@ func TestGoldenVectors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture body undecodable: %v", err)
 			}
-			if env.From != "N1" || !reflect.DeepEqual(env.Payload, p) {
-				t.Fatalf("decode mismatch:\n got  %#v\n want %#v", env.Payload, p)
+			got := checkKeys(t, env.Payload)
+			if env.From != "N1" || !reflect.DeepEqual(got, p) {
+				t.Fatalf("decode mismatch:\n got  %#v\n want %#v", got, p)
 			}
 		})
 	}
@@ -169,6 +170,35 @@ func TestGoldenVectors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkKeys checks the decoder's Keys invariant on every SessionData in a
+// decoded payload, batched ones included: one key per binding, Keys[i] ==
+// Bindings[i].Key(). It returns the payload with Keys cleared (the field is
+// never encoded), for comparison with what was encoded.
+func checkKeys(t *testing.T, p msg.Payload) msg.Payload {
+	t.Helper()
+	switch m := p.(type) {
+	case *msg.SessionData:
+		if len(m.Keys) != len(m.Bindings) {
+			t.Fatalf("decoded %d keys for %d bindings", len(m.Keys), len(m.Bindings))
+		}
+		for i, b := range m.Bindings {
+			if m.Keys[i] != b.Key() {
+				t.Fatalf("Keys[%d] = %x, want Bindings[%d].Key() = %x", i, m.Keys[i], i, b.Key())
+			}
+		}
+		c := *m
+		c.Keys = nil
+		return &c
+	case *msg.Batch:
+		c := &msg.Batch{Payloads: make([]msg.Payload, len(m.Payloads))}
+		for i, inner := range m.Payloads {
+			c.Payloads[i] = checkKeys(t, inner)
+		}
+		return c
+	}
+	return p
 }
 
 // wrapHex renders bytes as line-wrapped hex for readable fixtures.
