@@ -343,8 +343,10 @@ func (r *reader) values(dst []relation.Value, b []byte) []relation.Value {
 // bindings decodes a SessionData's tuples and their keys (see
 // SessionData.Keys). The values of all tuples come from one slab, sized
 // from the first tuple's arity, which is exact: a message's tuples come
-// from one rule head. The keys are cut from one string of the message's
-// tuple bytes.
+// from one rule head. Every later value takes at least one of the bytes
+// left, so the slab is never larger than the frame allows, whatever the
+// first arity and the count claim. The keys are cut from one string of the
+// message's tuple bytes.
 func (r *reader) bindings() (bindings []relation.Tuple, keys []string) {
 	n := r.count()
 	if n == 0 {
@@ -360,7 +362,8 @@ func (r *reader) bindings() (bindings []relation.Tuple, keys []string) {
 			// Decode the first tuple on the stack to learn the arity.
 			var first [8]relation.Value
 			vs := r.values(first[:0], b)
-			slab = append(make([]relation.Value, 0, n*len(vs)), vs...)
+			size := min(n*len(vs), len(vs)+len(r.b)-r.off)
+			slab = append(make([]relation.Value, 0, size), vs...)
 		} else {
 			slab = r.values(slab, b)
 		}

@@ -172,12 +172,6 @@ func (m *SessionData) Size() int {
 	for _, p := range m.Path {
 		n += len(p)
 	}
-	if m.Keys != nil {
-		for _, k := range m.Keys {
-			n += len(k)
-		}
-		return n
-	}
 	for _, t := range m.Bindings {
 		n += t.EncodedLen()
 	}

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -276,4 +277,39 @@ func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 		}
 	}
 	withoutKeys(t, got)
+}
+
+// TestDecodeAllocationIsBoundedByTheFrame: a frame whose first tuple is
+// wide and whose later tuples are empty claims a slab of count × first
+// arity values. The decoder must size it by the bytes the frame has left,
+// so what it allocates stays proportional to the frame, not to that
+// product (here 2,001 × 1,000 values, about 96 MB).
+func TestDecodeAllocationIsBoundedByTheFrame(t *testing.T) {
+	wide := make(relation.Tuple, 1000)
+	for i := range wide {
+		wide[i] = relation.Bool(i%2 == 0)
+	}
+	in := &SessionData{SID: "s", RuleID: "r", Bindings: []relation.Tuple{wide}}
+	for i := 0; i < 2000; i++ {
+		in.Bindings = append(in.Bindings, relation.Tuple{})
+	}
+	enc, err := Encode(Envelope{From: "n", Payload: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dec, err := Decode(enc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Payload.(*SessionData).Bindings; len(got) != len(in.Bindings) || !got[0].Equal(wide) {
+		t.Fatalf("decoded %d bindings, want %d with the wide one first", len(got), len(in.Bindings))
+	}
+	// A frame byte becomes at most one value, one tuple header and one key
+	// header, plus its copy in the key string: under 128 bytes.
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(enc)); alloc > limit {
+		t.Errorf("decoding a %d-byte frame allocated %d bytes, want at most %d", len(enc), alloc, limit)
+	}
 }

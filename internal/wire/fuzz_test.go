@@ -27,12 +27,22 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		f.Add(wire.AppendFrame(nil, wire.MaxVersion, byte(tag), body))
 	}
-	// A mixed-arity batch and an empty one, beside the golden samples.
+	// A mixed-arity batch, an empty one, and a wide first tuple followed by
+	// empty ones (its count × first arity is far more values than the frame
+	// holds), beside the golden samples.
+	wide := &msg.SessionData{SID: "s", RuleID: "r1", Bindings: []relation.Tuple{make(relation.Tuple, 64)}}
+	for i := range wide.Bindings[0] {
+		wide.Bindings[0][i] = relation.Bool(true)
+	}
+	for i := 0; i < 128; i++ {
+		wide.Bindings = append(wide.Bindings, relation.Tuple{})
+	}
 	for _, d := range []*msg.SessionData{
 		{SID: "s", RuleID: "r1", Bindings: []relation.Tuple{
 			{}, {relation.Int(1)}, {relation.Str("x\x00y"), relation.Float(-0.5), relation.Null("n")},
 		}},
 		{SID: "s", RuleID: "r1"},
+		wide,
 	} {
 		body, tag, err := msg.AppendEnvelope(nil, msg.Envelope{From: "N1", Payload: d})
 		if err != nil {
