@@ -186,11 +186,10 @@ type PropagationGroup struct {
 	// Filters maps rule IDs to filter predicates — comma-separated
 	// comparisons over the rule's frontier variables, e.g. "x > 10" —
 	// dropped bindings are counted as suppressed. A filter combines with
-	// any mode.
+	// any mode. Every peer holds both from its start and applies a rule's
+	// entry when the rule is declared there, whichever way it arrives
+	// (AddRule, a super-peer broadcast, an update request).
 	Filters map[string]string
-	// Default applies to every rule without an explicit Policies entry
-	// ("" = push).
-	Default string
 	// MaxStaleness bounds how long a pull link may stay stale before the
 	// importer pulls on its own (0 = pull only on local reads or explicit
 	// CatchUp).
@@ -609,25 +608,7 @@ func (nw *Network) AddRule(id, text string) error {
 	if err := tgt.AddRule(id, text); err != nil {
 		return err
 	}
-	if err := src.AddRule(id, text); err != nil {
-		return err
-	}
-	// Apply the configured (or default) propagation policy to the fresh
-	// link on both endpoints: the exporter enforces it, the importer drives
-	// pulls and the adaptive demand signal from it.
-	prop := nw.opts.Propagation
-	mode, explicit := prop.Policies[id]
-	if !explicit {
-		mode = prop.Default
-	}
-	filter := prop.Filters[id]
-	if (mode != "" && mode != "push") || filter != "" {
-		if mode == "" {
-			mode = "push"
-		}
-		return nw.SetLinkPolicy(id, mode, filter)
-	}
-	return nil
+	return src.AddRule(id, text)
 }
 
 // SetLinkPolicy configures one rule's propagation policy on both endpoints:

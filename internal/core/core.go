@@ -57,6 +57,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -210,10 +211,19 @@ func (r *Result) merge(other Result) {
 	r.Errors = append(r.Errors, other.Errors...)
 }
 
-// ruleState is one coordination rule known to this node.
+// ruleState is everything this node knows about one coordination rule, one
+// side of a link: the rule and its text, the applier that instantiates its
+// head (importing side, Target == Self), the export state (exporting side,
+// Source == Self; nil before the first export), the compiled propagation
+// policy with the adaptive demand bit, and the propagation counters. A
+// reconfiguration that keeps the rule keeps the whole record.
 type ruleState struct {
-	rule *cq.Rule
-	text string
+	rule    *cq.Rule
+	text    string
+	applier *chase.Applier
+	export  *exportState
+	policy  linkPolicy
+	stats   propStat
 }
 
 // exportState is one incoming link's persistent export state: its
@@ -246,9 +256,8 @@ func markKey(id, text string) string {
 // Node is the algorithm state machine for one peer.
 type Node struct {
 	cfg      Config
-	rules    map[string]*ruleState
-	appliers map[string]*chase.Applier // per outgoing rule (Target == Self)
-	sessions map[string]*session       // running sessions
+	rules    map[string]*ruleState // the node's one per-rule record
+	sessions map[string]*session   // running sessions
 	// finished maps every session that finished here to the peers it
 	// shipped data to (see forget): one small entry per finished session,
 	// kept so a stale message is acknowledged, not taken for a new session.
@@ -256,16 +265,12 @@ type Node struct {
 	ds       *diffuse.Engine
 	reports  []msg.UpdateReport
 
-	// exports holds the per-rule persistent export state of the
-	// incremental machinery (Source == Self rules only).
-	exports map[string]*exportState
-
-	// policies holds the per-rule propagation policies (push is implicit
-	// for rules without one); propStats the per-rule propagation counters;
-	// totals the cumulative roll-up of the session-report export counters.
-	policies  map[string]*linkPolicy
-	propStats map[string]*propStat
-	totals    ExportTotals
+	// configured holds the propagation policies set by rule ID, declared
+	// rules or not: configuration, compiled into a rule's record when the
+	// rule is declared (push for a rule with none). totals is the
+	// cumulative roll-up of the session-report export counters.
+	configured map[string]linkPolicy
+	totals     ExportTotals
 
 	// deferAcks batches acknowledgement flushes across a burst of Handle
 	// calls; dirty tracks the sessions awaiting a flush. See DeferAcks.
@@ -314,16 +319,13 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.MaxReports = 128
 	}
 	return &Node{
-		cfg:       cfg,
-		rules:     make(map[string]*ruleState),
-		appliers:  make(map[string]*chase.Applier),
-		sessions:  make(map[string]*session),
-		finished:  make(map[string][]string),
-		ds:        diffuse.New(cfg.Self),
-		dirty:     make(map[string]*session),
-		exports:   make(map[string]*exportState),
-		policies:  make(map[string]*linkPolicy),
-		propStats: make(map[string]*propStat),
+		cfg:        cfg,
+		rules:      make(map[string]*ruleState),
+		sessions:   make(map[string]*session),
+		finished:   make(map[string][]string),
+		ds:         diffuse.New(cfg.Self),
+		dirty:      make(map[string]*session),
+		configured: make(map[string]linkPolicy),
 	}, nil
 }
 
@@ -389,34 +391,43 @@ func (n *Node) addParsedRule(rule *cq.Rule, text string) error {
 	if rule.Source != n.cfg.Self && rule.Target != n.cfg.Self {
 		return fmt.Errorf("core: rule %s (%s <- %s) does not involve node %s", rule.ID, rule.Target, rule.Source, n.cfg.Self)
 	}
-	if prev, ok := n.rules[rule.ID]; ok && prev.text == text {
+	prev := n.rules[rule.ID]
+	if prev != nil && prev.text == text {
 		return nil // idempotent re-add
 	}
-	// A redefined rule invalidates its export state: the old watermark
-	// describes a different query.
-	n.forgetExport(rule.ID)
 	rs := &ruleState{rule: rule, text: text}
-	n.rules[rule.ID] = rs
-	n.restoreExport(rs)
-	n.invalidateRuleCaches()
 	if rule.Target == n.cfg.Self {
 		a, err := chase.NewApplier(rule, n.chaseOpts())
 		if err != nil {
 			return err
 		}
-		n.appliers[rule.ID] = a
+		rs.applier = a
+	}
+	if prev != nil {
+		// A redefined rule keeps its counters (they are historical) and its
+		// adaptive demand (setPolicy keeps it while the link stays
+		// adaptive), but not its export state: the old watermark describes
+		// a different query.
+		rs.stats, rs.policy.demandPull = prev.stats, prev.policy.demandPull
+		n.forgetExport(prev)
+	}
+	n.rules[rule.ID] = rs
+	n.restoreExport(rs)
+	n.invalidateRuleCaches()
+	if pol, ok := n.configured[rule.ID]; ok {
+		return rs.setPolicy(pol)
 	}
 	return nil
 }
 
-// RemoveRule drops a rule (no-op if unknown). Its propagation policy goes
-// with it; the accumulated counters stay (they are historical).
+// RemoveRule drops a rule and its record (no-op if unknown). A configured
+// policy stays configured, for the rule's next declaration.
 func (n *Node) RemoveRule(id string) {
-	delete(n.rules, id)
-	delete(n.appliers, id)
-	delete(n.policies, id)
-	n.forgetExport(id)
-	n.invalidateRuleCaches()
+	if rs := n.rules[id]; rs != nil {
+		delete(n.rules, id)
+		n.forgetExport(rs)
+		n.invalidateRuleCaches()
+	}
 }
 
 // restoreExport installs the watermark the storage kept for the rule, if
@@ -429,7 +440,7 @@ func (n *Node) restoreExport(rs *ruleState) {
 	for k, wm := range n.cfg.Wrapper.Marks() {
 		switch {
 		case k == key:
-			n.exports[rs.rule.ID] = &exportState{watermark: wm, mark: key}
+			rs.export = &exportState{watermark: wm, mark: key}
 		case strings.HasPrefix(k, rs.rule.ID+"\x00"):
 			n.cfg.Wrapper.SetMark(k, 0)
 			stale = true
@@ -441,10 +452,9 @@ func (n *Node) restoreExport(rs *ruleState) {
 }
 
 // beginExport starts a rule's export state at the given watermark.
-func (n *Node) beginExport(id string, watermark uint64) {
-	es := &exportState{watermark: watermark, mark: markKey(id, n.rules[id].text)}
-	n.exports[id] = es
-	n.cfg.Wrapper.SetMark(es.mark, watermark)
+func (n *Node) beginExport(rs *ruleState, watermark uint64) {
+	rs.export = &exportState{watermark: watermark, mark: markKey(rs.rule.ID, rs.text)}
+	n.cfg.Wrapper.SetMark(rs.export.mark, watermark)
 }
 
 // setWatermark moves a link's watermark. Its mark rides on the storage's
@@ -460,9 +470,9 @@ func (n *Node) setWatermark(es *exportState, lsn uint64) {
 // forgetExport drops one rule's export state, if it has any, and logs the
 // reset at once, so that no restart finds the watermark again. (A reset the
 // storage fails to log fails every later commit there too.)
-func (n *Node) forgetExport(id string) {
-	if es, ok := n.exports[id]; ok {
-		delete(n.exports, id)
+func (n *Node) forgetExport(rs *ruleState) {
+	if es := rs.export; es != nil {
+		rs.export = nil
 		n.cfg.Wrapper.SetMark(es.mark, 0)
 		n.cfg.Wrapper.LogMarks()
 	}
@@ -475,58 +485,60 @@ func (n *Node) forgetExport(id string) {
 // which no longer holds, so the next session degrades to a full export and
 // re-materialises the importer completely.
 func (n *Node) ResetExportStateToward(peer string) {
-	for id, rs := range n.rules {
+	for _, rs := range n.rules {
 		if rs.rule.Source == n.cfg.Self && rs.rule.Target == peer {
-			n.forgetExport(id)
+			n.forgetExport(rs)
 		}
 	}
 }
 
 // SetRules replaces the whole rule set (dynamic reconfiguration by the
 // super-peer). Rules not involving this node are ignored, matching the
-// paper's "each peer looks for relevant coordination rules".
+// paper's "each peer looks for relevant coordination rules". An unchanged
+// rule keeps its whole record — watermark, applier, policy and adaptive
+// demand bit, counters. A definition that fails is reported and skipped;
+// the others are installed all the same.
 func (n *Node) SetRules(defs []msg.RuleDef) error {
-	old, oldAppliers := n.rules, n.appliers
-	n.rules = make(map[string]*ruleState)
-	n.appliers = make(map[string]*chase.Applier)
+	old := n.rules
+	n.rules = make(map[string]*ruleState, len(defs))
 	n.invalidateRuleCaches()
+	var errs []error
 	for _, d := range defs {
 		rule, err := cq.ParseRule(d.ID, d.Text)
 		if err != nil {
-			return err
+			errs = append(errs, err)
+			continue
 		}
 		if rule.Source != n.cfg.Self && rule.Target != n.cfg.Self {
 			continue
 		}
-		// Carry unchanged rules (and their appliers) into the fresh maps,
-		// so addParsedRule's idempotent early-return preserves their
-		// export state instead of invalidating it.
-		if prev, ok := old[rule.ID]; ok && prev.text == d.Text {
+		// With the old record in place, addParsedRule keeps it when the
+		// text is unchanged and replaces it when the rule was redefined.
+		if prev := old[rule.ID]; prev != nil {
 			n.rules[rule.ID] = prev
-			if a, ok := oldAppliers[rule.ID]; ok {
-				n.appliers[rule.ID] = a
-			}
 		}
 		if err := n.addParsedRule(rule, d.Text); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	// Export state of rules the new configuration dropped goes with them
-	// (addParsedRule already invalidated redefined ones).
-	for id := range n.exports {
-		if _, ok := n.rules[id]; !ok {
-			n.forgetExport(id)
+	// The export state of the rules the configuration dropped goes with
+	// them.
+	for id, rs := range old {
+		if n.rules[id] != rs {
+			n.forgetExport(rs)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // ExportWatermarks reports each incoming link's persistent LSN watermark
 // (diagnostics and tests).
 func (n *Node) ExportWatermarks() map[string]uint64 {
-	out := make(map[string]uint64, len(n.exports))
-	for id, es := range n.exports {
-		out[id] = es.watermark
+	out := make(map[string]uint64)
+	for id, rs := range n.rules {
+		if rs.export != nil {
+			out[id] = rs.export.watermark
+		}
 	}
 	return out
 }

@@ -98,7 +98,7 @@ func (n *Node) StartPull(sid string, ruleIDs []string) (Result, error) {
 	r, err := n.startScoped(sid, links)
 	if err == nil {
 		for _, id := range ruleIDs {
-			n.propStatFor(id).pullsIssued++
+			n.rules[id].stats.pullsIssued++
 		}
 	}
 	return r, err
@@ -325,8 +325,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	}
 
 	rs := n.rules[d.RuleID]
-	applier := n.sessionApplier(s, d.RuleID)
-	if rs == nil || applier == nil || rs.rule.Target != n.cfg.Self {
+	if rs == nil || rs.applier == nil {
 		// Unknown or foreign rule (topology changed mid-session): the
 		// message is still acknowledged so termination is preserved.
 		n.flushDS(s, &r)
@@ -334,6 +333,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	}
 
 	// Chase: instantiate heads, stage, collect the per-relation deltas.
+	applier := n.sessionApplier(s, rs.applier)
 	v := n.sessionView(s)
 	fresh := make(map[string][]relation.Tuple)
 	stage := func(rel string, ts []relation.Tuple, keys []string) {
@@ -345,7 +345,7 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 			fresh[rel] = fs
 			s.rep.NewTuples += len(fs)
 			if s.kind == msg.KindScoped {
-				n.propStatFor(d.RuleID).pulledTuples += uint64(len(fs))
+				rs.stats.pulledTuples += uint64(len(fs))
 			}
 		}
 	}
@@ -436,9 +436,8 @@ func (n *Node) noteEvalError(s *session, r *Result, err error) {
 // that are discarded at completion, so nothing shipped for one query can be
 // assumed present for the next), and the link must be one of the node's
 // rules, not one a request declared for its session alone.
-func (n *Node) incrementalFor(s *session, rule *cq.Rule) bool {
-	_, known := n.rules[rule.ID]
-	return !n.cfg.FullExport && s.kind != msg.KindQuery && known
+func (n *Node) incrementalFor(s *session, rs *ruleState) bool {
+	return !n.cfg.FullExport && s.kind != msg.KindQuery && rs != nil
 }
 
 // exportSince runs the initial evaluation of an incoming link for a session
@@ -462,12 +461,14 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 	// which exports from the durable watermark below, so nothing here is
 	// lost — merely deferred. Query and scoped sessions are explicit demand
 	// and always export eagerly.
+	rs := n.rules[rule.ID] // nil for a rule a query session declared
 	switch {
-	case s.kind == msg.KindUpdate && n.pullEffective(rule):
-		n.sendHint(s, rule, to, r)
+	case rs == nil:
+	case s.kind == msg.KindUpdate && rs.pullEffective():
+		n.sendHint(s, rs, to, r)
 		return
 	case s.kind == msg.KindScoped:
-		n.propStatFor(rule.ID).pullsServed++
+		rs.stats.pullsServed++
 	}
 
 	// Pin the evaluation view before reading the watermark horizon: the new
@@ -489,23 +490,23 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 		return true
 	}
 
-	es := n.exports[rule.ID]
 	switch {
-	case !n.incrementalFor(s, rule):
+	case !n.incrementalFor(s, rs):
 		if !full() {
 			return
 		}
-	case es == nil:
+	case rs.export == nil:
 		// First session for this link: full export establishes the
 		// watermark.
 		if !full() {
 			return
 		}
-		n.beginExport(rule.ID, cur)
+		n.beginExport(rs, cur)
 		s.reads[rule.ID] = cur
 	default:
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
+		es := rs.export
 		for _, rel := range rule.BodyRelations() {
 			delta, ok := n.cfg.Wrapper.Changes(rel, es.watermark)
 			if !ok {
@@ -595,10 +596,12 @@ type deltaEval func(rule *cq.Rule, src cq.Source, deltaRel string, delta []relat
 func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[string][]relation.Tuple, path []string, r *Result) {
 	// Lazy links defer in-session deltas too; the hint is deduplicated per
 	// session, so a link that already hinted at join time stays quiet.
-	if s.kind == msg.KindUpdate && n.pullEffective(rule) {
-		n.sendHint(s, rule, to, r)
-		s.noteRead(rule.ID, 0, false)
-		return
+	if s.kind == msg.KindUpdate {
+		if rs := n.rules[rule.ID]; rs != nil && rs.pullEffective() {
+			n.sendHint(s, rs, to, r)
+			s.noteRead(rule.ID, 0, false)
+			return
+		}
 	}
 	// Failed per-relation evaluations are counted inside; ship what did
 	// evaluate (the session stays live either way), but keep the link's
@@ -612,7 +615,10 @@ func (n *Node) exportDelta(s *session, rule *cq.Rule, to string, fresh map[strin
 // sendData filters the bindings against the link's session sent cache, then
 // ships one data batch.
 func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relation.Tuple, path []string, mode msg.ExportMode, skipped int, r *Result) {
-	bindings = n.applyFilter(rule, bindings)
+	rs := n.rules[rule.ID] // nil for a rule a query session declared
+	if rs != nil {
+		bindings = rs.applyFilter(bindings)
+	}
 	// An injective one-atom link of a query session keeps no sent cache: it
 	// could never hit. Its bindings stand one to one for body tuples
 	// (cq.Rule.Injective), and each tuple reaches the link once: handleRequest
@@ -659,10 +665,12 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	s.rep.SentMsgs++
 	size := data.Size()
 	s.rep.SentBytes += size
-	if st := n.propStatFor(rule.ID); s.kind == msg.KindScoped {
-		st.bytesPulled += uint64(size)
-	} else {
-		st.bytesPushed += uint64(size)
+	switch {
+	case rs == nil:
+	case s.kind == msg.KindScoped:
+		rs.stats.bytesPulled += uint64(size)
+	default:
+		rs.stats.bytesPushed += uint64(size)
 	}
 	s.noteSentTo(to)
 }
@@ -793,8 +801,8 @@ func (n *Node) commitStaged(r *Result, sessions ...*session) {
 // there, which set semantics make safe.
 func (n *Node) followCommit(s *session, lsn uint64) {
 	for id, read := range s.reads {
-		if es := n.exports[id]; es != nil && es.watermark == lsn-1 && read == lsn-1 {
-			n.setWatermark(es, lsn)
+		if rs := n.rules[id]; rs != nil && rs.export != nil && rs.export.watermark == lsn-1 && read == lsn-1 {
+			n.setWatermark(rs.export, lsn)
 			s.reads[id] = lsn
 		} else {
 			s.reads[id] = mixedReads
@@ -818,15 +826,15 @@ func (n *Node) finalize(s *session, initiator bool, r *Result) {
 }
 
 // sessionApplier returns the applier a session instantiates a rule's head
-// with (nil for an unknown rule). A rule with existential variables gets a
-// fork of the node's applier, so the facts and skips it remembers per
-// binding are released with the session; any other rule remembers nothing
-// and uses the node's applier as it is.
-func (n *Node) sessionApplier(s *session, ruleID string) *chase.Applier {
-	a := n.appliers[ruleID]
-	if a == nil || !a.Existential() {
+// with, given the rule's own. A rule with existential variables gets a
+// fork of it, so the facts and skips it remembers per binding are released
+// with the session; any other rule remembers nothing and uses the rule's
+// applier as it is.
+func (n *Node) sessionApplier(s *session, a *chase.Applier) *chase.Applier {
+	if !a.Existential() {
 		return a
 	}
+	ruleID := a.Rule().ID
 	if f := s.appliers[ruleID]; f != nil && f.Rule() == a.Rule() {
 		return f
 	}

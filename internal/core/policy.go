@@ -65,10 +65,11 @@ func ParsePolicyMode(s string) (PolicyMode, error) {
 	}
 }
 
-// linkPolicy is one rule's configured propagation policy. Both endpoints of
-// a link hold the same configuration: the exporter enforces it (hint instead
-// of data, filter predicates), the importer uses it to drive pulls and the
-// adaptive demand signal.
+// linkPolicy is one rule's propagation policy. Both endpoints of a link
+// hold the same configuration: the exporter enforces it (hint instead of
+// data, filter predicates), the importer uses it to drive pulls and the
+// adaptive demand signal. Node.configured keeps it as set; a rule's record
+// keeps it compiled against the rule (frontier) with the demand bit.
 type linkPolicy struct {
 	mode      PolicyMode
 	filter    []cq.Comparison
@@ -120,14 +121,12 @@ type LinkPropagationStats struct {
 	PulledTuples  uint64 `json:"pulled_tuples"`
 }
 
-// SetLinkPolicy configures the propagation policy of one rule known to this
-// node. filterSrc is an optional comma-separated comparison list over the
-// rule's frontier variables ("" = no filter); mode "filter" requires one.
+// SetLinkPolicy configures the propagation policy of one rule. filterSrc
+// is an optional comma-separated comparison list over the rule's frontier
+// variables ("" = no filter); mode "filter" requires one. The configuration
+// is kept by rule ID, so a rule not declared yet gets it when it is; a
+// declared rule gets it now, or an error when the filter does not fit it.
 func (n *Node) SetLinkPolicy(ruleID, mode, filterSrc string) error {
-	rs, ok := n.rules[ruleID]
-	if !ok {
-		return fmt.Errorf("core: cannot set policy: unknown rule %s", ruleID)
-	}
 	m, err := ParsePolicyMode(mode)
 	if err != nil {
 		return err
@@ -135,71 +134,59 @@ func (n *Node) SetLinkPolicy(ruleID, mode, filterSrc string) error {
 	if m == PolicyFilter && filterSrc == "" {
 		return fmt.Errorf("core: policy filter for rule %s needs a predicate", ruleID)
 	}
-	frontier := rs.rule.Frontier()
-	var cmps []cq.Comparison
+	pol := linkPolicy{mode: m, filterSrc: filterSrc}
 	if filterSrc != "" {
-		cmps, err = cq.ParseFilter(filterSrc)
-		if err != nil {
+		if pol.filter, err = cq.ParseFilter(filterSrc); err != nil {
 			return err
 		}
-		for _, c := range cmps {
-			for _, v := range c.Vars(nil) {
-				if !containsStr(frontier, v) {
-					return fmt.Errorf("core: rule %s: filter variable %s is not in the frontier %v", ruleID, v, frontier)
-				}
-			}
+	}
+	if rs := n.rules[ruleID]; rs != nil {
+		if err := rs.setPolicy(pol); err != nil {
+			return err
 		}
 	}
-	if n.policies == nil {
-		n.policies = make(map[string]*linkPolicy)
-	}
-	n.policies[ruleID] = &linkPolicy{mode: m, filter: cmps, filterSrc: filterSrc, frontier: frontier}
+	n.configured[ruleID] = pol
 	return nil
 }
 
-// LinkPolicy reports a rule's configured policy mode and filter source
-// ("push", "" when never configured).
-func (n *Node) LinkPolicy(ruleID string) (mode, filter string) {
-	if pol := n.policies[ruleID]; pol != nil {
-		return pol.mode.String(), pol.filterSrc
+// setPolicy compiles a configured policy into the record: the filter must
+// name frontier variables only. The adaptive demand bit stays while the
+// link stays adaptive, so re-applying a configuration never undoes a
+// demotion the importer asked for.
+func (rs *ruleState) setPolicy(pol linkPolicy) error {
+	frontier := rs.rule.Frontier()
+	for _, c := range pol.filter {
+		for _, v := range c.Vars(nil) {
+			if !containsStr(frontier, v) {
+				return fmt.Errorf("core: rule %s: filter variable %s is not in the frontier %v", rs.rule.ID, v, frontier)
+			}
+		}
 	}
-	return PolicyPush.String(), ""
+	pol.frontier = frontier
+	pol.demandPull = pol.mode == PolicyAdaptive && rs.policy.demandPull
+	rs.policy = pol
+	return nil
+}
+
+// LinkMode reports a declared rule's policy mode (push for an unknown rule).
+func (n *Node) LinkMode(ruleID string) PolicyMode {
+	if rs := n.rules[ruleID]; rs != nil {
+		return rs.policy.mode
+	}
+	return PolicyPush
 }
 
 // pullEffective reports whether exports through the rule currently go lazy:
 // the policy wants pull, configured or by adaptive demand.
-func (n *Node) pullEffective(rule *cq.Rule) bool {
-	pol := n.policies[rule.ID]
-	if pol == nil {
-		return false
-	}
-	switch pol.mode {
-	case PolicyPull:
-		return true
-	case PolicyAdaptive:
-		return pol.demandPull
-	}
-	return false
+func (rs *ruleState) pullEffective() bool {
+	return rs.policy.mode == PolicyPull || rs.policy.mode == PolicyAdaptive && rs.policy.demandPull
 }
 
-// propStatFor returns (creating) one rule's counter record.
-func (n *Node) propStatFor(ruleID string) *propStat {
-	st := n.propStats[ruleID]
-	if st == nil {
-		if n.propStats == nil {
-			n.propStats = make(map[string]*propStat)
-		}
-		st = &propStat{}
-		n.propStats[ruleID] = st
-	}
-	return st
-}
-
-// applyFilter drops the bindings failing the rule's filter predicate,
+// applyFilter drops the bindings failing the link's filter predicate,
 // counting them (and their encoded volume) as suppressed.
-func (n *Node) applyFilter(rule *cq.Rule, bindings []relation.Tuple) []relation.Tuple {
-	pol := n.policies[rule.ID]
-	if pol == nil || len(pol.filter) == 0 {
+func (rs *ruleState) applyFilter(bindings []relation.Tuple) []relation.Tuple {
+	pol := &rs.policy
+	if len(pol.filter) == 0 {
 		return bindings
 	}
 	kept := bindings[:0:0]
@@ -212,11 +199,8 @@ func (n *Node) applyFilter(rule *cq.Rule, bindings []relation.Tuple) []relation.
 			droppedBytes += b.EncodedLen()
 		}
 	}
-	if dropped > 0 {
-		st := n.propStatFor(rule.ID)
-		st.suppressedBindings += uint64(dropped)
-		st.bytesSuppressed += uint64(droppedBytes)
-	}
+	rs.stats.suppressedBindings += uint64(dropped)
+	rs.stats.bytesSuppressed += uint64(droppedBytes)
 	return kept
 }
 
@@ -224,16 +208,16 @@ func (n *Node) applyFilter(rule *cq.Rule, bindings []relation.Tuple) []relation.
 // commit horizon advanced, pull when the data matters. One hint per session
 // per link; hints are control traffic outside the termination detector's
 // scope (never DS-counted).
-func (n *Node) sendHint(s *session, rule *cq.Rule, to string, r *Result) {
+func (n *Node) sendHint(s *session, rs *ruleState, to string, r *Result) {
 	if s.hinted == nil {
 		s.hinted = make(map[string]bool)
 	}
-	if s.hinted[rule.ID] {
+	if s.hinted[rs.rule.ID] {
 		return
 	}
-	s.hinted[rule.ID] = true
-	r.send(to, &msg.UpdateHint{RuleID: rule.ID, LSN: n.cfg.Wrapper.LSN()})
-	n.propStatFor(rule.ID).hintsSent++
+	s.hinted[rs.rule.ID] = true
+	r.send(to, &msg.UpdateHint{RuleID: rs.rule.ID, LSN: n.cfg.Wrapper.LSN()})
+	rs.stats.hintsSent++
 }
 
 // hintStale is a scoped session's share of the lazy-link protocol: the
@@ -241,12 +225,13 @@ func (n *Node) sendHint(s *session, rule *cq.Rule, to string, r *Result) {
 // them stale, except the links the session itself carries data down.
 func (n *Node) hintStale(s *session, fresh map[string][]relation.Tuple, r *Result) {
 	for _, in := range n.Incoming() {
-		if _, active := s.activeIncoming[in.ID]; active || !n.pullEffective(in) {
+		rs := n.rules[in.ID]
+		if _, active := s.activeIncoming[in.ID]; active || !rs.pullEffective() {
 			continue
 		}
 		for _, rel := range in.BodyRelations() {
 			if len(fresh[rel]) > 0 {
-				n.sendHint(s, in, in.Target, r)
+				n.sendHint(s, rs, in.Target, r)
 				break
 			}
 		}
@@ -257,58 +242,41 @@ func (n *Node) hintStale(s *session, fresh map[string][]relation.Tuple, r *Resul
 // link: wantPull demotes the link to lazy hints, !wantPull promotes it back
 // to eager push. Ignored for non-adaptive policies (the configuration wins).
 func (n *Node) HandleLinkDemand(ruleID string, wantPull bool) {
-	pol := n.policies[ruleID]
-	if pol == nil || pol.mode != PolicyAdaptive {
-		return
+	if rs := n.rules[ruleID]; rs != nil && rs.policy.mode == PolicyAdaptive {
+		rs.policy.demandPull = wantPull
 	}
-	pol.demandPull = wantPull
 }
 
 // NoteHintReceived counts an importer-side hint arrival.
-func (n *Node) NoteHintReceived(ruleID string) { n.propStatFor(ruleID).hintsReceived++ }
+func (n *Node) NoteHintReceived(ruleID string) {
+	if rs := n.rules[ruleID]; rs != nil {
+		rs.stats.hintsReceived++
+	}
+}
 
 // PropagationStats snapshots the per-link propagation counters, sorted by
-// rule ID. Every rule with a configured policy or recorded traffic appears.
+// rule ID. Every declared rule with a configured policy or recorded traffic
+// appears.
 func (n *Node) PropagationStats() []LinkPropagationStats {
-	ids := make(map[string]bool, len(n.policies)+len(n.propStats))
-	for id := range n.policies {
-		ids[id] = true
-	}
-	for id := range n.propStats {
-		ids[id] = true
-	}
-	out := make([]LinkPropagationStats, 0, len(ids))
-	for id := range ids {
-		ls := LinkPropagationStats{RuleID: id, Policy: PolicyPush.String(), Effective: PolicyPush.String()}
-		if pol := n.policies[id]; pol != nil {
-			ls.Policy = pol.mode.String()
-			ls.Filter = pol.filterSrc
+	out := make([]LinkPropagationStats, 0, len(n.rules))
+	for id, rs := range n.rules {
+		if _, ok := n.configured[id]; !ok && rs.stats == (propStat{}) {
+			continue
 		}
-		if rs, ok := n.rules[id]; ok {
-			if rs.rule.Source == n.cfg.Self {
-				// Exporter side: the gate actually applied, including the
-				// adaptive-demand check.
-				if n.pullEffective(rs.rule) {
-					ls.Effective = PolicyPull.String()
-				}
-			} else if pol := n.policies[id]; pol != nil && pol.mode == PolicyPull {
-				// Importer side: a configured pull policy is what this node
-				// acts on (stale marks, read-triggered pulls); adaptive
-				// demand is exporter-side state it cannot see, so adaptive
-				// links report the configured default.
-				ls.Effective = PolicyPull.String()
-			}
+		pol, st := &rs.policy, &rs.stats
+		ls := LinkPropagationStats{
+			RuleID: id, Policy: pol.mode.String(), Effective: PolicyPush.String(), Filter: pol.filterSrc,
+			HintsSent: st.hintsSent, PullsServed: st.pullsServed,
+			BytesPushed: st.bytesPushed, BytesPulled: st.bytesPulled,
+			BytesSuppressed: st.bytesSuppressed, SuppressedBindings: st.suppressedBindings,
+			HintsReceived: st.hintsReceived, PullsIssued: st.pullsIssued, PulledTuples: st.pulledTuples,
 		}
-		if st := n.propStats[id]; st != nil {
-			ls.HintsSent = st.hintsSent
-			ls.PullsServed = st.pullsServed
-			ls.BytesPushed = st.bytesPushed
-			ls.BytesPulled = st.bytesPulled
-			ls.BytesSuppressed = st.bytesSuppressed
-			ls.SuppressedBindings = st.suppressedBindings
-			ls.HintsReceived = st.hintsReceived
-			ls.PullsIssued = st.pullsIssued
-			ls.PulledTuples = st.pulledTuples
+		// The exporter reports the gate it applies, adaptive demand
+		// included. The importer acts on a configured pull policy (stale
+		// marks, read-triggered pulls); adaptive demand is exporter-side
+		// state it cannot see, so adaptive links report push there.
+		if rs.rule.Source == n.cfg.Self && rs.pullEffective() || rs.rule.Source != n.cfg.Self && pol.mode == PolicyPull {
+			ls.Effective = PolicyPull.String()
 		}
 		out = append(out, ls)
 	}

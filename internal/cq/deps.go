@@ -40,36 +40,3 @@ func Closure(seeds []string, outgoing []*Rule) []*Rule {
 	}
 	return out
 }
-
-// DependencyGraph captures, for one node, which incoming links depend on
-// which outgoing links.
-type DependencyGraph struct {
-	// ByOutgoing maps an outgoing rule ID to the incoming rule IDs that
-	// depend on it.
-	ByOutgoing map[string][]string
-	// ByIncoming maps an incoming rule ID to the outgoing rule IDs
-	// relevant for it.
-	ByIncoming map[string][]string
-}
-
-// BuildDependencyGraph computes the node-local dependency graph between the
-// given incoming and outgoing rules.
-func BuildDependencyGraph(incoming, outgoing []*Rule) *DependencyGraph {
-	g := &DependencyGraph{
-		ByOutgoing: make(map[string][]string),
-		ByIncoming: make(map[string][]string),
-	}
-	for _, o := range outgoing {
-		g.ByOutgoing[o.ID] = nil
-	}
-	for _, in := range incoming {
-		g.ByIncoming[in.ID] = nil
-		for _, o := range outgoing {
-			if DependsOn(in, o) {
-				g.ByOutgoing[o.ID] = append(g.ByOutgoing[o.ID], in.ID)
-				g.ByIncoming[in.ID] = append(g.ByIncoming[in.ID], o.ID)
-			}
-		}
-	}
-	return g
-}

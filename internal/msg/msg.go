@@ -71,6 +71,15 @@ type Payload interface {
 	Size() int
 }
 
+// Envelope is what a transport moves: a payload tagged with the sending
+// node. (The receiving node is implicit in the pipe.) AppendEnvelope and
+// DecodeEnvelope are its binary form, the payload tag travelling in the
+// frame header.
+type Envelope struct {
+	From    string
+	Payload Payload
+}
+
 // RuleDef carries one coordination rule by ID and concrete syntax, so that
 // update requests can establish links on peers that have not seen a
 // configuration broadcast (paper §2: requests contain "definitions of

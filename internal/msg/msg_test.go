@@ -9,6 +9,21 @@ import (
 	"codb/internal/relation"
 )
 
+// roundTrip encodes an envelope and decodes it back, as a connection does
+// with the tag in the frame header.
+func roundTrip(t *testing.T, e Envelope) Envelope {
+	t.Helper()
+	body, tag, err := AppendEnvelope(nil, e)
+	if err != nil {
+		t.Fatalf("encode %T: %v", e.Payload, err)
+	}
+	dec, err := DecodeEnvelope(tag, body)
+	if err != nil {
+		t.Fatalf("decode %s: %v", tag, err)
+	}
+	return dec
+}
+
 func TestNewSIDUniqueAndPrefixed(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
@@ -80,14 +95,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		covered[tag] = true
-		enc, err := Encode(Envelope{From: "x", Payload: p})
-		if err != nil {
-			t.Fatalf("encode %s: %v", tag, err)
-		}
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("decode %s: %v", tag, err)
-		}
+		dec := roundTrip(t, Envelope{From: "x", Payload: p})
 		got := withoutKeys(t, dec.Payload)
 		if dec.From != "x" || !reflect.DeepEqual(got, p) {
 			t.Errorf("%s round trip:\n got  %#v\n want %#v", tag, got, p)
@@ -153,15 +161,14 @@ func TestUnassignedTagsRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unknown payload tag") {
 			t.Errorf("body tagged 0x%02x: err = %v, want an unknown-tag refusal", uint8(tag), err)
 		}
-		if _, err := Decode(append([]byte{byte(tag)}, body...)); err == nil {
-			t.Errorf("envelope tagged 0x%02x decoded", uint8(tag))
-		}
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a frame")); err == nil {
-		t.Error("garbage accepted")
+	for _, tag := range []Tag{TagSessionData, TagSessionRequest, TagBatch, 0xEE} {
+		if _, err := DecodeEnvelope(tag, []byte("not a frame")); err == nil {
+			t.Errorf("garbage tagged %s accepted", tag)
+		}
 	}
 }
 
@@ -169,14 +176,7 @@ func TestSessionDataRoundTripPreservesValues(t *testing.T) {
 	in := &SessionData{SID: "s", RuleID: "r", Bindings: []relation.Tuple{
 		{relation.Int(-5), relation.Float(2.5), relation.Str("x\x00y"), relation.Bool(true), relation.Null("d2~aa")},
 	}}
-	enc, err := Encode(Envelope{From: "n", Payload: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := roundTrip(t, Envelope{From: "n", Payload: in})
 	out := dec.Payload.(*SessionData)
 	if len(out.Bindings) != 1 || !out.Bindings[0].Equal(in.Bindings[0]) {
 		t.Errorf("bindings = %v", out.Bindings)
@@ -209,14 +209,7 @@ func TestBatchSizeAndRoundtrip(t *testing.T) {
 	if b.Size() != want {
 		t.Errorf("Batch.Size = %d, want %d", b.Size(), want)
 	}
-	enc, err := Encode(Envelope{From: "a", Payload: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := roundTrip(t, Envelope{From: "a", Payload: b})
 	back, ok := env.Payload.(*Batch)
 	if !ok || len(back.Payloads) != 2 {
 		t.Fatalf("roundtrip = %+v", env.Payload)
@@ -241,14 +234,7 @@ func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 			}
 			in.Bindings = append(in.Bindings, row)
 		}
-		enc, err := Encode(Envelope{From: "n", Payload: in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := roundTrip(t, Envelope{From: "n", Payload: in})
 		out := dec.Payload.(*SessionData).Bindings
 		for i, row := range out {
 			if !row.Equal(in.Bindings[i]) {
@@ -262,14 +248,7 @@ func TestDecodedTuplesAreSizedToTheirArity(t *testing.T) {
 	mixed := &SessionData{SID: "s", RuleID: "r", Bindings: []relation.Tuple{
 		{relation.Int(1)}, {relation.Int(2), relation.Str("b"), relation.Int(3)}, {relation.Int(4), relation.Int(5)},
 	}}
-	enc, err := Encode(Envelope{From: "n", Payload: mixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := roundTrip(t, Envelope{From: "n", Payload: mixed})
 	got := dec.Payload.(*SessionData)
 	for i, row := range got.Bindings {
 		if !row.Equal(mixed.Bindings[i]) || cap(row) != len(row) {
@@ -293,13 +272,13 @@ func TestDecodeAllocationIsBoundedByTheFrame(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		in.Bindings = append(in.Bindings, relation.Tuple{})
 	}
-	enc, err := Encode(Envelope{From: "n", Payload: in})
+	enc, tag, err := AppendEnvelope(nil, Envelope{From: "n", Payload: in})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	dec, err := Decode(enc)
+	dec, err := DecodeEnvelope(tag, enc)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

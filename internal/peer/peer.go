@@ -64,8 +64,8 @@ type Options struct {
 	// LinkPolicies maps rule IDs to propagation policy modes ("push",
 	// "pull", "adaptive", "filter"); LinkFilters maps rule IDs to filter
 	// predicates (comma-separated comparisons over the rule's frontier
-	// variables). Policies are remembered and applied when the rule is
-	// declared; see core.PolicyMode.
+	// variables). The node keeps them by rule ID and applies each when its
+	// rule is declared; see core.Node.SetLinkPolicy.
 	LinkPolicies map[string]string
 	LinkFilters  map[string]string
 	// MaxStaleness bounds how long a pull link may stay hinted-stale
@@ -87,11 +87,6 @@ type Options struct {
 	// SuspicionInterval is the heartbeat emission and suspicion-scan period
 	// (0 selects SuspicionTimeout / 4).
 	SuspicionInterval time.Duration
-	// Outbox tunes the outbound pipeline (queue bound, batch caps); the
-	// OnDrop hook is owned by the peer, which uses it to compensate the
-	// termination detector for undeliverable messages. A caller-supplied
-	// OnDrop is still invoked, after the peer's bookkeeping.
-	Outbox transport.OutboxOptions
 	// Logger receives diagnostics; nil discards them.
 	Logger *slog.Logger
 }
@@ -128,8 +123,7 @@ type Peer struct {
 	updates      map[string]chan msg.UpdateReport
 	remoteCmds   map[string]string // sid -> ReplyTo for StartUpdateCmd
 	statsSink    func(msg.StatsReport)
-	linkPolicies map[string]linkPolicyCfg // remembered policies, re-applied on reconfiguration
-	joinWait     chan *msg.JoinAccept     // armed by JoinVia, fired by handleJoinAccept
+	joinWait     chan *msg.JoinAccept // armed by JoinVia, fired by handleJoinAccept
 
 	stopped  chan struct{} // closed by Stop
 	loopDone chan struct{} // closed when the actor loop has exited
@@ -160,6 +154,13 @@ func New(opts Options) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, byID := range []map[string]string{opts.LinkPolicies, opts.LinkFilters} {
+		for id := range byID { // a missing mode is push
+			if err := node.SetLinkPolicy(id, opts.LinkPolicies[id], opts.LinkFilters[id]); err != nil {
+				return nil, err
+			}
+		}
+	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -186,17 +187,6 @@ func New(opts Options) (*Peer, error) {
 	if p.pullTimeout <= 0 {
 		p.pullTimeout = DefaultPullTimeout
 	}
-	if len(opts.LinkPolicies) > 0 || len(opts.LinkFilters) > 0 {
-		p.linkPolicies = make(map[string]linkPolicyCfg)
-		for id, mode := range opts.LinkPolicies {
-			p.linkPolicies[id] = linkPolicyCfg{mode: mode, filter: opts.LinkFilters[id]}
-		}
-		for id, f := range opts.LinkFilters {
-			if _, ok := p.linkPolicies[id]; !ok {
-				p.linkPolicies[id] = linkPolicyCfg{mode: "push", filter: f}
-			}
-		}
-	}
 	for k, v := range opts.Directory {
 		p.members[k] = &member{listed: true, addr: v}
 	}
@@ -204,15 +194,9 @@ func New(opts Options) (*Peer, error) {
 	p.readPath.record = p.noteLocalQueryReport
 	p.readPath.beforeRead = p.maybePullForRead
 	p.refreshReadRules() // loop not yet running: safe here
-	oo := opts.Outbox
-	userDrop := oo.OnDrop
-	oo.OnDrop = func(to string, payload msg.Payload, err error) {
-		p.noteLostSend(to, payload, err)
-		if userDrop != nil {
-			userDrop(to, payload, err)
-		}
-	}
-	p.tr = transport.NewOutbox(opts.Transport, oo)
+	// The peer owns the outbox's OnDrop hook: undeliverable messages are
+	// compensated in the termination detector.
+	p.tr = transport.NewOutbox(opts.Transport, transport.OutboxOptions{OnDrop: p.noteLostSend})
 	p.tcp, _ = rawTransport(p.tr).(*transport.TCP)
 	p.tr.SetHandler(func(env msg.Envelope) {
 		select {
@@ -641,9 +625,9 @@ func (p *Peer) installConfig(cfg *config.Config) error {
 		}
 	}
 	before := p.node.Acquaintances()
-	if err := p.node.SetRules(cfg.RuleDefs()); err != nil {
-		return err
-	}
+	// A rule that fails to install is reported after the rest of the
+	// configuration is in place.
+	err := p.node.SetRules(cfg.RuleDefs())
 	after := make(map[string]bool)
 	for _, a := range p.node.Acquaintances() {
 		after[a] = true
@@ -660,9 +644,8 @@ func (p *Peer) installConfig(cfg *config.Config) error {
 	for a := range after {
 		p.ensurePipe(a)
 	}
-	p.applyLinkPolicies()
 	p.refreshReadRules()
-	return nil
+	return err
 }
 
 func (p *Peer) handleStatsRequest(from string, req *msg.StatsRequest) {
@@ -713,7 +696,6 @@ func (p *Peer) AddRule(id, text string) error {
 			for _, a := range p.node.Acquaintances() {
 				p.ensurePipe(a)
 			}
-			p.applyLinkPolicies()
 		}
 		p.refreshReadRules()
 	}); derr != nil {

@@ -25,7 +25,26 @@ const coldDeliveries = 2
 // maxStalenessSamples bounds the retained staleness-at-pull measurements.
 const maxStalenessSamples = 4096
 
-// staleLink is the importer-side record of one hinted, not-yet-pulled link.
+// link is the importer's record of one outgoing link (a rule this peer
+// imports through): everything the propagation runtime knows about it.
+// There is one per outgoing rule; syncLinks creates and prunes them when
+// the rule set moves, and a redefined rule keeps its record.
+type link struct {
+	rule *cq.Rule
+	// stale is the record of a hinted, not-yet-pulled link (nil while the
+	// link is fresh).
+	stale *staleLink
+	// Adaptive demand: reads counts local reads touching the link,
+	// lastReads and cold detect consecutive unread deliveries, demandPull
+	// mirrors the last LinkDemand sent to the exporter.
+	reads, lastReads uint64
+	cold             int
+	demandPull       bool
+	// pulling is the link's in-flight pull (loop only).
+	pulling *pullSession
+}
+
+// staleLink is the staleness record of one hinted, not-yet-pulled link.
 type staleLink struct {
 	since time.Time // first unserved hint arrival (staleness clock)
 	// hints counts the hints received; pulls maps each scoped session that
@@ -48,39 +67,42 @@ type pullSession struct {
 }
 
 // propState is the peer's propagation-policy state. The actor loop owns all
-// transitions; the mutex exists because the concurrent read path consults
-// staleness and records read demand off the loop.
+// transitions and is the only writer of the links map; the mutex exists
+// because the concurrent read path consults staleness and records read
+// demand off the loop.
 type propState struct {
-	mu sync.Mutex
-	// stale maps outgoing (importing) rule IDs to their staleness record.
-	stale map[string]*staleLink
-	// samples are staleness-at-pull measurements (importer side, bounded).
+	mu    sync.Mutex
+	links map[string]*link // by outgoing rule ID
+	// samples are staleness-at-pull measurements (bounded).
 	samples []time.Duration
-	// Adaptive demand tracking (importer side): reads counts local queries
-	// touching each rule's head relations, lastReads/cold detect
-	// consecutive unread deliveries, demandPull mirrors the last LinkDemand
-	// sent to the exporter.
-	reads      map[string]uint64
-	lastReads  map[string]uint64
-	cold       map[string]int
-	demandPull map[string]bool
-
-	// pulling maps outgoing rule IDs to their in-flight pull, pulls the
-	// same sessions by SID. Loop only, like the sessions themselves.
-	pulling map[string]*pullSession
-	pulls   map[string]*pullSession
+	// pulls maps the in-flight pulls by SID (loop only).
+	pulls map[string]*pullSession
 }
 
 func newPropState() *propState {
-	return &propState{
-		stale:      make(map[string]*staleLink),
-		reads:      make(map[string]uint64),
-		lastReads:  make(map[string]uint64),
-		cold:       make(map[string]int),
-		demandPull: make(map[string]bool),
-		pulling:    make(map[string]*pullSession),
-		pulls:      make(map[string]*pullSession),
+	return &propState{links: make(map[string]*link), pulls: make(map[string]*pullSession)}
+}
+
+// syncLinks makes the link records match the node's outgoing rules (loop
+// only). The record of a link that is gone goes, with its deadline timer.
+func (p *Peer) syncLinks(outgoing []*cq.Rule) {
+	p.prop.mu.Lock()
+	defer p.prop.mu.Unlock()
+	links := make(map[string]*link, len(outgoing))
+	for _, r := range outgoing {
+		l := p.prop.links[r.ID]
+		if l == nil {
+			l = &link{}
+		}
+		l.rule = r
+		links[r.ID] = l
 	}
+	for id, l := range p.prop.links {
+		if links[id] == nil && l.stale != nil && l.stale.timer != nil {
+			l.stale.timer.Stop()
+		}
+	}
+	p.prop.links = links
 }
 
 // PropagationStats is the peer's propagation-policy observability snapshot.
@@ -99,53 +121,15 @@ type PropagationStats struct {
 	StalenessSamples int `json:"staleness_samples"`
 }
 
-// SetLinkPolicy configures (or reconfigures) one rule's propagation policy.
-// The policy is remembered and re-applied across rule reconfigurations; an
-// unknown rule ID is accepted and takes effect when the rule is declared.
+// SetLinkPolicy configures (or reconfigures) one rule's propagation policy
+// on the node (core.Node.SetLinkPolicy): an unknown rule ID is accepted and
+// takes effect when the rule is declared.
 func (p *Peer) SetLinkPolicy(ruleID, mode, filter string) error {
-	if _, err := core.ParsePolicyMode(mode); err != nil {
-		return err
-	}
 	var err error
-	if derr := p.do(func() {
-		if p.linkPolicies == nil {
-			p.linkPolicies = make(map[string]linkPolicyCfg)
-		}
-		p.linkPolicies[ruleID] = linkPolicyCfg{mode: mode, filter: filter}
-		err = p.applyLinkPolicy(ruleID)
-	}); derr != nil {
+	if derr := p.do(func() { err = p.node.SetLinkPolicy(ruleID, mode, filter) }); derr != nil {
 		return derr
 	}
 	return err
-}
-
-// linkPolicyCfg is one remembered policy configuration.
-type linkPolicyCfg struct {
-	mode   string
-	filter string
-}
-
-// applyLinkPolicy installs one remembered policy on the node if the rule is
-// known (loop only).
-func (p *Peer) applyLinkPolicy(ruleID string) error {
-	cfg, ok := p.linkPolicies[ruleID]
-	if !ok {
-		return nil
-	}
-	if p.node.RuleText(ruleID) == "" {
-		return nil // rule not declared yet; applied when it arrives
-	}
-	return p.node.SetLinkPolicy(ruleID, cfg.mode, cfg.filter)
-}
-
-// applyLinkPolicies re-installs every remembered policy whose rule is known
-// (loop only); called after rule declarations and reconfigurations.
-func (p *Peer) applyLinkPolicies() {
-	for id := range p.linkPolicies {
-		if err := p.applyLinkPolicy(id); err != nil {
-			p.log.Warn("link policy not applied", "rule", id, "err", err)
-		}
-	}
 }
 
 // PropagationStats snapshots the peer's propagation counters and staleness
@@ -183,9 +167,11 @@ func durPercentile(samples []time.Duration, pct float64) time.Duration {
 func (p *Peer) StaleLinks() []string {
 	p.prop.mu.Lock()
 	defer p.prop.mu.Unlock()
-	out := make([]string, 0, len(p.prop.stale))
-	for id := range p.prop.stale {
-		out = append(out, id)
+	var out []string
+	for id, l := range p.prop.links {
+		if l.stale != nil {
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -196,20 +182,18 @@ func (p *Peer) StaleLinks() []string {
 // link is pullable at any time, so the mark is kept regardless of the
 // locally configured policy.
 func (p *Peer) handleUpdateHint(from string, h *msg.UpdateHint) {
-	rule := p.outgoingRule(h.RuleID)
-	if rule == nil || rule.Source != from {
+	l := p.prop.links[h.RuleID]
+	if l == nil || l.rule.Source != from {
 		return // unknown or foreign link; ignore
 	}
 	p.node.NoteHintReceived(h.RuleID)
 	p.prop.mu.Lock()
-	sl := p.prop.stale[h.RuleID]
-	if sl == nil {
-		sl = &staleLink{since: time.Now()}
-		p.prop.stale[h.RuleID] = sl
+	if l.stale == nil {
+		l.stale = &staleLink{since: time.Now()}
 	}
-	sl.hints++
-	if sl.timer == nil {
-		p.armDeadline(h.RuleID, sl)
+	l.stale.hints++
+	if l.stale.timer == nil {
+		p.armDeadline(h.RuleID, l.stale)
 	}
 	p.prop.mu.Unlock()
 }
@@ -228,7 +212,8 @@ func (p *Peer) armDeadline(ruleID string, sl *staleLink) {
 func (p *Peer) deadlinePull(ruleID string, sl *staleLink) {
 	cmd := command{run: func() {
 		p.prop.mu.Lock()
-		current := p.prop.stale[ruleID] == sl
+		l := p.prop.links[ruleID]
+		current := l != nil && l.stale == sl
 		if current {
 			sl.timer = nil
 		}
@@ -243,17 +228,6 @@ func (p *Peer) deadlinePull(ruleID string, sl *staleLink) {
 	}
 }
 
-// outgoingRule resolves one of this node's outgoing (importing) rules by ID
-// (loop only).
-func (p *Peer) outgoingRule(id string) *cq.Rule {
-	for _, r := range p.node.Outgoing() {
-		if r.ID == id {
-			return r
-		}
-	}
-	return nil
-}
-
 // lazyOutgoing lists the outgoing links this peer pulls rather than has
 // pushed to it: those configured pull, adaptive ones it demoted, and any
 // hinted stale (loop only).
@@ -262,8 +236,8 @@ func (p *Peer) lazyOutgoing() []string {
 	p.prop.mu.Lock()
 	defer p.prop.mu.Unlock()
 	for _, r := range p.node.Outgoing() {
-		mode, _ := p.node.LinkPolicy(r.ID)
-		if mode == core.PolicyPull.String() || p.prop.demandPull[r.ID] || p.prop.stale[r.ID] != nil {
+		l := p.prop.links[r.ID]
+		if p.node.LinkMode(r.ID) == core.PolicyPull || l != nil && (l.demandPull || l.stale != nil) {
 			ids = append(ids, r.ID)
 		}
 	}
@@ -278,14 +252,13 @@ func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
 	var pulls []*pullSession
 	var idle, unknown []string
 	for _, id := range ids {
-		if ps := p.prop.pulling[id]; ps != nil {
-			if !slices.Contains(pulls, ps) {
-				pulls = append(pulls, ps)
-			}
-		} else if p.outgoingRule(id) != nil {
-			idle = append(idle, id)
-		} else {
+		switch l := p.prop.links[id]; {
+		case l == nil:
 			unknown = append(unknown, id)
+		case l.pulling == nil:
+			idle = append(idle, id)
+		case !slices.Contains(pulls, l.pulling):
+			pulls = append(pulls, l.pulling)
 		}
 	}
 	var err error
@@ -302,7 +275,7 @@ func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
 	}
 	ps := &pullSession{sid: sid, rules: idle, done: make(chan struct{})}
 	for _, id := range idle {
-		p.prop.pulling[id] = ps
+		p.prop.links[id].pulling = ps
 	}
 	p.prop.pulls[sid] = ps
 	p.dispatch(res) // may finish the session already: register it first
@@ -314,7 +287,9 @@ func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
 func (p *Peer) finishPull(ps *pullSession, rep msg.UpdateReport) {
 	delete(p.prop.pulls, ps.sid)
 	for _, id := range ps.rules {
-		delete(p.prop.pulling, id)
+		if l := p.prop.links[id]; l != nil && l.pulling == ps {
+			l.pulling = nil
+		}
 	}
 	ps.rep = rep
 	close(ps.done)
@@ -331,7 +306,8 @@ func (p *Peer) noteScopedRequests(out []core.Outbound) {
 		}
 		p.prop.mu.Lock()
 		for _, d := range req.Rules {
-			if sl := p.prop.stale[d.ID]; sl != nil {
+			if l := p.prop.links[d.ID]; l != nil && l.stale != nil {
+				sl := l.stale
 				if sl.pulls == nil {
 					sl.pulls = make(map[string]int)
 				}
@@ -350,7 +326,11 @@ func (p *Peer) noteScopedRequests(out []core.Outbound) {
 func (p *Peer) settlePulls(f core.Finished) {
 	p.prop.mu.Lock()
 	defer p.prop.mu.Unlock()
-	for id, sl := range p.prop.stale {
+	for id, l := range p.prop.links {
+		sl := l.stale
+		if sl == nil {
+			continue
+		}
 		hints, ok := sl.pulls[f.SID]
 		if !ok {
 			continue
@@ -362,7 +342,7 @@ func (p *Peer) settlePulls(f core.Finished) {
 			}
 			continue
 		}
-		delete(p.prop.stale, id)
+		l.stale = nil
 		if sl.timer != nil {
 			sl.timer.Stop()
 		}
@@ -436,29 +416,27 @@ func (p *Peer) CatchUp(ctx context.Context) (int, error) {
 // previous delivery is a cold signal; coldDeliveries of them in a row
 // demote the link to pull.
 func (p *Peer) noteDataDelivery(ruleID string) {
-	mode, _ := p.node.LinkPolicy(ruleID)
-	if mode != core.PolicyAdaptive.String() {
+	if p.node.LinkMode(ruleID) != core.PolicyAdaptive {
 		return
 	}
-	rule := p.outgoingRule(ruleID)
-	if rule == nil {
+	l := p.prop.links[ruleID]
+	if l == nil {
 		return
 	}
 	p.prop.mu.Lock()
-	reads := p.prop.reads[ruleID]
-	if reads == p.prop.lastReads[ruleID] {
-		p.prop.cold[ruleID]++
+	if l.reads == l.lastReads {
+		l.cold++
 	} else {
-		p.prop.cold[ruleID] = 0
+		l.cold = 0
 	}
-	p.prop.lastReads[ruleID] = reads
-	demote := p.prop.cold[ruleID] >= coldDeliveries && !p.prop.demandPull[ruleID]
+	l.lastReads = l.reads
+	demote := l.cold >= coldDeliveries && !l.demandPull
 	if demote {
-		p.prop.demandPull[ruleID] = true
+		l.demandPull = true
 	}
 	p.prop.mu.Unlock()
 	if demote {
-		p.sendLinkDemand(rule, true)
+		p.sendLinkDemand(l.rule, true)
 	}
 }
 
@@ -484,14 +462,18 @@ func (p *Peer) maybePullForRead(touched []*cq.Rule) {
 	var promote []*cq.Rule
 	p.prop.mu.Lock()
 	for _, rule := range touched {
-		p.prop.reads[rule.ID]++
-		p.prop.cold[rule.ID] = 0
-		if p.prop.stale[rule.ID] != nil {
+		l := p.prop.links[rule.ID]
+		if l == nil {
+			continue // the rule set moved under the read
+		}
+		l.reads++
+		l.cold = 0
+		if l.stale != nil {
 			stale = append(stale, rule.ID)
 		}
-		if p.prop.demandPull[rule.ID] {
+		if l.demandPull {
 			// The link is hot again: promote it back to push.
-			p.prop.demandPull[rule.ID] = false
+			l.demandPull = false
 			promote = append(promote, rule)
 		}
 	}

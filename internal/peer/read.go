@@ -77,8 +77,8 @@ func newReadPath(name string, w core.Wrapper, node *core.Node, eval cq.EvalOptio
 	return rp
 }
 
-// refreshReadRules republishes the outgoing-rule copy after a rule-set
-// mutation. Must run inside the actor loop (rules only mutate there, so
+// refreshReadRules republishes the outgoing-rule copy, and brings the link
+// records in step, after a rule-set mutation. Must run inside the actor loop (rules only mutate there, so
 // version and copy are taken consistently); a no-op when the version is
 // already current, which makes it cheap enough to call after every
 // envelope.
@@ -88,6 +88,7 @@ func (p *Peer) refreshReadRules() {
 		return
 	}
 	out := append([]*cq.Rule(nil), p.node.Outgoing()...)
+	p.syncLinks(out)
 	p.readPath.rules.Store(&readRules{ver: ver, outgoing: out})
 }
 

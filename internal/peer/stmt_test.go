@@ -77,7 +77,7 @@ func TestStatementRelinksOnRuleChange(t *testing.T) {
 		t.Fatalf("read after the stale hint = %v, want the 2 pulled rows", got)
 	}
 	a.prop.mu.Lock()
-	reads := a.prop.reads["r1"]
+	reads := a.prop.links["r1"].reads
 	a.prop.mu.Unlock()
 	if reads != 1 {
 		t.Fatalf("demand on r1 = %d reads, want 1", reads)

@@ -188,31 +188,6 @@ func decodeEscaped(b []byte) (string, int, error) {
 	return "", 0, fmt.Errorf("codec: unterminated string")
 }
 
-// GobEncode implements gob.GobEncoder with the order-preserving binary
-// codec: one compact byte string per tuple instead of gob's reflective
-// struct encoding per value. Tuple payloads are the bulk of coDB's
-// inter-peer traffic, so this halves both the wire volume and the
-// encode/decode CPU of data messages.
-func (t Tuple) GobEncode() ([]byte, error) {
-	return EncodeTuple(nil, t), nil
-}
-
-// GobDecode implements gob.GobDecoder: the codec is self-delimiting, so
-// values are decoded until the buffer is exhausted.
-func (t *Tuple) GobDecode(b []byte) error {
-	out := make(Tuple, 0, 4)
-	for off := 0; off < len(b); {
-		v, n, err := DecodeValue(b[off:])
-		if err != nil {
-			return fmt.Errorf("codec: tuple value %d: %w", len(out), err)
-		}
-		out = append(out, v)
-		off += n
-	}
-	*t = out
-	return nil
-}
-
 // DecodeTuple decodes exactly arity values from b.
 func DecodeTuple(b []byte, arity int) (Tuple, error) {
 	t := make(Tuple, 0, arity)

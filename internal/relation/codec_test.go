@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -188,30 +187,5 @@ func TestEncodedLenMatchesEncoding(t *testing.T) {
 				t.Errorf("Value EncodedLen(%v) = %d, want %d", v, got, want)
 			}
 		}
-	}
-}
-
-func TestTupleGobRoundtrip(t *testing.T) {
-	tuples := []Tuple{
-		{Int(42), Str("hello"), Bool(true), Float(1.5), Null("x")},
-		{Str("a\x00b\x00")},
-		{},
-	}
-	for _, tu := range tuples {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tu); err != nil {
-			t.Fatalf("encode %v: %v", tu, err)
-		}
-		var back Tuple
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-			t.Fatalf("decode %v: %v", tu, err)
-		}
-		if !tu.Equal(back) {
-			t.Errorf("roundtrip %v -> %v", tu, back)
-		}
-	}
-	var bad Tuple
-	if err := bad.GobDecode([]byte{0xEE}); err == nil {
-		t.Error("bad kind tag accepted")
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzTupleCodec fuzzes the order-preserving tuple codec and the compact
-// gob codec built on it (the bulk of coDB's inter-peer traffic and every
-// index key). Properties:
+// FuzzTupleCodec fuzzes the order-preserving tuple codec (the values of
+// coDB's inter-peer traffic and every index key). Properties:
 //
 //   - any byte string either fails to decode or decodes to a tuple whose
 //     re-encoding reproduces the input exactly (the encoding is canonical:
@@ -58,25 +57,26 @@ func FuzzTupleCodec(f *testing.F) {
 	})
 }
 
-// decodeCanonical decodes one input through the gob codec and, on success,
-// asserts the canonical round-trip: re-encoding must reproduce the input,
-// and DecodeTuple at the decoded arity must agree.
+// decodeCanonical decodes one input value by value until it is exhausted
+// and, on success, asserts the canonical round-trip: re-encoding must
+// reproduce the input, and DecodeTuple at the decoded arity must agree.
 func decodeCanonical(t *testing.T, b []byte) (Tuple, bool) {
 	t.Helper()
 	var tp Tuple
-	if err := tp.GobDecode(b); err != nil {
-		return nil, false
+	for off := 0; off < len(b); {
+		v, n, err := DecodeValue(b[off:])
+		if err != nil {
+			return nil, false
+		}
+		tp = append(tp, v)
+		off += n
 	}
-	re, err := tp.GobEncode()
-	if err != nil {
-		t.Fatalf("re-encode of decoded tuple failed: %v", err)
-	}
-	if !bytes.Equal(re, b) {
+	if re := EncodeTuple(nil, tp); !bytes.Equal(re, b) {
 		t.Fatalf("decode/encode not canonical: %x -> %v -> %x", b, tp, re)
 	}
 	fixed, err := DecodeTuple(b, len(tp))
 	if err != nil {
-		t.Fatalf("DecodeTuple rejected what GobDecode accepted: %v", err)
+		t.Fatalf("DecodeTuple rejected what DecodeValue accepted: %v", err)
 	}
 	if !fixed.Equal(tp) && !hasNaN(tp) {
 		t.Fatalf("DecodeTuple = %v, GobDecode = %v", fixed, tp)

@@ -77,8 +77,9 @@ func Str(v string) Value { return Value{Kind: KindString, Str: v} }
 // Bool returns a boolean value.
 func Bool(v bool) Value { return Value{Kind: KindBool, Bool: v} }
 
-// Null returns a marked null with the given label. Labels are globally
-// unique when produced by a NullMinter.
+// Null returns a marked null with the given label. The chase labels the
+// nulls it mints by a hash of the rule, the existential variable and the
+// binding that produce them.
 func Null(label string) Value { return Value{Kind: KindNull, Str: label} }
 
 // IsNull reports whether v is a (marked) null.

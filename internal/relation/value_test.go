@@ -111,47 +111,3 @@ func TestParseType(t *testing.T) {
 		t.Error("ParseType(blob) should fail")
 	}
 }
-
-func TestNullMinterFreshness(t *testing.T) {
-	m := NewNullMinter("p1")
-	seen := make(map[Value]bool)
-	for i := 0; i < 1000; i++ {
-		v := m.Fresh()
-		if v.Kind != KindNull {
-			t.Fatalf("minted non-null %v", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate null %v", v)
-		}
-		seen[v] = true
-	}
-	if m.Minted() != 1000 {
-		t.Errorf("Minted() = %d, want 1000", m.Minted())
-	}
-	other := NewNullMinter("p2")
-	if other.Fresh() == NewNullMinter("p1").Fresh() {
-		// p2:1 vs p1:1
-		t.Error("nulls from different nodes must not collide")
-	}
-}
-
-func TestNullMinterConcurrent(t *testing.T) {
-	m := NewNullMinter("c")
-	const g, per = 8, 500
-	ch := make(chan Value, g*per)
-	for i := 0; i < g; i++ {
-		go func() {
-			for j := 0; j < per; j++ {
-				ch <- m.Fresh()
-			}
-		}()
-	}
-	seen := make(map[Value]bool)
-	for i := 0; i < g*per; i++ {
-		v := <-ch
-		if seen[v] {
-			t.Fatalf("concurrent duplicate %v", v)
-		}
-		seen[v] = true
-	}
-}
