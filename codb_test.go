@@ -83,6 +83,71 @@ func TestNetworkQueryStream(t *testing.T) {
 	}
 }
 
+// largeLocalAnswer is a network whose origin a holds more local rows than a
+// channel buffer would take, beside one relevant outgoing link: a query at
+// a answers them all inside the session's start.
+func largeLocalAnswer(t *testing.T, rows int) *Network {
+	t.Helper()
+	nw := NewNetwork()
+	t.Cleanup(nw.Close)
+	nw.MustAddPeer("a", "r(x int)")
+	nw.MustAddPeer("b", "r(x int)")
+	nw.MustAddRule("r1", `a.r(x) <- b.r(x)`)
+	batch := make([]Tuple, rows)
+	for i := range batch {
+		batch[i] = Row(Int(i))
+	}
+	if err := nw.Insert("a", "r", batch...); err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// within fails the test unless fn returns within d.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+func TestNetworkQueryLargeLocalAnswer(t *testing.T) {
+	nw := largeLocalAnswer(t, 2000)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	within(t, 5*time.Second, "Query", func() {
+		rows, err := nw.Query(ctx, "a", `ans(x) :- r(x)`, AllAnswers)
+		if err != nil {
+			t.Error(err)
+		} else if len(rows) != 2000 {
+			t.Errorf("query returned %d rows, want 2000", len(rows))
+		}
+	})
+}
+
+// TestNetworkAbandonedQueryStream: a stream nobody reads holds up no other
+// call on its peer.
+func TestNetworkAbandonedQueryStream(t *testing.T) {
+	nw := largeLocalAnswer(t, 2000)
+	within(t, 5*time.Second, "QueryStream", func() {
+		if _, _, err := nw.QueryStream("a", `ans(x) :- r(x)`, AllAnswers); err != nil {
+			t.Error(err)
+		}
+	})
+	within(t, 5*time.Second, "Insert beside an unread stream", func() {
+		if err := nw.Insert("a", "r", Row(Int(-1))); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 func TestNetworkFromConfig(t *testing.T) {
 	nw, err := NewNetworkFromConfig(`version 1
 node a

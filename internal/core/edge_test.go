@@ -140,6 +140,35 @@ func TestCompensateLostUnblocksInitiator(t *testing.T) {
 	}
 }
 
+// TestCompensatedLostCountsEachMessageOnce: a lost send reported after a
+// pipe-down already wrote its message off is not counted a second time.
+func TestCompensatedLostCountsEachMessageOnce(t *testing.T) {
+	s := newSim(t)
+	a := s.addNode("A", "r/1")
+	s.addNode("B", "r/1")
+	s.addNode("C", "r/1")
+	s.ruleOn("A", "r1", `A.r(x) <- B.r(x)`)
+	s.ruleOn("A", "r2", `A.r(x) <- C.r(x)`)
+
+	sid := "comp-2"
+	res, err := a.StartUpdate(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Out) != 2 {
+		t.Fatalf("expected requests to B and C, got %+v", res.Out)
+	}
+	a.CompensatePeerLoss("B")
+	a.CompensateLost(sid, "B", 1) // the same request, reported by the outbox
+	got := a.CompensatePeerLoss("C").Finished
+	if len(got) != 1 || got[0].SID != sid {
+		t.Fatalf("session did not finish once both peers were lost: %+v", got)
+	}
+	if lost := got[0].Report.CompensatedLost; lost != 2 {
+		t.Errorf("CompensatedLost = %d, want 2 (one request each to B and C)", lost)
+	}
+}
+
 // TestReconfigurationDuringUpdate: rules change at a node while an update
 // is in flight ("even if nodes and coordination rules appear or disappear
 // during the computation, the proposed algorithm will eventually terminate"

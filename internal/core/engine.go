@@ -866,9 +866,10 @@ func (n *Node) CompensateLost(sid, to string, lost int) Result {
 		}
 		return r
 	}
-	s.rep.CompensatedLost += lost
 	n.distrustImporter(s.rep.SentTo, to)
-	n.ds.AckReceived(sid, to, lost)
+	// A pipe-down write-off (CompensatePeerLoss) may already have cleared
+	// these messages: count only what is still outstanding.
+	s.rep.CompensatedLost += n.ds.AckReceived(sid, to, lost)
 	n.flushDS(s, &r)
 	return r
 }

@@ -102,22 +102,24 @@ func (e *Engine) Received(sid, from string) {
 }
 
 // AckReceived records an acknowledgement from `from` for n of our basic
-// messages. Acks beyond the destination's outstanding deficit (duplicated
-// acks, or acks arriving after LostPeer compensation) are ignored, so a
-// single bad peer cannot wedge termination or drive the deficit negative.
-func (e *Engine) AckReceived(sid, from string, n int) {
+// messages and returns how many it applied. Acks beyond the destination's
+// outstanding deficit (duplicated acks, or acks arriving after LostPeer
+// compensation) are ignored, so a single bad peer cannot wedge termination
+// or drive the deficit negative.
+func (e *Engine) AckReceived(sid, from string, n int) int {
 	s := e.get(sid)
 	if out := s.perDest[from]; n > out {
 		n = out
 	}
 	if n <= 0 {
-		return
+		return 0
 	}
 	s.perDest[from] -= n
 	if s.perDest[from] == 0 {
 		delete(s.perDest, from)
 	}
 	s.deficit -= n
+	return n
 }
 
 // LostPeer clears the session's outstanding deficit toward a peer whose

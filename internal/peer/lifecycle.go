@@ -304,7 +304,7 @@ func (p *Peer) catchUp(peer string) {
 
 // suspicionLoop drives the detector off-loop: each tick posts a scan into
 // the actor loop and waits for it, so ticks never pile up behind a
-// saturated inbox.
+// backlogged queue.
 func (p *Peer) suspicionLoop(interval time.Duration) {
 	tk := time.NewTicker(interval)
 	defer tk.Stop()

@@ -4,13 +4,17 @@
 // Layer and Wrapper boxes of the paper's Figure 1, running as a single
 // actor goroutine.
 //
-// All node state is owned by the actor loop; the public methods post
-// commands into the loop and wait on reply channels, so the Peer is safe
-// for concurrent use without any shared-state locking.
+// The actor takes every input from one unbounded FIFO (eventQueue) that
+// producers put into without blocking: envelopes from the transport's
+// handler (a TCP pipe's read loop, or the sender's Bus.Send), commands from
+// the public methods, lost sends, pipe-downs and deadline pulls. All node
+// state is owned by the loop, so the Peer is safe for concurrent use
+// without shared-state locking. The loop never waits on a reader: a
+// query's answers go into the query's own buffer.
 //
 // Outbound traffic goes through transport.Outbox by default: sends are
 // asynchronous per-destination enqueues (a slow pipe never stalls the
-// actor), queued payloads coalesce into batch frames, and inbox bursts
+// actor), queued payloads coalesce into batch frames, and envelope bursts
 // defer acknowledgements (core.DeferAcks) so n messages from one sender
 // cost one counted ack. Delivery failures observed after the fact — a
 // write error in a writer goroutine, or a pipe-down notification for
@@ -24,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"codb/internal/config"
@@ -111,7 +117,7 @@ type Peer struct {
 	timeout                time.Duration
 	suspects, downs, heals uint64
 
-	inbox chan any // envelopes and commands, consumed by the actor loop
+	events *eventQueue // every input of the actor loop, in arrival order
 
 	// Actor-owned state (no locks; only the loop touches these).
 	members      map[string]*member // directory, pipes and liveness, per remote peer
@@ -129,14 +135,39 @@ type Peer struct {
 	loopDone chan struct{} // closed when the actor loop has exited
 }
 
+// queryWaiter collects one distributed query's answers for its reader. The
+// actor appends to it and never blocks on the reader.
 type queryWaiter struct {
-	answers chan relation.Tuple
-	done    chan msg.UpdateReport
+	mu       sync.Mutex
+	answers  []relation.Tuple
+	more     chan struct{}    // signalled (capacity 1) after each append
+	finished chan struct{}    // closed by the loop when the session finishes here
+	rep      msg.UpdateReport // the session report, valid once finished is closed
 }
 
-// inboxCap bounds the actor mailbox; transports enqueue via goroutine
-// handoff so peers never deadlock on each other.
-const inboxCap = 1024
+// add appends answers (loop only).
+func (w *queryWaiter) add(answers []relation.Tuple) {
+	w.mu.Lock()
+	w.answers = append(w.answers, answers...)
+	w.mu.Unlock()
+	select {
+	case w.more <- struct{}{}:
+	default:
+	}
+}
+
+// take returns the answers appended since the last take.
+func (w *queryWaiter) take() []relation.Tuple {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.answers
+	w.answers = nil
+	return out
+}
+
+// reportBacklog is the queue length past which a best-effort local-query
+// report is dropped rather than queued (noteLocalQueryReport).
+const reportBacklog = 1024
 
 // New starts a peer. The returned Peer is live: its transport handler is
 // installed and the actor loop is running.
@@ -169,7 +200,7 @@ func New(opts Options) (*Peer, error) {
 		name:       opts.Name,
 		node:       node,
 		log:        log.With("peer", opts.Name),
-		inbox:      make(chan any, inboxCap),
+		events:     newEventQueue(),
 		members:    make(map[string]*member),
 		selfEpoch:  opts.Epoch,
 		timeout:    opts.SuspicionTimeout,
@@ -198,12 +229,7 @@ func New(opts Options) (*Peer, error) {
 	// compensated in the termination detector.
 	p.tr = transport.NewOutbox(opts.Transport, transport.OutboxOptions{OnDrop: p.noteLostSend})
 	p.tcp, _ = rawTransport(p.tr).(*transport.TCP)
-	p.tr.SetHandler(func(env msg.Envelope) {
-		select {
-		case p.inbox <- env:
-		case <-p.stopped:
-		}
-	})
+	p.tr.SetHandler(func(env msg.Envelope) { p.events.put(env) })
 	p.tr.SetPipeDownHandler(p.notePipeDown)
 	if p.timeout > 0 {
 		interval := opts.SuspicionInterval
@@ -244,16 +270,9 @@ func rawTransport(tr transport.Transport) transport.Transport {
 // the peer's outstanding termination-detector deficit.
 type pipeDown struct{ peer string }
 
-// notePipeDown posts a pipeDown into the actor loop without blocking the
-// transport goroutine that reports it.
-func (p *Peer) notePipeDown(peer string) {
-	go func() {
-		select {
-		case p.inbox <- pipeDown{peer: peer}:
-		case <-p.stopped:
-		}
-	}()
-}
+// notePipeDown queues a pipeDown for the actor loop. TCP reports a failed
+// read from the pipe's read loop, so it follows the pipe's last envelope.
+func (p *Peer) notePipeDown(peer string) { p.events.put(pipeDown{peer: peer}) }
 
 // lostSend reports an asynchronous delivery failure from the outbox; the
 // actor loop compensates the termination detector for it.
@@ -263,82 +282,115 @@ type lostSend struct {
 	err     error
 }
 
-// noteLostSend posts a lostSend into the actor loop. It is called from an
-// outbox writer goroutine and must not block it: the handoff runs in its
-// own goroutine so a full inbox cannot stall (or deadlock with) the writer.
+// noteLostSend queues a lostSend for the actor loop; it is called from an
+// outbox writer goroutine, or from the outbox inside the loop's own
+// Disconnect.
 func (p *Peer) noteLostSend(to string, payload msg.Payload, err error) {
-	go func() {
-		select {
-		case p.inbox <- lostSend{to: to, payload: payload, err: err}:
-		case <-p.stopped:
-		}
-	}()
+	p.events.put(lostSend{to: to, payload: payload, err: err})
 }
 
 // noteLocalQueryReport records a bypassed query's synthetic report in the
 // node's statistics module, so session-free local queries still appear in
-// Reports() and super-peer aggregation. The post is strictly best-effort
-// and non-blocking: when the inbox is saturated (a heavy update session in
-// flight — exactly when readers must not re-couple to the loop), the
-// report is dropped rather than parking a goroutine per query.
+// Reports() and super-peer aggregation. The post is strictly best-effort:
+// when the queue is backlogged (a heavy update session in flight — exactly
+// when readers must not re-couple to the loop), the report is dropped.
 func (p *Peer) noteLocalQueryReport(rep msg.UpdateReport) {
-	cmd := command{run: func() { p.node.NoteReport(rep) }, done: make(chan struct{})}
-	select {
-	case p.inbox <- cmd:
-	case <-p.stopped:
-	default:
-	}
+	p.events.offer(func() { p.node.NoteReport(rep) }, reportBacklog)
 }
 
 // Name returns the peer's node name.
 func (p *Peer) Name() string { return p.name }
 
-// command is posted into the actor loop; run executes with exclusive access
-// to all peer state.
-type command struct {
-	run  func()
-	done chan struct{}
-}
-
 // do runs fn inside the actor loop and waits for it.
 func (p *Peer) do(fn func()) error {
-	cmd := command{run: fn, done: make(chan struct{})}
-	select {
-	case p.inbox <- cmd:
-	case <-p.stopped:
-		return fmt.Errorf("peer %s: %w", p.name, ErrStopped)
+	done := make(chan struct{})
+	if p.events.put(func() { fn(); close(done) }) {
+		select {
+		case <-done:
+			return nil
+		case <-p.stopped:
+		}
 	}
-	select {
-	case <-cmd.done:
+	return fmt.Errorf("peer %s: %w", p.name, ErrStopped)
+}
+
+// eventQueue is the actor loop's input: an unbounded FIFO of envelopes,
+// commands (func()), lost sends and pipe-downs. Producers never block; the
+// loop is its only consumer.
+type eventQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	items  []any
+	closed bool
+}
+
+func newEventQueue() *eventQueue {
+	q := &eventQueue{}
+	q.cond.L = &q.mu
+	return q
+}
+
+// put appends item, reporting false once the queue is closed.
+func (q *eventQueue) put(item any) bool { return q.offer(item, math.MaxInt) }
+
+// offer is put, except that it drops item while limit items are queued.
+func (q *eventQueue) offer(item any, limit int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.items) >= limit {
+		return false
+	}
+	q.items = append(q.items, item)
+	q.cond.Signal()
+	return true
+}
+
+// take returns every queued item, handing spare (emptied) to the queue as
+// its next buffer. With wait it blocks while the queue is empty and open;
+// without, it may return none. It returns nil once the queue is closed.
+func (q *eventQueue) take(spare []any, wait bool) []any {
+	clear(spare)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for wait && len(q.items) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if q.closed {
 		return nil
-	case <-p.stopped:
-		return fmt.Errorf("peer %s: %w", p.name, ErrStopped)
 	}
+	items := q.items
+	q.items = spare[:0]
+	return items
+}
+
+// close makes every later put fail and wakes the loop to exit.
+func (q *eventQueue) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	q.cond.Broadcast()
 }
 
 func (p *Peer) loop() {
 	defer close(p.loopDone)
-	var carried any // non-envelope item pulled out of the inbox by a burst
+	var batch []any
 	for {
-		item := carried
-		carried = nil
-		if item == nil {
-			select {
-			case item = <-p.inbox:
-			case <-p.stopped:
-				return
-			}
+		if batch = p.events.take(batch, true); batch == nil {
+			return
 		}
-		switch v := item.(type) {
-		case msg.Envelope:
-			carried = p.handleEnvelopeBurst(v)
-		case lostSend:
-			p.handleLostSend(v)
-		case pipeDown:
-			p.handlePipeDown(v)
-		case command:
-			v.run()
-			close(v.done)
+		for i := 0; i < len(batch); {
+			switch v := batch[i].(type) {
+			case msg.Envelope:
+				batch, i = p.handleEnvelopeBurst(batch, i)
+				continue
+			case lostSend:
+				p.handleLostSend(v)
+			case pipeDown:
+				p.handlePipeDown(v)
+			case func():
+				v()
+			}
+			i++
 		}
 	}
 }
@@ -348,49 +400,44 @@ func (p *Peer) loop() {
 // already abandoned — no send error is ever observed for such a message —
 // so when the transport reports the pipe down, the outstanding
 // per-destination deficit counts messages whose acknowledgements may never
-// arrive. The notification travels through a goroutine, so it can be
-// stale: the lifecycle ignores it while the transport lists a live pipe.
+// arrive. The report can be stale: the peer may have redialled, or this
+// node re-opened the pipe, between the failure and this event. The
+// lifecycle ignores it while the transport lists a live pipe.
 func (p *Peer) handlePipeDown(d pipeDown) {
 	p.apply(d.peer, event{kind: evPipeDown, pipeLive: slices.Contains(p.tr.Peers(), d.peer)})
 }
 
-// maxBurst bounds how many queued inbox items one burst may drain, so a
-// firehose of inbound traffic cannot starve commands indefinitely.
+// maxBurst bounds how many envelopes one burst handles, so a firehose of
+// inbound traffic cannot starve commands indefinitely.
 const maxBurst = 256
 
-// handleEnvelopeBurst processes one envelope plus every further envelope
-// already queued in the inbox as a single activity period: per-message
-// acknowledgements are deferred across the burst (core.DeferAcks) and
-// flushed once at the end, coalescing a burst of n messages from one sender
-// into one counted ack. Messages themselves are still handled — and their
-// outbound results shipped — strictly in arrival order. The first
-// non-envelope item pulled while draining is returned for the caller to
-// process after the burst (it arrived after every envelope handled here).
-func (p *Peer) handleEnvelopeBurst(first msg.Envelope) (carried any) {
+// handleEnvelopeBurst processes the envelope at batch[i] plus the envelopes
+// after it — polling the queue again when batch runs out — as a single
+// activity period: per-message acknowledgements are deferred across the
+// burst (core.DeferAcks) and flushed once at the end, coalescing a burst of
+// n messages from one sender into one counted ack, and on a durable peer
+// committing the burst once. Messages themselves are still handled — and
+// their outbound results shipped — strictly in arrival order. The burst
+// ends at maxBurst envelopes, at the first item that is not an envelope, or
+// when the queue is empty; it returns the batch and index to resume at.
+func (p *Peer) handleEnvelopeBurst(batch []any, i int) ([]any, int) {
 	p.node.DeferAcks(true)
-	p.handleEnvelope(first)
-	for i := 1; i < maxBurst && carried == nil; i++ {
-		select {
-		case item := <-p.inbox:
-			if env, ok := item.(msg.Envelope); ok {
-				p.handleEnvelope(env)
-			} else {
-				carried = item
+	for n := 0; n < maxBurst; n++ {
+		if i == len(batch) {
+			if batch, i = p.events.take(batch, false), 0; len(batch) == 0 {
+				break
 			}
-		default:
-			carried = noMoreItems{}
 		}
+		env, ok := batch[i].(msg.Envelope)
+		if !ok {
+			break
+		}
+		p.handleEnvelope(env)
+		i++
 	}
 	p.dispatch(p.node.FlushDeferred())
-	if _, ok := carried.(noMoreItems); ok {
-		return nil
-	}
-	return carried
+	return batch, i
 }
-
-// noMoreItems marks a burst that drained the inbox dry (vs. one ended by a
-// non-envelope item that still needs processing).
-type noMoreItems struct{}
 
 // handleLostSend writes off a message the outbox accepted but could not
 // deliver (pipe failure or disconnect with queued frames) — the
@@ -411,6 +458,7 @@ func (p *Peer) Stop() {
 	default:
 	}
 	close(p.stopped)
+	p.events.close()
 	p.tr.Close()
 	<-p.loopDone
 }
@@ -488,12 +536,7 @@ func (p *Peer) dispatch(res core.Result) {
 	// Answers must reach their waiter before Finished closes it.
 	if len(res.Answers) > 0 {
 		if w, ok := p.queries[res.AnswersSID]; ok {
-			for _, a := range res.Answers {
-				select {
-				case w.answers <- a:
-				case <-p.stopped: // a reader that went away must not hold up Stop
-				}
-			}
+			w.add(res.Answers)
 		}
 	}
 	for _, f := range res.Finished {
@@ -503,8 +546,8 @@ func (p *Peer) dispatch(res core.Result) {
 			delete(p.updates, f.SID)
 		}
 		if w, ok := p.queries[f.SID]; ok {
-			w.done <- f.Report
-			close(w.answers)
+			w.rep = f.Report
+			close(w.finished)
 			delete(p.queries, f.SID)
 		}
 		if replyTo, ok := p.remoteCmds[f.SID]; ok {
@@ -772,43 +815,26 @@ func (p *Peer) Schema() *relation.Schema { return p.readPath.w.Schema() }
 // RunUpdate starts a global update at this node and waits for its
 // completion report.
 func (p *Peer) RunUpdate(ctx context.Context) (msg.UpdateReport, error) {
-	sid := msg.NewSID(p.name)
-	ch := make(chan msg.UpdateReport, 1)
-	var startErr error
-	if err := p.do(func() {
-		res, err := p.node.StartUpdate(sid)
-		if err != nil {
-			startErr = err
-			return
-		}
-		p.updates[sid] = ch
-		p.dispatch(res)
-	}); err != nil {
-		return msg.UpdateReport{}, err
-	}
-	if startErr != nil {
-		return msg.UpdateReport{}, startErr
-	}
-	select {
-	case rep := <-ch:
-		return rep, nil
-	case <-ctx.Done():
-		p.do(func() { delete(p.updates, sid) })
-		return msg.UpdateReport{}, fmt.Errorf("peer %s: update %s: %w", p.name, sid, ctx.Err())
-	case <-p.stopped:
-		return msg.UpdateReport{}, fmt.Errorf("peer %s: stopped during update", p.name)
-	}
+	return p.runUpdate(ctx, "update", p.node.StartUpdate)
 }
 
 // RunScopedUpdate starts a query-dependent update at this node: only the
 // data transitively relevant to the given relations is fetched, but it is
 // materialised into the local databases along the way.
 func (p *Peer) RunScopedUpdate(ctx context.Context, rels []string) (msg.UpdateReport, error) {
+	return p.runUpdate(ctx, "scoped update", func(sid string) (core.Result, error) {
+		return p.node.StartScopedUpdate(sid, rels)
+	})
+}
+
+// runUpdate starts an update session on the actor loop and waits for its
+// report. When ctx ends first, the waiter is dropped and the session runs on.
+func (p *Peer) runUpdate(ctx context.Context, what string, start func(sid string) (core.Result, error)) (msg.UpdateReport, error) {
 	sid := msg.NewSID(p.name)
 	ch := make(chan msg.UpdateReport, 1)
 	var startErr error
 	if err := p.do(func() {
-		res, err := p.node.StartScopedUpdate(sid, rels)
+		res, err := start(sid)
 		if err != nil {
 			startErr = err
 			return
@@ -825,10 +851,10 @@ func (p *Peer) RunScopedUpdate(ctx context.Context, rels []string) (msg.UpdateRe
 	case rep := <-ch:
 		return rep, nil
 	case <-ctx.Done():
-		p.do(func() { delete(p.updates, sid) })
-		return msg.UpdateReport{}, fmt.Errorf("peer %s: scoped update %s: %w", p.name, sid, ctx.Err())
+		p.events.put(func() { delete(p.updates, sid) })
+		return msg.UpdateReport{}, fmt.Errorf("peer %s: %s %s: %w", p.name, what, sid, ctx.Err())
 	case <-p.stopped:
-		return msg.UpdateReport{}, fmt.Errorf("peer %s: stopped during scoped update", p.name)
+		return msg.UpdateReport{}, fmt.Errorf("peer %s: stopped during %s", p.name, what)
 	}
 }
 

@@ -210,7 +210,7 @@ func (p *Peer) armDeadline(ruleID string, sl *staleLink) {
 // query pulling it: the actor loop issues the pull on its own, unless the
 // record it was armed for has been cleared meanwhile.
 func (p *Peer) deadlinePull(ruleID string, sl *staleLink) {
-	cmd := command{run: func() {
+	p.events.put(func() {
 		p.prop.mu.Lock()
 		l := p.prop.links[ruleID]
 		current := l != nil && l.stale == sl
@@ -221,11 +221,7 @@ func (p *Peer) deadlinePull(ruleID string, sl *staleLink) {
 		if current {
 			p.startPull([]string{ruleID})
 		}
-	}, done: make(chan struct{})}
-	select {
-	case p.inbox <- cmd:
-	case <-p.stopped:
-	}
+	})
 }
 
 // lazyOutgoing lists the outgoing links this peer pulls rather than has

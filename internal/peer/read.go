@@ -140,24 +140,23 @@ func (rp *readPath) localQuery(st *Statement, l *stmtLinks, mode core.QueryMode)
 	return ans, false, nil
 }
 
-// tryLocalStream serves a distributed-query call entirely from the read
-// path when no outgoing link is relevant to the query — the common case
-// after a global update has materialised everything — so the session
-// machinery (and the actor loop) is never involved. ok is false when the
-// query needs remote data, fails validation (the actor path surfaces the
-// error), or the published rule copy is stale; callers then fall through
-// to the ordinary session start.
-func (rp *readPath) tryLocalStream(st *Statement, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, bool) {
+// tryLocal serves a distributed-query call entirely from the read path
+// when no outgoing link is relevant to the query — the common case after a
+// global update has materialised everything — so the session machinery
+// (and the actor loop) is never involved. ok is false when the query needs
+// remote data, fails validation (the actor path surfaces the error), or the
+// published rule copy is stale; callers then fall through to the ordinary
+// session start.
+func (rp *readPath) tryLocal(st *Statement, mode core.QueryMode) ([]relation.Tuple, msg.UpdateReport, bool) {
 	if !st.valid {
-		return nil, nil, false
+		return nil, msg.UpdateReport{}, false
 	}
 	l := rp.links(st)
 	// A published copy behind the live version is conservative: a relevant
 	// link may have just appeared.
 	if l.ver != rp.node.RuleSetVersion() || len(l.touched) > 0 {
-		return nil, nil, false
+		return nil, msg.UpdateReport{}, false
 	}
-	done := make(chan msg.UpdateReport, 1)
 	rep := msg.UpdateReport{
 		SID:           msg.NewSID(rp.name),
 		Kind:          msg.KindQuery,
@@ -173,19 +172,11 @@ func (rp *readPath) tryLocalStream(st *Statement, mode core.QueryMode) (<-chan r
 	} else {
 		rep.CacheMisses++
 	}
-	// Full buffering: the consumer can abandon the stream without leaking
-	// a goroutine or blocking anything.
-	answers := make(chan relation.Tuple, len(ans))
-	for _, a := range ans {
-		answers <- a
-	}
-	close(answers)
 	rep.EndUnixNano = time.Now().UnixNano()
 	if rp.record != nil {
 		rp.record(rep)
 	}
-	done <- rep
-	return answers, done, true
+	return ans, rep, true
 }
 
 // stats returns the read path's counters.

@@ -106,14 +106,89 @@ func (s *Statement) LocalQuery(mode core.QueryMode) ([]relation.Tuple, error) {
 // completion-report channel. A statement with no relevant outgoing links — everything it
 // reads is local, the steady state after a global update — is answered
 // entirely on the concurrent read path (snapshot plus cached answers),
-// without entering the actor loop or the session machinery.
+// without entering the actor loop or the session machinery. Otherwise one
+// goroutine feeds the channels from the query's answer buffer; if the peer
+// stops first, both close without a report.
 func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
 	p := s.p
-	if answers, done, ok := p.readPath.tryLocalStream(s, mode); ok {
+	if rows, rep, ok := p.readPath.tryLocal(s, mode); ok {
+		// Full buffering: the consumer can abandon the stream without leaking
+		// a goroutine or blocking anything.
+		answers := make(chan relation.Tuple, len(rows))
+		for _, a := range rows {
+			answers <- a
+		}
+		close(answers)
+		done := make(chan msg.UpdateReport, 1)
+		done <- rep
 		return answers, done, nil
 	}
+	w, _, err := s.start(mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, done := make(chan relation.Tuple), make(chan msg.UpdateReport, 1)
+	go p.feed(w, answers, done)
+	return answers, done, nil
+}
+
+// feed streams a query's answers to its reader until the session finishes
+// or the peer stops.
+func (p *Peer) feed(w *queryWaiter, answers chan<- relation.Tuple, done chan<- msg.UpdateReport) {
+	defer close(done)
+	defer close(answers)
+	for {
+		finished := false
+		select {
+		case <-w.more:
+		case <-w.finished:
+			finished = true
+		case <-p.stopped:
+			return
+		}
+		for _, a := range w.take() {
+			select {
+			case answers <- a:
+			case <-p.stopped:
+				return
+			}
+		}
+		if finished {
+			done <- w.rep
+			return
+		}
+	}
+}
+
+// Query runs the statement as a distributed query to completion and
+// returns all answers. When ctx ends first, the query's waiter is dropped
+// and the session runs on without it.
+func (s *Statement) Query(ctx context.Context, mode core.QueryMode) ([]relation.Tuple, error) {
+	p := s.p
+	if rows, _, ok := p.readPath.tryLocal(s, mode); ok {
+		return rows, nil
+	}
+	w, sid, err := s.start(mode)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-w.finished:
+		return w.take(), nil
+	case <-ctx.Done():
+		p.events.put(func() { delete(p.queries, sid) })
+		return w.take(), fmt.Errorf("peer %s: query: %w", p.name, ctx.Err())
+	case <-p.stopped:
+		return w.take(), fmt.Errorf("peer %s: stopped during query", p.name)
+	}
+}
+
+// start begins the statement as a distributed query session whose answers
+// collect in the returned waiter.
+func (s *Statement) start(mode core.QueryMode) (*queryWaiter, string, error) {
+	p := s.p
 	sid := msg.NewSID(p.name)
-	w := &queryWaiter{answers: make(chan relation.Tuple, 1024), done: make(chan msg.UpdateReport, 1)}
+	w := &queryWaiter{more: make(chan struct{}, 1), finished: make(chan struct{})}
 	var startErr error
 	if err := p.do(func() {
 		p.queries[sid] = w
@@ -125,37 +200,12 @@ func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-c
 		}
 		p.dispatch(res)
 	}); err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
 	if startErr != nil {
-		return nil, nil, startErr
+		return nil, "", startErr
 	}
-	return w.answers, w.done, nil
-}
-
-// Query runs the statement as a distributed query to completion and
-// returns all answers.
-func (s *Statement) Query(ctx context.Context, mode core.QueryMode) ([]relation.Tuple, error) {
-	p := s.p
-	answers, done, err := s.QueryStream(mode)
-	if err != nil {
-		return nil, err
-	}
-	var out []relation.Tuple
-	for {
-		select {
-		case a, ok := <-answers:
-			if !ok {
-				<-done
-				return out, nil
-			}
-			out = append(out, a)
-		case <-ctx.Done():
-			return out, fmt.Errorf("peer %s: query: %w", p.name, ctx.Err())
-		case <-p.stopped:
-			return out, fmt.Errorf("peer %s: stopped during query", p.name)
-		}
-	}
+	return w, sid, nil
 }
 
 // stmtTable is a peer's statement table: a bounded, thread-safe LRU from

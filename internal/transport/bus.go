@@ -7,11 +7,12 @@ import (
 	"codb/internal/msg"
 )
 
-// Bus is the in-process transport: a registry of nodes with per-node
-// delivery goroutines. It simulates a whole P2P network inside one process,
-// which is how the test suite and the benchmark harness run multi-peer
-// topologies on one box. Faults are injected by wrapping a node's
-// Transport (Partitioner), not by the bus.
+// Bus is the in-process transport: a registry of nodes that deliver by
+// calling the receiver's handler on the sender's goroutine, inside Send. It
+// simulates a whole P2P network inside one process, which is how the test
+// suite and the benchmark harness run multi-peer topologies on one box.
+// Faults are injected by wrapping a node's Transport (Partitioner), not by
+// the bus.
 type Bus struct {
 	mu    sync.Mutex
 	nodes map[string]*busNode
@@ -21,10 +22,8 @@ type busNode struct {
 	bus     *Bus
 	name    string
 	handler Handler
-	box     *mailbox
 	pipes   map[string]bool
 	closed  bool
-	wg      sync.WaitGroup
 	mu      sync.Mutex
 }
 
@@ -41,10 +40,8 @@ func (b *Bus) Join(name string) (Transport, error) {
 	if _, dup := b.nodes[name]; dup {
 		return nil, fmt.Errorf("transport: node %q already on the bus", name)
 	}
-	n := &busNode{bus: b, name: name, box: newMailbox(), pipes: make(map[string]bool)}
+	n := &busNode{bus: b, name: name, pipes: make(map[string]bool)}
 	b.nodes[name] = n
-	n.wg.Add(1)
-	go n.pump()
 	return n, nil
 }
 
@@ -82,22 +79,6 @@ func (b *Bus) remove(name string) {
 	delete(b.nodes, name)
 }
 
-func (n *busNode) pump() {
-	defer n.wg.Done()
-	for {
-		env, ok := n.box.take()
-		if !ok {
-			return
-		}
-		n.mu.Lock()
-		h := n.handler
-		n.mu.Unlock()
-		if h != nil {
-			h(env)
-		}
-	}
-}
-
 // Self implements Transport.
 func (n *busNode) Self() string { return n.name }
 
@@ -123,8 +104,9 @@ func (n *busNode) Connect(node, addr string) error {
 	return nil
 }
 
-// Send implements Transport. Batch envelopes (msg.Batch, produced by the
-// Outbox) are unpacked here: the receiver gets one envelope per packed
+// Send implements Transport: the receiver's handler runs here, on the
+// caller's goroutine, once per payload. Batch envelopes (msg.Batch, produced
+// by the Outbox) are unpacked: the receiver gets one envelope per packed
 // payload, in order, and fault injection decides per payload.
 func (n *busNode) Send(to string, p msg.Payload) error {
 	n.mu.Lock()
@@ -141,13 +123,19 @@ func (n *busNode) Send(to string, p msg.Payload) error {
 	if target == nil {
 		return fmt.Errorf("%w: %s (left the network)", ErrUnknownPeer, to)
 	}
+	target.mu.Lock()
+	h, closed := target.handler, target.closed
+	target.mu.Unlock()
+	if closed {
+		return fmt.Errorf("%w: %s (closed)", ErrUnknownPeer, to)
+	}
 	payloads := []msg.Payload{p}
 	if b, ok := p.(*msg.Batch); ok {
 		payloads = b.Payloads
 	}
 	for _, pl := range payloads {
-		if !target.box.put(msg.Envelope{From: n.name, Payload: pl}) {
-			return fmt.Errorf("%w: %s (closed)", ErrUnknownPeer, to)
+		if h != nil {
+			h(msg.Envelope{From: n.name, Payload: pl})
 		}
 	}
 	return nil
@@ -181,7 +169,5 @@ func (n *busNode) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 	n.bus.remove(n.name)
-	n.box.close()
-	n.wg.Wait()
 	return nil
 }

@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"codb/internal/msg"
 )
 
 // Partitioner wraps a Transport with a fault-injection seam for tests,
 // stress runs, and the partition/heal benchmark: frames to or from a set of
-// peers can be silently dropped (a network partition) or delayed (a slow
-// link) per direction, without the underlying transport noticing.
+// peers can be silently dropped (a network partition) per direction,
+// without the underlying transport noticing.
 //
 // A partition here is *silent*, matching what a real partition looks like
 // from the endpoints: outbound Sends to a blocked peer report success and
@@ -33,7 +32,6 @@ type Partitioner struct {
 	mu       sync.Mutex
 	blockTo  map[string]bool
 	blockFrm map[string]bool
-	delay    time.Duration
 
 	handlerMu sync.Mutex
 	handler   Handler
@@ -104,15 +102,6 @@ func (f *Partitioner) BlockInbound(peers ...string) {
 	}
 }
 
-// SetDelay sleeps every inbound delivery by d (0 disables). Delivery is
-// per-sender FIFO below this wrapper, so the delay models a uniformly slow
-// ingress path rather than reordering.
-func (f *Partitioner) SetDelay(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.delay = d
-}
-
 // Dropped reports frames discarded by the injector (outbound, inbound).
 func (f *Partitioner) Dropped() (out, in uint64) {
 	return f.droppedOut.Load(), f.droppedIn.Load()
@@ -124,19 +113,15 @@ func (f *Partitioner) blockedTo(peer string) bool {
 	return f.blockTo[peer]
 }
 
-// deliver is the inner transport's handler: it applies the inbound drop and
-// delay, then forwards to the handler installed via SetHandler.
+// deliver is the inner transport's handler: it applies the inbound drop,
+// then forwards to the handler installed via SetHandler.
 func (f *Partitioner) deliver(env msg.Envelope) {
 	f.mu.Lock()
 	drop := f.blockFrm[env.From]
-	delay := f.delay
 	f.mu.Unlock()
 	if drop {
 		f.droppedIn.Add(1)
 		return
-	}
-	if delay > 0 {
-		time.Sleep(delay)
 	}
 	f.handlerMu.Lock()
 	h := f.handler

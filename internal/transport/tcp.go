@@ -26,12 +26,14 @@ import (
 // termination detector for lost messages — but unlike the earlier gob
 // streams, no per-connection codec state exists to desynchronise.
 //
+// Each pipe's read loop calls the handler itself, so deliveries from one
+// sender are ordered, and a read failure's pipe-down follows the pipe's
+// last envelope.
 // Batch envelopes (msg.Batch, produced by the Outbox) are unpacked here on
 // receive: the handler sees one envelope per packed payload, in order.
 type TCP struct {
 	self string
 	ln   net.Listener
-	box  *mailbox
 
 	mu      sync.Mutex
 	conns   map[string]*tcpConn
@@ -102,14 +104,12 @@ func NewTCP(self, addr string) (*TCP, error) {
 	t := &TCP{
 		self:    self,
 		ln:      ln,
-		box:     newMailbox(),
 		conns:   make(map[string]*tcpConn),
 		dialing: make(map[string]chan struct{}),
 		done:    make(chan struct{}),
 	}
-	t.wg.Add(2)
+	t.wg.Add(1)
 	go t.acceptLoop()
-	go t.pump()
 	return t, nil
 }
 
@@ -148,22 +148,6 @@ func (t *TCP) notifyPipeDown(peer string) {
 	t.handlerMu.Unlock()
 	if fn != nil {
 		fn(peer)
-	}
-}
-
-func (t *TCP) pump() {
-	defer t.wg.Done()
-	for {
-		env, ok := t.box.take()
-		if !ok {
-			return
-		}
-		t.handlerMu.Lock()
-		h := t.handler
-		t.handlerMu.Unlock()
-		if h != nil {
-			h(env)
-		}
 	}
 }
 
@@ -303,13 +287,19 @@ func (t *TCP) readLoop(peer string, c net.Conn, version byte) {
 			t.dropConn(peer, c)
 			return
 		}
+		t.handlerMu.Lock()
+		deliver := t.handler
+		t.handlerMu.Unlock()
+		if deliver == nil {
+			continue
+		}
 		if b, ok := env.Payload.(*msg.Batch); ok {
 			for _, p := range b.Payloads {
-				t.box.put(msg.Envelope{From: env.From, Payload: p})
+				deliver(msg.Envelope{From: env.From, Payload: p})
 			}
 			continue
 		}
-		t.box.put(env)
+		deliver(env)
 	}
 }
 
@@ -604,7 +594,6 @@ func (t *TCP) Close() error {
 	for _, c := range conns {
 		c.c.Close()
 	}
-	t.box.close()
 	t.wg.Wait()
 	return nil
 }

@@ -11,21 +11,27 @@
 // outbound pipeline: Send becomes an enqueue, one writer goroutine per pipe
 // drains its queue, and queued payloads for the same destination are
 // coalesced into msg.Batch envelopes (one frame on the wire). See the
-// Outbox type for the flush and backpressure policy. Receiving transports
-// unpack batches before delivery, so handlers always see one envelope per
-// payload, in per-sender FIFO order, whether or not the sender batches.
+// Outbox type for the flush and backpressure policy.
+//
+// Inbound, no transport queues anything: it calls the handler on the
+// goroutine that received the envelope — a TCP pipe's read loop, or the
+// sender's own goroutine inside Bus.Send. Batches are unpacked before
+// delivery, so a handler always sees one envelope per payload, in
+// per-sender FIFO order, whether or not the sender batches. A handler must
+// therefore never block: the peer layer puts each envelope into its actor's
+// unbounded event queue and returns.
 package transport
 
 import (
 	"errors"
-	"sync"
 
 	"codb/internal/msg"
 )
 
-// Handler consumes inbound envelopes. Implementations call it sequentially
-// per receiving node (one delivery goroutine per node), so peer actors can
-// treat it as their serial event source.
+// Handler consumes inbound envelopes. It is called on the receiving
+// goroutine (a TCP pipe's read loop, or the sender's goroutine on the Bus),
+// in order per sender; calls for different senders may run concurrently. It
+// must not block: a blocked handler stalls its pipe, or its sender.
 type Handler func(env msg.Envelope)
 
 // Transport is a node's connection to the network.
@@ -64,7 +70,8 @@ type AddrDialer interface {
 // do not account for every lost message. The handler is invoked from a
 // transport goroutine once per torn-down pipe (deliberate Disconnect and
 // Close excluded) and must not block or call back into the transport
-// synchronously.
+// synchronously. On TCP a failed read is reported by the pipe's own read
+// loop, after the last envelope that loop delivered.
 type PipeNotifier interface {
 	SetPipeDownHandler(func(peer string))
 }
@@ -74,53 +81,3 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("transport: closed")
-
-// mailbox is an unbounded FIFO queue with a blocking receiver, so that
-// senders never block (preventing peer-to-peer deadlock) while each
-// receiver processes sequentially.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []msg.Envelope
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// put enqueues; returns false when the mailbox is closed.
-func (m *mailbox) put(e msg.Envelope) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.items = append(m.items, e)
-	m.cond.Signal()
-	return true
-}
-
-// take blocks until an item arrives or the mailbox closes.
-func (m *mailbox) take() (msg.Envelope, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.items) == 0 {
-		return msg.Envelope{}, false
-	}
-	e := m.items[0]
-	m.items = m.items[1:]
-	return e, true
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
-}

@@ -280,28 +280,6 @@ func TestTCPCloseIsIdempotentAndStopsSends(t *testing.T) {
 	}
 }
 
-func TestMailboxCloseUnblocksTake(t *testing.T) {
-	m := newMailbox()
-	done := make(chan bool)
-	go func() {
-		_, ok := m.take()
-		done <- ok
-	}()
-	time.Sleep(5 * time.Millisecond)
-	m.close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Error("take returned ok after close")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("take did not unblock")
-	}
-	if m.put(msg.Envelope{}) {
-		t.Error("put after close accepted")
-	}
-}
-
 func TestBusManyNodesFanout(t *testing.T) {
 	bus := NewBus()
 	hub := bus.MustJoin("hub")

@@ -3,7 +3,8 @@
 #
 #   bash scripts/check.sh
 #
-# Builds the root module, vets it, checks formatting, runs its tests, then
+# Builds the root module, vets it, checks formatting, runs its tests under
+# the race detector in shuffled order (as CI's test-race job does), then
 # vets and tests the nested benchmark module (bench/), which the root
 # module's ./... does not see. It stops at the first failure and edits
 # nothing.
@@ -21,8 +22,8 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted" >&2
 	exit 1
 fi
-echo "== go test ./..."
-go test ./...
+echo "== go test -race -shuffle=on ./..."
+go test -race -shuffle=on ./...
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: ok"
