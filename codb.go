@@ -743,8 +743,9 @@ func (nw *Network) Query(ctx context.Context, node, query string, mode QueryMode
 
 // QueryStream is Query with streaming results: answers arrive on the first
 // channel as they are discovered; the second channel delivers the session
-// report when the query completes.
-func (nw *Network) QueryStream(node, query string, mode QueryMode) (<-chan Tuple, <-chan Report, error) {
+// report when the query completes. When ctx ends first, both channels close
+// without a report and the session runs on without the reader.
+func (nw *Network) QueryStream(ctx context.Context, node, query string, mode QueryMode) (<-chan Tuple, <-chan Report, error) {
 	p := nw.Peer(node)
 	if p == nil {
 		return nil, nil, unknownPeer(node)
@@ -753,7 +754,7 @@ func (nw *Network) QueryStream(node, query string, mode QueryMode) (<-chan Tuple
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.QueryStream(mode)
+	return st.QueryStream(ctx, mode)
 }
 
 // PeerReadStats returns a node's read-path counters; ok is false for

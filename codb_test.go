@@ -2,9 +2,13 @@ package codb
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"codb/internal/msg"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -69,7 +73,7 @@ func TestNetworkQueryStream(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		nw.Insert("b", "r", Row(Int(i)))
 	}
-	answers, done, err := nw.QueryStream("a", `ans(x) :- r(x)`, AllAnswers)
+	answers, done, err := nw.QueryStream(ctxT(t), "a", `ans(x) :- r(x)`, AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +137,21 @@ func TestNetworkQueryLargeLocalAnswer(t *testing.T) {
 }
 
 // TestNetworkAbandonedQueryStream: a stream nobody reads holds up no other
-// call on its peer.
+// call on its peer, and once its ctx is cancelled it holds nothing at all:
+// its feeding goroutine exits and its waiter is dropped, before the network
+// closes.
 func TestNetworkAbandonedQueryStream(t *testing.T) {
 	nw := largeLocalAnswer(t, 2000)
+	// A first query, read to the end, opens the pipes and starts their
+	// writers, so the goroutine count below holds only what the stream adds.
+	if _, err := nw.Query(ctxT(t), "a", `ans(x) :- r(x)`, AllAnswers); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	within(t, 5*time.Second, "QueryStream", func() {
-		if _, _, err := nw.QueryStream("a", `ans(x) :- r(x)`, AllAnswers); err != nil {
+		if _, _, err := nw.QueryStream(ctx, "a", `ans(x) :- r(x)`, AllAnswers); err != nil {
 			t.Error(err)
 		}
 	})
@@ -146,6 +160,39 @@ func TestNetworkAbandonedQueryStream(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	cancel()
+	a := nw.Peer("a")
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before || queryReports(a) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines and %d finished queries 5 s after the cancel; want at most %d and 2",
+				runtime.NumGoroutine(), queryReports(a), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := waiters(a); n != 0 {
+		t.Fatalf("peer a holds %d waiters after the cancelled stream", n)
+	}
+}
+
+// queryReports counts the distributed queries a peer has finished.
+func queryReports(p *Peer) int {
+	n := 0
+	for _, rep := range p.Reports() {
+		if rep.Kind == msg.KindQuery {
+			n++
+		}
+	}
+	return n
+}
+
+// waiters is the size of a peer's waiter table, read by reflection: the
+// table belongs to the actor loop, so callers read it only once the peer
+// runs no session and no caller is left to drop a waiter. Reports runs on
+// the loop first, so whatever was queued before the call has run.
+func waiters(p *Peer) int {
+	p.Reports()
+	return reflect.ValueOf(p).Elem().FieldByName("waiting").Len()
 }
 
 func TestNetworkFromConfig(t *testing.T) {
@@ -271,7 +318,7 @@ func TestNetworkErrors(t *testing.T) {
 	if _, err := nw.LocalQuery("ghost", `ans(x) :- r(x)`, AllAnswers); err == nil {
 		t.Error("local query at missing peer accepted")
 	}
-	if _, _, err := nw.QueryStream("ghost", `ans(x) :- r(x)`, AllAnswers); err == nil {
+	if _, _, err := nw.QueryStream(ctxT(t), "ghost", `ans(x) :- r(x)`, AllAnswers); err == nil {
 		t.Error("stream at missing peer accepted")
 	}
 	if _, err := NewNetworkFromConfig("garbage"); err == nil {

@@ -10,6 +10,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"codb/internal/transport"
 )
 
 // postJSON posts a JSON body and decodes a JSON response, returning the
@@ -249,5 +252,51 @@ func TestGatewayNDJSONAcceptHeader(t *testing.T) {
 	got := strings.TrimSpace(string(raw))
 	if want := "[5]\n{\"count\":1,\"done\":true}"; got != want {
 		t.Fatalf("NDJSON body = %q, want %q", got, want)
+	}
+}
+
+// TestGatewayNDJSONTimeout: a streamed query honours ?timeout=. With its
+// exporter silenced, the session cannot finish; the stream ends at the
+// bound all the same, with the ctx error in its trailer.
+func TestGatewayNDJSONTimeout(t *testing.T) {
+	var silence *transport.Partitioner
+	nw := NewNetworkWithOptions(NetworkOptions{
+		Transport: TransportGroup{TCP: true, Wrap: func(node string, tr transport.Transport) transport.Transport {
+			if node != "b" {
+				return tr
+			}
+			silence = transport.NewPartitioner(tr)
+			return silence
+		}},
+		HTTP: HTTPGroup{Enable: true},
+	})
+	defer nw.Close()
+	nw.MustAddPeer("a", "r(x int)")
+	nw.MustAddPeer("b", "r(x int)")
+	nw.MustAddRule("r1", `a.r(x) <- b.r(x)`)
+	silence.Partition("a")
+	addr, _ := nw.PeerHTTPAddr("a")
+	client := &http.Client{Timeout: 10 * time.Second}
+	var body []byte
+	within(t, 5*time.Second, "NDJSON query with ?timeout=100ms", func() {
+		resp, err := client.Post("http://"+addr+"/v1/query?stream=ndjson&timeout=100ms",
+			"application/json", strings.NewReader(`{"query": "ans(x) :- r(x)"}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var trailer map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
+		t.Fatalf("trailer %q: %v", lines[len(lines)-1], err)
+	}
+	if msg, _ := trailer["error"].(string); trailer["done"] != true || !strings.Contains(msg, "deadline exceeded") {
+		t.Fatalf("trailer = %v, want done with a deadline error", trailer)
 	}
 }

@@ -318,16 +318,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	if wantsNDJSON(r) {
-		s.streamQuery(w, st, mode, req.Local)
-		return
-	}
 	ctx, cancel, err := requestCtx(r)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
 	defer cancel()
+	if wantsNDJSON(r) {
+		s.streamQuery(ctx, w, st, mode, req.Local)
+		return
+	}
 	var got []relation.Tuple
 	if req.Local {
 		got, err = st.LocalQuery(mode)
@@ -344,9 +344,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // streamQuery writes answers as NDJSON: one JSON array per answer row,
 // then a final object line {"done":true,"count":n[,"report":{...}]}.
-// Headers go out before evaluation completes, so failures mid-stream can
+// Headers go out before evaluation completes, so failures mid-stream —
+// ctx ending (the ?timeout= bound, a client disconnect) among them — can
 // only be reported in the trailer object's "error" field.
-func (s *Server) streamQuery(w http.ResponseWriter, st *peer.Statement, mode core.QueryMode, local bool) {
+func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, st *peer.Statement, mode core.QueryMode, local bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -369,7 +370,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, st *peer.Statement, mode cor
 		flush()
 		return
 	}
-	answers, reports, err := st.QueryStream(mode)
+	answers, reports, err := st.QueryStream(ctx, mode)
 	if err != nil {
 		enc.Encode(map[string]any{"done": true, "count": 0, "error": err.Error()})
 		return
@@ -382,8 +383,15 @@ func (s *Server) streamQuery(w http.ResponseWriter, st *peer.Statement, mode cor
 			flush()
 		}
 	}
-	rep := <-reports
-	enc.Encode(map[string]any{"done": true, "count": n, "report": rep})
+	if rep, ok := <-reports; ok {
+		enc.Encode(map[string]any{"done": true, "count": n, "report": rep})
+	} else {
+		err := ctx.Err()
+		if err == nil {
+			err = peer.ErrStopped
+		}
+		enc.Encode(map[string]any{"done": true, "count": n, "error": err.Error()})
+	}
 	flush()
 }
 

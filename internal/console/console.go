@@ -132,7 +132,9 @@ func (c *Console) runQuery(cmd, rest string) {
 		c.printf("%d answers in %v\n", len(rows), time.Since(start).Round(time.Microsecond))
 		return
 	}
-	answers, done, err := c.nw.QueryStream(node, q, mode)
+	ctx, cancel := c.ctx()
+	defer cancel()
+	answers, done, err := c.nw.QueryStream(ctx, node, q, mode)
 	if err != nil {
 		c.printf("error: %v\n", err)
 		return
@@ -142,7 +144,15 @@ func (c *Console) runQuery(cmd, rest string) {
 		n++
 		c.printf("  %s\n", row)
 	}
-	rep := <-done
+	rep, ok := <-done
+	if !ok {
+		err := ctx.Err()
+		if err == nil {
+			err = codb.ErrPeerClosed
+		}
+		c.printf("error after %d answers: %v\n", n, err)
+		return
+	}
 	c.printf("%d answers in %v (%d msgs received)\n",
 		n, time.Since(start).Round(time.Microsecond), totalMsgs(rep))
 }

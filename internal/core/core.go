@@ -66,7 +66,6 @@ import (
 
 	"codb/internal/chase"
 	"codb/internal/cq"
-	"codb/internal/diffuse"
 	"codb/internal/msg"
 	"codb/internal/relation"
 	"codb/internal/storage"
@@ -262,7 +261,6 @@ type Node struct {
 	// shipped data to (see forget): one small entry per finished session,
 	// kept so a stale message is acknowledged, not taken for a new session.
 	finished map[string][]string
-	ds       *diffuse.Engine
 	reports  []msg.UpdateReport
 
 	// configured holds the propagation policies set by rule ID, declared
@@ -323,7 +321,6 @@ func NewNode(cfg Config) (*Node, error) {
 		rules:      make(map[string]*ruleState),
 		sessions:   make(map[string]*session),
 		finished:   make(map[string][]string),
-		ds:         diffuse.New(cfg.Self),
 		dirty:      make(map[string]*session),
 		configured: make(map[string]linkPolicy),
 	}, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"codb/internal/diffuse"
 	"codb/internal/msg"
 	"codb/internal/relation"
 )
@@ -68,6 +69,69 @@ func TestStaleMessageAfterDone(t *testing.T) {
 				t.Errorf("A holds %d r tuples after the stale message, want 1", got)
 			}
 		})
+	}
+}
+
+// deficitTo is a node's outstanding deficit toward one peer in a running
+// session (0 once the session is gone).
+func deficitTo(n *Node, sid, to string) int {
+	if s := n.sessions[sid]; s != nil {
+		return s.ds.DeficitTo(to)
+	}
+	return 0
+}
+
+// TestStaleMessagesInOneBurst: stale messages of a finished session from two
+// senders within one burst are each acknowledged at the flush, the first as
+// the stub's parent and the second as an owed ack, so neither sender's
+// deficit toward the node stays stuck.
+func TestStaleMessagesInOneBurst(t *testing.T) {
+	s := newSim(t)
+	s.addNode("A", "r/1")
+	s.addNode("B", "r/1")
+	s.rule("r1", `A.r(x) <- B.r(x)`)
+	s.seed("B", "r", []int{1})
+	s.update("A")
+	a := s.nodes["A"]
+	var sid string
+	for _, rep := range a.Reports() {
+		sid = rep.SID
+	}
+
+	// The senders' detectors, each with one basic message in flight to A.
+	senders := map[string]*diffuse.Session{"B": new(diffuse.Session), "C": new(diffuse.Session)}
+	a.DeferAcks(true)
+	for _, env := range []msg.Envelope{
+		{From: "B", Payload: &msg.SessionRequest{SID: sid, Kind: msg.KindUpdate, Origin: "A", Path: []string{"B"}}},
+		{From: "C", Payload: &msg.SessionData{SID: sid, Kind: msg.KindUpdate, Origin: "A", RuleID: "r1",
+			Bindings: []relation.Tuple{{relation.Int(9)}}, Path: []string{"C"}}},
+	} {
+		senders[env.From].Sent("A", 1)
+		if res := a.Handle(env); len(res.Out) != 0 {
+			t.Fatalf("stale message from %s answered inside the burst: %+v", env.From, res.Out)
+		}
+	}
+	res := a.FlushDeferred()
+	for _, o := range res.Out {
+		ack, ok := o.Payload.(*msg.SessionAck)
+		if !ok || ack.SID != sid || senders[o.To] == nil {
+			t.Fatalf("flush sent %T to %s: %+v", o.Payload, o.To, o.Payload)
+		}
+		senders[o.To].AckReceived("A", ack.N)
+	}
+	for name, d := range senders {
+		if left := d.DeficitTo("A"); left != 0 {
+			t.Errorf("%s still counts %d unacknowledged messages to A", name, left)
+		}
+	}
+	if len(res.Finished) != 0 {
+		t.Error("stale messages re-finished the session")
+	}
+	if active := a.ActiveSessions(); len(active) != 0 {
+		t.Errorf("stale messages recreated sessions %v", active)
+	}
+	if got := a.Wrapper().Count("r"); got != 1 {
+		t.Errorf("A holds %d r tuples after the stale burst, want 1", got)
 	}
 }
 

@@ -18,7 +18,7 @@ func (n *Node) StartUpdate(sid string) (Result, error) {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
 	s := n.newSession(sid, msg.KindUpdate, n.cfg.Self)
-	n.ds.Start(sid)
+	s.ds.Start()
 	n.joinUpdate(s, "", &r)
 	n.flushDS(s, &r)
 	return r, nil
@@ -51,7 +51,7 @@ func (n *Node) StartQuery(sid string, q *cq.Query, mode QueryMode) (Result, erro
 	s.query = q
 	s.certain = mode == CertainAnswers
 	s.answerKeys = make(map[string]bool)
-	n.ds.Start(sid)
+	s.ds.Start()
 
 	// Answer from local data immediately (paper §3): the one full
 	// evaluation of the session; fetched data streams further answers
@@ -111,7 +111,7 @@ func (n *Node) startScoped(sid string, links []*cq.Rule) (Result, error) {
 		return r, fmt.Errorf("core: session %s already exists", sid)
 	}
 	s := n.newSession(sid, msg.KindScoped, n.cfg.Self)
-	n.ds.Start(sid)
+	s.ds.Start()
 	n.requestQueryLinks(s, links, []string{n.cfg.Self}, &r)
 	n.flushDS(s, &r)
 	return r, nil
@@ -181,7 +181,7 @@ func (n *Node) joinUpdate(s *session, from string, r *Result) {
 				Rules:  defs,
 			}
 			r.send(acq, req)
-			n.ds.Sent(s.sid, acq, 1)
+			s.ds.Sent(acq, 1)
 			if len(defs) > 0 {
 				s.noteQueried(acq)
 			}
@@ -195,10 +195,11 @@ func (n *Node) joinUpdate(s *session, from string, r *Result) {
 func (n *Node) requestQueryLinks(s *session, links []*cq.Rule, path []string, r *Result) {
 	bySource := make(map[string][]msg.RuleDef)
 	for _, o := range links {
-		if s.requestedOut[o.ID] || containsStr(path, o.Source) {
+		l := s.link(o.ID)
+		if l.requested || containsStr(path, o.Source) {
 			continue
 		}
-		s.requestedOut[o.ID] = true
+		l.requested = true
 		bySource[o.Source] = append(bySource[o.Source], msg.RuleDef{ID: o.ID, Text: n.RuleText(o.ID)})
 	}
 	for src, defs := range bySource {
@@ -210,7 +211,7 @@ func (n *Node) requestQueryLinks(s *session, links []*cq.Rule, path []string, r 
 			Rules:  defs,
 		}
 		r.send(src, req)
-		n.ds.Sent(s.sid, src, 1)
+		s.ds.Sent(src, 1)
 		s.noteQueried(src)
 	}
 }
@@ -219,7 +220,7 @@ func (n *Node) requestQueryLinks(s *session, links []*cq.Rule, path []string, r 
 func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 	var r Result
 	s := n.getSession(req.SID, req.Kind, req.Origin)
-	n.ds.Received(req.SID, from)
+	s.ds.Received(from)
 	if s.done {
 		// Stale request after completion: just acknowledge.
 		n.flushDS(s, &r)
@@ -258,17 +259,14 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 				if err != nil || parsed.Source != n.cfg.Self {
 					continue
 				}
-				if s.extra == nil {
-					s.extra = make(map[string]*cq.Rule)
-				}
-				s.extra[d.ID] = parsed
+				s.link(d.ID).extra = parsed
 				rule = parsed
 			}
 			if rule.Source != n.cfg.Self {
 				continue
 			}
 			listed = append(listed, rule)
-			s.activeIncoming[rule.ID] = rule.Target
+			s.link(rule.ID).requester = rule.Target
 			n.exportSince(s, rule, rule.Target, &r)
 		}
 		// Forward to the outgoing links relevant to what was requested.
@@ -300,7 +298,7 @@ func (n *Node) handleRequest(from string, req *msg.SessionRequest) Result {
 func (n *Node) handleData(from string, d *msg.SessionData) Result {
 	var r Result
 	s := n.getSession(d.SID, d.Kind, d.Origin)
-	n.ds.Received(d.SID, from)
+	s.ds.Received(from)
 	if s.done {
 		n.flushDS(s, &r)
 		return r
@@ -376,9 +374,12 @@ func (n *Node) handleData(from string, d *msg.SessionData) Result {
 				n.exportDelta(s, in, in.Target, fresh, path, &r)
 			}
 		case msg.KindQuery, msg.KindScoped:
-			for id, requester := range s.activeIncoming {
+			for id, l := range s.links {
+				if l.requester == "" {
+					continue
+				}
 				if in := n.ruleOf(s, id); in != nil {
-					n.exportDelta(s, in, requester, fresh, path, &r)
+					n.exportDelta(s, in, l.requester, fresh, path, &r)
 				}
 			}
 			if s.kind == msg.KindScoped {
@@ -400,7 +401,7 @@ func (n *Node) handleAck(from string, a *msg.SessionAck) Result {
 	if s == nil {
 		return r // finished: everything it sent was acknowledged or written off
 	}
-	n.ds.AckReceived(a.SID, from, a.N)
+	s.ds.AckReceived(from, a.N)
 	n.flushDS(s, &r)
 	return r
 }
@@ -418,7 +419,6 @@ func (n *Node) handleDone(from string, d *msg.SessionDone) Result {
 			r.send(acq, &msg.SessionDone{SID: d.SID, Origin: d.Origin})
 		}
 	}
-	n.ds.Drop(d.SID)
 	return r
 }
 
@@ -451,10 +451,11 @@ func (n *Node) incrementalFor(s *session, rs *ruleState) bool {
 // history (deletes, changelog truncation, restart past a checkpoint), and
 // the FullExport toggle all fall back to a full evaluation.
 func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
-	if s.evaluated[rule.ID] {
+	l := s.link(rule.ID)
+	if l.evaluated {
 		return
 	}
-	s.evaluated[rule.ID] = true
+	l.evaluated = true
 
 	// Lazy links: a global update floods only the cheap invalidation hint;
 	// the importer pulls the actual delta on demand with a scoped session,
@@ -502,7 +503,7 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 			return
 		}
 		n.beginExport(rs, cur)
-		s.reads[rule.ID] = cur
+		s.track(rule.ID, cur)
 	default:
 		deltas := make(map[string][]relation.Tuple)
 		intact := true
@@ -546,7 +547,7 @@ func (n *Node) exportSince(s *session, rule *cq.Rule, to string, r *Result) {
 			}
 		}
 		n.setWatermark(es, cur)
-		s.reads[rule.ID] = cur
+		s.track(rule.ID, cur)
 	}
 
 	switch mode {
@@ -631,15 +632,15 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	// precede its first export (an update exports every incoming link's
 	// delta), and that export need not be a set (an incremental one reads
 	// committed changes plus the overlay).
-	var sent map[string]bool
+	l := s.link(rule.ID)
 	if s.kind != msg.KindQuery || !rule.Injective() {
-		sent = s.sentSet(rule.ID)
-	}
-	if sent != nil {
+		if l.sent == nil {
+			l.sent = make(map[string]bool)
+		}
 		kept := make([]relation.Tuple, 0, len(bindings))
 		for _, b := range bindings {
-			if k := b.Key(); !sent[k] {
-				sent[k] = true
+			if k := b.Key(); !l.sent[k] {
+				l.sent[k] = true
 				kept = append(kept, b)
 			}
 		}
@@ -648,7 +649,7 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 	if len(bindings) == 0 {
 		return
 	}
-	s.seqOut[rule.ID]++
+	l.seq++
 	data := &msg.SessionData{
 		SID:      s.sid,
 		Kind:     s.kind,
@@ -656,12 +657,12 @@ func (n *Node) sendData(s *session, rule *cq.Rule, to string, bindings []relatio
 		RuleID:   rule.ID,
 		Bindings: bindings,
 		Path:     path,
-		Seq:      s.seqOut[rule.ID],
+		Seq:      l.seq,
 		Mode:     mode,
 		Skipped:  skipped,
 	}
 	r.send(to, data)
-	n.ds.Sent(s.sid, to, 1)
+	s.ds.Sent(to, 1)
 	s.rep.SentMsgs++
 	size := data.Size()
 	s.rep.SentBytes += size
@@ -727,7 +728,7 @@ func (n *Node) flushDS(s *session, r *Result) {
 
 // emitDS is flushDS past the commit: nothing the session staged is unsynced.
 func (n *Node) emitDS(s *session, r *Result) {
-	acks, terminated := n.ds.Flush(s.sid)
+	acks, terminated := s.ds.Flush()
 	for _, a := range acks {
 		r.send(a.To, &msg.SessionAck{SID: s.sid, N: a.N})
 	}
@@ -736,12 +737,6 @@ func (n *Node) emitDS(s *session, r *Result) {
 		for _, acq := range n.Acquaintances() {
 			r.send(acq, &msg.SessionDone{SID: s.sid, Origin: s.origin})
 		}
-	}
-	if s.done {
-		// The session finished here, or this was a stale message of a
-		// finished session, whose receipt engaged the detector anew: either
-		// way its detector state is spent.
-		n.ds.Drop(s.sid)
 	}
 }
 
@@ -800,12 +795,15 @@ func (n *Node) commitStaged(r *Result, sessions ...*session) {
 // watermark for the rest of the session, and the next session re-ships from
 // there, which set semantics make safe.
 func (n *Node) followCommit(s *session, lsn uint64) {
-	for id, read := range s.reads {
-		if rs := n.rules[id]; rs != nil && rs.export != nil && rs.export.watermark == lsn-1 && read == lsn-1 {
+	for id, l := range s.links {
+		if !l.tracked {
+			continue
+		}
+		if rs := n.rules[id]; rs != nil && rs.export != nil && rs.export.watermark == lsn-1 && l.read == lsn-1 {
 			n.setWatermark(rs.export, lsn)
-			s.reads[id] = lsn
+			l.read = lsn
 		} else {
-			s.reads[id] = mixedReads
+			l.read = mixedReads
 		}
 	}
 }
@@ -821,7 +819,9 @@ func (n *Node) finalize(s *session, initiator bool, r *Result) {
 	r.Finished = append(r.Finished, Finished{SID: s.sid, Initiator: initiator, Report: s.rep})
 	n.forget(s)
 	// The handler that finished it may still hold the session (and a burst's
-	// dirty list, until FlushDeferred): keep only what they read.
+	// dirty list, until FlushDeferred): keep only what they read. The
+	// detector state goes too; a stale message later in the burst engages
+	// the stub's anew (getSession).
 	*s = session{sid: s.sid, kind: s.kind, origin: s.origin, done: true}
 }
 
@@ -834,16 +834,11 @@ func (n *Node) sessionApplier(s *session, a *chase.Applier) *chase.Applier {
 	if !a.Existential() {
 		return a
 	}
-	ruleID := a.Rule().ID
-	if f := s.appliers[ruleID]; f != nil && f.Rule() == a.Rule() {
-		return f
+	l := s.link(a.Rule().ID)
+	if l.applier == nil || l.applier.Rule() != a.Rule() {
+		l.applier = a.Fork()
 	}
-	if s.appliers == nil {
-		s.appliers = make(map[string]*chase.Applier)
-	}
-	f := a.Fork()
-	s.appliers[ruleID] = f
-	return f
+	return l.applier
 }
 
 // CompensateLost self-acknowledges n basic messages to `to` whose delivery
@@ -869,7 +864,7 @@ func (n *Node) CompensateLost(sid, to string, lost int) Result {
 	n.distrustImporter(s.rep.SentTo, to)
 	// A pipe-down write-off (CompensatePeerLoss) may already have cleared
 	// these messages: count only what is still outstanding.
-	s.rep.CompensatedLost += n.ds.AckReceived(sid, to, lost)
+	s.rep.CompensatedLost += s.ds.AckReceived(to, lost)
 	n.flushDS(s, &r)
 	return r
 }
@@ -883,7 +878,7 @@ func (n *Node) CompensateLost(sid, to string, lost int) Result {
 func (n *Node) CompensatePeerLoss(to string) Result {
 	var r Result
 	for _, s := range n.sessions {
-		if lost := n.ds.LostPeer(s.sid, to); lost > 0 {
+		if lost := s.ds.LostPeer(to); lost > 0 {
 			s.rep.CompensatedLost += lost
 			n.distrustImporter(s.rep.SentTo, to)
 			n.flushDS(s, &r)
@@ -911,8 +906,8 @@ func (n *Node) ruleOf(s *session, id string) *cq.Rule {
 	if rs, ok := n.rules[id]; ok {
 		return rs.rule
 	}
-	if s.extra != nil {
-		return s.extra[id]
+	if l := s.links[id]; l != nil {
+		return l.extra
 	}
 	return nil
 }

@@ -209,13 +209,11 @@ func (rs *ruleState) applyFilter(bindings []relation.Tuple) []relation.Tuple {
 // per link; hints are control traffic outside the termination detector's
 // scope (never DS-counted).
 func (n *Node) sendHint(s *session, rs *ruleState, to string, r *Result) {
-	if s.hinted == nil {
-		s.hinted = make(map[string]bool)
-	}
-	if s.hinted[rs.rule.ID] {
+	l := s.link(rs.rule.ID)
+	if l.hinted {
 		return
 	}
-	s.hinted[rs.rule.ID] = true
+	l.hinted = true
 	r.send(to, &msg.UpdateHint{RuleID: rs.rule.ID, LSN: n.cfg.Wrapper.LSN()})
 	rs.stats.hintsSent++
 }
@@ -226,7 +224,7 @@ func (n *Node) sendHint(s *session, rs *ruleState, to string, r *Result) {
 func (n *Node) hintStale(s *session, fresh map[string][]relation.Tuple, r *Result) {
 	for _, in := range n.Incoming() {
 		rs := n.rules[in.ID]
-		if _, active := s.activeIncoming[in.ID]; active || !rs.pullEffective() {
+		if l := s.links[in.ID]; l != nil && l.requester != "" || !rs.pullEffective() {
 			continue
 		}
 		for _, rel := range in.BodyRelations() {

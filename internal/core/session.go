@@ -6,6 +6,7 @@ import (
 
 	"codb/internal/chase"
 	"codb/internal/cq"
+	"codb/internal/diffuse"
 	"codb/internal/msg"
 	"codb/internal/relation"
 	"codb/internal/storage"
@@ -24,23 +25,8 @@ type session struct {
 	// acquaintances (duplicate suppression of the update flood).
 	flooded bool
 
-	// evaluated marks incoming links whose initial full evaluation has
-	// run in this session.
-	evaluated map[string]bool
-	// sent holds, per incoming link, the frontier-binding keys already
-	// shipped (the paper's "we delete from Ri those tuples which have
-	// been already sent").
-	sent map[string]map[string]bool
-	// seqOut numbers outgoing data batches per rule.
-	seqOut map[string]int
-	// hinted marks pull-policy links whose lazy invalidation hint has been
-	// flooded in this session (one hint per link per session).
-	hinted map[string]bool
-	// reads maps each incoming link the session exported incrementally to
-	// the snapshot LSN every evaluation of the link read since the session
-	// last committed, or to mixedReads once the link may no longer follow
-	// the session's commits (see Node.followCommit).
-	reads map[string]uint64
+	// links holds the session's state per link, by rule ID (see link).
+	links map[string]*sessionLink
 
 	// Query-mode state.
 	query *cq.Query // non-nil at the origin of a query session
@@ -51,21 +37,9 @@ type session struct {
 	// into the LDB before any acknowledgement or termination verdict leaves,
 	// and the overlay starts over.
 	overlay *relation.Set
-	// appliers scopes the chase memo of rules with existential variables to
-	// the session (see sessionApplier).
-	appliers map[string]*chase.Applier
-	// activeIncoming maps incoming rule IDs to the requesting importer,
-	// for query sessions (updates push to every incoming link's target).
-	activeIncoming map[string]string
-	// requestedOut marks outgoing links this node has already requested
-	// in a query session.
-	requestedOut map[string]bool
 	// answerKeys dedups streamed answers at a query origin.
 	answerKeys map[string]bool
 	certain    bool // drop answers containing nulls
-	// extra holds rules learned from query requests, session-locally (they
-	// belong to the requester's topology, not ours).
-	extra map[string]*cq.Rule
 
 	// pinned is the storage snapshot the session currently evaluates over.
 	// It is re-pinned by sessionView whenever the storage LSN has moved
@@ -75,23 +49,66 @@ type session struct {
 	// releases it.
 	pinned *storage.Snapshot
 
+	// ds is the session's termination-detector state.
+	ds diffuse.Session
+
 	// Stats under construction.
 	rep msg.UpdateReport
 
 	done bool
 }
 
+// sessionLink is a session's state for one link, either side of it.
+type sessionLink struct {
+	// evaluated is set once the initial full evaluation of the incoming
+	// link has run in this session.
+	evaluated bool
+	// sent holds the frontier-binding keys already shipped on the incoming
+	// link (the paper's "we delete from Ri those tuples which have been
+	// already sent").
+	sent map[string]bool
+	// seq numbers the outgoing data batches of the link.
+	seq int
+	// hinted is set once the lazy invalidation hint of a pull-policy link
+	// has been flooded (one hint per link per session).
+	hinted bool
+	// read is, when tracked, the snapshot LSN every evaluation of an
+	// incrementally exported incoming link read since the session last
+	// committed, or mixedReads once the link may no longer follow the
+	// session's commits (see Node.followCommit).
+	read    uint64
+	tracked bool
+	// requester is the importer that requested the incoming link in a query
+	// or scoped session ("" while inactive; updates push to every incoming
+	// link's target).
+	requester string
+	// requested is set once a query or scoped session requested the
+	// outgoing link.
+	requested bool
+	// applier is the session's fork of an existential rule's applier, so
+	// its chase memo is released with the session (see sessionApplier).
+	applier *chase.Applier
+	// extra is a rule learned from a query request, session-locally (it
+	// belongs to the requester's topology, not ours).
+	extra *cq.Rule
+}
+
+// link returns the session's record of a link, creating it.
+func (s *session) link(id string) *sessionLink {
+	l := s.links[id]
+	if l == nil {
+		l = &sessionLink{}
+		s.links[id] = l
+	}
+	return l
+}
+
 func (n *Node) newSession(sid string, kind msg.Kind, origin string) *session {
 	s := &session{
-		sid:            sid,
-		kind:           kind,
-		origin:         origin,
-		evaluated:      make(map[string]bool),
-		reads:          make(map[string]uint64),
-		sent:           make(map[string]map[string]bool),
-		seqOut:         make(map[string]int),
-		activeIncoming: make(map[string]string),
-		requestedOut:   make(map[string]bool),
+		sid:    sid,
+		kind:   kind,
+		origin: origin,
+		links:  make(map[string]*sessionLink),
 		rep: msg.UpdateReport{
 			SID:           sid,
 			Kind:          kind,
@@ -128,10 +145,16 @@ func (n *Node) known(sid string) bool {
 
 // getSession returns the session, creating it if the node has not seen it.
 // A message of a finished session gets a stub marked done, which the
-// handlers only acknowledge; it is not kept.
+// handlers only acknowledge; it is not kept past its flush. Within a burst
+// (DeferAcks) every stale message of a session shares the stub the first one
+// got, and so its detector state: the first sender is the parent, each later
+// one an owed ack.
 func (n *Node) getSession(sid string, kind msg.Kind, origin string) *session {
 	if s, ok := n.sessions[sid]; ok {
 		return s
+	}
+	if s, ok := n.dirty[sid]; ok {
+		return s // finished during this burst
 	}
 	if _, ok := n.finished[sid]; ok {
 		return &session{sid: sid, kind: kind, origin: origin, done: true}
@@ -147,19 +170,16 @@ const mixedReads = math.MaxUint64
 // ok is false when it did not ship every binding (a failed evaluation, or a
 // lazy hint in its place).
 func (s *session) noteRead(id string, lsn uint64, ok bool) {
-	if read, tracked := s.reads[id]; tracked && (!ok || read != lsn) {
-		s.reads[id] = mixedReads
+	if l := s.links[id]; l != nil && l.tracked && (!ok || l.read != lsn) {
+		l.read = mixedReads
 	}
 }
 
-// sentSet returns the sent cache for one incoming link.
-func (s *session) sentSet(ruleID string) map[string]bool {
-	m := s.sent[ruleID]
-	if m == nil {
-		m = make(map[string]bool)
-		s.sent[ruleID] = m
-	}
-	return m
+// track starts tracking what an incrementally exported link's evaluations
+// read, at the snapshot LSN of its export.
+func (s *session) track(id string, lsn uint64) {
+	l := s.link(id)
+	l.read, l.tracked = lsn, true
 }
 
 // noteQueried records an acquaintance this node requested data from.

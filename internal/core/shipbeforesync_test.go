@@ -160,10 +160,10 @@ func TestHopShipsBeforeItSyncsAndAcksAfter(t *testing.T) {
 						Bindings: ints(rows...), Path: []string{"src"}, Seq: seq, Mode: msg.ExportFull,
 					}}
 				}
-				sentToDst := n.ds.DeficitTo(sid, "dst")
+				sentToDst := deficitTo(n, sid, "dst")
 				var deficitAtGate, ldbAtGate int
 				w.atGate = func() {
-					deficitAtGate = n.ds.DeficitTo(sid, "dst")
+					deficitAtGate = deficitTo(n, sid, "dst")
 					ldbAtGate = db.Count("r")
 				}
 

@@ -14,20 +14,16 @@
 // initiator starts engaged with no parent; the computation has terminated
 // exactly when the initiator is passive with zero deficit.
 //
-// The engine is a passive bookkeeping core: the owner (one peer's actor
-// loop) reports sends and receipts and asks what to do; the engine never
-// performs I/O itself and is not safe for concurrent use.
+// A Session is one node's detector state for one session, a value that the
+// owner embeds in its own session record, so the state is created and
+// freed with that record. It is a passive bookkeeping core: the owner (one
+// peer's actor loop) reports sends and receipts and asks what to do; it
+// never performs I/O itself and is not safe for concurrent use. Its zero
+// value is a disengaged node that owes nothing.
 package diffuse
 
-import "fmt"
-
-// Engine tracks every session this node participates in.
-type Engine struct {
-	self     string
-	sessions map[string]*session
-}
-
-type session struct {
+// Session is one node's detector state for one session.
+type Session struct {
 	engaged   bool
 	initiator bool
 	parent    string
@@ -43,45 +39,22 @@ type session struct {
 	owedAcks map[string]int
 	// parentOwed is the deferred acknowledgement for the engaging message.
 	parentOwed bool
-	terminated bool
 }
 
-// New returns an engine for the given node.
-func New(self string) *Engine {
-	return &Engine{self: self, sessions: make(map[string]*session)}
-}
-
-func (e *Engine) get(sid string) *session {
-	s := e.sessions[sid]
-	if s == nil {
-		s = &session{owedAcks: make(map[string]int), perDest: make(map[string]int)}
-		e.sessions[sid] = s
-	}
-	return s
-}
-
-// Start registers this node as the initiator of a session.
-func (e *Engine) Start(sid string) {
-	s := e.get(sid)
+// Start makes this node the initiator of the session.
+func (s *Session) Start() {
 	s.engaged = true
 	s.initiator = true
 }
 
-// Known reports whether the engine is tracking the session.
-func (e *Engine) Known(sid string) bool { return e.sessions[sid] != nil }
-
-// Initiator reports whether this node initiated the session.
-func (e *Engine) Initiator(sid string) bool {
-	s := e.sessions[sid]
-	return s != nil && s.initiator
-}
-
-// Sent records n basic messages sent to `to` in the session.
-func (e *Engine) Sent(sid, to string, n int) {
+// Sent records n basic messages sent to `to`.
+func (s *Session) Sent(to string, n int) {
 	if n <= 0 {
 		return
 	}
-	s := e.get(sid)
+	if s.perDest == nil {
+		s.perDest = make(map[string]int)
+	}
 	s.deficit += n
 	s.perDest[to] += n
 }
@@ -89,14 +62,15 @@ func (e *Engine) Sent(sid, to string, n int) {
 // Received records one basic message received from `from`. The caller must
 // process the message fully (performing and recording any resulting sends)
 // and then call Flush to emit acknowledgements and the detach decision.
-func (e *Engine) Received(sid, from string) {
-	s := e.get(sid)
+func (s *Session) Received(from string) {
 	if !s.engaged {
 		s.engaged = true
 		s.parent = from
 		s.parentOwed = true
-		s.terminated = false
 		return
+	}
+	if s.owedAcks == nil {
+		s.owedAcks = make(map[string]int)
 	}
 	s.owedAcks[from]++
 }
@@ -106,8 +80,7 @@ func (e *Engine) Received(sid, from string) {
 // outstanding deficit (duplicated acks, or acks arriving after LostPeer
 // compensation) are ignored, so a single bad peer cannot wedge termination
 // or drive the deficit negative.
-func (e *Engine) AckReceived(sid, from string, n int) int {
-	s := e.get(sid)
+func (s *Session) AckReceived(from string, n int) int {
 	if out := s.perDest[from]; n > out {
 		n = out
 	}
@@ -122,16 +95,12 @@ func (e *Engine) AckReceived(sid, from string, n int) int {
 	return n
 }
 
-// LostPeer clears the session's outstanding deficit toward a peer whose
-// pipe has failed, returning the number of messages written off. The
-// peer's acknowledgements can no longer arrive, so without this the
-// initiator's deficit would stay positive forever; with it, sessions
-// terminate even on dynamic networks.
-func (e *Engine) LostPeer(sid, to string) int {
-	s := e.sessions[sid]
-	if s == nil {
-		return 0
-	}
+// LostPeer clears the outstanding deficit toward a peer whose pipe has
+// failed, returning the number of messages written off. The peer's
+// acknowledgements can no longer arrive, so without this the initiator's
+// deficit would stay positive forever; with it, sessions terminate even on
+// dynamic networks.
+func (s *Session) LostPeer(to string) int {
 	lost := s.perDest[to]
 	if lost > 0 {
 		delete(s.perDest, to)
@@ -150,11 +119,7 @@ type Ack struct {
 // again, and whether the initiator has detected termination. Non-engaging
 // messages are always acknowledged; the deferred parent acknowledgement is
 // included only when the node detaches (deficit zero).
-func (e *Engine) Flush(sid string) (acks []Ack, terminated bool) {
-	s := e.sessions[sid]
-	if s == nil {
-		return nil, false
-	}
+func (s *Session) Flush() (acks []Ack, terminated bool) {
 	for from, n := range s.owedAcks {
 		if n > 0 {
 			acks = append(acks, Ack{To: from, N: n})
@@ -163,7 +128,6 @@ func (e *Engine) Flush(sid string) (acks []Ack, terminated bool) {
 	}
 	if s.engaged && s.deficit == 0 {
 		if s.initiator {
-			s.terminated = true
 			return acks, true
 		}
 		if s.parentOwed {
@@ -176,54 +140,8 @@ func (e *Engine) Flush(sid string) (acks []Ack, terminated bool) {
 	return acks, false
 }
 
-// Terminated reports whether the initiator has detected termination.
-func (e *Engine) Terminated(sid string) bool {
-	s := e.sessions[sid]
-	return s != nil && s.terminated
-}
-
 // Deficit exposes the current deficit (for tests and reports).
-func (e *Engine) Deficit(sid string) int {
-	s := e.sessions[sid]
-	if s == nil {
-		return 0
-	}
-	return s.deficit
-}
+func (s *Session) Deficit() int { return s.deficit }
 
 // DeficitTo exposes the outstanding deficit toward one destination.
-func (e *Engine) DeficitTo(sid, to string) int {
-	s := e.sessions[sid]
-	if s == nil {
-		return 0
-	}
-	return s.perDest[to]
-}
-
-// Engaged reports whether the node is currently part of the session's tree.
-func (e *Engine) Engaged(sid string) bool {
-	s := e.sessions[sid]
-	return s != nil && s.engaged
-}
-
-// Drop forgets a session (after Done handling); freeing per-session state.
-func (e *Engine) Drop(sid string) { delete(e.sessions, sid) }
-
-// Sessions returns the IDs of tracked sessions.
-func (e *Engine) Sessions() []string {
-	out := make([]string, 0, len(e.sessions))
-	for sid := range e.sessions {
-		out = append(out, sid)
-	}
-	return out
-}
-
-// String summarises one session's detector state (debugging aid).
-func (e *Engine) String(sid string) string {
-	s := e.sessions[sid]
-	if s == nil {
-		return "unknown session"
-	}
-	return fmt.Sprintf("engaged=%v initiator=%v parent=%q deficit=%d terminated=%v",
-		s.engaged, s.initiator, s.parent, s.deficit, s.terminated)
-}
+func (s *Session) DeficitTo(to string) int { return s.perDest[to] }

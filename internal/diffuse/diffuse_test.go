@@ -2,44 +2,43 @@ package diffuse
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestInitiatorAloneTerminatesImmediately(t *testing.T) {
-	e := New("a")
-	e.Start("s")
-	acks, term := e.Flush("s")
+	e := new(Session)
+	e.Start()
+	acks, term := e.Flush()
 	if len(acks) != 0 || !term {
 		t.Errorf("Flush = %v, %v", acks, term)
 	}
-	if !e.Terminated("s") {
-		t.Error("Terminated false")
+	if _, term := e.Flush(); !term {
+		t.Error("a second Flush lost the verdict")
 	}
 }
 
 func TestTwoNodeExchange(t *testing.T) {
-	a, b := New("a"), New("b")
-	a.Start("s")
+	a, b := new(Session), new(Session)
+	a.Start()
 
 	// a sends one request to b.
-	a.Sent("s", "b", 1)
-	if acks, term := a.Flush("s"); term || len(acks) != 0 {
+	a.Sent("b", 1)
+	if acks, term := a.Flush(); term || len(acks) != 0 {
 		t.Fatalf("a should be waiting: %v %v", acks, term)
 	}
 
 	// b receives (engaging), replies with one data message, flushes.
-	b.Received("s", "a")
-	b.Sent("s", "a", 1)
-	acks, term := b.Flush("s")
+	b.Received("a")
+	b.Sent("a", 1)
+	acks, term := b.Flush()
 	if term || len(acks) != 0 {
 		t.Fatalf("b must not detach with deficit 1: %v %v", acks, term)
 	}
 
 	// a receives b's data; acks immediately (a is engaged as initiator).
-	a.Received("s", "b")
-	acks, term = a.Flush("s")
+	a.Received("b")
+	acks, term = a.Flush()
 	if term {
 		t.Fatal("a cannot be terminated with deficit 1")
 	}
@@ -48,84 +47,65 @@ func TestTwoNodeExchange(t *testing.T) {
 	}
 
 	// b gets the ack; now deficit 0 -> detach: deferred ack to parent a.
-	b.AckReceived("s", "a", 1)
-	acks, term = b.Flush("s")
+	b.AckReceived("a", 1)
+	acks, term = b.Flush()
 	if term {
 		t.Fatal("non-initiator cannot report termination")
 	}
 	if len(acks) != 1 || acks[0].To != "a" || acks[0].N != 1 {
 		t.Fatalf("b detach acks = %v", acks)
 	}
-	if b.Engaged("s") {
+	if b.engaged {
 		t.Error("b still engaged after detach")
 	}
 
 	// a gets the deferred ack: terminated.
-	a.AckReceived("s", "b", 1)
-	_, term = a.Flush("s")
+	a.AckReceived("b", 1)
+	_, term = a.Flush()
 	if !term {
 		t.Error("a did not detect termination")
 	}
 }
 
 func TestReEngagement(t *testing.T) {
-	b := New("b")
+	b := new(Session)
 	// First engagement from a.
-	b.Received("s", "a")
-	acks, _ := b.Flush("s")
+	b.Received("a")
+	acks, _ := b.Flush()
 	if len(acks) != 1 || acks[0].To != "a" {
 		t.Fatalf("first detach = %v", acks)
 	}
 	// Re-engagement from c: parent is now c.
-	b.Received("s", "c")
-	acks, _ = b.Flush("s")
+	b.Received("c")
+	acks, _ = b.Flush()
 	if len(acks) != 1 || acks[0].To != "c" {
 		t.Fatalf("re-engagement detach = %v", acks)
 	}
 }
 
 func TestAckBatching(t *testing.T) {
-	b := New("b")
-	b.Received("s", "a") // engaging
-	b.Received("s", "c")
-	b.Received("s", "c")
-	b.Sent("s", "x", 1) // keep b engaged (deficit 1)
-	acks, _ := b.Flush("s")
+	b := new(Session)
+	b.Received("a") // engaging
+	b.Received("c")
+	b.Received("c")
+	b.Sent("x", 1) // keep b engaged (deficit 1)
+	acks, _ := b.Flush()
 	if len(acks) != 1 || acks[0].To != "c" || acks[0].N != 2 {
 		t.Fatalf("batched acks = %v", acks)
 	}
 }
 
 func TestDuplicateAckClamped(t *testing.T) {
-	a := New("a")
-	a.Start("s")
-	a.Sent("s", "b", 1)
-	a.AckReceived("s", "b", 1)
-	a.AckReceived("s", "b", 1) // protocol violation
-	if a.Deficit("s") != 0 {
-		t.Errorf("deficit = %d", a.Deficit("s"))
+	a := new(Session)
+	a.Start()
+	a.Sent("b", 1)
+	a.AckReceived("b", 1)
+	a.AckReceived("b", 1) // protocol violation
+	if a.Deficit() != 0 {
+		t.Errorf("deficit = %d", a.Deficit())
 	}
-	if _, term := a.Flush("s"); !term {
+	if _, term := a.Flush(); !term {
 		t.Error("should terminate after clamp")
-	}
-}
-
-func TestDropAndSessions(t *testing.T) {
-	e := New("a")
-	e.Start("s1")
-	e.Start("s2")
-	if len(e.Sessions()) != 2 {
-		t.Errorf("Sessions = %v", e.Sessions())
-	}
-	e.Drop("s1")
-	if e.Known("s1") || !e.Known("s2") {
-		t.Error("Drop wrong")
-	}
-	if !strings.Contains(e.String("s2"), "initiator=true") {
-		t.Errorf("String = %q", e.String("s2"))
-	}
-	if e.String("gone") != "unknown session" {
-		t.Errorf("String(gone) = %q", e.String("gone"))
 	}
 }
 
@@ -146,11 +126,11 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		nNodes := rnd.Intn(6) + 2
 		nodes := make([]string, nNodes)
-		engines := make(map[string]*Engine, nNodes)
+		engines := make(map[string]*Session, nNodes)
 		for i := range nodes {
 			name := string(rune('A' + i))
 			nodes[i] = name
-			engines[name] = New(name)
+			engines[name] = new(Session)
 		}
 		// Random directed edges (possibly cyclic).
 		var edges [][2]string
@@ -171,16 +151,15 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 			return o
 		}
 
-		const sid = "s"
 		init := nodes[0]
-		engines[init].Start(sid)
+		engines[init].Start()
 
 		var queue []simMsg
 		// workBudget caps total basic messages so the computation is finite.
 		workBudget := 60
 
 		send := func(from string, to string) {
-			engines[from].Sent(sid, to, 1)
+			engines[from].Sent(to, 1)
 			queue = append(queue, simMsg{from: from, to: to, kind: 0})
 		}
 		// Initiator seeds the computation.
@@ -191,7 +170,7 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 			}
 		}
 		flush := func(n string) bool {
-			acks, term := engines[n].Flush(sid)
+			acks, term := engines[n].Flush()
 			for _, a := range acks {
 				queue = append(queue, simMsg{from: n, to: a.To, kind: 1, n: a.N})
 			}
@@ -212,9 +191,9 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 			queue = append(queue[:i], queue[i+1:]...)
 			e := engines[m.to]
 			if m.kind == 1 {
-				e.AckReceived(sid, m.from, m.n)
+				e.AckReceived(m.from, m.n)
 			} else {
-				e.Received(sid, m.from)
+				e.Received(m.from)
 				// Random work: forward basic messages to random neighbors.
 				for _, o := range out(m.to) {
 					if workBudget > 0 && rnd.Intn(2) == 0 {
@@ -233,11 +212,11 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 					}
 				}
 				for _, n := range nodes {
-					if n != init && engines[n].Engaged(sid) {
+					if n != init && engines[n].engaged {
 						t.Logf("terminated while %s still engaged", n)
 						return false
 					}
-					if engines[n].Deficit(sid) != 0 {
+					if engines[n].Deficit() != 0 {
 						t.Logf("terminated while %s has deficit", n)
 						return false
 					}
@@ -259,29 +238,29 @@ func TestQuickRandomTopologyTermination(t *testing.T) {
 // removes exactly that destination's outstanding messages, letting the
 // initiator terminate, while other destinations stay accounted.
 func TestLostPeerClearsPerDestinationDeficit(t *testing.T) {
-	a := New("a")
-	a.Start("s")
-	a.Sent("s", "b", 2)
-	a.Sent("s", "c", 1)
-	if a.Deficit("s") != 3 || a.DeficitTo("s", "b") != 2 {
-		t.Fatalf("deficit = %d / to b = %d", a.Deficit("s"), a.DeficitTo("s", "b"))
+	a := new(Session)
+	a.Start()
+	a.Sent("b", 2)
+	a.Sent("c", 1)
+	if a.Deficit() != 3 || a.DeficitTo("b") != 2 {
+		t.Fatalf("deficit = %d / to b = %d", a.Deficit(), a.DeficitTo("b"))
 	}
-	if lost := a.LostPeer("s", "b"); lost != 2 {
+	if lost := a.LostPeer("b"); lost != 2 {
 		t.Errorf("LostPeer = %d, want 2", lost)
 	}
-	if _, term := a.Flush("s"); term {
+	if _, term := a.Flush(); term {
 		t.Error("terminated with c still outstanding")
 	}
 	// A late ack from b (already written off) must be ignored.
-	a.AckReceived("s", "b", 2)
-	if a.Deficit("s") != 1 {
-		t.Errorf("late ack disturbed deficit: %d", a.Deficit("s"))
+	a.AckReceived("b", 2)
+	if a.Deficit() != 1 {
+		t.Errorf("late ack disturbed deficit: %d", a.Deficit())
 	}
-	a.AckReceived("s", "c", 1)
-	if _, term := a.Flush("s"); !term {
+	a.AckReceived("c", 1)
+	if _, term := a.Flush(); !term {
 		t.Error("no termination after all pipes settled")
 	}
-	if a.LostPeer("ghost", "b") != 0 {
-		t.Error("unknown session wrote off messages")
+	if new(Session).LostPeer("b") != 0 {
+		t.Error("a fresh session wrote off messages")
 	}
 }

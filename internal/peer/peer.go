@@ -13,10 +13,12 @@
 // query's answers go into the query's own buffer.
 //
 // Outbound traffic goes through transport.Outbox by default: sends are
-// asynchronous per-destination enqueues (a slow pipe never stalls the
-// actor), queued payloads coalesce into batch frames, and envelope bursts
-// defer acknowledgements (core.DeferAcks) so n messages from one sender
-// cost one counted ack. Delivery failures observed after the fact — a
+// asynchronous per-destination enqueues, so a slow pipe does not stall the
+// actor until its queue is full — at 4,096 queued payloads Outbox.Send,
+// and with it the actor, blocks until that pipe drains or fails. Queued
+// payloads coalesce into batch frames, and envelope bursts defer
+// acknowledgements (core.DeferAcks) so n messages from one sender cost one
+// counted ack. Delivery failures observed after the fact — a
 // write error in a writer goroutine, or a pipe-down notification for
 // frames already written into a dead connection — are routed back into
 // the actor loop and compensated in the termination detector
@@ -123,11 +125,9 @@ type Peer struct {
 	members      map[string]*member // directory, pipes and liveness, per remote peer
 	selfEpoch    uint64             // this node's own incarnation number
 	rulesVersion int
-	rulesText    string          // concrete syntax of the installed config (join handoff)
-	statsSeen    map[string]bool // stats-request flood dedup
-	queries      map[string]*queryWaiter
-	updates      map[string]chan msg.UpdateReport
-	remoteCmds   map[string]string // sid -> ReplyTo for StartUpdateCmd
+	rulesText    string             // concrete syntax of the installed config (join handoff)
+	statsSeen    map[string]bool    // stats-request flood dedup
+	waiting      map[string]*waiter // by SID: who waits on a session's end
 	statsSink    func(msg.StatsReport)
 	joinWait     chan *msg.JoinAccept // armed by JoinVia, fired by handleJoinAccept
 
@@ -135,18 +135,25 @@ type Peer struct {
 	loopDone chan struct{} // closed when the actor loop has exited
 }
 
-// queryWaiter collects one distributed query's answers for its reader. The
-// actor appends to it and never blocks on the reader.
-type queryWaiter struct {
-	mu       sync.Mutex
-	answers  []relation.Tuple
-	more     chan struct{}    // signalled (capacity 1) after each append
-	finished chan struct{}    // closed by the loop when the session finishes here
-	rep      msg.UpdateReport // the session report, valid once finished is closed
+// waiter is whoever waits on one session's end at this peer: the reader of
+// a query, the caller of an update, the super-peer of a remote
+// StartUpdateCmd, or the callers of a pull. The actor fills it in and never
+// blocks on the one waiting. A caller that gives up drops it (dropWaiter);
+// the session runs on without it.
+type waiter struct {
+	mu      sync.Mutex
+	answers []relation.Tuple // a query's answers not yet taken
+	more    chan struct{}    // a query's: signalled (capacity 1) after each append
+	done    chan struct{}    // closed by the loop when the session finishes here
+	rep     msg.UpdateReport // the session report, valid once done is closed
+	replyTo string           // a remote StartUpdateCmd's: where the report goes
+	rules   []string         // a pull's: the outgoing links it covers
 }
 
+func newWaiter() *waiter { return &waiter{done: make(chan struct{})} }
+
 // add appends answers (loop only).
-func (w *queryWaiter) add(answers []relation.Tuple) {
+func (w *waiter) add(answers []relation.Tuple) {
 	w.mu.Lock()
 	w.answers = append(w.answers, answers...)
 	w.mu.Unlock()
@@ -157,7 +164,7 @@ func (w *queryWaiter) add(answers []relation.Tuple) {
 }
 
 // take returns the answers appended since the last take.
-func (w *queryWaiter) take() []relation.Tuple {
+func (w *waiter) take() []relation.Tuple {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := w.answers
@@ -197,19 +204,17 @@ func New(opts Options) (*Peer, error) {
 		log = slog.New(slog.DiscardHandler)
 	}
 	p := &Peer{
-		name:       opts.Name,
-		node:       node,
-		log:        log.With("peer", opts.Name),
-		events:     newEventQueue(),
-		members:    make(map[string]*member),
-		selfEpoch:  opts.Epoch,
-		timeout:    opts.SuspicionTimeout,
-		statsSeen:  make(map[string]bool),
-		queries:    make(map[string]*queryWaiter),
-		updates:    make(map[string]chan msg.UpdateReport),
-		remoteCmds: make(map[string]string),
-		stopped:    make(chan struct{}),
-		loopDone:   make(chan struct{}),
+		name:      opts.Name,
+		node:      node,
+		log:       log.With("peer", opts.Name),
+		events:    newEventQueue(),
+		members:   make(map[string]*member),
+		selfEpoch: opts.Epoch,
+		timeout:   opts.SuspicionTimeout,
+		statsSeen: make(map[string]bool),
+		waiting:   make(map[string]*waiter),
+		stopped:   make(chan struct{}),
+		loopDone:  make(chan struct{}),
 
 		prop:         newPropState(),
 		maxStaleness: opts.MaxStaleness,
@@ -520,8 +525,8 @@ func (p *Peer) handleEnvelope(env msg.Envelope) {
 	p.refreshReadRules()
 }
 
-// dispatch ships a core Result: messages out, answers to query waiters,
-// finished sessions to update waiters.
+// dispatch ships a core Result: messages out, answers to the query's
+// waiter, and each finished session to its waiter.
 func (p *Peer) dispatch(res core.Result) {
 	// Before any send: a failed one can finish a session right away.
 	p.noteScopedRequests(res.Out)
@@ -535,32 +540,37 @@ func (p *Peer) dispatch(res core.Result) {
 	}
 	// Answers must reach their waiter before Finished closes it.
 	if len(res.Answers) > 0 {
-		if w, ok := p.queries[res.AnswersSID]; ok {
+		if w := p.waiting[res.AnswersSID]; w != nil {
 			w.add(res.Answers)
 		}
 	}
 	for _, f := range res.Finished {
 		p.log.Debug("session finished", "sid", f.SID, "initiator", f.Initiator)
-		if ch, ok := p.updates[f.SID]; ok {
-			ch <- f.Report
-			delete(p.updates, f.SID)
-		}
-		if w, ok := p.queries[f.SID]; ok {
-			w.rep = f.Report
-			close(w.finished)
-			delete(p.queries, f.SID)
-		}
-		if replyTo, ok := p.remoteCmds[f.SID]; ok {
-			delete(p.remoteCmds, f.SID)
-			p.sendTo(replyTo, &msg.UpdateFinished{SID: f.SID, Node: p.name, Report: f.Report})
-		}
 		if f.Report.Kind == msg.KindScoped {
 			p.settlePulls(f)
 		}
-		if ps, ok := p.prop.pulls[f.SID]; ok {
-			p.finishPull(ps, f.Report)
+		w := p.waiting[f.SID]
+		if w == nil {
+			continue
 		}
+		delete(p.waiting, f.SID)
+		if w.replyTo != "" {
+			p.sendTo(w.replyTo, &msg.UpdateFinished{SID: f.SID, Node: p.name, Report: f.Report})
+		}
+		for _, id := range w.rules {
+			if l := p.prop.links[id]; l != nil && l.pulling == w {
+				l.pulling = nil
+			}
+		}
+		w.rep = f.Report
+		close(w.done)
 	}
+}
+
+// dropWaiter forgets a session's waiter on the loop, for a caller that
+// stopped waiting.
+func (p *Peer) dropWaiter(sid string) {
+	p.events.put(func() { delete(p.waiting, sid) })
 }
 
 // sendSessionMsg sends one session message; sendTo writes it off if the
@@ -720,11 +730,11 @@ func (p *Peer) handleStartUpdateCmd(from string, cmd *msg.StartUpdateCmd) {
 		p.log.Warn("remote update start failed", "err", err)
 		return
 	}
-	replyTo := cmd.ReplyTo
-	if replyTo == "" {
-		replyTo = from
+	w := newWaiter()
+	if w.replyTo = cmd.ReplyTo; w.replyTo == "" {
+		w.replyTo = from
 	}
-	p.remoteCmds[sid] = replyTo
+	p.waiting[sid] = w
 	p.dispatch(res)
 }
 
@@ -831,7 +841,7 @@ func (p *Peer) RunScopedUpdate(ctx context.Context, rels []string) (msg.UpdateRe
 // report. When ctx ends first, the waiter is dropped and the session runs on.
 func (p *Peer) runUpdate(ctx context.Context, what string, start func(sid string) (core.Result, error)) (msg.UpdateReport, error) {
 	sid := msg.NewSID(p.name)
-	ch := make(chan msg.UpdateReport, 1)
+	w := newWaiter()
 	var startErr error
 	if err := p.do(func() {
 		res, err := start(sid)
@@ -839,7 +849,7 @@ func (p *Peer) runUpdate(ctx context.Context, what string, start func(sid string
 			startErr = err
 			return
 		}
-		p.updates[sid] = ch
+		p.waiting[sid] = w
 		p.dispatch(res)
 	}); err != nil {
 		return msg.UpdateReport{}, err
@@ -848,10 +858,10 @@ func (p *Peer) runUpdate(ctx context.Context, what string, start func(sid string
 		return msg.UpdateReport{}, startErr
 	}
 	select {
-	case rep := <-ch:
-		return rep, nil
+	case <-w.done:
+		return w.rep, nil
 	case <-ctx.Done():
-		p.events.put(func() { delete(p.updates, sid) })
+		p.dropWaiter(sid)
 		return msg.UpdateReport{}, fmt.Errorf("peer %s: %s %s: %w", p.name, what, sid, ctx.Err())
 	case <-p.stopped:
 		return msg.UpdateReport{}, fmt.Errorf("peer %s: stopped during %s", p.name, what)
@@ -861,8 +871,8 @@ func (p *Peer) runUpdate(ctx context.Context, what string, start func(sid string
 // QueryStream starts a distributed query and returns a channel of streamed
 // answers (closed at completion) plus a completion-report channel; see
 // Statement.QueryStream.
-func (p *Peer) QueryStream(q *cq.Query, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
-	return p.statement(q).QueryStream(mode)
+func (p *Peer) QueryStream(ctx context.Context, q *cq.Query, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
+	return p.statement(q).QueryStream(ctx, mode)
 }
 
 // Query runs a distributed query to completion and returns all answers.

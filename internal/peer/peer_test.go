@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -458,7 +459,7 @@ func TestPeerQueryStreamDelivery(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.Insert("r", ints(i))
 	}
-	answers, done, err := a.QueryStream(cq.MustParseQuery(`ans(x) :- r(x)`), core.AllAnswers)
+	answers, done, err := a.QueryStream(ctxT(t), cq.MustParseQuery(`ans(x) :- r(x)`), core.AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,4 +492,110 @@ func TestPeerManyPeersStar(t *testing.T) {
 	if hub.Count("r") != n {
 		t.Errorf("HUB.r = %d, want %d", hub.Count("r"), n)
 	}
+}
+
+// hold parks p's actor loop until the returned release is called, so what
+// p is sent meanwhile waits in its queue.
+func hold(p *Peer) (release func()) {
+	gate, parked := make(chan struct{}), make(chan struct{})
+	p.events.put(func() { close(parked); <-gate })
+	<-parked
+	return func() { close(gate) }
+}
+
+// TestWaitersAreDropped walks every path that adds or drops a waiter: after
+// each, the peer holds no waiter and runs no session.
+func TestWaitersAreDropped(t *testing.T) {
+	bus := transport.NewBus()
+	a := newBusPeer(t, bus, "A", "r/1")
+	b := newBusPeer(t, bus, "B", "r/1")
+	sp := newBusPeer(t, bus, "S")
+	for _, p := range []*Peer{a, b} {
+		if err := p.AddRule("r1", `A.r(x) <- B.r(x)`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Insert("r", ints(1), ints(2)); err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParseQuery(`ans(x) :- r(x)`)
+	short := func() context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	settled := func(path string) {
+		t.Helper()
+		waitFor(t, path+": waiters and sessions gone", func() bool {
+			var waiting, active int
+			a.do(func() { waiting, active = len(a.waiting), len(a.node.ActiveSessions()) })
+			return waiting == 0 && active == 0
+		})
+	}
+
+	if rows, err := a.Query(ctxT(t), q, core.AllAnswers); err != nil || len(rows) != 2 {
+		t.Fatalf("query: %v, %v", rows, err)
+	}
+	settled("Query completes")
+
+	release := hold(b)
+	if _, err := a.Query(short(), q, core.AllAnswers); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("query past its ctx: %v", err)
+	}
+	release()
+	settled("Query's ctx expires")
+
+	answers, done, err := a.QueryStream(ctxT(t), q, core.AllAnswers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range answers {
+	}
+	if _, ok := <-done; !ok {
+		t.Fatal("drained stream closed without a report")
+	}
+	settled("QueryStream is drained")
+
+	release = hold(b)
+	ctx, cancel := context.WithCancel(context.Background())
+	if answers, done, err = a.QueryStream(ctx, q, core.AllAnswers); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for range answers {
+	}
+	if rep, ok := <-done; ok {
+		t.Fatalf("cancelled stream reported %+v", rep)
+	}
+	release()
+	settled("QueryStream is cancelled")
+
+	release = hold(b)
+	if _, err := a.RunUpdate(short()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("update past its ctx: %v", err)
+	}
+	release()
+	settled("RunUpdate's ctx expires, then the session finishes")
+
+	if _, err := a.PullLink(ctxT(t), "r1"); err != nil {
+		t.Fatal(err)
+	}
+	settled("PullLink runs")
+
+	// S stands in for the super-peer: it sends the command and collects the
+	// completion through its stats sink, as internal/superpeer does.
+	finished := make(chan msg.StatsReport, 1)
+	sp.SetStatsSink(func(r msg.StatsReport) { finished <- r })
+	if err := sp.SendTo("A", &msg.StartUpdateCmd{SID: "remote-1", ReplyTo: "S"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-finished:
+		if r.ID != "remote-1" || r.Node != "A" {
+			t.Fatalf("completion report %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no completion report for the remote update")
+	}
+	settled("a remote StartUpdateCmd")
 }

@@ -40,8 +40,8 @@ type link struct {
 	reads, lastReads uint64
 	cold             int
 	demandPull       bool
-	// pulling is the link's in-flight pull (loop only).
-	pulling *pullSession
+	// pulling is the waiter of the link's in-flight pull (loop only).
+	pulling *waiter
 }
 
 // staleLink is the staleness record of one hinted, not-yet-pulled link.
@@ -55,17 +55,6 @@ type staleLink struct {
 	timer *time.Timer // the MaxStaleness deadline; nil while none is armed
 }
 
-// pullSession is one in-flight pull: a scoped session this peer started
-// over some of its outgoing links. A trigger for a link already being
-// pulled — a read, the staleness deadline, PullLink, CatchUp — waits on
-// that session instead of starting another.
-type pullSession struct {
-	sid   string
-	rules []string
-	done  chan struct{}    // closed when the session finishes here
-	rep   msg.UpdateReport // the initiator's report, valid once done is closed
-}
-
 // propState is the peer's propagation-policy state. The actor loop owns all
 // transitions and is the only writer of the links map; the mutex exists
 // because the concurrent read path consults staleness and records read
@@ -75,12 +64,10 @@ type propState struct {
 	links map[string]*link // by outgoing rule ID
 	// samples are staleness-at-pull measurements (bounded).
 	samples []time.Duration
-	// pulls maps the in-flight pulls by SID (loop only).
-	pulls map[string]*pullSession
 }
 
 func newPropState() *propState {
-	return &propState{links: make(map[string]*link), pulls: make(map[string]*pullSession)}
+	return &propState{links: make(map[string]*link)}
 }
 
 // syncLinks makes the link records match the node's outgoing rules (loop
@@ -242,10 +229,12 @@ func (p *Peer) lazyOutgoing() []string {
 
 // startPull makes sure every given outgoing link has a pull in flight —
 // one new scoped session covers those that have none — and returns the
-// pull sessions covering them (loop only). An id that is not an outgoing
-// link is an error, but the others are pulled all the same.
-func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
-	var pulls []*pullSession
+// waiters of the pulls covering them (loop only). A trigger for a link
+// already being pulled — a read, the staleness deadline, PullLink, CatchUp
+// — waits on that pull instead of starting another. An id that is not an
+// outgoing link is an error, but the others are pulled all the same.
+func (p *Peer) startPull(ids []string) ([]*waiter, error) {
+	var pulls []*waiter
 	var idle, unknown []string
 	for _, id := range ids {
 		switch l := p.prop.links[id]; {
@@ -269,26 +258,14 @@ func (p *Peer) startPull(ids []string) ([]*pullSession, error) {
 	if serr != nil {
 		return pulls, serr
 	}
-	ps := &pullSession{sid: sid, rules: idle, done: make(chan struct{})}
+	w := newWaiter()
+	w.rules = idle
 	for _, id := range idle {
-		p.prop.links[id].pulling = ps
+		p.prop.links[id].pulling = w
 	}
-	p.prop.pulls[sid] = ps
+	p.waiting[sid] = w
 	p.dispatch(res) // may finish the session already: register it first
-	return append(pulls, ps), err
-}
-
-// finishPull wakes a pull's waiters when its session finishes here (loop
-// only).
-func (p *Peer) finishPull(ps *pullSession, rep msg.UpdateReport) {
-	delete(p.prop.pulls, ps.sid)
-	for _, id := range ps.rules {
-		if l := p.prop.links[id]; l != nil && l.pulling == ps {
-			l.pulling = nil
-		}
-	}
-	ps.rep = rep
-	close(ps.done)
+	return append(pulls, w), err
 }
 
 // noteScopedRequests marks the stale links a scoped session is about to
@@ -353,7 +330,7 @@ func (p *Peer) settlePulls(f core.Finished) {
 // materialised at this peer. A pull that wrote off messages — its exporter
 // was unreachable, or a pipe failed under it — is an error: the links it
 // covered may still lag.
-func (p *Peer) awaitPulls(ctx context.Context, pulls []*pullSession) (int, error) {
+func (p *Peer) awaitPulls(ctx context.Context, pulls []*waiter) (int, error) {
 	total := 0
 	for _, ps := range pulls {
 		select {
@@ -374,7 +351,7 @@ func (p *Peer) awaitPulls(ctx context.Context, pulls []*pullSession) (int, error
 // pull starts pulls of the links ids names (evaluated on the actor loop)
 // and waits for them.
 func (p *Peer) pull(ctx context.Context, ids func() []string) (int, error) {
-	var pulls []*pullSession
+	var pulls []*waiter
 	var err error
 	if derr := p.do(func() { pulls, err = p.startPull(ids()) }); derr != nil {
 		return 0, derr
@@ -477,7 +454,7 @@ func (p *Peer) maybePullForRead(touched []*cq.Rule) {
 	if len(stale) == 0 && len(promote) == 0 {
 		return
 	}
-	var pulls []*pullSession
+	var pulls []*waiter
 	if err := p.do(func() {
 		for _, rule := range promote {
 			p.sendLinkDemand(rule, false)

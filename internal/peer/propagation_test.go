@@ -26,7 +26,7 @@ func TestStartPullSkipsUnknownLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var first, second []*pullSession
+	var first, second []*waiter
 	var err error
 	if derr := a.do(func() {
 		first, _ = a.startPull([]string{"r1"})

@@ -77,7 +77,7 @@ func TestReadPathQueryStreamLocalBypass(t *testing.T) {
 	}
 	// No rules at all: every query is local-only and must bypass the
 	// session machinery (report kind is still a query report).
-	answers, done, err := p.QueryStream(cq.MustParseQuery(`ans(x, y) :- r(x, y)`), core.AllAnswers)
+	answers, done, err := p.QueryStream(ctxT(t), cq.MustParseQuery(`ans(x, y) :- r(x, y)`), core.AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,10 @@ func (s *Statement) LocalQuery(mode core.QueryMode) ([]relation.Tuple, error) {
 // reads is local, the steady state after a global update — is answered
 // entirely on the concurrent read path (snapshot plus cached answers),
 // without entering the actor loop or the session machinery. Otherwise one
-// goroutine feeds the channels from the query's answer buffer; if the peer
-// stops first, both close without a report.
-func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
+// goroutine feeds the channels from the query's answer buffer; if ctx ends
+// or the peer stops first, both close without a report, and the session
+// runs on without the reader.
+func (s *Statement) QueryStream(ctx context.Context, mode core.QueryMode) (<-chan relation.Tuple, <-chan msg.UpdateReport, error) {
 	p := s.p
 	if rows, rep, ok := p.readPath.tryLocal(s, mode); ok {
 		// Full buffering: the consumer can abandon the stream without leaking
@@ -123,32 +124,38 @@ func (s *Statement) QueryStream(mode core.QueryMode) (<-chan relation.Tuple, <-c
 		done <- rep
 		return answers, done, nil
 	}
-	w, _, err := s.start(mode)
+	w, sid, err := s.start(mode)
 	if err != nil {
 		return nil, nil, err
 	}
 	answers, done := make(chan relation.Tuple), make(chan msg.UpdateReport, 1)
-	go p.feed(w, answers, done)
+	go p.feed(ctx, sid, w, answers, done)
 	return answers, done, nil
 }
 
-// feed streams a query's answers to its reader until the session finishes
-// or the peer stops.
-func (p *Peer) feed(w *queryWaiter, answers chan<- relation.Tuple, done chan<- msg.UpdateReport) {
+// feed streams a query's answers to its reader until the session finishes,
+// ctx ends (the waiter is dropped) or the peer stops.
+func (p *Peer) feed(ctx context.Context, sid string, w *waiter, answers chan<- relation.Tuple, done chan<- msg.UpdateReport) {
 	defer close(done)
 	defer close(answers)
 	for {
 		finished := false
 		select {
 		case <-w.more:
-		case <-w.finished:
+		case <-w.done:
 			finished = true
+		case <-ctx.Done():
+			p.dropWaiter(sid)
+			return
 		case <-p.stopped:
 			return
 		}
 		for _, a := range w.take() {
 			select {
 			case answers <- a:
+			case <-ctx.Done():
+				p.dropWaiter(sid)
+				return
 			case <-p.stopped:
 				return
 			}
@@ -173,10 +180,10 @@ func (s *Statement) Query(ctx context.Context, mode core.QueryMode) ([]relation.
 		return nil, err
 	}
 	select {
-	case <-w.finished:
+	case <-w.done:
 		return w.take(), nil
 	case <-ctx.Done():
-		p.events.put(func() { delete(p.queries, sid) })
+		p.dropWaiter(sid)
 		return w.take(), fmt.Errorf("peer %s: query: %w", p.name, ctx.Err())
 	case <-p.stopped:
 		return w.take(), fmt.Errorf("peer %s: stopped during query", p.name)
@@ -185,17 +192,18 @@ func (s *Statement) Query(ctx context.Context, mode core.QueryMode) ([]relation.
 
 // start begins the statement as a distributed query session whose answers
 // collect in the returned waiter.
-func (s *Statement) start(mode core.QueryMode) (*queryWaiter, string, error) {
+func (s *Statement) start(mode core.QueryMode) (*waiter, string, error) {
 	p := s.p
 	sid := msg.NewSID(p.name)
-	w := &queryWaiter{more: make(chan struct{}, 1), finished: make(chan struct{})}
+	w := newWaiter()
+	w.more = make(chan struct{}, 1)
 	var startErr error
 	if err := p.do(func() {
-		p.queries[sid] = w
+		p.waiting[sid] = w
 		res, err := p.node.StartQuery(sid, s.q, mode)
 		if err != nil {
 			startErr = err
-			delete(p.queries, sid)
+			delete(p.waiting, sid)
 			return
 		}
 		p.dispatch(res)

@@ -101,7 +101,7 @@ func TestStatementGoesDistributedWhenRuleAppears(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := prepared(t, a, `ans(x) :- r(x)`)
-	answers, done, err := st.QueryStream(core.AllAnswers)
+	answers, done, err := st.QueryStream(ctxT(t), core.AllAnswers)
 	if err != nil {
 		t.Fatal(err)
 	}

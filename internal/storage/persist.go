@@ -250,8 +250,8 @@ func decodeRelOps(payload []byte, rel string, arity int) ([]relation.Tuple, erro
 	return out, r.err
 }
 
-// Snapshot file layout: magic "cdbS", version u32 (always 4), CRC u32 of
-// the body. The body is, in order:
+// Snapshot file layout: magic "cdbS", version u32 (snapVersion, 5), CRC
+// u32 of the body. The body is, in order:
 //
 //	uvarint shard count — always written as 1; a reader checks it is >= 1
 //	        and otherwise ignores it (tuples are in global key order

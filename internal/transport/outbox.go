@@ -13,8 +13,11 @@ import (
 // Outbox is the asynchronous per-destination outbound pipeline: it wraps any
 // Transport and turns Send from a synchronous per-message write into an
 // enqueue onto a bounded per-destination queue drained by one writer
-// goroutine per pipe. A slow or stalled pipe therefore delays only its own
-// queue, never the calling actor loop or the other pipes.
+// goroutine per pipe. A slow pipe delays only its own queue and not the
+// other pipes, and Send returns at once while its destination's queue has
+// room. A stalled pipe's queue fills, though: once it holds QueueLimit
+// payloads (4,096 by default), Send blocks until the writer drains one or
+// the pipe fails, and so does the caller — for a peer, its actor loop.
 //
 // # Coalescing and flush policy
 //

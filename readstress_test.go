@@ -8,6 +8,7 @@ package codb
 // under -race in CI.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,7 @@ func TestConcurrentReadStress(t *testing.T) {
 					// (A *distributed* query racing a reconfiguration that
 					// drops its pipes can hang its session; that hazard
 					// predates the read path and is out of scope here.)
-					answers, done, err := nw.QueryStream("A", `ans(v) :- local(k, v)`, AllAnswers)
+					answers, done, err := nw.QueryStream(context.Background(), "A", `ans(v) :- local(k, v)`, AllAnswers)
 					if err != nil {
 						t.Errorf("reader %d: QueryStream: %v", g, err)
 						return

@@ -4,10 +4,10 @@
 #   bash scripts/check.sh
 #
 # Builds the root module, vets it, checks formatting, runs its tests under
-# the race detector in shuffled order (as CI's test-race job does), then
-# vets and tests the nested benchmark module (bench/), which the root
-# module's ./... does not see. It stops at the first failure and edits
-# nothing.
+# the race detector in shuffled order (as CI's test-race job does), runs
+# every examples/*/ program (as CI's examples job does), then vets and
+# tests the nested benchmark module (bench/), which the root module's
+# ./... does not see. It stops at the first failure and edits nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +24,10 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+for d in examples/*/; do
+	echo "== go run ./$d"
+	go run "./$d"
+done
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: ok"
