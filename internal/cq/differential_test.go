@@ -371,42 +371,43 @@ func TestDifferentialSemiNaiveQuery(t *testing.T) {
 	}
 }
 
-// BenchmarkSelfJoinProbe joins k outer bindings against a 20k-row storage
-// snapshot (warm secondary views), by index probe and by hash build. outer=1
-// is the self-join template of the read-write-mix and query-fetch
-// workloads; the larger sizes are where probeMaxOuter's comment gets its
-// per-probe and per-row costs.
+// BenchmarkSelfJoinProbe joins k outer rows against a storage snapshot
+// (warm secondary views) of 256, 1,024 and 20k rows, by index probe and by
+// hash build. outer=1 is the self-join template of the read-write-mix and
+// query-fetch workloads; the larger sizes are where probeMaxOuter's comment
+// gets its crossover.
 func BenchmarkSelfJoinProbe(b *testing.B) {
-	const rows = 20000
-	db := storage.MustOpenMem()
-	def := &relation.RelDef{Name: "data", Attrs: []relation.Attr{{Name: "k", Type: relation.TInt}, {Name: "v", Type: relation.TInt}}}
-	if err := db.DefineRelation(def); err != nil {
-		b.Fatal(err)
-	}
-	rnd := rand.New(rand.NewSource(1))
-	ts := make([]relation.Tuple, rows)
-	for i := range ts {
-		ts[i] = relation.Tuple{relation.Int(i), relation.Int(rnd.Intn(rows))}
-	}
-	if _, err := db.InsertMany("data", ts); err != nil {
-		b.Fatal(err)
-	}
-	snap := db.Snapshot()
-	body := MustParseQuery(`ans(x, z) :- data(x, y), data(y, z)`).Body
-	for _, outer := range []int{1, 16, 128} {
-		delta := ts[:outer]
-		for _, side := range []struct {
-			name string
-			src  Source
-		}{{"probe", snap}, {"build", scanOnly{snap}}} {
-			b.Run(fmt.Sprintf("outer=%d/%s", outer, side.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := EvalDelta(body, nil, []string{"x", "z"}, side.src, "data", delta, EvalOptions{}); err != nil {
-						b.Fatal(err)
+	for _, rows := range []int{256, 1024, 20000} {
+		db := storage.MustOpenMem()
+		def := &relation.RelDef{Name: "data", Attrs: []relation.Attr{{Name: "k", Type: relation.TInt}, {Name: "v", Type: relation.TInt}}}
+		if err := db.DefineRelation(def); err != nil {
+			b.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(1))
+		ts := make([]relation.Tuple, rows)
+		for i := range ts {
+			ts[i] = relation.Tuple{relation.Int(i), relation.Int(rnd.Intn(rows))}
+		}
+		if _, err := db.InsertMany("data", ts); err != nil {
+			b.Fatal(err)
+		}
+		snap := db.Snapshot()
+		body := MustParseQuery(`ans(x, z) :- data(x, y), data(y, z)`).Body
+		for _, outer := range []int{1, 16, 128} {
+			delta := ts[:outer]
+			for _, side := range []struct {
+				name string
+				src  Source
+			}{{"probe", snap}, {"build", scanOnly{snap}}} {
+				b.Run(fmt.Sprintf("rows=%d/outer=%d/%s", rows, outer, side.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := EvalDelta(body, nil, []string{"x", "z"}, side.src, "data", delta, EvalOptions{}); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"codb/internal/relation"
 )
@@ -12,8 +13,9 @@ import (
 // relation.Instance key their tuples, and the session view shadows overlay
 // tuples the snapshot holds), so an injective projection of one scan needs
 // no deduplication. Tuples handed to fn are never mutated afterwards — by
-// the source or by the evaluator — so the evaluator keeps them (join
-// buckets, the delta slice) without cloning; a source must not reuse one
+// the source or by the evaluator — so the evaluator keeps them as they are:
+// a partial result of the hash join is a row of the tuples its atoms
+// matched, never a clone of their values. A source must not reuse one
 // tuple's backing array for the next.
 type Source interface {
 	Scan(rel string, fn func(relation.Tuple) bool)
@@ -23,8 +25,8 @@ type Source interface {
 // tuples with a fixed value at one position as an index probe — O(log n +
 // matches), amortised — in the same (key) order Scan delivers them (storage
 // snapshots and relation.Set do). The evaluator pushes the first constant
-// of an atom down to it, and joins a small set of partial bindings against
-// an atom by probing once per binding instead of hash-building the whole
+// of an atom down to it, and joins a small set of partial results against
+// an atom by probing once per row instead of hash-building the whole
 // relation (see probeMaxOuter).
 type EqScanner interface {
 	ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool)
@@ -46,7 +48,8 @@ type RangeScanner interface {
 type Strategy uint8
 
 const (
-	// HashJoin builds hash tables on shared variables (default).
+	// HashJoin builds hash tables on shared variables (default); see
+	// plan.evalHash.
 	HashJoin Strategy = iota
 	// NestedLoop re-scans each atom per partial binding, pushing down
 	// constants but no range: the correctness reference the differential
@@ -59,18 +62,22 @@ type EvalOptions struct {
 	Strategy Strategy
 }
 
-// probeMaxOuter is the partial-binding count up to which a join step probes
-// an EqScanner source once per binding instead of scanning the whole
-// relation into hash buckets. Against a storage snapshot a probe step costs
-// ~1.1 µs per binding all-in and bucketing ~0.27 µs per row of the relation
-// (BenchmarkSelfJoinProbe: one binding against 20k rows, 8 µs against
-// 13 ms); most of the per-binding cost — clone, unify, project — the hash
-// step pays too, so with 128 bindings the two break even at a relation of
-// about 64 rows (96 vs 93 µs), probing wins 1.4x at 256 rows and 40x at
-// 20k, and loses 1.4x (36 µs) at 16. The relation's size is not known here,
-// so the bound caps that loss rather than locating the crossover: batches of
-// the session data path (64–128 fresh tuples per message) stay under it,
-// full exports (thousands of bindings) keep the hash join.
+// probeMaxOuter is the row count up to which a join step probes an
+// EqScanner source once per partial result instead of building a hash table
+// of the whole relation. Against a storage snapshot a probe costs ~0.8 µs
+// per row all-in and the build ~0.06 µs per tuple of the relation
+// (BenchmarkSelfJoinProbe on a 2-CPU shared host: the probe from outer=16
+// to outer=128 at rows=20000, the build from rows=1024 to rows=20000 at
+// outer=1), so the two break even at a relation about four times the outer
+// set: with 128 rows probing loses 1.5x at 256 tuples (124 vs 83 µs), wins
+// 1.3x at 1,024 and 15x at 20k (0.21 vs 3.0 ms). While every match cloned a
+// binding, bucketing cost ~0.27 µs per tuple and the break-even sat at half
+// the outer set; rows of matched tuples moved it, but not the bound. The
+// relation's size is not known here, so the bound caps the loss rather than
+// locating the crossover: at 128 rows it stays under 2x (tens of µs)
+// against a small relation, while batches of the session data path (64–128
+// fresh tuples per message) meet relations of a thousand tuples and more,
+// where the probe wins; full exports (thousands of rows) keep the hash join.
 const probeMaxOuter = 128
 
 // Eval evaluates a conjunctive query over src and returns the deduplicated
@@ -173,8 +180,8 @@ func FilterCertain(ts []relation.Tuple) []relation.Tuple {
 	return ts
 }
 
-// binding is a partial assignment: values parallel to the compiled variable
-// list, with a bound mask.
+// binding is a partial assignment of the nested-loop strategy: values
+// parallel to the compiled variable list, with a bound mask.
 type binding struct {
 	vals  []relation.Value
 	bound []bool
@@ -191,15 +198,39 @@ func (b *binding) clone() *binding {
 type plan struct {
 	vars   []string
 	varIdx map[string]int
+	loc    []varLoc // per variable: where the hash join reads it
 	atoms  []patom
 	cmps   []pcmp
 	empty  bool // the constant comparisons of some variable admit no value
+}
+
+// varLoc is where a variable is first bound in plan order: the tuple matched
+// at one atom step, one position of it. atom is -1 for a variable no atom
+// binds (it occurs in a comparison only).
+type varLoc struct{ atom, pos int }
+
+// termRole is what one atom term does when the atom's tuple extends a row of
+// the hash join. The plan order fixes it: in a pipelined join every atom
+// before this one has bound its variables.
+type termRole uint8
+
+const (
+	roleConst termRole = iota // compare with a constant
+	roleBind                  // first occurrence of a variable: nothing to check
+	roleCheck                 // later occurrence: compare with where it was bound
+)
+
+type pterm struct {
+	role termRole
+	at   varLoc // roleCheck: the variable's first binding
 }
 
 type patom struct {
 	rel    string
 	varPos []int            // per term: variable index, or -1 for constant
 	consts []relation.Value // per term: constant when varPos == -1
+	terms  []pterm          // per term: its role in the hash join
+	key    []int            // positions whose variable an earlier atom binds: the join key
 	delta  bool             // scan the delta slice instead of src
 	bound  *posRange        // the range a RangeScanner source walks, or nil
 }
@@ -225,7 +256,8 @@ type pcmp struct {
 	lVar, rVar   int // variable index or -1
 	lConst       relation.Value
 	rConst       relation.Value
-	lastVarAtoms int // applicable once atoms[0:lastVarAtoms] are joined
+	lAt, rAt     varLoc // the hash join's read of lVar, rVar; atom -1 reads the constant
+	lastVarAtoms int    // applicable once atoms[0:lastVarAtoms] are joined
 }
 
 // compile builds the plan: atom order chosen greedily (delta atom first,
@@ -244,6 +276,7 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int, pushRanges bool) *p
 		}
 		i := len(p.vars)
 		p.vars = append(p.vars, v)
+		p.loc = append(p.loc, varLoc{atom: -1})
 		p.varIdx[v] = i
 		return i
 	}
@@ -298,20 +331,31 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int, pushRanges bool) *p
 		}
 	}
 
-	for _, ai := range order {
+	for step, ai := range order {
 		a := body[ai]
-		pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms))}
+		pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms)), terms: make([]pterm, len(a.Terms))}
 		for ti, t := range a.Terms {
-			if t.IsVar() {
-				if _, seen := p.varIdx[t.Var]; !seen && pa.bound == nil {
-					if r, ok := bounds[t.Var]; ok {
-						pa.bound = &posRange{pos: ti, r: r}
-					}
-				}
-				pa.varPos[ti] = intern(t.Var)
-			} else {
+			if !t.IsVar() {
 				pa.varPos[ti] = -1
 				pa.consts[ti] = t.Const
+				continue
+			}
+			if _, seen := p.varIdx[t.Var]; !seen && pa.bound == nil {
+				if r, ok := bounds[t.Var]; ok {
+					pa.bound = &posRange{pos: ti, r: r}
+				}
+			}
+			vi := intern(t.Var)
+			pa.varPos[ti] = vi
+			switch at := p.loc[vi]; {
+			case at.atom < 0:
+				p.loc[vi] = varLoc{atom: step, pos: ti}
+				pa.terms[ti].role = roleBind
+			default:
+				pa.terms[ti] = pterm{role: roleCheck, at: at}
+				if at.atom < step {
+					pa.key = append(pa.key, ti)
+				}
 			}
 		}
 		if deltaAtom != nil && ai == *deltaAtom {
@@ -329,48 +373,30 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int, pushRanges bool) *p
 	// Compile comparisons and find the earliest prefix after which each is
 	// fully bound.
 	for _, c := range cmps {
-		pc := pcmp{op: c.Op, lVar: -1, rVar: -1}
+		pc := pcmp{op: c.Op, lVar: -1, rVar: -1, lAt: varLoc{atom: -1}, rAt: varLoc{atom: -1}}
 		if c.L.IsVar() {
 			pc.lVar = intern(c.L.Var)
+			pc.lAt = p.loc[pc.lVar]
 		} else {
 			pc.lConst = c.L.Const
 		}
 		if c.R.IsVar() {
 			pc.rVar = intern(c.R.Var)
+			pc.rAt = p.loc[pc.rVar]
 		} else {
 			pc.rConst = c.R.Const
 		}
-		need := make(map[int]bool)
-		if pc.lVar >= 0 {
-			need[pc.lVar] = true
-		}
-		if pc.rVar >= 0 {
-			need[pc.rVar] = true
-		}
-		bound := make(map[int]bool)
-		pc.lastVarAtoms = len(p.atoms) // default: apply at the very end
-		for i, pa := range p.atoms {
-			for _, vp := range pa.varPos {
-				if vp >= 0 {
-					bound[vp] = true
-				}
-			}
-			all := true
-			for v := range need {
-				if !bound[v] {
-					all = false
-					break
-				}
-			}
-			if all {
-				pc.lastVarAtoms = i + 1
-				break
-			}
-		}
-		if len(need) == 0 {
+		// A variable no atom binds reads as the zero Value, the constant
+		// lConst/rConst already hold, and the comparison waits for the end.
+		switch {
+		case pc.lVar < 0 && pc.rVar < 0:
 			// All-constant comparison: check after the first atom (there
 			// is always at least one; empty bodies are rejected earlier).
 			pc.lastVarAtoms = 1
+		case pc.lVar >= 0 && pc.lAt.atom < 0, pc.rVar >= 0 && pc.rAt.atom < 0:
+			pc.lastVarAtoms = len(p.atoms) // default: apply at the very end
+		default:
+			pc.lastVarAtoms = max(pc.lAt.atom, pc.rAt.atom) + 1
 		}
 		p.cmps = append(p.cmps, pc)
 	}
@@ -461,10 +487,10 @@ func unify(pa *patom, t relation.Tuple, b *binding) bool {
 	return true
 }
 
-// evalProject compiles the body, evaluates it, and projects the bindings
-// through the given head terms (variables or constants), deduplicating the
-// result. deltaAtom (an index into body) and delta restrict one atom
-// occurrence to the delta tuples; setDelta says the delta repeats no tuple.
+// evalProject compiles the body, evaluates it, and projects the results
+// through the given head terms (variables or constants), deduplicating them.
+// deltaAtom (an index into body) and delta restrict one atom occurrence to
+// the delta tuples; setDelta says the delta repeats no tuple.
 func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, deltaAtom *int, delta []relation.Tuple, setDelta bool, opts EvalOptions) ([]relation.Tuple, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("cq: empty body")
@@ -474,44 +500,134 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 		return projectAtom(terms, &body[0], src, useDelta, delta, !useDelta || setDelta)
 	}
 	p := compile(body, cmps, deltaAtom, opts.Strategy != NestedLoop)
-	var bindings []*binding
-	switch opts.Strategy {
-	case NestedLoop:
-		bindings = p.evalNested(src, delta)
-	default:
-		bindings = p.evalHash(src, delta)
-	}
-	seen := make(map[string]bool, len(bindings))
-	var out []relation.Tuple
-	for _, b := range bindings {
-		t := make(relation.Tuple, len(terms))
-		for i, term := range terms {
-			if !term.IsVar() {
-				t[i] = term.Const
-				continue
+	if opts.Strategy == NestedLoop {
+		bindings := p.evalNested(src, delta)
+		out := newProjection(len(terms), len(bindings))
+		for _, b := range bindings {
+			row := out.slab.next()
+			for i, term := range terms {
+				if !term.IsVar() {
+					row[i] = term.Const
+					continue
+				}
+				vi, ok := p.varIdx[term.Var]
+				if !ok || !b.bound[vi] {
+					return nil, fmt.Errorf("cq: projection variable %s not bound", term.Var)
+				}
+				row[i] = b.vals[vi]
 			}
+			out.add(row)
+		}
+		return out.tuples(), nil
+	}
+	rows, n := p.evalHash(src, delta)
+	if n == 0 {
+		return nil, nil
+	}
+	// Per head term: where its variable is bound, or atom -1 for a constant.
+	from := make([]varLoc, len(terms))
+	for i, term := range terms {
+		from[i] = varLoc{atom: -1}
+		if term.IsVar() {
 			vi, ok := p.varIdx[term.Var]
-			if !ok || !b.bound[vi] {
+			if !ok || p.loc[vi].atom < 0 {
 				return nil, fmt.Errorf("cq: projection variable %s not bound", term.Var)
 			}
-			t[i] = b.vals[vi]
-		}
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
+			from[i] = p.loc[vi]
 		}
 	}
-	return out, nil
+	out := newProjection(len(terms), n)
+	w := len(p.atoms)
+	for r := 0; r < n; r++ {
+		matched := rows[r*w : (r+1)*w]
+		row := out.slab.next()
+		for i, l := range from {
+			if l.atom < 0 {
+				row[i] = terms[i].Const
+			} else {
+				row[i] = matched[l.atom][l.pos]
+			}
+		}
+		out.add(row)
+	}
+	return out.tuples(), nil
 }
+
+// projection collects the distinct head rows of one evaluation of at most n
+// rows: their values in one slab, each row kept once by a relation.TupleSet.
+type projection struct {
+	n    int
+	slab valueSlab
+	set  relation.TupleSet
+}
+
+func newProjection(width, n int) *projection {
+	pr := &projection{n: n, slab: valueSlab{width: width, chunk: n}}
+	pr.set.Grow(n)
+	return pr
+}
+
+// add keeps row, which slab.next returned, unless it was kept already.
+func (pr *projection) add(row relation.Tuple) {
+	if pr.set.Add(row) {
+		pr.slab.commit()
+	}
+}
+
+// tuples returns the rows kept, nil for none. When fewer than half the rows
+// survived the dedup they move to a slab of their size, so a caller that
+// keeps the answer does not keep the duplicates' room too.
+func (pr *projection) tuples() []relation.Tuple {
+	out := pr.set.Tuples
+	if len(out) == 0 {
+		return nil
+	}
+	if w := pr.slab.width; w > 0 && 2*len(out) < pr.n {
+		vals := make([]relation.Value, len(out)*w)
+		rows := make([]relation.Tuple, len(out))
+		for i, t := range out {
+			rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+			copy(rows[i], t)
+		}
+		return rows
+	}
+	return out
+}
+
+// valueSlab hands out rows of width values from shared chunks: one
+// allocation per chunk instead of one per row. A row it has handed out and
+// committed is never written again, so it may be kept and returned.
+type valueSlab struct {
+	vals  []relation.Value
+	width int
+	chunk int // rows in the next chunk
+}
+
+// next returns the row to fill. It stays the slab's, and the next call
+// returns it again, until commit.
+func (s *valueSlab) next() relation.Tuple {
+	if s.width == 0 {
+		return relation.Tuple{}
+	}
+	n := len(s.vals)
+	if cap(s.vals)-n < s.width {
+		s.chunk = max(s.chunk, 1)
+		s.vals, n = make([]relation.Value, 0, s.width*s.chunk), 0
+		s.chunk *= 2
+	}
+	return s.vals[n : n+s.width : n+s.width]
+}
+
+// commit keeps the row next returned.
+func (s *valueSlab) commit() { s.vals = s.vals[:len(s.vals)+s.width] }
 
 // projectAtom evaluates a body of one atom and no comparisons — the copy,
 // projection and selection rules most GLAV mappings are — straight off the
 // atom's tuples (the delta, or the source with constant pushdown): no plan,
-// no partial bindings, at most one dedup of the projected rows. It needs
+// no partial results, at most one dedup of the projected rows. It needs
 // none when the input is a set (a source scan, or a delta its caller knows
 // to be one) and the projection is injective: distinct tuples then give
-// distinct rows, which are never keyed. The nested-loop reference strategy
+// distinct rows, which are never hashed. The nested-loop reference strategy
 // never takes it.
 func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relation.Tuple, inputIsSet bool) ([]relation.Tuple, error) {
 	// A variable is identified by the position of its first occurrence in
@@ -553,24 +669,35 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 	if identity && useDelta && inputIsSet && arityIs(delta, len(a.Terms)) {
 		return delta, nil
 	}
-	// Sized for the delta; a source scan (no delta) grows them, and an
-	// empty one still returns nil like the general path.
-	var out []relation.Tuple
-	if useDelta {
-		out = make([]relation.Tuple, 0, len(delta))
+	// The callback's state is one variable, so one allocation: the rows
+	// kept (in seen when they need a dedup), the slab they are projected
+	// into, and the error that stops the scan. Sized for the delta; a source
+	// scan grows them from one row, as a constant's index scan may deliver
+	// no more, and an empty one still returns nil like the general path.
+	var st struct {
+		out  []relation.Tuple
+		seen *relation.TupleSet
+		slab valueSlab
+		err  error
 	}
-	var seen map[string]struct{}
+	st.slab = valueSlab{width: len(terms), chunk: 1}
 	if !inputIsSet || !injective(a, []Atom{{Terms: terms}}) {
-		seen = make(map[string]struct{}, len(delta))
+		st.seen = new(relation.TupleSet)
+		st.seen.Grow(len(delta))
+	} else if useDelta {
+		st.out = make([]relation.Tuple, 0, len(delta))
 	}
-	var err error
+	if useDelta {
+		st.slab.chunk = len(delta)
+	}
+	varPos, consts := pa.varPos, pa.consts
 	scanAtom(src, &pa, delta, func(t relation.Tuple) bool {
-		if len(t) != len(pa.varPos) {
+		if len(t) != len(varPos) {
 			return true
 		}
-		for ti, vp := range pa.varPos {
+		for ti, vp := range varPos {
 			if vp < 0 {
-				if !t[ti].Equal(pa.consts[ti]) {
+				if !t[ti].Equal(consts[ti]) {
 					return true
 				}
 			} else if vp != ti && !t[vp].Equal(t[ti]) {
@@ -578,12 +705,12 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 			}
 		}
 		if unbound != "" {
-			err = fmt.Errorf("cq: projection variable %s not bound", unbound)
+			st.err = fmt.Errorf("cq: projection variable %s not bound", unbound)
 			return false
 		}
 		row := t
 		if !identity {
-			row = make(relation.Tuple, len(terms))
+			row = st.slab.next()
 			for i, pos := range outPos {
 				if pos < 0 {
 					row[i] = terms[i].Const
@@ -592,20 +719,24 @@ func projectAtom(terms []Term, a *Atom, src Source, useDelta bool, delta []relat
 				}
 			}
 		}
-		if seen != nil {
-			k := row.Key()
-			if _, dup := seen[k]; dup {
-				return true
-			}
-			seen[k] = struct{}{}
+		switch {
+		case st.seen == nil:
+			st.out = append(st.out, row)
+		case !st.seen.Add(row):
+			return true
 		}
-		out = append(out, row)
+		if !identity {
+			st.slab.commit()
+		}
 		return true
 	})
-	if err != nil {
-		return nil, err
+	if st.err != nil {
+		return nil, st.err
 	}
-	return out, nil
+	if st.seen != nil {
+		return st.seen.Tuples, nil
+	}
+	return st.out, nil
 }
 
 // arityIs reports whether every tuple has n values.
@@ -629,8 +760,8 @@ func scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(relation.Tu
 	}
 	// Constant and range pushdown: let an index-capable source enumerate
 	// only the tuples matching the atom's first constant, or else lying in
-	// its range. unify re-checks every constant and extend every
-	// comparison, so this is purely an access-path optimisation.
+	// its range. Every constant and comparison is re-checked on the tuples
+	// delivered, so this is purely an access-path optimisation.
 	if eq, ok := src.(EqScanner); ok {
 		for ti, vp := range pa.varPos {
 			if vp < 0 {
@@ -669,108 +800,6 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 	return out
 }
 
-// evalHash is the hash-join strategy: a pipeline of partial-binding sets,
-// each atom joined via a hash table keyed on the shared bound variables —
-// or, when the binding set is small and the source can probe (EqScanner),
-// via one index probe per binding, so the cost follows the bindings rather
-// than the relation (an index nested-loop step; same tuples, same order).
-func (p *plan) evalHash(src Source, delta []relation.Tuple) []*binding {
-	if p.empty {
-		return nil
-	}
-	cur := []*binding{{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))}}
-	boundSoFar := make([]bool, len(p.vars))
-	eq, _ := src.(EqScanner)
-	for i := range p.atoms {
-		pa := &p.atoms[i]
-		// Join key: positions of atom terms whose variable is already bound.
-		var keyTermIdx []int
-		for ti, vp := range pa.varPos {
-			if vp >= 0 && boundSoFar[vp] {
-				keyTermIdx = append(keyTermIdx, ti)
-			}
-		}
-		// An atom with a constant already builds its buckets from an index
-		// scan of that constant (scanAtom), which no probe pass beats.
-		if eq != nil && !pa.delta && !pa.hasConst() && len(keyTermIdx) > 0 && len(cur) <= probeMaxOuter {
-			cur = p.probeIndex(eq, cur, pa, i, keyTermIdx[0])
-		} else {
-			buckets := p.buildBuckets(src, pa, delta, keyTermIdx)
-			cur = p.probe(cur, pa, i, keyTermIdx, buckets)
-		}
-		for _, vp := range pa.varPos {
-			if vp >= 0 {
-				boundSoFar[vp] = true
-			}
-		}
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
-// buildBuckets is the hash-join build phase for one atom: bucket the
-// atom's tuples by join key (also filtering constants; intra-atom repeated
-// variables are re-checked via unify at probe time).
-func (p *plan) buildBuckets(src Source, pa *patom, delta []relation.Tuple, keyTermIdx []int) map[string][]relation.Tuple {
-	buckets := make(map[string][]relation.Tuple)
-	scanAtom(src, pa, delta, func(t relation.Tuple) bool {
-		if len(t) != len(pa.varPos) {
-			return true
-		}
-		for ti, vp := range pa.varPos {
-			if vp < 0 && !t[ti].Equal(pa.consts[ti]) {
-				return true
-			}
-		}
-		var kb []byte
-		for _, ti := range keyTermIdx {
-			kb = relation.EncodeValue(kb, t[ti])
-		}
-		k := string(kb)
-		buckets[k] = append(buckets[k], t)
-		return true
-	})
-	return buckets
-}
-
-// probe extends every partial binding with the matching tuples of one atom.
-func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple) []*binding {
-	var next []*binding
-	for _, b := range cur {
-		var kb []byte
-		for _, ti := range keyTermIdx {
-			kb = relation.EncodeValue(kb, b.vals[pa.varPos[ti]])
-		}
-		for _, t := range buckets[string(kb)] {
-			if nb := p.extend(b, pa, atomIdx, t); nb != nil {
-				next = append(next, nb)
-			}
-		}
-	}
-	return next
-}
-
-// probeIndex is the index nested-loop join step: every partial binding
-// probes the source for the atom's tuples carrying its value at one join-key
-// position. extend re-checks the remaining key positions, the constants and
-// the arity, and ScanEq delivers in key order like the scans that fill the
-// hash buckets, so the result is identical to the hash step's.
-func (p *plan) probeIndex(eq EqScanner, cur []*binding, pa *patom, atomIdx, keyTerm int) []*binding {
-	var next []*binding
-	vi := pa.varPos[keyTerm]
-	for _, b := range cur {
-		eq.ScanEq(pa.rel, keyTerm, b.vals[vi], func(t relation.Tuple) bool {
-			if nb := p.extend(b, pa, atomIdx, t); nb != nil {
-				next = append(next, nb)
-			}
-			return true
-		})
-	}
-	return next
-}
-
 // extend returns b extended with tuple t at the given atom, or nil when t
 // does not unify or a comparison that just became fully bound fails.
 func (p *plan) extend(b *binding, pa *patom, atomIdx int, t relation.Tuple) *binding {
@@ -784,4 +813,215 @@ func (p *plan) extend(b *binding, pa *patom, atomIdx int, t relation.Tuple) *bin
 		}
 	}
 	return nb
+}
+
+// evalHash is the hash-join strategy: a pipeline over the atoms in plan
+// order whose partial results are rows of matched tuples. After step i a
+// row is the i+1 tuples the atoms so far matched, rows[r*(i+1):(r+1)*(i+1)]
+// of one flat slice, and a variable is read where the plan says it was
+// first bound (plan.loc) — values are never copied into bindings. Each step
+// extends every row with the matching tuples of its atom:
+//
+//   - by a hash table of the atom's tuples on the join key, the variables
+//     earlier atoms bind (hashJoin);
+//   - when the rows are few and the source can probe (EqScanner), by one
+//     index probe per row, so the cost follows the rows rather than the
+//     relation (probeIndex: an index nested-loop step; same tuples, same
+//     order);
+//   - when the atom shares no bound variable, by scanning it once and
+//     pairing every tuple with every row (cross).
+//
+// Matches come out row by row, each row's in scan order. A cartesian step
+// after the first atom is the exception: its matches come out tuple by
+// tuple. It returns the final rows, len(p.atoms) tuples each, and their
+// count.
+func (p *plan) evalHash(src Source, delta []relation.Tuple) (rows []relation.Tuple, n int) {
+	if p.empty {
+		return nil, 0
+	}
+	n = 1 // the empty row
+	eq, _ := src.(EqScanner)
+	for i := range p.atoms {
+		pa := &p.atoms[i]
+		switch {
+		case len(pa.key) == 0:
+			rows = p.cross(src, delta, i, rows, n)
+		case eq != nil && !pa.delta && !pa.hasConst() && n <= probeMaxOuter:
+			// An atom with a constant builds its table from an index scan
+			// of that constant (scanAtom), which no probe pass beats.
+			rows = p.probeIndex(eq, i, rows, n)
+		default:
+			rows = p.hashJoin(src, delta, i, rows, n)
+		}
+		if n = len(rows) / (i + 1); n == 0 {
+			return nil, 0
+		}
+	}
+	return rows, n
+}
+
+// match reports whether tuple t extends row at step i: its arity, its
+// constants, every variable an earlier atom or position binds (compared by
+// Equal with the value where it was bound), and the comparisons that become
+// fully bound at this step.
+func (p *plan) match(i int, row []relation.Tuple, t relation.Tuple) bool {
+	pa := &p.atoms[i]
+	if len(t) != len(pa.terms) {
+		return false
+	}
+	for ti, pt := range pa.terms {
+		switch pt.role {
+		case roleConst:
+			if !t[ti].Equal(pa.consts[ti]) {
+				return false
+			}
+		case roleCheck:
+			if !t[ti].Equal(value(row, t, i, pt.at)) {
+				return false
+			}
+		}
+	}
+	for ci := range p.cmps {
+		c := &p.cmps[ci]
+		if c.lastVarAtoms == i+1 && !c.op.Eval(operand(row, t, i, c.lAt, c.lConst), operand(row, t, i, c.rAt, c.rConst)) {
+			return false
+		}
+	}
+	return true
+}
+
+// value reads the variable bound at l while t extends row at step i.
+func value(row []relation.Tuple, t relation.Tuple, i int, l varLoc) relation.Value {
+	if l.atom == i {
+		return t[l.pos]
+	}
+	return row[l.atom][l.pos]
+}
+
+// operand is a comparison side: the variable bound at l, or the constant k
+// when l is no location.
+func operand(row []relation.Tuple, t relation.Tuple, i int, l varLoc, k relation.Value) relation.Value {
+	if l.atom < 0 {
+		return k
+	}
+	return value(row, t, i, l)
+}
+
+// cross extends every row with every matching tuple of an atom that shares
+// no bound variable, scanning the atom once: tuple by tuple in scan order,
+// each paired with the rows in order. At the first atom (one empty row)
+// that is scan order.
+func (p *plan) cross(src Source, delta []relation.Tuple, i int, rows []relation.Tuple, n int) []relation.Tuple {
+	var next []relation.Tuple
+	scanAtom(src, &p.atoms[i], delta, func(t relation.Tuple) bool {
+		for r := 0; r < n; r++ {
+			if row := rows[r*i : (r+1)*i]; p.match(i, row, t) {
+				next = appendRow(next, row, t)
+			}
+		}
+		return true
+	})
+	return next
+}
+
+// appendRow appends the row extended by t. A full slice doubles: append
+// grows a large one by about a quarter at a time, which allocates and
+// copies several times as many bytes in all.
+func appendRow(rows, row []relation.Tuple, t relation.Tuple) []relation.Tuple {
+	if w := len(row) + 1; cap(rows)-len(rows) < w {
+		rows = append(make([]relation.Tuple, 0, max(2*len(rows), 4*w)), rows...)
+	}
+	return append(append(rows, row...), t)
+}
+
+// entry is one tuple of a hashJoin table: its join-key hash and the next
+// tuple of its chain.
+type entry struct {
+	t    relation.Tuple
+	hash uint64
+	next *entry
+}
+
+// hashJoin is the build-and-probe step. The atom's tuples, filtered on
+// arity and constants, are hashed on the join key (relation.Value.Hash,
+// which agrees with Equal) and chained in scan order; each row hashes the
+// same variables where it holds them and walks its chain. A chain may mix
+// keys whose hashes share a slot or collide, so every candidate is
+// re-checked by match, which compares every key position with Equal. The
+// table grows by blocks of doubling size that never move, so the build
+// copies no entry.
+func (p *plan) hashJoin(src Source, delta []relation.Tuple, i int, rows []relation.Tuple, n int) []relation.Tuple {
+	pa := &p.atoms[i]
+	var blocks [][]entry
+	size := 0
+	scanAtom(src, pa, delta, func(t relation.Tuple) bool {
+		if len(t) != len(pa.terms) {
+			return true
+		}
+		for ti, vp := range pa.varPos {
+			if vp < 0 && !t[ti].Equal(pa.consts[ti]) {
+				return true
+			}
+		}
+		var h uint64
+		for _, ti := range pa.key {
+			h = t[ti].Hash(h)
+		}
+		if b := len(blocks); b == 0 || len(blocks[b-1]) == cap(blocks[b-1]) {
+			blocks = append(blocks, make([]entry, 0, 8<<min(b, 20)))
+		}
+		last := &blocks[len(blocks)-1]
+		*last = append(*last, entry{t: t, hash: h})
+		size++
+		return true
+	})
+	if size == 0 {
+		return nil
+	}
+	mask := uint64(1)<<bits.Len(uint(size)) - 1
+	heads := make([]*entry, mask+1)
+	for b := len(blocks) - 1; b >= 0; b-- { // linked backwards, walked forwards
+		for k := len(blocks[b]) - 1; k >= 0; k-- {
+			e := &blocks[b][k]
+			e.next, heads[e.hash&mask] = heads[e.hash&mask], e
+		}
+	}
+	next := make([]relation.Tuple, 0, min(n, size)*(i+1))
+	for r := 0; r < n; r++ {
+		row := rows[r*i : (r+1)*i]
+		var h uint64
+		for _, ti := range pa.key {
+			at := pa.terms[ti].at
+			h = row[at.atom][at.pos].Hash(h)
+		}
+		for e := heads[h&mask]; e != nil; e = e.next {
+			if e.hash == h && p.match(i, row, e.t) {
+				next = appendRow(next, row, e.t)
+			}
+		}
+	}
+	return next
+}
+
+// probeIndex is the index nested-loop join step: every row probes the
+// source for the atom's tuples carrying its value at the first join-key
+// position. match re-checks the other key positions, the constants and the
+// arity, and ScanEq delivers in key order like the scan that fills the hash
+// table, so the result is identical to hashJoin's.
+func (p *plan) probeIndex(eq EqScanner, i int, rows []relation.Tuple, n int) []relation.Tuple {
+	pa := &p.atoms[i]
+	keyTerm := pa.key[0]
+	at := pa.terms[keyTerm].at
+	var next, row []relation.Tuple
+	fn := func(t relation.Tuple) bool {
+		if p.match(i, row, t) {
+			next = appendRow(next, row, t)
+		}
+		return true
+	}
+	for r := 0; r < n; r++ {
+		row = rows[r*i : (r+1)*i]
+		eq.ScanEq(pa.rel, keyTerm, row[at.atom][at.pos], fn)
+	}
+	return next
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // refEval is a brutally simple reference evaluator: enumerate all
-// assignments atom by atom in source order, no planning, no hashing.
+// assignments atom by atom in source order, no planning, no hashing. Values
+// match by Value.Equal, the evaluator's value identity.
 func refEval(q *Query, src Source) []relation.Tuple {
 	var results []relation.Tuple
 	seen := make(map[string]bool)
@@ -56,13 +57,13 @@ func refEval(q *Query, src Source) []relation.Tuple {
 			}
 			for j, term := range a.Terms {
 				if !term.IsVar() {
-					if tp[j] != term.Const {
+					if !tp[j].Equal(term.Const) {
 						return true
 					}
 					continue
 				}
 				if bound, ok := next[term.Var]; ok {
-					if bound != tp[j] {
+					if !bound.Equal(tp[j]) {
 						return true
 					}
 					continue

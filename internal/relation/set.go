@@ -192,13 +192,13 @@ func (s *Set) ScanEq(rel string, pos int, v Value, fn func(Tuple) bool) {
 }
 
 // Union accumulates duplicate-free batches of tuples into one duplicate-free
-// list, in first-seen order. A single batch is adopted as it is; tuple keys
-// are only encoded once a second non-empty batch has to be merged in, so the
+// list, in first-seen order. A single batch is adopted as it is; a TupleSet
+// is only built once a second non-empty batch has to be merged in, so the
 // common case — one delta relation, one occurrence — pays for no dedup.
 type Union struct {
 	// Tuples is the union so far. It may alias the first batch added.
 	Tuples []Tuple
-	seen   map[string]struct{}
+	set    TupleSet
 }
 
 // Add merges one batch, which must itself be free of duplicates.
@@ -210,20 +210,16 @@ func (u *Union) Add(batch []Tuple) {
 		u.Tuples = batch
 		return
 	}
-	if u.seen == nil {
-		u.seen = make(map[string]struct{}, len(u.Tuples)+len(batch))
+	if len(u.set.Tuples) == 0 {
+		// The first batch belongs to the caller: the set's own list stops
+		// aliasing it. Its tuples are distinct, so none is looked up.
+		u.set.Grow(len(u.Tuples) + len(batch))
 		for _, t := range u.Tuples {
-			u.seen[t.Key()] = struct{}{}
+			u.set.insert(t, t.Hash())
 		}
-		// The first batch belongs to the caller: stop aliasing it before
-		// appending.
-		u.Tuples = u.Tuples[:len(u.Tuples):len(u.Tuples)]
 	}
 	for _, t := range batch {
-		k := t.Key()
-		if _, dup := u.seen[k]; !dup {
-			u.seen[k] = struct{}{}
-			u.Tuples = append(u.Tuples, t)
-		}
+		u.set.Add(t)
 	}
+	u.Tuples = u.set.Tuples
 }

@@ -5,6 +5,7 @@
 #
 # Builds the root module, vets it, checks formatting, runs its tests under
 # the race detector in shuffled order (as CI's test-race job does), runs
+# every benchmark for one iteration (as CI's bench-smoke job does), runs
 # every examples/*/ program (as CI's examples job does), then vets and
 # tests the nested benchmark module (bench/), which the root module's
 # ./... does not see. It stops at the first failure and edits nothing.
@@ -24,6 +25,8 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+echo "== go test -run '^\$' -bench . -benchtime=1x ./..."
+go test -run '^$' -bench . -benchtime=1x ./...
 for d in examples/*/; do
 	echo "== go run ./$d"
 	go run "./$d"
