@@ -1,11 +1,15 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"codb/internal/relation"
 )
 
+// opKind is the kind of one op of a WAL record (persist.go).
 type opKind uint8
 
 const (
@@ -14,81 +18,49 @@ const (
 	opDDL    opKind = 3
 )
 
-type op struct {
-	kind  opKind
-	rel   string
-	key   string         // the tuple's Key(): computed once by the caller, reused to apply and log
-	tuple relation.Tuple // nil for opDelete
-}
-
 // commit is the one commit path of the engine: Insert, InsertMany, the
-// keyed batch and Delete all end here. It applies ops atomically, logs them,
-// and sets applied[i] (len(applied) == len(ops)) for every op that changed
-// its relation — for an insert, "the tuple was new".
+// keyed batch and Delete all end here. A row is an insert, the tuple with
+// its key (Key must be Tuple.Key()), or, with a nil Tuple, a delete of the
+// tuple whose key is Key. It applies the rows atomically, in order, logs
+// them, and sets applied[i] (len(applied) == len(rows)) for every row that
+// changed its relation — for an insert, "the tuple was new".
 //
-// Under writeMu the ops are applied to the writer's trees straight away:
-// what each set-semantics insert or delete did to its tree is the only
-// presence test, so nothing is looked up twice, a duplicate inside the batch
-// simply does nothing, and only ops that did something are logged and
-// captured — a batch that changes nothing takes no LSN and writes no record.
-// Then the commit takes the next LSN, appends its record with any staged
-// marks (synced under SyncOnCommit), captures the changes and publishes the
-// new root, so no reader observes a commit before its record is in the log.
+// Under writeMu the rows are applied to the writer's trees straight away
+// (DB.apply): what each set-semantics insert or delete did to its tree is
+// the only presence test, so nothing is looked up twice, a duplicate inside
+// the batch simply does nothing, and only rows that did something are
+// logged and captured — a batch that changes nothing takes no LSN and writes
+// no record. Then the commit takes the next LSN, appends its record with any
+// staged marks (synced under SyncOnCommit), captures the changes and
+// publishes the new root, so no reader observes a commit before its record
+// is in the log.
 //
-// A WAL failure is returned to the caller, but the ops stay applied and
+// A WAL failure is returned to the caller, but the rows stay applied and
 // published: once the record has been handed to the log its bytes may
 // already be on disk (a failed fsync reports an unknowable OS state), so
 // recovery may replay the commit — in-memory state must stay a superset of
 // whatever the log can resurrect.
-func (db *DB) commit(ops []op, applied []bool) error {
+func (db *DB) commit(rows []relation.Row, applied []bool) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writable(); err != nil {
 		return err
 	}
-	changed := 0
-	for i := range ops {
-		o := &ops[i]
-		t := db.tables[o.rel]
-		if o.kind == opInsert {
-			applied[i] = t.insert(o.key, o.tuple)
-		} else {
-			applied[i] = t.delete(o.key)
-		}
-		if applied[i] {
-			changed++
-		}
-	}
-	if changed == 0 {
+	limit := db.changelogLimit()
+	if db.apply(rows, applied, limit) == 0 {
 		// The trees are unchanged, so their published views still hold.
 		root := db.root.Load()
-		for i := range ops {
-			db.tables[ops[i].rel].view = root.tables[ops[i].rel]
+		for i := range rows {
+			if i == 0 || rows[i].Rel != rows[i-1].Rel {
+				db.tables[rows[i].Rel].view = root.tables[rows[i].Rel]
+			}
 		}
 		return nil
 	}
-	if changed < len(ops) {
-		did := make([]op, 0, changed)
-		for i := range ops {
-			if applied[i] {
-				did = append(did, ops[i])
-			}
-		}
-		ops = did
-	}
 	db.lsn++
-	err := db.logRecord(func() []byte { return encodeOps(ops) })
+	err := db.logRecord(func() []byte { return encodeRows(rows, applied) })
 	db.applyMarks()
-	capt := db.beginCapture(db.lsn)
-	for i := range ops {
-		o := &ops[i]
-		t := db.tables[o.rel]
-		if o.kind == opInsert {
-			capt.insert(t, o.tuple)
-		} else {
-			capt.delete(t)
-		}
-	}
+	db.capture(rows, applied, capture{limit: limit, lsn: db.lsn})
 	db.publish()
 	if err != nil {
 		return err
@@ -102,6 +74,126 @@ func (db *DB) commit(ops []op, applied []bool) error {
 		}
 	}
 	return nil
+}
+
+// apply applies rows, a commit's (live or replayed), to the writer's trees
+// and sets applied[i] as commit describes; it returns how many rows changed
+// something. A delete goes down its trees alone. A run of consecutive
+// inserts goes in as one sorted batch per relation (table.insert): rows
+// already in (relation, key) order, as the overlays, checkpoints and logged
+// commits hand them over, are read as they lie; any other run is sorted
+// once, through a permutation of its rows, and a row repeated inside it
+// counts at its first occurrence only. Each changed relation's changelog
+// makes room for the run's inserts (limit is the changelog bound).
+func (db *DB) apply(rows []relation.Row, applied []bool, limit int) (changed int) {
+	for lo := 0; lo < len(rows); {
+		if rows[lo].Tuple == nil {
+			if applied[lo] = db.tables[rows[lo].Rel].delete(rows[lo].Key); applied[lo] {
+				changed++
+			}
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < len(rows) && rows[hi].Tuple != nil {
+			hi++
+		}
+		changed += db.insertRun(rows[lo:hi], applied[lo:hi], limit)
+		lo = hi
+	}
+	return changed
+}
+
+// insertRun is apply for a run of inserts.
+func (db *DB) insertRun(rows []relation.Row, isNew []bool, limit int) (changed int) {
+	if inOrder(rows) {
+		for lo, hi := 0, 0; lo < len(rows); lo = hi {
+			for hi = lo + 1; hi < len(rows) && rows[hi].Rel == rows[lo].Rel; hi++ {
+			}
+			changed += db.tables[rows[lo].Rel].insert(sortedRows(rows[lo:hi]), isNew[lo:hi], limit)
+		}
+		return changed
+	}
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := compareRows(&rows[a], &rows[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	perm = slices.CompactFunc(perm, func(a, b int32) bool { return compareRows(&rows[a], &rows[b]) == 0 })
+	added := make([]bool, len(perm))
+	for lo, hi := 0, 0; lo < len(perm); lo = hi {
+		rel := rows[perm[lo]].Rel
+		for hi = lo + 1; hi < len(perm) && rows[perm[hi]].Rel == rel; hi++ {
+		}
+		changed += db.tables[rel].insert(permRows{rows, perm[lo:hi]}, added[lo:hi], limit)
+	}
+	clear(isNew)
+	for j, i := range perm {
+		isNew[i] = added[j]
+	}
+	return changed
+}
+
+// compareRows orders rows by relation, then key.
+func compareRows(a, b *relation.Row) int {
+	if a.Rel != b.Rel {
+		return strings.Compare(a.Rel, b.Rel)
+	}
+	return strings.Compare(a.Key, b.Key)
+}
+
+// inOrder reports whether rows are in strictly ascending (relation, key)
+// order.
+func inOrder(rows []relation.Row) bool {
+	for i := 1; i < len(rows); i++ {
+		if compareRows(&rows[i-1], &rows[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedRows is a run of one relation's rows in ascending key order, read
+// in place as a batch for its primary tree.
+type sortedRows []relation.Row
+
+func (s sortedRows) Len() int                   { return len(s) }
+func (s sortedRows) Key(i int) string           { return s[i].Key }
+func (s sortedRows) Value(i int) relation.Tuple { return s[i].Tuple }
+
+// permRows is a run of one relation's rows read in ascending key order
+// through perm.
+type permRows struct {
+	rows []relation.Row
+	perm []int32
+}
+
+func (p permRows) Len() int                   { return len(p.perm) }
+func (p permRows) Key(i int) string           { return p.rows[p.perm[i]].Key }
+func (p permRows) Value(i int) relation.Tuple { return p.rows[p.perm[i]].Tuple }
+
+// capture records a commit's applied rows in their relations' changelogs,
+// in row order.
+func (db *DB) capture(rows []relation.Row, applied []bool, c capture) {
+	var t *table
+	for i := range rows {
+		if !applied[i] {
+			continue
+		}
+		if t == nil || t.def.Name != rows[i].Rel {
+			t = db.tables[rows[i].Rel]
+		}
+		if rows[i].Tuple != nil {
+			c.insert(t, rows[i].Tuple)
+		} else {
+			c.delete(t)
+		}
+	}
 }
 
 // Insert is a single-op convenience: one auto-committed insertion. Returns
@@ -131,30 +223,31 @@ func (db *DB) InsertMany(rel string, tuples []relation.Tuple) ([]relation.Tuple,
 
 // InsertKeyed is the keyed batch entry: it inserts rows — of any relations,
 // each carrying the key its holder already computed (Key must be
-// Tuple.Key()) — in one commit: one WAL record, one fsync wait, one tree
-// descent per row. isNew[i] reports whether rows[i] was new: false for a
-// tuple already present or repeated earlier in the batch. Nothing is
-// inserted when a row names an unknown relation or does not fit its schema.
-// The database keeps the tuples it is given.
+// Tuple.Key()) — in one commit: one WAL record, one fsync wait, one sorted
+// merge into each relation's trees. isNew[i] reports whether rows[i] was
+// new: false for a tuple already present or repeated earlier in the batch.
+// Nothing is inserted when a row names an unknown relation or does not fit
+// its schema. The database keeps the rows' tuples, and reads rows only
+// during the call.
 func (db *DB) InsertKeyed(rows []relation.Row) (isNew []bool, err error) {
-	ops := make([]op, len(rows))
 	var def *relation.RelDef
-	for i, r := range rows {
+	for _, r := range rows {
 		if def == nil || def.Name != r.Rel {
 			if def = db.Rel(r.Rel); def == nil {
 				return nil, fmt.Errorf("storage: unknown relation %q", r.Rel)
 			}
 		}
+		// Every relation has an attribute, so a valid tuple is never the
+		// nil that marks a delete.
 		if err := def.Validate(r.Tuple); err != nil {
 			return nil, err
 		}
-		ops[i] = op{opInsert, r.Rel, r.Key, r.Tuple}
 	}
-	isNew = make([]bool, len(ops))
-	if len(ops) == 0 {
+	isNew = make([]bool, len(rows))
+	if len(rows) == 0 {
 		return isNew, nil
 	}
-	if err := db.commit(ops, isNew); err != nil {
+	if err := db.commit(rows, isNew); err != nil {
 		return nil, err
 	}
 	return isNew, nil
@@ -167,6 +260,6 @@ func (db *DB) Delete(rel string, tuple relation.Tuple) (bool, error) {
 		return false, fmt.Errorf("storage: unknown relation %q", rel)
 	}
 	existed := []bool{false}
-	err := db.commit([]op{{kind: opDelete, rel: rel, key: tuple.Key()}}, existed)
+	err := db.commit([]relation.Row{{Rel: rel, Key: tuple.Key()}}, existed)
 	return existed[0], err
 }

@@ -116,23 +116,36 @@ func encodeDDL(def *relation.RelDef) []byte {
 	return encodeDef(dst, def)
 }
 
-func encodeOps(ops []op) []byte {
-	size := binary.MaxVarintLen64
-	for i := range ops {
-		size += 1 + 2*binary.MaxVarintLen32 + len(ops[i].rel) + len(ops[i].key)
+// encodeRows encodes the applied rows of a commit (see DB.commit) as a WAL
+// payload.
+func encodeRows(rows []relation.Row, applied []bool) []byte {
+	size, count := binary.MaxVarintLen64, 0
+	for i := range rows {
+		if applied[i] {
+			size += 1 + 2*binary.MaxVarintLen32 + len(rows[i].Rel) + len(rows[i].Key)
+			count++
+		}
 	}
-	dst := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ops)))
-	for _, o := range ops {
-		dst = append(dst, byte(o.kind))
-		dst = putString(dst, o.rel)
-		dst = putString(dst, o.key) // the order-preserving encoding is the key
+	dst := binary.AppendUvarint(make([]byte, 0, size), uint64(count))
+	for i, r := range rows {
+		if !applied[i] {
+			continue
+		}
+		kind := opInsert
+		if r.Tuple == nil {
+			kind = opDelete
+		}
+		dst = append(dst, byte(kind))
+		dst = putString(dst, r.Rel)
+		dst = putString(dst, r.Key) // the order-preserving encoding is the key
 	}
 	return dst
 }
 
 // applyLogRecord replays one WAL record during recovery. It bypasses the
-// commit path and mutates tables directly (the DB is not yet shared or
-// published). Each record is one commit carrying the LSN its segment header
+// commit path's lock and log but applies and captures the record's ops as
+// a commit does (DB.apply, DB.capture): the DB is not yet shared or
+// published. Each record is one commit carrying the LSN its segment header
 // implies, and replayed inserts re-enter the changelogs — a watermark taken
 // after the last checkpoint stays incrementally answerable across a restart.
 // The one writer logs in LSN order, so replay reproduces the original
@@ -155,7 +168,14 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 		return fmt.Errorf("storage: truncated op")
 	}
 	db.lsn = lsn
-	capt := db.beginCapture(lsn)
+	capt := capture{limit: db.changelogLimit(), lsn: lsn}
+	var rows []relation.Row
+	flush := func() {
+		applied := make([]bool, len(rows))
+		db.apply(rows, applied, capt.limit)
+		db.capture(rows, applied, capt)
+		rows = rows[:0]
+	}
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		if r.off >= len(r.b) {
 			return fmt.Errorf("storage: truncated op")
@@ -168,6 +188,7 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			if r.err != nil {
 				return r.err
 			}
+			flush()
 			if err := db.schema.Add(def); err != nil {
 				return fmt.Errorf("storage: replay ddl: %w", err)
 			}
@@ -186,21 +207,20 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 			if err != nil {
 				return fmt.Errorf("storage: replay %s: %w", rel, err)
 			}
-			// The encoded op payload IS the tuple key.
-			key := string(enc)
-			t := db.tables[rel]
-			if kind == opInsert {
-				if t.insert(key, tuple) {
-					capt.insert(t, tuple)
-				}
-			} else if t.delete(key) {
-				capt.delete(t)
+			if kind == opDelete {
+				tuple = nil
 			}
+			// The encoded op payload IS the tuple key.
+			rows = append(rows, relation.Row{Rel: def.Name, Key: string(enc), Tuple: tuple})
 		default:
 			return fmt.Errorf("storage: replay: bad op kind %d", kind)
 		}
 	}
-	if r.err == nil && r.off < len(r.b) {
+	if r.err != nil {
+		return r.err
+	}
+	flush()
+	if r.off < len(r.b) {
 		db.marks = setMarks(db.marks, r.marks())
 	}
 	return r.err
@@ -425,7 +445,8 @@ func (db *DB) loadSnapshot(path string) error {
 	}
 	for _, def := range defs {
 		count := r.uvarint()
-		t := db.tables[def.Name]
+		// The tuples are in key order: one batch, merged as it lies.
+		rows := make([]relation.Row, 0, min(count, uint64(len(body)-r.off)))
 		for i := uint64(0); i < count; i++ {
 			enc := r.bytes()
 			if r.err != nil {
@@ -435,8 +456,10 @@ func (db *DB) loadSnapshot(path string) error {
 			if err != nil {
 				return fmt.Errorf("storage: snapshot %s: %w", def.Name, err)
 			}
-			t.insert(string(enc), tuple)
+			rows = append(rows, relation.Row{Rel: def.Name, Key: string(enc), Tuple: tuple})
 		}
+		// Snapshot-loaded state has no changelog (see below).
+		db.apply(rows, make([]bool, len(rows)), -1)
 	}
 	db.lsn = r.uvarint()
 	db.recoveredCkpt = min(db.lsn, r.uvarint())

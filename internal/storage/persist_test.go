@@ -204,7 +204,7 @@ func TestLegacyWALRefused(t *testing.T) {
 		// length | CRC-32 | payload records. The refusal looks at the name.
 		path := filepath.Join(dir, legacyLogName)
 		data := append([]byte("cdbW"), 1, 0, 0, 0)
-		for _, p := range [][]byte{encodeDDL(empDef()), encodeOps([]op{{kind: opInsert, rel: "emp", key: emp(1, "a").Key()}})} {
+		for _, p := range [][]byte{encodeDDL(empDef()), encodeRows([]relation.Row{{Rel: "emp", Key: emp(1, "a").Key(), Tuple: emp(1, "a")}}, []bool{true})} {
 			data = binary.LittleEndian.AppendUint32(data, uint32(len(p)))
 			data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(p))
 			data = append(data, p...)

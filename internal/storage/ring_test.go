@@ -26,20 +26,20 @@ type modelChange struct {
 	key string
 }
 
-// apply replays one commit's ops, in order, following applied[i]. It
-// returns the first op whose applied flag disagrees with the model's
-// presence set, or -1.
-func (m *ringModel) apply(lsn uint64, ops []op, applied []bool) int {
+// apply replays one commit's rows (a nil Tuple deletes), in order,
+// following applied[i]. It returns the first row whose applied flag
+// disagrees with the model's presence set, or -1.
+func (m *ringModel) apply(lsn uint64, ops []relation.Row, applied []bool) int {
 	m.lsn = lsn
 	for i, o := range ops {
-		if applied[i] != (m.present[o.key] == (o.kind == opDelete)) {
+		if applied[i] != (m.present[o.Key] == (o.Tuple == nil)) {
 			return i
 		}
 		switch {
 		case !applied[i]:
-		case o.kind == opInsert:
-			m.present[o.key] = true
-			c := modelChange{lsn: lsn, key: o.key}
+		case o.Tuple != nil:
+			m.present[o.Key] = true
+			c := modelChange{lsn: lsn, key: o.Key}
 			m.all = append(m.all, c)
 			m.changes = append(m.changes, c)
 			if drop := len(m.changes) - m.limit; drop > 0 {
@@ -47,7 +47,7 @@ func (m *ringModel) apply(lsn uint64, ops []op, applied []bool) int {
 				m.changes = m.changes[drop:]
 			}
 		default:
-			delete(m.present, o.key)
+			delete(m.present, o.Key)
 			m.lostBelow = max(m.lostBelow, lsn)
 			m.changes = nil
 		}
@@ -164,13 +164,13 @@ func TestChangeRingAgainstModel(t *testing.T) {
 			domain := tc.commits * 4
 			every := tc.limit > 0 && tc.limit <= 6 // small runs: all watermarks after every commit
 			for c := 0; c < tc.commits; c++ {
-				ops := make([]op, 1+rng.Intn(5))
+				ops := make([]relation.Row, 1+rng.Intn(5))
 				for i := range ops {
 					tuple := emp(rng.Intn(domain), "x")
 					if rng.Intn(tc.deleteOneIn) == 0 {
-						ops[i] = op{kind: opDelete, rel: "emp", key: tuple.Key()}
+						ops[i] = relation.Row{Rel: "emp", Key: tuple.Key()}
 					} else {
-						ops[i] = op{kind: opInsert, rel: "emp", key: tuple.Key(), tuple: tuple}
+						ops[i] = relation.Row{Rel: "emp", Key: tuple.Key(), Tuple: tuple}
 					}
 				}
 				applied := make([]bool, len(ops))
@@ -178,7 +178,7 @@ func TestChangeRingAgainstModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i := m.apply(db.LSN(), ops, applied); i >= 0 {
-					t.Fatalf("commit %d: op %d (kind %d) applied=%v, model disagrees", c, i, ops[i].kind, applied[i])
+					t.Fatalf("commit %d: op %d (delete %v) applied=%v, model disagrees", c, i, ops[i].Tuple == nil, applied[i])
 				}
 				if !slices.Contains(applied, true) {
 					continue // nothing changed: no commit, no LSN
@@ -299,5 +299,37 @@ func TestCaptureAllocationAtLimit(t *testing.T) {
 	t.Logf("allocated per inserted row: %d B with capture at its limit, %d B with capture off", with, without)
 	if with > without+1024 {
 		t.Fatalf("change capture allocates %d B per row at the limit (insert alone %d B); want < 1 KiB", with-without, without)
+	}
+}
+
+// TestCommitReservesRingOnce: a 1,000-row commit into an empty table grows
+// its changelog once, to the commit's size, where pushing the rows one by
+// one doubled it from 8 entries eight times.
+func TestCommitReservesRingOnce(t *testing.T) {
+	const rows = 1000
+	tuples := make([]relation.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = emp(i, "x")
+	}
+	commit := func(limit int) func() {
+		return func() {
+			db, err := Open(Options{ChangelogLimit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DefineRelation(empDef()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.InsertMany("emp", tuples); err != nil {
+				t.Fatal(err)
+			}
+			if limit > 0 && len(db.tables["emp"].changes.buf) != rows {
+				t.Fatalf("ring capacity %d after a %d-row commit", len(db.tables["emp"].changes.buf), rows)
+			}
+		}
+	}
+	with, without := testing.AllocsPerRun(5, commit(0)), testing.AllocsPerRun(5, commit(-1))
+	if with-without != 1 {
+		t.Fatalf("a %d-row commit makes %.0f allocations with capture, %.0f without: want exactly one more", rows, with, without)
 	}
 }

@@ -45,9 +45,10 @@ type change struct {
 
 // changeRing is a relation's changelog: a circular buffer holding exactly
 // the last limit captured inserts, oldest first. Append and evict are O(1);
-// the backing array grows geometrically up to the limit, so a small relation
-// never pays for a full ring. Entries are in non-decreasing LSN order (one
-// writer captures commits in LSN order).
+// the backing array grows to make room for each commit's inserts at once
+// (reserve), at least doubling, up to the limit, so a small relation never
+// pays for a full ring. Entries are in non-decreasing LSN order (one writer
+// captures commits in LSN order).
 type changeRing struct {
 	buf  []change // len(buf) is the current capacity, at most the limit
 	head int      // index of the oldest entry
@@ -63,6 +64,17 @@ func (r *changeRing) at(i int) *change {
 	return &r.buf[i]
 }
 
+// reserve makes room for k more entries under limit (>= 1) in one step.
+func (r *changeRing) reserve(k, limit int) {
+	if r.n+k <= len(r.buf) || len(r.buf) == limit {
+		return
+	}
+	grown := make([]change, min(limit, max(r.n+k, 2*len(r.buf), 8)))
+	c := copy(grown[:r.n], r.buf[r.head:])
+	copy(grown[c:r.n], r.buf)
+	r.buf, r.head = grown, 0
+}
+
 // push appends c, evicting the oldest entry once the ring holds limit
 // (>= 1) entries; it returns the evicted entry's LSN, 0 when nothing was
 // evicted (no insert commits at LSN 0).
@@ -76,12 +88,7 @@ func (r *changeRing) push(c change, limit int) (evictedLSN uint64) {
 		}
 		return evictedLSN
 	}
-	if r.n == len(r.buf) {
-		grown := make([]change, min(max(2*len(r.buf), 8), limit))
-		k := copy(grown, r.buf[r.head:])
-		copy(grown[k:], r.buf[:r.head])
-		r.buf, r.head = grown, 0
-	}
+	r.reserve(1, limit)
 	*r.at(r.n) = c
 	r.n++
 	return 0
@@ -98,11 +105,6 @@ func (r *changeRing) after(lsn uint64) int {
 type capture struct {
 	limit int
 	lsn   uint64
-}
-
-// beginCapture starts the capture of the commit at lsn.
-func (db *DB) beginCapture(lsn uint64) capture {
-	return capture{limit: db.changelogLimit(), lsn: lsn}
 }
 
 // insert appends a committed insert to the relation's changelog. Overflow drops the oldest entry and raises
@@ -169,17 +171,32 @@ func (t *table) newView() *tableSnap {
 	return v
 }
 
-// insert adds the tuple, whose encoding is key, to the table. Returns
-// whether the tuple was new.
-func (t *table) insert(key string, tuple relation.Tuple) bool {
+// insert adds the batch of rows, in strictly ascending key order, to the
+// table, sets isNew[i] for the rows that were new and returns their count.
+// Each maintained secondary index takes the new rows as one sorted batch
+// too, and the changelog makes room for them when capture is on (limit >
+// 0).
+func (t *table) insert(b btree.Batch[relation.Tuple], isNew []bool, limit int) int {
 	t.beginWrite()
-	if !t.primary.Add(key, tuple) {
-		return false
+	n := t.primary.AddSorted(b, isNew)
+	if n == 0 {
+		return 0
 	}
 	for pos, idx := range t.second {
-		idx.Put(secondaryKey(tuple[pos], key), tuple)
+		entries := make(secondaryRows, 0, n)
+		for i, ok := range isNew {
+			if ok {
+				row := b.Value(i)
+				entries = append(entries, secondaryRow{secondaryKey(row[pos], b.Key(i)), row})
+			}
+		}
+		entries.sort()
+		idx.AddSorted(entries, nil)
 	}
-	return true
+	if limit > 0 {
+		t.changes.reserve(n, limit)
+	}
+	return n
 }
 
 // delete removes the tuple encoded as key. Returns whether it was present.
@@ -202,20 +219,35 @@ func secondaryKey(v relation.Value, key string) string {
 	return string(append(relation.EncodeValue(buf[:0], v), key...))
 }
 
+// secondaryRow is an entry of a secondary index: its key (secondaryKey)
+// and the tuple.
+type secondaryRow struct {
+	key string
+	row relation.Tuple
+}
+
+// secondaryRows is a batch of secondary index entries; sort puts it in key
+// order.
+type secondaryRows []secondaryRow
+
+func (s secondaryRows) Len() int                   { return len(s) }
+func (s secondaryRows) Key(i int) string           { return s[i].key }
+func (s secondaryRows) Value(i int) relation.Tuple { return s[i].row }
+
+func (s secondaryRows) sort() {
+	slices.SortFunc(s, func(a, b secondaryRow) int { return strings.Compare(a.key, b.key) })
+}
+
 // secondaryOf builds the index of a relation state over one attribute
 // position (> 0): the keys are derived in primary order, sorted, and
 // bulk-loaded.
 func secondaryOf(primary *btree.Map[relation.Tuple], pos int) *btree.Map[relation.Tuple] {
-	type entry struct {
-		key string
-		row relation.Tuple
-	}
-	entries := make([]entry, 0, primary.Len())
+	entries := make(secondaryRows, 0, primary.Len())
 	primary.AscendAll(func(key string, row relation.Tuple) bool {
-		entries = append(entries, entry{secondaryKey(row[pos], key), row})
+		entries = append(entries, secondaryRow{secondaryKey(row[pos], key), row})
 		return true
 	})
-	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	entries.sort()
 	keys := make([]string, len(entries))
 	rows := make([]relation.Tuple, len(entries))
 	for i, e := range entries {

@@ -56,13 +56,13 @@ func TestShardedOpsAgainstModel(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(shards) * 7919))
 			model := make(map[string]relation.Tuple)
 			for step := 0; step < 40; step++ {
-				ops := make([]op, 25)
+				ops := make([]relation.Row, 25)
 				for i := range ops {
 					tp := emp(rnd.Intn(60), fmt.Sprintf("n%d", rnd.Intn(7)))
 					if rnd.Intn(3) == 2 {
-						ops[i] = op{kind: opDelete, rel: "emp", key: tp.Key()}
+						ops[i] = relation.Row{Rel: "emp", Key: tp.Key()}
 					} else {
-						ops[i] = op{kind: opInsert, rel: "emp", key: tp.Key(), tuple: tp}
+						ops[i] = relation.Row{Rel: "emp", Key: tp.Key(), Tuple: tp}
 					}
 				}
 				applied := make([]bool, len(ops))
@@ -70,14 +70,14 @@ func TestShardedOpsAgainstModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, o := range ops {
-					_, present := model[o.key]
-					if applied[i] != (present == (o.kind == opDelete)) {
-						t.Fatalf("step %d: op %d (kind %d) applied=%v, model present=%v", step, i, o.kind, applied[i], present)
+					_, present := model[o.Key]
+					if applied[i] != (present == (o.Tuple == nil)) {
+						t.Fatalf("step %d: op %d (delete %v) applied=%v, model present=%v", step, i, o.Tuple == nil, applied[i], present)
 					}
-					if o.kind == opInsert {
-						model[o.key] = o.tuple
+					if o.Tuple != nil {
+						model[o.Key] = o.Tuple
 					} else {
-						delete(model, o.key)
+						delete(model, o.Key)
 					}
 				}
 
@@ -351,10 +351,10 @@ func TestConcurrentMultiShardCommits(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < per; i++ {
-				ops := make([]op, batch)
+				ops := make([]relation.Row, batch)
 				for j := range ops {
 					tp := emp(w*100_000+i*batch+j, "x")
-					ops[j] = op{kind: opInsert, rel: rels[(w+j)%len(rels)], key: tp.Key(), tuple: tp}
+					ops[j] = relation.Row{Rel: rels[(w+j)%len(rels)], Key: tp.Key(), Tuple: tp}
 				}
 				applied := make([]bool, batch)
 				if err := db.commit(ops, applied); err != nil {

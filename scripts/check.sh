@@ -6,7 +6,8 @@
 # Builds the root module, vets it, checks formatting, runs its tests under
 # the race detector in shuffled order (as CI's test-race job does), runs
 # every benchmark for one iteration (as CI's bench-smoke job does), runs
-# every examples/*/ program (as CI's examples job does), then vets and
+# every examples/*/ program (as CI's examples job does), fuzzes every Fuzz*
+# target for 10 s (as CI's fuzz-smoke job does), then vets and
 # tests the nested benchmark module (bench/), which the root module's
 # ./... does not see. It stops at the first failure and edits nothing.
 set -euo pipefail
@@ -31,6 +32,8 @@ for d in examples/*/; do
 	echo "== go run ./$d"
 	go run "./$d"
 done
+echo "== scripts/fuzz_smoke.sh"
+bash scripts/fuzz_smoke.sh
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: ok"
