@@ -4,8 +4,16 @@
 // order-preserving codec in internal/relation.
 //
 // The tree supports insert, lookup, delete with rebalancing, ordered range
-// scans, bulk loading from sorted input, and O(1) copy-on-write clones. It
-// is not safe for concurrent mutation; the storage layer serialises writers.
+// and prefix scans, bulk loading from sorted input, and O(1) copy-on-write
+// clones. It is not safe for concurrent mutation; the storage layer
+// serialises writers.
+//
+// A batch of ascending keys goes in with AddSorted (merge.go), the storage
+// engine's only insert: one descent per subtree the batch reaches, and one
+// merge pass per leaf it touches, written from the back so that a leaf the
+// tree owns is merged in place and a shared one is copied and merged at
+// once; an overflowing leaf or interior is cut into balanced nodes whose
+// separators go up to the parent.
 //
 // Clones share nodes. Every node carries the ownership token of the tree
 // that allocated it, and a writer copies a node whose token is not its own
@@ -424,6 +432,49 @@ func (m *Map[V]) Ascend(from, to string, fn func(key string, value V) bool) {
 			}
 		}
 	}
+}
+
+// AscendPrefix calls fn for every key that begins with prefix, in ascending
+// order; fn returning false stops the scan. The prefix is compared as it
+// lies, so a caller may build it in a stack buffer and the walk allocates
+// nothing.
+func (m *Map[V]) AscendPrefix(prefix []byte, fn func(key string, value V) bool) {
+	var it cursor[V]
+	n := m.root
+	for !n.leaf() {
+		i := searchBytes(n.keys, prefix)
+		if i < len(n.keys) && n.keys[i] == string(prefix) {
+			i++
+		}
+		it.stack[it.depth] = frame[V]{n, i + 1}
+		it.depth++
+		n = n.children[i]
+	}
+	it.n, it.i = n, searchBytes(n.keys, prefix)
+	for more := true; more; more = it.nextLeaf() {
+		keys, vals := it.n.keys, it.n.vals
+		for i := it.i; i < len(keys); i++ {
+			k := keys[i]
+			if len(k) < len(prefix) || k[:len(prefix)] != string(prefix) || !fn(k, vals[i]) {
+				return
+			}
+		}
+	}
+}
+
+// searchBytes is search for a key held as bytes; the comparisons convert it
+// without allocating.
+func searchBytes(keys []string, key []byte) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < string(key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // AscendAll scans every key in ascending order.

@@ -28,8 +28,9 @@ type Set struct {
 }
 
 // relSet is one relation: the tuples in insertion order, and trees mapping
-// keys to their slots (the storage tables' layout: a tree leaf then moves
-// plain ints when it shifts, not slice headers under GC write barriers).
+// keys to their slots, so a tree leaf moves plain ints when it shifts, not
+// slice headers under GC write barriers. (The storage tables' trees hold the
+// tuples themselves: a published view is then a clone of the trees alone.)
 type relSet struct {
 	rows    []Tuple
 	primary *btree.Map[int]         // tuple key -> slot in rows
@@ -159,6 +160,18 @@ func (s *Set) ScanRangeKeys(rel string, pos int, rg Range, fn func(key string, t
 		r.primary.Ascend(from, to, func(key string, slot int) bool { return fn(key, r.rows[slot]) })
 		return
 	}
+	r.index(pos).Ascend(from, to, func(k string, slot int) bool {
+		t := r.rows[slot]
+		return fn(k[t[pos].EncodedLen():], t)
+	})
+}
+
+// index returns the tree over position pos: the primary at 0, otherwise
+// the position's secondary tree, built on first use.
+func (r *relSet) index(pos int) *btree.Map[int] {
+	if pos == 0 {
+		return r.primary
+	}
 	idx := r.second[pos]
 	if idx == nil {
 		idx = btree.New[int]()
@@ -173,10 +186,7 @@ func (s *Set) ScanRangeKeys(rel string, pos int, rg Range, fn func(key string, t
 		}
 		r.second[pos] = idx
 	}
-	idx.Ascend(from, to, func(k string, slot int) bool {
-		t := r.rows[slot]
-		return fn(k[t[pos].EncodedLen():], t)
-	})
+	return idx
 }
 
 // ScanRange is ScanRangeKeys without the keys (the cq.RangeScanner
@@ -188,7 +198,14 @@ func (s *Set) ScanRange(rel string, pos int, rg Range, fn func(Tuple) bool) {
 // ScanEq is the point range of v (the cq.EqScanner signature): the tuples
 // whose value at position pos equals v, in key order.
 func (s *Set) ScanEq(rel string, pos int, v Value, fn func(Tuple) bool) {
-	s.ScanRange(rel, pos, Point(v), fn)
+	r := s.rels[rel]
+	if r == nil || pos < 0 {
+		return
+	}
+	// The value's encoding prefixes exactly its tuples' keys in the tree (it
+	// is prefix-free), built here without allocating.
+	var buf [64]byte
+	r.index(pos).AscendPrefix(EncodeValue(buf[:0], v), func(_ string, slot int) bool { return fn(r.rows[slot]) })
 }
 
 // Union accumulates duplicate-free batches of tuples into one duplicate-free

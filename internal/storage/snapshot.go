@@ -144,7 +144,14 @@ func (s *Snapshot) ScanRange(rel string, pos int, r relation.Range, fn func(rela
 // order: the point range of v. The result is bit-identical to a filtered
 // full scan.
 func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
-	s.ScanRange(rel, pos, relation.Point(v), fn)
+	t, ok := s.tables[rel]
+	if !ok || pos < 0 || pos >= t.def.Arity() {
+		return
+	}
+	// The value's encoding is a prefix of exactly its tuples' keys in the
+	// index (it is prefix-free), built here without allocating.
+	var buf [64]byte
+	t.index(pos).AscendPrefix(relation.EncodeValue(buf[:0], v), func(_ string, row relation.Tuple) bool { return fn(row) })
 }
 
 // Tuples returns all tuples of the relation as of the snapshot, in key
