@@ -30,13 +30,15 @@ package btree
 //
 // It trades the bytes a writer copies when it first touches a shared node
 // against scan speed and depth, and was settled on storage's
-// BenchmarkSnapshotAfterCommit and BenchmarkSnapshotScan (figures there): 16
-// and 32 copy half to two thirds of what 64 does per commit after a pin, but
-// scan a relation 68% and 24% slower; 128 copies half as much again and
-// scans no faster. Between 32 and 64 the two pull in opposite directions, so
-// the bench/ workloads decided: update-cold the same, read-write-mix (full
-// scans) and update-incr-durable (increments land on one edge of the tree,
-// so few leaves are copied whatever their size) 2-5% ahead at 64.
+// BenchmarkSnapshotAfterCommit and BenchmarkSnapshotScan (figures there).
+// With AddSorted, 16 and 32 copy 45% and 64% of what 64 does per commit
+// after a pin, and scan a relation 10% and 3% slower; 128 copies half as
+// much again and scans 30% slower. Between 32 and 64 the two pull in
+// opposite directions, so the bench/ workloads decided (measured with the
+// row-at-a-time insert, under which 32 scanned 24% slower):
+// update-cold the same, read-write-mix (full scans) and update-incr-durable
+// (increments land on one edge of the tree, so few leaves are copied
+// whatever their size) 2-5% ahead at 64.
 const degree = 64
 
 const (
@@ -67,12 +69,13 @@ func (n *node[V]) leaf() bool { return n.children == nil }
 
 // search returns the smallest index i with keys[i] >= key (len(keys) if
 // none): sort.SearchStrings without the per-step closure call, which is
-// most of a descent's cost.
-func search(keys []string, key string) int {
+// most of a descent's cost. A key held as bytes is compared as it lies,
+// without being copied into a string.
+func search[K ~string | ~[]byte](keys []string, key K) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
+		if keys[mid] < string(key) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -83,9 +86,9 @@ func search(keys []string, key string) int {
 
 // childIndex returns the child of an interior node whose subtree holds key:
 // a key equal to a separator lives in the right subtree.
-func childIndex(keys []string, key string) int {
+func childIndex[K ~string | ~[]byte](keys []string, key K) int {
 	i := search(keys, key)
-	if i < len(keys) && keys[i] == key {
+	if i < len(keys) && keys[i] == string(key) {
 		i++
 	}
 	return i
@@ -417,7 +420,7 @@ func (m *Map[V]) rebalance(n *node[V], i int) {
 // `to` means "until the end". fn returning false stops the scan.
 func (m *Map[V]) Ascend(from, to string, fn func(key string, value V) bool) {
 	var it cursor[V]
-	it.seek(m.root, from)
+	seek(&it, m.root, from)
 	for more := true; more; more = it.nextLeaf() {
 		keys, vals := it.n.keys, it.n.vals
 		// The bound is tested once per leaf, not once per key.
@@ -440,35 +443,38 @@ func (m *Map[V]) Ascend(from, to string, fn func(key string, value V) bool) {
 // nothing.
 func (m *Map[V]) AscendPrefix(prefix []byte, fn func(key string, value V) bool) {
 	var it cursor[V]
-	n := m.root
-	for !n.leaf() {
-		i := searchBytes(n.keys, prefix)
-		if i < len(n.keys) && n.keys[i] == string(prefix) {
-			i++
-		}
-		it.stack[it.depth] = frame[V]{n, i + 1}
-		it.depth++
-		n = n.children[i]
-	}
-	it.n, it.i = n, searchBytes(n.keys, prefix)
+	seek(&it, m.root, prefix)
 	for more := true; more; more = it.nextLeaf() {
 		keys, vals := it.n.keys, it.n.vals
-		for i := it.i; i < len(keys); i++ {
-			k := keys[i]
-			if len(k) < len(prefix) || k[:len(prefix)] != string(prefix) || !fn(k, vals[i]) {
+		// As in Ascend, the bound is tested once per leaf: the keys from
+		// the cursor up to a last key with the prefix all have it, and a
+		// leaf whose last key lacks it ends the run. (The cursor may start
+		// past a leaf's last key; the run then begins in the next leaf.)
+		end := len(keys)
+		if end > it.i && !hasPrefix(keys[end-1], prefix) {
+			end = it.i + prefixRun(keys[it.i:], prefix)
+			it.depth = 0
+		}
+		for i := it.i; i < end; i++ {
+			if !fn(keys[i], vals[i]) {
 				return
 			}
 		}
 	}
 }
 
-// searchBytes is search for a key held as bytes; the comparisons convert it
-// without allocating.
-func searchBytes(keys []string, key []byte) int {
+// hasPrefix reports whether key begins with prefix.
+func hasPrefix(key string, prefix []byte) bool {
+	return len(key) >= len(prefix) && key[:len(prefix)] == string(prefix)
+}
+
+// prefixRun returns how many of keys, all at least prefix and ascending,
+// begin with it: those keys come first.
+func prefixRun(keys []string, prefix []byte) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < string(key) {
+		if hasPrefix(keys[mid], prefix) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -523,13 +529,13 @@ type frame[V any] struct {
 	next int
 }
 
-// seek positions the cursor at the smallest key >= from under root.
-func (it *cursor[V]) seek(root *node[V], from string) {
+// seek positions it at the smallest key >= from under root.
+func seek[V any, K ~string | ~[]byte](it *cursor[V], root *node[V], from K) {
 	it.depth = 0
 	n := root
 	for !n.leaf() {
 		i := 0
-		if from != "" {
+		if len(from) > 0 {
 			i = childIndex(n.keys, from)
 		}
 		it.stack[it.depth] = frame[V]{n, i + 1}
@@ -537,7 +543,7 @@ func (it *cursor[V]) seek(root *node[V], from string) {
 		n = n.children[i]
 	}
 	it.n, it.i = n, 0
-	if from != "" {
+	if len(from) > 0 {
 		it.i = search(n.keys, from)
 	}
 }

@@ -3,7 +3,9 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +175,51 @@ func TestRangeScan(t *testing.T) {
 	})
 	if len(got) != 2 || got[0] != 11 {
 		t.Errorf("absent-start range = %v", got)
+	}
+}
+
+// TestAscendPrefix: a prefix walk yields exactly the keys of a full scan
+// that begin with the prefix, for runs that start mid-leaf, start past a
+// leaf's last key, span many leaves or are empty, and it stops when fn
+// says so.
+func TestAscendPrefix(t *testing.T) {
+	m := New[int]()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3000; i++ {
+		// Runs of very different lengths under one-byte prefixes.
+		p := byte('a' + rng.Intn(6)*rng.Intn(4))
+		m.Put(fmt.Sprintf("%c%06d", p, rng.Intn(1_000_000)), i)
+	}
+	prefixes := []string{"", "a", "b", "d", "j", "p", "z", "a0", "a00", "d1234", "\xff"}
+	for i := 0; i < 200; i++ {
+		prefixes = append(prefixes, fmt.Sprintf("%c%d", 'a'+rng.Intn(16), rng.Intn(1000)))
+	}
+	for _, p := range prefixes {
+		var want, got []string
+		m.AscendAll(func(k string, _ int) bool {
+			if strings.HasPrefix(k, p) {
+				want = append(want, k)
+			}
+			return true
+		})
+		m.AscendPrefix([]byte(p), func(k string, _ int) bool {
+			got = append(got, k)
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("AscendPrefix(%q): %d keys, want %d", p, len(got), len(want))
+		}
+		if len(want) < 2 {
+			continue
+		}
+		got = got[:0]
+		m.AscendPrefix([]byte(p), func(k string, _ int) bool {
+			got = append(got, k)
+			return len(got) < len(want)/2
+		})
+		if len(got) != len(want)/2 {
+			t.Fatalf("AscendPrefix(%q) stopped after %d keys, want %d", p, len(got), len(want)/2)
+		}
 	}
 }
 

@@ -23,3 +23,28 @@ func TestScanEqAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkScanEq probes a Set by equality at a secondary position whose
+// value matches one tuple or a run of a thousand.
+func BenchmarkScanEq(b *testing.B) {
+	s := NewSet()
+	for i := 0; i < 20000; i++ {
+		v := i % 20 // 1000 tuples per value 0..19
+		if i >= 10000 {
+			v = i // one tuple per value
+		}
+		tu := Tuple{Int(i), Int(v)}
+		s.Insert("r", tu.Key(), tu)
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"run=1", 15000}, {"run=1000", 7}} {
+		b.Run(c.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				s.ScanEq("r", 1, Int(c.v), func(Tuple) bool { n++; return true })
+			}
+		})
+	}
+}

@@ -46,8 +46,7 @@ func (db *DB) commit(rows []relation.Row, applied []bool) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
-	limit := db.changelogLimit()
-	if db.apply(rows, applied, limit) == 0 {
+	if db.apply(rows, applied) == 0 {
 		// The trees are unchanged, so their published views still hold.
 		root := db.root.Load()
 		for i := range rows {
@@ -60,7 +59,7 @@ func (db *DB) commit(rows []relation.Row, applied []bool) error {
 	db.lsn++
 	err := db.logRecord(func() []byte { return encodeRows(rows, applied) })
 	db.applyMarks()
-	db.capture(rows, applied, capture{limit: limit, lsn: db.lsn})
+	db.capture(rows, applied, capture{limit: db.changelogLimit(), lsn: db.lsn})
 	db.publish()
 	if err != nil {
 		return err
@@ -83,9 +82,8 @@ func (db *DB) commit(rows []relation.Row, applied []bool) error {
 // already in (relation, key) order, as the overlays, checkpoints and logged
 // commits hand them over, are read as they lie; any other run is sorted
 // once, through a permutation of its rows, and a row repeated inside it
-// counts at its first occurrence only. Each changed relation's changelog
-// makes room for the run's inserts (limit is the changelog bound).
-func (db *DB) apply(rows []relation.Row, applied []bool, limit int) (changed int) {
+// counts at its first occurrence only.
+func (db *DB) apply(rows []relation.Row, applied []bool) (changed int) {
 	for lo := 0; lo < len(rows); {
 		if rows[lo].Tuple == nil {
 			if applied[lo] = db.tables[rows[lo].Rel].delete(rows[lo].Key); applied[lo] {
@@ -98,19 +96,19 @@ func (db *DB) apply(rows []relation.Row, applied []bool, limit int) (changed int
 		for hi < len(rows) && rows[hi].Tuple != nil {
 			hi++
 		}
-		changed += db.insertRun(rows[lo:hi], applied[lo:hi], limit)
+		changed += db.insertRun(rows[lo:hi], applied[lo:hi])
 		lo = hi
 	}
 	return changed
 }
 
 // insertRun is apply for a run of inserts.
-func (db *DB) insertRun(rows []relation.Row, isNew []bool, limit int) (changed int) {
+func (db *DB) insertRun(rows []relation.Row, isNew []bool) (changed int) {
 	if inOrder(rows) {
 		for lo, hi := 0, 0; lo < len(rows); lo = hi {
 			for hi = lo + 1; hi < len(rows) && rows[hi].Rel == rows[lo].Rel; hi++ {
 			}
-			changed += db.tables[rows[lo].Rel].insert(sortedRows(rows[lo:hi]), isNew[lo:hi], limit)
+			changed += db.tables[rows[lo].Rel].insert(sortedRows(rows[lo:hi]), isNew[lo:hi])
 		}
 		return changed
 	}
@@ -130,7 +128,7 @@ func (db *DB) insertRun(rows []relation.Row, isNew []bool, limit int) (changed i
 		rel := rows[perm[lo]].Rel
 		for hi = lo + 1; hi < len(perm) && rows[perm[hi]].Rel == rel; hi++ {
 		}
-		changed += db.tables[rel].insert(permRows{rows, perm[lo:hi]}, added[lo:hi], limit)
+		changed += db.tables[rel].insert(permRows{rows, perm[lo:hi]}, added[lo:hi])
 	}
 	clear(isNew)
 	for j, i := range perm {
@@ -178,7 +176,9 @@ func (p permRows) Key(i int) string           { return p.rows[p.perm[i]].Key }
 func (p permRows) Value(i int) relation.Tuple { return p.rows[p.perm[i]].Tuple }
 
 // capture records a commit's applied rows in their relations' changelogs,
-// in row order.
+// in row order. A relation's changelog first makes room, in one step, for
+// the inserts that follow up to its next delete or the next applied row of
+// another relation, so a commit grows it at most once per such run.
 func (db *DB) capture(rows []relation.Row, applied []bool, c capture) {
 	var t *table
 	for i := range rows {
@@ -187,11 +187,13 @@ func (db *DB) capture(rows []relation.Row, applied []bool, c capture) {
 		}
 		if t == nil || t.def.Name != rows[i].Rel {
 			t = db.tables[rows[i].Rel]
+			c.reserve(t, rows[i:], applied[i:])
 		}
 		if rows[i].Tuple != nil {
 			c.insert(t, rows[i].Tuple)
 		} else {
 			c.delete(t)
+			c.reserve(t, rows[i+1:], applied[i+1:])
 		}
 	}
 }

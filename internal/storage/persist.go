@@ -172,7 +172,7 @@ func (db *DB) applyLogRecord(lsn uint64, payload []byte) error {
 	var rows []relation.Row
 	flush := func() {
 		applied := make([]bool, len(rows))
-		db.apply(rows, applied, capt.limit)
+		db.apply(rows, applied)
 		db.capture(rows, applied, capt)
 		rows = rows[:0]
 	}
@@ -459,7 +459,7 @@ func (db *DB) loadSnapshot(path string) error {
 			rows = append(rows, relation.Row{Rel: def.Name, Key: string(enc), Tuple: tuple})
 		}
 		// Snapshot-loaded state has no changelog (see below).
-		db.apply(rows, make([]bool, len(rows)), -1)
+		db.apply(rows, make([]bool, len(rows)))
 	}
 	db.lsn = r.uvarint()
 	db.recoveredCkpt = min(db.lsn, r.uvarint())

@@ -332,4 +332,30 @@ func TestCommitReservesRingOnce(t *testing.T) {
 	if with-without != 1 {
 		t.Fatalf("a %d-row commit makes %.0f allocations with capture, %.0f without: want exactly one more", rows, with, without)
 	}
+
+	// A delete inside the commit empties the ring; the inserts after it
+	// make room once more, for themselves alone.
+	batch := relation.KeyedRows("emp", tuples)
+	batch = slices.Insert(batch, rows/2, relation.Row{Rel: "emp", Key: tuples[0].Key()})
+	split := func(limit int) func() {
+		return func() {
+			db, err := Open(Options{ChangelogLimit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DefineRelation(empDef()); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.commit(batch, make([]bool, len(batch))); err != nil {
+				t.Fatal(err)
+			}
+			if limit > 0 && len(db.tables["emp"].changes.buf) != rows/2 {
+				t.Fatalf("ring capacity %d after a delete and %d inserts", len(db.tables["emp"].changes.buf), rows/2)
+			}
+		}
+	}
+	with, without = testing.AllocsPerRun(5, split(0)), testing.AllocsPerRun(5, split(-1))
+	if with-without != 2 {
+		t.Fatalf("a commit split by a delete makes %.0f allocations with capture, %.0f without: want exactly two more", with, without)
+	}
 }

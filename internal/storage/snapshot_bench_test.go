@@ -40,14 +40,17 @@ var snapSink *Snapshot
 // 64 rows per iteration, so compare runs at one -benchtime.
 //
 // 2-CPU box, -benchtime=300x -cpu 2, medians of 5 (flat: the key/row arrays
-// every commit used to drop and the next pin copy afresh; N: btree.degree):
+// every commit used to drop and the next pin copy afresh, measured with the
+// row-at-a-time insert; N: btree.degree, measured with the batch merge,
+// whose times on a shared box spread by a third, so the bytes are the
+// figure to compare):
 //
 //	        pin               commit+pin
 //	flat    777 µs, 1.19 MB   824 µs, 1.25 MB
-//	16      as 64             182 µs, 133 KB
-//	32      as 64             196 µs, 180 KB
-//	64      3.5 µs, 848 B     224 µs, 262 KB
-//	128     as 64             342 µs, 389 KB
+//	16      as 64             203 µs, 106 KB
+//	32      as 64             231 µs, 152 KB
+//	64      0.1 µs, 0 B       185-297 µs, 236 KB
+//	128     as 64             323 µs, 364 KB
 func BenchmarkSnapshotAfterCommit(b *testing.B) {
 	for _, timed := range []string{"pin", "commit+pin"} {
 		b.Run(timed, func(b *testing.B) {
@@ -77,9 +80,11 @@ func BenchmarkSnapshotAfterCommit(b *testing.B) {
 // BenchmarkSnapshotScan measures a full Scan of a pinned 20k-row snapshot
 // with an empty callback: the inner loop of every hash-join build and
 // full-scan range query, at its barest. Same box and flags, -benchtime=300x:
-// the flat row array read 39.5 µs; the tree reads 74 µs at degree 16, 54.5
-// at 32, 43.9 at 64 (+11%: one indirect call per row either way, plus two
-// dependent loads per leaf) and 48.7 at 128.
+// the flat row array read 39.5 µs. The tree reads 41.5 µs at degree 16,
+// 39.1 at 32, 37.8 at 64 and 49.4 at 128 when the table's one InsertMany
+// goes in as a batch merge, which fills the leaves it cuts; built one row
+// at a time, it read 74, 54.5, 43.9 and 48.7 µs
+// when first measured, and 100 µs at 64 beside the batch merge's 37.8.
 func BenchmarkSnapshotScan(b *testing.B) {
 	db, _ := snapBenchDB(b)
 	snap := db.Snapshot()

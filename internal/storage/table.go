@@ -119,6 +119,26 @@ func (c *capture) insert(t *table, tuple relation.Tuple) {
 	t.evictedBelow = max(t.evictedBelow, evicted)
 }
 
+// reserve makes room in t's changelog for the applied inserts of t at the
+// head of rows, up to an applied delete or an applied row of another
+// relation.
+func (c *capture) reserve(t *table, rows []relation.Row, applied []bool) {
+	if c.limit < 0 {
+		return
+	}
+	k := 0
+	for i := range rows {
+		if !applied[i] {
+			continue
+		}
+		if rows[i].Rel != t.def.Name || rows[i].Tuple == nil {
+			break
+		}
+		k++
+	}
+	t.changes.reserve(k, c.limit)
+}
+
 // delete records a committed delete. A delete cannot be expressed as a monotone insert delta, so the
 // relation's history is poisoned up to the deleting commit: callers of
 // Changes with an older watermark must fall back to a full scan.
@@ -174,9 +194,8 @@ func (t *table) newView() *tableSnap {
 // insert adds the batch of rows, in strictly ascending key order, to the
 // table, sets isNew[i] for the rows that were new and returns their count.
 // Each maintained secondary index takes the new rows as one sorted batch
-// too, and the changelog makes room for them when capture is on (limit >
-// 0).
-func (t *table) insert(b btree.Batch[relation.Tuple], isNew []bool, limit int) int {
+// too.
+func (t *table) insert(b btree.Batch[relation.Tuple], isNew []bool) int {
 	t.beginWrite()
 	n := t.primary.AddSorted(b, isNew)
 	if n == 0 {
@@ -192,9 +211,6 @@ func (t *table) insert(b btree.Batch[relation.Tuple], isNew []bool, limit int) i
 		}
 		entries.sort()
 		idx.AddSorted(entries, nil)
-	}
-	if limit > 0 {
-		t.changes.reserve(n, limit)
 	}
 	return n
 }
