@@ -78,7 +78,7 @@ func (db *DB) commit(rows []relation.Row, applied []bool) error {
 // apply applies rows, a commit's (live or replayed), to the writer's trees
 // and sets applied[i] as commit describes; it returns how many rows changed
 // something. A delete goes down its trees alone. A run of consecutive
-// inserts goes in as one sorted batch per relation (table.insert): rows
+// inserts goes in as one sorted batch per relation (table.addSorted): rows
 // already in (relation, key) order, as the overlays, checkpoints and logged
 // commits hand them over, are read as they lie; any other run is sorted
 // once, through a permutation of its rows, and a row repeated inside it
@@ -108,7 +108,7 @@ func (db *DB) insertRun(rows []relation.Row, isNew []bool) (changed int) {
 		for lo, hi := 0, 0; lo < len(rows); lo = hi {
 			for hi = lo + 1; hi < len(rows) && rows[hi].Rel == rows[lo].Rel; hi++ {
 			}
-			changed += db.tables[rows[lo].Rel].insert(sortedRows(rows[lo:hi]), isNew[lo:hi])
+			changed += db.tables[rows[lo].Rel].addSorted(sortedRows(rows[lo:hi]), isNew[lo:hi])
 		}
 		return changed
 	}
@@ -128,7 +128,7 @@ func (db *DB) insertRun(rows []relation.Row, isNew []bool) (changed int) {
 		rel := rows[perm[lo]].Rel
 		for hi = lo + 1; hi < len(perm) && rows[perm[hi]].Rel == rel; hi++ {
 		}
-		changed += db.tables[rel].insert(permRows{rows, perm[lo:hi]}, added[lo:hi])
+		changed += db.tables[rel].addSorted(permRows{rows, perm[lo:hi]}, added[lo:hi])
 	}
 	clear(isNew)
 	for j, i := range perm {

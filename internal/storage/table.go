@@ -191,11 +191,11 @@ func (t *table) newView() *tableSnap {
 	return v
 }
 
-// insert adds the batch of rows, in strictly ascending key order, to the
+// addSorted adds the batch of rows, in strictly ascending key order, to the
 // table, sets isNew[i] for the rows that were new and returns their count.
 // Each maintained secondary index takes the new rows as one sorted batch
 // too.
-func (t *table) insert(b btree.Batch[relation.Tuple], isNew []bool) int {
+func (t *table) addSorted(b btree.Batch[relation.Tuple], isNew []bool) int {
 	t.beginWrite()
 	n := t.primary.AddSorted(b, isNew)
 	if n == 0 {
